@@ -12,8 +12,8 @@ association is the campaign acting through both.
 
 import numpy as np
 
-from nscausal import (WeightedDag, direct_effect, effect_report,
-                      total_effect, total_effect_by_paths)
+from nscausal import (WeightedDag, direct_effect, effect_rows, total_effect,
+                      total_effect_by_paths)
 
 labels = ("campaign", "referrals", "signups")
 w = np.zeros((3, 3))
@@ -34,10 +34,9 @@ print("\nThe campaign's total effect (0.4 + 0.9*0.3 = 0.67) dwarfs its "
       "direct effect;\nreferrals contribute only their own 0.3.")
 
 print("\n== Batched report ==")
-report = effect_report(g)
-for record in report.records:
-    print(f"{record.label:10s} direct={record.direct:+.3f} "
-          f"total={record.total:+.3f}")
+for row in effect_rows(g):
+    print(f"{row['label']:10s} direct={row['direct_effect']:+.3f} "
+          f"total={row['total_effect']:+.3f}")
 
 print("\n== Total effects stay linear in each weight ==")
 for bump in (0.0, 0.1, 0.2):

@@ -11,8 +11,8 @@ import numpy as np
 
 from nscausal import (Dataset, EmpiricalDistribution, ScmDistribution,
                       WeightedDag, effect_poc_profile, empirical_cpoc,
-                      empirical_mpoc, exact_pn, exact_pns, exact_poc,
-                      exact_ps, poc_lower_bound)
+                      empirical_mpoc, exact_pn, exact_poc, exact_ps,
+                      poc_lower_bound)
 from nscausal.poc import DiscreteScm, observational_joint
 
 # z0 -> y where y = z0 OR e_y: a monotone effect with leakage
@@ -29,7 +29,7 @@ scm = DiscreteScm(
     ))
 
 print("== Exact counterfactual quantities ==")
-print("P(necessary and sufficient):", exact_pns(scm, 0, 1, 1))
+print("P(necessary and sufficient):", exact_poc(scm, 0, 1, 1, "marginal"))
 print("P(necessary | z=1, y=1):   ", round(exact_pn(scm, 0, 1, 1), 4))
 print("P(sufficient | z=0, y=0):  ", round(exact_ps(scm, 0, 1, 1), 4))
 

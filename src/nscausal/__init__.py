@@ -18,21 +18,20 @@ from .graph import (DEFAULT_WEIGHT_RANGE, EdgeSet, GraphMetrics, WeightedDag,
 from .scm import (BernoulliNoise, Dataset, GaussianNoise, SemSpec,
                   round_half_away, sample_linear, sample_nonlinear,
                   shift_nonnegative)
-from .effects import (EffectRecord, EffectReport, delta_star, direct_effect,
-                      effect_report, total_effect, total_effect_by_paths,
-                      total_effects)
+from .effects import (delta_star, direct_effect, effect_rows, total_effect,
+                      total_effect_by_paths, total_effects)
 from .poc import (DiscreteScm, EmpiricalDistribution, PocBound,
                   PocEffectProfile, PocProduct, ScmDistribution,
                   effect_poc_profile, empirical_cpoc, empirical_mpoc,
-                  evaluate, exact_pn, exact_pns, exact_poc, exact_ps,
+                  evaluate, exact_pn, exact_poc, exact_ps,
                   interventional_mean, natural_direct_effect,
                   observational_joint, poc_lower_bound)
 from .optimizer import (FitConfig, FitResult, acyclicity_gradient,
                         acyclicity_value, fit, fit_baseline,
                         least_squares_loss, relevance_constraint)
 from .mec import Cpdag, dag_to_cpdag, enumerate_mec, mec_average
-from .bench import (BenchReport, ScenarioSpec, load_csv, nscg, report_effects,
-                    run_scenario, scenario, scenario_truth, spec_from_dict,
-                    summarize)
+from .bench import (BenchReport, ScenarioSpec, nscg, run_scenario, scenario,
+                    scenario_truth, spec_from_dict, summarize)
+from .io import load_csv
 
 __all__ = [name for name in dir() if not name.startswith("_")]

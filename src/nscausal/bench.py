@@ -24,6 +24,7 @@ methods are scored against the necessary-and-sufficient subgraph of the
 truth; the baseline is scored against both that target and the full truth.
 """
 
+import os
 import time
 from dataclasses import dataclass, replace
 
@@ -32,7 +33,6 @@ import numpy as np
 from . import effects as _effects
 from .graph import (WeightedDag, EdgeSet, ancestors_of, metrics, random_er,
                     random_sf)
-from .io import load_csv  # noqa: F401  (public surface of the harness)
 from .optimizer import FitConfig, fit, fit_baseline
 from .scm import (BernoulliNoise, Dataset, GaussianNoise, SemSpec,
                   sample_linear, sample_nonlinear, shift_nonnegative)
@@ -291,8 +291,13 @@ def run_scenario(spec: ScenarioSpec, fit_config: FitConfig | None = None,
 
     Replication ``r`` is seeded as ``seed_base + r``; rows are assembled in
     deterministic task order regardless of the worker count, and method
-    failures become counted rows rather than aborting the batch.
+    failures become counted rows rather than aborting the batch.  The worker
+    count must lie between 1 and the number of cores; it is checked before
+    any work starts.
     """
+    cores = os.cpu_count() or 1
+    if not 1 <= threads <= cores:
+        raise ValueError(f"threads must be between 1 and {cores}, got {threads}")
     config = fit_config or FitConfig()
     tasks = [(n, r) for n in spec.sample_sizes for r in range(spec.replications)]
     if threads > 1:
@@ -309,24 +314,6 @@ def run_scenario(spec: ScenarioSpec, fit_config: FitConfig | None = None,
 
 def _replication_task(args):
     return _replication_rows(*args)
-
-
-def report_effects(fit_result) -> list:
-    """Effect table rows for the selected features of a (possibly loaded) fit."""
-    g = fit_result.graph
-    te = _effects.total_effects(g)
-    features = [i for i in range(g.dim) if i != g.outcome_index]
-    rows = []
-    for mask, i in zip(fit_result.selected, features):
-        if not mask:
-            continue
-        rows.append({"node": i, "label": g.labels[i],
-                     "direct_effect": float(g.weights[i, g.outcome_index]),
-                     "total_effect": float(te[i])})
-    return rows
-
-
-EFFECT_FIELDS = ("node", "label", "direct_effect", "total_effect")
 
 
 def spec_from_dict(doc: dict) -> ScenarioSpec:

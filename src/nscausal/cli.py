@@ -5,13 +5,14 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__, io
-from .bench import (EFFECT_FIELDS, RAW_FIELDS, SUMMARY_FIELDS, nscg,
-                    report_effects, run_scenario, scenario, scenario_truth,
-                    spec_from_dict, _sample)
+from .bench import (RAW_FIELDS, SUMMARY_FIELDS, nscg, run_scenario, scenario,
+                    scenario_truth, spec_from_dict, _sample)
+from .effects import EFFECT_FIELDS, effect_rows
 from .graph import EdgeSet, metrics
 from .optimizer import FitConfig, fit, fit_baseline
 from .scm import BernoulliNoise, GaussianNoise
@@ -48,8 +49,6 @@ def _load_fit_config(args) -> FitConfig:
         unknown = set(overrides) - set(FitConfig.__dataclass_fields__)
         if unknown:
             raise _ValidationError(f"unknown fit config keys: {sorted(unknown)}")
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
     return FitConfig(**overrides)
 
 
@@ -93,8 +92,7 @@ def cmd_fit(args):
         result = fit_baseline(data, config)
     else:
         kind = "te" if args.method == "nscsl-te" else "de"
-        result = fit(data, FitConfig(**{**io.config_to_dict(config),
-                                        "effect_kind": kind}))
+        result = fit(data, replace(config, effect_kind=kind))
     io.write_fit_dir(result, args.out,
                      _meta(args, {"data": args.data, "outcome": str(args.outcome),
                                   "method": args.method}))
@@ -136,8 +134,8 @@ def cmd_bench(args):
 
 
 def cmd_effects(args):
-    loaded = io.read_fit_dir(args.fit)
-    rows = report_effects(loaded)
+    graph, selected = io.read_fit_dir(args.fit)
+    rows = effect_rows(graph, selected)
     _write_table(rows, EFFECT_FIELDS, args.out)
     if args.out:
         io.write_json(_meta(args, {"fit": args.fit}), args.out + ".meta.json")
@@ -183,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="nscsl-te")
     fit_p.add_argument("--out", required=True)
     fit_p.add_argument("--config", help="JSON file with a 'fit' section")
-    fit_p.add_argument("--seed", type=int)
     fit_p.set_defaults(func=cmd_fit)
 
     ev = sub.add_parser("eval", help="score an estimated graph against a truth")
@@ -198,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--out", required=True)
     bench_p.add_argument("--threads", type=int, default=1)
     bench_p.add_argument("--config", help="JSON file with a 'fit' section")
-    bench_p.add_argument("--seed", type=int)
     bench_p.set_defaults(func=cmd_bench)
 
     eff = sub.add_parser("effects", help="effect table from a fit directory")

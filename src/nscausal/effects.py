@@ -8,7 +8,6 @@ the ``(i, outcome)`` entry of ``(I - B)^{-1} - I``, which is what the fast
 implementation uses.  The explicit path sum is kept as the slow reference.
 """
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -70,31 +69,23 @@ def total_effect_jacobian_entry(g: WeightedDag, i: int, k: int, l: int) -> float
     return float(inv[i, k] * inv[l, g.outcome_index])
 
 
-@dataclass(frozen=True)
-class EffectRecord:
-    node: int
-    label: str
-    direct: float
-    total: float
+EFFECT_FIELDS = ("node", "label", "direct_effect", "total_effect")
 
 
-@dataclass(frozen=True)
-class EffectReport:
-    """Per-feature direct and total effects plus a note on their source."""
+def effect_rows(g: WeightedDag, selected=None) -> list[dict]:
+    """One ``EFFECT_FIELDS`` row per non-outcome node, in index order.
 
-    records: tuple[EffectRecord, ...]
-    outcome_index: int
-    source: str = ""
-
-
-def effect_report(g: WeightedDag, source: str = "") -> EffectReport:
-    """One record per non-outcome node."""
+    ``selected`` is an optional boolean mask over the non-outcome nodes (a
+    fit's ``selected``); unselected features get no row.
+    """
     te = total_effects(g)
-    records = tuple(
-        EffectRecord(i, g.labels[i], float(g.weights[i, g.outcome_index]), float(te[i]))
-        for i in range(g.dim) if i != g.outcome_index)
-    note = source or f"{g.dim}-node graph, outcome {g.labels[g.outcome_index]!r}"
-    return EffectReport(records, g.outcome_index, note)
+    features = [i for i in range(g.dim) if i != g.outcome_index]
+    if selected is None:
+        selected = [True] * len(features)
+    return [{"node": i, "label": g.labels[i],
+             "direct_effect": float(g.weights[i, g.outcome_index]),
+             "total_effect": float(te[i])}
+            for keep, i in zip(selected, features) if keep]
 
 
 def delta_star(data: Dataset, fit: Callable[[Dataset], WeightedDag],

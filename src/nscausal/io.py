@@ -2,7 +2,7 @@
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -112,20 +112,9 @@ def write_diagnostics_csv(diagnostics, path):
     fields = ["step", "f", "h1", "h2", "lambda1", "lambda2", "c", "d", "t",
               "inner_iterations", "objective_start", "objective_end",
               "n_active", "dropped"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fields)
-        for entry in diagnostics:
-            row = []
-            for key in fields:
-                value = entry[key]
-                if key == "dropped":
-                    row.append(";".join(str(v) for v in value))
-                elif isinstance(value, float):
-                    row.append(_fmt(value))
-                else:
-                    row.append(value)
-            writer.writerow(row)
+    rows = [{**entry, "dropped": ";".join(str(v) for v in entry["dropped"])}
+            for entry in diagnostics]
+    write_rows_csv(rows, fields, path)
 
 
 def write_fit_dir(result, outdir, meta: dict | None = None):
@@ -143,38 +132,23 @@ def write_fit_dir(result, outdir, meta: dict | None = None):
     payload = {
         "delta_star": result.delta_star_used,
         "converged": result.converged,
-        "config": config_to_dict(result.config) if result.config else None,
+        "config": asdict(result.config) if result.config else None,
     }
     if meta:
         payload.update(meta)
     write_json(payload, os.path.join(outdir, "meta.json"))
 
 
-@dataclass(frozen=True)
-class LoadedFit:
-    """Just enough of a persisted fit to rebuild effect tables."""
-
-    graph: WeightedDag
-    raw_graph: WeightedDag
-    selected: np.ndarray
-
-
-def read_fit_dir(outdir) -> LoadedFit:
+def read_fit_dir(outdir) -> tuple:
+    """The pruned graph and the selected-feature mask of a persisted fit."""
     import os
 
     graph = read_graph_csv(os.path.join(outdir, "graph.csv"))
-    raw = read_graph_csv(os.path.join(outdir, "raw_graph.csv"))
     with open(os.path.join(outdir, "selected.csv"), newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         selected = np.array([bool(int(row[1])) for row in reader if row])
-    return LoadedFit(graph, raw, selected)
-
-
-def config_to_dict(config) -> dict:
-    from dataclasses import asdict
-
-    return asdict(config)
+    return graph, selected
 
 
 def write_json(payload: dict, path):

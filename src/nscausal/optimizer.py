@@ -46,18 +46,15 @@ class FitConfig:
     """Hyperparameters of the learner; defaults follow the training recipe.
 
     ``selection_tolerance`` scales the deactivation cutoff relative to the
-    reference score.  ``gamma`` is the nominal selector-size weight; with
-    the subset selector realized as monotone shrinkage the size pressure
-    comes from the cutoff itself, so gamma is carried in the configuration
-    echo rather than entering the inner objective.  ``delta_star`` may hold
-    a precomputed reference score; None means compute it from a pruned
+    reference score; with the subset selector realized as monotone
+    shrinkage the size pressure comes from that cutoff.  ``delta_star`` may
+    hold a precomputed reference score; None means compute it from a pruned
     selection-free fit of the same data.
     """
 
     effect_kind: str = "te"
     t: object = "auto"
     prune_threshold: float = 0.3
-    gamma: float = 0.0
     selection_tolerance: float = 0.01
     lambda1_init: float = 0.0
     lambda2_init: float = 0.0
@@ -73,7 +70,6 @@ class FitConfig:
     step_size: float = 0.05
     max_inner_iter: int = 1500
     grad_tol: float = 1e-7
-    seed: int = 0
     delta_star: float | None = None
 
     def __post_init__(self):
@@ -104,41 +100,29 @@ class FitResult:
 
 
 # ---------------------------------------------------------------------------
-# constraint functions
+# kernels: the objective pieces the engine evaluates, shared by the public API
 
 
-def _h1_value(w: np.ndarray, t: float) -> float:
+def _ls(w: np.ndarray, gram: np.ndarray, cols: np.ndarray, eye: np.ndarray):
+    """``0.5 tr[(I - B)_cols^T gram (I - B)_cols]`` and its gradient."""
+    rc = eye[:, cols] - w[:, cols]
+    gr = gram @ rc
+    loss = 0.5 * float(np.sum(rc * gr))
+    grad = np.zeros_like(w)
+    grad[:, cols] = -gr
+    return loss, grad
+
+
+def _h1(w: np.ndarray, t: float, eye: np.ndarray):
+    """``tr[(I + t B∘B)^dim] - dim`` and its gradient."""
     dim = w.shape[0]
-    m = np.eye(dim) + t * (w * w)
-    value = float(np.trace(np.linalg.matrix_power(m, dim)) - dim)
-    if not math.isfinite(value):
-        raise ValueError("acyclicity value overflowed; decrease t")
-    return value
-
-
-def _h1_with_grad(w: np.ndarray, t: float):
-    dim = w.shape[0]
-    m = np.eye(dim) + t * (w * w)
+    m = eye + t * (w * w)
     p_minor = np.linalg.matrix_power(m, dim - 1)
-    value = float(np.trace(p_minor @ m) - dim)
+    value = float((p_minor @ m).trace() - dim)
     if not math.isfinite(value):
-        raise ValueError("acyclicity value overflowed; decrease t")
-    grad = dim * t * p_minor.T * (2.0 * w)
+        raise FloatingPointError("acyclicity value overflowed")
+    grad = (dim * t * 2.0) * p_minor.T * w
     return value, grad
-
-
-def acyclicity_value(g: WeightedDag, t: float) -> float:
-    """Trace-power acyclicity score; zero exactly when the pattern is a DAG."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    return _h1_value(g.weights, t)
-
-
-def acyclicity_gradient(g: WeightedDag, t: float) -> np.ndarray:
-    """Analytic gradient ``dim * t * [(I + t B∘B)^(dim-1)]^T ∘ 2B``."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    return _h1_with_grad(g.weights, t)[1]
 
 
 def _resolvent_is_safe(w: np.ndarray) -> bool:
@@ -202,25 +186,47 @@ def _te_jacobian(cache, signs: np.ndarray, outcome: int) -> np.ndarray:
     return jac
 
 
-def _h2_pieces(w: np.ndarray, outcome: int, feature_active: np.ndarray,
-               kind: str, delta_star: float):
-    row_signs = np.sign(w[outcome, :])
+def _h2(w: np.ndarray, outcome: int, feature_active: np.ndarray, kind: str,
+        delta_star: float, eye: np.ndarray):
+    """``delta_star - sum_active |CE_i| + sum_j |B[outcome, j]|`` and its
+    subgradient, with CE the total (``te``) or direct (``de``) effect."""
     row_abs = float(np.abs(w[outcome, :]).sum())
-    grad = np.zeros_like(w)
     if kind == "de":
         theta = w[:, outcome]
-        signs = np.sign(theta)
-        signs[~feature_active] = 0.0
-        value = delta_star - float(np.abs(theta[feature_active]).sum()) + row_abs
-        grad[:, outcome] -= signs
+        signs = np.where(feature_active, np.sign(theta), 0.0)
+        value = delta_star - float(np.abs(theta * signs).sum()) + row_abs
+        grad = np.zeros_like(w)
+        grad[:, outcome] = -signs
     else:
-        te, cache = _te_parts(w, outcome)
-        signs = np.sign(te)
-        signs[~feature_active] = 0.0
-        value = delta_star - float(np.abs(te[feature_active]).sum()) + row_abs
-        grad -= _te_jacobian(cache, signs, outcome)
-    grad[outcome, :] += row_signs
+        te, cache = _te_parts(w, outcome, eye)
+        signs = np.where(feature_active, np.sign(te), 0.0)
+        value = delta_star - float(np.abs(te * signs).sum()) + row_abs
+        grad = -_te_jacobian(cache, signs, outcome)
+    grad[outcome, :] += np.sign(w[outcome, :])
     return value, grad
+
+
+# ---------------------------------------------------------------------------
+# public single-shot operations
+
+
+def _h1_checked(g: WeightedDag, t: float):
+    if t <= 0:
+        raise ValueError("t must be positive")
+    try:
+        return _h1(g.weights, t, np.eye(g.dim))
+    except FloatingPointError:
+        raise ValueError("acyclicity value overflowed; decrease t") from None
+
+
+def acyclicity_value(g: WeightedDag, t: float) -> float:
+    """Trace-power acyclicity score; zero exactly when the pattern is a DAG."""
+    return _h1_checked(g, t)[0]
+
+
+def acyclicity_gradient(g: WeightedDag, t: float) -> np.ndarray:
+    """Analytic gradient ``dim * t * [(I + t B∘B)^(dim-1)]^T ∘ 2B``."""
+    return _h1_checked(g, t)[1]
 
 
 def least_squares_loss(B: np.ndarray, data: Dataset, mask: np.ndarray):
@@ -237,22 +243,10 @@ def least_squares_loss(B: np.ndarray, data: Dataset, mask: np.ndarray):
     if not mask[data.outcome_index]:
         raise ValueError("mask must include the outcome column")
     gram = data.values.T @ data.values / data.n
-    loss, grad = _ls_pieces(w, gram, mask)
+    loss, grad = _ls(w, gram, np.flatnonzero(mask), np.eye(w.shape[0]))
     grad[~mask, :] = 0.0
     grad[:, ~mask] = 0.0
     grad[data.outcome_index, :] = 0.0
-    return loss, grad
-
-
-def _ls_pieces(w: np.ndarray, gram: np.ndarray, col_mask: np.ndarray):
-    dim = w.shape[0]
-    residual_factor = np.eye(dim) - w
-    cols = np.flatnonzero(col_mask)
-    rc = residual_factor[:, cols]
-    gr = gram @ rc
-    loss = 0.5 * float(np.sum(rc * gr))
-    grad = np.zeros_like(w)
-    grad[:, cols] = -gr
     return loss, grad
 
 
@@ -269,11 +263,11 @@ def relevance_constraint(B: np.ndarray, mask: np.ndarray, effect_kind: str,
     w = np.asarray(B, dtype=float)
     dim = w.shape[0]
     outcome = outcome_index % dim
-    mask = np.asarray(mask, dtype=bool)
-    feature_active = mask.copy()
+    feature_active = np.asarray(mask, dtype=bool).copy()
     feature_active[outcome] = False
     try:
-        return _h2_pieces(w, outcome, feature_active, effect_kind, delta_star)
+        return _h2(w, outcome, feature_active, effect_kind, delta_star,
+                   np.eye(dim))
     except np.linalg.LinAlgError as exc:
         raise ValueError(
             "I - B is numerically singular; use a smaller step size so the "
@@ -304,8 +298,8 @@ class _Objective:
 
     The inner loop calls this tens of thousands of times, so the identity
     matrix, active-column index, and projection mask are cached up front and
-    the constraint pieces are inlined rather than routed through the public
-    single-shot operations.
+    the kernels are called directly rather than through the validating
+    public single-shot operations.
     """
 
     def __init__(self, gram, outcome, active, t, lam1, c, relevance,
@@ -316,8 +310,7 @@ class _Objective:
         self.feature_active[outcome] = False
         self.cols = np.flatnonzero(active)
         self.free = _free_mask(active, outcome)
-        self.dim = gram.shape[0]
-        self.eye = np.eye(self.dim)
+        self.eye = np.eye(gram.shape[0])
         self.t = t
         self.lam1, self.c = lam1, c
         self.relevance = relevance
@@ -326,48 +319,15 @@ class _Objective:
         self.delta_star = delta_star
         self.l1 = l1
 
-    def _ls(self, w):
-        rc = self.eye[:, self.cols] - w[:, self.cols]
-        gr = self.gram @ rc
-        loss = 0.5 * float(np.sum(rc * gr))
-        grad = np.zeros_like(w)
-        grad[:, self.cols] = -gr
-        return loss, grad
-
-    def _h1(self, w):
-        m = self.eye + self.t * (w * w)
-        p_minor = np.linalg.matrix_power(m, self.dim - 1)
-        value = float((p_minor @ m).trace() - self.dim)
-        if not math.isfinite(value):
-            raise FloatingPointError("acyclicity value overflowed")
-        grad = (self.dim * self.t * 2.0) * p_minor.T * w
-        return value, grad
-
-    def _h2(self, w):
-        outcome = self.outcome
-        row_abs = float(np.abs(w[outcome, :]).sum())
-        if self.kind == "de":
-            theta = w[:, outcome]
-            signs = np.where(self.feature_active, np.sign(theta), 0.0)
-            value = self.delta_star - float(np.abs(theta * signs).sum()) + row_abs
-            grad = np.zeros_like(w)
-            grad[:, outcome] = -signs
-        else:
-            te, cache = _te_parts(w, outcome, self.eye)
-            signs = np.where(self.feature_active, np.sign(te), 0.0)
-            value = self.delta_star - float(np.abs(te * signs).sum()) + row_abs
-            grad = -_te_jacobian(cache, signs, outcome)
-        grad[outcome, :] += np.sign(w[outcome, :])
-        return value, grad
-
     def __call__(self, w: np.ndarray):
-        f, grad = self._ls(w)
-        h1v, gh1 = self._h1(w)
+        f, grad = _ls(w, self.gram, self.cols, self.eye)
+        h1v, gh1 = _h1(w, self.t, self.eye)
         total = f + self.lam1 * h1v + self.c * h1v * h1v
         grad += (self.lam1 + 2.0 * self.c * h1v) * gh1
         h2v = 0.0
         if self.relevance:
-            h2v, gh2 = self._h2(w)
+            h2v, gh2 = _h2(w, self.outcome, self.feature_active, self.kind,
+                           self.delta_star, self.eye)
             total += self.lam2 * h2v + self.d_pen * h2v * h2v
             grad += (self.lam2 + 2.0 * self.d_pen * h2v) * gh2
         if self.l1:
@@ -428,30 +388,6 @@ def _adam_minimize(w0: np.ndarray, objective: _Objective, lr: float,
     return best_w, best_total, it, lr
 
 
-def _pruned_effects(w: np.ndarray, outcome: int, threshold: float, kind: str):
-    """Per-node |effect| on the pruned pattern, or None when it is cyclic."""
-    pruned = np.where(np.abs(w) > threshold, w, 0.0)
-    if topological_order(pruned) is None:
-        return None
-    if kind == "de":
-        ce = np.abs(pruned[:, outcome].copy())
-    else:
-        dim = w.shape[0]
-        ce = np.abs(np.linalg.inv(np.eye(dim) - pruned)[:, outcome])
-    ce[outcome] = 0.0
-    return ce
-
-
-def _raw_effects(w: np.ndarray, outcome: int, kind: str):
-    if kind == "de":
-        ce = np.abs(w[:, outcome].copy())
-    else:
-        te, _ = _te_parts(w, outcome)
-        ce = np.abs(te)
-    ce[outcome] = 0.0
-    return ce
-
-
 def _selection_update(w, active, outcome, config, delta_star):
     """Deactivate low-effect features, smallest first, guarding the constraint.
 
@@ -461,10 +397,16 @@ def _selection_update(w, active, outcome, config, delta_star):
     edge dipping under the prune threshold for one round must not eliminate
     its source for good (deactivation is monotone).
     """
-    ce = _pruned_effects(w, outcome, config.prune_threshold, config.effect_kind)
-    if ce is None:
+    pruned = np.where(np.abs(w) > config.prune_threshold, w, 0.0)
+    if topological_order(pruned) is None:
         return []
-    raw = _raw_effects(w, outcome, config.effect_kind)
+    if config.effect_kind == "de":
+        ce = np.abs(pruned[:, outcome])
+        raw = np.abs(w[:, outcome])
+    else:
+        pruned_dag = WeightedDag(pruned, outcome_index=outcome)
+        ce = np.abs(_effects.total_effects(pruned_dag))
+        raw = np.abs(_te_parts(w, outcome)[0])
     cutoff = config.selection_tolerance * delta_star
     guard = max(cutoff, config.prune_threshold)
     candidates = [i for i in np.flatnonzero(active) if i != outcome
@@ -484,13 +426,14 @@ def _selection_update(w, active, outcome, config, delta_star):
 
 
 def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
-            select: bool, delta_star_value: float,
             init: tuple | None = None) -> FitResult:
     values = data.values
     dim = data.dim
     outcome = data.outcome_index
-    if data.n == 0 or dim < 2:
-        raise ValueError("dataset must have observations and at least 2 columns")
+    if data.n < 2 or dim < 2:
+        # one row has a zero centered gram: every fit would "converge" empty
+        raise ValueError("dataset must have at least 2 rows and 2 columns")
+    delta_star_value = config.delta_star if relevance else 0.0
     # column means act as implicit intercepts: the noise need not be centered
     centered = values - values.mean(axis=0)
     gram = centered.T @ centered / data.n
@@ -530,7 +473,7 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
         _, _, f_val, h1v, h2v = objective(w)
 
         dropped = []
-        if select and h1v <= SELECTION_H1_GATE:
+        if relevance and h1v <= SELECTION_H1_GATE:
             dropped = _selection_update(w, active, outcome, config,
                                         delta_star_value)
             if dropped:
@@ -590,8 +533,7 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
 
 def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
     """Selection-free structural fit: the relevance machinery is disabled."""
-    return _engine(data, config, relevance=False, select=False,
-                   delta_star_value=0.0)
+    return _engine(data, config, relevance=False)
 
 
 def _warm_init(result: FitResult) -> tuple:
@@ -622,5 +564,4 @@ def fit(data: Dataset, config: FitConfig = FitConfig(),
         if warm_start is not None:
             init = _warm_init(warm_start)
     resolved = replace(config, delta_star=dstar)
-    return _engine(data, resolved, relevance=True, select=True,
-                   delta_star_value=dstar, init=init)
+    return _engine(data, resolved, relevance=True, init=init)

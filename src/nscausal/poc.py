@@ -500,12 +500,6 @@ def effect_poc_profile(scm: DiscreteScm, i: int, z_i, z_minus_i=None,
                             float(delta_c), abs(te), abs(de), rest_values)
 
 
-def exact_pns(scm: DiscreteScm, i: int, z_i, y,
-              cap: int = DEFAULT_ENUMERATION_CAP) -> float:
-    """Probability of necessity and sufficiency; alias of the marginal POC."""
-    return exact_poc(scm, i, z_i, y, "marginal", cap=cap)
-
-
 def _factual_conditional(scm: DiscreteScm, i: int, z_i, y, want_factual: bool,
                          cap: int) -> float:
     """Shared core of PN and PS: counterfactual flip given a factual event."""

@@ -1,9 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
-from nscausal.bench import (ScenarioSpec, nscg, report_effects, run_scenario,
-                            scenario, scenario_truth, spec_from_dict,
-                            summarize)
+from nscausal.bench import (ScenarioSpec, nscg, run_scenario, scenario,
+                            scenario_truth, spec_from_dict, summarize)
+from nscausal.effects import effect_rows
 from nscausal.graph import (WeightedDag, EdgeSet, enumerate_paths_to_outcome,
                             is_acyclic)
 from nscausal.io import (load_csv, read_graph_csv, read_rows_csv,
@@ -108,7 +110,8 @@ class TestReportEffects:
         g = graph_of([(0, 1, 1.0), (1, 2, 1.0)], 3)
         data = sample_linear(SemSpec(g, BernoulliNoise(0.5)), 5000, seed=2)
         result = fit(data, FitConfig(effect_kind="te"))
-        rows = {r["label"]: r for r in report_effects(result)}
+        rows = {r["label"]: r
+                for r in effect_rows(result.graph, result.selected)}
         assert abs(rows["z0"]["direct_effect"]) < 0.1
         assert abs(rows["z0"]["total_effect"] - 1.0) < 0.25
         assert abs(rows["z1"]["total_effect"] - 1.0) < 0.1
@@ -117,7 +120,7 @@ class TestReportEffects:
         g = WeightedDag(np.zeros((3, 3)))
         data = sample_linear(SemSpec(g, BernoulliNoise(0.5)), 2000, seed=9)
         result = fit(data, FitConfig(effect_kind="te"))
-        assert report_effects(result) == []
+        assert effect_rows(result.graph, result.selected) == []
 
 
 class TestScenarioSpec:
@@ -225,6 +228,21 @@ class TestRunScenario:
         a = scenario_truth(spec, np.random.SeedSequence(0).spawn(2)[0])
         b = scenario_truth(spec, np.random.SeedSequence(1).spawn(2)[0])
         assert not np.array_equal(a.weights, b.weights)
+
+    @pytest.mark.parametrize("threads", [0, (os.cpu_count() or 1) + 1],
+                             ids=["zero", "above_core_count"])
+    def test_thread_count_is_bounded_before_any_worker_starts(
+            self, threads, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        spec = scenario("s1", sample_sizes=(60,), replications=2,
+                        methods=("baseline",))
+        with pytest.raises(ValueError, match="threads"):
+            run_scenario(spec, threads=threads)
 
     def test_worker_pool_matches_serial(self):
         spec = scenario("s1", sample_sizes=(60,), replications=2,

@@ -120,6 +120,12 @@ class TestExitCodes:
         assert main(["fit", "--data", str(sim / "data.csv"),
                      "--outcome", "nope", "--out", str(tmp_path / "f")]) == 1
 
+    def test_one_row_dataset_is_a_validation_error(self, tmp_path):
+        data = tmp_path / "one.csv"
+        data.write_text("z0,z1,y\n1.0,2.0,3.0\n")
+        assert main(["fit", "--data", str(data), "--outcome", "y",
+                     "--out", str(tmp_path / "f")]) == 1
+
     def test_missing_file_is_a_validation_error(self, tmp_path):
         assert main(["fit", "--data", str(tmp_path / "absent.csv"),
                      "--outcome", "y", "--out", str(tmp_path / "f")]) == 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nscausal.effects import (delta_star, direct_effect, effect_report,
+from nscausal.effects import (delta_star, direct_effect, effect_rows,
                               total_effect, total_effect_by_paths,
                               total_effect_jacobian_entry, total_effects)
 from nscausal.graph import WeightedDag
@@ -102,22 +102,23 @@ class TestTotalEffect:
 
 class TestEffectReport:
     def test_empty_graph(self):
-        report = effect_report(WeightedDag(np.zeros((4, 4))))
-        assert len(report.records) == 3
-        assert all(r.direct == 0.0 and r.total == 0.0 for r in report.records)
+        rows = effect_rows(WeightedDag(np.zeros((4, 4))))
+        assert len(rows) == 3
+        assert all(r["direct_effect"] == 0.0 and r["total_effect"] == 0.0
+                   for r in rows)
 
     def test_two_route_example(self):
-        report = effect_report(table1_graph(0.3, 0.7, 1.0))
-        by_label = {r.label: r for r in report.records}
-        assert by_label["F"].direct == pytest.approx(0.3)
-        assert by_label["F"].total == pytest.approx(1.0)
-        assert by_label["D"].direct == pytest.approx(0.7)
-        assert by_label["D"].total == pytest.approx(0.7)
+        rows = effect_rows(table1_graph(0.3, 0.7, 1.0))
+        by_label = {r["label"]: r for r in rows}
+        assert by_label["F"]["direct_effect"] == pytest.approx(0.3)
+        assert by_label["F"]["total_effect"] == pytest.approx(1.0)
+        assert by_label["D"]["direct_effect"] == pytest.approx(0.7)
+        assert by_label["D"]["total_effect"] == pytest.approx(0.7)
 
     def test_direct_column_matches_weights(self, rng):
         g = random_dag(rng, 7, density=0.5)
-        for record in effect_report(g).records:
-            assert record.direct == g.weights[record.node, g.outcome_index]
+        for row in effect_rows(g):
+            assert row["direct_effect"] == g.weights[row["node"], g.outcome_index]
 
 
 class TestDeltaStar:

@@ -4,7 +4,7 @@ import pytest
 from nscausal.bench import nscg, scenario, scenario_truth
 from nscausal.effects import delta_star
 from nscausal.graph import WeightedDag, graph_metrics, is_acyclic, prune
-from nscausal.optimizer import (FitConfig, acyclicity_gradient,
+from nscausal.optimizer import (FitConfig, _Objective, acyclicity_gradient,
                                 acyclicity_value, fit, fit_baseline,
                                 least_squares_loss, relevance_constraint)
 from nscausal.scm import (BernoulliNoise, Dataset, GaussianNoise, SemSpec,
@@ -169,6 +169,30 @@ class TestRelevanceConstraint:
                 assert np.abs(analytic - numeric).max() < 1e-5
 
 
+class TestEngineObjective:
+    def test_gradient_matches_finite_differences(self, rng):
+        # the composed augmented Lagrangian the inner solve descends, with
+        # every penalty switched on and one feature deactivated
+        dim = 6
+        active = np.ones(dim, bool)
+        active[1] = False
+        for kind in ("te", "de"):
+            for _ in range(5):
+                values = rng.normal(size=(80, dim))
+                centered = values - values.mean(axis=0)
+                objective = _Objective(
+                    centered.T @ centered / 80, dim - 1, active, t=0.4,
+                    lam1=0.7, c=1.3, relevance=True, lam2=-0.6, d_pen=2.5,
+                    kind=kind, delta_star=3.0, l1=0.0)
+                free = objective.free.astype(bool)
+                w = gradient_probe(rng, dim) * objective.free
+                analytic = objective(w)[1]
+                numeric = central_difference(lambda m: objective(m)[0], w)
+                error = np.abs(analytic - numeric)[free].max()
+                assert error <= 1e-5 * max(1.0, np.abs(numeric[free]).max())
+                assert not analytic[~free].any()
+
+
 class TestFit:
     def test_s1_recovery_rate(self):
         hits = 0
@@ -260,6 +284,12 @@ class TestFitBaseline:
         result = fit_baseline(data)
         assert graph_metrics(result.graph, truth).shd == 0
         assert np.abs(result.graph.weights - truth.weights).max() < 0.05
+
+    def test_rejects_fewer_than_two_rows(self):
+        data = Dataset(np.array([[1.0, 2.0, 3.0]]), ("z0", "z1", "y"), 2)
+        for learner in (fit, fit_baseline):
+            with pytest.raises(ValueError, match="2 rows"):
+                learner(data)
 
     def test_baseline_keeps_every_feature(self):
         _, _, data = s1_replication(0)

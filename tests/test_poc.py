@@ -6,7 +6,7 @@ import pytest
 from nscausal.io import scm_from_json, scm_to_json
 from nscausal.poc import (EmpiricalDistribution, ScmDistribution,
                           effect_poc_profile, empirical_cpoc, empirical_mpoc,
-                          exact_pn, exact_pns, exact_poc, exact_ps,
+                          exact_pn, exact_poc, exact_ps,
                           observational_joint, poc_lower_bound)
 from nscausal.scm import Dataset
 
@@ -267,7 +267,7 @@ class TestEffectPocProfile:
 class TestNecessitySufficiency:
     def test_deterministic_copy(self):
         scm = deterministic_copy_scm()
-        assert exact_pns(scm, 0, 1, 1) == pytest.approx(1.0)
+        assert exact_poc(scm, 0, 1, 1, "marginal") == pytest.approx(1.0)
         assert exact_pn(scm, 0, 1, 1) == pytest.approx(1.0)
         assert exact_ps(scm, 0, 1, 1) == pytest.approx(1.0)
 
@@ -283,7 +283,7 @@ class TestNecessitySufficiency:
                          if v[0] != 1 and v[scm.outcome_index] != 1)
             if p_zy <= 0 or p_nzny <= 0:
                 continue
-            pns = exact_pns(scm, 0, 1, 1)
+            pns = exact_poc(scm, 0, 1, 1, "marginal")
             pn = exact_pn(scm, 0, 1, 1)
             ps = exact_ps(scm, 0, 1, 1)
             assert pns == pytest.approx(p_zy * pn + p_nzny * ps, abs=1e-12)
