@@ -17,7 +17,11 @@ import numpy as np
 from .graph import WeightedDag, topological_order
 
 DEFAULT_MEMBER_CAP = 10_000
-_MAX_UNDIRECTED = 24  # 2^u orientations are scanned; refuse beyond this
+# A true CPDAG never dead-ends in the search, but a hand-built ``Cpdag`` that
+# is not one can branch into orientations that yield no member, so the cap
+# alone does not bound the work; this is the one bound checked before any
+# work starts.
+_MAX_UNDIRECTED = 24
 
 
 @dataclass(frozen=True)
@@ -175,15 +179,21 @@ def enumerate_mec(c: Cpdag, cap: int = DEFAULT_MEMBER_CAP,
 
     A member keeps every directed edge, orients every undirected edge, is
     acyclic, and introduces no v-structure beyond those already visible in
-    the directed part of the CPDAG.  Raises when the member count exceeds
-    ``cap``.
+    the directed part of the CPDAG.  The search is depth first: it orients
+    the largest remaining undirected edge ``(i, j)`` as ``j -> i``, then as
+    ``i -> j``, and closes each choice under the orientation rules before
+    going deeper.  Members therefore come in ascending orientation code,
+    where bit ``k`` is set when the ``k``-th sorted undirected edge points
+    from its lower to its higher index.  Each leaf is checked for
+    acyclicity and v-structures.  Raises once the member count exceeds
+    ``cap``, so the work is bounded by ``cap + 1`` members.
     """
-    und = sorted(c.undirected)
-    if len(und) > _MAX_UNDIRECTED:
-        raise ValueError(
-            f"{len(und)} undirected edges is beyond the enumeration limit")
+    if len(c.undirected) > _MAX_UNDIRECTED:
+        raise ValueError(f"{len(c.undirected)} undirected edges is beyond "
+                         "the enumeration limit")
+    skeleton = c.skeleton()
     adjacency: dict = {i: set() for i in range(c.dim)}
-    for i, j in c.skeleton():
+    for i, j in skeleton:
         adjacency[i].add(j)
         adjacency[j].add(i)
 
@@ -192,26 +202,25 @@ def enumerate_mec(c: Cpdag, cap: int = DEFAULT_MEMBER_CAP,
 
     reference = _v_structures(set(c.directed), adjacent)
     members = []
-    base = np.zeros((c.dim, c.dim))
-    for i, j in c.directed:
-        base[i, j] = 1.0
-    for bits in range(2 ** len(und)):
-        w = base.copy()
-        oriented = set(c.directed)
-        for k, (i, j) in enumerate(und):
-            if bits >> k & 1:
-                w[i, j] = 1.0
-                oriented.add((i, j))
-            else:
-                w[j, i] = 1.0
-                oriented.add((j, i))
+
+    def search(directed, undirected):
+        if undirected:
+            i, j = max(undirected)
+            for edge in ((j, i), (i, j)):
+                search(*_close_orientations(c.dim, skeleton, directed | {edge}))
+            return
+        w = np.zeros((c.dim, c.dim))
+        for i, j in directed:
+            w[i, j] = 1.0
         if topological_order(w) is None:
-            continue
-        if _v_structures(oriented, adjacent) != reference:
-            continue
+            return
+        if _v_structures(directed, adjacent) != reference:
+            return
         members.append(WeightedDag(w, c.labels, outcome_index))
         if len(members) > cap:
             raise ValueError(f"equivalence class exceeds the cap of {cap} members")
+
+    search(c.directed, c.undirected)
     return members
 
 

@@ -103,6 +103,15 @@ class FitResult:
 # kernels: the objective pieces the engine evaluates, shared by the public API
 
 
+def _centered_gram(data: Dataset) -> np.ndarray:
+    """``X_c^T X_c / n`` for the column-centered data ``X_c``.
+
+    Column means act as implicit intercepts: the noise need not be centered.
+    """
+    centered = data.values - data.values.mean(axis=0)
+    return centered.T @ centered / data.n
+
+
 def _ls(w: np.ndarray, gram: np.ndarray, cols: np.ndarray, eye: np.ndarray):
     """``0.5 tr[(I - B)_cols^T gram (I - B)_cols]`` and its gradient."""
     rc = eye[:, cols] - w[:, cols]
@@ -232,6 +241,9 @@ def acyclicity_gradient(g: WeightedDag, t: float) -> np.ndarray:
 def least_squares_loss(B: np.ndarray, data: Dataset, mask: np.ndarray):
     """Scaled residual ``(1/2n) ||W - B^T W||_F^2`` over the masked columns.
 
+    ``W`` is the column-centered data, as in the fit, so at a fit's raw
+    graph this is the ``f`` of its last ``diagnostics`` row.
+
     The gradient is zeroed on the outcome row and on unselected rows and
     columns.  ``mask`` is a boolean vector over nodes and must include the
     outcome column.
@@ -242,8 +254,8 @@ def least_squares_loss(B: np.ndarray, data: Dataset, mask: np.ndarray):
         raise ValueError("dataset is empty")
     if not mask[data.outcome_index]:
         raise ValueError("mask must include the outcome column")
-    gram = data.values.T @ data.values / data.n
-    loss, grad = _ls(w, gram, np.flatnonzero(mask), np.eye(w.shape[0]))
+    loss, grad = _ls(w, _centered_gram(data), np.flatnonzero(mask),
+                     np.eye(w.shape[0]))
     grad[~mask, :] = 0.0
     grad[:, ~mask] = 0.0
     grad[data.outcome_index, :] = 0.0
@@ -427,16 +439,13 @@ def _selection_update(w, active, outcome, config, delta_star):
 
 def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
             init: tuple | None = None) -> FitResult:
-    values = data.values
     dim = data.dim
     outcome = data.outcome_index
     if data.n < 2 or dim < 2:
         # one row has a zero centered gram: every fit would "converge" empty
         raise ValueError("dataset must have at least 2 rows and 2 columns")
     delta_star_value = config.delta_star if relevance else 0.0
-    # column means act as implicit intercepts: the noise need not be centered
-    centered = values - values.mean(axis=0)
-    gram = centered.T @ centered / data.n
+    gram = _centered_gram(data)
 
     if init is None:
         w = np.zeros((dim, dim))

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nscausal.graph import WeightedDag, is_acyclic
 from nscausal.io import write_cpdag_csv
@@ -147,6 +149,96 @@ class TestEnumerateMec:
         c = dag_to_cpdag(dag_from_edges([(0, 1), (1, 2)], 3))
         with pytest.raises(ValueError):
             enumerate_mec(c, cap=2)
+
+    def test_complete_graph_has_one_member_per_ordering(self):
+        edges = list(itertools.combinations(range(6), 2))
+        assert len(enumerate_mec(dag_to_cpdag(dag_from_edges(edges, 6)))) \
+            == 720
+
+    def test_random_tree_has_one_member_per_root(self):
+        # random recursive tree, edges away from the root, nodes relabelled:
+        # no v-structure, so 20 undirected edges and 21 members
+        rng = np.random.default_rng(7)
+        p = 21
+        w = np.zeros((p, p))
+        for child in range(1, p):
+            w[rng.integers(0, child), child] = 1.0
+        perm = rng.permutation(p)
+        c = dag_to_cpdag(WeightedDag(w[np.ix_(perm, perm)]))
+        assert len(c.undirected) == 20
+        assert len(enumerate_mec(c)) == 21
+
+    def test_cap_stops_the_complete_graph_on_seven_nodes(self):
+        edges = list(itertools.combinations(range(7), 2))
+        with pytest.raises(ValueError, match="cap of 1000"):
+            enumerate_mec(dag_to_cpdag(dag_from_edges(edges, 7)), cap=1000)
+
+    def test_members_come_in_ascending_orientation_code(self):
+        c = dag_to_cpdag(dag_from_edges([(0, 1), (1, 2)], 3))
+        patterns = [sorted(map(tuple, np.argwhere(m.weights != 0).tolist()))
+                    for m in enumerate_mec(c)]
+        # 0<-1<-2, 0<-1->2, 0->1->2
+        assert patterns == [[(1, 0), (2, 1)], [(1, 0), (1, 2)],
+                            [(0, 1), (1, 2)]]
+
+    def test_hand_built_graph_keeps_only_valid_orientations(self):
+        # not closed under the rules, so the leaf checks do the filtering:
+        # 1 -> 2 would add the collider 0 -> 2 <- 1, 2 -> 0 closes a cycle
+        collider = Cpdag(3, frozenset({(0, 2)}), frozenset({(1, 2)}))
+        members = enumerate_mec(collider)
+        assert [set(map(tuple, np.argwhere(m.weights != 0).tolist()))
+                for m in members] == [{(0, 2), (2, 1)}]
+        cycle = Cpdag(3, frozenset({(0, 1), (1, 2)}), frozenset({(0, 2)}))
+        members = enumerate_mec(cycle)
+        assert [set(map(tuple, np.argwhere(m.weights != 0).tolist()))
+                for m in members] == [{(0, 1), (1, 2), (0, 2)}]
+
+
+@st.composite
+def dags(draw, max_dim=7):
+    """A DAG on at most ``max_dim`` nodes, outcome last, and whether the
+    outcome is a sink (then its row is cleared, so the knowledge holds)."""
+    dim = draw(st.integers(2, max_dim))
+    order = draw(st.permutations(range(dim)))
+    pairs = list(itertools.combinations(range(dim), 2))
+    present = draw(st.lists(st.booleans(), min_size=len(pairs),
+                            max_size=len(pairs)))
+    w = np.zeros((dim, dim))
+    for (a, b), keep in zip(pairs, present):
+        if keep:
+            w[order[a], order[b]] = 1.0
+    sink = draw(st.booleans())
+    if sink:
+        w[dim - 1, :] = 0.0
+    return WeightedDag(w), sink
+
+
+class TestMecProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(dags())
+    def test_members_are_distinct_map_back_and_include_the_input(self, case):
+        g, sink = case
+        c = dag_to_cpdag(g, outcome_sink=sink)
+        members = enumerate_mec(c, outcome_index=g.outcome_index)
+        patterns = [m.weights.tobytes() for m in members]
+        assert len(set(patterns)) == len(patterns)
+        assert (g.weights != 0).astype(float).tobytes() in patterns
+        for m in members:
+            assert dag_to_cpdag(m, outcome_sink=sink) == c
+
+    @settings(max_examples=40, deadline=None)
+    @given(dags())
+    def test_average_splits_each_skeleton_pair(self, case):
+        g, sink = case
+        c = dag_to_cpdag(g, outcome_sink=sink)
+        avg = mec_average(enumerate_mec(c))
+        assert ((avg >= 0.0) & (avg <= 1.0)).all()
+        on_skeleton = np.zeros((g.dim, g.dim), bool)
+        for i, j in c.skeleton():
+            on_skeleton[i, j] = on_skeleton[j, i] = True
+        both = avg + avg.T
+        assert np.allclose(both[on_skeleton], 1.0, rtol=0, atol=1e-12)
+        assert (both[~on_skeleton] == 0.0).all()
 
 
 class TestOutcomeSink:

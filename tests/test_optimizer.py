@@ -104,7 +104,7 @@ class TestLeastSquaresLoss:
         w = np.zeros((3, 3))
         w[0, 1], w[1, 2] = 2.0, 3.0
         loss, _ = least_squares_loss(w, data, np.ones(3, bool))
-        assert loss == pytest.approx(0.5 * np.mean(x0 ** 2))
+        assert loss == pytest.approx(0.5 * np.var(x0))
         loss2, _ = least_squares_loss(w, data, np.array([False, True, True]))
         assert loss2 == pytest.approx(0.0, abs=1e-12)
 
@@ -113,7 +113,16 @@ class TestLeastSquaresLoss:
         values = rng.normal(size=(50, 3))
         data = Dataset(values, ("z0", "z1", "y"), 2)
         loss, _ = least_squares_loss(np.zeros((3, 3)), data, np.ones(3, bool))
-        assert loss == pytest.approx(0.5 * np.sum(values ** 2) / 50)
+        centered = values - values.mean(axis=0)
+        assert loss == pytest.approx(0.5 * np.sum(centered ** 2) / 50)
+
+    def test_equals_the_fit_objective_at_the_raw_graph(self):
+        # the fit minimises f on centered data; the public loss is that f
+        _, _, data = s1_replication(300)
+        base = fit_baseline(data)
+        loss, _ = least_squares_loss(base.raw_graph.weights, data,
+                                     np.ones(data.dim, bool))
+        assert loss == base.diagnostics[-1]["f"]
 
     def test_gradient_matches_finite_differences(self, rng):
         values = rng.normal(size=(60, 5))
