@@ -116,17 +116,31 @@ def _ls(w: np.ndarray, gram: np.ndarray, cols: np.ndarray, eye: np.ndarray):
     """``0.5 tr[(I - B)_cols^T gram (I - B)_cols]`` and its gradient."""
     rc = eye[:, cols] - w[:, cols]
     gr = gram @ rc
-    loss = 0.5 * float(np.sum(rc * gr))
+    loss = 0.5 * float((rc * gr).sum())
     grad = np.zeros_like(w)
     grad[:, cols] = -gr
     return loss, grad
+
+
+def _matpow(a: np.ndarray, n: int) -> np.ndarray:
+    """``a^n`` for ``n >= 1``, multiplied in ``np.linalg.matrix_power``'s
+    order (so bit-identical to it) without its per-call validation."""
+    if n == 3:
+        return (a @ a) @ a
+    z = result = None
+    while n > 0:
+        z = a if z is None else z @ z
+        n, bit = divmod(n, 2)
+        if bit:
+            result = z if result is None else result @ z
+    return result
 
 
 def _h1(w: np.ndarray, t: float, eye: np.ndarray):
     """``tr[(I + t B∘B)^dim] - dim`` and its gradient."""
     dim = w.shape[0]
     m = eye + t * (w * w)
-    p_minor = np.linalg.matrix_power(m, dim - 1)
+    p_minor = _matpow(m, dim - 1)
     value = float((p_minor @ m).trace() - dim)
     if not math.isfinite(value):
         raise FloatingPointError("acyclicity value overflowed")
@@ -142,7 +156,7 @@ def _resolvent_is_safe(w: np.ndarray) -> bool:
     take the fast resolvent path.
     """
     dim = w.shape[0]
-    norm = np.abs(np.linalg.matrix_power(w, dim)).sum(axis=1).max()
+    norm = np.abs(_matpow(w, dim)).sum(axis=1).max()
     if norm == 0.0:
         return True
     return norm ** (1.0 / dim) < 0.99
@@ -162,7 +176,8 @@ def _te_parts(w: np.ndarray, outcome: int, eye: np.ndarray | None = None):
             m = np.linalg.inv(eye - w)
         except np.linalg.LinAlgError:
             m = None
-        if m is not None and np.isfinite(m).all() and np.abs(m).max() < 1e8:
+        # NaN compares False, so this also rejects a non-finite inverse
+        if m is not None and np.abs(m).max() < 1e8:
             te = m[:, outcome].copy()
             te[outcome] = 0.0
             return te, ("resolvent", m)
@@ -181,7 +196,7 @@ def _te_jacobian(cache, signs: np.ndarray, outcome: int) -> np.ndarray:
     mode, payload = cache
     if mode == "resolvent":
         m = payload
-        return np.outer(m.T @ signs, m[:, outcome])
+        return (m.T @ signs)[:, None] * m[:, outcome]
     powers = payload
     dim = len(powers)
     prefix = np.zeros((dim, dim))  # prefix[r] = sum_{j<=r} (B^j)[:, outcome]
@@ -191,7 +206,7 @@ def _te_jacobian(cache, signs: np.ndarray, outcome: int) -> np.ndarray:
         prefix[r] = running
     jac = np.zeros((dim, dim))
     for m_idx in range(dim - 1):
-        jac += np.outer(powers[m_idx].T @ signs, prefix[dim - 2 - m_idx])
+        jac += (powers[m_idx].T @ signs)[:, None] * prefix[dim - 2 - m_idx]
     return jac
 
 
@@ -294,7 +309,7 @@ def _resolve_t(setting, w: np.ndarray) -> float:
     if setting != "auto":
         return float(setting)
     e = w * w
-    rho = float(np.max(np.abs(np.linalg.eigvals(e)))) if e.any() else 0.0
+    rho = float(np.abs(np.linalg.eigvals(e)).max()) if e.any() else 0.0
     return max(1.0 / (rho + w.shape[0]), 1e-4)
 
 
@@ -370,7 +385,7 @@ def _adam_minimize(w0: np.ndarray, objective: _Objective, lr: float,
     adam_t = 0
     it = 0
     while it < max_iter:
-        if np.max(np.abs(grad)) <= grad_tol:
+        if np.abs(grad).max() <= grad_tol:
             break
         it += 1
         adam_t += 1
