@@ -203,11 +203,15 @@ def _replication_rows(spec: ScenarioSpec, config: FitConfig, n: int, r: int) -> 
     target = nscg(truth)
     data = _sample(spec, truth, n, data_ss)
 
-    def row(method, tgt_name, est, runtime):
+    def row(method, tgt_name, fitted, runtime):
         out = {"scenario": spec.id, "method": method, "target": tgt_name,
                "n": n, "replication": r, "seed": seed,
-               "runtime_s": runtime, "failed": 0, "error": ""}
-        out.update(_score(est, target if tgt_name == "nscg" else truth))
+               "runtime_s": runtime, "failed": 0, "error": "",
+               "converged": int(fitted.converged),
+               "dual_steps": len(fitted.diagnostics),
+               "inner_iterations": sum(d["inner_iterations"]
+                                       for d in fitted.diagnostics)}
+        out.update(_score(fitted.graph, target if tgt_name == "nscg" else truth))
         return out
 
     try:
@@ -221,8 +225,8 @@ def _replication_rows(spec: ScenarioSpec, config: FitConfig, n: int, r: int) -> 
     rows = []
     for method in spec.methods:
         if method == "baseline":
-            rows.append(row(method, "nscg", base.graph, base_time))
-            rows.append(row(method, "full", base.graph, base_time))
+            rows.append(row(method, "nscg", base, base_time))
+            rows.append(row(method, "full", base, base_time))
             continue
         kind = "te" if method == "nscsl-te" else "de"
         try:
@@ -231,17 +235,19 @@ def _replication_rows(spec: ScenarioSpec, config: FitConfig, n: int, r: int) -> 
             result = fit(data, replace(config, effect_kind=kind, delta_star=dstar),
                          warm_start=base)
             elapsed = time.perf_counter() - start
-            rows.append(row(method, "nscg", result.graph, base_time + elapsed))
+            rows.append(row(method, "nscg", result, base_time + elapsed))
         except Exception as exc:  # noqa: BLE001
             rows.append(_failure_row(spec.id, method, "nscg", n, r, seed, str(exc)))
     return rows
 
 
 RAW_FIELDS = ("scenario", "method", "target", "n", "replication", "seed",
-              "fdr", "tpr", "shd", "runtime_s", "failed", "error")
+              "fdr", "tpr", "shd", "runtime_s", "failed", "error",
+              "converged", "dual_steps", "inner_iterations")
 SUMMARY_FIELDS = ("scenario", "method", "target", "n", "replications",
-                  "failures", "fdr_mean", "fdr_se", "tpr_mean", "tpr_se",
-                  "shd_mean", "shd_se", "runtime_mean", "runtime_se")
+                  "failures", "nonconverged", "fdr_mean", "fdr_se",
+                  "tpr_mean", "tpr_se", "shd_mean", "shd_se", "runtime_mean",
+                  "runtime_se")
 
 
 @dataclass(frozen=True)
@@ -258,7 +264,8 @@ def summarize(rows, scenario_id: str = "") -> tuple:
 
     The standard error is the sample standard deviation over replications
     divided by sqrt(count).  Failed replications are counted and excluded
-    from the means.
+    from the means; fits that ran without converging are counted in
+    ``nonconverged`` and kept in the means.
     """
     groups: dict = {}
     for raw in rows:
@@ -270,7 +277,8 @@ def summarize(rows, scenario_id: str = "") -> tuple:
         good = [b for b in bucket if not int(b["failed"])]
         entry = {"scenario": scenario_id or bucket[0]["scenario"],
                  "method": method, "target": target, "n": n,
-                 "replications": len(bucket), "failures": len(bucket) - len(good)}
+                 "replications": len(bucket), "failures": len(bucket) - len(good),
+                 "nonconverged": sum(not int(b["converged"]) for b in good)}
         for field in ("fdr", "tpr", "shd", "runtime_s"):
             name = "runtime" if field == "runtime_s" else field
             vals = np.array([float(b[field]) for b in good])

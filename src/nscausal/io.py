@@ -110,8 +110,8 @@ def write_selected_csv(labels, outcome_index: int, selected, path):
 
 def write_diagnostics_csv(diagnostics, path):
     fields = ["step", "f", "h1", "h2", "lambda1", "lambda2", "c", "d", "t",
-              "inner_iterations", "objective_start", "objective_end",
-              "n_active", "dropped"]
+              "inner_iterations", "stop_reason", "evaluations",
+              "objective_start", "objective_end", "n_active", "dropped"]
     rows = [{**entry, "dropped": ";".join(str(v) for v in entry["dropped"])}
             for entry in diagnostics]
     write_rows_csv(rows, fields, path)

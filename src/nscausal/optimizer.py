@@ -19,9 +19,12 @@ The feature mask ``g`` shrinks monotonically: once the iterate is nearly
 acyclic, features whose pruned-graph effect falls below
 ``selection_tolerance * delta_star`` are deactivated (rows and columns
 clamped to zero) provided the relevance constraint does not materially
-degrade.  The outcome row is kept at zero by projection throughout, and the
-inner minimization is Adam with a plateau-halved step size, returning the
-best iterate seen so that each inner solve never increases the objective.
+degrade.  The outcome row is kept at zero by projection throughout.  Each
+inner minimization is L-BFGS with an Armijo backtracking line search over
+the free entries (as in NOTEARS, Zheng et al. 2018); a step is taken only
+when it lowers the objective, so no inner solve ever increases it.  Every
+``diagnostics`` row records why its solve stopped and how many objective
+evaluations it spent.
 """
 
 import math
@@ -36,9 +39,10 @@ from .scm import Dataset
 # iterate must be this close to acyclic before selection decisions are trusted
 SELECTION_H1_GATE = 1e-5
 
-_ADAM_BETA1 = 0.9
-_ADAM_BETA2 = 0.999
-_ADAM_EPS = 1e-8
+# inner solve: curvature pairs kept, Armijo constant, line-search halvings
+_LBFGS_MEMORY = 6
+_ARMIJO_C1 = 1e-4
+_LBFGS_HALVINGS = 40
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,12 @@ class FitConfig:
     shrinkage the size pressure comes from that cutoff.  ``delta_star`` may
     hold a precomputed reference score; None means compute it from a pruned
     selection-free fit of the same data.
+
+    Each inner solve is L-BFGS.  ``step_size`` is the largest entry change
+    of its first trial step, a plain gradient step taken before any
+    curvature is known (and again after a failed line search resets the
+    memory).  ``max_inner_iter`` caps the accepted steps per inner solve,
+    and ``grad_tol`` ends a solve once no free gradient entry exceeds it.
     """
 
     effect_kind: str = "te"
@@ -68,7 +78,7 @@ class FitConfig:
     penalty_cap: float = 1e16
     l1_penalty: float = 0.0
     step_size: float = 0.05
-    max_inner_iter: int = 1500
+    max_inner_iter: int = 500
     grad_tol: float = 1e-7
     delta_star: float | None = None
 
@@ -364,55 +374,84 @@ class _Objective:
         return total, grad, f, h1v, h2v
 
 
-def _adam_minimize(w0: np.ndarray, objective: _Objective, lr: float,
-                   max_iter: int, grad_tol: float):
-    """Deterministic full-batch Adam; returns the best iterate seen.
+def _lbfgs_minimize(w0: np.ndarray, objective: _Objective, step_size: float,
+                    max_iter: int, grad_tol: float):
+    """Deterministic L-BFGS with Armijo backtracking on the free entries.
 
-    The step size halves whenever a 25-iteration window brings no
-    improvement (the solve then restarts from the best iterate with fresh
-    moments), which lets the same loop handle both the loose early solves
-    and the stiff late ones where the penalty weights are enormous.  The
-    final step size is returned so the caller can warm-start the next,
-    stiffer solve with it.
+    Directions come from the two-loop recursion over the last
+    ``_LBFGS_MEMORY`` curvature pairs; a pair is kept only when
+    ``s.y > 1e-10 |s||y|``, so the implied inverse Hessian stays positive
+    definite.  Without pairs (the first step, and after a reset) the
+    direction is the gradient scaled so that its largest entry is
+    ``step_size``.  The objective's gradient is zero off ``objective.free``,
+    so every pair and every direction is too, and masked entries of the
+    iterate stay exactly zero.  Every accepted step satisfies the Armijo
+    condition and lowers the objective.  A line search that fails empties
+    the memory and retries once from the scaled gradient; if that fails
+    too, the solve stops.
+
+    Returns the final iterate and objective, the accepted steps, why the
+    solve stopped (``"grad_tol"``, ``"max_inner_iter"`` or
+    ``"no_descent"``) and the number of objective evaluations.
     """
     w = w0 * objective.free
     total, grad, *_ = objective(w)
-    best_total, best_w = total, w.copy()
-    m = np.zeros_like(w)
-    v = np.zeros_like(w)
-    window = 25
-    window_anchor = best_total
-    adam_t = 0
+    evaluations = 1
+    pairs = []  # (s, y, 1 / s.y), oldest first
     it = 0
-    while it < max_iter:
-        if np.abs(grad).max() <= grad_tol:
-            break
+    while True:
+        grad_max = np.abs(grad).max()
+        if grad_max <= grad_tol:
+            return w, total, it, "grad_tol", evaluations
+        if it >= max_iter:
+            return w, total, it, "max_inner_iter", evaluations
+        if pairs:
+            q = grad.copy()
+            alphas = []
+            for s_k, y_k, rho_k in reversed(pairs):
+                a_k = rho_k * (s_k * q).sum()
+                q -= a_k * y_k
+                alphas.append(a_k)
+            s_k, y_k, _ = pairs[-1]
+            q *= (s_k * y_k).sum() / (y_k * y_k).sum()
+            for (s_k, y_k, rho_k), a_k in zip(pairs, reversed(alphas)):
+                q += (a_k - rho_k * (y_k * q).sum()) * s_k
+            direction = -q
+        else:
+            direction = -grad * (step_size / grad_max)
+        slope = (grad * direction).sum()
+        alpha = 1.0
+        accepted = None
+        # a direction that does not descend (possible only by rounding)
+        # counts as a failed line search
+        for _ in range(_LBFGS_HALVINGS if slope < 0 else 0):
+            trial_w = w + alpha * direction
+            try:
+                trial = objective(trial_w)
+            except FloatingPointError:  # h1 overflowed far from the iterate
+                trial = None
+            evaluations += 1
+            # the strict test matters once c1*alpha*slope is below the
+            # rounding of ``total``: a step must still lower the objective
+            if (trial is not None and trial[0] < total
+                    and trial[0] <= total + _ARMIJO_C1 * alpha * slope):
+                accepted = trial
+                break
+            alpha *= 0.5
+        if accepted is None:
+            if not pairs:
+                return w, total, it, "no_descent", evaluations
+            pairs.clear()
+            continue
+        step = trial_w - w
+        change = accepted[1] - grad
+        sy = (step * change).sum()
+        if sy > 1e-10 * np.linalg.norm(step) * np.linalg.norm(change):
+            pairs.append((step, change, 1.0 / sy))
+            if len(pairs) > _LBFGS_MEMORY:
+                pairs.pop(0)
+        w, total, grad = trial_w, accepted[0], accepted[1]
         it += 1
-        adam_t += 1
-        m = _ADAM_BETA1 * m + (1 - _ADAM_BETA1) * grad
-        v = _ADAM_BETA2 * v + (1 - _ADAM_BETA2) * grad * grad
-        m_hat = m / (1 - _ADAM_BETA1 ** adam_t)
-        v_hat = v / (1 - _ADAM_BETA2 ** adam_t)
-        w = (w - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)) * objective.free
-        total, grad, *_ = objective(w)
-        if not math.isfinite(total) or not np.isfinite(w).all():
-            raise FloatingPointError("non-finite iterate in the inner solve")
-        if total < best_total:
-            best_total, best_w = total, w.copy()
-        if it % window == 0:
-            improved = window_anchor - best_total \
-                > 1e-14 * max(1.0, abs(window_anchor))
-            if not improved:
-                lr *= 0.5
-                if lr < 1e-10:
-                    break
-                w = best_w.copy()
-                total, grad, *_ = objective(w)
-                m[:] = 0.0
-                v[:] = 0.0
-                adam_t = 0
-            window_anchor = best_total
-    return best_w, best_total, it, lr
 
 
 def _selection_update(w, active, outcome, config, delta_star):
@@ -485,15 +524,9 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
                                lam2, d_pen, config.effect_kind,
                                delta_star_value, config.l1_penalty)
         obj_start = objective(w)[0]
-        try:
-            w, obj_end, inner_iters, _ = _adam_minimize(
-                w, objective, config.step_size, config.max_inner_iter,
-                config.grad_tol)
-        except FloatingPointError as exc:
-            raise RuntimeError(
-                f"optimizer diverged at dual step {step} "
-                f"(lambda1={lam1:.3g}, lambda2={lam2:.3g}, c={c:.3g}, "
-                f"d={d_pen:.3g}); trace so far: {diagnostics}") from exc
+        w, obj_end, inner_iters, stop_reason, evaluations = _lbfgs_minimize(
+            w, objective, config.step_size, config.max_inner_iter,
+            config.grad_tol)
         _, _, f_val, h1v, h2v = objective(w)
 
         dropped = []
@@ -511,7 +544,8 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
         diagnostics.append({
             "step": step, "f": f_val, "h1": h1v, "h2": h2v,
             "lambda1": lam1, "lambda2": lam2, "c": c, "d": d_pen, "t": t,
-            "inner_iterations": inner_iters,
+            "inner_iterations": inner_iters, "stop_reason": stop_reason,
+            "evaluations": evaluations,
             "objective_start": obj_start, "objective_end": obj_end,
             "n_active": int(active.sum()) - 1, "dropped": tuple(dropped),
         })

@@ -5,15 +5,16 @@ import pytest
 
 from nscausal.bench import (ScenarioSpec, nscg, run_scenario, scenario,
                             scenario_truth, spec_from_dict, summarize)
-from nscausal.effects import effect_rows
+from nscausal.effects import delta_star, effect_rows
 from nscausal.graph import (WeightedDag, EdgeSet, enumerate_paths_to_outcome,
                             is_acyclic)
 from nscausal.io import (load_csv, read_graph_csv, read_rows_csv,
                          write_dataset_csv, write_edges_csv, write_graph_csv,
                          write_rows_csv)
 from nscausal.bench import RAW_FIELDS
-from nscausal.optimizer import FitConfig, fit
-from nscausal.scm import BernoulliNoise, SemSpec, sample_linear
+from nscausal.optimizer import FitConfig, fit, fit_baseline
+from nscausal.scm import (BernoulliNoise, SemSpec, sample_linear,
+                          shift_nonnegative)
 
 from conftest import random_dag
 
@@ -203,6 +204,35 @@ class TestRunScenario:
         loaded = read_rows_csv(path)
         again = summarize(loaded, spec.id)
         assert again == report.summary
+
+    def test_rows_carry_the_convergence_counts_of_their_fit(self):
+        spec = scenario("s1", sample_sizes=(60,), replications=1,
+                        methods=("nscsl-te", "baseline"), seed_base=5)
+        rows = {(r["method"], r["target"]): r
+                for r in run_scenario(spec).rows}
+        graph_ss, data_ss = np.random.SeedSequence(5).spawn(2)
+        data = shift_nonnegative(sample_linear(
+            SemSpec(scenario_truth(spec, graph_ss), spec.noise), 60,
+            seed=data_ss))
+        base = fit_baseline(data)
+        dstar = delta_star(data, lambda _: base.graph, "te")
+        selective = fit(data, FitConfig(delta_star=dstar), warm_start=base)
+        for key, result in ((("baseline", "nscg"), base),
+                            (("baseline", "full"), base),
+                            (("nscsl-te", "nscg"), selective)):
+            assert rows[key]["converged"] == int(result.converged)
+            assert rows[key]["dual_steps"] == len(result.diagnostics)
+            assert rows[key]["inner_iterations"] == sum(
+                d["inner_iterations"] for d in result.diagnostics)
+
+    def test_summary_counts_nonconverged_fits(self):
+        # one dual step cannot push h1 under its tolerance
+        spec = scenario("s1", sample_sizes=(60,), replications=2,
+                        methods=("baseline",))
+        report = run_scenario(spec, FitConfig(max_dual_steps=1))
+        assert all(r["converged"] == 0 for r in report.rows)
+        assert [s["nonconverged"] for s in report.summary] == [2, 2]
+        assert all(s["failures"] == 0 for s in report.summary)
 
     def test_failures_become_counted_rows(self, monkeypatch):
         from nscausal import bench as bench_mod

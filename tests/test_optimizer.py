@@ -4,9 +4,10 @@ import pytest
 from nscausal.bench import nscg, scenario, scenario_truth
 from nscausal.effects import delta_star
 from nscausal.graph import WeightedDag, graph_metrics, is_acyclic, prune
-from nscausal.optimizer import (FitConfig, _Objective, acyclicity_gradient,
-                                acyclicity_value, fit, fit_baseline,
-                                least_squares_loss, relevance_constraint)
+from nscausal.optimizer import (FitConfig, _lbfgs_minimize, _Objective,
+                                acyclicity_gradient, acyclicity_value, fit,
+                                fit_baseline, least_squares_loss,
+                                relevance_constraint)
 from nscausal.scm import (BernoulliNoise, Dataset, GaussianNoise, SemSpec,
                           sample_linear, shift_nonnegative)
 
@@ -200,6 +201,76 @@ class TestEngineObjective:
                 error = np.abs(analytic - numeric)[free].max()
                 assert error <= 1e-5 * max(1.0, np.abs(numeric[free]).max())
                 assert not analytic[~free].any()
+
+
+class TestLbfgsSolver:
+    @staticmethod
+    def least_squares_problem(dim=5, n=200, seed=4):
+        # lam1 = c = 0 and no relevance: the objective is the column-wise
+        # least squares alone, with one feature switched off.  Columns on
+        # scales 1 to 10 make it ill-conditioned enough (gram condition
+        # number ~1e4) that a broken two-loop recursion misses the
+        # minimizer within 100 steps.
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(n, dim)) @ rng.normal(size=(dim, dim))
+        values *= np.logspace(0, 1, dim)
+        centered = values - values.mean(axis=0)
+        gram = centered.T @ centered / n
+        active = np.ones(dim, bool)
+        active[1] = False
+        objective = _Objective(gram, dim - 1, active, t=0.2, lam1=0.0, c=0.0,
+                               relevance=False, lam2=0.0, d_pen=0.0,
+                               kind="te", delta_star=0.0, l1=0.0)
+        w0 = rng.uniform(-1.0, 1.0, (dim, dim))
+        return gram, objective, w0
+
+    def test_reaches_the_closed_form_regression(self):
+        gram, objective, w0 = self.least_squares_problem()
+        free = objective.free.astype(bool)
+        expected = np.zeros_like(gram)
+        for j in objective.cols:
+            rows = np.flatnonzero(free[:, j])
+            expected[rows, j] = np.linalg.solve(gram[np.ix_(rows, rows)],
+                                                gram[rows, j])
+        w, total, iterations, _, _ = _lbfgs_minimize(
+            w0, objective, 0.05, 100, 1e-10)
+        assert np.abs(w - expected).max() < 1e-6
+        assert iterations < 100
+        assert total == objective(w)[0]
+
+    def test_accepted_iterates_never_raise_the_objective(self):
+        # the solve is deterministic, so capping it at k steps returns its
+        # k-th accepted iterate
+        _, objective, w0 = self.least_squares_problem()
+        totals = [_lbfgs_minimize(w0, objective, 0.05, k, 1e-10)[1]
+                  for k in range(30)]
+        assert totals[0] == objective(w0 * objective.free)[0]
+        assert all(b <= a for a, b in zip(totals, totals[1:]))
+        assert totals[-1] < totals[0]
+
+    def test_entries_off_the_free_mask_stay_exactly_zero(self):
+        _, objective, w0 = self.least_squares_problem()
+        for k in (1, 5, 100):
+            w = _lbfgs_minimize(w0, objective, 0.05, k, 1e-10)[0]
+            assert not w[objective.free == 0].any()
+
+
+class TestStopReasons:
+    def test_iteration_cap_is_recorded(self):
+        _, _, data = s1_replication(0)
+        result = fit_baseline(data, FitConfig(max_inner_iter=3))
+        first = result.diagnostics[0]
+        assert first["stop_reason"] == "max_inner_iter"
+        assert first["inner_iterations"] == 3
+        assert first["evaluations"] >= 4
+
+    def test_low_noise_chain_stops_on_gradient_or_descent(self):
+        data, _ = chain_dataset((2.0, 0.8), n=2000, seed=2,
+                                noise=GaussianNoise(1e-3))
+        result = fit(data)
+        assert result.converged
+        assert result.diagnostics[-1]["stop_reason"] in ("grad_tol",
+                                                         "no_descent")
 
 
 class TestFit:
