@@ -209,7 +209,7 @@ class TestLbfgsSolver:
         # lam1 = c = 0 and no relevance: the objective is the column-wise
         # least squares alone, with one feature switched off.  Columns on
         # scales 1 to 10 make it ill-conditioned enough (gram condition
-        # number ~1e4) that a broken two-loop recursion misses the
+        # number 5e4) that a broken two-loop recursion misses the
         # minimizer within 100 steps.
         rng = np.random.default_rng(seed)
         values = rng.normal(size=(n, dim)) @ rng.normal(size=(dim, dim))
