@@ -30,8 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import effects as _effects
-from .graph import (WeightedDag, EdgeSet, ancestors_of, metrics, random_er,
+from .graph import (WeightedDag, ancestors_of, graph_metrics, random_er,
                     random_sf)
 from .optimizer import FitConfig, fit, fit_baseline
 from .scm import (BernoulliNoise, Dataset, GaussianNoise, SemSpec,
@@ -185,7 +184,7 @@ def _sample(spec: ScenarioSpec, truth: WeightedDag, n: int, seed) -> Dataset:
 
 
 def _score(estimated: WeightedDag, target: WeightedDag) -> dict:
-    m = metrics(EdgeSet.from_dag(estimated), EdgeSet.from_dag(target))
+    m = graph_metrics(estimated, target)
     return {"fdr": m.fdr, "tpr": m.tpr, "shd": float(m.shd)}
 
 
@@ -230,9 +229,8 @@ def _replication_rows(spec: ScenarioSpec, config: FitConfig, n: int, r: int) -> 
             continue
         kind = "te" if method == "nscsl-te" else "de"
         try:
-            dstar = _effects.delta_star(data, lambda _: base.graph, kind)
             start = time.perf_counter()
-            result = fit(data, replace(config, effect_kind=kind, delta_star=dstar),
+            result = fit(data, replace(config, effect_kind=kind, delta_star=None),
                          warm_start=base)
             elapsed = time.perf_counter() - start
             rows.append(row(method, "nscg", result, base_time + elapsed))

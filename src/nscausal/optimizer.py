@@ -6,10 +6,15 @@ The learner estimates a weighted adjacency matrix ``B`` for the model
     f(B) + lambda1*h1(B) + lambda2*h2(B; g) + c*h1(B)^2 + d*h2(B; g)^2
 
 with dual ascent on the multipliers and geometric growth of the penalties.
+The schedule is the fixed augmented-Lagrangian recipe of NOTEARS (Zheng
+et al. 2018) and lives in module constants, not in ``FitConfig``:
+``_PENALTY_INIT``, ``_PENALTY_GROWTH``, ``_PROGRESS_RATIO``, ``_H1_TOL``,
+``_H2_TOL`` and ``_PENALTY_CAP``; both multipliers start at 0.
 
 * ``f`` is the scaled least-squares residual over the active columns.
 * ``h1(B) = tr[(I + t * B∘B)^dim] - dim`` is zero exactly on acyclic
-  patterns; ``t`` keeps the matrix power conditioned.
+  patterns; ``t``, set from the iterate at every dual step, keeps the
+  matrix power conditioned.
 * ``h2(B; g) = delta_star - sum_i |CE_i(B)| + sum_j |B[outcome, j]|``
   compares the absolute causal-effect mass of the active features against
   the all-features reference ``delta_star`` and penalizes edges out of the
@@ -39,61 +44,60 @@ from .scm import Dataset
 # iterate must be this close to acyclic before selection decisions are trusted
 SELECTION_H1_GATE = 1e-5
 
-# inner solve: curvature pairs kept, Armijo constant, line-search halvings
+# dual ascent: initial penalties c and d, their growth factor when a
+# constraint shrinks by less than the progress ratio, the feasibility
+# tolerances, and the cap on multipliers and penalties
+_PENALTY_INIT = 1.0
+_PENALTY_GROWTH = 10.0
+_PROGRESS_RATIO = 0.25
+_H1_TOL = 1e-8
+_H2_TOL = 1e-6
+_PENALTY_CAP = 1e16
+
+# inner solve: curvature pairs kept, Armijo constant, line-search halvings,
+# largest entry change of a plain gradient step (taken while no curvature
+# is known), and the gradient size that ends a solve
 _LBFGS_MEMORY = 6
 _ARMIJO_C1 = 1e-4
 _LBFGS_HALVINGS = 40
+_STEP_SIZE = 0.05
+_GRAD_TOL = 1e-7
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Hyperparameters of the learner; defaults follow the training recipe.
+    """The settings a caller may choose; everything else is engine constants.
 
+    ``prune_threshold`` is the edge threshold of the returned graph.
     ``selection_tolerance`` scales the deactivation cutoff relative to the
     reference score; with the subset selector realized as monotone
-    shrinkage the size pressure comes from that cutoff.  ``delta_star`` may
-    hold a precomputed reference score; None means compute it from a pruned
-    selection-free fit of the same data.
+    shrinkage the size pressure comes from that cutoff.
+    ``max_dual_steps`` caps the dual-ascent steps of a fit and
+    ``max_inner_iter`` the accepted L-BFGS steps of each inner solve.
+    ``delta_star`` may hold a precomputed reference score; None means
+    compute it from a pruned selection-free fit of the same data.
 
-    Each inner solve is L-BFGS.  ``step_size`` is the largest entry change
-    of its first trial step, a plain gradient step taken before any
-    curvature is known (and again after a failed line search resets the
-    memory).  ``max_inner_iter`` caps the accepted steps per inner solve,
-    and ``grad_tol`` ends a solve once no free gradient entry exceeds it.
+    The penalty schedule and the inner-solve constants (``_STEP_SIZE``,
+    ``_GRAD_TOL``) are module constants; see the module docstring.
     """
 
     effect_kind: str = "te"
-    t: object = "auto"
     prune_threshold: float = 0.3
     selection_tolerance: float = 0.01
-    lambda1_init: float = 0.0
-    lambda2_init: float = 0.0
-    c_init: float = 1.0
-    d_init: float = 1.0
-    penalty_growth: float = 10.0
-    progress_ratio: float = 0.25
     max_dual_steps: int = 100
-    h1_tol: float = 1e-8
-    h2_tol: float = 1e-6
-    penalty_cap: float = 1e16
-    l1_penalty: float = 0.0
-    step_size: float = 0.05
     max_inner_iter: int = 500
-    grad_tol: float = 1e-7
     delta_star: float | None = None
 
     def __post_init__(self):
         if self.effect_kind not in ("te", "de"):
             raise ValueError("effect_kind must be 'te' or 'de'")
-        if self.t != "auto" and not (isinstance(self.t, (int, float)) and self.t > 0):
-            raise ValueError("t must be 'auto' or a positive number")
-        if self.penalty_growth <= 1:
-            raise ValueError("penalty_growth must exceed 1")
-        for name in ("h1_tol", "h2_tol", "grad_tol", "step_size"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.prune_threshold < 0:
+            raise ValueError("prune_threshold must be nonnegative")
         if self.selection_tolerance < 0:
             raise ValueError("selection_tolerance must be nonnegative")
+        for name in ("max_dual_steps", "max_inner_iter"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -315,9 +319,8 @@ def relevance_constraint(B: np.ndarray, mask: np.ndarray, effect_kind: str,
 # engine
 
 
-def _resolve_t(setting, w: np.ndarray) -> float:
-    if setting != "auto":
-        return float(setting)
+def _auto_t(w: np.ndarray) -> float:
+    """``1 / (rho(B∘B) + dim)``, floored at 1e-4."""
     e = w * w
     rho = float(np.abs(np.linalg.eigvals(e)).max()) if e.any() else 0.0
     return max(1.0 / (rho + w.shape[0]), 1e-4)
@@ -340,7 +343,7 @@ class _Objective:
     """
 
     def __init__(self, gram, outcome, active, t, lam1, c, relevance,
-                 lam2, d_pen, kind, delta_star, l1):
+                 lam2, d_pen, kind, delta_star):
         self.gram = gram
         self.outcome = outcome
         self.feature_active = active.copy()
@@ -354,7 +357,6 @@ class _Objective:
         self.lam2, self.d_pen = lam2, d_pen
         self.kind = kind
         self.delta_star = delta_star
-        self.l1 = l1
 
     def __call__(self, w: np.ndarray):
         f, grad = _ls(w, self.gram, self.cols, self.eye)
@@ -367,9 +369,6 @@ class _Objective:
                            self.delta_star, self.eye)
             total += self.lam2 * h2v + self.d_pen * h2v * h2v
             grad += (self.lam2 + 2.0 * self.d_pen * h2v) * gh2
-        if self.l1:
-            total += self.l1 * float(np.abs(w).sum())
-            grad += self.l1 * np.sign(w)
         grad *= self.free
         return total, grad, f, h1v, h2v
 
@@ -480,7 +479,7 @@ def _selection_update(w, active, outcome, config, delta_star):
     candidates.sort(key=lambda i: (ce[i], i))
     live = [i for i in np.flatnonzero(active) if i != outcome]
     h2_now = delta_star - float(sum(ce[i] for i in live))
-    slack = cutoff + config.h1_tol
+    slack = cutoff + _H1_TOL
     dropped = []
     for i in candidates:
         h2_after = h2_now + ce[i]
@@ -503,15 +502,15 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
 
     if init is None:
         w = np.zeros((dim, dim))
-        lam1 = config.lambda1_init
-        c = config.c_init
+        lam1 = 0.0
+        c = _PENALTY_INIT
     else:
         w, lam1, c = init
         w = w.copy()
     active = np.ones(dim, dtype=bool)
-    lam2 = config.lambda2_init
-    d_pen = config.d_init
-    cap = config.penalty_cap
+    lam2 = 0.0
+    d_pen = _PENALTY_INIT
+    cap = _PENALTY_CAP
     h1_prev = math.inf
     h2_prev = math.inf
     diagnostics = []
@@ -519,14 +518,13 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
     stall = 0
 
     for step in range(config.max_dual_steps):
-        t = _resolve_t(config.t, w)
+        t = _auto_t(w)
         objective = _Objective(gram, outcome, active, t, lam1, c, relevance,
                                lam2, d_pen, config.effect_kind,
-                               delta_star_value, config.l1_penalty)
+                               delta_star_value)
         obj_start = objective(w)[0]
         w, obj_end, inner_iters, stop_reason, evaluations = _lbfgs_minimize(
-            w, objective, config.step_size, config.max_inner_iter,
-            config.grad_tol)
+            w, objective, _STEP_SIZE, config.max_inner_iter, _GRAD_TOL)
         _, _, f_val, h1v, h2v = objective(w)
 
         dropped = []
@@ -537,8 +535,7 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
                 w = w * _free_mask(active, outcome)
                 objective = _Objective(gram, outcome, active, t, lam1, c,
                                        relevance, lam2, d_pen,
-                                       config.effect_kind, delta_star_value,
-                                       config.l1_penalty)
+                                       config.effect_kind, delta_star_value)
                 _, _, f_val, h1v, h2v = objective(w)
 
         diagnostics.append({
@@ -550,8 +547,8 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
             "n_active": int(active.sum()) - 1, "dropped": tuple(dropped),
         })
 
-        ok1 = h1v <= config.h1_tol
-        ok2 = (not relevance) or abs(h2v) <= config.h2_tol
+        ok1 = h1v <= _H1_TOL
+        ok2 = (not relevance) or abs(h2v) <= _H2_TOL
         if ok1 and ok2 and not dropped:
             converged = True
             break
@@ -559,13 +556,13 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
         lam1 = min(lam1 + 2.0 * c * h1v, cap)
         if relevance:
             lam2 = float(np.clip(lam2 + 2.0 * d_pen * h2v, -cap, cap))
-        if not ok1 and h1v > config.progress_ratio * h1_prev:
-            c = min(c * config.penalty_growth, cap)
-        if relevance and not ok2 and abs(h2v) > config.progress_ratio * h2_prev:
-            d_pen = min(d_pen * config.penalty_growth, cap)
+        if not ok1 and h1v > _PROGRESS_RATIO * h1_prev:
+            c = min(c * _PENALTY_GROWTH, cap)
+        if relevance and not ok2 and abs(h2v) > _PROGRESS_RATIO * h2_prev:
+            d_pen = min(d_pen * _PENALTY_GROWTH, cap)
 
-        improved = (h1v <= config.progress_ratio * h1_prev
-                    or (relevance and abs(h2v) <= config.progress_ratio * h2_prev)
+        improved = (h1v <= _PROGRESS_RATIO * h1_prev
+                    or (relevance and abs(h2v) <= _PROGRESS_RATIO * h2_prev)
                     or bool(dropped))
         saturated = ((ok1 or c >= cap)
                      and ((not relevance) or ok2 or d_pen >= cap))
@@ -594,32 +591,25 @@ def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
     return _engine(data, config, relevance=False)
 
 
-def _warm_init(result: FitResult) -> tuple:
-    last = result.diagnostics[-1] if result.diagnostics else {}
-    return (result.raw_graph.weights,
-            float(last.get("lambda1", 0.0)),
-            float(last.get("c", 1.0)))
-
-
 def fit(data: Dataset, config: FitConfig = FitConfig(),
         warm_start: FitResult | None = None) -> FitResult:
     """Joint structure learning and feature selection.
 
-    When ``config.delta_star`` is None the reference score is computed up
-    front from a pruned selection-free fit of the same data and then frozen
-    for the constrained run; that fit also warm-starts the constrained one.
-    A caller that already holds the selection-free result can pass it as
-    ``warm_start`` together with a precomputed ``config.delta_star``.
+    ``warm_start``, a selection-free fit of the same data, sets the starting
+    point and multipliers of the constrained run.  When ``config.delta_star``
+    is None the reference score is the effect mass of that fit's pruned
+    graph, and without ``warm_start`` the fit is computed here with
+    ``fit_baseline``.  The score is then frozen for the constrained run.
     """
-    init = None
-    if config.delta_star is None:
-        base = fit_baseline(data, config)
-        dstar = _effects.delta_star(data, lambda _: base.graph,
+    if warm_start is None and config.delta_star is None:
+        warm_start = fit_baseline(data, config)
+    dstar = config.delta_star
+    if dstar is None:
+        dstar = _effects.delta_star(data, lambda _: warm_start.graph,
                                     config.effect_kind)
-        init = _warm_init(base)
-    else:
-        dstar = float(config.delta_star)
-        if warm_start is not None:
-            init = _warm_init(warm_start)
-    resolved = replace(config, delta_star=dstar)
+    init = None
+    if warm_start is not None:
+        last = warm_start.diagnostics[-1]
+        init = (warm_start.raw_graph.weights, last["lambda1"], last["c"])
+    resolved = replace(config, delta_star=float(dstar))
     return _engine(data, resolved, relevance=True, init=init)

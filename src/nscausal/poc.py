@@ -260,8 +260,9 @@ class ScmDistribution:
     def _mass(self, predicate) -> float:
         return sum(p for values, p in self.joint.items() if predicate(values))
 
-    def p_outcome(self, y, i: int, z_i, equal: bool = True, z_minus_i=None) -> float:
-        outcome = self.scm.outcome_index
+    def _conditioning(self, i: int, z_i, equal: bool, z_minus_i):
+        """Predicate of the event ``Z_i = z_i`` (``!=`` unless ``equal``),
+        with ``Z_-i = z_minus_i`` when given, and the event's mass."""
         rest = {}
         if z_minus_i is not None:
             rest = dict(zip(_rest_indices(self.scm, i), z_minus_i))
@@ -273,32 +274,23 @@ class ScmDistribution:
                 return False
             return all(values[j] == v for j, v in rest.items())
 
-        denom = self._mass(conditioning)
-        if denom <= 0.0:
+        mass = self._mass(conditioning)
+        if mass <= 0.0:
             relation = "=" if equal else "!="
             raise ValueError(
                 f"conditioning event Z_{i} {relation} {z_i}"
                 f"{' with Z_-i fixed' if rest else ''} has zero mass")
+        return conditioning, mass
+
+    def p_outcome(self, y, i: int, z_i, equal: bool = True, z_minus_i=None) -> float:
+        outcome = self.scm.outcome_index
+        conditioning, denom = self._conditioning(i, z_i, equal, z_minus_i)
         num = self._mass(lambda v: conditioning(v) and v[outcome] == y)
         return num / denom
 
     def expected_outcome(self, i: int, z_i, equal: bool = True, z_minus_i=None) -> float:
         outcome = self.scm.outcome_index
-        rest = {}
-        if z_minus_i is not None:
-            rest = dict(zip(_rest_indices(self.scm, i), z_minus_i))
-
-        def conditioning(values):
-            if equal and values[i] != z_i:
-                return False
-            if not equal and values[i] == z_i:
-                return False
-            return all(values[j] == v for j, v in rest.items())
-
-        denom = self._mass(conditioning)
-        if denom <= 0.0:
-            relation = "=" if equal else "!="
-            raise ValueError(f"conditioning event Z_{i} {relation} {z_i} has zero mass")
+        conditioning, denom = self._conditioning(i, z_i, equal, z_minus_i)
         num = sum(p * values[outcome]
                   for values, p in self.joint.items() if conditioning(values))
         return num / denom

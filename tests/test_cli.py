@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from nscausal.cli import main
 
 
@@ -134,14 +136,26 @@ class TestExitCodes:
         assert main(["simulate", "--scenario", "s1"]) == 1  # missing --n
         assert main(["frobnicate"]) == 1
 
-    def test_unknown_config_keys_are_validation_errors(self, tmp_path):
+    @pytest.mark.parametrize("key", ["learning_rate", "t", "l1_penalty",
+                                     "penalty_growth"])
+    def test_unknown_config_keys_are_validation_errors(self, tmp_path, key):
         sim = tmp_path / "sim"
         assert main(["simulate", "--scenario", "s1", "--n", "30",
                      "--seed", "0", "--out", str(sim)]) == 0
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"fit": {"learning_rate": 1.0}}))
+        cfg.write_text(json.dumps({"fit": {key: 1.0}}))
         assert main(["fit", "--data", str(sim / "data.csv"), "--outcome", "y",
                      "--config", str(cfg), "--out", str(tmp_path / "f")]) == 1
+
+    def test_negative_prune_threshold_fails_before_fitting(self, tmp_path):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--scenario", "s1", "--n", "30",
+                     "--seed", "0", "--out", str(sim)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fit": {"prune_threshold": -0.1}}))
+        assert main(["fit", "--data", str(sim / "data.csv"), "--outcome", "y",
+                     "--config", str(cfg), "--out", str(tmp_path / "f")]) == 1
+        assert not (tmp_path / "f").exists()
 
     def test_internal_errors_are_runtime_failures(self, tmp_path, monkeypatch):
         import nscausal.cli as cli_mod

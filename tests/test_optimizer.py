@@ -193,7 +193,7 @@ class TestEngineObjective:
                 objective = _Objective(
                     centered.T @ centered / 80, dim - 1, active, t=0.4,
                     lam1=0.7, c=1.3, relevance=True, lam2=-0.6, d_pen=2.5,
-                    kind=kind, delta_star=3.0, l1=0.0)
+                    kind=kind, delta_star=3.0)
                 free = objective.free.astype(bool)
                 w = gradient_probe(rng, dim) * objective.free
                 analytic = objective(w)[1]
@@ -220,7 +220,7 @@ class TestLbfgsSolver:
         active[1] = False
         objective = _Objective(gram, dim - 1, active, t=0.2, lam1=0.0, c=0.0,
                                relevance=False, lam2=0.0, d_pen=0.0,
-                               kind="te", delta_star=0.0, l1=0.0)
+                               kind="te", delta_star=0.0)
         w0 = rng.uniform(-1.0, 1.0, (dim, dim))
         return gram, objective, w0
 
@@ -320,6 +320,33 @@ class TestFit:
             assert not raw.weights[raw.outcome_index].any()
             expected = prune(raw, result.config.prune_threshold)
             assert np.array_equal(result.graph.weights, expected.weights)
+            features = [i for i in range(raw.dim) if i != raw.outcome_index]
+            for i, kept in zip(features, result.selected):
+                if not kept:
+                    assert not raw.weights[i].any()
+                    assert not raw.weights[:, i].any()
+
+    def test_warm_start_anchors_delta_star_without_a_baseline_fit(
+            self, monkeypatch):
+        import nscausal.optimizer as optimizer
+
+        _, _, data = s1_replication(300)
+        base = fit_baseline(data)
+        dstar = delta_star(data, lambda _: base.graph, "te")
+        explicit = fit(data, FitConfig(delta_star=dstar), warm_start=base)
+
+        def no_baseline(*args, **kwargs):
+            raise AssertionError("fit refitted the baseline")
+
+        monkeypatch.setattr(optimizer, "fit_baseline", no_baseline)
+        anchored = fit(data, FitConfig(), warm_start=base)
+        assert anchored.delta_star_used == explicit.delta_star_used == dstar
+        assert np.array_equal(anchored.raw_graph.weights,
+                              explicit.raw_graph.weights)
+        assert np.array_equal(anchored.graph.weights, explicit.graph.weights)
+        assert np.array_equal(anchored.selected, explicit.selected)
+        assert anchored.diagnostics == explicit.diagnostics
+        assert anchored.converged == explicit.converged
 
     def test_inner_solves_never_increase_the_objective(self):
         _, _, data = s1_replication(1)
@@ -390,10 +417,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FitConfig(effect_kind="ate")
 
-    def test_growth_factor(self):
-        with pytest.raises(ValueError):
-            FitConfig(penalty_growth=1.0)
+    def test_prune_threshold_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="prune_threshold"):
+            FitConfig(prune_threshold=-0.1)
 
-    def test_t_must_be_positive_or_auto(self):
-        with pytest.raises(ValueError):
-            FitConfig(t=-1.0)
+    def test_at_least_one_dual_step(self):
+        with pytest.raises(ValueError, match="max_dual_steps"):
+            FitConfig(max_dual_steps=0)
+
+    def test_at_least_one_inner_iteration(self):
+        with pytest.raises(ValueError, match="max_inner_iter"):
+            FitConfig(max_inner_iter=0)
