@@ -195,6 +195,12 @@ def _failure_row(scenario_id, method, target, n, r, seed, message) -> dict:
             "runtime_s": float("nan"), "failed": 1, "error": message}
 
 
+def capped_solves(result) -> int:
+    """Inner solves of a fit that stopped at ``max_inner_iter``."""
+    return sum(d["stop_reason"] == "max_inner_iter"
+               for d in result.diagnostics)
+
+
 def _replication_rows(spec: ScenarioSpec, config: FitConfig, n: int, r: int) -> list:
     seed = spec.seed_base + r
     graph_ss, data_ss = np.random.SeedSequence(seed).spawn(2)
@@ -209,7 +215,8 @@ def _replication_rows(spec: ScenarioSpec, config: FitConfig, n: int, r: int) -> 
                "converged": int(fitted.converged),
                "dual_steps": len(fitted.diagnostics),
                "inner_iterations": sum(d["inner_iterations"]
-                                       for d in fitted.diagnostics)}
+                                       for d in fitted.diagnostics),
+               "capped_solves": capped_solves(fitted)}
         out.update(_score(fitted.graph, target if tgt_name == "nscg" else truth))
         return out
 
@@ -241,11 +248,11 @@ def _replication_rows(spec: ScenarioSpec, config: FitConfig, n: int, r: int) -> 
 
 RAW_FIELDS = ("scenario", "method", "target", "n", "replication", "seed",
               "fdr", "tpr", "shd", "runtime_s", "failed", "error",
-              "converged", "dual_steps", "inner_iterations")
+              "converged", "dual_steps", "inner_iterations", "capped_solves")
 SUMMARY_FIELDS = ("scenario", "method", "target", "n", "replications",
-                  "failures", "nonconverged", "fdr_mean", "fdr_se",
-                  "tpr_mean", "tpr_se", "shd_mean", "shd_se", "runtime_mean",
-                  "runtime_se")
+                  "failures", "nonconverged", "capped_solves", "fdr_mean",
+                  "fdr_se", "tpr_mean", "tpr_se", "shd_mean", "shd_se",
+                  "runtime_mean", "runtime_se")
 
 
 @dataclass(frozen=True)
@@ -263,7 +270,9 @@ def summarize(rows, scenario_id: str = "") -> tuple:
     The standard error is the sample standard deviation over replications
     divided by sqrt(count).  Failed replications are counted and excluded
     from the means; fits that ran without converging are counted in
-    ``nonconverged`` and kept in the means.
+    ``nonconverged`` and kept in the means, and ``capped_solves`` totals
+    the inner solves of the non-failed rows that stopped at
+    ``max_inner_iter``.
     """
     groups: dict = {}
     for raw in rows:
@@ -276,7 +285,8 @@ def summarize(rows, scenario_id: str = "") -> tuple:
         entry = {"scenario": scenario_id or bucket[0]["scenario"],
                  "method": method, "target": target, "n": n,
                  "replications": len(bucket), "failures": len(bucket) - len(good),
-                 "nonconverged": sum(not int(b["converged"]) for b in good)}
+                 "nonconverged": sum(not int(b["converged"]) for b in good),
+                 "capped_solves": sum(int(b["capped_solves"]) for b in good)}
         for field in ("fdr", "tpr", "shd", "runtime_s"):
             name = "runtime" if field == "runtime_s" else field
             vals = np.array([float(b[field]) for b in good])

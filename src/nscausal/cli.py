@@ -10,8 +10,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, io
-from .bench import (RAW_FIELDS, SUMMARY_FIELDS, nscg, run_scenario, scenario,
-                    scenario_truth, spec_from_dict, _sample)
+from .bench import (RAW_FIELDS, SUMMARY_FIELDS, capped_solves, nscg,
+                    run_scenario, scenario, scenario_truth, spec_from_dict,
+                    _sample)
 from .effects import EFFECT_FIELDS, effect_rows
 from .graph import EdgeSet, metrics
 from .optimizer import FitConfig, fit, fit_baseline
@@ -97,6 +98,10 @@ def cmd_fit(args):
                      _meta(args, {"data": args.data, "outcome": str(args.outcome),
                                   "method": args.method}))
     state = "converged" if result.converged else "stopped before tolerance"
+    capped = capped_solves(result)
+    if capped:
+        state += (f"; {capped} of {len(result.diagnostics)} inner solves "
+                  "stopped at max_inner_iter")
     kept = int(np.sum(result.selected))
     _log(f"fit {state}; {kept} feature(s) selected; results in {args.out}")
 

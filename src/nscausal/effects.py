@@ -62,13 +62,6 @@ def total_effect_by_paths(g: WeightedDag, i: int) -> float:
     return total
 
 
-def total_effect_jacobian_entry(g: WeightedDag, i: int, k: int, l: int) -> float:
-    """d(total effect of i)/d(weight of edge k->l), from the resolvent."""
-    _check_node(g, i)
-    inv = np.linalg.inv(np.eye(g.dim) - g.weights)
-    return float(inv[i, k] * inv[l, g.outcome_index])
-
-
 EFFECT_FIELDS = ("node", "label", "direct_effect", "total_effect")
 
 

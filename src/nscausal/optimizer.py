@@ -11,7 +11,12 @@ et al. 2018) and lives in module constants, not in ``FitConfig``:
 ``_PENALTY_INIT``, ``_PENALTY_GROWTH``, ``_PROGRESS_RATIO``, ``_H1_TOL``,
 ``_H2_TOL`` and ``_PENALTY_CAP``; both multipliers start at 0.
 
-* ``f`` is the scaled least-squares residual over the active columns.
+* ``f`` is the scaled least-squares residual over the active columns.  The
+  fit minimises it on the centered gram divided by its mean diagonal (the
+  mean column variance), so the objective carries no data units and the
+  absolute schedule and tolerances mean the same at every scale.  A uniform
+  rescale keeps the constrained minimiser, and unlike standardising each
+  column it keeps the relative variances that identify the DAG.
 * ``h1(B) = tr[(I + t * B∘B)^dim] - dim`` is zero exactly on acyclic
   patterns; ``t``, set from the iterate at every dual step, keeps the
   matrix power conditioned.
@@ -27,9 +32,12 @@ clamped to zero) provided the relevance constraint does not materially
 degrade.  The outcome row is kept at zero by projection throughout.  Each
 inner minimization is L-BFGS with an Armijo backtracking line search over
 the free entries (as in NOTEARS, Zheng et al. 2018); a step is taken only
-when it lowers the objective, so no inner solve ever increases it.  Every
-``diagnostics`` row records why its solve stopped and how many objective
-evaluations it spent.
+when it lowers the objective, so no inner solve ever increases it.  A
+solve stops once a step lowers the objective by less than ``_FTOL``
+relative (SciPy L-BFGS-B's test), instead of crawling to the rounding
+floor.  Every ``diagnostics`` row records why its solve stopped and how
+many objective evaluations it spent; its ``f`` is in data units, its
+``objective_start`` and ``objective_end`` in the rescaled units.
 """
 
 import math
@@ -56,12 +64,15 @@ _PENALTY_CAP = 1e16
 
 # inner solve: curvature pairs kept, Armijo constant, line-search halvings,
 # largest entry change of a plain gradient step (taken while no curvature
-# is known), and the gradient size that ends a solve
+# is known), the gradient size that ends a solve, and the relative decrease
+# below which a step ends it (SciPy L-BFGS-B's default, factr 1e7 times
+# machine epsilon; Byrd, Lu, Nocedal & Zhu 1995)
 _LBFGS_MEMORY = 6
 _ARMIJO_C1 = 1e-4
 _LBFGS_HALVINGS = 40
 _STEP_SIZE = 0.05
 _GRAD_TOL = 1e-7
+_FTOL = 2.220446049250313e-09
 
 
 @dataclass(frozen=True)
@@ -78,7 +89,8 @@ class FitConfig:
     compute it from a pruned selection-free fit of the same data.
 
     The penalty schedule and the inner-solve constants (``_STEP_SIZE``,
-    ``_GRAD_TOL``) are module constants; see the module docstring.
+    ``_GRAD_TOL``, ``_FTOL``) are module constants; see the module
+    docstring.
     """
 
     effect_kind: str = "te"
@@ -374,7 +386,7 @@ class _Objective:
 
 
 def _lbfgs_minimize(w0: np.ndarray, objective: _Objective, step_size: float,
-                    max_iter: int, grad_tol: float):
+                    max_iter: int, grad_tol: float, ftol: float = 0.0):
     """Deterministic L-BFGS with Armijo backtracking on the free entries.
 
     Directions come from the two-loop recursion over the last
@@ -387,10 +399,13 @@ def _lbfgs_minimize(w0: np.ndarray, objective: _Objective, step_size: float,
     iterate stay exactly zero.  Every accepted step satisfies the Armijo
     condition and lowers the objective.  A line search that fails empties
     the memory and retries once from the scaled gradient; if that fails
-    too, the solve stops.
+    too, the solve stops.  An accepted step that lowers the objective from
+    ``prev`` to ``total`` by no more than ``ftol * max(|prev|, |total|, 1)``
+    also ends the solve; the default ``ftol = 0`` never does, so the solve
+    runs to the gradient tolerance or the rounding floor.
 
     Returns the final iterate and objective, the accepted steps, why the
-    solve stopped (``"grad_tol"``, ``"max_inner_iter"`` or
+    solve stopped (``"grad_tol"``, ``"ftol"``, ``"max_inner_iter"`` or
     ``"no_descent"``) and the number of objective evaluations.
     """
     w = w0 * objective.free
@@ -449,8 +464,11 @@ def _lbfgs_minimize(w0: np.ndarray, objective: _Objective, step_size: float,
             pairs.append((step, change, 1.0 / sy))
             if len(pairs) > _LBFGS_MEMORY:
                 pairs.pop(0)
+        prev = total
         w, total, grad = trial_w, accepted[0], accepted[1]
         it += 1
+        if prev - total <= ftol * max(abs(prev), abs(total), 1.0):
+            return w, total, it, "ftol", evaluations
 
 
 def _selection_update(w, active, outcome, config, delta_star):
@@ -498,7 +516,13 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
         # one row has a zero centered gram: every fit would "converge" empty
         raise ValueError("dataset must have at least 2 rows and 2 columns")
     delta_star_value = config.delta_star if relevance else 0.0
-    gram = _centered_gram(data)
+    # fit on a unit-free gram: a uniform rescale of the data leaves the
+    # constrained minimiser unchanged, while the penalty schedule and the
+    # solver tolerances are absolute.  All-constant data (mean variance 0)
+    # keep their zero gram and fit to the empty graph.
+    data_gram = _centered_gram(data)
+    scale = float(np.diag(data_gram).mean())
+    gram = data_gram / scale if scale > 0 else data_gram
 
     if init is None:
         w = np.zeros((dim, dim))
@@ -524,8 +548,9 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
                                delta_star_value)
         obj_start = objective(w)[0]
         w, obj_end, inner_iters, stop_reason, evaluations = _lbfgs_minimize(
-            w, objective, _STEP_SIZE, config.max_inner_iter, _GRAD_TOL)
-        _, _, f_val, h1v, h2v = objective(w)
+            w, objective, _STEP_SIZE, config.max_inner_iter, _GRAD_TOL,
+            _FTOL)
+        _, _, _, h1v, h2v = objective(w)
 
         dropped = []
         if relevance and h1v <= SELECTION_H1_GATE:
@@ -536,8 +561,11 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
                 objective = _Objective(gram, outcome, active, t, lam1, c,
                                        relevance, lam2, d_pen,
                                        config.effect_kind, delta_star_value)
-                _, _, f_val, h1v, h2v = objective(w)
+                _, _, _, h1v, h2v = objective(w)
 
+        # ``f`` in data units, computed (not rescaled back) so that it equals
+        # the public ``least_squares_loss`` at the fit's raw graph
+        f_val = _ls(w, data_gram, objective.cols, objective.eye)[0]
         diagnostics.append({
             "step": step, "f": f_val, "h1": h1v, "h2": h2v,
             "lambda1": lam1, "lambda2": lam2, "c": c, "d": d_pen, "t": t,

@@ -1,7 +1,10 @@
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nscausal.bench import (ScenarioSpec, nscg, run_scenario, scenario,
                             scenario_truth, spec_from_dict, summarize)
@@ -13,7 +16,7 @@ from nscausal.io import (load_csv, read_graph_csv, read_rows_csv,
                          write_rows_csv)
 from nscausal.bench import RAW_FIELDS
 from nscausal.optimizer import FitConfig, fit, fit_baseline
-from nscausal.scm import (BernoulliNoise, SemSpec, sample_linear,
+from nscausal.scm import (BernoulliNoise, Dataset, SemSpec, sample_linear,
                           shift_nonnegative)
 
 from conftest import random_dag
@@ -62,6 +65,20 @@ class TestNscg:
                 assert on_path, f"edge ({i}, {j}) is not on an outcome path"
 
 
+@st.composite
+def datasets(draw):
+    columns = draw(st.integers(1, 5))
+    labels = draw(st.lists(
+        st.text("abcyz_019", min_size=1, max_size=6),
+        min_size=columns, max_size=columns, unique=True))
+    rows = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=rows * columns,
+                          max_size=rows * columns))
+    outcome = draw(st.integers(0, columns - 1))
+    return Dataset(np.reshape(cells, (rows, columns)), labels, outcome)
+
+
 class TestLoadCsv:
     def test_outcome_by_label_moves_last(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -104,6 +121,21 @@ class TestLoadCsv:
         again = load_csv(path, "y")
         assert again.labels == data.labels
         assert np.array_equal(again.values, data.values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(datasets())
+    def test_round_trip_property(self, data):
+        # written in any column order, loaded with the outcome named: same
+        # values, same labels, the outcome moved last
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.csv")
+            write_dataset_csv(data, path)
+            again = load_csv(path, data.labels[data.outcome_index])
+        order = [c for c in range(data.dim) if c != data.outcome_index]
+        order.append(data.outcome_index)
+        assert again.labels == tuple(data.labels[c] for c in order)
+        assert again.outcome_index == data.dim - 1
+        assert np.array_equal(again.values, data.values[:, order])
 
 
 class TestReportEffects:
@@ -233,6 +265,22 @@ class TestRunScenario:
         assert all(r["converged"] == 0 for r in report.rows)
         assert [s["nonconverged"] for s in report.summary] == [2, 2]
         assert all(s["failures"] == 0 for s in report.summary)
+
+    def test_rows_and_summary_count_capped_solves(self):
+        # three accepted steps cannot finish an inner solve, so every fit
+        # has capped solves; the default cap leaves s1 at n=60 with none
+        spec = scenario("s1", sample_sizes=(60,), replications=2,
+                        methods=("nscsl-te", "baseline"))
+        report = run_scenario(spec, FitConfig(max_inner_iter=3))
+        for r in report.rows:
+            assert 1 <= r["capped_solves"] <= r["dual_steps"]
+        for entry in report.summary:
+            assert entry["capped_solves"] == sum(
+                r["capped_solves"] for r in report.rows
+                if (r["method"], r["target"]) == (entry["method"],
+                                                  entry["target"]))
+        uncapped = run_scenario(spec)
+        assert all(r["capped_solves"] == 0 for r in uncapped.rows)
 
     def test_failures_become_counted_rows(self, monkeypatch):
         from nscausal import bench as bench_mod

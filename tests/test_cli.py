@@ -72,6 +72,21 @@ class TestPipeline:
         meta = read_meta(fitdir / "meta.json")
         assert meta["resolved"]["method"] == "baseline"
 
+    def test_fit_log_counts_capped_solves(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--scenario", "s1", "--n", "60",
+                     "--seed", "4", "--out", str(sim)]) == 0
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.json"
+        for inner, expect in ((3, True), (500, False)):
+            cfg.write_text(json.dumps({"fit": {"max_inner_iter": inner}}))
+            assert main(["fit", "--data", str(sim / "data.csv"),
+                         "--outcome", "y", "--method", "baseline",
+                         "--config", str(cfg),
+                         "--out", str(tmp_path / f"fit{inner}")]) == 0
+            log = capsys.readouterr().err
+            assert ("inner solves stopped at max_inner_iter" in log) == expect
+
     def test_fit_config_overrides(self, tmp_path):
         sim = tmp_path / "sim"
         assert main(["simulate", "--scenario", "s1", "--n", "60",

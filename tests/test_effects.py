@@ -3,9 +3,9 @@ import pytest
 
 from nscausal.effects import (delta_star, direct_effect, effect_rows,
                               total_effect, total_effect_by_paths,
-                              total_effect_jacobian_entry, total_effects)
+                              total_effects)
 from nscausal.graph import WeightedDag
-from nscausal.optimizer import fit_baseline
+from nscausal.optimizer import fit_baseline, relevance_constraint
 from nscausal.scm import BernoulliNoise, SemSpec, sample_linear
 
 from conftest import random_dag
@@ -77,21 +77,31 @@ class TestTotalEffect:
         assert abs(total_effect(cut, node)) < 1e-12
 
     def test_linear_in_each_weight(self, rng):
-        # finite-difference slope equals the resolvent jacobian entry
+        # finite-difference slope equals the engine's total-effect jacobian:
+        # with mask {i} and delta_star 0 the relevance constraint is
+        # -|TE_i| (the outcome is a sink), so its gradient's [k, l] entry is
+        # -sign(TE_i) * dTE_i/dB[k, l]
         for _ in range(20):
             g = random_dag(rng, 6, density=0.6)
             edges = np.argwhere(g.weights != 0)
             if len(edges) == 0:
                 continue
             k, l = edges[rng.integers(len(edges))]
-            i = next(i for i in range(6) if i != g.outcome_index)
+            te = total_effects(g)
+            i = next((i for i in range(6)
+                      if i != g.outcome_index and te[i] != 0.0), None)
+            if i is None:
+                continue
             step = 1e-6
             up, down = g.weights.copy(), g.weights.copy()
             up[k, l] += step
             down[k, l] -= step
             slope = (total_effect(WeightedDag(up, g.labels, g.outcome_index), i)
                      - total_effect(WeightedDag(down, g.labels, g.outcome_index), i)) / (2 * step)
-            assert abs(slope - total_effect_jacobian_entry(g, i, k, l)) < 1e-6
+            mask = np.arange(6) == i
+            _, grad = relevance_constraint(g.weights, mask, "te", 0.0,
+                                           g.outcome_index)
+            assert abs(-np.sign(te[i]) * slope - grad[k, l]) < 1e-6
 
     def test_rejects_cyclic(self):
         w = np.zeros((3, 3))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nscausal.graph import (EdgeSet, WeightedDag, enumerate_paths_to_outcome,
                             graph_metrics, is_acyclic, metrics, prune,
@@ -156,6 +158,15 @@ class TestPrune:
             assert np.array_equal(once.weights, twice.weights)
 
 
+@st.composite
+def edge_set_pairs(draw):
+    # any two directed edge sets on the same nodes, cycles included
+    dim = draw(st.integers(2, 6))
+    pairs = [(i, j) for i in range(dim) for j in range(dim) if i != j]
+    subset = st.frozensets(st.sampled_from(pairs))
+    return EdgeSet(dim, draw(subset)), EdgeSet(dim, draw(subset))
+
+
 class TestMetrics:
     def test_exact_match(self, rng):
         for _ in range(20):
@@ -185,6 +196,17 @@ class TestMetrics:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             metrics(EdgeSet(3, frozenset()), EdgeSet(4, frozenset()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_set_pairs())
+    def test_invariants(self, pair):
+        a, b = pair
+        m = metrics(a, b)
+        assert 0.0 <= m.fdr <= 1.0
+        assert 0.0 <= m.tpr <= 1.0
+        assert m.shd >= 0
+        same = metrics(a, a)
+        assert (same.fdr, same.tpr, same.shd) == (0.0, 1.0, 0)
 
     def test_graph_wrapper_thresholds(self):
         w = np.zeros((3, 3))

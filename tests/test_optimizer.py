@@ -1,13 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from nscausal.bench import nscg, scenario, scenario_truth
 from nscausal.effects import delta_star
 from nscausal.graph import WeightedDag, graph_metrics, is_acyclic, prune
-from nscausal.optimizer import (FitConfig, _lbfgs_minimize, _Objective,
-                                acyclicity_gradient, acyclicity_value, fit,
-                                fit_baseline, least_squares_loss,
-                                relevance_constraint)
+from nscausal.optimizer import (_FTOL, FitConfig, _lbfgs_minimize,
+                                _Objective, acyclicity_gradient,
+                                acyclicity_value, fit, fit_baseline,
+                                least_squares_loss, relevance_constraint)
 from nscausal.scm import (BernoulliNoise, Dataset, GaussianNoise, SemSpec,
                           sample_linear, shift_nonnegative)
 
@@ -254,6 +256,31 @@ class TestLbfgsSolver:
             w = _lbfgs_minimize(w0, objective, 0.05, k, 1e-10)[0]
             assert not w[objective.free == 0].any()
 
+    def test_relative_progress_stop_ends_the_solve_early(self):
+        _, objective, w0 = self.least_squares_problem()
+        exact = _lbfgs_minimize(w0, objective, 0.05, 500, 1e-10)
+        early = _lbfgs_minimize(w0, objective, 0.05, 500, 1e-10, _FTOL)
+        assert exact[3] != "ftol"
+        assert early[3] == "ftol"
+        assert early[2] < exact[2]
+        # it stops short of the rounding floor, not far from the minimum
+        assert exact[1] <= early[1] <= exact[1] * (1.0 + 1e-6)
+
+    def test_engine_solves_with_the_relative_stop(self, monkeypatch):
+        import nscausal.optimizer as optimizer
+
+        seen = []
+
+        def recording(*args):
+            seen.append(args[5:])
+            return _lbfgs_minimize(*args)
+
+        monkeypatch.setattr(optimizer, "_lbfgs_minimize", recording)
+        _, _, data = s1_replication(300)
+        result = fit(data)
+        assert seen and all(extra == (_FTOL,) for extra in seen)
+        assert "ftol" in {d["stop_reason"] for d in result.diagnostics}
+
 
 class TestStopReasons:
     def test_iteration_cap_is_recorded(self):
@@ -269,7 +296,7 @@ class TestStopReasons:
                                 noise=GaussianNoise(1e-3))
         result = fit(data)
         assert result.converged
-        assert result.diagnostics[-1]["stop_reason"] in ("grad_tol",
+        assert result.diagnostics[-1]["stop_reason"] in ("grad_tol", "ftol",
                                                          "no_descent")
 
 
@@ -374,6 +401,41 @@ class TestFit:
             medians.append(float(np.median(shds)))
         assert medians[-1] == 0.0
         assert medians[0] >= medians[-1]
+
+
+class TestUnits:
+    @pytest.mark.parametrize("seed", [300, 301])
+    def test_rescaled_data_give_the_same_fit(self, seed):
+        _, _, data = s1_replication(seed)
+        patterns = set()
+        for k in (1e-3, 1.0, 1e3, 1e6):
+            scaled = Dataset(data.values * k, data.labels, data.outcome_index)
+            base = fit_baseline(scaled)
+            result = fit(scaled, warm_start=base)
+            assert base.converged and result.converged
+            patterns.add((result.graph.weights != 0).tobytes()
+                         + result.selected.tobytes())
+        assert len(patterns) == 1
+
+    def test_wide_independent_noise_gives_the_empty_graph(self):
+        # on the raw gram the absolute penalty schedule fails this draw: 19
+        # dual steps, unconverged, both noise features kept in a 2-cycle
+        values = np.random.default_rng(0).normal(0.0, 1e6, (50, 3))
+        result = fit(Dataset(values, ("z0", "z1", "y"), 2))
+        assert result.converged
+        assert not result.graph.weights.any()
+        assert not result.selected.any()
+
+    def test_constant_columns_fit_the_empty_graph_without_warnings(self):
+        data = Dataset(np.full((20, 3), 4.0), ("z0", "z1", "y"), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base = fit_baseline(data)
+            result = fit(data, warm_start=base)
+        for fitted in (base, result):
+            assert fitted.converged
+            assert not fitted.raw_graph.weights.any()
+            assert fitted.diagnostics[-1]["f"] == 0.0
 
 
 class TestFitBaseline:
