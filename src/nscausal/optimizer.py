@@ -32,16 +32,23 @@ clamped to zero) provided the relevance constraint does not materially
 degrade.  The outcome row is kept at zero by projection throughout.  Each
 inner minimization is L-BFGS with an Armijo backtracking line search over
 the free entries (as in NOTEARS, Zheng et al. 2018); a step is taken only
-when it lowers the objective, so no inner solve ever increases it.  A
-solve stops once a step lowers the objective by less than ``_FTOL``
-relative (SciPy L-BFGS-B's test), instead of crawling to the rounding
-floor.  Every ``diagnostics`` row records why its solve stopped and how
-many objective evaluations it spent; its ``f`` is in data units, its
-``objective_start`` and ``objective_end`` in the rescaled units.
+when it lowers the objective, so no inner solve ever increases it.  At
+the problem sizes here an iteration is bound by numpy call overhead, so
+the solve works on the flat vector of free entries and takes each
+direction from the inner products of its stored vectors (``_two_loop``)
+in a few dense calls.  A solve stops once a step lowers the objective by
+less than ``_FTOL`` relative (SciPy L-BFGS-B's test), instead of crawling
+to the rounding floor.  Every ``diagnostics`` row records why its solve
+stopped and how many objective evaluations it spent, and the engine
+evaluates the objective nowhere else except after a deactivation; its
+``f`` is in data units, its ``objective_start`` and ``objective_end`` in
+the rescaled units.  Once every unmet constraint's penalty is capped, a
+fit ends after three dual steps without progress, unconverged.
 """
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,6 +147,10 @@ def _centered_gram(data: Dataset) -> np.ndarray:
 
 def _ls(w: np.ndarray, gram: np.ndarray, cols: np.ndarray, eye: np.ndarray):
     """``0.5 tr[(I - B)_cols^T gram (I - B)_cols]`` and its gradient."""
+    if len(cols) == len(w):  # every column active: no index copies
+        rc = eye - w
+        gr = gram @ rc
+        return 0.5 * float((rc * gr).sum()), -gr
     rc = eye[:, cols] - w[:, cols]
     gr = gram @ rc
     loss = 0.5 * float((rc * gr).sum())
@@ -385,63 +396,132 @@ class _Objective:
         return total, grad, f, h1v, h2v
 
 
+def _two_loop(basis: np.ndarray, pairs: list) -> np.ndarray:
+    """The L-BFGS direction ``-H g``, from inner products alone.
+
+    ``basis`` holds the steps ``s`` in rows ``[0, m)``, the gradient changes
+    ``y`` in rows ``[m, 2m)`` and the gradient ``g`` in its last row;
+    ``pairs`` lists ``(slot, 1 / s.y)`` oldest first for the slots in use,
+    and ``H`` is the two-loop inverse Hessian of those pairs with the
+    ``s.y / y.y`` scaling of the newest.  Every vector of the recursion is a
+    combination of the rows, so it runs on their coefficients: one Gram
+    matrix, the recursion on Python floats, and one combination of the rows
+    (vector-free L-BFGS; Chen, Wang & Zhou 2014).
+    """
+    m = len(basis) // 2
+    gram = (basis @ basis.T).tolist()
+    newest_first = [slot for slot, _ in reversed(pairs)]
+    # q = g - sum_j a_j y_j, the a_j = rho_j s_j.q taken newest first; the
+    # sums run left to right in explicit loops, so the rounding does not
+    # depend on how a Python version implements ``sum``
+    alphas = []
+    for slot, rho in reversed(pairs):
+        row = gram[slot]
+        acc = 0.0
+        for j, a in zip(newest_first, alphas):
+            acc += a * row[m + j]
+        alphas.append(rho * (row[-1] - acc))
+    newest = newest_first[0]
+    gamma = gram[newest][m + newest] / gram[m + newest][m + newest]
+    # r = gamma q + sum_j b_j s_j, the b_j = a_j - rho_j y_j.r taken
+    # oldest first
+    betas = []
+    for (slot, rho), a in zip(pairs, reversed(alphas)):
+        row = gram[m + slot]
+        acc = 0.0
+        for j, aj in zip(newest_first, alphas):
+            acc += aj * row[m + j]
+        yr = gamma * (row[-1] - acc)
+        acc = 0.0
+        for (j, _), b in zip(pairs, betas):
+            acc += b * row[j]
+        betas.append(a - rho * (yr + acc))
+    coef = [0.0] * len(basis)
+    coef[-1] = -gamma
+    for j, a in zip(newest_first, alphas):
+        coef[m + j] = gamma * a
+    for (j, _), b in zip(pairs, betas):
+        coef[j] = -b
+    return np.array(coef) @ basis
+
+
+class _Solve(NamedTuple):
+    """How an inner solve went, beyond its iterate and final objective."""
+
+    evaluations: int
+    objective_start: float
+    h1: float
+    h2: float
+
+
 def _lbfgs_minimize(w0: np.ndarray, objective: _Objective, step_size: float,
                     max_iter: int, grad_tol: float, ftol: float = 0.0):
     """Deterministic L-BFGS with Armijo backtracking on the free entries.
 
-    Directions come from the two-loop recursion over the last
-    ``_LBFGS_MEMORY`` curvature pairs; a pair is kept only when
-    ``s.y > 1e-10 |s||y|``, so the implied inverse Hessian stays positive
-    definite.  Without pairs (the first step, and after a reset) the
-    direction is the gradient scaled so that its largest entry is
-    ``step_size``.  The objective's gradient is zero off ``objective.free``,
-    so every pair and every direction is too, and masked entries of the
-    iterate stay exactly zero.  Every accepted step satisfies the Armijo
-    condition and lowers the objective.  A line search that fails empties
-    the memory and retries once from the scaled gradient; if that fails
-    too, the solve stops.  An accepted step that lowers the objective from
-    ``prev`` to ``total`` by no more than ``ftol * max(|prev|, |total|, 1)``
-    also ends the solve; the default ``ftol = 0`` never does, so the solve
-    runs to the gradient tolerance or the rounding floor.
+    The solve runs on the vector of the entries where ``objective.free`` is
+    nonzero; every trial point is scattered into a fresh zero matrix, so
+    masked entries of the iterate are exactly zero.  Directions come from
+    the two-loop recursion over the last ``_LBFGS_MEMORY`` curvature pairs
+    (``_two_loop``); a pair is kept only when ``s.y > 1e-10 |s||y|``, so the
+    implied inverse Hessian stays positive definite.  Without pairs (the
+    first step, and after a reset) the direction is the gradient scaled so
+    that its largest entry is ``step_size``.  Every accepted step satisfies
+    the Armijo condition and lowers the objective.  A line search that fails
+    empties the memory and retries once from the scaled gradient; if that
+    fails too, the solve stops.  An accepted step that lowers the objective
+    from ``prev`` to ``total`` by no more than
+    ``ftol * max(|prev|, |total|, 1)`` also ends the solve; the default
+    ``ftol = 0`` never does, so the solve runs to the gradient tolerance or
+    the rounding floor.  With no free entries the solve stops at once on
+    the gradient tolerance.
 
     Returns the final iterate and objective, the accepted steps, why the
     solve stopped (``"grad_tol"``, ``"ftol"``, ``"max_inner_iter"`` or
-    ``"no_descent"``) and the number of objective evaluations.
+    ``"no_descent"``) and a ``_Solve``: the number of objective
+    evaluations, the objective at the start, and ``h1`` and ``h2`` at the
+    final iterate, all taken from the solve's own evaluations.
     """
-    w = w0 * objective.free
-    total, grad, *_ = objective(w)
+    idx = np.flatnonzero(objective.free)
+    memory = _LBFGS_MEMORY
+    basis = np.zeros((2 * memory + 1, idx.size))
+    grad = basis[-1]  # the gradient on the free entries, a view
+
+    def evaluate(x):
+        w = np.zeros(w0.shape)
+        w.ravel()[idx] = x
+        return w, objective(w)
+
+    x = w0.take(idx)
+    w, current = evaluate(x)
+    start = total = current[0]
+    grad[:] = current[1].take(idx)
     evaluations = 1
-    pairs = []  # (s, y, 1 / s.y), oldest first
+    pairs = []  # (slot, 1 / s.y), oldest first
     it = 0
+
+    def done(reason):
+        return w, total, it, reason, _Solve(evaluations, start, current[3],
+                                            current[4])
+
     while True:
-        grad_max = np.abs(grad).max()
+        grad_max = np.abs(grad).max(initial=0.0)
         if grad_max <= grad_tol:
-            return w, total, it, "grad_tol", evaluations
+            return done("grad_tol")
         if it >= max_iter:
-            return w, total, it, "max_inner_iter", evaluations
+            return done("max_inner_iter")
         if pairs:
-            q = grad.copy()
-            alphas = []
-            for s_k, y_k, rho_k in reversed(pairs):
-                a_k = rho_k * (s_k * q).sum()
-                q -= a_k * y_k
-                alphas.append(a_k)
-            s_k, y_k, _ = pairs[-1]
-            q *= (s_k * y_k).sum() / (y_k * y_k).sum()
-            for (s_k, y_k, rho_k), a_k in zip(pairs, reversed(alphas)):
-                q += (a_k - rho_k * (y_k * q).sum()) * s_k
-            direction = -q
+            direction = _two_loop(basis, pairs)
         else:
-            direction = -grad * (step_size / grad_max)
-        slope = (grad * direction).sum()
+            direction = grad * (-step_size / grad_max)
+        slope = grad @ direction
         alpha = 1.0
         accepted = None
         # a direction that does not descend (possible only by rounding)
         # counts as a failed line search
         for _ in range(_LBFGS_HALVINGS if slope < 0 else 0):
-            trial_w = w + alpha * direction
+            trial_x = x + alpha * direction
             try:
-                trial = objective(trial_w)
+                trial_w, trial = evaluate(trial_x)
             except FloatingPointError:  # h1 overflowed far from the iterate
                 trial = None
             evaluations += 1
@@ -454,21 +534,26 @@ def _lbfgs_minimize(w0: np.ndarray, objective: _Objective, step_size: float,
             alpha *= 0.5
         if accepted is None:
             if not pairs:
-                return w, total, it, "no_descent", evaluations
+                return done("no_descent")
             pairs.clear()
             continue
-        step = trial_w - w
-        change = accepted[1] - grad
-        sy = (step * change).sum()
-        if sy > 1e-10 * np.linalg.norm(step) * np.linalg.norm(change):
-            pairs.append((step, change, 1.0 / sy))
-            if len(pairs) > _LBFGS_MEMORY:
-                pairs.pop(0)
+        step = trial_x - x
+        new_grad = accepted[1].take(idx)
+        change = new_grad - grad
+        sy = step @ change
+        if sy > 1e-10 * math.sqrt((step @ step) * (change @ change)):
+            # a full memory overwrites the oldest pair's rows; below it the
+            # slots in use are exactly 0 .. len(pairs) - 1
+            slot = pairs.pop(0)[0] if len(pairs) == memory else len(pairs)
+            basis[slot] = step
+            basis[memory + slot] = change
+            pairs.append((slot, 1.0 / sy))
+        grad[:] = new_grad
         prev = total
-        w, total, grad = trial_w, accepted[0], accepted[1]
+        x, w, current, total = trial_x, trial_w, accepted, accepted[0]
         it += 1
         if prev - total <= ftol * max(abs(prev), abs(total), 1.0):
-            return w, total, it, "ftol", evaluations
+            return done("ftol")
 
 
 def _selection_update(w, active, outcome, config, delta_star):
@@ -546,11 +631,10 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
         objective = _Objective(gram, outcome, active, t, lam1, c, relevance,
                                lam2, d_pen, config.effect_kind,
                                delta_star_value)
-        obj_start = objective(w)[0]
-        w, obj_end, inner_iters, stop_reason, evaluations = _lbfgs_minimize(
+        w, obj_end, inner_iters, stop_reason, solve = _lbfgs_minimize(
             w, objective, _STEP_SIZE, config.max_inner_iter, _GRAD_TOL,
             _FTOL)
-        _, _, _, h1v, h2v = objective(w)
+        h1v, h2v = solve.h1, solve.h2
 
         dropped = []
         if relevance and h1v <= SELECTION_H1_GATE:
@@ -570,8 +654,9 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
             "step": step, "f": f_val, "h1": h1v, "h2": h2v,
             "lambda1": lam1, "lambda2": lam2, "c": c, "d": d_pen, "t": t,
             "inner_iterations": inner_iters, "stop_reason": stop_reason,
-            "evaluations": evaluations,
-            "objective_start": obj_start, "objective_end": obj_end,
+            "evaluations": solve.evaluations,
+            "objective_start": solve.objective_start,
+            "objective_end": obj_end,
             "n_active": int(active.sum()) - 1, "dropped": tuple(dropped),
         })
 
@@ -589,7 +674,9 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
         if relevance and not ok2 and abs(h2v) > _PROGRESS_RATIO * h2_prev:
             d_pen = min(d_pen * _PENALTY_GROWTH, cap)
 
-        improved = (h1v <= _PROGRESS_RATIO * h1_prev
+        # h1 improves only from an infeasible value: a feasible h1, often
+        # exactly 0 after 0, passes the ratio test trivially
+        improved = ((h1_prev > _H1_TOL and h1v <= _PROGRESS_RATIO * h1_prev)
                     or (relevance and abs(h2v) <= _PROGRESS_RATIO * h2_prev)
                     or bool(dropped))
         saturated = ((ok1 or c >= cap)

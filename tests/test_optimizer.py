@@ -6,10 +6,11 @@ import pytest
 from nscausal.bench import nscg, scenario, scenario_truth
 from nscausal.effects import delta_star
 from nscausal.graph import WeightedDag, graph_metrics, is_acyclic, prune
-from nscausal.optimizer import (_FTOL, FitConfig, _lbfgs_minimize,
-                                _Objective, acyclicity_gradient,
-                                acyclicity_value, fit, fit_baseline,
-                                least_squares_loss, relevance_constraint)
+from nscausal.optimizer import (_FTOL, _LBFGS_MEMORY, FitConfig,
+                                _lbfgs_minimize, _Objective, _two_loop,
+                                acyclicity_gradient, acyclicity_value, fit,
+                                fit_baseline, least_squares_loss,
+                                relevance_constraint)
 from nscausal.scm import (BernoulliNoise, Dataset, GaussianNoise, SemSpec,
                           sample_linear, shift_nonnegative)
 
@@ -281,6 +282,70 @@ class TestLbfgsSolver:
         assert seen and all(extra == (_FTOL,) for extra in seen)
         assert "ftol" in {d["stop_reason"] for d in result.diagnostics}
 
+    @staticmethod
+    def textbook_direction(pairs, grad):
+        q = grad.copy()
+        alphas = []
+        for s, y in reversed(pairs):
+            a = (s @ q) / (s @ y)
+            q -= a * y
+            alphas.append(a)
+        s, y = pairs[-1]
+        q *= (s @ y) / (y @ y)
+        for (s, y), a in zip(pairs, reversed(alphas)):
+            q += (a - (y @ q) / (s @ y)) * s
+        return -q
+
+    @pytest.mark.parametrize("k", [5, 380])
+    def test_two_loop_matches_the_textbook_recursion(self, k):
+        # pairs from a random positive definite Hessian, stored in rotated
+        # slots as the solve's ring of rows leaves them
+        rng = np.random.default_rng(k)
+        memory = _LBFGS_MEMORY
+        for count in range(1, memory + 1):
+            root = rng.normal(size=(k, k))
+            hessian = root @ root.T / k + 0.1 * np.eye(k)
+            pairs = [(s, hessian @ s)
+                     for s in rng.normal(size=(count, k))]
+            grad = rng.normal(size=k)
+            basis = np.zeros((2 * memory + 1, k))
+            slots = [(count + i) % memory for i in range(count)]
+            for slot, (s, y) in zip(slots, pairs):
+                basis[slot], basis[memory + slot] = s, y
+            basis[-1] = grad
+            got = _two_loop(basis, [(slot, 1.0 / (s @ y))
+                                    for slot, (s, y) in zip(slots, pairs)])
+            expected = self.textbook_direction(pairs, grad)
+            assert np.abs(got - expected).max() <= \
+                1e-12 * np.abs(expected).max()
+
+    def test_no_free_entries_stop_on_the_gradient_tolerance(self):
+        gram, _, w0 = self.least_squares_problem()
+        dim = len(gram)
+        only_outcome = np.zeros(dim, bool)
+        only_outcome[dim - 1] = True
+        objective = _Objective(gram, dim - 1, only_outcome, t=0.2, lam1=0.0,
+                               c=0.0, relevance=False, lam2=0.0, d_pen=0.0,
+                               kind="te", delta_star=0.0)
+        w, total, iterations, reason, solve = _lbfgs_minimize(
+            w0, objective, 0.05, 100, 1e-10)
+        assert (iterations, reason, solve.evaluations) == (0, "grad_tol", 1)
+        assert not w.any()
+        assert total == solve.objective_start == objective(w)[0]
+
+    def test_engine_spends_only_the_solves_evaluations(self, monkeypatch):
+        calls = []
+        original = _Objective.__call__
+
+        def counting(self, w):
+            calls.append(1)
+            return original(self, w)
+
+        monkeypatch.setattr(_Objective, "__call__", counting)
+        _, _, data = s1_replication(300)
+        result = fit_baseline(data)
+        assert len(calls) == sum(d["evaluations"] for d in result.diagnostics)
+
 
 class TestStopReasons:
     def test_iteration_cap_is_recorded(self):
@@ -401,6 +466,34 @@ class TestFit:
             medians.append(float(np.median(shds)))
         assert medians[-1] == 0.0
         assert medians[0] >= medians[-1]
+
+
+class TestUnmeetableRelevance:
+    # independent noise: the baseline keeps one noise edge into the outcome,
+    # so delta* > 0, but the selective fit drops both features at its first
+    # step and can never meet the relevance constraint
+    @staticmethod
+    def unmeetable_fit():
+        values = np.random.default_rng(6).normal(size=(50, 3))
+        data = Dataset(values, ("z0", "z1", "y"), 2)
+        return fit(data, warm_start=fit_baseline(data))
+
+    def test_stalled_fit_stops_early_and_unconverged(self):
+        result = self.unmeetable_fit()
+        assert result.delta_star_used > 0.0
+        assert not result.selected.any()
+        assert not result.converged
+        # d grows tenfold per step to its cap, then three stalled steps
+        assert len(result.diagnostics) < FitConfig().max_dual_steps // 4
+
+    def test_solves_without_free_entries_stop_at_once(self):
+        result = self.unmeetable_fit()
+        assert result.diagnostics[0]["dropped"] == (0, 1)
+        for entry in result.diagnostics[1:]:
+            assert entry["stop_reason"] == "grad_tol"
+            assert entry["inner_iterations"] == 0
+            assert entry["evaluations"] == 1
+        assert not result.raw_graph.weights.any()
 
 
 class TestUnits:
