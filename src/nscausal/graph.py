@@ -9,6 +9,7 @@ the container itself stays permissive so that arbitrary matrices (including
 cyclic ones) can be inspected with :func:`is_acyclic`.
 """
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,20 +60,23 @@ def topological_order(weights: np.ndarray) -> list[int] | None:
 
     Ties are broken by ascending node index so the order is deterministic.
     """
-    pattern = np.asarray(weights) != 0
-    dim = pattern.shape[0]
-    indegree = pattern.sum(axis=0).astype(int)
-    ready = sorted(i for i in range(dim) if indegree[i] == 0)
+    weights = np.asarray(weights)
+    dim = weights.shape[0]
+    rows, cols = np.nonzero(weights)
+    children: list[list[int]] = [[] for _ in range(dim)]
+    indegree = [0] * dim
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        children[i].append(j)
+        indegree[j] += 1
+    ready = [i for i in range(dim) if indegree[i] == 0]  # sorted, so a heap
     order: list[int] = []
     while ready:
-        node = ready.pop(0)
+        node = heapq.heappop(ready)
         order.append(node)
-        for child in np.flatnonzero(pattern[node]):
+        for child in children[node]:
             indegree[child] -= 1
             if indegree[child] == 0:
-                # insertion keeps `ready` sorted; graphs here are small
-                ready.append(int(child))
-                ready.sort()
+                heapq.heappush(ready, child)
     return order if len(order) == dim else None
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from nscausal.graph import (EdgeSet, WeightedDag, enumerate_paths_to_outcome,
                             graph_metrics, is_acyclic, metrics, prune,
-                            random_er, random_sf)
+                            random_er, random_sf, topological_order)
 from nscausal.optimizer import acyclicity_value
 
 from conftest import inject_back_edge, random_dag
@@ -108,6 +110,31 @@ class TestAcyclicity:
                 assert value <= 1e-8
             else:
                 assert value > 1e-8
+
+
+class TestTopologicalOrder:
+    def test_ties_go_to_the_smallest_ready_index(self):
+        # 2 and 3 start ready; 1, freed by 2, comes before the waiting 3
+        w = np.zeros((4, 4))
+        w[3, 0] = w[2, 1] = 1.0
+        assert topological_order(w) == [2, 1, 3, 0]
+        assert topological_order(np.zeros((3, 3))) == [0, 1, 2]
+
+    def test_is_the_lexicographically_smallest_valid_order(self, rng):
+        for k in range(200):
+            dim = int(rng.integers(1, 7))
+            g = random_dag(rng, dim, density=float(rng.uniform(0.1, 0.9)))
+            edges = list(zip(*np.nonzero(g.weights)))
+            valid = [list(p) for p in itertools.permutations(range(dim))
+                     if all(p.index(i) < p.index(j) for i, j in edges)]
+            assert topological_order(g.weights) == min(valid)
+
+    def test_cycle_gives_none(self):
+        w = np.zeros((4, 4))
+        w[0, 1] = 1.0  # acyclic part
+        w[1, 2] = w[2, 3] = w[3, 1] = 0.5
+        assert topological_order(w) is None
+        assert topological_order(np.eye(2)) is None
 
 
 class TestPaths:

@@ -2,9 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nscausal import mec
 from nscausal.graph import WeightedDag, is_acyclic
 from nscausal.io import write_cpdag_csv
 from nscausal.mec import Cpdag, dag_to_cpdag, enumerate_mec, mec_average
@@ -49,6 +50,62 @@ def all_dags(dim):
                 edges.append((j, i))
         if _acyclic(edges, dim):
             yield frozenset(edges)
+
+
+def consistent_extensions(c):
+    """Every acyclic orientation of ``c``'s undirected edges that keeps its
+    directed part and its v-structures, in ascending orientation code (bit
+    ``k`` set when the ``k``-th sorted undirected edge points low to high)."""
+    skeleton = c.skeleton()
+    reference = _vstructs(c.directed, skeleton)
+    pairs = sorted(c.undirected)
+    found = []
+    for code in range(2 ** len(pairs)):
+        edges = set(c.directed) | {(i, j) if code >> k & 1 else (j, i)
+                                   for k, (i, j) in enumerate(pairs)}
+        if _acyclic(edges, c.dim) and _vstructs(edges, skeleton) == reference:
+            found.append(edges)
+    return found
+
+
+def rescan_closure(dim, skeleton, directed):
+    """The orientation rules applied by full rescans: orient the smallest
+    undirected edge that some rule compels, low to high first, and start
+    over until no rule fires."""
+    adjacent = {frozenset(e) for e in skeleton}
+    directed = set(directed)
+    undirected = {tuple(sorted(e)) for e in skeleton} - \
+        {tuple(sorted(e)) for e in directed}
+
+    def und(x, y):
+        return tuple(sorted((x, y))) in undirected
+
+    def compelled(a, b):
+        nodes = range(dim)
+        return (
+            any((c, a) in directed and frozenset((c, b)) not in adjacent
+                for c in nodes if c != b)
+            or any((a, c) in directed and (c, b) in directed for c in nodes)
+            or any(und(a, c) and und(a, d) and (c, b) in directed
+                   and (d, b) in directed
+                   and frozenset((c, d)) not in adjacent
+                   for c, d in itertools.combinations(nodes, 2))
+            or any(und(a, d) and (d, c) in directed and (c, b) in directed
+                   and frozenset((b, d)) not in adjacent
+                   for c in nodes for d in nodes if d != b))
+
+    while True:
+        step = next(((x, y) for a, b in sorted(undirected)
+                     for x, y in ((a, b), (b, a)) if compelled(x, y)), None)
+        if step is None:
+            return directed, undirected
+        undirected.discard(tuple(sorted(step)))
+        directed.add(step)
+
+
+def patterns_of(members):
+    return [set(map(tuple, np.argwhere(m.weights != 0).tolist()))
+            for m in members]
 
 
 def brute_class_sizes(dim):
@@ -173,6 +230,16 @@ class TestEnumerateMec:
         with pytest.raises(ValueError, match="cap of 1000"):
             enumerate_mec(dag_to_cpdag(dag_from_edges(edges, 7)), cap=1000)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_fails_before_any_work(self, cap, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the search started")
+
+        c = dag_to_cpdag(dag_from_edges([(0, 1)], 2))
+        monkeypatch.setattr(mec, "_Closure", no_work)
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            enumerate_mec(c, cap=cap)
+
     def test_members_come_in_ascending_orientation_code(self):
         c = dag_to_cpdag(dag_from_edges([(0, 1), (1, 2)], 3))
         patterns = [sorted(map(tuple, np.argwhere(m.weights != 0).tolist()))
@@ -213,7 +280,64 @@ def dags(draw, max_dim=7):
     return WeightedDag(w), sink
 
 
+@st.composite
+def partial_dags(draw):
+    """A hand-built ``Cpdag``: a DAG's skeleton with a random subset of its
+    edges oriented as in the DAG and the rest undirected.  It need not be
+    closed under the orientation rules, nor have any member."""
+    g, _ = draw(dags())
+    edges = sorted(map(tuple, np.argwhere(g.weights != 0).tolist()))
+    oriented = draw(st.lists(st.booleans(), min_size=len(edges),
+                             max_size=len(edges)))
+    return Cpdag(g.dim, frozenset(e for e, o in zip(edges, oriented) if o),
+                 frozenset(e for e, o in zip(edges, oriented) if not o))
+
+
 class TestMecProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(dags())
+    def test_members_are_the_consistent_extensions_in_code_order(self, case):
+        g, sink = case
+        c = dag_to_cpdag(g, outcome_sink=sink)
+        assume(len(c.undirected) <= 12)
+        members = enumerate_mec(c, outcome_index=g.outcome_index)
+        assert patterns_of(members) == consistent_extensions(c)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dags())
+    def test_directed_edges_are_the_ones_all_members_share(self, case):
+        # the closure is complete: an edge stays undirected only when
+        # members disagree on it
+        g, sink = case
+        c = dag_to_cpdag(g, outcome_sink=sink)
+        members = patterns_of(enumerate_mec(c))
+        assert c.directed == set.intersection(*members)
+
+    @settings(max_examples=60, deadline=None)
+    @given(partial_dags())
+    def test_branch_closure_equals_a_full_rescan(self, c):
+        # each search branch: a copy of a closed graph plus one edge
+        skeleton = c.skeleton()
+        directed, _ = rescan_closure(c.dim, skeleton, c.directed)
+        adjacency = mec._adjacency(c.dim, skeleton)
+        closed = mec._Closure(adjacency, directed).close()
+        assert closed.directed() == directed
+        for i, j in sorted(closed.undirected()):
+            for edge in ((i, j), (j, i)):
+                branch = closed.copy()
+                branch.orient(*edge)
+                branch.close()
+                expected, rest = rescan_closure(c.dim, skeleton,
+                                                directed | {edge})
+                assert branch.directed() == expected
+                assert branch.undirected() == rest
+
+    @settings(max_examples=60, deadline=None)
+    @given(partial_dags())
+    def test_hand_built_members_are_the_consistent_extensions(self, c):
+        assume(len(c.undirected) <= 12)
+        assert patterns_of(enumerate_mec(c)) == consistent_extensions(c)
+
     @settings(max_examples=40, deadline=None)
     @given(dags())
     def test_members_are_distinct_map_back_and_include_the_input(self, case):
@@ -239,6 +363,18 @@ class TestMecProperties:
         both = avg + avg.T
         assert np.allclose(both[on_skeleton], 1.0, rtol=0, atol=1e-12)
         assert (both[~on_skeleton] == 0.0).all()
+
+
+class TestClosure:
+    def test_rule_four_fires_through_a_newly_oriented_edge(self):
+        # closed: 0 - 1, 1 - 2, 0 - 2, 0 - 3, 2 -> 3.  Orienting 1 -> 2
+        # compels 0 -> 3 by rule 4 (0 - 1, 1 -> 2 -> 3, 1 and 3
+        # non-adjacent), though 0 - 3 touches neither 1 nor 2
+        adjacency = [{1, 2, 3}, {0, 2}, {0, 1, 3}, {0, 2}]
+        closed = mec._Closure(adjacency, {(2, 3)}).close()
+        assert closed.directed() == {(2, 3)}
+        closed.orient(1, 2)
+        assert closed.close().directed() == {(2, 3), (1, 2), (0, 3)}
 
 
 class TestOutcomeSink:
