@@ -334,9 +334,16 @@ def _replication_task(args):
 
 def spec_from_dict(doc: dict) -> ScenarioSpec:
     """Build a ScenarioSpec from a JSON-style dict (the bench file format)."""
+    if not isinstance(doc, dict):
+        raise ValueError("scenario file must hold a JSON object")
+    unknown = set(doc) - set(ScenarioSpec.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
     doc = dict(doc)
     noise = doc.pop("noise", None)
     if noise is not None:
+        if not isinstance(noise, dict):
+            raise ValueError("noise must be an object with a 'kind' key")
         kind = noise.get("kind", "bernoulli")
         if kind == "bernoulli":
             doc["noise"] = BernoulliNoise(noise.get("p", 0.5))

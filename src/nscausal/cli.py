@@ -46,7 +46,10 @@ def _load_fit_config(args) -> FitConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             doc = json.load(fh)
-        overrides = doc.get("fit", {})
+        overrides = doc.get("fit", {}) if isinstance(doc, dict) else None
+        if not isinstance(overrides, dict):
+            raise _ValidationError(
+                "config must be a JSON object whose 'fit' section is an object")
         unknown = set(overrides) - set(FitConfig.__dataclass_fields__)
         if unknown:
             raise _ValidationError(f"unknown fit config keys: {sorted(unknown)}")
@@ -112,7 +115,7 @@ def cmd_eval(args):
     m = metrics(EdgeSet.from_dag(estimated, args.threshold),
                 EdgeSet.from_dag(truth))
     rows = [{"fdr": m.fdr, "tpr": m.tpr, "shd": float(m.shd)}]
-    _write_table(rows, ("fdr", "tpr", "shd"), args.out)
+    io.write_rows_csv(rows, ("fdr", "tpr", "shd"), args.out or None)
     if args.out:
         io.write_json(_meta(args, {"estimated": args.estimated,
                                    "truth": args.truth,
@@ -141,22 +144,9 @@ def cmd_bench(args):
 def cmd_effects(args):
     graph, selected = io.read_fit_dir(args.fit)
     rows = effect_rows(graph, selected)
-    _write_table(rows, EFFECT_FIELDS, args.out)
+    io.write_rows_csv(rows, EFFECT_FIELDS, args.out or None)
     if args.out:
         io.write_json(_meta(args, {"fit": args.fit}), args.out + ".meta.json")
-
-
-def _write_table(rows, fields, out):
-    if out:
-        io.write_rows_csv(rows, fields, out)
-    else:
-        import csv
-
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([repr(row[f]) if isinstance(row[f], float) else row[f]
-                             for f in fields])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,6 +22,13 @@ def default_labels(dim: int) -> tuple[str, ...]:
     return tuple(f"z{i}" for i in range(dim - 1)) + ("y",)
 
 
+def outcome_position(outcome_index: int, dim: int) -> int:
+    """``outcome_index`` as a node in ``range(dim)``; negatives count from the end."""
+    if not -dim <= outcome_index < dim:
+        raise ValueError(f"outcome_index {outcome_index} out of range for {dim} nodes")
+    return outcome_index % dim
+
+
 @dataclass(frozen=True)
 class WeightedDag:
     """Weighted adjacency matrix over labelled nodes with an outcome node.
@@ -43,7 +50,7 @@ class WeightedDag:
         labels = self.labels or default_labels(dim)
         if len(labels) != dim:
             raise ValueError(f"expected {dim} labels, got {len(labels)}")
-        outcome = self.outcome_index % dim
+        outcome = outcome_position(self.outcome_index, dim)
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)

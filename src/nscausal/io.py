@@ -1,7 +1,9 @@
 """CSV and JSON serialization for graphs, datasets, fits, and discrete SCMs."""
 
+import contextlib
 import csv
 import json
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -15,13 +17,26 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+@contextlib.contextmanager
+def _csv_writer(path):
+    """A CSV writer on a new file at ``path``, or on stdout when it is None."""
+    if path is None:
+        yield csv.writer(sys.stdout, lineterminator="\n")
+        return
+    with open(path, "w", newline="") as fh:
+        yield csv.writer(fh, lineterminator="\n")
+
+
+def _write_matrix_csv(labels, matrix, path):
+    with _csv_writer(path) as writer:
+        writer.writerow(labels)
+        for row in matrix:
+            writer.writerow([_fmt(x) for x in row])
+
+
 def write_graph_csv(g: WeightedDag, path):
     """Adjacency matrix, header row = labels, row i = outgoing weights of i."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(g.labels)
-        for row in g.weights:
-            writer.writerow([_fmt(x) for x in row])
+    _write_matrix_csv(g.labels, g.weights, path)
 
 
 def read_graph_csv(path, outcome_index: int = -1) -> WeightedDag:
@@ -40,19 +55,14 @@ def read_graph_csv(path, outcome_index: int = -1) -> WeightedDag:
 
 def write_edges_csv(g: WeightedDag, path, threshold: float = 0.0):
     """Edge list `from,to,weight` using node labels, strict threshold."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with _csv_writer(path) as writer:
         writer.writerow(["from", "to", "weight"])
         for i, j in zip(*np.nonzero(np.abs(g.weights) > threshold)):
             writer.writerow([g.labels[i], g.labels[j], _fmt(g.weights[i, j])])
 
 
 def write_dataset_csv(data: Dataset, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(data.labels)
-        for row in data.values:
-            writer.writerow([_fmt(x) for x in row])
+    _write_matrix_csv(data.labels, data.values, path)
 
 
 def load_csv(path, outcome) -> Dataset:
@@ -101,8 +111,7 @@ def load_csv(path, outcome) -> Dataset:
 
 def write_selected_csv(labels, outcome_index: int, selected, path):
     features = [i for i in range(len(labels)) if i != outcome_index]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with _csv_writer(path) as writer:
         writer.writerow(["label", "selected"])
         for mask, i in zip(selected, features):
             writer.writerow([labels[i], int(mask)])
@@ -157,10 +166,12 @@ def write_json(payload: dict, path):
         fh.write("\n")
 
 
-def write_rows_csv(rows, fields, path):
-    """Generic CSV writer for dict rows, floats via repr for exact round trips."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+def write_rows_csv(rows, fields, path=None):
+    """Generic CSV writer for dict rows, floats via repr for exact round trips.
+
+    Writes to stdout when ``path`` is None.
+    """
+    with _csv_writer(path) as writer:
         writer.writerow(fields)
         for row in rows:
             out = []
@@ -238,8 +249,7 @@ def scm_from_json(doc) -> DiscreteScm:
 
 def write_cpdag_csv(c, path):
     """Edge list with a `kind` column: directed or undirected."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with _csv_writer(path) as writer:
         writer.writerow(["from", "to", "kind"])
         for i, j in sorted(c.directed):
             writer.writerow([c.labels[i], c.labels[j], "directed"])

@@ -47,13 +47,14 @@ fit ends after three dual steps without progress, unconverged.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import effects as _effects
-from .graph import WeightedDag, prune, topological_order
+from .graph import WeightedDag, outcome_position, prune, topological_order
 from .scm import Dataset
 
 # iterate must be this close to acyclic before selection decisions are trusted
@@ -93,7 +94,9 @@ class FitConfig:
     ``max_dual_steps`` caps the dual-ascent steps of a fit and
     ``max_inner_iter`` the accepted L-BFGS steps of each inner solve.
     ``delta_star`` may hold a precomputed reference score; None means
-    compute it from a pruned selection-free fit of the same data.
+    compute it from a pruned selection-free fit of the same data.  The
+    thresholds and ``delta_star`` must be finite and nonnegative, the step
+    caps integers (numpy integers included, bools not).
 
     The penalty schedule and the inner-solve constants (``_STEP_SIZE``,
     ``_GRAD_TOL``, ``_FTOL``) are module constants; see the module
@@ -110,13 +113,20 @@ class FitConfig:
     def __post_init__(self):
         if self.effect_kind not in ("te", "de"):
             raise ValueError("effect_kind must be 'te' or 'de'")
-        if self.prune_threshold < 0:
-            raise ValueError("prune_threshold must be nonnegative")
-        if self.selection_tolerance < 0:
-            raise ValueError("selection_tolerance must be nonnegative")
+        for name in ("prune_threshold", "selection_tolerance", "delta_star"):
+            value = getattr(self, name)
+            if name == "delta_star" and value is None:
+                continue
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value < 0):
+                raise ValueError(f"{name} must be a finite nonnegative number, "
+                                 f"got {value!r}")
         for name in ("max_dual_steps", "max_inner_iter"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < 1):
+                raise ValueError(f"{name} must be an integer of at least 1, "
+                                 f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -326,7 +336,7 @@ def relevance_constraint(B: np.ndarray, mask: np.ndarray, effect_kind: str,
         raise ValueError("effect_kind must be 'te' or 'de'")
     w = np.asarray(B, dtype=float)
     dim = w.shape[0]
-    outcome = outcome_index % dim
+    outcome = outcome_position(outcome_index, dim)
     feature_active = np.asarray(mask, dtype=bool).copy()
     feature_active[outcome] = False
     try:

@@ -5,7 +5,8 @@ noise domain with probabilities, and a lookup-table structural function.
 Exact counterfactual probabilities are computed by exhaustive enumeration of
 joint noise assignments; these serve as the oracle against which the
 conditional-probability lower bounds and the empirical product estimators
-are checked.
+are checked.  The enumeration itself checks the size of the joint noise
+domain against ``cap`` before it evaluates the first state.
 
 The marginal probability of causation of feature ``i`` at outcome value
 ``y`` is ``P(Y(Z_i != z_i) != y, Y(Z_i = z_i) = y)``; the conditional
@@ -15,6 +16,9 @@ alternative value is drawn (independently of the unit's noise) from the
 observational law of ``Z_i`` restricted to values other than ``z_i``,
 conditioned on the remaining features for the conditional kind.  With a
 binary feature this is just the complement value.
+
+``z_minus_i`` holds one value per remaining feature, that is every feature
+other than ``i`` in ascending index order; any other length is an error.
 """
 
 import itertools
@@ -48,7 +52,8 @@ class DiscreteScm:
 
     def __post_init__(self):
         dim = self.graph.dim
-        if topological_order(self.graph.weights) is None:
+        order = topological_order(self.graph.weights)
+        if order is None:
             raise ValueError("DiscreteScm requires an acyclic graph")
         for name, seq in (("domains", self.domains),
                           ("noise_domains", self.noise_domains),
@@ -56,6 +61,9 @@ class DiscreteScm:
                           ("functions", self.functions)):
             if len(seq) != dim:
                 raise ValueError(f"{name} must have one entry per node")
+        parent_tuples = tuple(
+            tuple(int(p) for p in np.flatnonzero(self.graph.weights[:, i] != 0))
+            for i in range(dim))
         for i in range(dim):
             probs = self.noise_probs[i]
             if len(probs) != len(self.noise_domains[i]):
@@ -63,9 +71,8 @@ class DiscreteScm:
             if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
                 raise ValueError(f"node {i}: noise probabilities must sum to 1")
             domain = set(self.domains[i])
-            parents = self.parents(i)
             table = self.functions[i]
-            for pa in itertools.product(*(self.domains[p] for p in parents)):
+            for pa in itertools.product(*(self.domains[p] for p in parent_tuples[i])):
                 for u in self.noise_domains[i]:
                     if (pa, u) not in table:
                         raise ValueError(
@@ -73,6 +80,8 @@ class DiscreteScm:
                     if table[(pa, u)] not in domain:
                         raise ValueError(
                             f"node {i}: function value {table[(pa, u)]} outside domain")
+        object.__setattr__(self, "_order", tuple(order))
+        object.__setattr__(self, "_parent_tuples", parent_tuples)
 
     @property
     def dim(self) -> int:
@@ -83,7 +92,7 @@ class DiscreteScm:
         return self.graph.outcome_index
 
     def parents(self, i: int) -> tuple:
-        return tuple(int(p) for p in np.flatnonzero(self.graph.weights[:, i] != 0))
+        return self._parent_tuples[i]
 
     def features(self) -> tuple:
         return tuple(i for i in range(self.dim) if i != self.outcome_index)
@@ -95,15 +104,15 @@ class DiscreteScm:
         return count
 
 
-def _check_cap(scm: DiscreteScm, cap: int):
+def _noise_states(scm: DiscreteScm, cap: int):
+    """Yield (probability, per-node noise tuple), skipping zero-mass states.
+
+    Raises before the first state when the joint noise domain exceeds ``cap``.
+    """
     states = scm.noise_state_count()
     if states > cap:
         raise ValueError(
             f"joint noise domain has {states} states, exceeding the cap {cap}")
-
-
-def _noise_states(scm: DiscreteScm):
-    """Yield (probability, per-node noise tuple), skipping zero-mass states."""
     for combo in itertools.product(*(range(len(d)) for d in scm.noise_domains)):
         prob = 1.0
         for i, k in enumerate(combo):
@@ -117,25 +126,56 @@ def _noise_states(scm: DiscreteScm):
 def evaluate(scm: DiscreteScm, noise: tuple, interventions: dict | None = None) -> tuple:
     """Node values under a joint noise assignment and optional do()-settings."""
     interventions = interventions or {}
-    order = topological_order(scm.graph.weights)
     values: list = [None] * scm.dim
-    for i in order:
+    for i in scm._order:
         if i in interventions:
             values[i] = interventions[i]
         else:
-            pa = tuple(values[p] for p in scm.parents(i))
+            pa = tuple(values[p] for p in scm._parent_tuples[i])
             values[i] = scm.functions[i][(pa, noise[i])]
     return tuple(values)
 
 
 def observational_joint(scm: DiscreteScm, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
     """Exact joint distribution over node values, as value-tuple -> mass."""
-    _check_cap(scm, cap)
     joint: dict = {}
-    for prob, noise in _noise_states(scm):
+    for prob, noise in _noise_states(scm, cap):
         values = evaluate(scm, noise)
         joint[values] = joint.get(values, 0.0) + prob
     return joint
+
+
+def _rest_indices(model, i: int) -> tuple:
+    """The features other than ``i`` of a DiscreteScm or a Dataset."""
+    return tuple(j for j in range(model.dim) if j not in (i, model.outcome_index))
+
+
+def _rest_values(model, i: int, z_minus_i) -> dict:
+    """``{feature: value}`` for the features other than ``i``; empty for None."""
+    if z_minus_i is None:
+        return {}
+    rest = _rest_indices(model, i)
+    if len(z_minus_i) != len(rest):
+        raise ValueError(
+            f"z_minus_i must supply {len(rest)} values for features {rest}")
+    return dict(zip(rest, z_minus_i))
+
+
+def _event(scm: DiscreteScm, joint: dict, i: int, z_i, equal: bool,
+           z_minus_i) -> list:
+    """Joint entries ``(values, mass)`` in the event ``Z_i = z_i`` (``!=``
+    unless ``equal``), with ``Z_-i = z_minus_i`` when given; raises when the
+    event has zero mass."""
+    rest = _rest_values(scm, i, z_minus_i)
+    entries = [(values, prob) for values, prob in joint.items()
+               if (values[i] == z_i if equal else values[i] != z_i)
+               and all(values[j] == v for j, v in rest.items())]
+    if not entries:
+        relation = "=" if equal else "!="
+        fixed = f" with Z_-i = {tuple(rest.values())}" if rest else ""
+        raise ValueError(
+            f"conditioning event Z_{i} {relation} {z_i}{fixed} has zero mass")
+    return entries
 
 
 def _alternative_mixture(scm: DiscreteScm, i: int, z_i, z_minus_i=None,
@@ -146,26 +186,20 @@ def _alternative_mixture(scm: DiscreteScm, i: int, z_i, z_minus_i=None,
     other than ``z_i`` (conditioned on the remaining features when
     ``z_minus_i`` is given).  Errors out when that event has zero mass.
     """
-    joint = observational_joint(scm, cap)
-    rest = None
-    if z_minus_i is not None:
-        rest = dict(zip(_rest_indices(scm, i), z_minus_i))
     mass: dict = {}
-    for values, prob in joint.items():
-        if values[i] == z_i:
-            continue
-        if rest is not None and any(values[j] != v for j, v in rest.items()):
-            continue
+    for values, prob in _event(scm, observational_joint(scm, cap), i, z_i,
+                               False, z_minus_i):
         mass[values[i]] = mass.get(values[i], 0.0) + prob
     total = sum(mass.values())
-    if total <= 0.0:
-        where = "" if rest is None else f" given Z_-i = {tuple(rest.values())}"
-        raise ValueError(f"P(Z_{i} != {z_i}{where}) is zero; mixture undefined")
     return sorted((value, weight / total) for value, weight in mass.items())
 
 
-def _rest_indices(scm: DiscreteScm, i: int) -> tuple:
-    return tuple(j for j in scm.features() if j != i)
+def _mixture_miss(scm: DiscreteScm, noise: tuple, i: int, mixture: list,
+                  y, fixed: dict) -> float:
+    """Mixture weight of the alternatives to ``Z_i`` that move ``Y`` off ``y``."""
+    outcome = scm.outcome_index
+    return sum(weight for alt, weight in mixture
+               if evaluate(scm, noise, {**fixed, i: alt})[outcome] != y)
 
 
 def exact_poc(scm: DiscreteScm, i: int, z_i, y, kind: str = "marginal",
@@ -182,31 +216,16 @@ def exact_poc(scm: DiscreteScm, i: int, z_i, y, kind: str = "marginal",
         raise ValueError(f"kind must be one of {POC_KINDS}")
     if i == scm.outcome_index:
         raise ValueError("probability of causation is defined for features only")
-    _check_cap(scm, cap)
-    base: dict = {}
-    if kind == "conditional":
-        if z_minus_i is None:
-            raise ValueError("conditional kind requires z_minus_i")
-        rest = _rest_indices(scm, i)
-        if len(z_minus_i) != len(rest):
-            raise ValueError(
-                f"z_minus_i must supply {len(rest)} values for features {rest}")
-        base = dict(zip(rest, z_minus_i))
-        mixture = _alternative_mixture(scm, i, z_i, tuple(z_minus_i), cap)
-    else:
-        mixture = _alternative_mixture(scm, i, z_i, None, cap)
+    if kind == "conditional" and z_minus_i is None:
+        raise ValueError("conditional kind requires z_minus_i")
+    rest = tuple(z_minus_i) if kind == "conditional" else None
+    base = _rest_values(scm, i, rest)
+    mixture = _alternative_mixture(scm, i, z_i, rest, cap)
     outcome = scm.outcome_index
     total = 0.0
-    for prob, noise in _noise_states(scm):
-        y_plus = evaluate(scm, noise, {**base, i: z_i})[outcome]
-        if y_plus != y:
-            continue
-        miss = 0.0
-        for alt, weight in mixture:
-            y_alt = evaluate(scm, noise, {**base, i: alt})[outcome]
-            if y_alt != y:
-                miss += weight
-        total += prob * miss
+    for prob, noise in _noise_states(scm, cap):
+        if evaluate(scm, noise, {**base, i: z_i})[outcome] == y:
+            total += prob * _mixture_miss(scm, noise, i, mixture, y, base)
     return float(min(max(total, 0.0), 1.0))
 
 
@@ -239,9 +258,9 @@ def poc_lower_bound(probabilities, i: int, z_i, y, kind: str = "marginal",
     """
     if kind not in POC_KINDS:
         raise ValueError(f"kind must be one of {POC_KINDS}")
-    rest = tuple(z_minus_i) if kind == "conditional" else None
     if kind == "conditional" and z_minus_i is None:
         raise ValueError("conditional kind requires z_minus_i")
+    rest = tuple(z_minus_i) if kind == "conditional" else None
     p_eq = probabilities.p_outcome(y, i, z_i, equal=True, z_minus_i=rest)
     p_ne = probabilities.p_outcome(y, i, z_i, equal=False, z_minus_i=rest)
     for p in (p_eq, p_ne):
@@ -257,43 +276,17 @@ class ScmDistribution:
         self.scm = scm
         self.joint = observational_joint(scm, cap)
 
-    def _mass(self, predicate) -> float:
-        return sum(p for values, p in self.joint.items() if predicate(values))
-
-    def _conditioning(self, i: int, z_i, equal: bool, z_minus_i):
-        """Predicate of the event ``Z_i = z_i`` (``!=`` unless ``equal``),
-        with ``Z_-i = z_minus_i`` when given, and the event's mass."""
-        rest = {}
-        if z_minus_i is not None:
-            rest = dict(zip(_rest_indices(self.scm, i), z_minus_i))
-
-        def conditioning(values):
-            if equal and values[i] != z_i:
-                return False
-            if not equal and values[i] == z_i:
-                return False
-            return all(values[j] == v for j, v in rest.items())
-
-        mass = self._mass(conditioning)
-        if mass <= 0.0:
-            relation = "=" if equal else "!="
-            raise ValueError(
-                f"conditioning event Z_{i} {relation} {z_i}"
-                f"{' with Z_-i fixed' if rest else ''} has zero mass")
-        return conditioning, mass
-
     def p_outcome(self, y, i: int, z_i, equal: bool = True, z_minus_i=None) -> float:
         outcome = self.scm.outcome_index
-        conditioning, denom = self._conditioning(i, z_i, equal, z_minus_i)
-        num = self._mass(lambda v: conditioning(v) and v[outcome] == y)
-        return num / denom
+        entries = _event(self.scm, self.joint, i, z_i, equal, z_minus_i)
+        return (sum(p for values, p in entries if values[outcome] == y)
+                / sum(p for _, p in entries))
 
     def expected_outcome(self, i: int, z_i, equal: bool = True, z_minus_i=None) -> float:
         outcome = self.scm.outcome_index
-        conditioning, denom = self._conditioning(i, z_i, equal, z_minus_i)
-        num = sum(p * values[outcome]
-                  for values, p in self.joint.items() if conditioning(values))
-        return num / denom
+        entries = _event(self.scm, self.joint, i, z_i, equal, z_minus_i)
+        return (sum(p * values[outcome] for values, p in entries)
+                / sum(p for _, p in entries))
 
 
 class EmpiricalDistribution:
@@ -315,10 +308,8 @@ class EmpiricalDistribution:
         values = self.data.values
         outcome = self.data.outcome_index
         mask = values[:, i] == z_i if equal else values[:, i] != z_i
-        if z_minus_i is not None:
-            rest = [j for j in range(self.data.dim) if j not in (i, outcome)]
-            for j, v in zip(rest, z_minus_i):
-                mask = mask & (values[:, j] == v)
+        for j, v in _rest_values(self.data, i, z_minus_i).items():
+            mask = mask & (values[:, j] == v)
         denom = int(mask.sum())
         if denom == 0 and self.smoothing == 0.0:
             relation = "=" if equal else "!="
@@ -348,7 +339,15 @@ class PocProduct:
         return math.exp(self.log_value / self.n_factors)
 
 
-def _product_estimate(factors: list) -> PocProduct:
+def _empirical_poc(data: Dataset, i: int, prob_model, kind: str) -> PocProduct:
+    """Product over observations of the absolute ``kind`` lower bound."""
+    if i == data.outcome_index:
+        raise ValueError("estimator is defined for feature columns only")
+    outcome = data.outcome_index
+    rest = _rest_indices(data, i)
+    factors = [abs(poc_lower_bound(prob_model, i, row[i], row[outcome], kind,
+                                   tuple(row[j] for j in rest)).lower_bound)
+               for row in data.values]
     logs = []
     for f in factors:
         if f == 0.0:
@@ -358,38 +357,14 @@ def _product_estimate(factors: list) -> PocProduct:
     return PocProduct(log_value, math.exp(log_value), len(factors))
 
 
-def _one_factor(prob_model, y, i, z_i, z_minus_i=None) -> float:
-    p_eq = prob_model.p_outcome(y, i, z_i, equal=True, z_minus_i=z_minus_i)
-    p_ne = prob_model.p_outcome(y, i, z_i, equal=False, z_minus_i=z_minus_i)
-    for p in (p_eq, p_ne):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"probability model returned {p}, outside [0, 1]")
-    return abs(p_eq - p_ne)
-
-
 def empirical_mpoc(data: Dataset, i: int, prob_model) -> PocProduct:
     """Product over observations of |P(Y=y_j|Z_i=z_ij) - P(Y=y_j|Z_i!=z_ij)|."""
-    if i == data.outcome_index:
-        raise ValueError("estimator is defined for feature columns only")
-    outcome = data.outcome_index
-    factors = [
-        _one_factor(prob_model, row[outcome], i, row[i])
-        for row in data.values
-    ]
-    return _product_estimate(factors)
+    return _empirical_poc(data, i, prob_model, "marginal")
 
 
 def empirical_cpoc(data: Dataset, i: int, prob_model) -> PocProduct:
     """As :func:`empirical_mpoc`, conditioning on all remaining features."""
-    if i == data.outcome_index:
-        raise ValueError("estimator is defined for feature columns only")
-    outcome = data.outcome_index
-    rest = [j for j in range(data.dim) if j not in (i, outcome)]
-    factors = []
-    for row in data.values:
-        z_rest = tuple(row[j] for j in rest)
-        factors.append(_one_factor(prob_model, row[outcome], i, row[i], z_rest))
-    return _product_estimate(factors)
+    return _empirical_poc(data, i, prob_model, "conditional")
 
 
 @dataclass(frozen=True)
@@ -435,10 +410,9 @@ def _default_rest_values(scm: DiscreteScm, i: int,
 def interventional_mean(scm: DiscreteScm, interventions: dict,
                         cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     """E[Y] under do(interventions), by enumeration."""
-    _check_cap(scm, cap)
     outcome = scm.outcome_index
     return float(sum(prob * evaluate(scm, noise, interventions)[outcome]
-                     for prob, noise in _noise_states(scm)))
+                     for prob, noise in _noise_states(scm, cap)))
 
 
 def natural_direct_effect(scm: DiscreteScm, i: int,
@@ -448,11 +422,10 @@ def natural_direct_effect(scm: DiscreteScm, i: int,
     The remaining features are held at the values they take in the
     `do(Z_i = 0)` world of the same noise draw.
     """
-    _check_cap(scm, cap)
     rest = _rest_indices(scm, i)
     outcome = scm.outcome_index
     total = 0.0
-    for prob, noise in _noise_states(scm):
+    for prob, noise in _noise_states(scm, cap):
         world0 = evaluate(scm, noise, {i: 0})
         frozen = {j: world0[j] for j in rest}
         cross = evaluate(scm, noise, {**frozen, i: 1})
@@ -494,24 +467,24 @@ def effect_poc_profile(scm: DiscreteScm, i: int, z_i, z_minus_i=None,
 
 def _factual_conditional(scm: DiscreteScm, i: int, z_i, y, want_factual: bool,
                          cap: int) -> float:
-    """Shared core of PN and PS: counterfactual flip given a factual event."""
-    _check_cap(scm, cap)
+    """Shared core of PN and PS: counterfactual flip given a factual event.
+
+    PN conditions on ``Z_i = z_i, Y = y`` and weighs the alternatives that
+    move ``Y`` off ``y``; PS conditions on ``Z_i != z_i, Y != y`` and checks
+    whether ``do(Z_i = z_i)`` brings ``Y`` to ``y``.
+    """
     outcome = scm.outcome_index
     mixture = _alternative_mixture(scm, i, z_i, None, cap)
     denom = 0.0
     num = 0.0
-    for prob, noise in _noise_states(scm):
+    for prob, noise in _noise_states(scm, cap):
         natural = evaluate(scm, noise)
-        if want_factual:
-            hit = natural[i] == z_i and natural[outcome] == y
-        else:
-            hit = natural[i] != z_i and natural[outcome] != y
-        if not hit:
+        if ((natural[i] == z_i) != want_factual
+                or (natural[outcome] == y) != want_factual):
             continue
         denom += prob
         if want_factual:
-            flip = sum(w for alt, w in mixture
-                       if evaluate(scm, noise, {i: alt})[outcome] != y)
+            flip = _mixture_miss(scm, noise, i, mixture, y, {})
         else:
             flip = 1.0 if evaluate(scm, noise, {i: z_i})[outcome] == y else 0.0
         num += prob * flip

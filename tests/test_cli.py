@@ -100,6 +100,25 @@ class TestPipeline:
         assert meta["config"]["prune_threshold"] == 0.4
 
 
+class TestTables:
+    def test_stdout_table_matches_the_file_table(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        fitdir = tmp_path / "fit"
+        assert main(["simulate", "--scenario", "s1", "--n", "60",
+                     "--seed", "2", "--out", str(sim)]) == 0
+        assert main(["fit", "--data", str(sim / "data.csv"), "--outcome", "y",
+                     "--method", "baseline", "--out", str(fitdir)]) == 0
+        for argv in (["eval", "--estimated", str(fitdir / "graph.csv"),
+                      "--truth", str(sim / "nscg.csv")],
+                     ["effects", "--fit", str(fitdir)]):
+            capsys.readouterr()
+            assert main(argv) == 0
+            printed = capsys.readouterr().out
+            table = tmp_path / "table.csv"
+            assert main(argv + ["--out", str(table)]) == 0
+            assert printed.encode() == file_bytes(table)
+
+
 class TestBench:
     def test_bench_outputs_and_determinism(self, tmp_path):
         spec = {"id": "s1", "sample_sizes": [60], "replications": 2,
@@ -171,6 +190,33 @@ class TestExitCodes:
         assert main(["fit", "--data", str(sim / "data.csv"), "--outcome", "y",
                      "--config", str(cfg), "--out", str(tmp_path / "f")]) == 1
         assert not (tmp_path / "f").exists()
+
+    @pytest.mark.parametrize("doc", [[{"fit": {}}], "fit", {"fit": [1]},
+                                     {"fit": 3},
+                                     {"fit": {"max_dual_steps": "10"}},
+                                     {"fit": {"delta_star": -1.0}}])
+    def test_malformed_fit_config_is_a_validation_error(self, tmp_path, doc):
+        data = tmp_path / "data.csv"
+        data.write_text("z0,z1,y\n0,1,1\n1,0,1\n1,1,0\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["fit", "--data", str(data), "--outcome", "y",
+                     "--config", str(cfg), "--out", str(tmp_path / "f")]) == 1
+        assert not (tmp_path / "f").exists()
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"id": "s1", "replication": 2}, "replication"),
+        ({"id": "s1", "noise": "gaussian"}, "noise"),
+        (["s1"], "object"),
+    ])
+    def test_malformed_bench_spec_is_a_validation_error(self, tmp_path, capsys,
+                                                        doc, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["bench", "--spec", str(spec),
+                     "--out", str(tmp_path / "b")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
     def test_internal_errors_are_runtime_failures(self, tmp_path, monkeypatch):
         import nscausal.cli as cli_mod

@@ -247,6 +247,18 @@ class TestMetrics:
         assert (m.fdr, m.tpr, m.shd) == (0.0, 1.0, 0)
 
 
+class TestOutcomeIndex:
+    @pytest.mark.parametrize("index", [3, 7, -4])
+    def test_out_of_range_index_is_an_error(self, index):
+        with pytest.raises(ValueError, match="outcome_index"):
+            WeightedDag(np.zeros((3, 3)), outcome_index=index)
+
+    @pytest.mark.parametrize("index,expected", [(-1, 2), (-3, 0), (0, 0), (2, 2)])
+    def test_in_range_index_is_normalized(self, index, expected):
+        assert WeightedDag(np.zeros((3, 3)), outcome_index=index).outcome_index \
+            == expected
+
+
 class TestEdgeSet:
     def test_threshold_is_strict(self):
         w = np.zeros((2, 2))

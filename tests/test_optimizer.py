@@ -181,6 +181,21 @@ class TestRelevanceConstraint:
                     lambda m: relevance_constraint(m, mask, kind, 3.0)[0], w)
                 assert np.abs(analytic - numeric).max() < 1e-5
 
+    @pytest.mark.parametrize("index", [3, 7, -4])
+    def test_out_of_range_outcome_is_an_error(self, index):
+        with pytest.raises(ValueError, match="outcome_index"):
+            relevance_constraint(np.zeros((3, 3)), np.ones(3, bool), "te",
+                                 1.0, outcome_index=index)
+
+    def test_negative_outcome_counts_from_the_end(self):
+        w = np.zeros((3, 3))
+        w[0, 1] = w[1, 2] = 1.0
+        mask = np.ones(3, bool)
+        value, grad = relevance_constraint(w, mask, "te", 2.0, outcome_index=-3)
+        same_value, same_grad = relevance_constraint(w, mask, "te", 2.0,
+                                                     outcome_index=0)
+        assert value == same_value and np.array_equal(grad, same_grad)
+
 
 class TestEngineObjective:
     def test_gradient_matches_finite_differences(self, rng):
@@ -583,3 +598,23 @@ class TestConfigValidation:
     def test_at_least_one_inner_iteration(self):
         with pytest.raises(ValueError, match="max_inner_iter"):
             FitConfig(max_inner_iter=0)
+
+    @pytest.mark.parametrize("name", ["prune_threshold", "selection_tolerance",
+                                      "delta_star"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0,
+                                       True, "0.3"])
+    def test_thresholds_must_be_finite_and_nonnegative(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            FitConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["max_dual_steps", "max_inner_iter"])
+    @pytest.mark.parametrize("value", [2.5, 10.0, True, "10"])
+    def test_step_caps_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            FitConfig(**{name: value})
+
+    def test_numpy_scalars_and_zero_are_accepted(self):
+        config = FitConfig(prune_threshold=np.float64(0.0), delta_star=0.0,
+                           selection_tolerance=0, max_dual_steps=np.int64(3),
+                           max_inner_iter=np.int32(7))
+        assert config.max_dual_steps == 3 and config.max_inner_iter == 7

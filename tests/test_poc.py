@@ -1,12 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import nscausal.poc as poc_mod
 from nscausal.io import scm_from_json, scm_to_json
 from nscausal.poc import (EmpiricalDistribution, ScmDistribution,
                           effect_poc_profile, empirical_cpoc, empirical_mpoc,
-                          exact_pn, exact_poc, exact_ps,
+                          evaluate, exact_pn, exact_poc, exact_ps,
+                          interventional_mean, natural_direct_effect,
                           observational_joint, poc_lower_bound)
 from nscausal.scm import Dataset
 
@@ -29,6 +32,17 @@ def independent_scm(p=0.5, q=0.4):
     # y ignores z0 entirely
     tables = (identity_root(), {((), 0): 0, ((), 1): 1})
     return tabular_scm([], 2, tables, (p, q))
+
+
+def or_scm(dim):
+    """Independent features ``z_j = u_j`` and ``y = OR(z, u_y)``: every event
+    on the features has positive mass."""
+    edges = [(j, dim - 1) for j in range(dim - 1)]
+    outcome = {(pa, u): int(any(pa) or u)
+               for pa in itertools.product((0, 1), repeat=dim - 1)
+               for u in (0, 1)}
+    tables = [identity_root()] * (dim - 1) + [outcome]
+    return tabular_scm(edges, dim, tables, (0.4,) * dim)
 
 
 def _feasible_rest(scm, i):
@@ -79,6 +93,32 @@ class TestExactPoc:
         scm = random_binary_scm(np.random.default_rng(1), dim=3)
         with pytest.raises(ValueError, match="cap"):
             exact_poc(scm, 0, 1, 1, "marginal", cap=4)
+
+    @pytest.mark.parametrize("call", [
+        lambda scm, cap: observational_joint(scm, cap),
+        lambda scm, cap: ScmDistribution(scm, cap),
+        lambda scm, cap: exact_poc(scm, 0, 1, 1, "conditional", (0,), cap),
+        lambda scm, cap: exact_pn(scm, 0, 1, 1, cap),
+        lambda scm, cap: exact_ps(scm, 0, 1, 1, cap),
+        lambda scm, cap: interventional_mean(scm, {0: 1}, cap),
+        lambda scm, cap: natural_direct_effect(scm, 0, cap),
+        lambda scm, cap: effect_poc_profile(scm, 0, 1, cap=cap),
+    ])
+    def test_every_enumeration_checks_the_cap(self, call):
+        scm = or_scm(3)
+        call(scm, 8)
+        with pytest.raises(ValueError, match="cap 7"):
+            call(scm, 7)
+
+    def test_evaluate_reuses_the_validated_order(self, monkeypatch):
+        scm = random_binary_scm(np.random.default_rng(2), dim=4)
+        expected = evaluate(scm, (1, 0, 1, 0), {1: 1})
+
+        def unexpected(weights):
+            raise AssertionError("topological_order called")
+
+        monkeypatch.setattr(poc_mod, "topological_order", unexpected)
+        assert evaluate(scm, (1, 0, 1, 0), {1: 1}) == expected
 
 
 class TestLowerBound:
@@ -137,6 +177,43 @@ class TestLowerBound:
             bound = poc_lower_bound(ScmDistribution(scm), 0, 1, 1, "marginal")
             exact = exact_poc(scm, 0, 1, 1, "marginal")
             assert abs(exact - bound.lower_bound) < 1e-12
+
+
+def _three_feature_models():
+    values = np.random.default_rng(5).integers(0, 2, size=(30, 4)).astype(float)
+    data = Dataset(values, ("z0", "z1", "z2", "y"), 3)
+    return {"scm": ScmDistribution(or_scm(4)),
+            "empirical": EmpiricalDistribution(data, smoothing=1.0)}
+
+
+class TestRestValues:
+    @pytest.mark.parametrize("model", ["scm", "empirical"])
+    @pytest.mark.parametrize("rest", [(), (0,), (0, 1, 0)],
+                             ids=["empty", "short", "long"])
+    def test_wrong_length_is_an_error(self, model, rest):
+        dist = _three_feature_models()[model]
+        with pytest.raises(ValueError, match="z_minus_i must supply 2 values"):
+            poc_lower_bound(dist, 0, 1, 1, "conditional", rest)
+        with pytest.raises(ValueError, match="z_minus_i"):
+            dist.p_outcome(1, 0, 1, equal=True, z_minus_i=rest)
+
+    def test_wrong_length_expected_outcome_is_an_error(self):
+        dist = _three_feature_models()["scm"]
+        with pytest.raises(ValueError, match="z_minus_i"):
+            dist.expected_outcome(0, 1, equal=False, z_minus_i=(0,))
+
+    @pytest.mark.parametrize("model", ["scm", "empirical"])
+    def test_full_length_conditions_on_every_rest_feature(self, model):
+        dist = _three_feature_models()[model]
+        bound = poc_lower_bound(dist, 0, 1, 1, "conditional", (1, 1))
+        assert bound.z_minus_i == (1, 1)
+        assert -1.0 <= bound.lower_bound <= 1.0
+
+    @pytest.mark.parametrize("model", ["scm", "empirical"])
+    def test_conditional_bound_requires_rest_values(self, model):
+        dist = _three_feature_models()[model]
+        with pytest.raises(ValueError, match="requires z_minus_i"):
+            poc_lower_bound(dist, 0, 1, 1, "conditional")
 
 
 class _ConstantModel:
