@@ -10,14 +10,11 @@ that actually feeds the outcome.
 import numpy as np
 
 from nscausal import (FitConfig, delta_star, fit, fit_baseline, graph_metrics,
-                      nscg, scenario, scenario_truth)
-from nscausal.bench import _sample
+                      nscg, scenario, scenario_data)
 
 spec = scenario("s1", sample_sizes=(100,), replications=1)
-graph_ss, data_ss = np.random.SeedSequence(42).spawn(2)
-truth = scenario_truth(spec, graph_ss)
+truth, data = scenario_data(spec, 100, 42)
 target = nscg(truth)
-data = _sample(spec, truth, 100, data_ss)
 
 print("truth (z0 is a spurious collider child):")
 print(np.round(truth.weights, 2))

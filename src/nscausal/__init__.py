@@ -31,7 +31,7 @@ from .optimizer import (FitConfig, FitResult, acyclicity_gradient,
                         least_squares_loss, relevance_constraint)
 from .mec import Cpdag, dag_to_cpdag, enumerate_mec, mec_average
 from .bench import (BenchReport, ScenarioSpec, nscg, run_scenario, scenario,
-                    scenario_truth, spec_from_dict, summarize)
+                    scenario_data, scenario_truth, spec_from_dict, summarize)
 from .io import load_csv
 
 __all__ = [name for name in dir() if not name.startswith("_")]

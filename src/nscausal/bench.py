@@ -18,6 +18,13 @@ layouts are fixed per scenario (weights are redrawn each replication from
   from the scale-free generator instead and scored against its own
   outcome subgraph.
 
+One recipe turns a replication seed into a truth and a dataset,
+:func:`scenario_data`: the seed's ``SeedSequence`` spawns a graph stream and
+a data stream; the truth is :func:`scenario_truth` on the first, the data
+are drawn on the second from the SEM of ``spec.link`` and ``spec.noise``,
+and the outcome column is shifted to be nonnegative.  Replication ``r`` of a
+spec uses seed ``seed_base + r``.
+
 Methods: ``nscsl-te`` and ``nscsl-de`` run the selective learner with total
 or direct effects; ``baseline`` is the selection-free fit.  Selective
 methods are scored against the necessary-and-sufficient subgraph of the
@@ -27,14 +34,15 @@ truth; the baseline is scored against both that target and the full truth.
 import os
 import time
 from dataclasses import dataclass, replace
+from itertools import product, repeat
 
 import numpy as np
 
-from .graph import (WeightedDag, ancestors_of, graph_metrics, random_er,
-                    random_sf)
+from .graph import (WeightedDag, _validate_weight_range, ancestors_of,
+                    graph_metrics, is_integer, random_er, random_sf)
 from .optimizer import FitConfig, fit, fit_baseline
-from .scm import (BernoulliNoise, Dataset, GaussianNoise, SemSpec,
-                  sample_linear, sample_nonlinear, shift_nonnegative)
+from .scm import (BernoulliNoise, GaussianNoise, SemSpec, sample_linear,
+                  sample_nonlinear, shift_nonnegative)
 
 METHODS = ("nscsl-te", "nscsl-de", "baseline")
 SCENARIO_IDS = ("s1", "s2", "s3", "s4", "s5", "custom")
@@ -58,7 +66,12 @@ _BLOCK_LAYOUT_SEEDS = {"s4": 940012, "s5": 951207}
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One benchmark configuration: graph model, SEM, sizes, methods, seeds."""
+    """One benchmark configuration: graph model, SEM, sizes, methods, seeds.
+
+    ``p``, ``replications``, ``seed_base`` and the ``sample_sizes`` are
+    integers (numpy integers included, bools not).  ``graph_model="sf"`` is
+    accepted for s5 and custom only; s1..s4 keep their fixed layouts.
+    """
 
     id: str
     p: int = 5
@@ -77,14 +90,23 @@ class ScenarioSpec:
             raise ValueError(f"unknown scenario id {self.id!r}")
         if self.graph_model not in ("er", "sf"):
             raise ValueError("graph_model must be 'er' or 'sf'")
+        if self.graph_model == "sf" and self.id not in ("s5", "custom"):
+            raise ValueError(f"{self.id} has a fixed layout; only s5 and custom "
+                             "draw scale-free graphs")
         if not self.methods:
             raise ValueError("methods list must not be empty")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+        sizes = tuple(self.sample_sizes)
+        for name, value in ([("p", self.p), ("replications", self.replications),
+                             ("seed_base", self.seed_base)]
+                            + [("sample_sizes", n) for n in sizes]):
+            if not is_integer(value):
+                raise ValueError(f"{name} must hold integers, got {value!r}")
         if self.replications < 1:
             raise ValueError("replications must be positive")
-        if not self.sample_sizes or any(n < 1 for n in self.sample_sizes):
+        if not sizes or any(n < 1 for n in sizes):
             raise ValueError("sample_sizes must be positive")
         expected = _PRESETS.get(self.id)
         if expected is not None:
@@ -92,9 +114,10 @@ class ScenarioSpec:
                 raise ValueError(
                     f"{self.id} preset fixes p={expected['p']} and "
                     f"degree={expected['expected_degree']}")
-        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
+        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in sizes))
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "weight_range", tuple(self.weight_range))
+        object.__setattr__(self, "weight_range",
+                           _validate_weight_range(self.weight_range))
 
 
 def scenario(spec_id: str, **overrides) -> ScenarioSpec:
@@ -133,15 +156,6 @@ def _block_pattern(spec_id: str) -> tuple:
     return tuple(edges)
 
 
-def scenario_pattern(spec_id: str) -> tuple:
-    """The fixed edge layout of a preset scenario (weights drawn later)."""
-    if spec_id in _FIXED_EDGES:
-        return _FIXED_EDGES[spec_id]
-    if spec_id in _BLOCK_LAYOUT_SEEDS:
-        return _block_pattern(spec_id)
-    raise ValueError(f"scenario {spec_id!r} has no fixed layout")
-
-
 def scenario_truth(spec: ScenarioSpec, rng) -> WeightedDag:
     """Ground-truth graph for one replication.
 
@@ -149,12 +163,12 @@ def scenario_truth(spec: ScenarioSpec, rng) -> WeightedDag:
     scale-free variants draw the whole graph from the random generators.
     """
     rng = np.random.default_rng(rng)
-    if spec.id == "custom" or (spec.id == "s5" and spec.graph_model == "sf"):
+    if spec.id == "custom" or spec.graph_model == "sf":
         if spec.graph_model == "sf":
             return random_sf(spec.p, int(spec.expected_degree),
                              spec.weight_range, rng)
         return random_er(spec.p, spec.expected_degree, spec.weight_range, rng)
-    edges = scenario_pattern(spec.id)
+    edges = _FIXED_EDGES.get(spec.id) or _block_pattern(spec.id)
     lo, hi = spec.weight_range
     weights = np.zeros((spec.p, spec.p))
     for (i, j), w in zip(edges, rng.uniform(lo, hi, size=len(edges))):
@@ -177,10 +191,18 @@ def nscg(truth: WeightedDag) -> WeightedDag:
     return WeightedDag(weights, truth.labels, truth.outcome_index)
 
 
-def _sample(spec: ScenarioSpec, truth: WeightedDag, n: int, seed) -> Dataset:
-    sem = SemSpec(truth, spec.noise, spec.link)
+def scenario_data(spec: ScenarioSpec, n: int, seed) -> tuple:
+    """``(truth, data)`` of replication seed ``seed`` at sample size ``n``.
+
+    ``SeedSequence(seed).spawn(2)`` gives one stream for the truth graph
+    and one for the data, which are drawn from ``spec.link``'s sampler; the
+    outcome column is shifted to be nonnegative.
+    """
+    graph_ss, data_ss = np.random.SeedSequence(seed).spawn(2)
+    truth = scenario_truth(spec, graph_ss)
     sampler = sample_linear if spec.link == "linear" else sample_nonlinear
-    return shift_nonnegative(sampler(sem, n, seed=seed))
+    sem = SemSpec(truth, spec.noise, spec.link)
+    return truth, shift_nonnegative(sampler(sem, n, seed=data_ss))
 
 
 def _score(estimated: WeightedDag, target: WeightedDag) -> dict:
@@ -203,10 +225,8 @@ def capped_solves(result) -> int:
 
 def _replication_rows(spec: ScenarioSpec, config: FitConfig, n: int, r: int) -> list:
     seed = spec.seed_base + r
-    graph_ss, data_ss = np.random.SeedSequence(seed).spawn(2)
-    truth = scenario_truth(spec, graph_ss)
+    truth, data = scenario_data(spec, n, seed)
     target = nscg(truth)
-    data = _sample(spec, truth, n, data_ss)
 
     def row(method, tgt_name, fitted, runtime):
         out = {"scenario": spec.id, "method": method, "target": tgt_name,
@@ -237,8 +257,7 @@ def _replication_rows(spec: ScenarioSpec, config: FitConfig, n: int, r: int) -> 
         kind = "te" if method == "nscsl-te" else "de"
         try:
             start = time.perf_counter()
-            result = fit(data, replace(config, effect_kind=kind, delta_star=None),
-                         warm_start=base)
+            result = fit(data, replace(config, effect_kind=kind), warm_start=base)
             elapsed = time.perf_counter() - start
             rows.append(row(method, "nscg", result, base_time + elapsed))
         except Exception as exc:  # noqa: BLE001
@@ -308,28 +327,28 @@ def run_scenario(spec: ScenarioSpec, fit_config: FitConfig | None = None,
     Replication ``r`` is seeded as ``seed_base + r``; rows are assembled in
     deterministic task order regardless of the worker count, and method
     failures become counted rows rather than aborting the batch.  The worker
-    count must lie between 1 and the number of cores; it is checked before
-    any work starts.
+    count must lie between 1 and the number of cores, and
+    ``fit_config.delta_star`` must be unset (each replication anchors delta*
+    on its own baseline fit); both are checked before any work starts.
     """
     cores = os.cpu_count() or 1
     if not 1 <= threads <= cores:
         raise ValueError(f"threads must be between 1 and {cores}, got {threads}")
     config = fit_config or FitConfig()
-    tasks = [(n, r) for n in spec.sample_sizes for r in range(spec.replications)]
+    if config.delta_star is not None:
+        raise ValueError("run_scenario anchors delta_star on each replication's "
+                         "baseline fit; leave FitConfig.delta_star unset")
+    sizes, reps = zip(*product(spec.sample_sizes, range(spec.replications)))
+    tasks = (repeat(spec), repeat(config), sizes, reps)
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_replication_task,
-                                   [(spec, config, n, r) for n, r in tasks]))
+            chunks = list(pool.map(_replication_rows, *tasks))
     else:
-        chunks = [_replication_rows(spec, config, n, r) for n, r in tasks]
+        chunks = list(map(_replication_rows, *tasks))
     rows = tuple(row for chunk in chunks for row in chunk)
     return BenchReport(spec, rows, summarize(rows, spec.id))
-
-
-def _replication_task(args):
-    return _replication_rows(*args)
 
 
 def spec_from_dict(doc: dict) -> ScenarioSpec:
@@ -351,9 +370,6 @@ def spec_from_dict(doc: dict) -> ScenarioSpec:
             doc["noise"] = GaussianNoise(noise.get("sigma", 1.0))
         else:
             raise ValueError(f"unknown noise kind {kind!r}")
-    for key in ("sample_sizes", "methods", "weight_range"):
-        if key in doc:
-            doc[key] = tuple(doc[key])
     spec_id = doc.pop("id", None)
     if spec_id is None:
         raise ValueError("scenario file must carry an 'id'")

@@ -11,12 +11,10 @@ import numpy as np
 
 from . import __version__, io
 from .bench import (RAW_FIELDS, SUMMARY_FIELDS, capped_solves, nscg,
-                    run_scenario, scenario, scenario_truth, spec_from_dict,
-                    _sample)
+                    run_scenario, scenario_data, spec_from_dict)
 from .effects import EFFECT_FIELDS, effect_rows
 from .graph import EdgeSet, metrics
 from .optimizer import FitConfig, fit, fit_baseline
-from .scm import BernoulliNoise, GaussianNoise
 
 
 class _ValidationError(ValueError):
@@ -56,28 +54,20 @@ def _load_fit_config(args) -> FitConfig:
     return FitConfig(**overrides)
 
 
-def _noise_from_args(args):
-    if args.noise == "gaussian":
-        return GaussianNoise(args.sigma)
-    return BernoulliNoise(args.noise_p)
-
-
 def _scenario_from_args(args):
-    overrides = {"noise": _noise_from_args(args), "link": args.link}
+    noise = ({"kind": "gaussian", "sigma": args.sigma} if args.noise == "gaussian"
+             else {"kind": "bernoulli", "p": args.noise_p})
+    doc = {"id": args.scenario, "noise": noise, "link": args.link,
+           "graph_model": args.model, "sample_sizes": [args.n],
+           "replications": 1, "seed_base": args.seed}
     if args.scenario == "custom":
-        overrides.update(p=args.p, graph_model=args.model,
-                         expected_degree=args.degree)
-    elif args.model != "er":
-        overrides["graph_model"] = args.model
-    return scenario(args.scenario, sample_sizes=(args.n,), replications=1,
-                    seed_base=args.seed, **overrides)
+        doc.update(p=args.p, expected_degree=args.degree)
+    return spec_from_dict(doc)
 
 
 def cmd_simulate(args):
     spec = _scenario_from_args(args)
-    graph_ss, data_ss = np.random.SeedSequence(spec.seed_base).spawn(2)
-    truth = scenario_truth(spec, graph_ss)
-    data = _sample(spec, truth, args.n, data_ss)
+    truth, data = scenario_data(spec, args.n, spec.seed_base)
     os.makedirs(args.out, exist_ok=True)
     io.write_graph_csv(truth, os.path.join(args.out, "truth.csv"))
     io.write_graph_csv(nscg(truth), os.path.join(args.out, "nscg.csv"))

@@ -10,6 +10,7 @@ cyclic ones) can be inspected with :func:`is_acyclic`.
 """
 
 import heapq
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +23,15 @@ def default_labels(dim: int) -> tuple[str, ...]:
     return tuple(f"z{i}" for i in range(dim - 1)) + ("y",)
 
 
+def is_integer(value) -> bool:
+    """True for Python and numpy integers; bools and floats are not integers."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def outcome_position(outcome_index: int, dim: int) -> int:
     """``outcome_index`` as a node in ``range(dim)``; negatives count from the end."""
+    if not is_integer(outcome_index):
+        raise ValueError(f"outcome_index must be an integer, got {outcome_index!r}")
     if not -dim <= outcome_index < dim:
         raise ValueError(f"outcome_index {outcome_index} out of range for {dim} nodes")
     return outcome_index % dim

@@ -54,7 +54,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import effects as _effects
-from .graph import WeightedDag, outcome_position, prune, topological_order
+from .graph import (WeightedDag, is_integer, outcome_position, prune,
+                    topological_order)
 from .scm import Dataset
 
 # iterate must be this close to acyclic before selection decisions are trusted
@@ -123,8 +124,7 @@ class FitConfig:
                                  f"got {value!r}")
         for name in ("max_dual_steps", "max_inner_iter"):
             value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < 1):
+            if not is_integer(value) or value < 1:
                 raise ValueError(f"{name} must be an integer of at least 1, "
                                  f"got {value!r}")
 
@@ -582,8 +582,7 @@ def _selection_update(w, active, outcome, config, delta_star):
         ce = np.abs(pruned[:, outcome])
         raw = np.abs(w[:, outcome])
     else:
-        pruned_dag = WeightedDag(pruned, outcome_index=outcome)
-        ce = np.abs(_effects.total_effects(pruned_dag))
+        ce = np.abs(_te_parts(pruned, outcome)[0])
         raw = np.abs(_te_parts(w, outcome)[0])
     cutoff = config.selection_tolerance * delta_star
     guard = max(cutoff, config.prune_threshold)
@@ -670,27 +669,28 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
             "n_active": int(active.sum()) - 1, "dropped": tuple(dropped),
         })
 
+        # a baseline solve reports h2 = 0: it is feasible for h2 and leaves
+        # lambda2 and d untouched
         ok1 = h1v <= _H1_TOL
-        ok2 = (not relevance) or abs(h2v) <= _H2_TOL
+        ok2 = abs(h2v) <= _H2_TOL
         if ok1 and ok2 and not dropped:
             converged = True
             break
 
         lam1 = min(lam1 + 2.0 * c * h1v, cap)
-        if relevance:
-            lam2 = float(np.clip(lam2 + 2.0 * d_pen * h2v, -cap, cap))
+        lam2 = float(np.clip(lam2 + 2.0 * d_pen * h2v, -cap, cap))
         if not ok1 and h1v > _PROGRESS_RATIO * h1_prev:
             c = min(c * _PENALTY_GROWTH, cap)
-        if relevance and not ok2 and abs(h2v) > _PROGRESS_RATIO * h2_prev:
+        if not ok2 and abs(h2v) > _PROGRESS_RATIO * h2_prev:
             d_pen = min(d_pen * _PENALTY_GROWTH, cap)
 
         # h1 improves only from an infeasible value: a feasible h1, often
-        # exactly 0 after 0, passes the ratio test trivially
+        # exactly 0 after 0, passes the ratio test trivially (and so would
+        # the baseline's h2)
         improved = ((h1_prev > _H1_TOL and h1v <= _PROGRESS_RATIO * h1_prev)
                     or (relevance and abs(h2v) <= _PROGRESS_RATIO * h2_prev)
                     or bool(dropped))
-        saturated = ((ok1 or c >= cap)
-                     and ((not relevance) or ok2 or d_pen >= cap))
+        saturated = (ok1 or c >= cap) and (ok2 or d_pen >= cap)
         stall = stall + 1 if (saturated and not improved) else 0
         if stall >= 3:
             break

@@ -178,17 +178,16 @@ def _event(scm: DiscreteScm, joint: dict, i: int, z_i, equal: bool,
     return entries
 
 
-def _alternative_mixture(scm: DiscreteScm, i: int, z_i, z_minus_i=None,
-                         cap: int = DEFAULT_ENUMERATION_CAP) -> list:
+def _alternative_mixture(scm: DiscreteScm, joint: dict, i: int, z_i,
+                         z_minus_i=None) -> list:
     """Mixture weights for the "set Z_i to anything but z_i" intervention.
 
-    Weights follow the observational law of ``Z_i`` restricted to values
-    other than ``z_i`` (conditioned on the remaining features when
+    Weights follow the observational law ``joint`` of ``Z_i`` restricted to
+    values other than ``z_i`` (conditioned on the remaining features when
     ``z_minus_i`` is given).  Errors out when that event has zero mass.
     """
     mass: dict = {}
-    for values, prob in _event(scm, observational_joint(scm, cap), i, z_i,
-                               False, z_minus_i):
+    for values, prob in _event(scm, joint, i, z_i, False, z_minus_i):
         mass[values[i]] = mass.get(values[i], 0.0) + prob
     total = sum(mass.values())
     return sorted((value, weight / total) for value, weight in mass.items())
@@ -220,7 +219,14 @@ def exact_poc(scm: DiscreteScm, i: int, z_i, y, kind: str = "marginal",
         raise ValueError("conditional kind requires z_minus_i")
     rest = tuple(z_minus_i) if kind == "conditional" else None
     base = _rest_values(scm, i, rest)
-    mixture = _alternative_mixture(scm, i, z_i, rest, cap)
+    mixture = _alternative_mixture(scm, observational_joint(scm, cap), i, z_i,
+                                   rest)
+    return _poc_sum(scm, i, z_i, y, base, mixture, cap)
+
+
+def _poc_sum(scm: DiscreteScm, i: int, z_i, y, base: dict, mixture: list,
+             cap: int) -> float:
+    """``exact_poc`` given the fixed rest values and the alternative mixture."""
     outcome = scm.outcome_index
     total = 0.0
     for prob, noise in _noise_states(scm, cap):
@@ -386,10 +392,9 @@ class PocEffectProfile:
     z_minus_i: tuple
 
 
-def _default_rest_values(scm: DiscreteScm, i: int,
-                         cap: int = DEFAULT_ENUMERATION_CAP) -> tuple:
-    """Rest-feature configuration with the largest worst-case conditioning mass."""
-    joint = observational_joint(scm, cap)
+def _default_rest_values(scm: DiscreteScm, joint: dict, i: int) -> tuple:
+    """Rest-feature configuration with the largest worst-case conditioning
+    mass under the observational law ``joint``."""
     rest = _rest_indices(scm, i)
     mass: dict = {}
     for values, prob in joint.items():
@@ -447,14 +452,18 @@ def effect_poc_profile(scm: DiscreteScm, i: int, z_i, z_minus_i=None,
         raise ValueError("profile requires a nonnegative outcome domain")
     if z_i not in (0, 1):
         raise ValueError("z_i must be 0 or 1")
+    dist = ScmDistribution(scm, cap)  # the one observational joint
     rest_values = tuple(z_minus_i) if z_minus_i is not None \
-        else _default_rest_values(scm, i, cap)
-    dist = ScmDistribution(scm, cap)
-    outcome_domain = scm.domains[scm.outcome_index]
-    poc_mass_m = sum(y * exact_poc(scm, i, z_i, y, "marginal", cap=cap)
-                     for y in outcome_domain)
-    poc_mass_c = sum(y * exact_poc(scm, i, z_i, y, "conditional", rest_values, cap)
-                     for y in outcome_domain)
+        else _default_rest_values(scm, dist.joint, i)
+
+    def poc_mass(rest):
+        base = _rest_values(scm, i, rest)
+        mixture = _alternative_mixture(scm, dist.joint, i, z_i, rest)
+        return sum(y * _poc_sum(scm, i, z_i, y, base, mixture, cap)
+                   for y in scm.domains[scm.outcome_index])
+
+    poc_mass_m = poc_mass(None)
+    poc_mass_c = poc_mass(rest_values)
     delta_m = (dist.expected_outcome(i, z_i, equal=True)
                - dist.expected_outcome(i, z_i, equal=False))
     delta_c = (dist.expected_outcome(i, z_i, equal=True, z_minus_i=rest_values)
@@ -474,7 +483,7 @@ def _factual_conditional(scm: DiscreteScm, i: int, z_i, y, want_factual: bool,
     whether ``do(Z_i = z_i)`` brings ``Y`` to ``y``.
     """
     outcome = scm.outcome_index
-    mixture = _alternative_mixture(scm, i, z_i, None, cap)
+    mixture = _alternative_mixture(scm, observational_joint(scm, cap), i, z_i)
     denom = 0.0
     num = 0.0
     for prob, noise in _noise_states(scm, cap):

@@ -112,26 +112,33 @@ def _noise_matrix(spec: SemSpec, n: int, seed) -> np.ndarray:
     return eps
 
 
-def _node_order(spec: SemSpec) -> list[int]:
+def _draw(spec: SemSpec, link: str, n: int, seed) -> Dataset:
+    """Draw ``n`` observations in topological order under ``link``."""
+    if spec.link != link:
+        raise ValueError(f"spec.link is {spec.link!r}, expected {link!r}")
+    if n < 1:
+        raise ValueError("n must be positive")
     order = topological_order(spec.graph.weights)
     if order is None:
         raise ValueError("generative graph must be acyclic")
-    return order
-
-
-def sample_linear(spec: SemSpec, n: int, seed=0) -> Dataset:
-    """Draw ``n`` observations of ``x = W^T x + eps`` in topological order."""
-    if spec.link != "linear":
-        raise ValueError(f"spec.link is {spec.link!r}, expected 'linear'")
-    if n < 1:
-        raise ValueError("n must be positive")
-    order = _node_order(spec)
     eps = _noise_matrix(spec, n, seed)
     w = spec.graph.weights
     values = np.zeros((n, spec.graph.dim))
     for i in order:
-        values[:, i] = values @ w[:, i] + eps[:, i]
+        agg = values @ w[:, i]
+        if link == "rounded-log":
+            if (agg <= -1.0 + 1e-12).any():
+                raise ValueError(
+                    f"parent aggregate of node {spec.graph.labels[i]!r} "
+                    f"(index {i}) fell to -1 or below; log(1 + s) undefined")
+            agg = round_half_away(2.0 * np.log1p(agg))
+        values[:, i] = agg + eps[:, i]
     return Dataset(values, spec.graph.labels, spec.graph.outcome_index)
+
+
+def sample_linear(spec: SemSpec, n: int, seed=0) -> Dataset:
+    """Draw ``n`` observations of ``x = W^T x + eps`` in topological order."""
+    return _draw(spec, "linear", n, seed)
 
 
 def sample_nonlinear(spec: SemSpec, n: int, seed=0) -> Dataset:
@@ -141,22 +148,7 @@ def sample_nonlinear(spec: SemSpec, n: int, seed=0) -> Dataset:
     above -1 or the log leaves its domain, in which case the offending node
     is named in the error.
     """
-    if spec.link != "rounded-log":
-        raise ValueError(f"spec.link is {spec.link!r}, expected 'rounded-log'")
-    if n < 1:
-        raise ValueError("n must be positive")
-    order = _node_order(spec)
-    eps = _noise_matrix(spec, n, seed)
-    w = spec.graph.weights
-    values = np.zeros((n, spec.graph.dim))
-    for i in order:
-        agg = values @ w[:, i]
-        if (agg <= -1.0 + 1e-12).any():
-            raise ValueError(
-                f"parent aggregate of node {spec.graph.labels[i]!r} (index {i}) "
-                "fell to -1 or below; log(1 + s) undefined")
-        values[:, i] = round_half_away(2.0 * np.log1p(agg)) + eps[:, i]
-    return Dataset(values, spec.graph.labels, spec.graph.outcome_index)
+    return _draw(spec, "rounded-log", n, seed)
 
 
 def shift_nonnegative(data: Dataset) -> Dataset:

@@ -7,17 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nscausal.bench import (ScenarioSpec, nscg, run_scenario, scenario,
-                            scenario_truth, spec_from_dict, summarize)
+                            scenario_data, scenario_truth, spec_from_dict,
+                            summarize)
 from nscausal.effects import delta_star, effect_rows
 from nscausal.graph import (WeightedDag, EdgeSet, enumerate_paths_to_outcome,
-                            is_acyclic)
+                            graph_metrics, is_acyclic)
 from nscausal.io import (load_csv, read_graph_csv, read_rows_csv,
                          write_dataset_csv, write_edges_csv, write_graph_csv,
                          write_rows_csv)
 from nscausal.bench import RAW_FIELDS
 from nscausal.optimizer import FitConfig, fit, fit_baseline
-from nscausal.scm import (BernoulliNoise, Dataset, SemSpec, sample_linear,
-                          shift_nonnegative)
+from nscausal.scm import (BernoulliNoise, Dataset, GaussianNoise, SemSpec,
+                          sample_linear, sample_nonlinear, shift_nonnegative)
 
 from conftest import random_dag
 
@@ -197,6 +198,82 @@ class TestScenarioSpec:
         assert is_acyclic(a) and is_acyclic(b)
         assert not np.array_equal(a.weights != 0, b.weights != 0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("replications", "2"), ("replications", 2.0), ("replications", True),
+        ("sample_sizes", (2.5,)), ("sample_sizes", (100, "50")),
+        ("sample_sizes", (True,)), ("seed_base", 1.5), ("seed_base", None),
+    ])
+    def test_counts_and_seeds_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            scenario("s1", **{field: value})
+
+    def test_custom_node_count_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="p must"):
+            scenario("custom", p=6.0)
+
+    def test_numpy_integers_are_accepted(self):
+        spec = scenario("custom", p=np.int64(6), replications=np.int32(2),
+                        sample_sizes=(np.int64(30),), seed_base=np.uint8(4))
+        assert spec.sample_sizes == (30,) and type(spec.sample_sizes[0]) is int
+        assert spec.replications == 2 and spec.seed_base == 4
+
+    @pytest.mark.parametrize("spec_id", ["s1", "s2", "s3", "s4"])
+    def test_scale_free_needs_a_drawn_layout(self, spec_id):
+        with pytest.raises(ValueError, match="scale-free"):
+            scenario(spec_id, graph_model="sf")
+        assert scenario("custom", graph_model="sf").graph_model == "sf"
+
+    @pytest.mark.parametrize("weight_range", [(0.0, 1.0), (-1.0, 1.0),
+                                              (2.0, 0.5)])
+    def test_weight_range_is_validated(self, weight_range):
+        with pytest.raises(ValueError, match="weight_range"):
+            scenario("s1", weight_range=weight_range)
+        assert scenario("s1", weight_range=[-2, -1]).weight_range == (-2.0, -1.0)
+
+    def test_from_dict_rejects_string_counts(self):
+        with pytest.raises(ValueError, match="replications"):
+            spec_from_dict({"id": "s1", "replications": "2"})
+
+
+def _hand_drawn(spec, n, seed):
+    """The replication recipe written out, as perfbench's fit_op copies it."""
+    graph_ss, data_ss = np.random.SeedSequence(seed).spawn(2)
+    truth = scenario_truth(spec, graph_ss)
+    sampler = sample_linear if spec.link == "linear" else sample_nonlinear
+    data = shift_nonnegative(sampler(SemSpec(truth, spec.noise, spec.link), n,
+                                     seed=data_ss))
+    return truth, data
+
+
+class TestScenarioData:
+    @pytest.mark.parametrize("spec", [
+        scenario("s1"),
+        scenario("s4"),
+        scenario("s5", graph_model="sf"),
+        scenario("custom", p=7, expected_degree=2.0),
+        scenario("custom", p=7, graph_model="sf", expected_degree=2.0),
+        scenario("s1", link="rounded-log"),
+        scenario("s2", noise=GaussianNoise(0.8)),
+    ], ids=["s1", "s4", "s5-sf", "custom-er", "custom-sf", "s1-rounded-log",
+            "s2-gaussian"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_equals_the_written_out_recipe(self, spec, seed):
+        truth, data = scenario_data(spec, 40, seed)
+        want_truth, want_data = _hand_drawn(spec, 40, seed)
+        assert np.array_equal(truth.weights, want_truth.weights)
+        assert truth.outcome_index == want_truth.outcome_index
+        assert np.array_equal(data.values, want_data.values)
+        assert data.labels == want_data.labels
+        assert data.values[:, data.outcome_index].min() >= 0.0
+
+    def test_rows_score_the_drawn_truth(self):
+        spec = scenario("s1", sample_sizes=(60,), replications=1,
+                        methods=("baseline",), seed_base=5)
+        truth, data = scenario_data(spec, 60, 5)
+        base = fit_baseline(data)
+        full = [r for r in run_scenario(spec).rows if r["target"] == "full"]
+        assert full[0]["shd"] == float(graph_metrics(base.graph, truth).shd)
+
 
 class TestGraphSerialization:
     def test_adjacency_round_trip_is_bit_exact(self, rng, tmp_path):
@@ -321,6 +398,17 @@ class TestRunScenario:
                         methods=("baseline",))
         with pytest.raises(ValueError, match="threads"):
             run_scenario(spec, threads=threads)
+
+    def test_fixed_delta_star_is_rejected_before_any_work(self, monkeypatch):
+        from nscausal import bench as bench_mod
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit was started")
+
+        monkeypatch.setattr(bench_mod, "fit_baseline", no_fit)
+        spec = scenario("s1", sample_sizes=(60,), replications=1)
+        with pytest.raises(ValueError, match="delta_star"):
+            run_scenario(spec, FitConfig(delta_star=50.0))
 
     def test_worker_pool_matches_serial(self):
         spec = scenario("s1", sample_sizes=(60,), replications=2,

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from nscausal import (BernoulliNoise, GaussianNoise, io, scenario,
+                      scenario_data)
 from nscausal.cli import main
 
 
@@ -40,6 +42,27 @@ class TestSimulate:
         code = main(["simulate", "--scenario", "custom", "--p", "6",
                      "--degree", "2", "--n", "30", "--out", str(out)])
         assert code == 0
+
+    @pytest.mark.parametrize("flags,spec", [
+        (["--scenario", "s1"], scenario("s1")),
+        (["--scenario", "s5", "--model", "sf"],
+         scenario("s5", graph_model="sf")),
+        (["--scenario", "custom", "--model", "sf", "--p", "7"],
+         scenario("custom", p=7, graph_model="sf")),
+        (["--scenario", "s2", "--noise", "gaussian", "--sigma", "0.5"],
+         scenario("s2", noise=GaussianNoise(0.5))),
+        (["--scenario", "s1", "--link", "rounded-log", "--noise-p", "0.3"],
+         scenario("s1", link="rounded-log", noise=BernoulliNoise(0.3))),
+    ], ids=["s1", "s5-sf", "custom-sf", "s2-gaussian", "s1-rounded-log"])
+    def test_outputs_are_the_scenario_data_draw(self, tmp_path, flags, spec):
+        out = tmp_path / "sim"
+        assert main(["simulate", *flags, "--n", "25", "--seed", "6",
+                     "--out", str(out)]) == 0
+        truth, data = scenario_data(spec, 25, 6)
+        io.write_graph_csv(truth, tmp_path / "truth.csv")
+        io.write_dataset_csv(data, tmp_path / "data.csv")
+        for name in ("truth.csv", "data.csv"):
+            assert file_bytes(out / name) == file_bytes(tmp_path / name)
 
 
 class TestPipeline:
@@ -208,6 +231,10 @@ class TestExitCodes:
         ({"id": "s1", "replication": 2}, "replication"),
         ({"id": "s1", "noise": "gaussian"}, "noise"),
         (["s1"], "object"),
+        ({"id": "s1", "replications": "2"}, "replications"),
+        ({"id": "s1", "sample_sizes": [2.5]}, "sample_sizes"),
+        ({"id": "s4", "graph_model": "sf"}, "scale-free"),
+        ({"id": "s1", "weight_range": [0.0, 1.0]}, "weight_range"),
     ])
     def test_malformed_bench_spec_is_a_validation_error(self, tmp_path, capsys,
                                                         doc, message):
@@ -217,6 +244,14 @@ class TestExitCodes:
                      "--out", str(tmp_path / "b")]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
+
+    def test_scale_free_model_on_a_fixed_layout_is_a_validation_error(
+            self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--scenario", "s4", "--model", "sf",
+                     "--n", "30", "--out", str(out)]) == 1
+        assert "scale-free" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_internal_errors_are_runtime_failures(self, tmp_path, monkeypatch):
         import nscausal.cli as cli_mod

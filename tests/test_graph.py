@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nscausal.graph import (EdgeSet, WeightedDag, enumerate_paths_to_outcome,
                             graph_metrics, is_acyclic, metrics, prune,
                             random_er, random_sf, topological_order)
-from nscausal.optimizer import acyclicity_value
+from nscausal.optimizer import acyclicity_value, relevance_constraint
 
 from conftest import inject_back_edge, random_dag
 
@@ -257,6 +257,18 @@ class TestOutcomeIndex:
     def test_in_range_index_is_normalized(self, index, expected):
         assert WeightedDag(np.zeros((3, 3)), outcome_index=index).outcome_index \
             == expected
+
+    @pytest.mark.parametrize("index", [1.5, 2.0, True, "1", None])
+    def test_non_integer_index_is_an_error(self, index):
+        with pytest.raises(ValueError, match="outcome_index must be an integer"):
+            WeightedDag(np.zeros((3, 3)), outcome_index=index)
+        with pytest.raises(ValueError, match="outcome_index must be an integer"):
+            relevance_constraint(np.zeros((3, 3)), np.ones(3, dtype=bool), "te",
+                                 0.0, outcome_index=index)
+
+    def test_numpy_integer_index_is_accepted(self):
+        assert WeightedDag(np.zeros((3, 3)), outcome_index=np.int64(1)) \
+            .outcome_index == 1
 
 
 class TestEdgeSet:

@@ -322,6 +322,22 @@ class TestEffectPocProfile:
                 checked += 1
         assert checked >= 60
 
+    @pytest.mark.parametrize("given_rest", [False, True])
+    def test_builds_one_observational_joint(self, monkeypatch, given_rest):
+        scm = random_additive_scm(np.random.default_rng(0))
+        assert len(scm.domains[scm.outcome_index]) == 4
+        expected = effect_poc_profile(scm, 0, 1)
+        rest = expected.z_minus_i if given_rest else None
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return observational_joint(*args, **kwargs)
+
+        monkeypatch.setattr(poc_mod, "observational_joint", counted)
+        assert effect_poc_profile(scm, 0, 1, rest) == expected
+        assert len(calls) == 1
+
     def test_rejects_nonbinary_feature(self):
         from nscausal.graph import WeightedDag
         from nscausal.poc import DiscreteScm
