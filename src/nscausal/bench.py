@@ -39,10 +39,11 @@ from itertools import product, repeat
 import numpy as np
 
 from .graph import (WeightedDag, _validate_weight_range, ancestors_of,
-                    graph_metrics, is_integer, random_er, random_sf)
+                    graph_metrics, is_finite_number, is_integer, random_er,
+                    random_sf)
 from .optimizer import FitConfig, fit, fit_baseline
-from .scm import (BernoulliNoise, GaussianNoise, SemSpec, sample_linear,
-                  sample_nonlinear, shift_nonnegative)
+from .scm import (LINKS, BernoulliNoise, GaussianNoise, SemSpec,
+                  sample_linear, sample_nonlinear, shift_nonnegative)
 
 METHODS = ("nscsl-te", "nscsl-de", "baseline")
 SCENARIO_IDS = ("s1", "s2", "s3", "s4", "s5", "custom")
@@ -69,8 +70,11 @@ class ScenarioSpec:
     """One benchmark configuration: graph model, SEM, sizes, methods, seeds.
 
     ``p``, ``replications``, ``seed_base`` and the ``sample_sizes`` are
-    integers (numpy integers included, bools not).  ``graph_model="sf"`` is
-    accepted for s5 and custom only; s1..s4 keep their fixed layouts.
+    integers (numpy integers included, bools not); ``sample_sizes`` and
+    ``methods`` are lists or tuples, ``expected_degree`` is a finite number,
+    ``weight_range`` two finite numbers on one side of 0, and ``noise`` holds
+    one parameter or one per node.  ``graph_model="sf"`` is accepted for s5
+    and custom only; s1..s4 keep their fixed layouts.
     """
 
     id: str
@@ -86,10 +90,23 @@ class ScenarioSpec:
     weight_range: tuple = (0.5, 2.0)
 
     def __post_init__(self):
+        # value types first: the checks below iterate, index and compare
+        for name in ("sample_sizes", "methods"):
+            if not isinstance(getattr(self, name), (tuple, list)):
+                raise ValueError(f"{name} must be a list, got "
+                                 f"{getattr(self, name)!r}")
+        if not is_finite_number(self.expected_degree):
+            raise ValueError("expected_degree must be a finite number, got "
+                             f"{self.expected_degree!r}")
+        if not isinstance(self.noise, (BernoulliNoise, GaussianNoise)):
+            raise ValueError("noise must be a BernoulliNoise or GaussianNoise, "
+                             f"got {self.noise!r}")
         if self.id not in SCENARIO_IDS:
             raise ValueError(f"unknown scenario id {self.id!r}")
         if self.graph_model not in ("er", "sf"):
             raise ValueError("graph_model must be 'er' or 'sf'")
+        if self.link not in LINKS:
+            raise ValueError(f"unknown link {self.link!r}, expected one of {LINKS}")
         if self.graph_model == "sf" and self.id not in ("s5", "custom"):
             raise ValueError(f"{self.id} has a fixed layout; only s5 and custom "
                              "draw scale-free graphs")
@@ -104,6 +121,8 @@ class ScenarioSpec:
                             + [("sample_sizes", n) for n in sizes]):
             if not is_integer(value):
                 raise ValueError(f"{name} must hold integers, got {value!r}")
+        if self.p < 2:
+            raise ValueError(f"p must be at least 2, got {self.p}")
         if self.replications < 1:
             raise ValueError("replications must be positive")
         if not sizes or any(n < 1 for n in sizes):
@@ -118,6 +137,7 @@ class ScenarioSpec:
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "weight_range",
                            _validate_weight_range(self.weight_range))
+        self.noise.validate(self.p)
 
 
 def scenario(spec_id: str, **overrides) -> ScenarioSpec:
@@ -365,12 +385,16 @@ def spec_from_dict(doc: dict) -> ScenarioSpec:
             raise ValueError("noise must be an object with a 'kind' key")
         kind = noise.get("kind", "bernoulli")
         if kind == "bernoulli":
-            doc["noise"] = BernoulliNoise(noise.get("p", 0.5))
+            key, family = "p", BernoulliNoise
         elif kind == "gaussian":
-            doc["noise"] = GaussianNoise(noise.get("sigma", 1.0))
+            key, family = "sigma", GaussianNoise
         else:
             raise ValueError(f"unknown noise kind {kind!r}")
+        unknown = set(noise) - {"kind", key}
+        if unknown:
+            raise ValueError(f"unknown {kind} noise keys: {sorted(unknown)}")
+        doc["noise"] = family(noise[key]) if key in noise else family()
     spec_id = doc.pop("id", None)
-    if spec_id is None:
-        raise ValueError("scenario file must carry an 'id'")
+    if not isinstance(spec_id, str):
+        raise ValueError(f"scenario file must carry a string 'id', got {spec_id!r}")
     return scenario(spec_id, **doc)

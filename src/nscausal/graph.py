@@ -10,6 +10,7 @@ cyclic ones) can be inspected with :func:`is_acyclic`.
 """
 
 import heapq
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -26,6 +27,12 @@ def default_labels(dim: int) -> tuple[str, ...]:
 def is_integer(value) -> bool:
     """True for Python and numpy integers; bools and floats are not integers."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """True for finite Python and numpy reals; bools are not numbers here."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def outcome_position(outcome_index: int, dim: int) -> int:
@@ -140,16 +147,27 @@ def enumerate_paths_to_outcome(g: WeightedDag, source: int) -> list[tuple[int, .
     return paths
 
 
+def _check_threshold(threshold):
+    if not threshold >= 0:  # NaN fails too
+        raise ValueError(f"threshold must be nonnegative, got {threshold!r}")
+
+
 def prune(g: WeightedDag, threshold: float) -> WeightedDag:
     """Zero out entries with ``|weight| <= threshold``; keep the rest bit-exact."""
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    _check_threshold(threshold)
     kept = np.where(np.abs(g.weights) > threshold, g.weights, 0.0)
     return WeightedDag(kept, g.labels, g.outcome_index)
 
 
 def _validate_weight_range(weight_range) -> tuple[float, float]:
-    lo, hi = float(weight_range[0]), float(weight_range[1])
+    try:
+        lo, hi = weight_range
+    except (TypeError, ValueError):
+        lo = hi = None
+    if not (is_finite_number(lo) and is_finite_number(hi)):
+        raise ValueError("weight_range must be two finite numbers (lo, hi), "
+                         f"got {weight_range!r}")
+    lo, hi = float(lo), float(hi)
     if lo > hi:
         raise ValueError("weight_range must be ordered (lo, hi)")
     if lo <= 0.0 <= hi:
@@ -235,6 +253,8 @@ class EdgeSet:
 
     @classmethod
     def from_dag(cls, g: WeightedDag, threshold: float = 0.0) -> "EdgeSet":
+        """The off-diagonal edges with ``|weight| > threshold`` (nonnegative)."""
+        _check_threshold(threshold)
         pairs = {(int(i), int(j))
                  for i, j in zip(*np.nonzero(np.abs(g.weights) > threshold))
                  if i != j}

@@ -1,4 +1,4 @@
-"""CSV and JSON serialization for graphs, datasets, fits, and discrete SCMs."""
+"""CSV and JSON serialization for graphs, datasets and fits."""
 
 import contextlib
 import csv
@@ -9,7 +9,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .graph import WeightedDag
-from .poc import DiscreteScm
+from .optimizer import DIAGNOSTIC_FIELDS
 from .scm import Dataset
 
 
@@ -51,14 +51,6 @@ def read_graph_csv(path, outcome_index: int = -1) -> WeightedDag:
         raise ValueError(f"{path}: expected {dim} weight rows, found {len(rows) - 1}")
     weights = np.array([[float(x) for x in row] for row in rows[1:]])
     return WeightedDag(weights, labels, outcome_index)
-
-
-def write_edges_csv(g: WeightedDag, path, threshold: float = 0.0):
-    """Edge list `from,to,weight` using node labels, strict threshold."""
-    with _csv_writer(path) as writer:
-        writer.writerow(["from", "to", "weight"])
-        for i, j in zip(*np.nonzero(np.abs(g.weights) > threshold)):
-            writer.writerow([g.labels[i], g.labels[j], _fmt(g.weights[i, j])])
 
 
 def write_dataset_csv(data: Dataset, path):
@@ -109,23 +101,6 @@ def load_csv(path, outcome) -> Dataset:
     return Dataset(values[:, order], tuple(labels[c] for c in order), columns - 1)
 
 
-def write_selected_csv(labels, outcome_index: int, selected, path):
-    features = [i for i in range(len(labels)) if i != outcome_index]
-    with _csv_writer(path) as writer:
-        writer.writerow(["label", "selected"])
-        for mask, i in zip(selected, features):
-            writer.writerow([labels[i], int(mask)])
-
-
-def write_diagnostics_csv(diagnostics, path):
-    fields = ["step", "f", "h1", "h2", "lambda1", "lambda2", "c", "d", "t",
-              "inner_iterations", "stop_reason", "evaluations",
-              "objective_start", "objective_end", "n_active", "dropped"]
-    rows = [{**entry, "dropped": ";".join(str(v) for v in entry["dropped"])}
-            for entry in diagnostics]
-    write_rows_csv(rows, fields, path)
-
-
 def write_fit_dir(result, outdir, meta: dict | None = None):
     """Persist a fit: graph.csv, raw_graph.csv, selected.csv, diagnostics.csv,
     meta.json."""
@@ -134,14 +109,18 @@ def write_fit_dir(result, outdir, meta: dict | None = None):
     os.makedirs(outdir, exist_ok=True)
     write_graph_csv(result.graph, os.path.join(outdir, "graph.csv"))
     write_graph_csv(result.raw_graph, os.path.join(outdir, "raw_graph.csv"))
-    write_selected_csv(result.graph.labels, result.graph.outcome_index,
-                       result.selected, os.path.join(outdir, "selected.csv"))
-    write_diagnostics_csv(result.diagnostics,
-                          os.path.join(outdir, "diagnostics.csv"))
+    labels, outcome = result.graph.labels, result.graph.outcome_index
+    features = [label for i, label in enumerate(labels) if i != outcome]
+    write_rows_csv([{"label": label, "selected": int(mask)}
+                    for label, mask in zip(features, result.selected)],
+                   ("label", "selected"), os.path.join(outdir, "selected.csv"))
+    write_rows_csv([{**entry, "dropped": ";".join(map(str, entry["dropped"]))}
+                    for entry in result.diagnostics],
+                   DIAGNOSTIC_FIELDS, os.path.join(outdir, "diagnostics.csv"))
     payload = {
         "delta_star": result.delta_star_used,
         "converged": result.converged,
-        "config": asdict(result.config) if result.config else None,
+        "config": asdict(result.config),
     }
     if meta:
         payload.update(meta)
@@ -182,76 +161,3 @@ def write_rows_csv(rows, fields, path=None):
                 else:
                     out.append(value)
             writer.writerow(out)
-
-
-def read_rows_csv(path) -> list:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [dict(row) for row in reader]
-
-
-# --------------------------------------------------------------------------
-# discrete SCM fixtures
-
-
-def scm_to_json(scm: DiscreteScm, path=None) -> dict:
-    """Versionable JSON document for a discrete SCM fixture.
-
-    Schema: ``labels``, ``outcome_index``, ``edges`` (structure, unit
-    weights), ``domains`` per node, ``noise`` per node with ``values`` and
-    ``probs``, and ``functions`` per node listing every
-    ``{parents, noise, value}`` table entry (parent values ordered by
-    ascending parent index).
-    """
-    doc = {
-        "labels": list(scm.graph.labels),
-        "outcome_index": scm.graph.outcome_index,
-        "edges": [[int(i), int(j)] for i, j in
-                  zip(*np.nonzero(scm.graph.weights))],
-        "domains": [list(d) for d in scm.domains],
-        "noise": [{"values": list(v), "probs": list(p)}
-                  for v, p in zip(scm.noise_domains, scm.noise_probs)],
-        "functions": [
-            {"node": i,
-             "table": [{"parents": list(pa), "noise": u, "value": out}
-                       for (pa, u), out in sorted(scm.functions[i].items())]}
-            for i in range(scm.dim)
-        ],
-    }
-    if path is not None:
-        write_json(doc, path)
-    return doc
-
-
-def scm_from_json(doc) -> DiscreteScm:
-    if isinstance(doc, (str, bytes)):
-        with open(doc) as fh:
-            doc = json.load(fh)
-    dim = len(doc["labels"])
-    weights = np.zeros((dim, dim))
-    for i, j in doc["edges"]:
-        weights[i, j] = 1.0
-    graph = WeightedDag(weights, tuple(doc["labels"]), doc["outcome_index"])
-    functions = []
-    for spec in doc["functions"]:
-        table = {}
-        for entry in spec["table"]:
-            table[(tuple(entry["parents"]), entry["noise"])] = entry["value"]
-        functions.append(table)
-    return DiscreteScm(
-        graph,
-        tuple(tuple(d) for d in doc["domains"]),
-        tuple(tuple(n["values"]) for n in doc["noise"]),
-        tuple(tuple(n["probs"]) for n in doc["noise"]),
-        tuple(functions),
-    )
-
-
-def write_cpdag_csv(c, path):
-    """Edge list with a `kind` column: directed or undirected."""
-    with _csv_writer(path) as writer:
-        writer.writerow(["from", "to", "kind"])
-        for i, j in sorted(c.directed):
-            writer.writerow([c.labels[i], c.labels[j], "directed"])
-        for i, j in sorted(c.undirected):
-            writer.writerow([c.labels[i], c.labels[j], "undirected"])

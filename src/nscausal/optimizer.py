@@ -47,15 +47,14 @@ fit ends after three dual steps without progress, unconverged.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import effects as _effects
-from .graph import (WeightedDag, is_integer, outcome_position, prune,
-                    topological_order)
+from .graph import (WeightedDag, is_finite_number, is_integer,
+                    outcome_position, prune, topological_order)
 from .scm import Dataset
 
 # iterate must be this close to acyclic before selection decisions are trusted
@@ -118,8 +117,7 @@ class FitConfig:
             value = getattr(self, name)
             if name == "delta_star" and value is None:
                 continue
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value) or value < 0):
+            if not is_finite_number(value) or value < 0:
                 raise ValueError(f"{name} must be a finite nonnegative number, "
                                  f"got {value!r}")
         for name in ("max_dual_steps", "max_inner_iter"):
@@ -127,6 +125,13 @@ class FitConfig:
             if not is_integer(value) or value < 1:
                 raise ValueError(f"{name} must be an integer of at least 1, "
                                  f"got {value!r}")
+
+
+# the keys of a ``FitResult.diagnostics`` row, one row per dual step, in the
+# column order of a fit directory's diagnostics.csv
+DIAGNOSTIC_FIELDS = ("step", "f", "h1", "h2", "lambda1", "lambda2", "c", "d",
+                     "t", "inner_iterations", "stop_reason", "evaluations",
+                     "objective_start", "objective_end", "n_active", "dropped")
 
 
 @dataclass(frozen=True)
@@ -139,7 +144,7 @@ class FitResult:
     diagnostics: tuple
     delta_star_used: float
     converged: bool
-    config: FitConfig = field(repr=False, default=None)
+    config: FitConfig = field(repr=False)
 
 
 # ---------------------------------------------------------------------------

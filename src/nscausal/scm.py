@@ -14,6 +14,15 @@ import numpy as np
 from .graph import WeightedDag, topological_order
 
 
+def _per_node(value, dim: int, name: str) -> np.ndarray:
+    """``value``, one number or one per node, as ``dim`` floats."""
+    try:
+        return np.broadcast_to(np.asarray(value, dtype=float), (dim,))
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number or a list of {dim} numbers, "
+                         f"got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class BernoulliNoise:
     """Independent 0/1 noise; ``p`` is scalar or per-node."""
@@ -21,7 +30,7 @@ class BernoulliNoise:
     p: object = 0.5
 
     def validate(self, dim: int) -> np.ndarray:
-        p = np.broadcast_to(np.asarray(self.p, dtype=float), (dim,))
+        p = _per_node(self.p, dim, "bernoulli p")
         if not ((p > 0) & (p < 1)).all():
             raise ValueError("bernoulli p must lie in (0, 1)")
         return p
@@ -37,7 +46,7 @@ class GaussianNoise:
     sigma: object = 1.0
 
     def validate(self, dim: int) -> np.ndarray:
-        s = np.broadcast_to(np.asarray(self.sigma, dtype=float), (dim,))
+        s = _per_node(self.sigma, dim, "gaussian sigma")
         if not (s > 0).all():
             raise ValueError("gaussian sigma must be positive")
         return s

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from nscausal import (BernoulliNoise, GaussianNoise, io, scenario,
                       scenario_data)
 from nscausal.cli import main
+from nscausal.optimizer import DIAGNOSTIC_FIELDS
 
 
 def read_meta(path):
@@ -76,6 +78,8 @@ class TestPipeline:
         for name in ("graph.csv", "raw_graph.csv", "selected.csv",
                      "diagnostics.csv", "meta.json"):
             assert (fitdir / name).exists()
+        with open(fitdir / "diagnostics.csv", newline="") as fh:
+            assert tuple(next(csv.reader(fh))) == DIAGNOSTIC_FIELDS
         assert main(["eval", "--estimated", str(fitdir / "graph.csv"),
                      "--truth", str(sim / "nscg.csv")]) == 0
         evaluated = capsys.readouterr().out.splitlines()
@@ -214,6 +218,17 @@ class TestExitCodes:
                      "--config", str(cfg), "--out", str(tmp_path / "f")]) == 1
         assert not (tmp_path / "f").exists()
 
+    def test_negative_eval_threshold_is_a_validation_error(self, tmp_path,
+                                                          capsys):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--scenario", "s1", "--n", "30",
+                     "--seed", "0", "--out", str(sim)]) == 0
+        assert main(["eval", "--estimated", str(sim / "nscg.csv"),
+                     "--truth", str(sim / "truth.csv"),
+                     "--threshold", "-1", "--out", str(tmp_path / "m.csv")]) == 1
+        assert "threshold" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
     @pytest.mark.parametrize("doc", [[{"fit": {}}], "fit", {"fit": [1]},
                                      {"fit": 3},
                                      {"fit": {"max_dual_steps": "10"}},
@@ -235,6 +250,23 @@ class TestExitCodes:
         ({"id": "s1", "sample_sizes": [2.5]}, "sample_sizes"),
         ({"id": "s4", "graph_model": "sf"}, "scale-free"),
         ({"id": "s1", "weight_range": [0.0, 1.0]}, "weight_range"),
+        ({"id": "s1", "sample_sizes": 100}, "sample_sizes"),
+        ({"id": "s1", "weight_range": 5}, "weight_range"),
+        ({"id": "s1", "weight_range": [1]}, "weight_range"),
+        ({"id": "s1", "weight_range": [1, 2, 3]}, "weight_range"),
+        ({"id": "s1", "weight_range": [1, True]}, "weight_range"),
+        ({"id": "s1", "methods": 5}, "methods"),
+        ({"id": "custom", "p": 6, "expected_degree": "2"}, "expected_degree"),
+        ({"id": "custom", "p": 6, "expected_degree": None}, "expected_degree"),
+        ({"id": "custom", "p": 6, "expected_degree": float("nan")},
+         "expected_degree"),
+        ({"id": "s1", "noise": {"kind": "bernoulli", "p": {"a": 1}}},
+         "bernoulli p"),
+        ({"id": "s1", "noise": {"kind": "bernoulli", "p": [0.5, 0.5]}},
+         "bernoulli p"),
+        ({"id": "s1", "noise": {"kind": "gaussian", "p": 0.3}}, "noise keys"),
+        ({"id": "s1", "link": 5}, "link"),
+        ({"id": ["s1"]}, "'id'"),
     ])
     def test_malformed_bench_spec_is_a_validation_error(self, tmp_path, capsys,
                                                         doc, message):

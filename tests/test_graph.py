@@ -235,6 +235,16 @@ class TestMetrics:
         same = metrics(a, a)
         assert (same.fdr, same.tpr, same.shd) == (0.0, 1.0, 0)
 
+    @pytest.mark.parametrize("threshold", [-1.0, -1e-12, float("nan")])
+    def test_rejects_negative_thresholds(self, threshold):
+        empty = WeightedDag(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            EdgeSet.from_dag(empty, threshold)
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            graph_metrics(empty, empty, threshold=threshold)
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            prune(empty, threshold)
+
     def test_graph_wrapper_thresholds(self):
         w = np.zeros((3, 3))
         w[0, 1] = 0.2

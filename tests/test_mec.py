@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from nscausal import mec
 from nscausal.graph import WeightedDag, is_acyclic
-from nscausal.io import write_cpdag_csv
 from nscausal.mec import Cpdag, dag_to_cpdag, enumerate_mec, mec_average
 
 
@@ -449,11 +448,3 @@ class TestCpdagValidation:
     def test_directed_part_must_be_acyclic(self):
         with pytest.raises(ValueError):
             Cpdag(3, frozenset({(0, 1), (1, 0)}), frozenset())
-
-    def test_csv_export(self, tmp_path):
-        c = dag_to_cpdag(dag_from_edges([(0, 2), (1, 2), (1, 3)], 4))
-        path = tmp_path / "cpdag.csv"
-        write_cpdag_csv(c, path)
-        text = path.read_text().splitlines()
-        assert text[0] == "from,to,kind"
-        assert any("directed" in line for line in text[1:])

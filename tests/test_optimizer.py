@@ -6,11 +6,11 @@ import pytest
 from nscausal.bench import nscg, scenario, scenario_truth
 from nscausal.effects import delta_star
 from nscausal.graph import WeightedDag, graph_metrics, is_acyclic, prune
-from nscausal.optimizer import (_FTOL, _LBFGS_MEMORY, FitConfig,
-                                _lbfgs_minimize, _Objective, _two_loop,
-                                acyclicity_gradient, acyclicity_value, fit,
-                                fit_baseline, least_squares_loss,
-                                relevance_constraint)
+from nscausal.optimizer import (_FTOL, _LBFGS_MEMORY, DIAGNOSTIC_FIELDS,
+                                FitConfig, _lbfgs_minimize, _Objective,
+                                _two_loop, acyclicity_gradient,
+                                acyclicity_value, fit, fit_baseline,
+                                least_squares_loss, relevance_constraint)
 from nscausal.scm import (BernoulliNoise, Dataset, GaussianNoise, SemSpec,
                           sample_linear, shift_nonnegative)
 
@@ -415,6 +415,13 @@ class TestFit:
         assert np.array_equal(a.raw_graph.weights, b.raw_graph.weights)
         assert a.diagnostics == b.diagnostics
         assert a.delta_star_used == b.delta_star_used
+
+    def test_diagnostics_rows_have_the_schema_keys_in_order(self):
+        _, _, data = s1_replication(3, n=60)
+        base = fit_baseline(data)
+        for result in (base, fit(data, warm_start=base)):
+            for entry in result.diagnostics:
+                assert tuple(entry) == DIAGNOSTIC_FIELDS
 
     def test_result_invariants(self):
         for r in range(5):

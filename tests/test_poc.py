@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import nscausal.poc as poc_mod
-from nscausal.io import scm_from_json, scm_to_json
 from nscausal.poc import (EmpiricalDistribution, ScmDistribution,
                           effect_poc_profile, empirical_cpoc, empirical_mpoc,
                           evaluate, exact_pn, exact_poc, exact_ps,
@@ -382,16 +381,3 @@ class TestNecessitySufficiency:
             assert pns == pytest.approx(p_zy * pn + p_nzny * ps, abs=1e-12)
             checked += 1
         assert checked >= 20
-
-
-class TestSerialization:
-    def test_json_round_trip(self, rng, tmp_path):
-        scm = random_binary_scm(rng, dim=4)
-        path = tmp_path / "scm.json"
-        scm_to_json(scm, path)
-        loaded = scm_from_json(str(path))
-        assert loaded.domains == scm.domains
-        assert loaded.noise_probs == scm.noise_probs
-        assert np.array_equal(loaded.graph.weights, scm.graph.weights)
-        for y in (0, 1):
-            assert exact_poc(loaded, 0, 1, y) == exact_poc(scm, 0, 1, y)
