@@ -71,10 +71,11 @@ class ScenarioSpec:
 
     ``p``, ``replications``, ``seed_base`` and the ``sample_sizes`` are
     integers (numpy integers included, bools not); ``sample_sizes`` and
-    ``methods`` are lists or tuples, ``expected_degree`` is a finite number,
-    ``weight_range`` two finite numbers on one side of 0, and ``noise`` holds
-    one parameter or one per node.  ``graph_model="sf"`` is accepted for s5
-    and custom only; s1..s4 keep their fixed layouts.
+    ``methods`` are lists or tuples without repeats, ``expected_degree`` is
+    a finite number, ``weight_range`` two finite numbers on one side of 0,
+    and ``noise`` holds one parameter or one per node.
+    ``graph_model="sf"`` is accepted for s5 and custom only; s1..s4 keep
+    their fixed layouts.
     """
 
     id: str
@@ -127,6 +128,12 @@ class ScenarioSpec:
             raise ValueError("replications must be positive")
         if not sizes or any(n < 1 for n in sizes):
             raise ValueError("sample_sizes must be positive")
+        # a repeat would rerun the same seeds and pool them as new draws
+        for name, values in (("sample_sizes", sizes),
+                             ("methods", tuple(self.methods))):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat an entry, got "
+                                 f"{list(values)!r}")
         expected = _PRESETS.get(self.id)
         if expected is not None:
             if self.p != expected["p"] or self.expected_degree != expected["expected_degree"]:

@@ -29,21 +29,26 @@ The feature mask ``g`` shrinks monotonically: once the iterate is nearly
 acyclic, features whose pruned-graph effect falls below
 ``selection_tolerance * delta_star`` are deactivated (rows and columns
 clamped to zero) provided the relevance constraint does not materially
-degrade.  The outcome row is kept at zero by projection throughout.  Each
-inner minimization is L-BFGS with an Armijo backtracking line search over
-the free entries (as in NOTEARS, Zheng et al. 2018); a step is taken only
-when it lowers the objective, so no inner solve ever increases it.  At
-the problem sizes here an iteration is bound by numpy call overhead, so
-the solve works on the flat vector of free entries and takes each
-direction from the inner products of its stored vectors (``_two_loop``)
-in a few dense calls.  A solve stops once a step lowers the objective by
-less than ``_FTOL`` relative (SciPy L-BFGS-B's test), instead of crawling
-to the rounding floor.  Every ``diagnostics`` row records why its solve
-stopped and how many objective evaluations it spent, and the engine
-evaluates the objective nowhere else except after a deactivation; its
-``f`` is in data units, its ``objective_start`` and ``objective_end`` in
-the rescaled units.  Once every unmet constraint's penalty is capped, a
-fit ends after three dual steps without progress, unconverged.
+degrade.  The rule runs after each solve and, on a warm start that already
+passes the ``h1`` gate, once before the first solve, so that solve runs
+only on the surviving features; those drops are recorded in step 0's
+``dropped``, and step 0 converges only if its solve meets both tolerances
+and its post-solve selection drops nothing.  The outcome row is kept at
+zero by projection throughout.  Each inner minimization is L-BFGS with an
+Armijo backtracking line search over the free entries (as in NOTEARS, Zheng
+et al. 2018); a step is taken only when it lowers the objective, so no
+inner solve ever increases it.  At the problem sizes here an iteration is
+bound by numpy call overhead, so the solve works on the flat vector of free
+entries and takes each direction from the inner products of its stored
+vectors (``_two_loop``) in a few dense calls.  A solve stops once a step
+lowers the objective by less than ``_FTOL`` relative (SciPy L-BFGS-B's
+test), instead of crawling to the rounding floor.  Every ``diagnostics``
+row records why its solve stopped and how many objective evaluations it
+spent, and the engine evaluates the objective nowhere else except after a
+deactivation; its ``f`` is in data units, its ``objective_start`` and
+``objective_end`` in the rescaled units.  Once every unmet constraint's
+penalty is capped, a fit ends after three dual steps without progress,
+unconverged.
 """
 
 import math
@@ -642,6 +647,15 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
 
     for step in range(config.max_dual_steps):
         t = _auto_t(w)
+        dropped = []
+        # a warm start that is already nearly acyclic gets the selection rule
+        # before its first solve, so that solve runs only on the survivors;
+        # the zero start has no effects to select on
+        if (step == 0 and relevance and init is not None
+                and _h1(w, t, np.eye(dim))[0] <= SELECTION_H1_GATE):
+            dropped = _selection_update(w, active, outcome, config,
+                                        delta_star_value)
+            w = w * _free_mask(active, outcome)
         objective = _Objective(gram, outcome, active, t, lam1, c, relevance,
                                lam2, d_pen, config.effect_kind,
                                delta_star_value)
@@ -650,11 +664,12 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
             _FTOL)
         h1v, h2v = solve.h1, solve.h2
 
-        dropped = []
+        late = []  # the drops after this step's solve
         if relevance and h1v <= SELECTION_H1_GATE:
-            dropped = _selection_update(w, active, outcome, config,
-                                        delta_star_value)
-            if dropped:
+            late = _selection_update(w, active, outcome, config,
+                                     delta_star_value)
+            if late:
+                dropped += late
                 w = w * _free_mask(active, outcome)
                 objective = _Objective(gram, outcome, active, t, lam1, c,
                                        relevance, lam2, d_pen,
@@ -678,7 +693,7 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
         # lambda2 and d untouched
         ok1 = h1v <= _H1_TOL
         ok2 = abs(h2v) <= _H2_TOL
-        if ok1 and ok2 and not dropped:
+        if ok1 and ok2 and not late:
             converged = True
             break
 
@@ -726,11 +741,26 @@ def fit(data: Dataset, config: FitConfig = FitConfig(),
     """Joint structure learning and feature selection.
 
     ``warm_start``, a selection-free fit of the same data, sets the starting
-    point and multipliers of the constrained run.  When ``config.delta_star``
-    is None the reference score is the effect mass of that fit's pruned
-    graph, and without ``warm_start`` the fit is computed here with
-    ``fit_baseline``.  The score is then frozen for the constrained run.
+    point and multipliers of the constrained run; a fit of data with another
+    ``dim``, ``outcome_index`` or ``labels`` is a ``ValueError``.  When the
+    warm start is nearly acyclic, the selection rule runs on it before the
+    first solve, and its drops are recorded in step 0's ``dropped``.  When
+    ``config.delta_star`` is None the reference score is the effect mass of
+    that fit's pruned graph, and without ``warm_start`` the fit is computed
+    here with ``fit_baseline`` and serves as the warm start.  The score is
+    then frozen for the constrained run.  Given ``delta_star`` and no
+    ``warm_start``, the run starts from the empty graph, where nothing is
+    selected before the first solve.
     """
+    if warm_start is not None:
+        raw = warm_start.raw_graph
+        for name, theirs, ours in (
+                ("dim", raw.dim, data.dim),
+                ("outcome_index", raw.outcome_index, data.outcome_index),
+                ("labels", raw.labels, data.labels)):
+            if theirs != ours:
+                raise ValueError(f"warm_start does not match the data: its "
+                                 f"{name} is {theirs!r}, the data's {ours!r}")
     if warm_start is None and config.delta_star is None:
         warm_start = fit_baseline(data, config)
     dstar = config.delta_star

@@ -211,6 +211,15 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="p must"):
             scenario("custom", p=6.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("sample_sizes", (30, 30)), ("sample_sizes", (30, np.int64(30))),
+        ("methods", ("baseline", "baseline")),
+    ])
+    def test_repeated_entries_are_rejected(self, field, value):
+        # a repeat would rerun the same seeds and count them as new draws
+        with pytest.raises(ValueError, match=field):
+            scenario("s1", **{field: value})
+
     def test_numpy_integers_are_accepted(self):
         spec = scenario("custom", p=np.int64(6), replications=np.int32(2),
                         sample_sizes=(np.int64(30),), seed_base=np.uint8(4))

@@ -267,6 +267,8 @@ class TestExitCodes:
         ({"id": "s1", "noise": {"kind": "gaussian", "p": 0.3}}, "noise keys"),
         ({"id": "s1", "link": 5}, "link"),
         ({"id": ["s1"]}, "'id'"),
+        ({"id": "s1", "sample_sizes": [30, 30]}, "sample_sizes"),
+        ({"id": "s1", "methods": ["baseline", "baseline"]}, "methods"),
     ])
     def test_malformed_bench_spec_is_a_validation_error(self, tmp_path, capsys,
                                                         doc, message):

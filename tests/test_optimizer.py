@@ -3,14 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
-from nscausal.bench import nscg, scenario, scenario_truth
+from nscausal.bench import nscg, scenario, scenario_data, scenario_truth
 from nscausal.effects import delta_star
 from nscausal.graph import WeightedDag, graph_metrics, is_acyclic, prune
 from nscausal.optimizer import (_FTOL, _LBFGS_MEMORY, DIAGNOSTIC_FIELDS,
                                 FitConfig, _lbfgs_minimize, _Objective,
-                                _two_loop, acyclicity_gradient,
-                                acyclicity_value, fit, fit_baseline,
-                                least_squares_loss, relevance_constraint)
+                                _selection_update, _two_loop,
+                                acyclicity_gradient, acyclicity_value, fit,
+                                fit_baseline, least_squares_loss,
+                                relevance_constraint)
 from nscausal.scm import (BernoulliNoise, Dataset, GaussianNoise, SemSpec,
                           sample_linear, shift_nonnegative)
 
@@ -462,6 +463,67 @@ class TestFit:
         assert anchored.diagnostics == explicit.diagnostics
         assert anchored.converged == explicit.converged
 
+    @staticmethod
+    def record_solve_columns(monkeypatch):
+        """Record the active columns of every inner solve of the fits run."""
+        import nscausal.optimizer as optimizer
+
+        columns = []
+
+        def recording(w0, objective, *args):
+            columns.append(objective.cols.tolist())
+            return _lbfgs_minimize(w0, objective, *args)
+
+        monkeypatch.setattr(optimizer, "_lbfgs_minimize", recording)
+        return columns
+
+    @pytest.mark.parametrize("spec_id,n", [("s1", 100), ("s4", 1000)])
+    def test_warm_start_is_selected_before_the_first_solve(
+            self, monkeypatch, spec_id, n):
+        _, data = scenario_data(scenario(spec_id), n, 300)
+        base = fit_baseline(data)
+        columns = self.record_solve_columns(monkeypatch)
+        result = fit(data, warm_start=base)
+        # the engine's own rule, applied to the warm start itself
+        active = np.ones(data.dim, dtype=bool)
+        dropped = _selection_update(base.raw_graph.weights, active,
+                                    data.outcome_index, result.config,
+                                    result.delta_star_used)
+        assert dropped
+        first = result.diagnostics[0]
+        assert first["dropped"] == tuple(dropped)
+        assert first["n_active"] == data.dim - 1 - len(dropped)
+        assert columns[0] == np.flatnonzero(active).tolist()
+
+    def test_fit_without_warm_start_solves_first_on_every_feature(
+            self, monkeypatch):
+        _, _, data = s1_replication(300)
+        base = fit_baseline(data)
+        dstar = delta_star(data, lambda _: base.graph, "te")
+        columns = self.record_solve_columns(monkeypatch)
+        fit(data, FitConfig(delta_star=dstar))
+        assert columns[0] == list(range(data.dim))
+
+    @pytest.mark.parametrize("field", ["dim", "outcome_index", "labels"])
+    def test_warm_start_from_other_data_is_rejected(self, monkeypatch, field):
+        import nscausal.optimizer as optimizer
+
+        values = np.random.default_rng(0).normal(size=(40, 5))
+        labels = ("z0", "z1", "z2", "z3", "y")
+        data = Dataset(values, labels, 4)
+        other = {"dim": Dataset(values[:, 1:], labels[1:], 3),
+                 "outcome_index": Dataset(values, labels, 2),
+                 "labels": Dataset(values, ("v",) + labels[1:], 4)}[field]
+        base = fit_baseline(other)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("fit ran before checking its warm start")
+
+        monkeypatch.setattr(optimizer, "_engine", no_work)
+        for config in (FitConfig(), FitConfig(delta_star=1.0)):
+            with pytest.raises(ValueError, match=f"its {field} is"):
+                fit(data, config, warm_start=base)
+
     def test_inner_solves_never_increase_the_objective(self):
         _, _, data = s1_replication(1)
         result = fit(data, FitConfig(effect_kind="te"))
@@ -491,14 +553,22 @@ class TestFit:
 
 
 class TestUnmeetableRelevance:
-    # independent noise: the baseline keeps one noise edge into the outcome,
-    # so delta* > 0, but the selective fit drops both features at its first
-    # step and can never meet the relevance constraint
+    # independent noise: the baseline keeps one noise edge z1 -> y, so
+    # delta* > 0.  Started from zero, the selective fit drops both features
+    # at its first step and can never meet the relevance constraint; started
+    # from the baseline, the rule keeps z1 before the first solve and the fit
+    # meets the constraint through that edge.
     @staticmethod
-    def unmeetable_fit():
+    def data_and_baseline():
         values = np.random.default_rng(6).normal(size=(50, 3))
         data = Dataset(values, ("z0", "z1", "y"), 2)
-        return fit(data, warm_start=fit_baseline(data))
+        return data, fit_baseline(data)
+
+    @classmethod
+    def unmeetable_fit(cls):
+        data, base = cls.data_and_baseline()
+        dstar = delta_star(data, lambda _: base.graph, "te")
+        return fit(data, FitConfig(delta_star=dstar))
 
     def test_stalled_fit_stops_early_and_unconverged(self):
         result = self.unmeetable_fit()
@@ -516,6 +586,17 @@ class TestUnmeetableRelevance:
             assert entry["inner_iterations"] == 0
             assert entry["evaluations"] == 1
         assert not result.raw_graph.weights.any()
+
+    def test_warm_start_keeps_the_noise_edge_and_converges(self):
+        data, base = self.data_and_baseline()
+        result = fit(data, warm_start=base)
+        assert result.delta_star_used == self.unmeetable_fit().delta_star_used
+        first = result.diagnostics[0]
+        assert (first["dropped"], first["n_active"]) == ((0,), 1)
+        assert result.converged
+        assert result.selected.tolist() == [False, True]
+        assert result.graph.weights[1, 2] != 0.0
+        assert len(result.diagnostics) < 10
 
 
 class TestUnits:
