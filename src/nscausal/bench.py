@@ -25,10 +25,13 @@ are drawn on the second from the SEM of ``spec.link`` and ``spec.noise``,
 and the outcome column is shifted to be nonnegative.  Replication ``r`` of a
 spec uses seed ``seed_base + r``.
 
-Methods: ``nscsl-te`` and ``nscsl-de`` run the selective learner with total
-or direct effects; ``baseline`` is the selection-free fit.  Selective
-methods are scored against the necessary-and-sufficient subgraph of the
-truth; the baseline is scored against both that target and the full truth.
+Methods (``METHODS``, which the command line reads too): ``nscsl-te`` and
+``nscsl-de`` run the selective learner with total or direct effects;
+``baseline`` is the selection-free fit.  Selective methods are scored
+against the necessary-and-sufficient subgraph of the truth; the baseline is
+scored against both that target and the full truth.  :func:`score` builds
+the ``fdr``/``tpr``/``shd`` part of every row, and of ``nscausal eval``'s
+table.
 """
 
 import os
@@ -38,14 +41,15 @@ from itertools import product, repeat
 
 import numpy as np
 
-from .graph import (WeightedDag, _validate_weight_range, ancestors_of,
-                    graph_metrics, is_finite_number, is_integer, random_er,
-                    random_sf)
+from .graph import (WeightedDag, ancestors_of, graph_metrics,
+                    is_finite_number, is_integer, random_er, random_sf,
+                    validate_weight_range)
 from .optimizer import FitConfig, fit, fit_baseline
 from .scm import (LINKS, BernoulliNoise, GaussianNoise, SemSpec,
                   sample_linear, sample_nonlinear, shift_nonnegative)
 
-METHODS = ("nscsl-te", "nscsl-de", "baseline")
+# each method and the effect kind of its selective fit (None: the baseline)
+METHODS = {"nscsl-te": "te", "nscsl-de": "de", "baseline": None}
 SCENARIO_IDS = ("s1", "s2", "s3", "s4", "s5", "custom")
 
 _PRESETS = {
@@ -115,7 +119,8 @@ class ScenarioSpec:
             raise ValueError("methods list must not be empty")
         for m in self.methods:
             if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+                raise ValueError(f"unknown method {m!r}; choose from "
+                                 f"{tuple(METHODS)}")
         sizes = tuple(self.sample_sizes)
         for name, value in ([("p", self.p), ("replications", self.replications),
                              ("seed_base", self.seed_base)]
@@ -143,7 +148,7 @@ class ScenarioSpec:
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in sizes))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "weight_range",
-                           _validate_weight_range(self.weight_range))
+                           validate_weight_range(self.weight_range))
         self.noise.validate(self.p)
 
 
@@ -232,16 +237,10 @@ def scenario_data(spec: ScenarioSpec, n: int, seed) -> tuple:
     return truth, shift_nonnegative(sampler(sem, n, seed=data_ss))
 
 
-def _score(estimated: WeightedDag, target: WeightedDag) -> dict:
+def score(estimated: WeightedDag, target: WeightedDag) -> dict:
+    """The ``fdr``, ``tpr`` and ``shd`` of ``estimated`` against ``target``."""
     m = graph_metrics(estimated, target)
     return {"fdr": m.fdr, "tpr": m.tpr, "shd": float(m.shd)}
-
-
-def _failure_row(scenario_id, method, target, n, r, seed, message) -> dict:
-    return {"scenario": scenario_id, "method": method, "target": target,
-            "n": n, "replication": r, "seed": seed,
-            "fdr": float("nan"), "tpr": float("nan"), "shd": float("nan"),
-            "runtime_s": float("nan"), "failed": 1, "error": message}
 
 
 def capped_solves(result) -> int:
@@ -255,16 +254,21 @@ def _replication_rows(spec: ScenarioSpec, config: FitConfig, n: int, r: int) -> 
     truth, data = scenario_data(spec, n, seed)
     target = nscg(truth)
 
-    def row(method, tgt_name, fitted, runtime):
+    def row(method, fitted=None, runtime=float("nan"), error="",
+            tgt_name="nscg"):
+        """The row of ``fitted``, or of a failed fit when it is None."""
+        nan = float("nan")
         out = {"scenario": spec.id, "method": method, "target": tgt_name,
-               "n": n, "replication": r, "seed": seed,
-               "runtime_s": runtime, "failed": 0, "error": "",
-               "converged": int(fitted.converged),
-               "dual_steps": len(fitted.diagnostics),
-               "inner_iterations": sum(d["inner_iterations"]
-                                       for d in fitted.diagnostics),
-               "capped_solves": capped_solves(fitted)}
-        out.update(_score(fitted.graph, target if tgt_name == "nscg" else truth))
+               "n": n, "replication": r, "seed": seed, "fdr": nan, "tpr": nan,
+               "shd": nan, "runtime_s": runtime, "failed": int(fitted is None),
+               "error": error}
+        if fitted is not None:
+            out.update(score(fitted.graph, target if tgt_name == "nscg" else truth),
+                       converged=int(fitted.converged),
+                       dual_steps=len(fitted.diagnostics),
+                       inner_iterations=sum(d["inner_iterations"]
+                                            for d in fitted.diagnostics),
+                       capped_solves=capped_solves(fitted))
         return out
 
     try:
@@ -272,23 +276,22 @@ def _replication_rows(spec: ScenarioSpec, config: FitConfig, n: int, r: int) -> 
         base = fit_baseline(data, config)
         base_time = time.perf_counter() - start
     except Exception as exc:  # noqa: BLE001 - batch keeps going, row records it
-        return [_failure_row(spec.id, m, "nscg", n, r, seed, str(exc))
-                for m in spec.methods]
+        return [row(m, error=str(exc)) for m in spec.methods]
 
     rows = []
     for method in spec.methods:
-        if method == "baseline":
-            rows.append(row(method, "nscg", base, base_time))
-            rows.append(row(method, "full", base, base_time))
+        kind = METHODS[method]
+        if kind is None:
+            rows.append(row(method, base, base_time))
+            rows.append(row(method, base, base_time, tgt_name="full"))
             continue
-        kind = "te" if method == "nscsl-te" else "de"
         try:
             start = time.perf_counter()
             result = fit(data, replace(config, effect_kind=kind), warm_start=base)
             elapsed = time.perf_counter() - start
-            rows.append(row(method, "nscg", result, base_time + elapsed))
+            rows.append(row(method, result, base_time + elapsed))
         except Exception as exc:  # noqa: BLE001
-            rows.append(_failure_row(spec.id, method, "nscg", n, r, seed, str(exc)))
+            rows.append(row(method, error=str(exc)))
     return rows
 
 
@@ -310,8 +313,10 @@ class BenchReport:
     summary: tuple
 
 
-def summarize(rows, scenario_id: str = "") -> tuple:
+def summarize(rows) -> tuple:
     """Aggregate raw rows into mean/standard-error summary rows.
+
+    Each summary row takes its scenario from the raw rows it aggregates.
 
     The standard error is the sample standard deviation over replications
     divided by sqrt(count).  Failed replications are counted and excluded
@@ -328,7 +333,7 @@ def summarize(rows, scenario_id: str = "") -> tuple:
     for method, target, n in sorted(groups):
         bucket = groups[(method, target, n)]
         good = [b for b in bucket if not int(b["failed"])]
-        entry = {"scenario": scenario_id or bucket[0]["scenario"],
+        entry = {"scenario": bucket[0]["scenario"],
                  "method": method, "target": target, "n": n,
                  "replications": len(bucket), "failures": len(bucket) - len(good),
                  "nonconverged": sum(not int(b["converged"]) for b in good),
@@ -375,7 +380,7 @@ def run_scenario(spec: ScenarioSpec, fit_config: FitConfig | None = None,
     else:
         chunks = list(map(_replication_rows, *tasks))
     rows = tuple(row for chunk in chunks for row in chunk)
-    return BenchReport(spec, rows, summarize(rows, spec.id))
+    return BenchReport(spec, rows, summarize(rows))
 
 
 def spec_from_dict(doc: dict) -> ScenarioSpec:

@@ -10,20 +10,16 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, io
-from .bench import (RAW_FIELDS, SUMMARY_FIELDS, capped_solves, nscg,
-                    run_scenario, scenario_data, spec_from_dict)
+from .bench import (METHODS, RAW_FIELDS, SUMMARY_FIELDS, capped_solves, nscg,
+                    run_scenario, scenario_data, score, spec_from_dict)
 from .effects import EFFECT_FIELDS, effect_rows
-from .graph import EdgeSet, metrics
+from .graph import prune
 from .optimizer import FitConfig, fit, fit_baseline
-
-
-class _ValidationError(ValueError):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _ValidationError(message)
+        raise ValueError(message)
 
 
 def _log(message):
@@ -46,11 +42,11 @@ def _load_fit_config(args) -> FitConfig:
             doc = json.load(fh)
         overrides = doc.get("fit", {}) if isinstance(doc, dict) else None
         if not isinstance(overrides, dict):
-            raise _ValidationError(
+            raise ValueError(
                 "config must be a JSON object whose 'fit' section is an object")
         unknown = set(overrides) - set(FitConfig.__dataclass_fields__)
         if unknown:
-            raise _ValidationError(f"unknown fit config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown fit config keys: {sorted(unknown)}")
     return FitConfig(**overrides)
 
 
@@ -82,10 +78,10 @@ def cmd_simulate(args):
 def cmd_fit(args):
     data = io.load_csv(args.data, args.outcome)
     config = _load_fit_config(args)
-    if args.method == "baseline":
+    kind = METHODS[args.method]
+    if kind is None:
         result = fit_baseline(data, config)
     else:
-        kind = "te" if args.method == "nscsl-te" else "de"
         result = fit(data, replace(config, effect_kind=kind))
     io.write_fit_dir(result, args.out,
                      _meta(args, {"data": args.data, "outcome": str(args.outcome),
@@ -102,10 +98,8 @@ def cmd_fit(args):
 def cmd_eval(args):
     estimated = io.read_graph_csv(args.estimated)
     truth = io.read_graph_csv(args.truth)
-    m = metrics(EdgeSet.from_dag(estimated, args.threshold),
-                EdgeSet.from_dag(truth))
-    rows = [{"fdr": m.fdr, "tpr": m.tpr, "shd": float(m.shd)}]
-    io.write_rows_csv(rows, ("fdr", "tpr", "shd"), args.out or None)
+    row = score(prune(estimated, args.threshold), truth)
+    io.write_rows_csv([row], tuple(row), args.out or None)
     if args.out:
         io.write_json(_meta(args, {"estimated": args.estimated,
                                    "truth": args.truth,
@@ -162,8 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--data", required=True)
     fit_p.add_argument("--outcome", required=True,
                        help="outcome column label or index")
-    fit_p.add_argument("--method", choices=("nscsl-te", "nscsl-de", "baseline"),
-                       default="nscsl-te")
+    fit_p.add_argument("--method", choices=tuple(METHODS), default="nscsl-te")
     fit_p.add_argument("--out", required=True)
     fit_p.add_argument("--config", help="JSON file with a 'fit' section")
     fit_p.set_defaults(func=cmd_fit)
@@ -198,7 +191,7 @@ def main(argv=None) -> int:
         return 0
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (_ValidationError, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         _log(f"error: {exc}")
         return 1
     except Exception as exc:  # noqa: BLE001 - runtime failures exit 2

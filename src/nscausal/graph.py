@@ -159,7 +159,8 @@ def prune(g: WeightedDag, threshold: float) -> WeightedDag:
     return WeightedDag(kept, g.labels, g.outcome_index)
 
 
-def _validate_weight_range(weight_range) -> tuple[float, float]:
+def validate_weight_range(weight_range) -> tuple[float, float]:
+    """``weight_range`` as an ordered pair of finite floats excluding 0."""
     try:
         lo, hi = weight_range
     except (TypeError, ValueError):
@@ -191,7 +192,7 @@ def random_er(num_nodes: int, expected_degree: float, weight_range=DEFAULT_WEIGH
     if expected_degree >= num_nodes:
         raise ValueError(
             f"expected_degree {expected_degree} too large for {num_nodes} nodes")
-    lo, hi = _validate_weight_range(weight_range)
+    lo, hi = validate_weight_range(weight_range)
     rng = np.random.default_rng(seed)
     order = np.concatenate([rng.permutation(num_nodes - 1), [num_nodes - 1]])
     prob = min(1.0, expected_degree / (num_nodes - 1))
@@ -221,7 +222,7 @@ def random_sf(num_nodes: int, attachment_degree: int, weight_range=DEFAULT_WEIGH
     if m >= num_nodes:
         raise ValueError(
             f"attachment_degree {m} too large for {num_nodes} nodes")
-    lo, hi = _validate_weight_range(weight_range)
+    lo, hi = validate_weight_range(weight_range)
     rng = np.random.default_rng(seed)
     weights = np.zeros((num_nodes, num_nodes))
     # one list entry per edge endpoint: sampling from it is degree-weighted

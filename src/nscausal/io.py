@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -39,37 +40,27 @@ def write_graph_csv(g: WeightedDag, path):
     _write_matrix_csv(g.labels, g.weights, path)
 
 
-def read_graph_csv(path, outcome_index: int = -1) -> WeightedDag:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: empty graph file")
-    labels = tuple(rows[0])
-    dim = len(labels)
-    if len(rows) != dim + 1:
-        raise ValueError(f"{path}: expected {dim} weight rows, found {len(rows) - 1}")
-    weights = np.array([[float(x) for x in row] for row in rows[1:]])
-    return WeightedDag(weights, labels, outcome_index)
+def _csv_rows(path) -> list:
+    """The rows of the CSV file at ``path`` that hold a non-blank cell."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{path}: not a readable CSV file: {exc}") from None
+    return [row for row in rows if any(cell.strip() for cell in row)]
 
 
-def write_dataset_csv(data: Dataset, path):
-    _write_matrix_csv(data.labels, data.values, path)
+def _read_matrix_csv(path) -> tuple:
+    """``(labels, values)`` of a file with a header row over a numeric matrix.
 
-
-def load_csv(path, outcome) -> Dataset:
-    """Load a numeric CSV with a header row and move the outcome column last.
-
-    ``outcome`` is a column label or an integer index (labels win when both
-    readings are possible).  Blank or non-numeric cells are reported with
-    their row number and column label.
+    Blank rows are skipped and labels stripped.  An empty file, duplicate
+    labels, a row of the wrong length and a blank, non-numeric or
+    non-finite cell are errors that name the file, and the row number and
+    column label where there is one.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need a header row and at least one observation")
+    rows = _csv_rows(path)
+    if not rows:
+        raise ValueError(f"{path}: empty file")
     labels = [cell.strip() for cell in rows[0]]
     if len(set(labels)) != len(labels):
         dupes = sorted({x for x in labels if labels.count(x) > 1})
@@ -86,6 +77,38 @@ def load_csv(path, outcome) -> Dataset:
                 raise ValueError(
                     f"{path}: non-numeric cell at row {r}, column {labels[c]!r}: "
                     f"{cell!r}") from None
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        r, c = bad[0]
+        raise ValueError(f"{path}: non-finite cell at row {r + 2}, column "
+                         f"{labels[c]!r}: {rows[r + 1][c]!r}")
+    return labels, values
+
+
+def read_graph_csv(path, outcome_index: int = -1) -> WeightedDag:
+    """The graph that ``write_graph_csv`` wrote to ``path``."""
+    labels, weights = _read_matrix_csv(path)
+    if len(weights) != len(labels):
+        raise ValueError(f"{path}: expected {len(labels)} weight rows, "
+                         f"found {len(weights)}")
+    return WeightedDag(weights, tuple(labels), outcome_index)
+
+
+def write_dataset_csv(data: Dataset, path):
+    _write_matrix_csv(data.labels, data.values, path)
+
+
+def load_csv(path, outcome) -> Dataset:
+    """Load a numeric CSV with a header row and move the outcome column last.
+
+    ``outcome`` is a column label or an integer index (labels win when both
+    readings are possible).  Malformed files are reported as
+    ``_read_matrix_csv`` describes.
+    """
+    labels, values = _read_matrix_csv(path)
+    columns = len(labels)
+    if len(values) == 0:
+        raise ValueError(f"{path}: need a header row and at least one observation")
     if outcome in labels:
         idx = labels.index(outcome)
     else:
@@ -101,18 +124,19 @@ def load_csv(path, outcome) -> Dataset:
     return Dataset(values[:, order], tuple(labels[c] for c in order), columns - 1)
 
 
-def write_fit_dir(result, outdir, meta: dict | None = None):
-    """Persist a fit: graph.csv, raw_graph.csv, selected.csv, diagnostics.csv,
-    meta.json."""
-    import os
+def _feature_labels(g: WeightedDag) -> list:
+    return [label for i, label in enumerate(g.labels) if i != g.outcome_index]
 
+
+def write_fit_dir(result, outdir, meta: dict):
+    """Persist a fit: graph.csv, raw_graph.csv, selected.csv, diagnostics.csv,
+    meta.json (with ``meta``'s keys added)."""
     os.makedirs(outdir, exist_ok=True)
     write_graph_csv(result.graph, os.path.join(outdir, "graph.csv"))
     write_graph_csv(result.raw_graph, os.path.join(outdir, "raw_graph.csv"))
-    labels, outcome = result.graph.labels, result.graph.outcome_index
-    features = [label for i, label in enumerate(labels) if i != outcome]
     write_rows_csv([{"label": label, "selected": int(mask)}
-                    for label, mask in zip(features, result.selected)],
+                    for label, mask in zip(_feature_labels(result.graph),
+                                           result.selected)],
                    ("label", "selected"), os.path.join(outdir, "selected.csv"))
     write_rows_csv([{**entry, "dropped": ";".join(map(str, entry["dropped"]))}
                     for entry in result.diagnostics],
@@ -121,22 +145,28 @@ def write_fit_dir(result, outdir, meta: dict | None = None):
         "delta_star": result.delta_star_used,
         "converged": result.converged,
         "config": asdict(result.config),
+        **meta,
     }
-    if meta:
-        payload.update(meta)
     write_json(payload, os.path.join(outdir, "meta.json"))
 
 
 def read_fit_dir(outdir) -> tuple:
-    """The pruned graph and the selected-feature mask of a persisted fit."""
-    import os
+    """The pruned graph and the selected-feature mask of a persisted fit.
 
+    ``selected.csv`` must hold the header ``label,selected`` and then, for
+    each feature of the graph in order, its label and a 0 or 1.
+    """
     graph = read_graph_csv(os.path.join(outdir, "graph.csv"))
-    with open(os.path.join(outdir, "selected.csv"), newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        selected = np.array([bool(int(row[1])) for row in reader if row])
-    return graph, selected
+    path = os.path.join(outdir, "selected.csv")
+    rows = _csv_rows(path)
+    features = _feature_labels(graph)
+    if (rows[:1] != [["label", "selected"]]
+            or [row[0] for row in rows[1:]] != features
+            or any(row[1:] not in (["0"], ["1"]) for row in rows[1:])):
+        raise ValueError(f"{path}: expected the header label,selected and a "
+                         f"0 or 1 for each feature of the graph, {features}, "
+                         "in order")
+    return graph, np.array([row[1] == "1" for row in rows[1:]], dtype=bool)
 
 
 def write_json(payload: dict, path):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedDag, topological_order
+from .graph import WeightedDag, default_labels, topological_order
 
 DEFAULT_MEMBER_CAP = 10_000
 # A true CPDAG never dead-ends in the search, but a hand-built ``Cpdag`` that
@@ -41,7 +41,7 @@ class Cpdag:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        labels = self.labels or tuple(f"z{i}" for i in range(self.dim - 1)) + ("y",)
+        labels = self.labels or default_labels(self.dim)
         if len(labels) != self.dim:
             raise ValueError(f"expected {self.dim} labels")
         undirected = frozenset(tuple(sorted(e)) for e in self.undirected)

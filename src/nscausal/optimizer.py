@@ -23,7 +23,9 @@ et al. 2018) and lives in module constants, not in ``FitConfig``:
 * ``h2(B; g) = delta_star - sum_i |CE_i(B)| + sum_j |B[outcome, j]|``
   compares the absolute causal-effect mass of the active features against
   the all-features reference ``delta_star`` and penalizes edges out of the
-  outcome.  ``CE`` is the total or the direct effect, per configuration.
+  outcome.  ``CE`` is the total or the direct effect, per configuration;
+  ``_effect_parts`` is the one place that picks it, for ``h2`` and for the
+  selection rule alike.
 
 The feature mask ``g`` shrinks monotonically: once the iterate is nearly
 acyclic, features whose pruned-graph effect falls below
@@ -31,12 +33,13 @@ acyclic, features whose pruned-graph effect falls below
 clamped to zero) provided the relevance constraint does not materially
 degrade.  The rule runs after each solve and, on a warm start that already
 passes the ``h1`` gate, once before the first solve, so that solve runs
-only on the surviving features; those drops are recorded in step 0's
-``dropped``, and step 0 converges only if its solve meets both tolerances
-and its post-solve selection drops nothing.  The outcome row is kept at
-zero by projection throughout.  Each inner minimization is L-BFGS with an
-Armijo backtracking line search over the free entries (as in NOTEARS, Zheng
-et al. 2018); a step is taken only when it lowers the objective, so no
+only on the surviving features; both go through one step of ``_engine``
+that masks the iterate when a feature went.  Drops before the first solve
+are recorded in step 0's ``dropped``, and step 0 converges only if its
+solve meets both tolerances and its post-solve selection drops nothing.
+The outcome row is kept at zero by projection throughout.  Each inner
+minimization is L-BFGS with an Armijo backtracking line search over the
+free entries (as in NOTEARS, Zheng et al. 2018); a step is taken only when it lowers the objective, so no
 inner solve ever increases it.  At the problem sizes here an iteration is
 bound by numpy call overhead, so the solve works on the flat vector of free
 entries and takes each direction from the inner products of its stored
@@ -116,7 +119,7 @@ class FitConfig:
     delta_star: float | None = None
 
     def __post_init__(self):
-        if self.effect_kind not in ("te", "de"):
+        if self.effect_kind not in _effects.EFFECT_KINDS:
             raise ValueError("effect_kind must be 'te' or 'de'")
         for name in ("prune_threshold", "selection_tolerance", "delta_star"):
             value = getattr(self, name)
@@ -214,20 +217,16 @@ def _resolvent_is_safe(w: np.ndarray) -> bool:
     """
     dim = w.shape[0]
     norm = np.abs(_matpow(w, dim)).sum(axis=1).max()
-    if norm == 0.0:
-        return True
     return norm ** (1.0 / dim) < 0.99
 
 
-def _te_parts(w: np.ndarray, outcome: int, eye: np.ndarray | None = None):
+def _te_parts(w: np.ndarray, outcome: int, eye: np.ndarray):
     """Total-effect vector plus the factor needed for its Jacobian.
 
     Resolvent form when the series provably converges, otherwise the
     truncated series ``sum_{k<=dim-1} B^k`` (identical on acyclic patterns).
     """
     dim = w.shape[0]
-    if eye is None:
-        eye = np.eye(dim)
     if _resolvent_is_safe(w):
         try:
             m = np.linalg.inv(eye - w)
@@ -267,21 +266,27 @@ def _te_jacobian(cache, signs: np.ndarray, outcome: int) -> np.ndarray:
     return jac
 
 
+def _effect_parts(w: np.ndarray, outcome: int, kind: str, eye: np.ndarray):
+    """Effect vector ``CE`` of every node on the outcome, plus the total-effect
+    Jacobian factor (None for the direct effect, whose Jacobian is a
+    column selection)."""
+    if kind == "de":
+        return w[:, outcome], None
+    return _te_parts(w, outcome, eye)
+
+
 def _h2(w: np.ndarray, outcome: int, feature_active: np.ndarray, kind: str,
         delta_star: float, eye: np.ndarray):
     """``delta_star - sum_active |CE_i| + sum_j |B[outcome, j]|`` and its
     subgradient, with CE the total (``te``) or direct (``de``) effect."""
-    row_abs = float(np.abs(w[outcome, :]).sum())
-    if kind == "de":
-        theta = w[:, outcome]
-        signs = np.where(feature_active, np.sign(theta), 0.0)
-        value = delta_star - float(np.abs(theta * signs).sum()) + row_abs
+    ce, cache = _effect_parts(w, outcome, kind, eye)
+    signs = np.where(feature_active, np.sign(ce), 0.0)
+    value = (delta_star - float(np.abs(ce * signs).sum())
+             + float(np.abs(w[outcome, :]).sum()))
+    if cache is None:
         grad = np.zeros_like(w)
         grad[:, outcome] = -signs
     else:
-        te, cache = _te_parts(w, outcome, eye)
-        signs = np.where(feature_active, np.sign(te), 0.0)
-        value = delta_star - float(np.abs(te * signs).sum()) + row_abs
         grad = -_te_jacobian(cache, signs, outcome)
     grad[outcome, :] += np.sign(w[outcome, :])
     return value, grad
@@ -342,20 +347,14 @@ def relevance_constraint(B: np.ndarray, mask: np.ndarray, effect_kind: str,
     where CE is the total effect (resolvent form, power-series fallback) or
     the direct effect.  The subgradient of ``|x|`` at 0 is taken to be 0.
     """
-    if effect_kind not in ("te", "de"):
+    if effect_kind not in _effects.EFFECT_KINDS:
         raise ValueError("effect_kind must be 'te' or 'de'")
     w = np.asarray(B, dtype=float)
     dim = w.shape[0]
     outcome = outcome_position(outcome_index, dim)
     feature_active = np.asarray(mask, dtype=bool).copy()
     feature_active[outcome] = False
-    try:
-        return _h2(w, outcome, feature_active, effect_kind, delta_star,
-                   np.eye(dim))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "I - B is numerically singular; use a smaller step size so the "
-            "iterate stays away from spectral radius 1") from exc
+    return _h2(w, outcome, feature_active, effect_kind, delta_star, np.eye(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -588,12 +587,9 @@ def _selection_update(w, active, outcome, config, delta_star):
     pruned = np.where(np.abs(w) > config.prune_threshold, w, 0.0)
     if topological_order(pruned) is None:
         return []
-    if config.effect_kind == "de":
-        ce = np.abs(pruned[:, outcome])
-        raw = np.abs(w[:, outcome])
-    else:
-        ce = np.abs(_te_parts(pruned, outcome)[0])
-        raw = np.abs(_te_parts(w, outcome)[0])
+    eye = np.eye(w.shape[0])
+    ce = np.abs(_effect_parts(pruned, outcome, config.effect_kind, eye)[0])
+    raw = np.abs(_effect_parts(w, outcome, config.effect_kind, eye)[0])
     cutoff = config.selection_tolerance * delta_star
     guard = max(cutoff, config.prune_threshold)
     candidates = [i for i in np.flatnonzero(active) if i != outcome
@@ -645,6 +641,16 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
     converged = False
     stall = 0
 
+    def select(w):
+        """Apply the selection rule to ``w``; mask it if a feature went."""
+        dropped = _selection_update(w, active, outcome, config,
+                                    delta_star_value)
+        return (w * _free_mask(active, outcome) if dropped else w), dropped
+
+    def objective_now():
+        return _Objective(gram, outcome, active, t, lam1, c, relevance, lam2,
+                          d_pen, config.effect_kind, delta_star_value)
+
     for step in range(config.max_dual_steps):
         t = _auto_t(w)
         dropped = []
@@ -653,12 +659,8 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
         # the zero start has no effects to select on
         if (step == 0 and relevance and init is not None
                 and _h1(w, t, np.eye(dim))[0] <= SELECTION_H1_GATE):
-            dropped = _selection_update(w, active, outcome, config,
-                                        delta_star_value)
-            w = w * _free_mask(active, outcome)
-        objective = _Objective(gram, outcome, active, t, lam1, c, relevance,
-                               lam2, d_pen, config.effect_kind,
-                               delta_star_value)
+            w, dropped = select(w)
+        objective = objective_now()
         w, obj_end, inner_iters, stop_reason, solve = _lbfgs_minimize(
             w, objective, _STEP_SIZE, config.max_inner_iter, _GRAD_TOL,
             _FTOL)
@@ -666,14 +668,10 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
 
         late = []  # the drops after this step's solve
         if relevance and h1v <= SELECTION_H1_GATE:
-            late = _selection_update(w, active, outcome, config,
-                                     delta_star_value)
+            w, late = select(w)
             if late:
                 dropped += late
-                w = w * _free_mask(active, outcome)
-                objective = _Objective(gram, outcome, active, t, lam1, c,
-                                       relevance, lam2, d_pen,
-                                       config.effect_kind, delta_star_value)
+                objective = objective_now()
                 _, _, _, h1v, h2v = objective(w)
 
         # ``f`` in data units, computed (not rescaled back) so that it equals

@@ -193,6 +193,17 @@ def _alternative_mixture(scm: DiscreteScm, joint: dict, i: int, z_i,
     return sorted((value, weight / total) for value, weight in mass.items())
 
 
+def _conditioning_rest(kind: str, z_minus_i):
+    """The rest values a ``kind`` probability conditions on: ``z_minus_i``
+    as a tuple for the conditional kind, which requires it, and None for the
+    marginal kind, which ignores it."""
+    if kind not in POC_KINDS:
+        raise ValueError(f"kind must be one of {POC_KINDS}")
+    if kind == "conditional" and z_minus_i is None:
+        raise ValueError("conditional kind requires z_minus_i")
+    return tuple(z_minus_i) if kind == "conditional" else None
+
+
 def _mixture_miss(scm: DiscreteScm, noise: tuple, i: int, mixture: list,
                   y, fixed: dict) -> float:
     """Mixture weight of the alternatives to ``Z_i`` that move ``Y`` off ``y``."""
@@ -211,13 +222,9 @@ def exact_poc(scm: DiscreteScm, i: int, z_i, y, kind: str = "marginal",
     for the conditional kind) and accumulates the joint probability of
     ``Y(Z_i != z_i) != y`` and ``Y(Z_i = z_i) = y``.
     """
-    if kind not in POC_KINDS:
-        raise ValueError(f"kind must be one of {POC_KINDS}")
+    rest = _conditioning_rest(kind, z_minus_i)
     if i == scm.outcome_index:
         raise ValueError("probability of causation is defined for features only")
-    if kind == "conditional" and z_minus_i is None:
-        raise ValueError("conditional kind requires z_minus_i")
-    rest = tuple(z_minus_i) if kind == "conditional" else None
     base = _rest_values(scm, i, rest)
     mixture = _alternative_mixture(scm, observational_joint(scm, cap), i, z_i,
                                    rest)
@@ -262,11 +269,7 @@ def poc_lower_bound(probabilities, i: int, z_i, y, kind: str = "marginal",
     complement-conditioned probability for ``equal=False``.  The bound is
     their difference.
     """
-    if kind not in POC_KINDS:
-        raise ValueError(f"kind must be one of {POC_KINDS}")
-    if kind == "conditional" and z_minus_i is None:
-        raise ValueError("conditional kind requires z_minus_i")
-    rest = tuple(z_minus_i) if kind == "conditional" else None
+    rest = _conditioning_rest(kind, z_minus_i)
     p_eq = probabilities.p_outcome(y, i, z_i, equal=True, z_minus_i=rest)
     p_ne = probabilities.p_outcome(y, i, z_i, equal=False, z_minus_i=rest)
     for p in (p_eq, p_ne):

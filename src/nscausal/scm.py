@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedDag, topological_order
+from .graph import WeightedDag, is_integer, topological_order
 
 
 def _per_node(value, dim: int, name: str) -> np.ndarray:
@@ -74,7 +74,11 @@ class SemSpec:
 
 @dataclass(frozen=True)
 class Dataset:
-    """n x (d+1) observation matrix with column labels and an outcome column."""
+    """n x (d+1) observation matrix with column labels and an outcome column.
+
+    ``outcome_index`` is a column index in ``range(d + 1)``: an integer
+    (numpy integers included, bools not).
+    """
 
     values: np.ndarray
     labels: tuple[str, ...]
@@ -88,6 +92,9 @@ class Dataset:
             raise ValueError("dataset contains non-finite entries")
         if len(self.labels) != v.shape[1]:
             raise ValueError("label count does not match column count")
+        if not is_integer(self.outcome_index):
+            raise ValueError("outcome_index must be an integer, got "
+                             f"{self.outcome_index!r}")
         if not (0 <= self.outcome_index < v.shape[1]):
             raise ValueError("outcome_index out of range")
         v = v.copy()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from nscausal.bench import (ScenarioSpec, nscg, run_scenario, scenario,
                             scenario_data, scenario_truth, spec_from_dict,
                             summarize)
-from nscausal.effects import delta_star, effect_rows
+from nscausal.effects import effect_rows
 from nscausal.graph import (WeightedDag, EdgeSet, enumerate_paths_to_outcome,
                             graph_metrics, is_acyclic)
 from nscausal.io import (load_csv, read_graph_csv, write_dataset_csv,
@@ -312,7 +312,7 @@ class TestRunScenario:
         write_rows_csv(report.rows, RAW_FIELDS, path)
         with open(path, newline="") as fh:
             loaded = list(csv.DictReader(fh))
-        again = summarize(loaded, spec.id)
+        again = summarize(loaded)
         assert again == report.summary
 
     def test_rows_carry_the_convergence_counts_of_their_fit(self):
@@ -320,13 +320,9 @@ class TestRunScenario:
                         methods=("nscsl-te", "baseline"), seed_base=5)
         rows = {(r["method"], r["target"]): r
                 for r in run_scenario(spec).rows}
-        graph_ss, data_ss = np.random.SeedSequence(5).spawn(2)
-        data = shift_nonnegative(sample_linear(
-            SemSpec(scenario_truth(spec, graph_ss), spec.noise), 60,
-            seed=data_ss))
+        _, data = scenario_data(spec, 60, 5)
         base = fit_baseline(data)
-        dstar = delta_star(data, lambda _: base.graph, "te")
-        selective = fit(data, FitConfig(delta_star=dstar), warm_start=base)
+        selective = fit(data, FitConfig(), warm_start=base)
         for key, result in ((("baseline", "nscg"), base),
                             (("baseline", "full"), base),
                             (("nscsl-te", "nscg"), selective)):

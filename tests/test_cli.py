@@ -287,6 +287,25 @@ class TestExitCodes:
         assert "scale-free" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("selected", [
+        "label,selected\nz0,1\nz1,1\n",
+        "label,selected\n" + "".join(f"q{i},1\n" for i in range(4)),
+        "label,selected\nz0,yes\nz1,1\nz2,1\nz3,1\n",
+    ], ids=["two-features", "relabelled", "yes-cell"])
+    def test_malformed_selected_csv_is_a_validation_error(self, tmp_path,
+                                                          capsys, selected):
+        sim, fitdir = tmp_path / "sim", tmp_path / "fit"
+        assert main(["simulate", "--scenario", "s1", "--n", "40",
+                     "--seed", "0", "--out", str(sim)]) == 0
+        assert main(["fit", "--data", str(sim / "data.csv"), "--outcome", "y",
+                     "--method", "baseline", "--out", str(fitdir)]) == 0
+        (fitdir / "selected.csv").write_text(selected)
+        capsys.readouterr()
+        assert main(["effects", "--fit", str(fitdir)]) == 1
+        captured = capsys.readouterr()
+        assert str(fitdir / "selected.csv") in captured.err
+        assert captured.out == ""
+
     def test_internal_errors_are_runtime_failures(self, tmp_path, monkeypatch):
         import nscausal.cli as cli_mod
 

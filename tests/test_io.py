@@ -1,8 +1,13 @@
-"""Every public reader and writer in ``nscausal.io`` has a caller in the package."""
+"""The readers and writers of ``nscausal.io``: every public one has a caller
+in the package, and the CSV readers name the file in every error."""
 
 import ast
 import inspect
+import tempfile
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nscausal
 from nscausal import io
@@ -31,3 +36,46 @@ def test_every_public_io_function_has_a_caller_in_the_package():
               if obj.__module__ == io.__name__ and not name.startswith("_")}
     assert public, "no public functions found in nscausal.io"
     assert sorted(public - called) == []
+
+
+_NUMBERS = st.one_of(st.integers(-9, 9).map(str),
+                     st.floats(allow_nan=True, allow_infinity=True).map(repr))
+_ODD_CELLS = st.sampled_from(["", " ", "x", "1,5", '"2"', " 0.5 ", "nan",
+                              "inf", "-inf", "1e999"])
+
+
+@st.composite
+def matrix_csv_bytes(draw):
+    """Header-plus-matrix CSV text: square or not, often with ragged rows,
+    blank, non-numeric or non-finite cells, repeated or quoted labels, and
+    sometimes a byte that is not UTF-8."""
+    clean = draw(st.booleans())
+    cells = _NUMBERS if clean else st.one_of(_NUMBERS, _ODD_CELLS)
+    label = st.text(alphabet="yz0" if clean else 'yz0 ,"', max_size=3)
+    labels = draw(st.lists(label, min_size=1, max_size=4, unique=clean))
+    height = draw(st.one_of(st.just(len(labels)), st.integers(0, 5)))
+    rows = [labels]
+    for _ in range(height):
+        ragged = 0 if clean else draw(st.sampled_from((0, 0, 0, -1, 1)))
+        width = len(labels) + ragged
+        rows.append(draw(st.lists(cells, min_size=width, max_size=width)))
+    text = "\n".join(",".join(row) for row in rows).encode()
+    if draw(st.sampled_from((False, False, False, False, True))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + b"\xff" + text[at:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=matrix_csv_bytes())
+def test_csv_readers_return_or_name_the_file(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_bytes(content)
+        # outcome "0": the column labelled 0, else the first column
+        for read in (lambda: io.load_csv(path, "0"),
+                     lambda: io.read_graph_csv(path)):
+            try:
+                read()
+            except ValueError as exc:
+                assert str(path) in str(exc)

@@ -25,11 +25,7 @@ def chain_dataset(weights=(1.0, 1.0), n=5000, seed=1, noise=None):
 
 
 def s1_replication(r, n=100):
-    spec = scenario("s1", sample_sizes=(n,), replications=1)
-    graph_ss, data_ss = np.random.SeedSequence(r).spawn(2)
-    truth = scenario_truth(spec, graph_ss)
-    sem = SemSpec(truth, BernoulliNoise(0.5))
-    data = shift_nonnegative(sample_linear(sem, n, seed=data_ss))
+    truth, data = scenario_data(scenario("s1"), n, r)
     return truth, nscg(truth), data
 
 
@@ -388,9 +384,7 @@ class TestFit:
         for r in range(total):
             truth, target, data = s1_replication(r, n=1000)
             base = fit_baseline(data)
-            dstar = delta_star(data, lambda _: base.graph, "te")
-            result = fit(data, FitConfig(effect_kind="te", delta_star=dstar),
-                         warm_start=base)
+            result = fit(data, FitConfig(effect_kind="te"), warm_start=base)
             if graph_metrics(result.graph, target).shd <= 1:
                 hits += 1
         assert hits >= 0.9 * total
@@ -543,8 +537,7 @@ class TestFit:
                     SemSpec(truth, BernoulliNoise(0.5)), n,
                     seed=np.random.SeedSequence([88, r])))
                 base = fit_baseline(data)
-                dstar = delta_star(data, lambda _: base.graph, "te")
-                result = fit(data, FitConfig(effect_kind="te", delta_star=dstar),
+                result = fit(data, FitConfig(effect_kind="te"),
                              warm_start=base)
                 shds.append(graph_metrics(result.graph, target).shd)
             medians.append(float(np.median(shds)))

@@ -155,3 +155,17 @@ class TestValidation:
     def test_dataset_label_mismatch(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), ("a",), 1)
+
+    @pytest.mark.parametrize("outcome", [1.5, 2.0, True, "2", None])
+    def test_dataset_outcome_index_must_be_an_integer(self, outcome):
+        with pytest.raises(ValueError, match="outcome_index"):
+            Dataset(np.zeros((3, 3)), ("a", "b", "y"), outcome)
+
+    @pytest.mark.parametrize("outcome", [-1, 3])
+    def test_dataset_outcome_index_must_name_a_column(self, outcome):
+        with pytest.raises(ValueError, match="outcome_index"):
+            Dataset(np.zeros((3, 3)), ("a", "b", "y"), outcome)
+
+    def test_dataset_accepts_numpy_integer_outcome_index(self):
+        data = Dataset(np.zeros((3, 3)), ("a", "b", "y"), np.int64(2))
+        assert data.outcome_index == 2
