@@ -191,7 +191,12 @@ def main(argv=None) -> int:
         return 0
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:
+        # a path argument that cannot be opened is the caller's error
+        _log(f"error: {exc.filename}: {exc.strerror}")
+        return 1
+    except ValueError as exc:
         _log(f"error: {exc}")
         return 1
     except Exception as exc:  # noqa: BLE001 - runtime failures exit 2

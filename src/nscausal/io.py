@@ -40,14 +40,22 @@ def write_graph_csv(g: WeightedDag, path):
     _write_matrix_csv(g.labels, g.weights, path)
 
 
-def _csv_rows(path) -> list:
-    """The rows of the CSV file at ``path`` that hold a non-blank cell."""
+def _csv_rows(path) -> tuple:
+    """``(lines, rows)``: the rows of the CSV file at ``path`` that hold a
+    non-blank cell, and the 1-based line of the file each one starts on."""
+    lines, rows = [], []
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            start = 1
+            for row in reader:
+                if any(cell.strip() for cell in row):
+                    lines.append(start)
+                    rows.append(row)
+                start = reader.line_num + 1
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ValueError(f"{path}: not a readable CSV file: {exc}") from None
-    return [row for row in rows if any(cell.strip() for cell in row)]
+    return lines, rows
 
 
 def _read_matrix_csv(path) -> tuple:
@@ -55,10 +63,10 @@ def _read_matrix_csv(path) -> tuple:
 
     Blank rows are skipped and labels stripped.  An empty file, duplicate
     labels, a row of the wrong length and a blank, non-numeric or
-    non-finite cell are errors that name the file, and the row number and
-    column label where there is one.
+    non-finite cell are errors that name the file, and the row (the line
+    of the file it starts on) and column label where there is one.
     """
-    rows = _csv_rows(path)
+    lines, rows = _csv_rows(path)
     if not rows:
         raise ValueError(f"{path}: empty file")
     labels = [cell.strip() for cell in rows[0]]
@@ -67,21 +75,22 @@ def _read_matrix_csv(path) -> tuple:
         raise ValueError(f"{path}: duplicate column labels {dupes}")
     columns = len(labels)
     values = np.empty((len(rows) - 1, columns))
-    for r, row in enumerate(rows[1:], start=2):
+    for r, (line, row) in enumerate(zip(lines[1:], rows[1:])):
         if len(row) != columns:
-            raise ValueError(f"{path}: row {r} has {len(row)} cells, expected {columns}")
+            raise ValueError(f"{path}: row {line} has {len(row)} cells, "
+                             f"expected {columns}")
         for c, cell in enumerate(row):
             try:
-                values[r - 2, c] = float(cell)
+                values[r, c] = float(cell)
             except ValueError:
                 raise ValueError(
-                    f"{path}: non-numeric cell at row {r}, column {labels[c]!r}: "
-                    f"{cell!r}") from None
+                    f"{path}: non-numeric cell at row {line}, column "
+                    f"{labels[c]!r}: {cell!r}") from None
     bad = np.argwhere(~np.isfinite(values))
     if len(bad):
         r, c = bad[0]
-        raise ValueError(f"{path}: non-finite cell at row {r + 2}, column "
-                         f"{labels[c]!r}: {rows[r + 1][c]!r}")
+        raise ValueError(f"{path}: non-finite cell at row {lines[r + 1]}, "
+                         f"column {labels[c]!r}: {rows[r + 1][c]!r}")
     return labels, values
 
 
@@ -158,7 +167,7 @@ def read_fit_dir(outdir) -> tuple:
     """
     graph = read_graph_csv(os.path.join(outdir, "graph.csv"))
     path = os.path.join(outdir, "selected.csv")
-    rows = _csv_rows(path)
+    rows = _csv_rows(path)[1]
     features = _feature_labels(graph)
     if (rows[:1] != [["label", "selected"]]
             or [row[0] for row in rows[1:]] != features

@@ -45,7 +45,14 @@ bound by numpy call overhead, so the solve works on the flat vector of free
 entries and takes each direction from the inner products of its stored
 vectors (``_two_loop``) in a few dense calls.  A solve stops once a step
 lowers the objective by less than ``_FTOL`` relative (SciPy L-BFGS-B's
-test), instead of crawling to the rounding floor.  Every ``diagnostics``
+test), instead of crawling to the rounding floor.  The selection-free fit
+loosens that test while it is far from acyclic: its solve at each dual step
+stops at ``max(_FTOL, min(_FTOL_PER_H1, _FTOL_PER_H1 * h1))`` with ``h1``
+the previous step's (so ``_FTOL_PER_H1`` at step 0, and ``_FTOL`` once
+``h1 <= _FTOL / _FTOL_PER_H1``), since only its last subproblems decide the
+answer (inexact augmented Lagrangian; Conn, Gould & Toint 1991).  Selective
+solves feed the selection rule, which cannot undo a drop, and always stop at
+``_FTOL``.  Every ``diagnostics``
 row records why its solve stopped and how many objective evaluations it
 spent, and the engine evaluates the objective nowhere else except after a
 deactivation; its ``f`` is in data units, its ``objective_start`` and
@@ -90,6 +97,10 @@ _STEP_SIZE = 0.05
 _GRAD_TOL = 1e-7
 _FTOL = 2.220446049250313e-09
 
+# a selection-free solve's relative-decrease stop per unit of the previous
+# step's h1 (capped at this value, floored at _FTOL; see the module docstring)
+_FTOL_PER_H1 = 1e-3
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -107,8 +118,8 @@ class FitConfig:
     caps integers (numpy integers included, bools not).
 
     The penalty schedule and the inner-solve constants (``_STEP_SIZE``,
-    ``_GRAD_TOL``, ``_FTOL``) are module constants; see the module
-    docstring.
+    ``_GRAD_TOL``, ``_FTOL`` and the baseline's ``_FTOL_PER_H1``) are
+    module constants; see the module docstring.
     """
 
     effect_kind: str = "te"
@@ -661,9 +672,10 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
                 and _h1(w, t, np.eye(dim))[0] <= SELECTION_H1_GATE):
             w, dropped = select(w)
         objective = objective_now()
+        ftol = (_FTOL if relevance
+                else max(_FTOL, min(_FTOL_PER_H1, _FTOL_PER_H1 * h1_prev)))
         w, obj_end, inner_iters, stop_reason, solve = _lbfgs_minimize(
-            w, objective, _STEP_SIZE, config.max_inner_iter, _GRAD_TOL,
-            _FTOL)
+            w, objective, _STEP_SIZE, config.max_inner_iter, _GRAD_TOL, ftol)
         h1v, h2v = solve.h1, solve.h2
 
         late = []  # the drops after this step's solve

@@ -189,9 +189,16 @@ class TestExitCodes:
         assert main(["fit", "--data", str(data), "--outcome", "y",
                      "--out", str(tmp_path / "f")]) == 1
 
-    def test_missing_file_is_a_validation_error(self, tmp_path):
-        assert main(["fit", "--data", str(tmp_path / "absent.csv"),
-                     "--outcome", "y", "--out", str(tmp_path / "f")]) == 1
+    @pytest.mark.parametrize("name", ["absent.csv", ".", "file.csv/data.csv"],
+                             ids=["absent", "directory", "below-a-file"])
+    def test_missing_file_is_a_validation_error(self, tmp_path, capsys, name):
+        (tmp_path / "file.csv").write_text("a,y\n1,2\n")
+        path = str(tmp_path / name)
+        for argv in (["fit", "--data", path, "--outcome", "y",
+                      "--out", str(tmp_path / "f")],
+                     ["eval", "--estimated", path, "--truth", path]):
+            assert main(argv) == 1
+            assert f"error: {path}: " in capsys.readouterr().err
 
     def test_bad_arguments_are_validation_errors(self):
         assert main(["simulate", "--scenario", "s1"]) == 1  # missing --n

@@ -6,6 +6,7 @@ import inspect
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,3 +80,18 @@ def test_csv_readers_return_or_name_the_file(content):
                 read()
             except ValueError as exc:
                 assert str(path) in str(exc)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("a,b,y\n\n1,2,3\nx,1,2\n", 4),
+    ("a,b,y\n1,2,3\n\n\n1,2\n", 5),
+    ('a,b,y\n\n"1\n",2,3\n\n1,inf,2\n', 6),
+], ids=["non-numeric-below-a-blank-line", "ragged-below-two-blank-lines",
+        "non-finite-below-a-two-line-row"])
+def test_located_errors_name_the_line_of_the_file(tmp_path, text, line):
+    path = tmp_path / "blank.csv"
+    path.write_text(text)
+    for read in (lambda: io.load_csv(path, "y"),
+                 lambda: io.read_graph_csv(path)):
+        with pytest.raises(ValueError, match=rf"row {line}\b"):
+            read()

@@ -280,18 +280,35 @@ class TestLbfgsSolver:
         assert exact[1] <= early[1] <= exact[1] * (1.0 + 1e-6)
 
     def test_engine_solves_with_the_relative_stop(self, monkeypatch):
+        # the baseline's solves stop at kappa * h1 of the step before, within
+        # [_FTOL, kappa]; every selective solve stops at _FTOL
         import nscausal.optimizer as optimizer
 
+        kappa = optimizer._FTOL_PER_H1
         seen = []
 
         def recording(*args):
-            seen.append(args[5:])
+            seen.append((args[1].relevance, args[5]))
             return _lbfgs_minimize(*args)
 
         monkeypatch.setattr(optimizer, "_lbfgs_minimize", recording)
         _, _, data = s1_replication(300)
-        result = fit(data)
-        assert seen and all(extra == (_FTOL,) for extra in seen)
+        base = fit_baseline(data)
+        assert [relevance for relevance, _ in seen] == [False] * len(
+            base.diagnostics)
+        ftols = [ftol for _, ftol in seen]
+        h1s = [row["h1"] for row in base.diagnostics]
+        assert ftols[0] == kappa
+        assert ftols[1:] == [max(_FTOL, min(kappa, kappa * h1))
+                             for h1 in h1s[:-1]]
+        tight = [ftol for ftol, h1 in zip(ftols[1:], h1s)
+                 if h1 <= _FTOL / kappa]
+        assert tight and all(ftol == _FTOL for ftol in tight)
+
+        seen.clear()
+        result = fit(data, warm_start=base)
+        assert seen and all(relevance and ftol == _FTOL
+                            for relevance, ftol in seen)
         assert "ftol" in {d["stop_reason"] for d in result.diagnostics}
 
     @staticmethod
