@@ -75,11 +75,12 @@ class ScenarioSpec:
 
     ``p``, ``replications``, ``seed_base`` and the ``sample_sizes`` are
     integers (numpy integers included, bools not); ``sample_sizes`` and
-    ``methods`` are lists or tuples without repeats, ``expected_degree`` is
-    a finite number, ``weight_range`` two finite numbers on one side of 0,
-    and ``noise`` holds one parameter or one per node.
-    ``graph_model="sf"`` is accepted for s5 and custom only; s1..s4 keep
-    their fixed layouts.
+    ``methods`` are lists or tuples without repeats (``methods`` of
+    strings), ``expected_degree`` is a finite number, ``weight_range`` two
+    finite numbers on one side of 0, and ``noise`` holds one parameter or
+    one per node.  ``graph_model="sf"`` is accepted for s5 and custom only;
+    s1..s4 keep their fixed layouts, and a scale-free ``expected_degree``
+    is a whole number from 1 to ``p - 1`` (the edges each node attaches).
     """
 
     id: str
@@ -118,6 +119,8 @@ class ScenarioSpec:
         if not self.methods:
             raise ValueError("methods list must not be empty")
         for m in self.methods:
+            if not isinstance(m, str):
+                raise ValueError(f"methods must hold strings, got {m!r}")
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; choose from "
                                  f"{tuple(METHODS)}")
@@ -129,6 +132,13 @@ class ScenarioSpec:
                 raise ValueError(f"{name} must hold integers, got {value!r}")
         if self.p < 2:
             raise ValueError(f"p must be at least 2, got {self.p}")
+        # preferential attachment takes a whole number of edges per arrival
+        if self.graph_model == "sf" and not (
+                float(self.expected_degree).is_integer()
+                and 1 <= self.expected_degree < self.p):
+            raise ValueError("expected_degree of a scale-free graph must be an "
+                             f"integer from 1 to p - 1 = {self.p - 1}, got "
+                             f"{self.expected_degree!r}")
         if self.replications < 1:
             raise ValueError("replications must be positive")
         if not sizes or any(n < 1 for n in sizes):

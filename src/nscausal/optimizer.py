@@ -25,7 +25,10 @@ et al. 2018) and lives in module constants, not in ``FitConfig``:
   the all-features reference ``delta_star`` and penalizes edges out of the
   outcome.  ``CE`` is the total or the direct effect, per configuration;
   ``_effect_parts`` is the one place that picks it, for ``h2`` and for the
-  selection rule alike.
+  selection rule alike.  The total effect is the outcome column of
+  ``(I - B)^-1`` (as in ``effects.total_effects``): exact on acyclic
+  patterns and defined wherever ``I - B`` is invertible; a trial point
+  where it is not is rejected by the line search, like an ``h1`` overflow.
 
 The feature mask ``g`` shrinks monotonically: once the iterate is nearly
 acyclic, features whose pruned-graph effect falls below
@@ -219,68 +222,30 @@ def _h1(w: np.ndarray, t: float, eye: np.ndarray):
     return value, grad
 
 
-def _resolvent_is_safe(w: np.ndarray) -> bool:
-    """Certified check that the power series sum_k B^k converges.
-
-    ``rho(B) <= ||B^dim||^(1/dim)`` for any norm, and the bound is exact on
-    acyclic patterns (the power vanishes), so near-feasible iterates always
-    take the fast resolvent path.
-    """
-    dim = w.shape[0]
-    norm = np.abs(_matpow(w, dim)).sum(axis=1).max()
-    return norm ** (1.0 / dim) < 0.99
-
-
 def _te_parts(w: np.ndarray, outcome: int, eye: np.ndarray):
-    """Total-effect vector plus the factor needed for its Jacobian.
+    """Total-effect vector, the outcome column of ``(I - B)^-1`` with the
+    outcome's own entry zeroed, plus that inverse for the Jacobian.
 
-    Resolvent form when the series provably converges, otherwise the
-    truncated series ``sum_{k<=dim-1} B^k`` (identical on acyclic patterns).
+    Exact on acyclic patterns (``B`` is nilpotent, so the inverse is the
+    finite path sum) and defined wherever ``I - B`` is invertible.  A
+    singular ``I - B`` or a non-finite inverse raises ``FloatingPointError``,
+    which the line search treats as a rejected trial.
     """
-    dim = w.shape[0]
-    if _resolvent_is_safe(w):
-        try:
-            m = np.linalg.inv(eye - w)
-        except np.linalg.LinAlgError:
-            m = None
-        # NaN compares False, so this also rejects a non-finite inverse
-        if m is not None and np.abs(m).max() < 1e8:
-            te = m[:, outcome].copy()
-            te[outcome] = 0.0
-            return te, ("resolvent", m)
-    powers = [eye]
-    for _ in range(dim - 1):
-        powers.append(powers[-1] @ w)
-    te = np.zeros(dim)
-    for k in range(1, dim):
-        te += powers[k][:, outcome]
+    try:
+        m = np.linalg.inv(eye - w)
+    except np.linalg.LinAlgError:
+        raise FloatingPointError("I - B is singular") from None
+    if not np.isfinite(m).all():
+        raise FloatingPointError("(I - B)^-1 is not finite")
+    te = m[:, outcome].copy()
     te[outcome] = 0.0
-    return te, ("series", powers)
-
-
-def _te_jacobian(cache, signs: np.ndarray, outcome: int) -> np.ndarray:
-    """d(sum_i signs_i * TE_i)/dB for either total-effect representation."""
-    mode, payload = cache
-    if mode == "resolvent":
-        m = payload
-        return (m.T @ signs)[:, None] * m[:, outcome]
-    powers = payload
-    dim = len(powers)
-    prefix = np.zeros((dim, dim))  # prefix[r] = sum_{j<=r} (B^j)[:, outcome]
-    running = np.zeros(dim)
-    for r in range(dim):
-        running = running + powers[r][:, outcome]
-        prefix[r] = running
-    jac = np.zeros((dim, dim))
-    for m_idx in range(dim - 1):
-        jac += (powers[m_idx].T @ signs)[:, None] * prefix[dim - 2 - m_idx]
-    return jac
+    return te, m
 
 
 def _effect_parts(w: np.ndarray, outcome: int, kind: str, eye: np.ndarray):
-    """Effect vector ``CE`` of every node on the outcome, plus the total-effect
-    Jacobian factor (None for the direct effect, whose Jacobian is a
-    column selection)."""
+    """Effect vector ``CE`` of every node on the outcome, plus ``(I - B)^-1``
+    for the total effect's Jacobian (None for the direct effect, whose
+    Jacobian is a column selection)."""
     if kind == "de":
         return w[:, outcome], None
     return _te_parts(w, outcome, eye)
@@ -290,15 +255,15 @@ def _h2(w: np.ndarray, outcome: int, feature_active: np.ndarray, kind: str,
         delta_star: float, eye: np.ndarray):
     """``delta_star - sum_active |CE_i| + sum_j |B[outcome, j]|`` and its
     subgradient, with CE the total (``te``) or direct (``de``) effect."""
-    ce, cache = _effect_parts(w, outcome, kind, eye)
+    ce, m = _effect_parts(w, outcome, kind, eye)
     signs = np.where(feature_active, np.sign(ce), 0.0)
     value = (delta_star - float(np.abs(ce * signs).sum())
              + float(np.abs(w[outcome, :]).sum()))
-    if cache is None:
+    if m is None:
         grad = np.zeros_like(w)
         grad[:, outcome] = -signs
-    else:
-        grad = -_te_jacobian(cache, signs, outcome)
+    else:  # d TE_i / d B[a, b] = M[i, a] M[b, outcome]
+        grad = -((m.T @ signs)[:, None] * m[:, outcome])
     grad[outcome, :] += np.sign(w[outcome, :])
     return value, grad
 
@@ -355,8 +320,10 @@ def relevance_constraint(B: np.ndarray, mask: np.ndarray, effect_kind: str,
     """Value and subgradient of the causal-relevance constraint.
 
     ``value = delta_star - sum_{i in mask} |CE_i(B)| + sum_j |B[outcome, j]|``
-    where CE is the total effect (resolvent form, power-series fallback) or
-    the direct effect.  The subgradient of ``|x|`` at 0 is taken to be 0.
+    where CE is the direct effect or the total effect, the outcome column of
+    ``(I - B)^-1``: exact on DAGs and defined wherever ``I - B`` is
+    invertible; a singular ``I - B`` is a ``ValueError``.  The subgradient
+    of ``|x|`` at 0 is taken to be 0.
     """
     if effect_kind not in _effects.EFFECT_KINDS:
         raise ValueError("effect_kind must be 'te' or 'de'")
@@ -365,7 +332,11 @@ def relevance_constraint(B: np.ndarray, mask: np.ndarray, effect_kind: str,
     outcome = outcome_position(outcome_index, dim)
     feature_active = np.asarray(mask, dtype=bool).copy()
     feature_active[outcome] = False
-    return _h2(w, outcome, feature_active, effect_kind, delta_star, np.eye(dim))
+    try:
+        return _h2(w, outcome, feature_active, effect_kind, delta_star,
+                   np.eye(dim))
+    except FloatingPointError as exc:
+        raise ValueError(f"total effects undefined: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +523,7 @@ def _lbfgs_minimize(w0: np.ndarray, objective: _Objective, step_size: float,
             trial_x = x + alpha * direction
             try:
                 trial_w, trial = evaluate(trial_x)
-            except FloatingPointError:  # h1 overflowed far from the iterate
+            except FloatingPointError:  # h1 overflowed or I - B singular
                 trial = None
             evaluations += 1
             # the strict test matters once c1*alpha*slope is below the

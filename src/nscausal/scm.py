@@ -7,6 +7,7 @@ substream per node (spawned from the seed), so a column's values depend only
 on the noise of the node itself and its ancestors.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +16,15 @@ from .graph import WeightedDag, is_integer, topological_order
 
 
 def _per_node(value, dim: int, name: str) -> np.ndarray:
-    """``value``, one number or one per node, as ``dim`` floats."""
+    """``value``, one number or one per node, as ``dim`` floats.
+
+    Strings and bools are not numbers here, though numpy would convert them.
+    """
+    items = value if isinstance(value, (list, tuple)) else np.ravel(value)
     try:
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   for v in items):
+            raise TypeError
         return np.broadcast_to(np.asarray(value, dtype=float), (dim,))
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a number or a list of {dim} numbers, "

@@ -276,6 +276,17 @@ class TestExitCodes:
         ({"id": ["s1"]}, "'id'"),
         ({"id": "s1", "sample_sizes": [30, 30]}, "sample_sizes"),
         ({"id": "s1", "methods": ["baseline", "baseline"]}, "methods"),
+        ({"id": "s1", "methods": [[1]]}, "methods"),
+        ({"id": "s1", "methods": [{}]}, "methods"),
+        ({"id": "s1", "noise": {"kind": "bernoulli", "p": "0.5"}},
+         "bernoulli p"),
+        ({"id": "s1", "noise": {"kind": "gaussian", "sigma": True}},
+         "gaussian sigma"),
+        ({"id": "s1", "noise": {"kind": "gaussian", "sigma": "1"}},
+         "gaussian sigma"),
+        ({"id": "s1", "noise": {"kind": "gaussian",
+                                "sigma": ["1", 1, 1, 1, 1]}},
+         "gaussian sigma"),
     ])
     def test_malformed_bench_spec_is_a_validation_error(self, tmp_path, capsys,
                                                         doc, message):
@@ -292,6 +303,16 @@ class TestExitCodes:
         assert main(["simulate", "--scenario", "s4", "--model", "sf",
                      "--n", "30", "--out", str(out)]) == 1
         assert "scale-free" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("degree", ["2.5", "0.5"])
+    def test_fractional_scale_free_degree_is_a_validation_error(
+            self, tmp_path, capsys, degree):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--scenario", "custom", "--model", "sf",
+                     "--p", "6", "--degree", degree, "--n", "30",
+                     "--out", str(out)]) == 1
+        assert "expected_degree" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("selected", [

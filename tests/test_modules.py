@@ -1,5 +1,6 @@
 """Each module of the package reaches the others through public names only
-(dunder names such as ``__version__`` count as public)."""
+(dunder names such as ``__version__`` count as public), and every private
+helper has a caller."""
 
 import ast
 from pathlib import Path
@@ -20,3 +21,24 @@ def test_no_module_imports_a_private_name_from_another_module():
                             if alias.name.startswith("_")
                             and not alias.name.endswith("__")]
     assert private == []
+
+
+def test_every_private_function_and_class_is_used_in_the_package():
+    # a deleted code path must not leave its helper behind
+    package = Path(nscausal.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
+    references = [(getattr(node, "id", None) or node.attr, node)
+                  for tree in trees for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute))]
+    unused = []
+    for tree in trees:
+        for definition in tree.body:
+            name = getattr(definition, "name", "")
+            if (not isinstance(definition, (ast.FunctionDef, ast.ClassDef))
+                    or not name.startswith("_") or name.endswith("__")):
+                continue
+            own = {id(node) for node in ast.walk(definition)}
+            if not any(ref == name and id(node) not in own
+                       for ref, node in references):
+                unused.append(name)
+    assert unused == []

@@ -178,6 +178,24 @@ class TestRelevanceConstraint:
                     lambda m: relevance_constraint(m, mask, kind, 3.0)[0], w)
                 assert np.abs(analytic - numeric).max() < 1e-5
 
+    def test_cyclic_contraction_takes_the_resolvent(self):
+        # spectral radius 0.71, but ||B^3||^(1/3) = 1.44: the truncated
+        # series I + B + B^2 would give TE = (0.1, 1), the resolvent (0.2, 2)
+        w = np.zeros((3, 3))
+        w[0, 1], w[1, 0], w[1, 2] = 0.1, 5.0, 1.0
+        mask = np.ones(3, bool)
+        value, analytic = relevance_constraint(w, mask, "te", 2.0)
+        assert value == pytest.approx(2.0 - 0.2 - 2.0)
+        numeric = central_difference(
+            lambda m: relevance_constraint(m, mask, "te", 2.0)[0], w)
+        assert np.abs(analytic - numeric).max() < 1e-5
+
+    def test_singular_resolvent_is_an_error(self):
+        w = np.zeros((3, 3))
+        w[0, 1] = w[1, 0] = w[1, 2] = 1.0  # I - B is singular
+        with pytest.raises(ValueError, match="singular"):
+            relevance_constraint(w, np.ones(3, bool), "te", 2.0)
+
     @pytest.mark.parametrize("index", [3, 7, -4])
     def test_out_of_range_outcome_is_an_error(self, index):
         with pytest.raises(ValueError, match="outcome_index"):
@@ -514,6 +532,18 @@ class TestFit:
         columns = self.record_solve_columns(monkeypatch)
         fit(data, FitConfig(delta_star=dstar))
         assert columns[0] == list(range(data.dim))
+
+    def test_cold_start_through_a_cyclic_iterate_selects_the_causes(self):
+        # the zero start passes through cyclic iterates, where a truncated
+        # path sum is not the total effect; with the exact resolvent the fit
+        # converges and drops z0, a child of the outcome's parents
+        _, target, data = s1_replication(105)
+        base = fit_baseline(data)
+        dstar = delta_star(data, lambda _: base.graph, "te")
+        result = fit(data, FitConfig(delta_star=dstar))
+        assert result.converged
+        assert result.selected.tolist() == [False, True, True, True]
+        assert graph_metrics(result.graph, target).shd == 0
 
     @pytest.mark.parametrize("field", ["dim", "outcome_index", "labels"])
     def test_warm_start_from_other_data_is_rejected(self, monkeypatch, field):
