@@ -7,9 +7,8 @@ outcome, prune noise edges, and score an estimate against a truth.
 
 import numpy as np
 
-from nscausal import (EdgeSet, WeightedDag, enumerate_paths_to_outcome,
-                      graph_metrics, is_acyclic, metrics, prune, random_er,
-                      random_sf)
+from nscausal import (WeightedDag, enumerate_paths_to_outcome, graph_metrics,
+                      is_acyclic, prune, random_er, random_sf)
 
 print("== Erdos-Renyi draw (8 nodes, expected degree 3) ==")
 g = random_er(8, 3.0, seed=7)
@@ -39,6 +38,5 @@ print("edges before/after:", np.count_nonzero(estimate.weights),
 print("\n== FDR / TPR / SHD ==")
 m = graph_metrics(cleaned, g)
 print("estimate vs truth:", m)
-reversed_est = EdgeSet(2, frozenset({(1, 0)}))
-truth = EdgeSet(2, frozenset({(0, 1)}))
-print("one reversed edge:", metrics(reversed_est, truth))
+truth = WeightedDag([[0.0, 1.0], [0.0, 0.0]])
+print("one reversed edge:", graph_metrics(WeightedDag(truth.weights.T), truth))

@@ -369,13 +369,14 @@ def run_scenario(spec: ScenarioSpec, fit_config: FitConfig | None = None,
     Replication ``r`` is seeded as ``seed_base + r``; rows are assembled in
     deterministic task order regardless of the worker count, and method
     failures become counted rows rather than aborting the batch.  The worker
-    count must lie between 1 and the number of cores, and
+    count must be an integer from 1 to the number of cores, and
     ``fit_config.delta_star`` must be unset (each replication anchors delta*
     on its own baseline fit); both are checked before any work starts.
     """
     cores = os.cpu_count() or 1
-    if not 1 <= threads <= cores:
-        raise ValueError(f"threads must be between 1 and {cores}, got {threads}")
+    if not (is_integer(threads) and 1 <= threads <= cores):
+        raise ValueError(f"threads must be an integer from 1 to {cores}, "
+                         f"got {threads!r}")
     config = fit_config or FitConfig()
     if config.delta_star is not None:
         raise ValueError("run_scenario anchors delta_star on each replication's "

@@ -12,7 +12,7 @@ cyclic ones) can be inspected with :func:`is_acyclic`.
 import heapq
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,14 +147,10 @@ def enumerate_paths_to_outcome(g: WeightedDag, source: int) -> list[tuple[int, .
     return paths
 
 
-def _check_threshold(threshold):
-    if not threshold >= 0:  # NaN fails too
-        raise ValueError(f"threshold must be nonnegative, got {threshold!r}")
-
-
 def prune(g: WeightedDag, threshold: float) -> WeightedDag:
     """Zero out entries with ``|weight| <= threshold``; keep the rest bit-exact."""
-    _check_threshold(threshold)
+    if not threshold >= 0:  # NaN fails too
+        raise ValueError(f"threshold must be nonnegative, got {threshold!r}")
     kept = np.where(np.abs(g.weights) > threshold, g.weights, 0.0)
     return WeightedDag(kept, g.labels, g.outcome_index)
 
@@ -239,69 +235,29 @@ def random_sf(num_nodes: int, attachment_degree: int, weight_range=DEFAULT_WEIGH
 
 
 @dataclass(frozen=True)
-class EdgeSet:
-    """Directed edge set materialized from a weighted graph."""
-
-    dim: int
-    edges: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        for i, j in self.edges:
-            if i == j:
-                raise ValueError(f"self-loop ({i}, {j}) not allowed")
-            if not (0 <= i < self.dim and 0 <= j < self.dim):
-                raise ValueError(f"edge ({i}, {j}) outside {self.dim} nodes")
-
-    @classmethod
-    def from_dag(cls, g: WeightedDag, threshold: float = 0.0) -> "EdgeSet":
-        """The off-diagonal edges with ``|weight| > threshold`` (nonnegative)."""
-        _check_threshold(threshold)
-        pairs = {(int(i), int(j))
-                 for i, j in zip(*np.nonzero(np.abs(g.weights) > threshold))
-                 if i != j}
-        return cls(g.dim, frozenset(pairs))
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
-@dataclass(frozen=True)
 class GraphMetrics:
     fdr: float
     tpr: float
     shd: int
 
 
-def metrics(estimated: EdgeSet, truth: EdgeSet) -> GraphMetrics:
+def graph_metrics(estimated: WeightedDag, truth: WeightedDag) -> GraphMetrics:
     """FDR, TPR and structural Hamming distance of ``estimated`` vs ``truth``.
 
-    A reversed edge counts once in the SHD and counts as a false discovery
-    in the FDR numerator.  When both edge sets are empty the TPR is 1 (there
-    is nothing to miss), which keeps ``metrics(a, a) == (0, 1, 0)`` for
-    every edge set ``a``.
+    The edges are the nonzero off-diagonal entries; prune the estimate
+    first to score it at an edge threshold.  A reversed edge counts once in
+    the SHD and counts as a false discovery in the FDR numerator.  When
+    both graphs have no edges the TPR is 1 (there is nothing to miss), which
+    keeps ``graph_metrics(g, g) == (0, 1, 0)`` for every graph ``g``.
     """
     if estimated.dim != truth.dim:
         raise ValueError(
             f"node count mismatch: {estimated.dim} vs {truth.dim}")
-    est, tru = estimated.edges, truth.edges
-    true_pos = est & tru
-    reversed_ = {(i, j) for (i, j) in est
-                 if (i, j) not in tru and (j, i) in tru}
-    false_pos = {(i, j) for (i, j) in est
-                 if (i, j) not in tru and (j, i) not in tru}
-    missing = {(i, j) for (i, j) in tru
-               if (i, j) not in est and (j, i) not in est}
-    fdr = (len(reversed_) + len(false_pos)) / max(1, len(est))
-    if tru:
-        tpr = len(true_pos) / len(tru)
-    else:
-        tpr = 1.0 if not est else 0.0
-    shd = len(false_pos) + len(missing) + len(reversed_)
-    return GraphMetrics(fdr=fdr, tpr=tpr, shd=shd)
-
-
-def graph_metrics(estimated: WeightedDag, truth: WeightedDag,
-                  threshold: float = 0.0) -> GraphMetrics:
-    """Convenience wrapper: materialize edge sets at ``threshold`` and score."""
-    return metrics(EdgeSet.from_dag(estimated, threshold),
-                   EdgeSet.from_dag(truth, threshold))
+    off_diagonal = ~np.eye(truth.dim, dtype=bool)
+    est = (estimated.weights != 0) & off_diagonal
+    tru = (truth.weights != 0) & off_diagonal
+    wrong = int((est & ~tru).sum())  # reversed or absent from the truth
+    missing = int((tru & ~est & ~est.T).sum())  # in neither direction
+    n_est, n_tru = int(est.sum()), int(tru.sum())
+    tpr = int((est & tru).sum()) / n_tru if n_tru else float(not n_est)
+    return GraphMetrics(fdr=wrong / max(1, n_est), tpr=tpr, shd=wrong + missing)

@@ -31,10 +31,10 @@ et al. 2018) and lives in module constants, not in ``FitConfig``:
   where it is not is rejected by the line search, like an ``h1`` overflow.
 
 The feature mask ``g`` shrinks monotonically: once the iterate is nearly
-acyclic, features whose pruned-graph effect falls below
-``selection_tolerance * delta_star`` are deactivated (rows and columns
-clamped to zero) provided the relevance constraint does not materially
-degrade.  The rule runs after each solve and, on a warm start that already
+acyclic, every feature whose pruned-graph effect is at most the cutoff
+``selection_tolerance * delta_star``, and whose unpruned effect is at most
+``max(cutoff, prune_threshold)``, is deactivated (rows and columns clamped
+to zero).  The rule runs after each solve and, on a warm start that already
 passes the ``h1`` gate, once before the first solve, so that solve runs
 only on the surviving features; both go through one step of ``_engine``
 that masks the iterate when a feature went.  Drops before the first solve
@@ -276,7 +276,8 @@ def _h1_checked(g: WeightedDag, t: float):
     if t <= 0:
         raise ValueError("t must be positive")
     try:
-        return _h1(g.weights, t, np.eye(g.dim))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _h1(g.weights, t, np.eye(g.dim))
     except FloatingPointError:
         raise ValueError("acyclicity value overflowed; decrease t") from None
 
@@ -455,6 +456,9 @@ class _Solve(NamedTuple):
     h2: float
 
 
+# an overflowing trial is rejected by the line search (see below), so numpy
+# need not warn about it; the state is set once per solve, not per evaluation
+@np.errstate(over="ignore", invalid="ignore")
 def _lbfgs_minimize(w0: np.ndarray, objective: _Objective, step_size: float,
                     max_iter: int, grad_tol: float, ftol: float = 0.0):
     """Deterministic L-BFGS with Armijo backtracking on the free entries.
@@ -558,13 +562,15 @@ def _lbfgs_minimize(w0: np.ndarray, objective: _Objective, step_size: float,
 
 
 def _selection_update(w, active, outcome, config, delta_star):
-    """Deactivate low-effect features, smallest first, guarding the constraint.
+    """Deactivate every active feature whose effect is at most the cutoff
+    ``selection_tolerance * delta_star``; return them smallest effect first
+    (ties by index), or ``[]`` when the pruned pattern is cyclic.
 
     Effects are read off the pruned current iterate so that sub-threshold
     noise edges cannot keep a feature alive.  A feature whose unpruned
-    effect is still at the edge-threshold scale is spared: a borderline true
-    edge dipping under the prune threshold for one round must not eliminate
-    its source for good (deactivation is monotone).
+    effect exceeds ``max(cutoff, prune_threshold)`` is spared: a borderline
+    true edge dipping under the prune threshold for one round must not
+    eliminate its source for good (deactivation is monotone).
     """
     pruned = np.where(np.abs(w) > config.prune_threshold, w, 0.0)
     if topological_order(pruned) is None:
@@ -574,19 +580,10 @@ def _selection_update(w, active, outcome, config, delta_star):
     raw = np.abs(_effect_parts(w, outcome, config.effect_kind, eye)[0])
     cutoff = config.selection_tolerance * delta_star
     guard = max(cutoff, config.prune_threshold)
-    candidates = [i for i in np.flatnonzero(active) if i != outcome
-                  and ce[i] <= cutoff and raw[i] <= guard]
-    candidates.sort(key=lambda i: (ce[i], i))
-    live = [i for i in np.flatnonzero(active) if i != outcome]
-    h2_now = delta_star - float(sum(ce[i] for i in live))
-    slack = cutoff + _H1_TOL
-    dropped = []
-    for i in candidates:
-        h2_after = h2_now + ce[i]
-        if h2_after <= abs(h2_now) + slack:
-            active[i] = False
-            dropped.append(int(i))
-            h2_now = h2_after
+    dropped = sorted((int(i) for i in np.flatnonzero(active) if i != outcome
+                      and ce[i] <= cutoff and raw[i] <= guard),
+                     key=lambda i: (ce[i], i))
+    active[dropped] = False
     return dropped
 
 

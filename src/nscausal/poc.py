@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedDag, topological_order
+from .graph import WeightedDag, is_finite_number, topological_order
 from .scm import Dataset
 
 DEFAULT_ENUMERATION_CAP = 10**7
@@ -307,8 +307,9 @@ class EmpiricalDistribution:
     """
 
     def __init__(self, data: Dataset, smoothing: float = 1.0):
-        if smoothing < 0:
-            raise ValueError("smoothing must be nonnegative")
+        if not (is_finite_number(smoothing) and smoothing >= 0):
+            raise ValueError("smoothing must be a finite nonnegative number, "
+                             f"got {smoothing!r}")
         self.data = data
         self.smoothing = float(smoothing)
         self.outcome_domain = tuple(np.unique(data.values[:, data.outcome_index]))

@@ -11,8 +11,9 @@ from nscausal.bench import (ScenarioSpec, nscg, run_scenario, scenario,
                             scenario_data, scenario_truth, spec_from_dict,
                             summarize)
 from nscausal.effects import effect_rows
-from nscausal.graph import (WeightedDag, EdgeSet, enumerate_paths_to_outcome,
-                            graph_metrics, is_acyclic)
+from nscausal.graph import (WeightedDag, ancestors_of,
+                            enumerate_paths_to_outcome, graph_metrics,
+                            is_acyclic)
 from nscausal.io import (load_csv, read_graph_csv, write_dataset_csv,
                          write_graph_csv, write_rows_csv)
 from nscausal.bench import RAW_FIELDS
@@ -30,6 +31,10 @@ def graph_of(edges, dim):
     return WeightedDag(w, outcome_index=dim - 1)
 
 
+def edges_of(g):
+    return {(int(i), int(j)) for i, j in np.argwhere(g.weights != 0)}
+
+
 class TestNscg:
     def test_keeps_exactly_the_outcome_pathways(self):
         # A, B, C are ancestors of Y; S, N, M sit off every outcome path
@@ -42,8 +47,7 @@ class TestNscg:
         w[4, 5] = 1.0   # N -> M   (disconnected pair)
         truth = WeightedDag(w, labels, 6)
         sub = nscg(truth)
-        kept = EdgeSet.from_dag(sub).edges
-        assert kept == {(0, 1), (1, 6), (2, 6)}
+        assert edges_of(sub) == {(0, 1), (1, 6), (2, 6)}
         assert sub.dim == 7  # off-path nodes stay, isolated
 
     def test_outcome_without_ancestors(self):
@@ -60,7 +64,7 @@ class TestNscg:
             sub = nscg(truth)
             assert is_acyclic(sub)
             assert np.array_equal(nscg(sub).weights, sub.weights)
-            for i, j in EdgeSet.from_dag(sub).edges:
+            for i, j in edges_of(sub):
                 on_path = (j == sub.outcome_index
                            or enumerate_paths_to_outcome(sub, j))
                 assert on_path, f"edge ({i}, {j}) is not on an outcome path"
@@ -191,6 +195,13 @@ class TestScenarioSpec:
         assert np.array_equal(a.weights != 0, c.weights != 0)
         assert not np.array_equal(a.weights, c.weights)
 
+    def test_s5_layout_has_three_causal_features(self):
+        truth = scenario_truth(scenario("s5"), np.random.default_rng(0))
+        assert truth.dim == 50 and truth.outcome_index == 49
+        assert is_acyclic(truth)
+        assert ancestors_of(truth, 49) == {0, 1, 2}
+        assert edges_of(nscg(truth)) == {(0, 1), (1, 2), (2, 49), (0, 49)}
+
     def test_scale_free_variant_draws_random_truths(self):
         spec = scenario("s5", graph_model="sf", methods=("baseline",))
         a = scenario_truth(spec, np.random.default_rng(0))
@@ -206,6 +217,10 @@ class TestScenarioSpec:
     def test_counts_and_seeds_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=field):
             scenario("s1", **{field: value})
+
+    def test_noise_must_be_a_noise_model(self):
+        with pytest.raises(ValueError, match="noise must be"):
+            scenario("s1", noise="gaussian")
 
     def test_custom_node_count_must_be_an_integer(self):
         with pytest.raises(ValueError, match="p must"):
@@ -369,6 +384,22 @@ class TestRunScenario:
         assert all(r["failed"] == 1 for r in report.rows)
         assert report.summary[0]["failures"] == 2
 
+    def test_selective_fit_failure_keeps_the_baseline_rows(self, monkeypatch):
+        from nscausal import bench as bench_mod
+
+        def boom(data, config, warm_start=None):
+            raise RuntimeError("synthetic selective failure")
+
+        monkeypatch.setattr(bench_mod, "fit", boom)
+        spec = scenario("s1", sample_sizes=(60,), replications=1,
+                        methods=("baseline", "nscsl-te"))
+        rows = run_scenario(spec).rows
+        assert [(r["method"], r["target"], r["failed"]) for r in rows] == [
+            ("baseline", "nscg", 0), ("baseline", "full", 0),
+            ("nscsl-te", "nscg", 1)]
+        assert rows[2]["error"] == "synthetic selective failure"
+        assert all(r["error"] == "" for r in rows[:2])
+
     def test_custom_scenario_scores_against_its_own_subgraph(self):
         spec = scenario("custom", p=6, expected_degree=1.5,
                         sample_sizes=(200,), replications=2,
@@ -381,16 +412,20 @@ class TestRunScenario:
         b = scenario_truth(spec, np.random.SeedSequence(1).spawn(2)[0])
         assert not np.array_equal(a.weights, b.weights)
 
-    @pytest.mark.parametrize("threads", [0, (os.cpu_count() or 1) + 1],
-                             ids=["zero", "above_core_count"])
+    @pytest.mark.parametrize(
+        "threads", [0, (os.cpu_count() or 1) + 1, 1.5, True],
+        ids=["zero", "above_core_count", "fraction", "bool"])
     def test_thread_count_is_bounded_before_any_worker_starts(
             self, threads, monkeypatch):
         import concurrent.futures
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
+        from nscausal import bench as bench_mod
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        def no_work(*args, **kwargs):
+            raise AssertionError("a worker pool or replication was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(bench_mod, "_replication_rows", no_work)
         spec = scenario("s1", sample_sizes=(60,), replications=2,
                         methods=("baseline",))
         with pytest.raises(ValueError, match="threads"):

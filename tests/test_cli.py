@@ -183,6 +183,15 @@ class TestExitCodes:
         assert main(["fit", "--data", str(sim / "data.csv"),
                      "--outcome", "nope", "--out", str(tmp_path / "f")]) == 1
 
+    def test_out_of_range_outcome_index_is_a_validation_error(self, tmp_path,
+                                                              capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("z0,z1,y\n0,1,1\n1,0,1\n")
+        assert main(["fit", "--data", str(data), "--outcome", "3",
+                     "--out", str(tmp_path / "f")]) == 1
+        assert "outcome index 3 out of range" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
+
     def test_one_row_dataset_is_a_validation_error(self, tmp_path):
         data = tmp_path / "one.csv"
         data.write_text("z0,z1,y\n1.0,2.0,3.0\n")
@@ -287,6 +296,13 @@ class TestExitCodes:
         ({"id": "s1", "noise": {"kind": "gaussian",
                                 "sigma": ["1", 1, 1, 1, 1]}},
          "gaussian sigma"),
+        ({"id": "s1", "noise": {"kind": "poisson"}}, "unknown noise kind"),
+        ({"id": "s9"}, "unknown scenario id"),
+        ({"id": "s1", "graph_model": "ba"}, "graph_model"),
+        ({"id": "custom", "p": 1, "expected_degree": 0.5},
+         "p must be at least 2"),
+        ({"id": "s1", "replications": 0}, "replications must be positive"),
+        ({"id": "s1", "sample_sizes": [0]}, "sample_sizes must be positive"),
     ])
     def test_malformed_bench_spec_is_a_validation_error(self, tmp_path, capsys,
                                                         doc, message):

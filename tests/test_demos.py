@@ -1,4 +1,4 @@
-"""Smoke test: every quick demo script runs to completion.
+"""Smoke test: every quick demo script runs to completion, warnings as errors.
 
 Demo 07 is left out: it runs whole benchmark scenarios (about a minute) and
 uses only ``scenario``/``run_scenario``, which tests/test_bench.py covers.
@@ -25,6 +25,6 @@ def test_demo_runs(script):
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ,
            "PYTHONPATH": src + os.pathsep + path if path else src}
-    done = subprocess.run([sys.executable, str(script)], env=env,
+    done = subprocess.run([sys.executable, "-W", "error", str(script)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

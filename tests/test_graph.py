@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nscausal.graph import (EdgeSet, WeightedDag, enumerate_paths_to_outcome,
-                            graph_metrics, is_acyclic, metrics, prune,
-                            random_er, random_sf, topological_order)
+from nscausal.graph import (WeightedDag, enumerate_paths_to_outcome,
+                            graph_metrics, is_acyclic, prune, random_er,
+                            random_sf, topological_order)
 from nscausal.optimizer import acyclicity_value, relevance_constraint
 
 from conftest import inject_back_edge, random_dag
@@ -185,76 +185,95 @@ class TestPrune:
             assert np.array_equal(once.weights, twice.weights)
 
 
+def edge_graph(dim, edges):
+    w = np.zeros((dim, dim))
+    for i, j in edges:
+        w[i, j] = 1.0
+    return WeightedDag(w)
+
+
+def edge_list(g):
+    return [(int(i), int(j)) for i, j in np.argwhere(g.weights != 0) if i != j]
+
+
+def set_metrics(est, tru):
+    """FDR, TPR and SHD of two off-diagonal edge sets, counted pair by pair."""
+    reversed_ = {(i, j) for i, j in est - tru if (j, i) in tru}
+    false_pos = est - tru - reversed_
+    missing = {(i, j) for i, j in tru - est if (j, i) not in est}
+    tpr = len(est & tru) / len(tru) if tru else float(not est)
+    return ((len(reversed_) + len(false_pos)) / max(1, len(est)), tpr,
+            len(false_pos) + len(missing) + len(reversed_))
+
+
 @st.composite
-def edge_set_pairs(draw):
-    # any two directed edge sets on the same nodes, cycles included
-    dim = draw(st.integers(2, 6))
-    pairs = [(i, j) for i in range(dim) for j in range(dim) if i != j]
-    subset = st.frozensets(st.sampled_from(pairs))
-    return EdgeSet(dim, draw(subset)), EdgeSet(dim, draw(subset))
+def graph_pairs(draw):
+    # any two weighted graphs on the same nodes: cycles, 2-cycles and
+    # diagonal entries included
+    dim = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-2.0, 2.0))
+    cells = st.lists(entry, min_size=dim * dim, max_size=dim * dim)
+    return tuple(WeightedDag(np.array(draw(cells)).reshape(dim, dim))
+                 for _ in range(2))
 
 
 class TestMetrics:
     def test_exact_match(self, rng):
         for _ in range(20):
             g = random_dag(rng, 6)
-            e = EdgeSet.from_dag(g)
-            m = metrics(e, e)
+            m = graph_metrics(g, g)
             assert (m.fdr, m.tpr, m.shd) == (0.0, 1.0, 0)
 
     def test_empty_against_k_edges(self):
-        empty = EdgeSet(4, frozenset())
-        truth = EdgeSet(4, frozenset({(0, 1), (1, 2), (2, 3)}))
-        m = metrics(empty, truth)
+        empty = edge_graph(4, [])
+        truth = edge_graph(4, [(0, 1), (1, 2), (2, 3)])
+        m = graph_metrics(empty, truth)
         assert (m.fdr, m.tpr, m.shd) == (0.0, 0.0, 3)
 
     def test_single_reversal(self):
-        est = EdgeSet(2, frozenset({(1, 0)}))
-        truth = EdgeSet(2, frozenset({(0, 1)}))
-        m = metrics(est, truth)
+        m = graph_metrics(edge_graph(2, [(1, 0)]), edge_graph(2, [(0, 1)]))
         assert (m.fdr, m.tpr, m.shd) == (1.0, 0.0, 1)
 
     def test_shd_is_symmetric(self, rng):
         for _ in range(100):
-            a = EdgeSet.from_dag(random_dag(rng, 5, density=0.5))
-            b = EdgeSet.from_dag(random_dag(rng, 5, density=0.5))
-            assert metrics(a, b).shd == metrics(b, a).shd
+            a = random_dag(rng, 5, density=0.5)
+            b = random_dag(rng, 5, density=0.5)
+            assert graph_metrics(a, b).shd == graph_metrics(b, a).shd
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            metrics(EdgeSet(3, frozenset()), EdgeSet(4, frozenset()))
+        with pytest.raises(ValueError, match="node count mismatch"):
+            graph_metrics(edge_graph(3, []), edge_graph(4, []))
+
+    def test_diagonal_entries_are_not_edges(self):
+        loops = WeightedDag(np.eye(3))
+        m = graph_metrics(loops, edge_graph(3, []))
+        assert (m.fdr, m.tpr, m.shd) == (0.0, 1.0, 0)
 
     @settings(max_examples=200, deadline=None)
-    @given(edge_set_pairs())
+    @given(graph_pairs())
     def test_invariants(self, pair):
         a, b = pair
-        m = metrics(a, b)
+        m = graph_metrics(a, b)
         assert 0.0 <= m.fdr <= 1.0
         assert 0.0 <= m.tpr <= 1.0
         assert m.shd >= 0
-        same = metrics(a, a)
+        assert type(m.shd) is int
+        same = graph_metrics(a, a)
         assert (same.fdr, same.tpr, same.shd) == (0.0, 1.0, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_pairs())
+    def test_counts_edges_pair_by_pair(self, pair):
+        a, b = pair
+        m = graph_metrics(a, b)
+        expected = set_metrics(set(edge_list(a)), set(edge_list(b)))
+        assert (m.fdr, m.tpr, m.shd) == expected
 
     @pytest.mark.parametrize("threshold", [-1.0, -1e-12, float("nan")])
     def test_rejects_negative_thresholds(self, threshold):
         empty = WeightedDag(np.zeros((3, 3)))
         with pytest.raises(ValueError, match="threshold must be nonnegative"):
-            EdgeSet.from_dag(empty, threshold)
-        with pytest.raises(ValueError, match="threshold must be nonnegative"):
-            graph_metrics(empty, empty, threshold=threshold)
-        with pytest.raises(ValueError, match="threshold must be nonnegative"):
             prune(empty, threshold)
-
-    def test_graph_wrapper_thresholds(self):
-        w = np.zeros((3, 3))
-        w[0, 1] = 0.2
-        w[1, 2] = 0.9
-        est = WeightedDag(w)
-        t = np.zeros((3, 3))
-        t[1, 2] = 1.0
-        truth = WeightedDag(t)
-        m = graph_metrics(est, truth, threshold=0.3)
-        assert (m.fdr, m.tpr, m.shd) == (0.0, 1.0, 0)
 
 
 class TestOutcomeIndex:
@@ -279,14 +298,3 @@ class TestOutcomeIndex:
     def test_numpy_integer_index_is_accepted(self):
         assert WeightedDag(np.zeros((3, 3)), outcome_index=np.int64(1)) \
             .outcome_index == 1
-
-
-class TestEdgeSet:
-    def test_threshold_is_strict(self):
-        w = np.zeros((2, 2))
-        w[0, 1] = 0.3
-        assert len(EdgeSet.from_dag(WeightedDag(w), 0.3)) == 0
-
-    def test_rejects_self_loops(self):
-        with pytest.raises(ValueError):
-            EdgeSet(3, frozenset({(1, 1)}))

@@ -1,13 +1,17 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nscausal.bench import nscg, scenario, scenario_data, scenario_truth
 from nscausal.effects import delta_star
 from nscausal.graph import WeightedDag, graph_metrics, is_acyclic, prune
-from nscausal.optimizer import (_FTOL, _LBFGS_MEMORY, DIAGNOSTIC_FIELDS,
-                                FitConfig, _lbfgs_minimize, _Objective,
+from nscausal.optimizer import (_FTOL, _LBFGS_HALVINGS, _LBFGS_MEMORY,
+                                DIAGNOSTIC_FIELDS, FitConfig,
+                                _lbfgs_minimize, _Objective,
                                 _selection_update, _two_loop,
                                 acyclicity_gradient, acyclicity_value, fit,
                                 fit_baseline, least_squares_loss,
@@ -75,6 +79,15 @@ class TestAcyclicityValue:
     def test_rejects_nonpositive_t(self):
         with pytest.raises(ValueError):
             acyclicity_value(WeightedDag(np.zeros((2, 2))), 0.0)
+
+    def test_overflow_is_a_value_error_without_warnings(self):
+        w = np.zeros((3, 3))
+        w[0, 1] = w[1, 0] = 1e100  # z0 <-> z1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                acyclicity_value(WeightedDag(w), 1.0)
+        assert str(info.value) == "acyclicity value overflowed; decrease t"
 
 
 class TestAcyclicityGradient:
@@ -196,6 +209,12 @@ class TestRelevanceConstraint:
         with pytest.raises(ValueError, match="singular"):
             relevance_constraint(w, np.ones(3, bool), "te", 2.0)
 
+    def test_non_finite_resolvent_is_an_error(self):
+        w = np.zeros((3, 3))
+        w[0, 1] = w[1, 2] = 1e300  # the path z0 -> z1 -> y carries 1e600
+        with pytest.raises(ValueError, match="not finite"):
+            relevance_constraint(w, np.ones(3, bool), "te", 2.0)
+
     @pytest.mark.parametrize("index", [3, 7, -4])
     def test_out_of_range_outcome_is_an_error(self, index):
         with pytest.raises(ValueError, match="outcome_index"):
@@ -238,7 +257,7 @@ class TestEngineObjective:
 
 class TestLbfgsSolver:
     @staticmethod
-    def least_squares_problem(dim=5, n=200, seed=4):
+    def least_squares_problem(dim=5, n=200, seed=4, objective_class=_Objective):
         # lam1 = c = 0 and no relevance: the objective is the column-wise
         # least squares alone, with one feature switched off.  Columns on
         # scales 1 to 10 make it ill-conditioned enough (gram condition
@@ -251,9 +270,9 @@ class TestLbfgsSolver:
         gram = centered.T @ centered / n
         active = np.ones(dim, bool)
         active[1] = False
-        objective = _Objective(gram, dim - 1, active, t=0.2, lam1=0.0, c=0.0,
-                               relevance=False, lam2=0.0, d_pen=0.0,
-                               kind="te", delta_star=0.0)
+        objective = objective_class(
+            gram, dim - 1, active, t=0.2, lam1=0.0, c=0.0, relevance=False,
+            lam2=0.0, d_pen=0.0, kind="te", delta_star=0.0)
         w0 = rng.uniform(-1.0, 1.0, (dim, dim))
         return gram, objective, w0
 
@@ -280,6 +299,41 @@ class TestLbfgsSolver:
         assert totals[0] == objective(w0 * objective.free)[0]
         assert all(b <= a for a, b in zip(totals, totals[1:]))
         assert totals[-1] < totals[0]
+
+    def test_rejected_trials_are_counted_and_skipped(self):
+        # a trial with an entry past 0.03 raises as an h1 overflow would; the
+        # first trial from 0 reaches 0.05 (the plain gradient step), so the
+        # line search must reject it and halve
+        class Bounded(_Objective):
+            calls = rejected = 0
+
+            def __call__(self, w):
+                Bounded.calls += 1
+                if np.abs(w).max() > 0.03:
+                    Bounded.rejected += 1
+                    raise FloatingPointError("trial out of bounds")
+                return super().__call__(w)
+
+        _, objective, w0 = self.least_squares_problem(objective_class=Bounded)
+        w, total, iterations, _, solve = _lbfgs_minimize(
+            np.zeros_like(w0), objective, 0.05, 20, 1e-10)
+        assert Bounded.rejected >= 1
+        assert solve.evaluations == Bounded.calls
+        assert iterations >= 1
+        assert total < solve.objective_start
+        assert np.abs(w).max() <= 0.03
+
+    def test_overflowing_trials_are_rejected_without_warnings(self):
+        # the first trials of a 1e40-sized step overflow h1; every trial
+        # is rejected, quietly, and the solve ends where it started
+        _, objective, w0 = self.least_squares_problem()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, total, iterations, reason, solve = _lbfgs_minimize(
+                w0, objective, 1e40, 10, 1e-10)
+        assert (iterations, reason) == (0, "no_descent")
+        assert solve.evaluations == 1 + _LBFGS_HALVINGS
+        assert total == solve.objective_start
 
     def test_entries_off_the_free_mask_stay_exactly_zero(self):
         _, objective, w0 = self.least_squares_problem()
@@ -392,6 +446,84 @@ class TestLbfgsSolver:
         _, _, data = s1_replication(300)
         result = fit_baseline(data)
         assert len(calls) == sum(d["evaluations"] for d in result.diagnostics)
+
+
+def abs_effects(b, outcome, kind):
+    """|CE| of every node on the outcome, the outcome's own entry zero."""
+    if kind == "de":
+        return np.abs(b[:, outcome])
+    ce = np.abs(np.linalg.inv(np.eye(len(b)) - b)[:, outcome])
+    ce[outcome] = 0.0
+    return ce
+
+
+@st.composite
+def selection_cases(draw):
+    """An iterate (outcome row zero), an active mask keeping the outcome, a
+    config and delta_star; the cutoff sometimes sits exactly on an effect."""
+    dim = draw(st.integers(2, 6))
+    outcome = dim - 1
+    entry = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+    w = np.array(draw(st.lists(entry, min_size=dim * dim,
+                               max_size=dim * dim))).reshape(dim, dim)
+    np.fill_diagonal(w, 0.0)
+    w[outcome] = 0.0
+    config = FitConfig(effect_kind=draw(st.sampled_from(["te", "de"])),
+                       prune_threshold=draw(st.floats(0.0, 1.0)),
+                       selection_tolerance=draw(st.floats(0.0, 1.0)))
+    if draw(st.booleans()):  # no pruned back edge: the pruned pattern is a DAG
+        w[np.tril(np.abs(w) > config.prune_threshold)] = 0.0
+    active = np.array(draw(st.lists(st.booleans(), min_size=dim,
+                                    max_size=dim)))
+    active[outcome] = True
+    delta_star = draw(st.floats(0.0, 10.0))
+    pruned = np.where(np.abs(w) > config.prune_threshold, w, 0.0)
+    if draw(st.booleans()) and is_acyclic(WeightedDag(pruned)):
+        config = replace(config, selection_tolerance=1.0)
+        delta_star = float(abs_effects(pruned, outcome, config.effect_kind)
+                           [draw(st.integers(0, dim - 1))])
+    return w, active, config, delta_star
+
+
+class TestSelectionUpdate:
+    @settings(max_examples=300, deadline=None)
+    @given(selection_cases())
+    def test_drops_exactly_the_features_under_both_cutoffs(self, case):
+        w, active, config, delta_star = case
+        outcome = len(w) - 1
+        before = active.copy()
+        pruned = np.where(np.abs(w) > config.prune_threshold, w, 0.0)
+        if is_acyclic(WeightedDag(pruned)):
+            try:
+                with np.errstate(all="ignore"):
+                    ce = abs_effects(pruned, outcome, config.effect_kind)
+                    raw = abs_effects(w, outcome, config.effect_kind)
+            except np.linalg.LinAlgError:
+                assume(False)
+            assume(np.isfinite(raw).all())
+            cutoff = config.selection_tolerance * delta_star
+            spared_above = max(cutoff, config.prune_threshold)
+            expected = sorted(
+                (i for i in range(outcome) if before[i]
+                 and ce[i] <= cutoff and raw[i] <= spared_above),
+                key=lambda i: (ce[i], i))
+        else:
+            expected = []
+        dropped = _selection_update(w, active, outcome, config, delta_star)
+        assert dropped == expected
+        kept = before.copy()
+        kept[expected] = False
+        assert np.array_equal(active, kept)
+
+    def test_cyclic_pruned_pattern_selects_nothing(self):
+        # every feature is under the cutoff, but z0 <-> z1 survives pruning
+        # (and makes I - B singular, so no effect is computed at all)
+        w = np.zeros((3, 3))
+        w[0, 1] = w[1, 0] = 1.0
+        active = np.ones(3, bool)
+        config = FitConfig(selection_tolerance=1.0)
+        assert _selection_update(w, active, 2, config, 100.0) == []
+        assert active.all()
 
 
 class TestStopReasons:

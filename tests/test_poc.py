@@ -280,6 +280,12 @@ class TestEmpiricalEstimators:
         again = empirical_mpoc(shuffled, 0, EmpiricalDistribution(shuffled, 1.0))
         assert again.log_value == base.log_value
 
+    @pytest.mark.parametrize("smoothing", [float("nan"), float("inf"), -1.0])
+    def test_smoothing_must_be_finite_and_nonnegative(self, smoothing):
+        data = Dataset(np.array([[1.0, 1.0], [1.0, 0.0]]), ("z0", "y"), 1)
+        with pytest.raises(ValueError, match="smoothing"):
+            EmpiricalDistribution(data, smoothing=smoothing)
+
     def test_smoothing_handles_empty_cells(self):
         values = np.array([[1.0, 1.0], [1.0, 0.0]])
         data = Dataset(values, ("z0", "y"), 1)
