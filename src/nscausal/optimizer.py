@@ -62,6 +62,20 @@ deactivation; its ``f`` is in data units, its ``objective_start`` and
 ``objective_end`` in the rescaled units.  Once every unmet constraint's
 penalty is capped, a fit ends after three dual steps without progress,
 unconverged.
+
+A fit converges when a step's solve meets both tolerances (``h1 <=
+_H1_TOL``, ``|h2| <= _H2_TOL``) and, for a selective fit, its selection
+drops nothing.  The selection-free fit also converges once it has settled:
+two dual steps in a row whose solves end with ``h1 <= SELECTION_H1_GATE``
+and the same support ``|w| > prune_threshold``, whose pruned graph is
+acyclic.  From there the pruned graph no longer changes; the remaining
+steps would only push ``h1`` toward ``_H1_TOL`` at penalties up to 1e13,
+the ill-conditioned subproblems of the quadratic-penalty regime (Ng et
+al., AISTATS 2022), most of them capped at ``max_inner_iter``.  So a
+baseline's last ``diagnostics`` row may show ``h1`` above ``_H1_TOL``, and
+a selective fit warm-started from it starts at that row's ``lambda1`` and
+``c``.  Selective fits never stop this way: their answer is read off the
+selection, which runs only after a solve.
 """
 
 import math
@@ -75,7 +89,8 @@ from .graph import (WeightedDag, is_finite_number, is_integer,
                     outcome_position, prune, topological_order)
 from .scm import Dataset
 
-# iterate must be this close to acyclic before selection decisions are trusted
+# iterate must be this close to acyclic before selection decisions are
+# trusted, and before the selection-free fit may stop on a settled support
 SELECTION_H1_GATE = 1e-5
 
 # dual ascent: initial penalties c and d, their growth factor when a
@@ -158,7 +173,13 @@ DIAGNOSTIC_FIELDS = ("step", "f", "h1", "h2", "lambda1", "lambda2", "c", "d",
 
 @dataclass(frozen=True)
 class FitResult:
-    """Learned graph, the selected feature mask, and the optimization trace."""
+    """Learned graph, the selected feature mask, and the optimization trace.
+
+    ``converged`` says the last dual step met the fit's stop rule (see the
+    module docstring); a converged selection-free fit may have settled on
+    its pruned graph with the last ``diagnostics`` row's ``h1`` still above
+    ``_H1_TOL``.
+    """
 
     graph: WeightedDag
     raw_graph: WeightedDag
@@ -254,7 +275,12 @@ def _effect_parts(w: np.ndarray, outcome: int, kind: str, eye: np.ndarray):
 def _h2(w: np.ndarray, outcome: int, feature_active: np.ndarray, kind: str,
         delta_star: float, eye: np.ndarray):
     """``delta_star - sum_active |CE_i| + sum_j |B[outcome, j]|`` and its
-    subgradient, with CE the total (``te``) or direct (``de``) effect."""
+    subgradient, with CE the total (``te``) or direct (``de``) effect.
+
+    A non-finite subgradient (a finite total effect can have an overflowing
+    Jacobian) raises ``FloatingPointError``, a rejected trial to the line
+    search, as in ``_te_parts``.
+    """
     ce, m = _effect_parts(w, outcome, kind, eye)
     signs = np.where(feature_active, np.sign(ce), 0.0)
     value = (delta_star - float(np.abs(ce * signs).sum())
@@ -265,6 +291,8 @@ def _h2(w: np.ndarray, outcome: int, feature_active: np.ndarray, kind: str,
     else:  # d TE_i / d B[a, b] = M[i, a] M[b, outcome]
         grad = -((m.T @ signs)[:, None] * m[:, outcome])
     grad[outcome, :] += np.sign(w[outcome, :])
+    if not np.isfinite(grad).all():
+        raise FloatingPointError("relevance gradient is not finite")
     return value, grad
 
 
@@ -334,8 +362,9 @@ def relevance_constraint(B: np.ndarray, mask: np.ndarray, effect_kind: str,
     feature_active = np.asarray(mask, dtype=bool).copy()
     feature_active[outcome] = False
     try:
-        return _h2(w, outcome, feature_active, effect_kind, delta_star,
-                   np.eye(dim))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _h2(w, outcome, feature_active, effect_kind, delta_star,
+                       np.eye(dim))
     except FloatingPointError as exc:
         raise ValueError(f"total effects undefined: {exc}") from None
 
@@ -561,6 +590,13 @@ def _lbfgs_minimize(w0: np.ndarray, objective: _Objective, step_size: float,
             return done("ftol")
 
 
+def _pruned_dag(w: np.ndarray, threshold: float) -> np.ndarray | None:
+    """``w`` with every entry ``|w| <= threshold`` zeroed, or None when that
+    pruned pattern is cyclic."""
+    pruned = np.where(np.abs(w) > threshold, w, 0.0)
+    return None if topological_order(pruned) is None else pruned
+
+
 def _selection_update(w, active, outcome, config, delta_star):
     """Deactivate every active feature whose effect is at most the cutoff
     ``selection_tolerance * delta_star``; return them smallest effect first
@@ -572,8 +608,8 @@ def _selection_update(w, active, outcome, config, delta_star):
     true edge dipping under the prune threshold for one round must not
     eliminate its source for good (deactivation is monotone).
     """
-    pruned = np.where(np.abs(w) > config.prune_threshold, w, 0.0)
-    if topological_order(pruned) is None:
+    pruned = _pruned_dag(w, config.prune_threshold)
+    if pruned is None:
         return []
     eye = np.eye(w.shape[0])
     ce = np.abs(_effect_parts(pruned, outcome, config.effect_kind, eye)[0])
@@ -616,6 +652,7 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
     cap = _PENALTY_CAP
     h1_prev = math.inf
     h2_prev = math.inf
+    support_prev = None  # the last step's settled support (baseline only)
     diagnostics = []
     converged = False
     stall = 0
@@ -671,7 +708,15 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
         # lambda2 and d untouched
         ok1 = h1v <= _H1_TOL
         ok2 = abs(h2v) <= _H2_TOL
-        if ok1 and ok2 and not late:
+        # the selection-free fit also ends once two nearly acyclic steps in
+        # a row share one acyclic pruned support (see the module docstring)
+        support = None
+        if not relevance and h1v <= SELECTION_H1_GATE:
+            pruned = _pruned_dag(w, config.prune_threshold)
+            support = None if pruned is None else pruned != 0
+        settled = support is not None and np.array_equal(support, support_prev)
+        support_prev = support
+        if (ok1 and ok2 and not late) or settled:
             converged = True
             break
 
@@ -710,7 +755,13 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
 
 
 def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
-    """Selection-free structural fit: the relevance machinery is disabled."""
+    """Selection-free structural fit: the relevance machinery is disabled.
+
+    The fit ends, converged, once two dual steps in a row have ``h1 <=
+    SELECTION_H1_GATE`` and one acyclic support ``|w| > prune_threshold``
+    (or once ``h1 <= _H1_TOL``, whichever comes first).  Its pruned graph
+    is then fixed, though ``h1`` may still be above ``_H1_TOL``.
+    """
     return _engine(data, config, relevance=False)
 
 
@@ -728,7 +779,9 @@ def fit(data: Dataset, config: FitConfig = FitConfig(),
     here with ``fit_baseline`` and serves as the warm start.  The score is
     then frozen for the constrained run.  Given ``delta_star`` and no
     ``warm_start``, the run starts from the empty graph, where nothing is
-    selected before the first solve.
+    selected before the first solve.  A reference score of 0, resolved or
+    given, is a ``ValueError``: no feature's effect reaches the outcome in
+    the reference graph, so there is nothing to select against.
     """
     if warm_start is not None:
         raw = warm_start.raw_graph
@@ -745,6 +798,10 @@ def fit(data: Dataset, config: FitConfig = FitConfig(),
     if dstar is None:
         dstar = _effects.delta_star(data, lambda _: warm_start.graph,
                                     config.effect_kind)
+    if dstar == 0:
+        raise ValueError("delta_star is 0: no feature's effect reaches the "
+                         "outcome in the reference graph, so there is "
+                         "nothing to select against")
     init = None
     if warm_start is not None:
         last = warm_start.diagnostics[-1]

@@ -155,10 +155,12 @@ class TestReportEffects:
         assert abs(rows["z1"]["total_effect"] - 1.0) < 0.1
 
     def test_empty_selection_gives_no_rows(self):
+        # ``fit`` rejects these independent columns (delta_star is 0), so
+        # the empty mask is given with the selection-free fit's graph
         g = WeightedDag(np.zeros((3, 3)))
         data = sample_linear(SemSpec(g, BernoulliNoise(0.5)), 2000, seed=9)
-        result = fit(data, FitConfig(effect_kind="te"))
-        assert effect_rows(result.graph, result.selected) == []
+        result = fit_baseline(data)
+        assert effect_rows(result.graph, np.zeros(2, dtype=bool)) == []
 
 
 class TestScenarioSpec:

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from nscausal import (BernoulliNoise, GaussianNoise, io, scenario,
@@ -191,6 +192,23 @@ class TestExitCodes:
                      "--out", str(tmp_path / "f")]) == 1
         assert "outcome index 3 out of range" in capsys.readouterr().err
         assert not (tmp_path / "f").exists()
+
+    def test_independent_outcome_is_a_validation_error(self, tmp_path,
+                                                       capsys):
+        # z1 follows z0 and y is noise of its own: delta_star is 0
+        rng = np.random.default_rng(3)
+        z0, y = rng.normal(size=(2, 500))
+        z1 = z0 + rng.normal(size=500)
+        data = tmp_path / "d.csv"
+        np.savetxt(data, np.column_stack([z0, z1, y]), delimiter=",",
+                   header="z0,z1,y", comments="")
+        assert main(["fit", "--data", str(data), "--outcome", "y",
+                     "--out", str(tmp_path / "f")]) == 1
+        assert "no feature's effect reaches the outcome" in (
+            capsys.readouterr().err)
+        assert main(["fit", "--data", str(data), "--outcome", "y",
+                     "--method", "baseline", "--out",
+                     str(tmp_path / "b")]) == 0
 
     def test_one_row_dataset_is_a_validation_error(self, tmp_path):
         data = tmp_path / "one.csv"

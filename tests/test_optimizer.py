@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from nscausal.bench import nscg, scenario, scenario_data, scenario_truth
 from nscausal.effects import delta_star
 from nscausal.graph import WeightedDag, graph_metrics, is_acyclic, prune
-from nscausal.optimizer import (_FTOL, _LBFGS_HALVINGS, _LBFGS_MEMORY,
-                                DIAGNOSTIC_FIELDS, FitConfig,
+from nscausal.optimizer import (_FTOL, _H1_TOL, _LBFGS_HALVINGS,
+                                _LBFGS_MEMORY, DIAGNOSTIC_FIELDS,
+                                SELECTION_H1_GATE, FitConfig,
                                 _lbfgs_minimize, _Objective,
-                                _selection_update, _two_loop,
+                                _selection_update, _Solve, _two_loop,
                                 acyclicity_gradient, acyclicity_value, fit,
                                 fit_baseline, least_squares_loss,
                                 relevance_constraint)
@@ -215,6 +216,16 @@ class TestRelevanceConstraint:
         with pytest.raises(ValueError, match="not finite"):
             relevance_constraint(w, np.ones(3, bool), "te", 2.0)
 
+    def test_overflowing_jacobian_is_an_error(self):
+        # at 1e154 the total effect of z0, 1e308, is finite, but the
+        # Jacobian multiplies two resolvent entries of that size; at 1e300
+        # the resolvent itself overflows.  Neither may warn on the way.
+        for weight in (1e154, 1e300):
+            w = np.zeros((3, 3))
+            w[0, 1] = w[1, 2] = weight
+            with pytest.raises(ValueError, match="not finite"):
+                relevance_constraint(w, np.ones(3, bool), "te", 2.0)
+
     @pytest.mark.parametrize("index", [3, 7, -4])
     def test_out_of_range_outcome_is_an_error(self, index):
         with pytest.raises(ValueError, match="outcome_index"):
@@ -353,7 +364,10 @@ class TestLbfgsSolver:
 
     def test_engine_solves_with_the_relative_stop(self, monkeypatch):
         # the baseline's solves stop at kappa * h1 of the step before, within
-        # [_FTOL, kappa]; every selective solve stops at _FTOL
+        # [_FTOL, kappa]; every selective solve stops at _FTOL.  s1 seed
+        # 300's baseline settles before h1 <= _FTOL / kappa, so the tight
+        # regime is checked on s4 n=1000 seed 301, whose support is still
+        # changing there
         import nscausal.optimizer as optimizer
 
         kappa = optimizer._FTOL_PER_H1
@@ -364,18 +378,23 @@ class TestLbfgsSolver:
             return _lbfgs_minimize(*args)
 
         monkeypatch.setattr(optimizer, "_lbfgs_minimize", recording)
+        _, s4_data = scenario_data(scenario("s4"), 1000, 301)
         _, _, data = s1_replication(300)
-        base = fit_baseline(data)
-        assert [relevance for relevance, _ in seen] == [False] * len(
-            base.diagnostics)
-        ftols = [ftol for _, ftol in seen]
-        h1s = [row["h1"] for row in base.diagnostics]
-        assert ftols[0] == kappa
-        assert ftols[1:] == [max(_FTOL, min(kappa, kappa * h1))
-                             for h1 in h1s[:-1]]
-        tight = [ftol for ftol, h1 in zip(ftols[1:], h1s)
-                 if h1 <= _FTOL / kappa]
-        assert tight and all(ftol == _FTOL for ftol in tight)
+        for replication in (s4_data, data):
+            seen.clear()
+            base = fit_baseline(replication)
+            assert [relevance for relevance, _ in seen] == [False] * len(
+                base.diagnostics)
+            ftols = [ftol for _, ftol in seen]
+            h1s = [row["h1"] for row in base.diagnostics]
+            assert ftols[0] == kappa
+            assert ftols[1:] == [max(_FTOL, min(kappa, kappa * h1))
+                                 for h1 in h1s[:-1]]
+            tight = [ftol for ftol, h1 in zip(ftols[1:], h1s)
+                     if h1 <= _FTOL / kappa]
+            assert all(ftol == _FTOL for ftol in tight)
+            if replication is s4_data:
+                assert tight
 
         seen.clear()
         result = fit(data, warm_start=base)
@@ -556,12 +575,37 @@ class TestFit:
                 hits += 1
         assert hits >= 0.9 * total
 
-    def test_empty_graph_data_empties_the_mask(self):
-        g = WeightedDag(np.zeros((4, 4)))
-        data = sample_linear(SemSpec(g, BernoulliNoise(0.5)), 3000, seed=5)
-        result = fit(data)
-        assert not result.graph.weights.any()
-        assert not result.selected.any()
+    def test_independent_outcome_is_a_value_error(self):
+        # z0 -> z1, and y is noise of its own: the reference graph has
+        # edges but none into y, so delta_star is 0 and there is nothing
+        # to select against, whichever way it was resolved
+        w = np.zeros((3, 3))
+        w[0, 1] = 1.0
+        data = sample_linear(SemSpec(WeightedDag(w), BernoulliNoise(0.5)),
+                             3000, seed=5)
+        base = fit_baseline(data)
+        assert base.graph.weights[:, 2].tolist() == [0.0, 0.0, 0.0]
+        assert base.graph.weights.any()
+        message = "no feature's effect reaches the outcome"
+        for kind in ("te", "de"):
+            for warm_start in (None, base):
+                with pytest.raises(ValueError, match=message):
+                    fit(data, FitConfig(effect_kind=kind),
+                        warm_start=warm_start)
+            with pytest.raises(ValueError, match=message):
+                fit(data, FitConfig(effect_kind=kind, delta_star=0.0))
+
+    def test_warm_start_from_a_settled_baseline_caps_no_solve(self):
+        # s2 n=100 seed 265: a baseline run on to c = 1e12 left this te
+        # fit's first solve at max_inner_iter (500 iterations, then 49, 17
+        # and 7); the settled baseline ends at c = 1e6
+        _, data = scenario_data(scenario("s2"), 100, 265)
+        base = fit_baseline(data)
+        assert base.diagnostics[-1]["c"] == 1e6
+        result = fit(data, FitConfig(effect_kind="te"), warm_start=base)
+        assert result.converged
+        assert all(row["stop_reason"] != "max_inner_iter"
+                   for row in result.diagnostics)
 
     def test_chain_weights_within_tolerance(self):
         data, truth = chain_dataset((1.0, 1.0), n=5000, seed=7)
@@ -787,23 +831,130 @@ class TestUnits:
 
     def test_wide_independent_noise_gives_the_empty_graph(self):
         # on the raw gram the absolute penalty schedule fails this draw: 19
-        # dual steps, unconverged, both noise features kept in a 2-cycle
-        values = np.random.default_rng(0).normal(0.0, 1e6, (50, 3))
-        result = fit(Dataset(values, ("z0", "z1", "y"), 2))
+        # dual steps, unconverged, both noise features kept in a 2-cycle.
+        # The empty reference graph leaves fit nothing to select against.
+        data = Dataset(np.random.default_rng(0).normal(0.0, 1e6, (50, 3)),
+                       ("z0", "z1", "y"), 2)
+        result = fit_baseline(data)
         assert result.converged
         assert not result.graph.weights.any()
-        assert not result.selected.any()
+        with pytest.raises(ValueError, match="delta_star is 0"):
+            fit(data, warm_start=result)
 
     def test_constant_columns_fit_the_empty_graph_without_warnings(self):
         data = Dataset(np.full((20, 3), 4.0), ("z0", "z1", "y"), 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             base = fit_baseline(data)
-            result = fit(data, warm_start=base)
-        for fitted in (base, result):
-            assert fitted.converged
-            assert not fitted.raw_graph.weights.any()
-            assert fitted.diagnostics[-1]["f"] == 0.0
+            with pytest.raises(ValueError, match="delta_star is 0"):
+                fit(data, warm_start=base)
+        assert base.converged
+        assert not base.raw_graph.weights.any()
+        assert base.diagnostics[-1]["f"] == 0.0
+
+
+class TestSettledStop:
+    """The selection-free fit ends after two dual steps in a row with
+    ``h1 <= SELECTION_H1_GATE`` and one acyclic pruned support."""
+
+    @staticmethod
+    def settled_supports(monkeypatch, data):
+        """``fit_baseline(data)`` and, per dual step, the support ``|w| >
+        prune_threshold`` of the solve's iterate when its ``h1`` passes the
+        gate and its pruned graph is acyclic, else None."""
+        import nscausal.optimizer as optimizer
+
+        iterates = []
+
+        def recording(*args):
+            out = _lbfgs_minimize(*args)
+            iterates.append(out[0])
+            return out
+
+        monkeypatch.setattr(optimizer, "_lbfgs_minimize", recording)
+        result = fit_baseline(data)
+        supports = []
+        for row, w in zip(result.diagnostics, iterates):
+            support = np.abs(w) > FitConfig().prune_threshold
+            pruned = WeightedDag(np.where(support, w, 0.0))
+            settled = row["h1"] <= SELECTION_H1_GATE and is_acyclic(pruned)
+            supports.append(support if settled else None)
+        return result, supports
+
+    @pytest.mark.parametrize("scenario_id, n, seed", [
+        ("s1", 100, 300), ("s2", 100, 265), ("s4", 1000, 300),
+        ("s4", 1000, 301)])
+    def test_baseline_ends_on_the_first_settled_step(self, monkeypatch,
+                                                     scenario_id, n, seed):
+        _, data = scenario_data(scenario(scenario_id), n, seed)
+        result, supports = self.settled_supports(monkeypatch, data)
+        first = next(k for k in range(1, len(supports))
+                     if supports[k] is not None and supports[k - 1] is not None
+                     and np.array_equal(supports[k], supports[k - 1]))
+        assert len(result.diagnostics) == first + 1
+        assert result.converged
+        assert result.diagnostics[-1]["h1"] > _H1_TOL  # not the h1 test
+
+    def test_baseline_runs_on_while_the_support_changes(self, monkeypatch):
+        # s4 n=1000 seed 301 passes the gate at step 8 and changes its
+        # support at steps 9 and 10
+        _, data = scenario_data(scenario("s4"), 1000, 301)
+        result, supports = self.settled_supports(monkeypatch, data)
+        assert result.diagnostics[8]["h1"] <= SELECTION_H1_GATE
+        assert all(supports[k] is not None for k in (8, 9, 10))
+        assert not np.array_equal(supports[9], supports[8])
+        assert not np.array_equal(supports[10], supports[9])
+        assert len(result.diagnostics) == 12
+
+    @staticmethod
+    def scripted_solver(monkeypatch, script):
+        """Replace the inner solve by one that returns the ``(w, h1)`` pairs
+        of ``script`` in turn (the last one from then on), with h2 = 1."""
+        import nscausal.optimizer as optimizer
+
+        calls = []
+
+        def solve(w0, objective, *args):
+            w, h1 = script[min(len(calls), len(script) - 1)]
+            calls.append(objective.relevance)
+            return w.copy(), 0.0, 1, "ftol", _Solve(1, 0.0, h1, 1.0)
+
+        monkeypatch.setattr(optimizer, "_lbfgs_minimize", solve)
+        return calls
+
+    # z0 -> z1 -> y, and the same with z1 -> z0 added (a 2-cycle)
+    CHAIN = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    CYCLE = CHAIN + np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0],
+                              [0.0, 0.0, 0.0]])
+    # the chain with the edge z1 -> y below the prune threshold
+    SHORT = CHAIN * np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.2],
+                              [1.0, 1.0, 1.0]])
+
+    @pytest.mark.parametrize("script, steps", [
+        ([(CHAIN, 1e-6)], 2),
+        ([(CHAIN, 1e-4), (CHAIN, 1e-6)], 3),
+        ([(CHAIN, 1e-6), (CHAIN, 1e-4), (CHAIN, 1e-6)], 4),
+        ([(CHAIN, 1e-6), (SHORT, 1e-6), (CHAIN, 1e-6)], 4),
+        ([(CHAIN, 1e-6), (CHAIN + 0.1 * SHORT, 1e-6)], 2),
+        ([(CYCLE, 1e-6)], 6),
+        ([(CYCLE, 1e-6), (CHAIN, 1e-6)], 3),
+    ], ids=["settled", "gate-first", "gate-left", "support-changed",
+            "weights-moved", "cyclic", "cyclic-then-settled"])
+    def test_rule_on_scripted_solves(self, monkeypatch, script, steps):
+        data, _ = chain_dataset(n=200)
+        self.scripted_solver(monkeypatch, script)
+        result = fit_baseline(data, FitConfig(max_dual_steps=6))
+        assert len(result.diagnostics) == steps
+        assert result.converged == (steps < 6)
+
+    def test_selective_fits_never_use_it(self, monkeypatch):
+        data, _ = chain_dataset(n=200)
+        calls = self.scripted_solver(monkeypatch, [(self.CHAIN, 1e-6)])
+        config = FitConfig(delta_star=2.0, max_dual_steps=6)
+        result = fit(data, config)
+        assert calls == [True] * 6
+        assert len(result.diagnostics) == 6
+        assert result.selected.all() and not result.converged
 
 
 class TestFitBaseline:
