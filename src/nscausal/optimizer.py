@@ -68,10 +68,11 @@ _H1_TOL``, ``|h2| <= _H2_TOL``) and, for a selective fit, its selection
 drops nothing.  The selection-free fit also converges once it has settled:
 two dual steps in a row whose solves end with ``h1 <= SELECTION_H1_GATE``
 and the same support ``|w| > prune_threshold``, whose pruned graph is
-acyclic.  From there the pruned graph no longer changes; the remaining
-steps would only push ``h1`` toward ``_H1_TOL`` at penalties up to 1e13,
-the ill-conditioned subproblems of the quadratic-penalty regime (Ng et
-al., AISTATS 2022), most of them capped at ``max_inner_iter``.  So a
+acyclic.  In measured s4 and s5 fits the pruned graph no longer changed
+from there; the remaining steps only pushed ``h1`` toward ``_H1_TOL`` at
+penalties up to 1e13, the ill-conditioned subproblems of the
+quadratic-penalty regime (Ng et al., AISTATS 2022), most of them capped at
+``max_inner_iter``.  So a
 baseline's last ``diagnostics`` row may show ``h1`` above ``_H1_TOL``, and
 a selective fit warm-started from it starts at that row's ``lambda1`` and
 ``c``.  Selective fits never stop this way: their answer is read off the
@@ -759,8 +760,8 @@ def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
 
     The fit ends, converged, once two dual steps in a row have ``h1 <=
     SELECTION_H1_GATE`` and one acyclic support ``|w| > prune_threshold``
-    (or once ``h1 <= _H1_TOL``, whichever comes first).  Its pruned graph
-    is then fixed, though ``h1`` may still be above ``_H1_TOL``.
+    (or once ``h1 <= _H1_TOL``, whichever comes first), so its last
+    ``h1`` may still be above ``_H1_TOL``.
     """
     return _engine(data, config, relevance=False)
 
