@@ -51,6 +51,10 @@ from .scm import (LINKS, BernoulliNoise, GaussianNoise, SemSpec,
 # each method and the effect kind of its selective fit (None: the baseline)
 METHODS = {"nscsl-te": "te", "nscsl-de": "de", "baseline": None}
 SCENARIO_IDS = ("s1", "s2", "s3", "s4", "s5", "custom")
+GRAPH_MODELS = ("er", "sf")
+# each noise kind of a scenario document: its parameter key and its family
+NOISE_KINDS = {"bernoulli": ("p", BernoulliNoise),
+               "gaussian": ("sigma", GaussianNoise)}
 
 _PRESETS = {
     "s1": dict(p=5, expected_degree=2.0),
@@ -109,21 +113,23 @@ class ScenarioSpec:
                              f"got {self.noise!r}")
         if self.id not in SCENARIO_IDS:
             raise ValueError(f"unknown scenario id {self.id!r}")
-        if self.graph_model not in ("er", "sf"):
-            raise ValueError("graph_model must be 'er' or 'sf'")
+        if self.graph_model not in GRAPH_MODELS:
+            raise ValueError("graph_model must be "
+                             + " or ".join(map(repr, GRAPH_MODELS)))
         if self.link not in LINKS:
             raise ValueError(f"unknown link {self.link!r}, expected one of {LINKS}")
         if self.graph_model == "sf" and self.id not in ("s5", "custom"):
-            raise ValueError(f"{self.id} has a fixed layout; only s5 and custom "
-                             "draw scale-free graphs")
+            raise ValueError(f"graph_model 'sf' is for s5 and custom only: "
+                             f"{self.id} has a fixed layout, not a scale-free "
+                             "draw")
         if not self.methods:
             raise ValueError("methods list must not be empty")
         for m in self.methods:
             if not isinstance(m, str):
                 raise ValueError(f"methods must hold strings, got {m!r}")
             if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}; choose from "
-                                 f"{tuple(METHODS)}")
+                raise ValueError(f"unknown method {m!r} in methods; choose "
+                                 f"from {tuple(METHODS)}")
         sizes = tuple(self.sample_sizes)
         for name, value in ([("p", self.p), ("replications", self.replications),
                              ("seed_base", self.seed_base)]
@@ -138,6 +144,12 @@ class ScenarioSpec:
                 and 1 <= self.expected_degree < self.p):
             raise ValueError("expected_degree of a scale-free graph must be an "
                              f"integer from 1 to p - 1 = {self.p - 1}, got "
+                             f"{self.expected_degree!r}")
+        # the Erdos-Renyi edge probability is expected_degree / (p - 1)
+        if (self.id == "custom" and self.graph_model == "er"
+                and not 0 <= self.expected_degree < self.p):
+            raise ValueError("expected_degree of an Erdos-Renyi graph must be "
+                             f"at least 0 and below p = {self.p}, got "
                              f"{self.expected_degree!r}")
         if self.replications < 1:
             raise ValueError("replications must be positive")
@@ -154,7 +166,7 @@ class ScenarioSpec:
             if self.p != expected["p"] or self.expected_degree != expected["expected_degree"]:
                 raise ValueError(
                     f"{self.id} preset fixes p={expected['p']} and "
-                    f"degree={expected['expected_degree']}")
+                    f"expected_degree={expected['expected_degree']}")
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in sizes))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "weight_range",
@@ -407,12 +419,9 @@ def spec_from_dict(doc: dict) -> ScenarioSpec:
         if not isinstance(noise, dict):
             raise ValueError("noise must be an object with a 'kind' key")
         kind = noise.get("kind", "bernoulli")
-        if kind == "bernoulli":
-            key, family = "p", BernoulliNoise
-        elif kind == "gaussian":
-            key, family = "sigma", GaussianNoise
-        else:
+        if not isinstance(kind, str) or kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {kind!r}")
+        key, family = NOISE_KINDS[kind]
         unknown = set(noise) - {"kind", key}
         if unknown:
             raise ValueError(f"unknown {kind} noise keys: {sorted(unknown)}")

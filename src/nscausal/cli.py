@@ -10,11 +10,13 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, io
-from .bench import (METHODS, RAW_FIELDS, SUMMARY_FIELDS, capped_solves, nscg,
-                    run_scenario, scenario_data, score, spec_from_dict)
+from .bench import (GRAPH_MODELS, METHODS, NOISE_KINDS, RAW_FIELDS,
+                    SUMMARY_FIELDS, capped_solves, nscg, run_scenario,
+                    scenario_data, score, spec_from_dict)
 from .effects import EFFECT_FIELDS, effect_rows
 from .graph import prune
 from .optimizer import FitConfig, fit, fit_baseline
+from .scm import LINKS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,8 +53,9 @@ def _load_fit_config(args) -> FitConfig:
 
 
 def _scenario_from_args(args):
-    noise = ({"kind": "gaussian", "sigma": args.sigma} if args.noise == "gaussian"
-             else {"kind": "bernoulli", "p": args.noise_p})
+    # each noise parameter ``key`` comes from the flag whose dest is noise_<key>
+    key = NOISE_KINDS[args.noise][0]
+    noise = {"kind": args.noise, key: getattr(args, f"noise_{key}")}
     doc = {"id": args.scenario, "noise": noise, "link": args.link,
            "graph_model": args.model, "sample_sizes": [args.n],
            "replications": 1, "seed_base": args.seed}
@@ -144,12 +147,13 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True)
     sim.add_argument("--p", type=int, default=10, help="nodes (custom scenario)")
-    sim.add_argument("--model", choices=("er", "sf"), default="er")
+    sim.add_argument("--model", choices=GRAPH_MODELS, default="er")
     sim.add_argument("--degree", type=float, default=2.0)
-    sim.add_argument("--link", choices=("linear", "rounded-log"), default="linear")
-    sim.add_argument("--noise", choices=("bernoulli", "gaussian"), default="bernoulli")
+    sim.add_argument("--link", choices=LINKS, default="linear")
+    sim.add_argument("--noise", choices=tuple(NOISE_KINDS), default="bernoulli")
     sim.add_argument("--noise-p", type=float, default=0.5)
-    sim.add_argument("--sigma", type=float, default=1.0)
+    sim.add_argument("--sigma", dest="noise_sigma", metavar="SIGMA",
+                     type=float, default=1.0)
     sim.set_defaults(func=cmd_simulate)
 
     fit_p = sub.add_parser("fit", help="learn a graph from a data CSV")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedDag, default_labels, topological_order
+from .graph import WeightedDag, default_labels, is_integer, topological_order
 
 DEFAULT_MEMBER_CAP = 10_000
 # A true CPDAG never dead-ends in the search, but a hand-built ``Cpdag`` that
@@ -240,13 +240,14 @@ def enumerate_mec(c: Cpdag, cap: int = DEFAULT_MEMBER_CAP,
     orientation code, where bit ``k`` is set when the ``k``-th sorted
     undirected edge points from its lower to its higher index.  Each leaf
     is checked for acyclicity and v-structures, which a hand-built ``Cpdag``
-    that is not closed under the rules needs.  ``cap`` must be at least 1
-    and ``c`` may have at most 24 undirected edges, both checked before any
-    work; the search raises once the member count exceeds ``cap``, so the
-    work is bounded by ``cap + 1`` members.
+    that is not closed under the rules needs.  ``cap`` must be an integer
+    of at least 1 (numpy integers included, bools not) and ``c`` may have at
+    most 24 undirected edges, both checked before any work; the search
+    raises once the member count exceeds ``cap``, so the work is bounded by
+    ``cap + 1`` members.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
+    if not (is_integer(cap) and cap >= 1):
+        raise ValueError(f"cap must be at least 1 and an integer, got {cap!r}")
     if len(c.undirected) > _MAX_UNDIRECTED:
         raise ValueError(f"{len(c.undirected)} undirected edges is beyond "
                          "the enumeration limit")

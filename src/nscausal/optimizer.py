@@ -9,7 +9,8 @@ with dual ascent on the multipliers and geometric growth of the penalties.
 The schedule is the fixed augmented-Lagrangian recipe of NOTEARS (Zheng
 et al. 2018) and lives in module constants, not in ``FitConfig``:
 ``_PENALTY_INIT``, ``_PENALTY_GROWTH``, ``_PROGRESS_RATIO``, ``_H1_TOL``,
-``_H2_TOL`` and ``_PENALTY_CAP``; both multipliers start at 0.
+``_H2_TOL`` and ``_PENALTY_CAP``; both multipliers start at 0, and ``h1``'s
+``t`` is ``1/dim``.
 
 * ``f`` is the scaled least-squares residual over the active columns.  The
   fit minimises it on the centered gram divided by its mean diagonal (the
@@ -17,9 +18,13 @@ et al. 2018) and lives in module constants, not in ``FitConfig``:
   absolute schedule and tolerances mean the same at every scale.  A uniform
   rescale keeps the constrained minimiser, and unlike standardising each
   column it keeps the relative variances that identify the DAG.
-* ``h1(B) = tr[(I + t * B∘B)^dim] - dim`` is zero exactly on acyclic
-  patterns; ``t``, set from the iterate at every dual step, keeps the
-  matrix power conditioned.
+* ``h1(B) = tr[(I + t * B∘B)^dim] - dim`` with ``t = 1/dim``, the
+  polynomial of DAG-GNN (Yu et al. 2019), is zero exactly on acyclic
+  patterns.  ``t`` is fixed for the whole fit, so the ``h1`` values the
+  engine compares across dual steps all come from one function.  Each
+  solve starts from an iterate accepted at that ``t``, or from it masked,
+  which can only lower ``h1``, so its starting ``h1`` is finite; a trial
+  point where ``h1`` overflows is rejected by the line search.
 * ``h2(B; g) = delta_star - sum_i |CE_i(B)| + sum_j |B[outcome, j]|``
   compares the absolute causal-effect mass of the active features against
   the all-features reference ``delta_star`` and penalizes edges out of the
@@ -136,9 +141,9 @@ class FitConfig:
     thresholds and ``delta_star`` must be finite and nonnegative, the step
     caps integers (numpy integers included, bools not).
 
-    The penalty schedule and the inner-solve constants (``_STEP_SIZE``,
-    ``_GRAD_TOL``, ``_FTOL`` and the baseline's ``_FTOL_PER_H1``) are
-    module constants; see the module docstring.
+    The penalty schedule, ``h1``'s ``t = 1/dim`` and the inner-solve
+    constants (``_STEP_SIZE``, ``_GRAD_TOL``, ``_FTOL`` and the baseline's
+    ``_FTOL_PER_H1``) are fixed by the engine; see the module docstring.
     """
 
     effect_kind: str = "te"
@@ -372,13 +377,6 @@ def relevance_constraint(B: np.ndarray, mask: np.ndarray, effect_kind: str,
 
 # ---------------------------------------------------------------------------
 # engine
-
-
-def _auto_t(w: np.ndarray) -> float:
-    """``1 / (rho(B∘B) + dim)``, floored at 1e-4."""
-    e = w * w
-    rho = float(np.abs(np.linalg.eigvals(e)).max()) if e.any() else 0.0
-    return max(1.0 / (rho + w.shape[0]), 1e-4)
 
 
 def _free_mask(active: np.ndarray, outcome: int) -> np.ndarray:
@@ -654,6 +652,7 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
     h1_prev = math.inf
     h2_prev = math.inf
     support_prev = None  # the last step's settled support (baseline only)
+    t = 1.0 / dim  # one h1 for the whole fit (see the module docstring)
     diagnostics = []
     converged = False
     stall = 0
@@ -669,7 +668,6 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
                           d_pen, config.effect_kind, delta_star_value)
 
     for step in range(config.max_dual_steps):
-        t = _auto_t(w)
         dropped = []
         # a warm start that is already nearly acyclic gets the selection rule
         # before its first solve, so that solve runs only on the survivors;

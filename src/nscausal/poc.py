@@ -5,8 +5,9 @@ noise domain with probabilities, and a lookup-table structural function.
 Exact counterfactual probabilities are computed by exhaustive enumeration of
 joint noise assignments; these serve as the oracle against which the
 conditional-probability lower bounds and the empirical product estimators
-are checked.  The enumeration itself checks the size of the joint noise
-domain against ``cap`` before it evaluates the first state.
+are checked.  The enumeration itself checks ``cap``, an integer of at least
+1, and the size of the joint noise domain against it before it evaluates
+the first state.
 
 The marginal probability of causation of feature ``i`` at outcome value
 ``y`` is ``P(Y(Z_i != z_i) != y, Y(Z_i = z_i) = y)``; the conditional
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedDag, is_finite_number, topological_order
+from .graph import WeightedDag, is_finite_number, is_integer, topological_order
 from .scm import Dataset
 
 DEFAULT_ENUMERATION_CAP = 10**7
@@ -107,8 +108,12 @@ class DiscreteScm:
 def _noise_states(scm: DiscreteScm, cap: int):
     """Yield (probability, per-node noise tuple), skipping zero-mass states.
 
-    Raises before the first state when the joint noise domain exceeds ``cap``.
+    Raises before the first state when ``cap`` is not an integer of at least
+    1 (numpy integers included, bools not) or the joint noise domain exceeds
+    it.
     """
+    if not (is_integer(cap) and cap >= 1):
+        raise ValueError(f"cap must be at least 1 and an integer, got {cap!r}")
     states = scm.noise_state_count()
     if states > cap:
         raise ValueError(

@@ -170,6 +170,13 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             scenario("s4", expected_degree=3.0)
 
+    @pytest.mark.parametrize("degree", [5, 7, -1.0])
+    def test_erdos_renyi_degree_is_checked_at_construction(self, degree):
+        # the edge probability is degree / (p - 1), so p = 5 takes 0 <= d < 5
+        with pytest.raises(ValueError, match="expected_degree"):
+            scenario("custom", p=5, expected_degree=degree)
+        scenario("custom", p=5, expected_degree=4.5)
+
     def test_methods_validation(self):
         with pytest.raises(ValueError):
             scenario("s1", methods=())

@@ -1,13 +1,25 @@
+import contextlib
 import csv
+import io as stdio
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nscausal.cli as cli
 from nscausal import (BernoulliNoise, GaussianNoise, io, scenario,
                       scenario_data)
+from nscausal.bench import (GRAPH_MODELS, METHODS, NOISE_KINDS, SCENARIO_IDS,
+                            BenchReport, ScenarioSpec)
 from nscausal.cli import main
-from nscausal.optimizer import DIAGNOSTIC_FIELDS
+from nscausal.effects import EFFECT_KINDS
+from nscausal.optimizer import DIAGNOSTIC_FIELDS, FitConfig
+from nscausal.scm import LINKS
 
 
 def read_meta(path):
@@ -386,3 +398,131 @@ class TestExitCodes:
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# input documents: every document is either run or rejected with exit 1 and
+# a message that names one of its keys
+
+# values of every JSON type, nested a little
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+UNKNOWN_KEYS = st.from_regex(r"[a-z_]{1,8}", fullmatch=True)
+
+# a well-formed value of each known key; p, expected_degree, graph_model,
+# the per-node noise lists and the preset ids still constrain each other
+_NOISE_PARAMETERS = (st.floats(0.05, 0.95)
+                     | st.lists(st.floats(0.05, 0.95), min_size=1, max_size=6))
+SCENARIO_VALUES = {
+    "id": st.sampled_from(SCENARIO_IDS),
+    "p": st.integers(2, 8),
+    "graph_model": st.sampled_from(GRAPH_MODELS),
+    "expected_degree": st.integers(0, 8) | st.floats(0.0, 8.0),
+    "link": st.sampled_from(LINKS),
+    "noise": st.sampled_from(tuple(NOISE_KINDS)).flatmap(
+        lambda kind: st.fixed_dictionaries(
+            {"kind": st.just(kind)},
+            optional={NOISE_KINDS[kind][0]: _NOISE_PARAMETERS})),
+    "sample_sizes": st.lists(st.integers(1, 200), min_size=1, max_size=3,
+                             unique=True),
+    "replications": st.integers(1, 3),
+    "methods": st.lists(st.sampled_from(tuple(METHODS)), min_size=1,
+                        max_size=3, unique=True),
+    "seed_base": st.integers(0, 10**6),
+    "weight_range": st.builds(
+        lambda ends, sign: sorted(sign * e for e in ends),
+        st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
+        st.sampled_from((1, -1))),
+}
+CONFIG_VALUES = {
+    "effect_kind": st.sampled_from(EFFECT_KINDS),
+    "prune_threshold": st.floats(0.0, 1.0),
+    "selection_tolerance": st.floats(0.0, 1.0),
+    "max_dual_steps": st.integers(1, 200),
+    "max_inner_iter": st.integers(1, 600),
+    "delta_star": st.none() | st.floats(0.0, 5.0),
+}
+
+
+@st.composite
+def documents(draw, known, fields):
+    """An object that sets some known keys to well-formed values, then sets
+    up to two known keys to JSON values of any type and may add an unknown
+    key; or, now and then, a root that is no object."""
+    assert set(known) == set(fields)
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES.filter(lambda doc: not isinstance(doc, dict)))
+    doc = draw(st.fixed_dictionaries({}, optional=known))
+    for key in draw(st.lists(st.sampled_from(sorted(known)), max_size=2,
+                             unique=True)):
+        doc[key] = draw(JSON_VALUES)
+    doc.update(draw(st.dictionaries(
+        UNKNOWN_KEYS.filter(lambda key: key not in fields), JSON_VALUES,
+        max_size=1)))
+    return doc
+
+
+def names_a_key(message, keys):
+    return any(re.search(rf"(?<!\w){re.escape(key)}(?!\w)", message)
+               for key in keys if key)
+
+
+def run_bench(spec_doc, *config_doc):
+    """``main(["bench", ...])`` on the scenario document and, if given, the
+    ``--config`` document, with ``run_scenario`` stubbed out: the exit code,
+    the error log and whether it ran."""
+    ran = []
+
+    def stub(spec, config, threads=1):
+        ran.append((spec, config))
+        return BenchReport(spec, (), ())
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "run_scenario", stub)
+        argv = ["bench", "--out", str(Path(tmp) / "out")]
+        for flag, doc in zip(("--spec", "--config"), (spec_doc, *config_doc)):
+            path = Path(tmp) / f"{flag[2:]}.json"
+            path.write_text(json.dumps(doc))
+            argv += [flag, str(path)]
+        log = stdio.StringIO()
+        with contextlib.redirect_stderr(log):
+            code = main(argv)
+    return code, log.getvalue(), bool(ran)
+
+
+class TestInputDocuments:
+    @settings(max_examples=400, deadline=None)
+    @given(doc=documents(SCENARIO_VALUES, ScenarioSpec.__dataclass_fields__))
+    def test_scenario_documents_run_or_name_a_key(self, doc):
+        code, log, ran = run_bench(doc)
+        assert code in (0, 1), log
+        assert ran == (code == 0)
+        if code == 1:
+            if not isinstance(doc, dict):
+                assert "object" in log
+            else:
+                # "id" is required, so its absence is named too
+                noise = doc.get("noise")
+                keys = set(doc) | {"id"} | (set(noise) if isinstance(noise, dict)
+                                            else set())
+                assert names_a_key(log, keys), (doc, log)
+
+    @settings(max_examples=200, deadline=None)
+    @given(section=documents(CONFIG_VALUES, FitConfig.__dataclass_fields__),
+           root=st.sampled_from(["fit", "list", "other"]))
+    def test_config_documents_run_or_name_a_key(self, section, root):
+        doc = {"fit": section, "list": [{"fit": section}],
+               "other": {"fit": section, "note": "ignored"}}[root]
+        code, log, ran = run_bench({"id": "s1", "replications": 1}, doc)
+        assert code in (0, 1), log
+        assert ran == (code == 0)
+        if code == 1:
+            if root == "list" or not isinstance(section, dict):
+                assert names_a_key(log, ["fit"]), log
+            else:
+                assert names_a_key(log, section), (section, log)

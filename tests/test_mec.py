@@ -239,6 +239,18 @@ class TestEnumerateMec:
         with pytest.raises(ValueError, match="cap must be at least 1"):
             enumerate_mec(c, cap=cap)
 
+    @pytest.mark.parametrize("cap", [True, 2.0, "3", None])
+    def test_cap_that_is_no_integer_fails_before_any_work(self, cap,
+                                                           monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the search started")
+
+        c = dag_to_cpdag(dag_from_edges([(0, 1)], 2))
+        monkeypatch.setattr(mec, "_Closure", no_work)
+        with pytest.raises(ValueError, match="cap must be at least 1 and an "
+                                             "integer"):
+            enumerate_mec(c, cap=cap)
+
     def test_members_come_in_ascending_orientation_code(self):
         c = dag_to_cpdag(dag_from_edges([(0, 1), (1, 2)], 3))
         patterns = [sorted(map(tuple, np.argwhere(m.weights != 0).tolist()))

@@ -366,7 +366,7 @@ class TestLbfgsSolver:
         # the baseline's solves stop at kappa * h1 of the step before, within
         # [_FTOL, kappa]; every selective solve stops at _FTOL.  s1 seed
         # 300's baseline settles before h1 <= _FTOL / kappa, so the tight
-        # regime is checked on s4 n=1000 seed 301, whose support is still
+        # regime is checked on s4 n=1000 seed 317, whose support is still
         # changing there
         import nscausal.optimizer as optimizer
 
@@ -378,7 +378,7 @@ class TestLbfgsSolver:
             return _lbfgs_minimize(*args)
 
         monkeypatch.setattr(optimizer, "_lbfgs_minimize", recording)
-        _, s4_data = scenario_data(scenario("s4"), 1000, 301)
+        _, s4_data = scenario_data(scenario("s4"), 1000, 317)
         _, _, data = s1_replication(300)
         for replication in (s4_data, data):
             seen.clear()
@@ -598,14 +598,47 @@ class TestFit:
     def test_warm_start_from_a_settled_baseline_caps_no_solve(self):
         # s2 n=100 seed 265: a baseline run on to c = 1e12 left this te
         # fit's first solve at max_inner_iter (500 iterations, then 49, 17
-        # and 7); the settled baseline ends at c = 1e6
+        # and 7); the settled baseline ends at c = 1e8
         _, data = scenario_data(scenario("s2"), 100, 265)
         base = fit_baseline(data)
-        assert base.diagnostics[-1]["c"] == 1e6
+        assert base.diagnostics[-1]["c"] == 1e8
         result = fit(data, FitConfig(effect_kind="te"), warm_start=base)
         assert result.converged
         assert all(row["stop_reason"] != "max_inner_iter"
                    for row in result.diagnostics)
+
+    @pytest.mark.parametrize("scenario_id, n, seed", [
+        ("s1", 100, 300), ("s2", 100, 265), ("s4", 1000, 300)])
+    def test_every_dual_step_uses_t_of_one_over_dim(self, scenario_id, n,
+                                                    seed):
+        _, data = scenario_data(scenario(scenario_id), n, seed)
+        base = fit_baseline(data)
+        for result in (base, fit(data, warm_start=base)):
+            assert {row["t"] for row in result.diagnostics} == {1.0 / data.dim}
+
+    @pytest.mark.parametrize("kind", ["te", "de"])
+    @pytest.mark.parametrize("scenario_id, n, seed", [
+        ("s1", 100, 300), ("s1", 100, 301), ("s2", 100, 265),
+        ("s4", 1000, 300)])
+    def test_step_zero_gate_reads_the_warm_start_h1(self, monkeypatch, kind,
+                                                    scenario_id, n, seed):
+        # the gate before the first solve evaluates the same h1 as the
+        # baseline's last solve, at the same iterate
+        import nscausal.optimizer as optimizer
+
+        _, data = scenario_data(scenario(scenario_id), n, seed)
+        base = fit_baseline(data)
+        original = optimizer._h1
+        values = []
+
+        def recording(*args):
+            out = original(*args)
+            values.append(out[0])
+            return out
+
+        monkeypatch.setattr(optimizer, "_h1", recording)
+        fit(data, FitConfig(effect_kind=kind), warm_start=base)
+        assert values[0] == base.diagnostics[-1]["h1"]
 
     def test_chain_weights_within_tolerance(self):
         data, truth = chain_dataset((1.0, 1.0), n=5000, seed=7)
@@ -896,15 +929,16 @@ class TestSettledStop:
         assert result.diagnostics[-1]["h1"] > _H1_TOL  # not the h1 test
 
     def test_baseline_runs_on_while_the_support_changes(self, monkeypatch):
-        # s4 n=1000 seed 301 passes the gate at step 8 and changes its
-        # support at steps 9 and 10
-        _, data = scenario_data(scenario("s4"), 1000, 301)
+        # s4 n=1000 seed 317 passes the gate at step 10 and changes its
+        # support at steps 11, 12 and 13
+        _, data = scenario_data(scenario("s4"), 1000, 317)
         result, supports = self.settled_supports(monkeypatch, data)
-        assert result.diagnostics[8]["h1"] <= SELECTION_H1_GATE
-        assert all(supports[k] is not None for k in (8, 9, 10))
-        assert not np.array_equal(supports[9], supports[8])
-        assert not np.array_equal(supports[10], supports[9])
-        assert len(result.diagnostics) == 12
+        assert result.diagnostics[10]["h1"] <= SELECTION_H1_GATE
+        assert all(supports[k] is not None for k in (10, 11, 12, 13))
+        assert not np.array_equal(supports[11], supports[10])
+        assert not np.array_equal(supports[12], supports[11])
+        assert not np.array_equal(supports[13], supports[12])
+        assert len(result.diagnostics) == 15
 
     @staticmethod
     def scripted_solver(monkeypatch, script):

@@ -109,6 +109,15 @@ class TestExactPoc:
         with pytest.raises(ValueError, match="cap 7"):
             call(scm, 7)
 
+    @pytest.mark.parametrize("cap", [True, 8.0, "8", None, 0, np.int64(-1)])
+    def test_cap_must_be_an_integer_of_at_least_one(self, cap):
+        scm = or_scm(3)
+        observational_joint(scm, np.int64(8))
+        for call in (observational_joint, ScmDistribution):
+            with pytest.raises(ValueError, match="cap must be at least 1 and "
+                                                 "an integer"):
+                call(scm, cap)
+
     def test_evaluate_reuses_the_validated_order(self, monkeypatch):
         scm = random_binary_scm(np.random.default_rng(2), dim=4)
         expected = evaluate(scm, (1, 0, 1, 0), {1: 1})
