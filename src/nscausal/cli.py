@@ -60,7 +60,12 @@ def _scenario_from_args(args):
            "graph_model": args.model, "sample_sizes": [args.n],
            "replications": 1, "seed_base": args.seed}
     if args.scenario == "custom":
-        doc.update(p=args.p, expected_degree=args.degree)
+        doc["p"] = 10  # ScenarioSpec's own default is the presets' 5
+    # a flag goes in only when given, so that a preset rejects it by name
+    # instead of ignoring it
+    for name, value in (("p", args.p), ("expected_degree", args.degree)):
+        if value is not None:
+            doc[name] = value
     return spec_from_dict(doc)
 
 
@@ -146,9 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True)
-    sim.add_argument("--p", type=int, default=10, help="nodes (custom scenario)")
+    sim.add_argument("--p", type=int,
+                     help="nodes (custom scenario; default 10)")
     sim.add_argument("--model", choices=GRAPH_MODELS, default="er")
-    sim.add_argument("--degree", type=float, default=2.0)
+    sim.add_argument("--degree", type=float,
+                     help="expected degree (custom scenario; default 2)")
     sim.add_argument("--link", choices=LINKS, default="linear")
     sim.add_argument("--noise", choices=tuple(NOISE_KINDS), default="bernoulli")
     sim.add_argument("--noise-p", type=float, default=0.5)

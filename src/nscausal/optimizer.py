@@ -43,12 +43,11 @@ to zero).  The rule runs after each solve and, on a warm start that already
 passes the ``h1`` gate, once before the first solve, so that solve runs
 only on the surviving features; both go through one step of ``_engine``
 that masks the iterate when a feature went.  Drops before the first solve
-are recorded in step 0's ``dropped``, and step 0 converges only if its
-solve meets both tolerances and its post-solve selection drops nothing.
-The outcome row is kept at zero by projection throughout.  Each inner
-minimization is L-BFGS with an Armijo backtracking line search over the
-free entries (as in NOTEARS, Zheng et al. 2018); a step is taken only when it lowers the objective, so no
-inner solve ever increases it.  At the problem sizes here an iteration is
+are recorded in step 0's ``dropped``.  The outcome row is kept at zero by
+projection throughout.  Each inner minimization is L-BFGS with an Armijo
+backtracking line search over the free entries (as in NOTEARS, Zheng et al.
+2018); a step is taken only when it lowers the objective, so no inner solve
+ever increases it.  At the problem sizes here an iteration is
 bound by numpy call overhead, so the solve works on the flat vector of free
 entries and takes each direction from the inner products of its stored
 vectors (``_two_loop``) in a few dense calls.  A solve stops once a step
@@ -68,20 +67,20 @@ deactivation; its ``f`` is in data units, its ``objective_start`` and
 penalty is capped, a fit ends after three dual steps without progress,
 unconverged.
 
-A fit converges when a step's solve meets both tolerances (``h1 <=
-_H1_TOL``, ``|h2| <= _H2_TOL``) and, for a selective fit, its selection
-drops nothing.  The selection-free fit also converges once it has settled:
-two dual steps in a row whose solves end with ``h1 <= SELECTION_H1_GATE``
-and the same support ``|w| > prune_threshold``, whose pruned graph is
-acyclic.  In measured s4 and s5 fits the pruned graph no longer changed
-from there; the remaining steps only pushed ``h1`` toward ``_H1_TOL`` at
+Every fit has one stop rule.  It converges when a step's solve meets both
+tolerances (``h1 <= _H1_TOL``, ``|h2| <= _H2_TOL``) and its selection drops
+nothing, or once it has settled: two dual steps in a row end with ``h1 <=
+SELECTION_H1_GATE``, ``|h2|`` at most the selection cutoff and no drop, and
+share one support ``|w| > prune_threshold`` whose pruned graph is acyclic.
+The selection-free fit has cutoff 0 and ``h2 = 0``; a fit that dropped
+every feature has ``h2 = delta_star``, above the cutoff as
+``selection_tolerance < 1``, so it never settles.  In measured s1, s2, s4
+and s5 fits the selection and pruned graph no longer changed from there;
+later steps only pushed ``h1`` and ``h2`` toward their tolerances at
 penalties up to 1e13, the ill-conditioned subproblems of the
-quadratic-penalty regime (Ng et al., AISTATS 2022), most of them capped at
-``max_inner_iter``.  So a
-baseline's last ``diagnostics`` row may show ``h1`` above ``_H1_TOL``, and
-a selective fit warm-started from it starts at that row's ``lambda1`` and
-``c``.  Selective fits never stop this way: their answer is read off the
-selection, which runs only after a solve.
+quadratic-penalty regime (Ng et al., AISTATS 2022).  So a fit's last
+``diagnostics`` row may show ``h1 > _H1_TOL`` and ``|h2| > _H2_TOL``; a fit
+warm-started from a baseline starts at its last ``lambda1`` and ``c``.
 """
 
 import math
@@ -96,7 +95,7 @@ from .graph import (WeightedDag, is_finite_number, is_integer,
 from .scm import Dataset
 
 # iterate must be this close to acyclic before selection decisions are
-# trusted, and before the selection-free fit may stop on a settled support
+# trusted, and before a fit may stop on a settled support
 SELECTION_H1_GATE = 1e-5
 
 # dual ascent: initial penalties c and d, their growth factor when a
@@ -132,8 +131,8 @@ class FitConfig:
 
     ``prune_threshold`` is the edge threshold of the returned graph.
     ``selection_tolerance`` scales the deactivation cutoff relative to the
-    reference score; with the subset selector realized as monotone
-    shrinkage the size pressure comes from that cutoff.
+    reference score, below 1; with the subset selector realized as
+    monotone shrinkage the size pressure comes from that cutoff.
     ``max_dual_steps`` caps the dual-ascent steps of a fit and
     ``max_inner_iter`` the accepted L-BFGS steps of each inner solve.
     ``delta_star`` may hold a precomputed reference score; None means
@@ -163,6 +162,9 @@ class FitConfig:
             if not is_finite_number(value) or value < 0:
                 raise ValueError(f"{name} must be a finite nonnegative number, "
                                  f"got {value!r}")
+        if self.selection_tolerance >= 1:
+            raise ValueError("selection_tolerance must be below 1, got "
+                             f"{self.selection_tolerance!r}")
         for name in ("max_dual_steps", "max_inner_iter"):
             value = getattr(self, name)
             if not is_integer(value) or value < 1:
@@ -182,9 +184,8 @@ class FitResult:
     """Learned graph, the selected feature mask, and the optimization trace.
 
     ``converged`` says the last dual step met the fit's stop rule (see the
-    module docstring); a converged selection-free fit may have settled on
-    its pruned graph with the last ``diagnostics`` row's ``h1`` still above
-    ``_H1_TOL``.
+    module docstring); a settled fit is converged though its last
+    ``diagnostics`` row may show ``h1 > _H1_TOL`` or ``|h2| > _H2_TOL``.
     """
 
     graph: WeightedDag
@@ -596,10 +597,10 @@ def _pruned_dag(w: np.ndarray, threshold: float) -> np.ndarray | None:
     return None if topological_order(pruned) is None else pruned
 
 
-def _selection_update(w, active, outcome, config, delta_star):
-    """Deactivate every active feature whose effect is at most the cutoff
-    ``selection_tolerance * delta_star``; return them smallest effect first
-    (ties by index), or ``[]`` when the pruned pattern is cyclic.
+def _selection_update(w, active, outcome, config, cutoff):
+    """Deactivate every active feature whose effect is at most ``cutoff``
+    (the fit's ``selection_tolerance * delta_star``); return them smallest
+    effect first (ties by index), or ``[]`` when the pruned pattern is cyclic.
 
     Effects are read off the pruned current iterate so that sub-threshold
     noise edges cannot keep a feature alive.  A feature whose unpruned
@@ -613,7 +614,6 @@ def _selection_update(w, active, outcome, config, delta_star):
     eye = np.eye(w.shape[0])
     ce = np.abs(_effect_parts(pruned, outcome, config.effect_kind, eye)[0])
     raw = np.abs(_effect_parts(w, outcome, config.effect_kind, eye)[0])
-    cutoff = config.selection_tolerance * delta_star
     guard = max(cutoff, config.prune_threshold)
     dropped = sorted((int(i) for i in np.flatnonzero(active) if i != outcome
                       and ce[i] <= cutoff and raw[i] <= guard),
@@ -630,6 +630,7 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
         # one row has a zero centered gram: every fit would "converge" empty
         raise ValueError("dataset must have at least 2 rows and 2 columns")
     delta_star_value = config.delta_star if relevance else 0.0
+    cutoff = config.selection_tolerance * delta_star_value
     # fit on a unit-free gram: a uniform rescale of the data leaves the
     # constrained minimiser unchanged, while the penalty schedule and the
     # solver tolerances are absolute.  All-constant data (mean variance 0)
@@ -651,7 +652,7 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
     cap = _PENALTY_CAP
     h1_prev = math.inf
     h2_prev = math.inf
-    support_prev = None  # the last step's settled support (baseline only)
+    support_prev = None  # the last step's settled support
     t = 1.0 / dim  # one h1 for the whole fit (see the module docstring)
     diagnostics = []
     converged = False
@@ -659,8 +660,7 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
 
     def select(w):
         """Apply the selection rule to ``w``; mask it if a feature went."""
-        dropped = _selection_update(w, active, outcome, config,
-                                    delta_star_value)
+        dropped = _selection_update(w, active, outcome, config, cutoff)
         return (w * _free_mask(active, outcome) if dropped else w), dropped
 
     def objective_now():
@@ -707,10 +707,9 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
         # lambda2 and d untouched
         ok1 = h1v <= _H1_TOL
         ok2 = abs(h2v) <= _H2_TOL
-        # the selection-free fit also ends once two nearly acyclic steps in
-        # a row share one acyclic pruned support (see the module docstring)
+        # a fit also ends once two steps in a row settle on one pruned DAG
         support = None
-        if not relevance and h1v <= SELECTION_H1_GATE:
+        if h1v <= SELECTION_H1_GATE and abs(h2v) <= cutoff and not late:
             pruned = _pruned_dag(w, config.prune_threshold)
             support = None if pruned is None else pruned != 0
         settled = support is not None and np.array_equal(support, support_prev)
@@ -758,8 +757,8 @@ def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
 
     The fit ends, converged, once two dual steps in a row have ``h1 <=
     SELECTION_H1_GATE`` and one acyclic support ``|w| > prune_threshold``
-    (or once ``h1 <= _H1_TOL``, whichever comes first), so its last
-    ``h1`` may still be above ``_H1_TOL``.
+    (or once ``h1 <= _H1_TOL``): the one stop rule of every fit, with cutoff
+    and ``h2`` 0.  So its last ``h1`` may still be above ``_H1_TOL``.
     """
     return _engine(data, config, relevance=False)
 
@@ -780,7 +779,8 @@ def fit(data: Dataset, config: FitConfig = FitConfig(),
     ``warm_start``, the run starts from the empty graph, where nothing is
     selected before the first solve.  A reference score of 0, resolved or
     given, is a ``ValueError``: no feature's effect reaches the outcome in
-    the reference graph, so there is nothing to select against.
+    the reference graph, so there is nothing to select against.  The fit
+    stops by ``fit_baseline``'s rule, with ``|h2|`` within the cutoff.
     """
     if warm_start is not None:
         raw = warm_start.raw_graph

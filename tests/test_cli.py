@@ -58,6 +58,25 @@ class TestSimulate:
                      "--degree", "2", "--n", "30", "--out", str(out)])
         assert code == 0
 
+    def test_custom_scenario_defaults_to_ten_nodes(self, tmp_path):
+        out = tmp_path / "c"
+        assert main(["simulate", "--scenario", "custom", "--n", "30",
+                     "--out", str(out)]) == 0
+        assert len(io.read_graph_csv(out / "truth.csv").labels) == 10
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--scenario", "s1", "--p", "7", "--degree", "4"], "p"),
+        (["--scenario", "s1", "--degree", "4"], "expected_degree"),
+        (["--scenario", "s5", "--model", "sf", "--degree", "3"],
+         "expected_degree"),
+    ], ids=["s1-p-degree", "s1-degree", "s5-sf-degree"])
+    def test_preset_rejects_size_flags_by_name(self, tmp_path, capsys,
+                                               flags, key):
+        out = tmp_path / "sim"
+        assert main(["simulate", *flags, "--n", "10", "--out", str(out)]) == 1
+        assert names_a_key(capsys.readouterr().err, [key])
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags,spec", [
         (["--scenario", "s1"], scenario("s1")),
         (["--scenario", "s5", "--model", "sf"],

@@ -489,7 +489,8 @@ def selection_cases(draw):
     w[outcome] = 0.0
     config = FitConfig(effect_kind=draw(st.sampled_from(["te", "de"])),
                        prune_threshold=draw(st.floats(0.0, 1.0)),
-                       selection_tolerance=draw(st.floats(0.0, 1.0)))
+                       selection_tolerance=draw(
+                           st.floats(0.0, 1.0, exclude_max=True)))
     if draw(st.booleans()):  # no pruned back edge: the pruned pattern is a DAG
         w[np.tril(np.abs(w) > config.prune_threshold)] = 0.0
     active = np.array(draw(st.lists(st.booleans(), min_size=dim,
@@ -498,9 +499,11 @@ def selection_cases(draw):
     delta_star = draw(st.floats(0.0, 10.0))
     pruned = np.where(np.abs(w) > config.prune_threshold, w, 0.0)
     if draw(st.booleans()) and is_acyclic(WeightedDag(pruned)):
-        config = replace(config, selection_tolerance=1.0)
-        delta_star = float(abs_effects(pruned, outcome, config.effect_kind)
-                           [draw(st.integers(0, dim - 1))])
+        # tolerance 0.5 on twice the effect: the cutoff is the effect exactly
+        config = replace(config, selection_tolerance=0.5)
+        delta_star = 2.0 * float(abs_effects(pruned, outcome,
+                                             config.effect_kind)
+                                 [draw(st.integers(0, dim - 1))])
     return w, active, config, delta_star
 
 
@@ -528,7 +531,8 @@ class TestSelectionUpdate:
                 key=lambda i: (ce[i], i))
         else:
             expected = []
-        dropped = _selection_update(w, active, outcome, config, delta_star)
+        dropped = _selection_update(w, active, outcome, config,
+                                    config.selection_tolerance * delta_star)
         assert dropped == expected
         kept = before.copy()
         kept[expected] = False
@@ -540,8 +544,9 @@ class TestSelectionUpdate:
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = 1.0
         active = np.ones(3, bool)
-        config = FitConfig(selection_tolerance=1.0)
-        assert _selection_update(w, active, 2, config, 100.0) == []
+        config = FitConfig(selection_tolerance=0.5)
+        assert _selection_update(w, active, 2, config,
+                                 config.selection_tolerance * 200.0) == []
         assert active.all()
 
 
@@ -724,9 +729,11 @@ class TestFit:
         result = fit(data, warm_start=base)
         # the engine's own rule, applied to the warm start itself
         active = np.ones(data.dim, dtype=bool)
+        config = result.config
         dropped = _selection_update(base.raw_graph.weights, active,
-                                    data.outcome_index, result.config,
-                                    result.delta_star_used)
+                                    data.outcome_index, config,
+                                    config.selection_tolerance
+                                    * result.delta_star_used)
         assert dropped
         first = result.diagnostics[0]
         assert first["dropped"] == tuple(dropped)
@@ -887,8 +894,9 @@ class TestUnits:
 
 
 class TestSettledStop:
-    """The selection-free fit ends after two dual steps in a row with
-    ``h1 <= SELECTION_H1_GATE`` and one acyclic pruned support."""
+    """A fit ends after two dual steps in a row with ``h1 <=
+    SELECTION_H1_GATE``, ``|h2|`` within the selection cutoff, no drop and
+    one acyclic pruned support."""
 
     @staticmethod
     def settled_supports(monkeypatch, data):
@@ -941,9 +949,10 @@ class TestSettledStop:
         assert len(result.diagnostics) == 15
 
     @staticmethod
-    def scripted_solver(monkeypatch, script):
+    def scripted_solver(monkeypatch, script, h2=1.0):
         """Replace the inner solve by one that returns the ``(w, h1)`` pairs
-        of ``script`` in turn (the last one from then on), with h2 = 1."""
+        of ``script`` in turn (the last one from then on), with ``h2`` for a
+        selective solve and 0 for a baseline one, as the engine's does."""
         import nscausal.optimizer as optimizer
 
         calls = []
@@ -951,7 +960,8 @@ class TestSettledStop:
         def solve(w0, objective, *args):
             w, h1 = script[min(len(calls), len(script) - 1)]
             calls.append(objective.relevance)
-            return w.copy(), 0.0, 1, "ftol", _Solve(1, 0.0, h1, 1.0)
+            h2v = h2 if objective.relevance else 0.0
+            return w.copy(), 0.0, 1, "ftol", _Solve(1, 0.0, h1, h2v)
 
         monkeypatch.setattr(optimizer, "_lbfgs_minimize", solve)
         return calls
@@ -981,14 +991,35 @@ class TestSettledStop:
         assert len(result.diagnostics) == steps
         assert result.converged == (steps < 6)
 
-    def test_selective_fits_never_use_it(self, monkeypatch):
+    # z0 -> z1 below the prune threshold: the selection drops z0 after the
+    # first solve, which leaves the pruned support as it was and h2 at 0
+    FAINT = CHAIN * np.array([[1.0, 0.1, 1.0], [1.0, 1.0, 2.0],
+                              [1.0, 1.0, 1.0]])
+
+    # delta_star = 2 puts the selection cutoff at 0.02
+    @pytest.mark.parametrize("w, h2, steps", [
+        (CHAIN, 1.0, 6), (CHAIN, 0.01, 2), (FAINT, 0.01, 3),
+    ], ids=["above-cutoff", "within-cutoff", "drop-then-settled"])
+    def test_selective_fits_settle_within_the_cutoff(self, monkeypatch, w,
+                                                     h2, steps):
         data, _ = chain_dataset(n=200)
-        calls = self.scripted_solver(monkeypatch, [(self.CHAIN, 1e-6)])
+        calls = self.scripted_solver(monkeypatch, [(w, 1e-6)], h2)
         config = FitConfig(delta_star=2.0, max_dual_steps=6)
         result = fit(data, config)
-        assert calls == [True] * 6
-        assert len(result.diagnostics) == 6
-        assert result.selected.all() and not result.converged
+        assert calls == [True] * steps
+        assert len(result.diagnostics) == steps
+        assert result.selected.tolist() == [w is self.CHAIN, True]
+        assert result.converged == (steps < 6)
+
+    def test_warm_started_s1_fit_settles_after_two_steps(self):
+        # s1 n=100 seed 300: the selection and pattern are fixed from the
+        # first step, so the te fit settles with h1 still above _H1_TOL
+        _, _, data = s1_replication(300)
+        result = fit(data, warm_start=fit_baseline(data))
+        assert result.converged
+        assert len(result.diagnostics) == 2
+        assert result.diagnostics[-1]["h1"] > _H1_TOL
+        assert result.selected.tolist() == [False, True, True, True]
 
 
 class TestFitBaseline:
@@ -1051,6 +1082,14 @@ class TestConfigValidation:
     def test_thresholds_must_be_finite_and_nonnegative(self, name, value):
         with pytest.raises(ValueError, match=name):
             FitConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [1, 1.0, np.float64(2.0)])
+    def test_selection_tolerance_must_be_below_one(self, value):
+        # a cutoff at delta_star or above could drop every feature and
+        # leave an empty fit that settles, converged
+        with pytest.raises(ValueError, match="selection_tolerance"):
+            FitConfig(selection_tolerance=value)
+        assert FitConfig(selection_tolerance=0.99).selection_tolerance == 0.99
 
     @pytest.mark.parametrize("name", ["max_dual_steps", "max_inner_iter"])
     @pytest.mark.parametrize("value", [2.5, 10.0, True, "10"])
