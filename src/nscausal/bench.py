@@ -85,10 +85,13 @@ class ScenarioSpec:
     one per node.  ``graph_model="sf"`` is accepted for s5 and custom only;
     s1..s4 keep their fixed layouts, and a scale-free ``expected_degree``
     is a whole number from 1 to ``p - 1`` (the edges each node attaches).
+    The size defaults, 10 nodes and expected degree 2, are the custom
+    scenario's; a preset takes only its own fixed size, which
+    :func:`scenario` fills in.
     """
 
     id: str
-    p: int = 5
+    p: int = 10
     graph_model: str = "er"
     expected_degree: float = 2.0
     link: str = "linear"

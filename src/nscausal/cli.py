@@ -59,8 +59,6 @@ def _scenario_from_args(args):
     doc = {"id": args.scenario, "noise": noise, "link": args.link,
            "graph_model": args.model, "sample_sizes": [args.n],
            "replications": 1, "seed_base": args.seed}
-    if args.scenario == "custom":
-        doc["p"] = 10  # ScenarioSpec's own default is the presets' 5
     # a flag goes in only when given, so that a preset rejects it by name
     # instead of ignoring it
     for name, value in (("p", args.p), ("expected_degree", args.degree)):

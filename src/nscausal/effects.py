@@ -69,12 +69,16 @@ def effect_rows(g: WeightedDag, selected=None) -> list[dict]:
     """One ``EFFECT_FIELDS`` row per non-outcome node, in index order.
 
     ``selected`` is an optional boolean mask over the non-outcome nodes (a
-    fit's ``selected``); unselected features get no row.
+    fit's ``selected``); unselected features get no row.  A mask of another
+    length is a ``ValueError``.
     """
-    te = total_effects(g)
     features = [i for i in range(g.dim) if i != g.outcome_index]
     if selected is None:
         selected = [True] * len(features)
+    elif np.shape(selected) != (len(features),):
+        raise ValueError(f"selected must have one entry per feature, shape "
+                         f"({len(features)},), got {np.shape(selected)}")
+    te = total_effects(g)
     return [{"node": i, "label": g.labels[i],
              "direct_effect": float(g.weights[i, g.outcome_index]),
              "total_effect": float(te[i])}

@@ -57,9 +57,13 @@ loosens that test while it is far from acyclic: its solve at each dual step
 stops at ``max(_FTOL, min(_FTOL_PER_H1, _FTOL_PER_H1 * h1))`` with ``h1``
 the previous step's (so ``_FTOL_PER_H1`` at step 0, and ``_FTOL`` once
 ``h1 <= _FTOL / _FTOL_PER_H1``), since only its last subproblems decide the
-answer (inexact augmented Lagrangian; Conn, Gould & Toint 1991).  Selective
-solves feed the selection rule, which cannot undo a drop, and always stop at
-``_FTOL``.  Every ``diagnostics``
+answer (inexact augmented Lagrangian; Conn, Gould & Toint 1991).  A
+selective fit whose warm start passes the gate starts where that rule is at
+``h1 = SELECTION_H1_GATE`` and solves at its value there,
+``_FTOL_PER_H1 * SELECTION_H1_GATE`` (1e-8), for the whole fit.  It goes no
+looser, since its solves feed the selection rule, which cannot undo a drop:
+at 3e-8 a held-out s4 fit kept a spurious feature.  Every other selective
+fit solves at ``_FTOL``.  Every ``diagnostics``
 row records why its solve stopped and how many objective evaluations it
 spent, and the engine evaluates the objective nowhere else except after a
 deactivation; its ``f`` is in data units, its ``objective_start`` and
@@ -72,9 +76,12 @@ tolerances (``h1 <= _H1_TOL``, ``|h2| <= _H2_TOL``) and its selection drops
 nothing, or once it has settled: two dual steps in a row end with ``h1 <=
 SELECTION_H1_GATE``, ``|h2|`` at most the selection cutoff and no drop, and
 share one support ``|w| > prune_threshold`` whose pruned graph is acyclic.
-The selection-free fit has cutoff 0 and ``h2 = 0``; a fit that dropped
-every feature has ``h2 = delta_star``, above the cutoff as
-``selection_tolerance < 1``, so it never settles.  In measured s1, s2, s4
+A warm start that passes the gate counts as the first of those steps: its
+support after the selection before the first solve, when acyclic, is the
+one the first solve's is compared with, so a fit whose first solve keeps it
+ends after one solve.  The selection-free fit has cutoff 0 and ``h2 = 0``;
+a fit that dropped every feature has ``h2 = delta_star``, above the cutoff
+as ``selection_tolerance < 1``, so it never settles.  In measured s1, s2, s4
 and s5 fits the selection and pruned graph no longer changed from there;
 later steps only pushed ``h1`` and ``h2`` toward their tolerances at
 penalties up to 1e13, the ill-conditioned subproblems of the
@@ -121,7 +128,9 @@ _GRAD_TOL = 1e-7
 _FTOL = 2.220446049250313e-09
 
 # a selection-free solve's relative-decrease stop per unit of the previous
-# step's h1 (capped at this value, floored at _FTOL; see the module docstring)
+# step's h1 (capped at this value, floored at _FTOL), and at h1 =
+# SELECTION_H1_GATE a gated warm-started selective fit's (see the module
+# docstring)
 _FTOL_PER_H1 = 1e-3
 
 
@@ -185,7 +194,9 @@ class FitResult:
 
     ``converged`` says the last dual step met the fit's stop rule (see the
     module docstring); a settled fit is converged though its last
-    ``diagnostics`` row may show ``h1 > _H1_TOL`` or ``|h2| > _H2_TOL``.
+    ``diagnostics`` row may show ``h1 > _H1_TOL`` or ``|h2| > _H2_TOL``.  A
+    selective fit from a warm start that passes the gate may settle on its
+    first row.
     """
 
     graph: WeightedDag
@@ -317,6 +328,16 @@ def _h1_checked(g: WeightedDag, t: float):
         raise ValueError("acyclicity value overflowed; decrease t") from None
 
 
+def _checked_array(name: str, value, shape: tuple, dtype) -> np.ndarray:
+    """``value`` as an array of ``dtype``; a ``ValueError`` naming the
+    argument unless its shape is ``shape``."""
+    array = np.asarray(value, dtype=dtype)
+    if array.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got "
+                         f"{array.shape}")
+    return array
+
+
 def acyclicity_value(g: WeightedDag, t: float) -> float:
     """Trace-power acyclicity score; zero exactly when the pattern is a DAG."""
     return _h1_checked(g, t)[0]
@@ -334,11 +355,12 @@ def least_squares_loss(B: np.ndarray, data: Dataset, mask: np.ndarray):
     graph this is the ``f`` of its last ``diagnostics`` row.
 
     The gradient is zeroed on the outcome row and on unselected rows and
-    columns.  ``mask`` is a boolean vector over nodes and must include the
-    outcome column.
+    columns.  ``B`` is ``dim x dim`` for the data's ``dim`` nodes, and
+    ``mask`` is a boolean vector over those nodes that must include the
+    outcome column; anything else is a ``ValueError``.
     """
-    w = np.asarray(B, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
+    w = _checked_array("B", B, (data.dim, data.dim), float)
+    mask = _checked_array("mask", mask, (data.dim,), bool)
     if data.n == 0:
         raise ValueError("dataset is empty")
     if not mask[data.outcome_index]:
@@ -359,14 +381,21 @@ def relevance_constraint(B: np.ndarray, mask: np.ndarray, effect_kind: str,
     where CE is the direct effect or the total effect, the outcome column of
     ``(I - B)^-1``: exact on DAGs and defined wherever ``I - B`` is
     invertible; a singular ``I - B`` is a ``ValueError``.  The subgradient
-    of ``|x|`` at 0 is taken to be 0.
+    of ``|x|`` at 0 is taken to be 0.  ``B`` is square, ``mask`` a boolean
+    vector over its nodes and ``delta_star`` finite and nonnegative, as in
+    ``FitConfig``; anything else is a ``ValueError``.
     """
     if effect_kind not in _effects.EFFECT_KINDS:
         raise ValueError("effect_kind must be 'te' or 'de'")
+    if not is_finite_number(delta_star) or delta_star < 0:
+        raise ValueError("delta_star must be a finite nonnegative number, "
+                         f"got {delta_star!r}")
     w = np.asarray(B, dtype=float)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError(f"B must be a square matrix, got shape {w.shape}")
     dim = w.shape[0]
+    feature_active = _checked_array("mask", mask, (dim,), bool).copy()
     outcome = outcome_position(outcome_index, dim)
-    feature_active = np.asarray(mask, dtype=bool).copy()
     feature_active[outcome] = False
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -653,6 +682,7 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
     h1_prev = math.inf
     h2_prev = math.inf
     support_prev = None  # the last step's settled support
+    ftol = _FTOL  # a selective fit's solve tolerance; the baseline's follows h1
     t = 1.0 / dim  # one h1 for the whole fit (see the module docstring)
     diagnostics = []
     converged = False
@@ -663,6 +693,12 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
         dropped = _selection_update(w, active, outcome, config, cutoff)
         return (w * _free_mask(active, outcome) if dropped else w), dropped
 
+    def settled_support(w):
+        """The support ``|w| > prune_threshold``, or None when its pruned
+        graph is cyclic."""
+        pruned = _pruned_dag(w, config.prune_threshold)
+        return None if pruned is None else pruned != 0
+
     def objective_now():
         return _Objective(gram, outcome, active, t, lam1, c, relevance, lam2,
                           d_pen, config.effect_kind, delta_star_value)
@@ -671,13 +707,17 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
         dropped = []
         # a warm start that is already nearly acyclic gets the selection rule
         # before its first solve, so that solve runs only on the survivors;
-        # the zero start has no effects to select on
+        # the zero start has no effects to select on.  Such a fit solves at
+        # the baseline rule's tolerance at the gate, and its masked warm
+        # start counts as a settled step
         if (step == 0 and relevance and init is not None
                 and _h1(w, t, np.eye(dim))[0] <= SELECTION_H1_GATE):
             w, dropped = select(w)
+            ftol = _FTOL_PER_H1 * SELECTION_H1_GATE
+            support_prev = settled_support(w)
         objective = objective_now()
-        ftol = (_FTOL if relevance
-                else max(_FTOL, min(_FTOL_PER_H1, _FTOL_PER_H1 * h1_prev)))
+        if not relevance:
+            ftol = max(_FTOL, min(_FTOL_PER_H1, _FTOL_PER_H1 * h1_prev))
         w, obj_end, inner_iters, stop_reason, solve = _lbfgs_minimize(
             w, objective, _STEP_SIZE, config.max_inner_iter, _GRAD_TOL, ftol)
         h1v, h2v = solve.h1, solve.h2
@@ -710,8 +750,7 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
         # a fit also ends once two steps in a row settle on one pruned DAG
         support = None
         if h1v <= SELECTION_H1_GATE and abs(h2v) <= cutoff and not late:
-            pruned = _pruned_dag(w, config.prune_threshold)
-            support = None if pruned is None else pruned != 0
+            support = settled_support(w)
         settled = support is not None and np.array_equal(support, support_prev)
         support_prev = support
         if (ok1 and ok2 and not late) or settled:
@@ -771,7 +810,10 @@ def fit(data: Dataset, config: FitConfig = FitConfig(),
     point and multipliers of the constrained run; a fit of data with another
     ``dim``, ``outcome_index`` or ``labels`` is a ``ValueError``.  When the
     warm start is nearly acyclic, the selection rule runs on it before the
-    first solve, and its drops are recorded in step 0's ``dropped``.  When
+    first solve, and its drops are recorded in step 0's ``dropped``; the
+    fit then solves at the baseline rule's tolerance at the gate, and counts
+    the masked warm start as a settled step, so a first solve that keeps its
+    pruned support ends the fit.  When
     ``config.delta_star`` is None the reference score is the effect mass of
     that fit's pruned graph, and without ``warm_start`` the fit is computed
     here with ``fit_baseline`` and serves as the warm start.  The score is

@@ -15,7 +15,7 @@ import nscausal.cli as cli
 from nscausal import (BernoulliNoise, GaussianNoise, io, scenario,
                       scenario_data)
 from nscausal.bench import (GRAPH_MODELS, METHODS, NOISE_KINDS, SCENARIO_IDS,
-                            BenchReport, ScenarioSpec)
+                            BenchReport, ScenarioSpec, spec_from_dict)
 from nscausal.cli import main
 from nscausal.effects import EFFECT_KINDS
 from nscausal.optimizer import DIAGNOSTIC_FIELDS, FitConfig
@@ -63,6 +63,21 @@ class TestSimulate:
         assert main(["simulate", "--scenario", "custom", "--n", "30",
                      "--out", str(out)]) == 0
         assert len(io.read_graph_csv(out / "truth.csv").labels) == 10
+
+    def test_custom_default_size_has_one_owner(self, tmp_path):
+        # the dataclass, `scenario`, a bench file and simulate all
+        # draw a custom scenario on 10 nodes with expected degree 2
+        specs = (ScenarioSpec(id="custom"), scenario("custom"),
+                 spec_from_dict({"id": "custom"}))
+        assert {(s.p, s.expected_degree) for s in specs} == {(10, 2.0)}
+        out = tmp_path / "sim"
+        assert main(["simulate", "--scenario", "custom", "--n", "25",
+                     "--seed", "6", "--out", str(out)]) == 0
+        truth, data = scenario_data(specs[0], 25, 6)
+        io.write_graph_csv(truth, tmp_path / "truth.csv")
+        io.write_dataset_csv(data, tmp_path / "data.csv")
+        for name in ("truth.csv", "data.csv"):
+            assert file_bytes(out / name) == file_bytes(tmp_path / name)
 
     @pytest.mark.parametrize("flags, key", [
         (["--scenario", "s1", "--p", "7", "--degree", "4"], "p"),

@@ -130,6 +130,20 @@ class TestEffectReport:
         for row in effect_rows(g):
             assert row["direct_effect"] == g.weights[row["node"], g.outcome_index]
 
+    @pytest.mark.parametrize("selected", [[True], [True] * 4,
+                                          [[True, True, True]]])
+    def test_mask_of_another_length_is_an_error(self, monkeypatch, selected):
+        # zip used to truncate the mask: [True] gave one row of three
+        import nscausal.effects as effects
+
+        def no_work(g):
+            raise AssertionError("effect_rows ran before checking its mask")
+
+        monkeypatch.setattr(effects, "total_effects", no_work)
+        g = chain_to_outcome([1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="^selected must have one entry"):
+            effect_rows(g, selected)
+
 
 class TestDeltaStar:
     @staticmethod

@@ -159,6 +159,25 @@ class TestLeastSquaresLoss:
             least_squares_loss(np.zeros((3, 3)), data,
                                np.array([True, True, False]))
 
+    @pytest.mark.parametrize("w, mask, name", [
+        (np.zeros((4, 4)), np.ones(3, bool), "mask"),
+        (np.zeros((4, 4)), np.ones(5, bool), "mask"),
+        (np.zeros((3, 3)), np.ones(4, bool), "B"),
+        (np.zeros((4, 3)), np.ones(4, bool), "B"),
+    ], ids=["short-mask", "long-mask", "small-B", "non-square-B"])
+    def test_shapes_must_match_the_data_before_any_work(self, monkeypatch, w,
+                                                        mask, name):
+        import nscausal.optimizer as optimizer
+
+        def no_work(*args):
+            raise AssertionError("the loss ran before checking its inputs")
+
+        monkeypatch.setattr(optimizer, "_centered_gram", no_work)
+        data = Dataset(np.random.default_rng(0).normal(size=(10, 4)),
+                       ("a", "b", "c", "y"), 3)
+        with pytest.raises(ValueError, match=f"^{name} must have shape"):
+            least_squares_loss(w, data, mask)
+
 
 class TestRelevanceConstraint:
     def test_fixed_point_at_delta_star_source(self):
@@ -225,6 +244,32 @@ class TestRelevanceConstraint:
             w[0, 1] = w[1, 2] = weight
             with pytest.raises(ValueError, match="not finite"):
                 relevance_constraint(w, np.ones(3, bool), "te", 2.0)
+
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_delta_star_must_be_finite_and_nonnegative(self, value):
+        # FitConfig rejects these values; at -1 the value read -2.0, at nan nan
+        w = np.zeros((4, 4))
+        w[0, 1] = w[1, 3] = 1.0
+        with pytest.raises(ValueError, match="delta_star must be a finite"):
+            relevance_constraint(w, np.ones(4, bool), "te", value)
+
+    @pytest.mark.parametrize("w, mask, message", [
+        (np.zeros((4, 4)), np.ones(3, bool), "mask must have shape"),
+        (np.zeros((4, 4)), np.ones(5, bool), "mask must have shape"),
+        (np.zeros((4, 3)), np.ones(4, bool), "B must be a square matrix"),
+        (np.zeros(4), np.ones(4, bool), "B must be a square matrix"),
+    ], ids=["short-mask", "long-mask", "non-square-B", "vector-B"])
+    def test_shapes_are_checked_before_any_work(self, monkeypatch, w, mask,
+                                                message):
+        import nscausal.optimizer as optimizer
+
+        def no_work(*args):
+            raise AssertionError("the constraint ran before checking its "
+                                 "inputs")
+
+        monkeypatch.setattr(optimizer, "_h2", no_work)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            relevance_constraint(w, mask, "te", 1.0)
 
     @pytest.mark.parametrize("index", [3, 7, -4])
     def test_out_of_range_outcome_is_an_error(self, index):
@@ -364,10 +409,11 @@ class TestLbfgsSolver:
 
     def test_engine_solves_with_the_relative_stop(self, monkeypatch):
         # the baseline's solves stop at kappa * h1 of the step before, within
-        # [_FTOL, kappa]; every selective solve stops at _FTOL.  s1 seed
-        # 300's baseline settles before h1 <= _FTOL / kappa, so the tight
-        # regime is checked on s4 n=1000 seed 317, whose support is still
-        # changing there
+        # [_FTOL, kappa].  A selective fit warm-started from a baseline that
+        # passes the gate solves at kappa * SELECTION_H1_GATE, the baseline
+        # rule's value there; a cold start solves at _FTOL.  s1 seed 300's
+        # baseline settles before h1 <= _FTOL / kappa, so the tight regime is
+        # checked on s4 n=1000 seed 317, whose support is still changing there
         import nscausal.optimizer as optimizer
 
         kappa = optimizer._FTOL_PER_H1
@@ -396,11 +442,18 @@ class TestLbfgsSolver:
             if replication is s4_data:
                 assert tight
 
+        assert base.diagnostics[-1]["h1"] <= SELECTION_H1_GATE
         seen.clear()
         result = fit(data, warm_start=base)
-        assert seen and all(relevance and ftol == _FTOL
+        assert seen and all(relevance and ftol == kappa * SELECTION_H1_GATE
                             for relevance, ftol in seen)
         assert "ftol" in {d["stop_reason"] for d in result.diagnostics}
+
+        seen.clear()
+        dstar = delta_star(data, lambda _: base.graph, "te")
+        cold = fit(data, FitConfig(delta_star=dstar))
+        assert len(seen) == len(cold.diagnostics)
+        assert all(relevance and ftol == _FTOL for relevance, ftol in seen)
 
     @staticmethod
     def textbook_direction(pairs, grad):
@@ -949,17 +1002,20 @@ class TestSettledStop:
         assert len(result.diagnostics) == 15
 
     @staticmethod
-    def scripted_solver(monkeypatch, script, h2=1.0):
+    def scripted_solver(monkeypatch, script, h2=1.0, ftols=None):
         """Replace the inner solve by one that returns the ``(w, h1)`` pairs
         of ``script`` in turn (the last one from then on), with ``h2`` for a
-        selective solve and 0 for a baseline one, as the engine's does."""
+        selective solve and 0 for a baseline one, as the engine's does; each
+        solve's ``ftol`` is appended to ``ftols`` when given."""
         import nscausal.optimizer as optimizer
 
         calls = []
 
-        def solve(w0, objective, *args):
+        def solve(w0, objective, step_size, max_iter, grad_tol, ftol=0.0):
             w, h1 = script[min(len(calls), len(script) - 1)]
             calls.append(objective.relevance)
+            if ftols is not None:
+                ftols.append(ftol)
             h2v = h2 if objective.relevance else 0.0
             return w.copy(), 0.0, 1, "ftol", _Solve(1, 0.0, h1, h2v)
 
@@ -1011,13 +1067,49 @@ class TestSettledStop:
         assert result.selected.tolist() == [w is self.CHAIN, True]
         assert result.converged == (steps < 6)
 
-    def test_warm_started_s1_fit_settles_after_two_steps(self):
-        # s1 n=100 seed 300: the selection and pattern are fixed from the
-        # first step, so the te fit settles with h1 still above _H1_TOL
+    # the chain plus z0 -> y; the chain plus a back edge z1 -> z0 below the
+    # prune threshold, whose h1 is above the gate though its pruned graph is
+    # the chain
+    WIDE = CHAIN + np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0],
+                             [0.0, 0.0, 0.0]])
+    FAINT_CYCLE = CHAIN + np.array([[0.0, 0.0, 0.0], [0.25, 0.0, 0.0],
+                                    [0.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("warm, w, gated, steps", [
+        (CHAIN, CHAIN, True, 1), (CHAIN, WIDE, True, 2),
+        (FAINT_CYCLE, CHAIN, False, 2),
+    ], ids=["gated-settled", "gated-support-changed", "above-the-gate"])
+    def test_gated_warm_start_counts_as_a_settled_step(self, monkeypatch,
+                                                       warm, w, gated, steps):
+        # a warm start that passes the gate seeds the settled stop with its
+        # pruned support, and its fit solves at the baseline rule's tolerance
+        # at the gate; a warm start above the gate seeds nothing
+        import nscausal.optimizer as optimizer
+
+        data, _ = chain_dataset(n=200)
+        self.scripted_solver(monkeypatch, [(warm, 1e-6)])
+        base = fit_baseline(data, FitConfig(max_dual_steps=6))
+        assert np.array_equal(base.raw_graph.weights, warm)
+        assert (acyclicity_value(base.raw_graph, 1.0 / data.dim)
+                <= SELECTION_H1_GATE) == gated
+        ftols = []
+        calls = self.scripted_solver(monkeypatch, [(w, 1e-6)], 0.01, ftols)
+        config = FitConfig(delta_star=2.0, max_dual_steps=6)
+        result = fit(data, config, warm_start=base)
+        assert calls == [True] * steps
+        assert ftols == [optimizer._FTOL_PER_H1 * SELECTION_H1_GATE
+                         if gated else _FTOL] * steps
+        assert result.converged
+        assert result.selected.tolist() == [True, True]
+
+    def test_warm_started_s1_fit_settles_after_one_step(self):
+        # s1 n=100 seed 300: the warm start passes the gate, and the first
+        # solve keeps its pruned support, so the te fit settles at once with
+        # h1 still above _H1_TOL
         _, _, data = s1_replication(300)
         result = fit(data, warm_start=fit_baseline(data))
         assert result.converged
-        assert len(result.diagnostics) == 2
+        assert len(result.diagnostics) == 1
         assert result.diagnostics[-1]["h1"] > _H1_TOL
         assert result.selected.tolist() == [False, True, True, True]
 
