@@ -14,13 +14,18 @@ reference score given, no warm start).  A line holds the group, scenario,
 n, seed, method and start; ``selected`` (null for the baseline); the
 sha256 of the pruned pattern, of the raw graph's weights and of the
 ``diagnostics``; ``converged``, ``dual_steps`` and ``inner_iterations``;
-and ``shd`` against the outcome's necessary-and-sufficient subgraph.
+and ``shd`` against the outcome's necessary-and-sufficient subgraph.  A
+selective fit's line also counts its ``spurious`` selected features and its
+``missed`` causal features: the causal features are those with a directed
+path to the outcome in that subgraph.
 
 ``--compare`` matches the fits of two such files, lists every changed
 selection and pruned pattern (with its shd before and after), and prints
 per-group sums.  It exits 1 when the files hold different fits, a
-selection changed, or a changed pattern's shd rose; else 0.  To compare a
-change with its parent, run ``--corpus`` in a checkout of each.
+selection changed, a changed pattern's shd rose, or a group's summed
+spurious or missed count rose; else 0.  Lines written without the two
+counts are compared without them.  To compare a change with its parent,
+run ``--corpus`` in a checkout of each.
 """
 
 import argparse
@@ -58,6 +63,7 @@ CORPORA = {
     ),
 }
 KEY = ("group", "scenario", "seed", "method", "start")
+COUNTS = ("spurious", "missed")
 
 
 def _sha(data: bytes) -> str:
@@ -65,7 +71,7 @@ def _sha(data: bytes) -> str:
 
 
 def _line(fitted, target, **fields):
-    return dict(
+    line = dict(
         fields,
         selected=(None if fields["method"] == "baseline"
                   else [bool(s) for s in fitted.selected]),
@@ -77,6 +83,13 @@ def _line(fitted, target, **fields):
         inner_iterations=sum(d["inner_iterations"]
                              for d in fitted.diagnostics),
         shd=ns.graph_metrics(fitted.graph, target).shd)
+    if line["selected"] is not None:
+        outcome = target.outcome_index
+        causes = ns.ancestors_of(target, outcome)
+        features = [i for i in range(target.dim) if i != outcome]
+        chosen = {i for i, kept in zip(features, fitted.selected) if kept}
+        line.update(spurious=len(chosen - causes), missed=len(causes - chosen))
+    return line
 
 
 def run_corpus(name: str, out) -> None:
@@ -136,23 +149,29 @@ def compare(old_path: str, new_path: str, out) -> int:
             out.write(f"pattern changed: {label}: shd {a['shd']} -> "
                       f"{b['shd']}\n")
         group = sums.setdefault((key[0], key[3], key[4]), {
-            "fits": 0, "raw_changed": 0, "diagnostics_changed": 0,
-            "dual_steps": [0, 0], "inner_iterations": [0, 0], "shd": [0, 0]})
+            "fits": 0, "raw_changed": 0, "diagnostics_changed": 0})
         group["fits"] += 1
         group["raw_changed"] += a["raw_sha256"] != b["raw_sha256"]
         group["diagnostics_changed"] += (a["diagnostics_sha256"]
                                          != b["diagnostics_sha256"])
-        for field in ("dual_steps", "inner_iterations", "shd"):
-            group[field][0] += a[field]
-            group[field][1] += b[field]
+        fields = ["dual_steps", "inner_iterations", "shd"]
+        fields += [field for field in COUNTS if field in a and field in b]
+        for field in fields:
+            pair = group.setdefault(field, [0, 0])
+            pair[0] += a[field]
+            pair[1] += b[field]
     out.write("group method start: fits, raw/diagnostics hashes changed, "
-              "dual steps, inner iterations, shd (old -> new)\n")
+              "dual steps, inner iterations, shd, spurious, missed "
+              "(old -> new)\n")
     for (group, method, start), s in sums.items():
+        fields = [field for field in ("dual_steps", "inner_iterations", "shd")
+                  + COUNTS if field in s]
+        failed = failed or any(s[field][1] > s[field][0] for field in COUNTS
+                               if field in s)
         out.write(f"{group} {method} {start}: {s['fits']} fits, "
                   f"{s['raw_changed']}/{s['diagnostics_changed']} changed, "
                   + ", ".join(f"{field} {s[field][0]} -> {s[field][1]}"
-                              for field in ("dual_steps", "inner_iterations",
-                                            "shd"))
+                              for field in fields)
                   + "\n")
     return int(failed)
 
