@@ -37,12 +37,12 @@ et al. 2018) and lives in module constants, not in ``FitConfig``:
 
 The feature mask ``g`` shrinks monotonically: once the iterate is nearly
 acyclic, every feature whose pruned-graph effect is at most the cutoff
-``selection_tolerance * delta_star``, and whose unpruned effect is at most
-``max(cutoff, prune_threshold)``, is deactivated (rows and columns clamped
-to zero).  The rule runs after each solve and, on a warm start that already
-passes the ``h1`` gate, once before the first solve, so that solve runs
-only on the surviving features; both go through one step of ``_engine``
-that masks the iterate when a feature went.  Drops before the first solve
+``selection_tolerance * delta_star`` is deactivated (rows and columns
+clamped to zero), so every selected feature has a path to the outcome in
+the pruned graph the selection read.  The rule runs after each solve and,
+on a warm start that already passes the ``h1`` gate, once before the first
+solve, so that solve runs only on the surviving features; both go through
+one step of ``_engine`` that masks the iterate when a feature went.  Drops before the first solve
 are recorded in step 0's ``dropped``.  The outcome row is kept at zero by
 projection throughout.  Each inner minimization is L-BFGS with an Armijo
 backtracking line search over the free entries (as in NOTEARS, Zheng et al.
@@ -631,22 +631,17 @@ def _selection_update(w, active, outcome, config, cutoff):
     (the fit's ``selection_tolerance * delta_star``); return them smallest
     effect first (ties by index), or ``[]`` when the pruned pattern is cyclic.
 
-    Effects are read off the pruned current iterate so that sub-threshold
-    noise edges cannot keep a feature alive.  A feature whose unpruned
-    effect exceeds ``max(cutoff, prune_threshold)`` is spared: a borderline
-    true edge dipping under the prune threshold for one round must not
-    eliminate its source for good (deactivation is monotone).
+    Effects are read off the pruned current iterate, so sub-threshold noise
+    edges cannot keep a feature alive, and a feature with no path to the
+    outcome in that pruned graph (effect 0) always goes.
     """
     pruned = _pruned_dag(w, config.prune_threshold)
     if pruned is None:
         return []
-    eye = np.eye(w.shape[0])
-    ce = np.abs(_effect_parts(pruned, outcome, config.effect_kind, eye)[0])
-    raw = np.abs(_effect_parts(w, outcome, config.effect_kind, eye)[0])
-    guard = max(cutoff, config.prune_threshold)
+    ce = np.abs(_effect_parts(pruned, outcome, config.effect_kind,
+                              np.eye(w.shape[0]))[0])
     dropped = sorted((int(i) for i in np.flatnonzero(active) if i != outcome
-                      and ce[i] <= cutoff and raw[i] <= guard),
-                     key=lambda i: (ce[i], i))
+                      and ce[i] <= cutoff), key=lambda i: (ce[i], i))
     active[dropped] = False
     return dropped
 
