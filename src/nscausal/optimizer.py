@@ -38,38 +38,39 @@ et al. 2018) and lives in module constants, not in ``FitConfig``:
 The feature mask ``g`` shrinks monotonically: once the iterate is nearly
 acyclic, every feature whose pruned-graph effect is at most the cutoff
 ``selection_tolerance * delta_star`` is deactivated (rows and columns
-clamped to zero), so every selected feature has a path to the outcome in
-the pruned graph the selection read.  The rule runs after each solve and,
-on a warm start that already passes the ``h1`` gate, once before the first
-solve, so that solve runs only on the surviving features; both go through
-one step of ``_engine`` that masks the iterate when a feature went.  Drops before the first solve
-are recorded in step 0's ``dropped``.  The outcome row is kept at zero by
-projection throughout.  Each inner minimization is L-BFGS with an Armijo
-backtracking line search over the free entries (as in NOTEARS, Zheng et al.
-2018); a step is taken only when it lowers the objective, so no inner solve
-ever increases it.  At the problem sizes here an iteration is
-bound by numpy call overhead, so the solve works on the flat vector of free
-entries and takes each direction from the inner products of its stored
-vectors (``_two_loop``) in a few dense calls.  A solve stops once a step
+clamped to zero), so every selected feature has a path to the outcome in the
+pruned graph the selection read.  The rule runs after each solve and, on a
+warm start that already passes the ``h1`` gate, once before the first solve,
+so that solve runs only on the surviving features; both go through one step
+of ``_engine`` that masks the iterate when a feature went.  Drops before the
+first solve are recorded in step 0's ``dropped``.  The outcome row is kept
+at zero by projection throughout.  Each inner minimization is L-BFGS with an
+Armijo backtracking line search over the free entries (as in NOTEARS, Zheng
+et al. 2018); a step is taken only when it lowers the objective, so no inner
+solve ever increases it.  At the problem sizes here an iteration is bound by
+numpy call overhead.  So the solve runs on the flattened weight matrix,
+whose masked entries stay zero through the masked start and the masked
+gradient, and takes each direction from the compact form of the inverse
+Hessian (Byrd, Nocedal & Schnabel 1994): small matrices that each stored
+pair changes by one row and column (``_Memory``).  A solve stops once a step
 lowers the objective by less than ``_FTOL`` relative (SciPy L-BFGS-B's
 test), instead of crawling to the rounding floor.  The selection-free fit
 loosens that test while it is far from acyclic: its solve at each dual step
 stops at ``max(_FTOL, min(_FTOL_PER_H1, _FTOL_PER_H1 * h1))`` with ``h1``
-the previous step's (so ``_FTOL_PER_H1`` at step 0, and ``_FTOL`` once
-``h1 <= _FTOL / _FTOL_PER_H1``), since only its last subproblems decide the
+the previous step's (so ``_FTOL_PER_H1`` at step 0, and ``_FTOL`` once ``h1
+<= _FTOL / _FTOL_PER_H1``), since only its last subproblems decide the
 answer (inexact augmented Lagrangian; Conn, Gould & Toint 1991).  A
 selective fit whose warm start passes the gate starts where that rule is at
-``h1 = SELECTION_H1_GATE`` and solves at its value there,
-``_FTOL_PER_H1 * SELECTION_H1_GATE`` (1e-8), for the whole fit.  It goes no
-looser, since its solves feed the selection rule, which cannot undo a drop:
-at 3e-8 a held-out s4 fit kept a spurious feature.  Every other selective
-fit solves at ``_FTOL``.  Every ``diagnostics``
-row records why its solve stopped and how many objective evaluations it
-spent, and the engine evaluates the objective nowhere else except after a
-deactivation; its ``f`` is in data units, its ``objective_start`` and
-``objective_end`` in the rescaled units.  Once every unmet constraint's
-penalty is capped, a fit ends after three dual steps without progress,
-unconverged.
+``h1 = SELECTION_H1_GATE`` and solves at its value there, ``_FTOL_PER_H1 *
+SELECTION_H1_GATE`` (1e-8), for the whole fit.  It goes no looser, since its
+solves feed the selection rule, which cannot undo a drop: at 3e-8 a held-out
+s4 fit kept a spurious feature.  Every other selective fit solves at
+``_FTOL``.  Every ``diagnostics`` row records why its solve stopped and how
+many objective evaluations it spent, and the engine evaluates the objective
+nowhere else except after a deactivation; its ``f`` is in data units, its
+``objective_start`` and ``objective_end`` in the rescaled units.  Once every
+unmet constraint's penalty is capped, a fit ends after three dual steps
+without progress, unconverged.
 
 Every fit has one stop rule.  It converges when a step's solve meets both
 tolerances (``h1 <= _H1_TOL``, ``|h2| <= _H2_TOL``) and its selection drops
@@ -456,53 +457,71 @@ class _Objective:
         return total, grad, f, h1v, h2v
 
 
-def _two_loop(basis: np.ndarray, pairs: list) -> np.ndarray:
-    """The L-BFGS direction ``-H g``, from inner products alone.
+class _Memory:
+    """The newest ``_LBFGS_MEMORY`` curvature pairs ``(s, y)``, and the
+    L-BFGS direction ``-H g`` from the compact form of their inverse Hessian
+    (Byrd, Nocedal & Schnabel 1994) with the newest pair's scaling ``gamma
+    = s.y / y.y``: ``-H g = -gamma g - S v + gamma Y u``, ``u = R^-1 S^T g``
+    and ``v = R^-T ((D + gamma Y^T Y) u - gamma Y^T g)``.
 
-    ``basis`` holds the steps ``s`` in rows ``[0, m)``, the gradient changes
-    ``y`` in rows ``[m, 2m)`` and the gradient ``g`` in its last row;
-    ``pairs`` lists ``(slot, 1 / s.y)`` oldest first for the slots in use,
-    and ``H`` is the two-loop inverse Hessian of those pairs with the
-    ``s.y / y.y`` scaling of the newest.  Every vector of the recursion is a
-    combination of the rows, so it runs on their coefficients: one Gram
-    matrix, the recursion on Python floats, and one combination of the rows
-    (vector-free L-BFGS; Chen, Wang & Zhou 2014).
+    The pairs sit in a ring of slots, oldest first in ``slots``, with the
+    steps in ``rows[:m]`` and the gradient changes in ``rows[m:]``.  Per
+    slot it keeps ``D = s.y``, ``Y^T Y`` and ``R^-1``, the inverse of the
+    upper triangle of ``S^T Y`` in pair-age order; a stored pair borders
+    them with one row and column, from one product of the rows with its
+    ``y``.  The trailing block of a triangular matrix's inverse is the
+    inverse of its trailing block, so evicting the oldest pair zeroes its
+    row of ``R^-1``; its column, the first in pair-age order, is zero but
+    for the diagonal.  A slot out of use, zero there, takes no part in a
+    direction.
     """
-    m = len(basis) // 2
-    gram = (basis @ basis.T).tolist()
-    newest_first = [slot for slot, _ in reversed(pairs)]
-    # q = g - sum_j a_j y_j, the a_j = rho_j s_j.q taken newest first; the
-    # sums run left to right in explicit loops, so the rounding does not
-    # depend on how a Python version implements ``sum``
-    alphas = []
-    for slot, rho in reversed(pairs):
-        row = gram[slot]
-        acc = 0.0
-        for j, a in zip(newest_first, alphas):
-            acc += a * row[m + j]
-        alphas.append(rho * (row[-1] - acc))
-    newest = newest_first[0]
-    gamma = gram[newest][m + newest] / gram[m + newest][m + newest]
-    # r = gamma q + sum_j b_j s_j, the b_j = a_j - rho_j y_j.r taken
-    # oldest first
-    betas = []
-    for (slot, rho), a in zip(pairs, reversed(alphas)):
-        row = gram[m + slot]
-        acc = 0.0
-        for j, aj in zip(newest_first, alphas):
-            acc += aj * row[m + j]
-        yr = gamma * (row[-1] - acc)
-        acc = 0.0
-        for (j, _), b in zip(pairs, betas):
-            acc += b * row[j]
-        betas.append(a - rho * (yr + acc))
-    coef = [0.0] * len(basis)
-    coef[-1] = -gamma
-    for j, a in zip(newest_first, alphas):
-        coef[m + j] = gamma * a
-    for (j, _), b in zip(pairs, betas):
-        coef[j] = -b
-    return np.array(coef) @ basis
+
+    def __init__(self, size: int):
+        m = _LBFGS_MEMORY
+        self.rows = np.zeros((2 * m, size))
+        self.sy = np.zeros(m)
+        self.yy = np.zeros((m, m))
+        self.r_inv = np.zeros((m, m))
+        self.gamma = 0.0
+        self.slots = []
+
+    def push(self, step: np.ndarray, change: np.ndarray):
+        """Store the pair over the oldest when full, if ``s.y > 1e-10 |s||y|``
+        (else ``H`` could lose positive definiteness)."""
+        sy = step @ change
+        yy = change @ change
+        if not sy > 1e-10 * math.sqrt((step @ step) * yy):
+            return
+        m = _LBFGS_MEMORY
+        if len(self.slots) == m:
+            slot = self.slots.pop(0)
+            self.r_inv[slot] = 0.0
+        else:
+            slot = len(self.slots)
+        self.slots.append(slot)
+        self.rows[slot] = step
+        self.rows[m + slot] = change
+        products = self.rows @ change
+        # R gains the column S^T y with diagonal s.y, so R^-1 gains the
+        # column -R^-1 S^T y / s.y with diagonal 1 / s.y
+        self.r_inv[:, slot] = self.r_inv @ products[:m] / -sy
+        self.r_inv[slot, slot] = 1.0 / sy
+        self.yy[slot] = self.yy[:, slot] = products[m:]
+        self.sy[slot] = sy
+        self.gamma = sy / yy
+
+    def clear(self):
+        self.slots.clear()
+        self.r_inv[:] = 0.0
+
+    def direction(self, grad: np.ndarray) -> np.ndarray:
+        m = _LBFGS_MEMORY
+        products = self.rows @ grad
+        u = self.r_inv @ products[:m]
+        v = (self.sy * u
+             + self.gamma * (self.yy @ u - products[m:])) @ self.r_inv
+        return (np.concatenate((-v, self.gamma * u)) @ self.rows
+                - self.gamma * grad)
 
 
 class _Solve(NamedTuple):
@@ -521,22 +540,22 @@ def _lbfgs_minimize(w0: np.ndarray, objective: _Objective, step_size: float,
                     max_iter: int, grad_tol: float, ftol: float = 0.0):
     """Deterministic L-BFGS with Armijo backtracking on the free entries.
 
-    The solve runs on the vector of the entries where ``objective.free`` is
-    nonzero; every trial point is scattered into a fresh zero matrix, so
-    masked entries of the iterate are exactly zero.  Directions come from
-    the two-loop recursion over the last ``_LBFGS_MEMORY`` curvature pairs
-    (``_two_loop``); a pair is kept only when ``s.y > 1e-10 |s||y|``, so the
-    implied inverse Hessian stays positive definite.  Without pairs (the
+    The solve runs on the flattened weight matrix from ``w0`` masked by
+    ``objective.free``; the objective's gradient is zero off that mask, so
+    every step is too and masked entries stay exactly zero.  Directions come
+    from the compact form of the last ``_LBFGS_MEMORY`` curvature pairs
+    (``_Memory``), which keeps a pair only when ``s.y > 1e-10 |s||y|``, so
+    the implied inverse Hessian stays positive definite.  Without pairs (the
     first step, and after a reset) the direction is the gradient scaled so
-    that its largest entry is ``step_size``.  Every accepted step satisfies
-    the Armijo condition and lowers the objective.  A line search that fails
+    that its largest entry is ``step_size``.  The line search halves the
+    direction in place, which is exact.  Every accepted step satisfies the
+    Armijo condition and lowers the objective.  A line search that fails
     empties the memory and retries once from the scaled gradient; if that
     fails too, the solve stops.  An accepted step that lowers the objective
-    from ``prev`` to ``total`` by no more than
-    ``ftol * max(|prev|, |total|, 1)`` also ends the solve; the default
-    ``ftol = 0`` never does, so the solve runs to the gradient tolerance or
-    the rounding floor.  With no free entries the solve stops at once on
-    the gradient tolerance.
+    from ``prev`` to ``total`` by no more than ``ftol * max(|prev|, |total|,
+    1)`` also ends the solve; the default ``ftol = 0`` never does, so the
+    solve runs to the gradient tolerance or the rounding floor.  With no
+    free entries the solve stops at once on the gradient tolerance.
 
     Returns the final iterate and objective, the accepted steps, why the
     solve stopped (``"grad_tol"``, ``"ftol"``, ``"max_inner_iter"`` or
@@ -544,27 +563,18 @@ def _lbfgs_minimize(w0: np.ndarray, objective: _Objective, step_size: float,
     evaluations, the objective at the start, and ``h1`` and ``h2`` at the
     final iterate, all taken from the solve's own evaluations.
     """
-    idx = np.flatnonzero(objective.free)
-    memory = _LBFGS_MEMORY
-    basis = np.zeros((2 * memory + 1, idx.size))
-    grad = basis[-1]  # the gradient on the free entries, a view
-
-    def evaluate(x):
-        w = np.zeros(w0.shape)
-        w.ravel()[idx] = x
-        return w, objective(w)
-
-    x = w0.take(idx)
-    w, current = evaluate(x)
+    shape = w0.shape
+    x = (w0 * objective.free).ravel()
+    current = objective(x.reshape(shape))
     start = total = current[0]
-    grad[:] = current[1].take(idx)
+    grad = current[1].ravel()
     evaluations = 1
-    pairs = []  # (slot, 1 / s.y), oldest first
+    memory = _Memory(x.size)
     it = 0
 
     def done(reason):
-        return w, total, it, reason, _Solve(evaluations, start, current[3],
-                                            current[4])
+        return (x.reshape(shape), total, it, reason,
+                _Solve(evaluations, start, current[3], current[4]))
 
     while True:
         grad_max = np.abs(grad).max(initial=0.0)
@@ -572,48 +582,38 @@ def _lbfgs_minimize(w0: np.ndarray, objective: _Objective, step_size: float,
             return done("grad_tol")
         if it >= max_iter:
             return done("max_inner_iter")
-        if pairs:
-            direction = _two_loop(basis, pairs)
+        if memory.slots:
+            direction = memory.direction(grad)
         else:
             direction = grad * (-step_size / grad_max)
         slope = grad @ direction
-        alpha = 1.0
         accepted = None
         # a direction that does not descend (possible only by rounding)
         # counts as a failed line search
         for _ in range(_LBFGS_HALVINGS if slope < 0 else 0):
-            trial_x = x + alpha * direction
+            trial = x + direction
             try:
-                trial_w, trial = evaluate(trial_x)
+                out = objective(trial.reshape(shape))
             except FloatingPointError:  # h1 overflowed or I - B singular
-                trial = None
+                out = None
             evaluations += 1
-            # the strict test matters once c1*alpha*slope is below the
-            # rounding of ``total``: a step must still lower the objective
-            if (trial is not None and trial[0] < total
-                    and trial[0] <= total + _ARMIJO_C1 * alpha * slope):
-                accepted = trial
+            # the strict test matters once c1*slope is below the rounding
+            # of ``total``: a step must still lower the objective
+            if (out is not None and out[0] < total
+                    and out[0] <= total + _ARMIJO_C1 * slope):
+                accepted = out
                 break
-            alpha *= 0.5
+            direction *= 0.5
+            slope *= 0.5
         if accepted is None:
-            if not pairs:
+            if not memory.slots:
                 return done("no_descent")
-            pairs.clear()
+            memory.clear()
             continue
-        step = trial_x - x
-        new_grad = accepted[1].take(idx)
-        change = new_grad - grad
-        sy = step @ change
-        if sy > 1e-10 * math.sqrt((step @ step) * (change @ change)):
-            # a full memory overwrites the oldest pair's rows; below it the
-            # slots in use are exactly 0 .. len(pairs) - 1
-            slot = pairs.pop(0)[0] if len(pairs) == memory else len(pairs)
-            basis[slot] = step
-            basis[memory + slot] = change
-            pairs.append((slot, 1.0 / sy))
-        grad[:] = new_grad
+        new_grad = accepted[1].ravel()
+        memory.push(trial - x, new_grad - grad)
         prev = total
-        x, w, current, total = trial_x, trial_w, accepted, accepted[0]
+        x, grad, current, total = trial, new_grad, accepted, accepted[0]
         it += 1
         if prev - total <= ftol * max(abs(prev), abs(total), 1.0):
             return done("ftol")

@@ -12,8 +12,8 @@ from nscausal.graph import WeightedDag, graph_metrics, is_acyclic, prune
 from nscausal.optimizer import (_FTOL, _H1_TOL, _LBFGS_HALVINGS,
                                 _LBFGS_MEMORY, DIAGNOSTIC_FIELDS,
                                 SELECTION_H1_GATE, FitConfig,
-                                _lbfgs_minimize, _Objective,
-                                _selection_update, _Solve, _two_loop,
+                                _lbfgs_minimize, _Memory, _Objective,
+                                _selection_update, _Solve,
                                 acyclicity_gradient, acyclicity_value, fit,
                                 fit_baseline, least_squares_loss,
                                 relevance_constraint)
@@ -317,7 +317,7 @@ class TestLbfgsSolver:
         # lam1 = c = 0 and no relevance: the objective is the column-wise
         # least squares alone, with one feature switched off.  Columns on
         # scales 1 to 10 make it ill-conditioned enough (gram condition
-        # number 5e4) that a broken two-loop recursion misses the
+        # number 5e4) that a broken L-BFGS direction misses the
         # minimizer within 100 steps.
         rng = np.random.default_rng(seed)
         values = rng.normal(size=(n, dim)) @ rng.normal(size=(dim, dim))
@@ -413,7 +413,7 @@ class TestLbfgsSolver:
         # passes the gate solves at kappa * SELECTION_H1_GATE, the baseline
         # rule's value there; a cold start solves at _FTOL.  s1 seed 300's
         # baseline settles before h1 <= _FTOL / kappa, so the tight regime is
-        # checked on s4 n=1000 seed 317, whose support is still changing there
+        # checked on scripted solves whose support keeps changing there
         import nscausal.optimizer as optimizer
 
         kappa = optimizer._FTOL_PER_H1
@@ -423,15 +423,7 @@ class TestLbfgsSolver:
             seen.append((args[1].relevance, args[5]))
             return _lbfgs_minimize(*args)
 
-        monkeypatch.setattr(optimizer, "_lbfgs_minimize", recording)
-        _, s4_data = scenario_data(scenario("s4"), 1000, 317)
-        _, _, data = s1_replication(300)
-        for replication in (s4_data, data):
-            seen.clear()
-            base = fit_baseline(replication)
-            assert [relevance for relevance, _ in seen] == [False] * len(
-                base.diagnostics)
-            ftols = [ftol for _, ftol in seen]
+        def check_baseline_ftols(ftols, base):
             h1s = [row["h1"] for row in base.diagnostics]
             assert ftols[0] == kappa
             assert ftols[1:] == [max(_FTOL, min(kappa, kappa * h1))
@@ -439,8 +431,25 @@ class TestLbfgsSolver:
             tight = [ftol for ftol, h1 in zip(ftols[1:], h1s)
                      if h1 <= _FTOL / kappa]
             assert all(ftol == _FTOL for ftol in tight)
-            if replication is s4_data:
-                assert tight
+            return tight
+
+        chain, short = TestSettledStop.CHAIN, TestSettledStop.SHORT
+        script = [(chain, 1e-3), (chain, 1e-5), (short, 1e-6), (chain, 1e-7),
+                  (short, 1e-9)]
+        ftols = []
+        with monkeypatch.context() as scripted:
+            TestSettledStop.scripted_solver(scripted, script, ftols=ftols)
+            base = fit_baseline(chain_dataset(n=200)[0],
+                                FitConfig(max_dual_steps=5))
+        assert len(ftols) == len(base.diagnostics) == 5
+        assert check_baseline_ftols(ftols, base)
+
+        monkeypatch.setattr(optimizer, "_lbfgs_minimize", recording)
+        _, _, data = s1_replication(300)
+        base = fit_baseline(data)
+        assert [relevance for relevance, _ in seen] == [False] * len(
+            base.diagnostics)
+        check_baseline_ftols([ftol for _, ftol in seen], base)
 
         assert base.diagnostics[-1]["h1"] <= SELECTION_H1_GATE
         seen.clear()
@@ -470,25 +479,33 @@ class TestLbfgsSolver:
         return -q
 
     @pytest.mark.parametrize("k", [5, 380])
-    def test_two_loop_matches_the_textbook_recursion(self, k):
-        # pairs from a random positive definite Hessian, stored in rotated
-        # slots as the solve's ring of rows leaves them
+    def test_memory_direction_matches_the_textbook_recursion(self, k):
+        # pairs from a random positive definite Hessian, pushed as the solve
+        # pushes them: past the memory size (so the oldest are evicted),
+        # with pairs of negative curvature that must be rejected, and with
+        # a reset while the ring is rotated, after which new pairs reuse
+        # slots that still hold old rows
         rng = np.random.default_rng(k)
-        memory = _LBFGS_MEMORY
-        for count in range(1, memory + 1):
-            root = rng.normal(size=(k, k))
-            hessian = root @ root.T / k + 0.1 * np.eye(k)
-            pairs = [(s, hessian @ s)
-                     for s in rng.normal(size=(count, k))]
+        root = rng.normal(size=(k, k))
+        hessian = root @ root.T / k + 0.1 * np.eye(k)
+        memory = _Memory(k)
+        kept = []
+        for push in range(3 * _LBFGS_MEMORY):
+            if push == 2 * _LBFGS_MEMORY:
+                memory.clear()
+                kept.clear()
+            s = rng.normal(size=k)
+            before = list(memory.slots)
+            if push % 4 == 3:
+                memory.push(s, -hessian @ s)
+                assert memory.slots == before
+            else:
+                memory.push(s, hessian @ s)
+                kept = (kept + [(s, hessian @ s)])[-_LBFGS_MEMORY:]
+                assert len(memory.slots) == len(kept)
             grad = rng.normal(size=k)
-            basis = np.zeros((2 * memory + 1, k))
-            slots = [(count + i) % memory for i in range(count)]
-            for slot, (s, y) in zip(slots, pairs):
-                basis[slot], basis[memory + slot] = s, y
-            basis[-1] = grad
-            got = _two_loop(basis, [(slot, 1.0 / (s @ y))
-                                    for slot, (s, y) in zip(slots, pairs)])
-            expected = self.textbook_direction(pairs, grad)
+            got = memory.direction(grad)
+            expected = self.textbook_direction(kept, grad)
             assert np.abs(got - expected).max() <= \
                 1e-12 * np.abs(expected).max()
 
@@ -656,12 +673,12 @@ class TestFit:
                 fit(data, FitConfig(effect_kind=kind, delta_star=0.0))
 
     def test_warm_start_from_a_settled_baseline_caps_no_solve(self):
-        # s2 n=100 seed 265: a baseline run on to c = 1e12 left this te
-        # fit's first solve at max_inner_iter (500 iterations, then 49, 17
-        # and 7); the settled baseline ends at c = 1e8
+        # s2 n=100 seed 265: before the settled stop, a baseline run on to
+        # c = 1e12 left this te fit's first solve at max_inner_iter (500
+        # iterations, then 49, 17 and 7); the settled baseline ends at c = 1e6
         _, data = scenario_data(scenario("s2"), 100, 265)
         base = fit_baseline(data)
-        assert base.diagnostics[-1]["c"] == 1e8
+        assert base.diagnostics[-1]["c"] == 1e6
         result = fit(data, FitConfig(effect_kind="te"), warm_start=base)
         assert result.converged
         assert all(row["stop_reason"] != "max_inner_iter"
@@ -961,9 +978,10 @@ class TestSettledStop:
         import nscausal.optimizer as optimizer
 
         iterates = []
+        solve = optimizer._lbfgs_minimize  # the real one, or a scripted one
 
         def recording(*args):
-            out = _lbfgs_minimize(*args)
+            out = solve(*args)
             iterates.append(out[0])
             return out
 
@@ -992,9 +1010,12 @@ class TestSettledStop:
         assert result.diagnostics[-1]["h1"] > _H1_TOL  # not the h1 test
 
     def test_baseline_runs_on_while_the_support_changes(self, monkeypatch):
-        # s4 n=1000 seed 317 passes the gate at step 10 and changes its
-        # support at steps 11, 12 and 13
-        _, data = scenario_data(scenario("s4"), 1000, 317)
+        # scripted solves pass the gate at step 10 and change the support at
+        # steps 11, 12 and 13, as the solves of a real s4 fit can
+        chain, short = self.CHAIN, self.SHORT
+        self.scripted_solver(monkeypatch, [(chain, 1e-4)] * 10 + [
+            (chain, 1e-6), (short, 1e-6), (chain, 1e-6), (short, 1e-6)])
+        data, _ = chain_dataset(n=200)
         result, supports = self.settled_supports(monkeypatch, data)
         assert result.diagnostics[10]["h1"] <= SELECTION_H1_GATE
         assert all(supports[k] is not None for k in (10, 11, 12, 13))
