@@ -9,8 +9,8 @@ that actually feeds the outcome.
 
 import numpy as np
 
-from nscausal import (FitConfig, delta_star, fit, fit_baseline, graph_metrics,
-                      nscg, scenario, scenario_data)
+from nscausal import (FitConfig, fit, fit_baseline, graph_metrics, nscg,
+                      scenario, scenario_data)
 
 spec = scenario("s1", sample_sizes=(100,), replications=1)
 truth, data = scenario_data(spec, 100, 42)
@@ -27,19 +27,15 @@ print(np.round(base.graph.weights, 2))
 print("vs outcome subgraph:", graph_metrics(base.graph, target))
 
 print("\n== Selective fit (total-effect relevance) ==")
-dstar = delta_star(data, lambda _: base.graph, "te")
-print(f"reference effect mass delta* = {dstar:.3f}")
-result = fit(data, FitConfig(effect_kind="te", delta_star=dstar),
-             warm_start=base)
+result = fit(data, FitConfig(effect_kind="te"), warm_start=base)
+print(f"reference effect mass delta* = {result.delta_star_used:.3f}")
 print(np.round(result.graph.weights, 2))
 print("selected features:", [l for l, keep in
                              zip(result.graph.labels, result.selected) if keep])
 print("vs outcome subgraph:", graph_metrics(result.graph, target))
 
 print("\n== Direct-effect variant drops indirect ancestors ==")
-dstar_de = delta_star(data, lambda _: base.graph, "de")
-result_de = fit(data, FitConfig(effect_kind="de", delta_star=dstar_de),
-                warm_start=base)
+result_de = fit(data, FitConfig(effect_kind="de"), warm_start=base)
 print("selected:", [l for l, keep in
                     zip(result_de.graph.labels, result_de.selected) if keep])
 

@@ -35,14 +35,16 @@ et al. 2018) and lives in module constants, not in ``FitConfig``:
   patterns and defined wherever ``I - B`` is invertible; a trial point
   where it is not is rejected by the line search, like an ``h1`` overflow.
 
-The feature mask ``g`` shrinks monotonically: once the iterate is nearly
-acyclic, every feature whose pruned-graph effect is at most the cutoff
-``selection_tolerance * delta_star`` is deactivated (rows and columns
-clamped to zero), so every selected feature has a path to the outcome in the
-pruned graph the selection read.  The rule runs after each solve and, on a
-warm start that already passes the ``h1`` gate, once before the first solve,
-so that solve runs only on the surviving features; both go through one step
-of ``_engine`` that masks the iterate when a feature went.  Drops before the
+A selective fit starts from a selection-free fit of the same data, at its
+raw graph and its last ``lambda1`` and ``c`` (see ``fit``).  The feature
+mask ``g`` shrinks monotonically: once the iterate is nearly acyclic, every
+feature whose pruned-graph effect is at most the cutoff ``selection_tolerance
+* delta_star`` is deactivated (rows and columns clamped to zero), so every
+selected feature has a path to the outcome in the pruned graph the selection
+read.  The rule runs after each solve and, on a start that already passes
+the ``h1`` gate, once before the first solve, so that solve runs only on the
+surviving features; both go through one step of ``_engine`` that masks the
+iterate when a feature went.  Drops before the
 first solve are recorded in step 0's ``dropped``.  The outcome row is kept
 at zero by projection throughout.  Each inner minimization is L-BFGS with an
 Armijo backtracking line search over the free entries (as in NOTEARS, Zheng
@@ -60,11 +62,11 @@ stops at ``max(_FTOL, min(_FTOL_PER_H1, _FTOL_PER_H1 * h1))`` with ``h1``
 the previous step's (so ``_FTOL_PER_H1`` at step 0, and ``_FTOL`` once ``h1
 <= _FTOL / _FTOL_PER_H1``), since only its last subproblems decide the
 answer (inexact augmented Lagrangian; Conn, Gould & Toint 1991).  A
-selective fit whose warm start passes the gate starts where that rule is at
-``h1 = SELECTION_H1_GATE`` and solves at its value there, ``_FTOL_PER_H1 *
+selective fit whose start passes the gate starts where that rule is at ``h1
+= SELECTION_H1_GATE`` and solves at its value there, ``_FTOL_PER_H1 *
 SELECTION_H1_GATE`` (1e-8), for the whole fit.  It goes no looser, since its
 solves feed the selection rule, which cannot undo a drop: at 3e-8 a held-out
-s4 fit kept a spurious feature.  Every other selective fit solves at
+s4 fit kept a spurious feature.  One whose start is above the gate solves at
 ``_FTOL``.  Every ``diagnostics`` row records why its solve stopped and how
 many objective evaluations it spent, and the engine evaluates the objective
 nowhere else except after a deactivation; its ``f`` is in data units, its
@@ -77,18 +79,17 @@ tolerances (``h1 <= _H1_TOL``, ``|h2| <= _H2_TOL``) and its selection drops
 nothing, or once it has settled: two dual steps in a row end with ``h1 <=
 SELECTION_H1_GATE``, ``|h2|`` at most the selection cutoff and no drop, and
 share one support ``|w| > prune_threshold`` whose pruned graph is acyclic.
-A warm start that passes the gate counts as the first of those steps: its
-support after the selection before the first solve, when acyclic, is the
-one the first solve's is compared with, so a fit whose first solve keeps it
-ends after one solve.  The selection-free fit has cutoff 0 and ``h2 = 0``;
-a fit that dropped every feature has ``h2 = delta_star``, above the cutoff
-as ``selection_tolerance < 1``, so it never settles.  In measured s1, s2, s4
-and s5 fits the selection and pruned graph no longer changed from there;
-later steps only pushed ``h1`` and ``h2`` toward their tolerances at
+A selective start that passes the gate counts as the first of those steps:
+its support after the selection before the first solve, when acyclic, is
+the one the first solve's is compared with, so a fit whose first solve
+keeps it ends after one solve.  The selection-free fit has cutoff 0 and
+``h2 = 0``; a fit that dropped every feature has ``h2 = delta_star``, above
+the cutoff as ``selection_tolerance < 1``, so it never settles.  In measured
+s1, s2, s4 and s5 fits the selection and pruned graph no longer changed from
+there; later steps only pushed ``h1`` and ``h2`` toward their tolerances at
 penalties up to 1e13, the ill-conditioned subproblems of the
 quadratic-penalty regime (Ng et al., AISTATS 2022).  So a fit's last
-``diagnostics`` row may show ``h1 > _H1_TOL`` and ``|h2| > _H2_TOL``; a fit
-warm-started from a baseline starts at its last ``lambda1`` and ``c``.
+``diagnostics`` row may show ``h1 > _H1_TOL`` and ``|h2| > _H2_TOL``.
 """
 
 import math
@@ -145,10 +146,12 @@ class FitConfig:
     monotone shrinkage the size pressure comes from that cutoff.
     ``max_dual_steps`` caps the dual-ascent steps of a fit and
     ``max_inner_iter`` the accepted L-BFGS steps of each inner solve.
-    ``delta_star`` may hold a precomputed reference score; None means
-    compute it from a pruned selection-free fit of the same data.  The
-    thresholds and ``delta_star`` must be finite and nonnegative, the step
-    caps integers (numpy integers included, bools not).
+    ``delta_star`` may hold a precomputed reference score, which overrides
+    only the score: every selective fit still starts from a selection-free
+    fit of the same data, and None means take the score from that fit's
+    pruned graph.  The thresholds and ``delta_star`` must be finite and
+    nonnegative, the step caps integers (numpy integers included, bools
+    not).
 
     The penalty schedule, ``h1``'s ``t = 1/dim`` and the inner-solve
     constants (``_STEP_SIZE``, ``_GRAD_TOL``, ``_FTOL`` and the baseline's
@@ -647,7 +650,7 @@ def _selection_update(w, active, outcome, config, cutoff):
 
 
 def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
-            init: tuple | None = None) -> FitResult:
+            init: tuple) -> FitResult:
     dim = data.dim
     outcome = data.outcome_index
     if data.n < 2 or dim < 2:
@@ -663,13 +666,7 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
     scale = float(np.diag(data_gram).mean())
     gram = data_gram / scale if scale > 0 else data_gram
 
-    if init is None:
-        w = np.zeros((dim, dim))
-        lam1 = 0.0
-        c = _PENALTY_INIT
-    else:
-        w, lam1, c = init
-        w = w.copy()
+    w, lam1, c = init
     active = np.ones(dim, dtype=bool)
     lam2 = 0.0
     d_pen = _PENALTY_INIT
@@ -700,12 +697,12 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
 
     for step in range(config.max_dual_steps):
         dropped = []
-        # a warm start that is already nearly acyclic gets the selection rule
-        # before its first solve, so that solve runs only on the survivors;
-        # the zero start has no effects to select on.  Such a fit solves at
-        # the baseline rule's tolerance at the gate, and its masked warm
-        # start counts as a settled step
-        if (step == 0 and relevance and init is not None
+        # a selective fit's start, its baseline, gets the selection rule
+        # before the first solve when it is already nearly acyclic, so that
+        # solve runs only on the survivors.  Such a fit solves at the
+        # baseline rule's tolerance at the gate, and its masked start counts
+        # as a settled step; one above the gate solves at _FTOL
+        if (step == 0 and relevance
                 and _h1(w, t, np.eye(dim))[0] <= SELECTION_H1_GATE):
             w, dropped = select(w)
             ftol = _FTOL_PER_H1 * SELECTION_H1_GATE
@@ -794,28 +791,27 @@ def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
     (or once ``h1 <= _H1_TOL``): the one stop rule of every fit, with cutoff
     and ``h2`` 0.  So its last ``h1`` may still be above ``_H1_TOL``.
     """
-    return _engine(data, config, relevance=False)
+    return _engine(data, config, relevance=False,
+                   init=(np.zeros((data.dim, data.dim)), 0.0, _PENALTY_INIT))
 
 
 def fit(data: Dataset, config: FitConfig = FitConfig(),
         warm_start: FitResult | None = None) -> FitResult:
     """Joint structure learning and feature selection.
 
-    ``warm_start``, a selection-free fit of the same data, sets the starting
-    point and multipliers of the constrained run; a fit of data with another
-    ``dim``, ``outcome_index`` or ``labels`` is a ``ValueError``.  When the
-    warm start is nearly acyclic, the selection rule runs on it before the
-    first solve, and its drops are recorded in step 0's ``dropped``; the
-    fit then solves at the baseline rule's tolerance at the gate, and counts
-    the masked warm start as a settled step, so a first solve that keeps its
-    pruned support ends the fit.  When
-    ``config.delta_star`` is None the reference score is the effect mass of
-    that fit's pruned graph, and without ``warm_start`` the fit is computed
-    here with ``fit_baseline`` and serves as the warm start.  The score is
-    then frozen for the constrained run.  Given ``delta_star`` and no
-    ``warm_start``, the run starts from the empty graph, where nothing is
-    selected before the first solve.  A reference score of 0, resolved or
-    given, is a ``ValueError``: no feature's effect reaches the outcome in
+    Every fit starts from ``warm_start``, a selection-free fit of the same
+    data, at its raw graph and its last ``lambda1`` and ``c``; without one,
+    the fit is computed here with ``fit_baseline``.  A fit of data with
+    another ``dim``, ``outcome_index`` or ``labels`` is a ``ValueError``.
+    When the warm start is nearly acyclic, the selection rule runs on it
+    before the first solve, and its drops are recorded in step 0's
+    ``dropped``; the fit then solves at the baseline rule's tolerance at
+    the gate, and counts the masked warm start as a settled step, so a
+    first solve that keeps its pruned support ends the fit.  The reference
+    score is ``config.delta_star`` when given, else the effect mass of the
+    warm start's pruned graph, and stays frozen for the constrained run.  A
+    reference score of 0, resolved or given, is a ``ValueError``, raised
+    before any fit when given: no feature's effect reaches the outcome in
     the reference graph, so there is nothing to select against.  The fit
     stops by ``fit_baseline``'s rule, with ``|h2|`` within the cutoff.
     """
@@ -828,7 +824,7 @@ def fit(data: Dataset, config: FitConfig = FitConfig(),
             if theirs != ours:
                 raise ValueError(f"warm_start does not match the data: its "
                                  f"{name} is {theirs!r}, the data's {ours!r}")
-    if warm_start is None and config.delta_star is None:
+    elif config.delta_star != 0:  # a given 0 raises below, before any fit
         warm_start = fit_baseline(data, config)
     dstar = config.delta_star
     if dstar is None:
@@ -838,9 +834,7 @@ def fit(data: Dataset, config: FitConfig = FitConfig(),
         raise ValueError("delta_star is 0: no feature's effect reaches the "
                          "outcome in the reference graph, so there is "
                          "nothing to select against")
-    init = None
-    if warm_start is not None:
-        last = warm_start.diagnostics[-1]
-        init = (warm_start.raw_graph.weights, last["lambda1"], last["c"])
+    last = warm_start.diagnostics[-1]
+    init = (warm_start.raw_graph.weights, last["lambda1"], last["c"])
     resolved = replace(config, delta_star=float(dstar))
     return _engine(data, resolved, relevance=True, init=init)

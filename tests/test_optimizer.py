@@ -411,9 +411,9 @@ class TestLbfgsSolver:
         # the baseline's solves stop at kappa * h1 of the step before, within
         # [_FTOL, kappa].  A selective fit warm-started from a baseline that
         # passes the gate solves at kappa * SELECTION_H1_GATE, the baseline
-        # rule's value there; a cold start solves at _FTOL.  s1 seed 300's
-        # baseline settles before h1 <= _FTOL / kappa, so the tight regime is
-        # checked on scripted solves whose support keeps changing there
+        # rule's value there.  s1 seed 300's baseline settles before h1 <=
+        # _FTOL / kappa, so the tight regime is checked on scripted solves
+        # whose support keeps changing there
         import nscausal.optimizer as optimizer
 
         kappa = optimizer._FTOL_PER_H1
@@ -457,12 +457,6 @@ class TestLbfgsSolver:
         assert seen and all(relevance and ftol == kappa * SELECTION_H1_GATE
                             for relevance, ftol in seen)
         assert "ftol" in {d["stop_reason"] for d in result.diagnostics}
-
-        seen.clear()
-        dstar = delta_star(data, lambda _: base.graph, "te")
-        cold = fit(data, FitConfig(delta_star=dstar))
-        assert len(seen) == len(cold.diagnostics)
-        assert all(relevance and ftol == _FTOL for relevance, ftol in seen)
 
     @staticmethod
     def textbook_direction(pairs, grad):
@@ -812,19 +806,37 @@ class TestFit:
         assert first["n_active"] == data.dim - 1 - len(dropped)
         assert columns[0] == np.flatnonzero(active).tolist()
 
-    def test_fit_without_warm_start_solves_first_on_every_feature(
-            self, monkeypatch):
+    def test_given_delta_star_starts_from_the_fitted_baseline(self):
+        # a given reference score overrides only the score: without a warm
+        # start the fit starts from the baseline it fits itself
         _, _, data = s1_replication(300)
         base = fit_baseline(data)
-        dstar = delta_star(data, lambda _: base.graph, "te")
-        columns = self.record_solve_columns(monkeypatch)
-        fit(data, FitConfig(delta_star=dstar))
-        assert columns[0] == list(range(data.dim))
+        config = FitConfig(delta_star=delta_star(data, lambda _: base.graph,
+                                                 "te"))
+        own = fit(data, config)
+        given = fit(data, config, warm_start=base)
+        assert np.array_equal(own.raw_graph.weights, given.raw_graph.weights)
+        assert own.diagnostics == given.diagnostics
+        assert np.array_equal(own.selected, given.selected)
+        assert own.converged == given.converged
 
-    def test_cold_start_through_a_cyclic_iterate_selects_the_causes(self):
-        # the zero start passes through cyclic iterates, where a truncated
-        # path sum is not the total effect; with the exact resolvent the fit
-        # converges and drops z0, a child of the outcome's parents
+    def test_given_zero_delta_star_raises_before_any_fit(self, monkeypatch):
+        import nscausal.optimizer as optimizer
+
+        _, _, data = s1_replication(300)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("fit ran before checking delta_star")
+
+        monkeypatch.setattr(optimizer, "_engine", no_work)
+        with pytest.raises(ValueError, match="delta_star is 0"):
+            fit(data, FitConfig(delta_star=0.0))
+
+    def test_fit_from_a_cyclic_baseline_iterate_selects_the_causes(self):
+        # the baseline's raw iterate still carries faint cycles (h1 > 0),
+        # where a truncated path sum is not the total effect; with the exact
+        # resolvent the fit from it converges and drops z0, a child of the
+        # outcome's parents
         _, target, data = s1_replication(105)
         base = fit_baseline(data)
         dstar = delta_star(data, lambda _: base.graph, "te")
@@ -882,10 +894,10 @@ class TestFit:
 
 class TestUnmeetableRelevance:
     # independent noise: the baseline keeps one noise edge z1 -> y, so
-    # delta* > 0.  Started from zero, the selective fit drops both features
-    # at its first step and can never meet the relevance constraint; started
-    # from the baseline, the rule keeps z1 before the first solve and the fit
-    # meets the constraint through that edge.
+    # delta* > 0.  At the baseline's own delta*, the rule keeps z1 before the
+    # first solve and the fit meets the constraint through that edge; at a
+    # given delta* of 50, far above any effect the data carry, it drops both
+    # features before the first solve and can never meet the constraint.
     @staticmethod
     def data_and_baseline():
         values = np.random.default_rng(6).normal(size=(50, 3))
@@ -895,8 +907,7 @@ class TestUnmeetableRelevance:
     @classmethod
     def unmeetable_fit(cls):
         data, base = cls.data_and_baseline()
-        dstar = delta_star(data, lambda _: base.graph, "te")
-        return fit(data, FitConfig(delta_star=dstar))
+        return fit(data, FitConfig(delta_star=50.0), warm_start=base)
 
     def test_stalled_fit_stops_early_and_unconverged(self):
         result = self.unmeetable_fit()
@@ -909,7 +920,7 @@ class TestUnmeetableRelevance:
     def test_solves_without_free_entries_stop_at_once(self):
         result = self.unmeetable_fit()
         assert result.diagnostics[0]["dropped"] == (0, 1)
-        for entry in result.diagnostics[1:]:
+        for entry in result.diagnostics:
             assert entry["stop_reason"] == "grad_tol"
             assert entry["inner_iterations"] == 0
             assert entry["evaluations"] == 1
@@ -918,7 +929,8 @@ class TestUnmeetableRelevance:
     def test_warm_start_keeps_the_noise_edge_and_converges(self):
         data, base = self.data_and_baseline()
         result = fit(data, warm_start=base)
-        assert result.delta_star_used == self.unmeetable_fit().delta_star_used
+        assert result.delta_star_used == delta_star(data, lambda _: base.graph,
+                                                    "te")
         first = result.diagnostics[0]
         assert (first["dropped"], first["n_active"]) == ((0,), 1)
         assert result.converged
@@ -1070,6 +1082,14 @@ class TestSettledStop:
         assert len(result.diagnostics) == steps
         assert result.converged == (steps < 6)
 
+    # the chain plus z0 -> y; the chain plus a back edge z1 -> z0 below the
+    # prune threshold, whose h1 is above the gate though its pruned graph is
+    # the chain
+    WIDE = CHAIN + np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0],
+                             [0.0, 0.0, 0.0]])
+    FAINT_CYCLE = CHAIN + np.array([[0.0, 0.0, 0.0], [0.25, 0.0, 0.0],
+                                    [0.0, 0.0, 0.0]])
+
     # z0 -> z1 below the prune threshold: the selection drops z0 after the
     # first solve, which leaves the pruned support as it was and h2 at 0
     FAINT = CHAIN * np.array([[1.0, 0.1, 1.0], [1.0, 1.0, 2.0],
@@ -1081,22 +1101,17 @@ class TestSettledStop:
     ], ids=["above-cutoff", "within-cutoff", "drop-then-settled"])
     def test_selective_fits_settle_within_the_cutoff(self, monkeypatch, w,
                                                      h2, steps):
+        # from a warm start above the gate, which seeds no settled step
         data, _ = chain_dataset(n=200)
+        self.scripted_solver(monkeypatch, [(self.FAINT_CYCLE, 1e-6)])
+        base = fit_baseline(data, FitConfig(max_dual_steps=6))
         calls = self.scripted_solver(monkeypatch, [(w, 1e-6)], h2)
         config = FitConfig(delta_star=2.0, max_dual_steps=6)
-        result = fit(data, config)
+        result = fit(data, config, warm_start=base)
         assert calls == [True] * steps
         assert len(result.diagnostics) == steps
         assert result.selected.tolist() == [w is self.CHAIN, True]
         assert result.converged == (steps < 6)
-
-    # the chain plus z0 -> y; the chain plus a back edge z1 -> z0 below the
-    # prune threshold, whose h1 is above the gate though its pruned graph is
-    # the chain
-    WIDE = CHAIN + np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0],
-                             [0.0, 0.0, 0.0]])
-    FAINT_CYCLE = CHAIN + np.array([[0.0, 0.0, 0.0], [0.25, 0.0, 0.0],
-                                    [0.0, 0.0, 0.0]])
 
     @pytest.mark.parametrize("warm, w, gated, steps", [
         (CHAIN, CHAIN, True, 1), (CHAIN, WIDE, True, 2),

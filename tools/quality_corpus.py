@@ -9,9 +9,8 @@ own directory, with single-threaded BLAS:
 
 ``--corpus`` writes one JSON line per fit.  Every replication gets
 ``fit_baseline``, then each selective method warm-started from it, as
-``nscausal bench`` runs them; the main corpus also has cold starts (the
-reference score given, no warm start).  A line holds the group, scenario,
-n, seed, method and start; ``selected`` (null for the baseline); the
+``nscausal bench`` and ``nscausal.fit`` run them.  A line holds the group,
+scenario, n, seed and method; ``selected`` (null for the baseline); the
 sha256 of the pruned pattern, of the raw graph's weights and of the
 ``diagnostics``; ``converged``, ``dual_steps`` and ``inner_iterations``;
 and ``shd`` against the outcome's necessary-and-sufficient subgraph.  A
@@ -24,8 +23,9 @@ selection and pruned pattern (with its shd before and after), and prints
 per-group sums.  It exits 1 when the files hold different fits, a
 selection changed, a changed pattern's shd rose, or a group's summed
 spurious or missed count rose; else 0.  Lines written without the two
-counts are compared without them.  To compare a change with its parent,
-run ``--corpus`` in a checkout of each.
+counts are compared without them, and a line's other fields (the
+``start`` of older files) are ignored.  To compare a change with its
+parent, run ``--corpus`` in a checkout of each.
 """
 
 import argparse
@@ -42,27 +42,25 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import nscausal as ns  # noqa: E402 - after the path and BLAS settings
 from nscausal.bench import METHODS  # noqa: E402
 
-# group -> (scenario, n, seeds, selective methods, start); every
-# replication is fitted once by ``fit_baseline``, which the warm starts and
-# the cold starts' reference score reuse
+# group -> (scenario, n, seeds, selective methods); every replication is
+# fitted once by ``fit_baseline``, which its selective fits start from
 CORPORA = {
     "main": (
-        ("s1-te", "s1", 100, range(100, 150), ("nscsl-te",), "warm"),
-        ("s2", "s2", 100, range(200, 250), ("nscsl-te", "nscsl-de"), "warm"),
-        ("s4-te", "s4", 1000, range(300, 320), ("nscsl-te",), "warm"),
-        ("s5-te", "s5", 1000, range(500, 506), ("nscsl-te",), "warm"),
-        ("s1-cold", "s1", 100, range(300, 320), ("nscsl-te",), "cold"),
-        ("s2-cold", "s2", 100, range(300, 320), ("nscsl-te", "nscsl-de"),
-         "cold"),
+        ("s1-te", "s1", 100, range(100, 150), ("nscsl-te",)),
+        ("s2", "s2", 100, range(200, 250), ("nscsl-te", "nscsl-de")),
+        ("s4-te", "s4", 1000, range(300, 320), ("nscsl-te",)),
+        ("s5-te", "s5", 1000, range(500, 506), ("nscsl-te",)),
+        ("s1-te-300", "s1", 100, range(300, 320), ("nscsl-te",)),
+        ("s2-300", "s2", 100, range(300, 320), ("nscsl-te", "nscsl-de")),
     ),
     "heldout": (
-        ("s1-te", "s1", 100, range(150, 200), ("nscsl-te",), "warm"),
-        ("s2", "s2", 100, range(250, 300), ("nscsl-te", "nscsl-de"), "warm"),
-        ("s4-te", "s4", 1000, range(320, 340), ("nscsl-te",), "warm"),
-        ("s5-te", "s5", 1000, range(506, 512), ("nscsl-te",), "warm"),
+        ("s1-te", "s1", 100, range(150, 200), ("nscsl-te",)),
+        ("s2", "s2", 100, range(250, 300), ("nscsl-te", "nscsl-de")),
+        ("s4-te", "s4", 1000, range(320, 340), ("nscsl-te",)),
+        ("s5-te", "s5", 1000, range(506, 512), ("nscsl-te",)),
     ),
 }
-KEY = ("group", "scenario", "seed", "method", "start")
+KEY = ("group", "scenario", "seed", "method")
 COUNTS = ("spurious", "missed")
 
 
@@ -94,28 +92,19 @@ def _line(fitted, target, **fields):
 
 def run_corpus(name: str, out) -> None:
     """Write one JSON line per fit of corpus ``name`` to ``out``."""
-    for group, scenario_id, n, seeds, methods, start in CORPORA[name]:
+    for group, scenario_id, n, seeds, methods in CORPORA[name]:
         spec = ns.scenario(scenario_id)
         for seed in seeds:
             truth, data = ns.scenario_data(spec, n, seed)
             target = ns.nscg(truth)
             base = ns.fit_baseline(data)
             where = dict(group=group, scenario=scenario_id, n=n, seed=seed)
-            lines = []
-            if start == "warm":
-                lines.append(_line(base, target, **where,
-                                   method="baseline", start="none"))
+            lines = [_line(base, target, **where, method="baseline")]
             for method in methods:
-                kind = METHODS[method]
-                if start == "warm":
-                    fitted = ns.fit(data, ns.FitConfig(effect_kind=kind),
-                                    warm_start=base)
-                else:
-                    dstar = ns.delta_star(data, lambda _: base.graph, kind)
-                    fitted = ns.fit(data, ns.FitConfig(effect_kind=kind,
-                                                       delta_star=dstar))
-                lines.append(_line(fitted, target, **where,
-                                   method=method, start=start))
+                fitted = ns.fit(data,
+                                ns.FitConfig(effect_kind=METHODS[method]),
+                                warm_start=base)
+                lines.append(_line(fitted, target, **where, method=method))
             for line in lines:
                 out.write(json.dumps(line) + "\n")
             out.flush()
@@ -148,7 +137,7 @@ def compare(old_path: str, new_path: str, out) -> int:
             failed = failed or b["shd"] > a["shd"]
             out.write(f"pattern changed: {label}: shd {a['shd']} -> "
                       f"{b['shd']}\n")
-        group = sums.setdefault((key[0], key[3], key[4]), {
+        group = sums.setdefault((key[0], key[3]), {
             "fits": 0, "raw_changed": 0, "diagnostics_changed": 0})
         group["fits"] += 1
         group["raw_changed"] += a["raw_sha256"] != b["raw_sha256"]
@@ -160,15 +149,15 @@ def compare(old_path: str, new_path: str, out) -> int:
             pair = group.setdefault(field, [0, 0])
             pair[0] += a[field]
             pair[1] += b[field]
-    out.write("group method start: fits, raw/diagnostics hashes changed, "
+    out.write("group method: fits, raw/diagnostics hashes changed, "
               "dual steps, inner iterations, shd, spurious, missed "
               "(old -> new)\n")
-    for (group, method, start), s in sums.items():
+    for (group, method), s in sums.items():
         fields = [field for field in ("dual_steps", "inner_iterations", "shd")
                   + COUNTS if field in s]
         failed = failed or any(s[field][1] > s[field][0] for field in COUNTS
                                if field in s)
-        out.write(f"{group} {method} {start}: {s['fits']} fits, "
+        out.write(f"{group} {method}: {s['fits']} fits, "
                   f"{s['raw_changed']}/{s['diagnostics_changed']} changed, "
                   + ", ".join(f"{field} {s[field][0]} -> {s[field][1]}"
                               for field in fields)
