@@ -54,8 +54,17 @@ numpy call overhead.  So the solve runs on the flattened weight matrix,
 whose masked entries stay zero through the masked start and the masked
 gradient, and takes each direction from the compact form of the inverse
 Hessian (Byrd, Nocedal & Schnabel 1994): small matrices that each stored
-pair changes by one row and column (``_Memory``).  A solve stops once a step
-lowers the objective by less than ``_FTOL`` relative (SciPy L-BFGS-B's
+pair changes by one row and column (``_Memory``).  It runs in rescaled
+variables ``z = B / s``, with ``s`` set once per solve at its masked start
+(``_Objective.scale``) to one over the square root of a diagonal curvature:
+1 for the least squares (its mean curvature on the unit-free gram) plus the
+acyclicity terms' Hessian diagonal without its term in ``dP/dB``.  Without
+it the late subproblems, at ``c`` of 1e4 and up, where the acyclicity term
+acts as a quadratic penalty (Ng et al., AISTATS 2022), are badly scaled, and
+their solves crawl or stop at ``max_inner_iter``.  ``s`` is 1 at the
+selection-free fit's zero start, so its first subproblem is solved as
+without scaling.  A solve stops once a
+step lowers the objective by less than ``_FTOL`` relative (SciPy L-BFGS-B's
 test), instead of crawling to the rounding floor.  The selection-free fit
 loosens that test while it is far from acyclic: its solve at each dual step
 stops at ``max(_FTOL, min(_FTOL_PER_H1, _FTOL_PER_H1 * h1))`` with ``h1``
@@ -254,15 +263,18 @@ def _matpow(a: np.ndarray, n: int) -> np.ndarray:
 
 
 def _h1(w: np.ndarray, t: float, eye: np.ndarray):
-    """``tr[(I + t B∘B)^dim] - dim`` and its gradient."""
+    """``tr[(I + t B∘B)^dim] - dim``, its gradient, and ``2 dim t P^T`` for
+    ``P = (I + t B∘B)^(dim-1)``: the gradient is that matrix times ``B``
+    entrywise, and it is the Hessian's diagonal without the term in
+    ``dP/dB``."""
     dim = w.shape[0]
     m = eye + t * (w * w)
     p_minor = _matpow(m, dim - 1)
     value = float((p_minor @ m).trace() - dim)
     if not math.isfinite(value):
         raise FloatingPointError("acyclicity value overflowed")
-    grad = (dim * t * 2.0) * p_minor.T * w
-    return value, grad
+    curvature = (dim * t * 2.0) * p_minor.T
+    return value, curvature * w, curvature
 
 
 def _te_parts(w: np.ndarray, outcome: int, eye: np.ndarray):
@@ -323,8 +335,8 @@ def _h2(w: np.ndarray, outcome: int, feature_active: np.ndarray, kind: str,
 
 
 def _h1_checked(g: WeightedDag, t: float):
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not is_finite_number(t) or t <= 0:
+        raise ValueError(f"t must be a finite positive number, got {t!r}")
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             return _h1(g.weights, t, np.eye(g.dim))
@@ -340,6 +352,11 @@ def _checked_array(name: str, value, shape: tuple, dtype) -> np.ndarray:
         raise ValueError(f"{name} must have shape {shape}, got "
                          f"{array.shape}")
     return array
+
+
+def _check_finite_b(w: np.ndarray):
+    if not np.isfinite(w).all():
+        raise ValueError("B must be finite")
 
 
 def acyclicity_value(g: WeightedDag, t: float) -> float:
@@ -364,6 +381,7 @@ def least_squares_loss(B: np.ndarray, data: Dataset, mask: np.ndarray):
     outcome column; anything else is a ``ValueError``.
     """
     w = _checked_array("B", B, (data.dim, data.dim), float)
+    _check_finite_b(w)
     mask = _checked_array("mask", mask, (data.dim,), bool)
     if data.n == 0:
         raise ValueError("dataset is empty")
@@ -397,6 +415,7 @@ def relevance_constraint(B: np.ndarray, mask: np.ndarray, effect_kind: str,
     w = np.asarray(B, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"B must be a square matrix, got shape {w.shape}")
+    _check_finite_b(w)
     dim = w.shape[0]
     feature_active = _checked_array("mask", mask, (dim,), bool).copy()
     outcome = outcome_position(outcome_index, dim)
@@ -447,7 +466,7 @@ class _Objective:
 
     def __call__(self, w: np.ndarray):
         f, grad = _ls(w, self.gram, self.cols, self.eye)
-        h1v, gh1 = _h1(w, self.t, self.eye)
+        h1v, gh1, _ = _h1(w, self.t, self.eye)
         total = f + self.lam1 * h1v + self.c * h1v * h1v
         grad += (self.lam1 + 2.0 * self.c * h1v) * gh1
         h2v = 0.0
@@ -458,6 +477,23 @@ class _Objective:
             grad += (self.lam2 + 2.0 * self.d_pen * h2v) * gh2
         grad *= self.free
         return total, grad, f, h1v, h2v
+
+    def scale(self, w: np.ndarray) -> np.ndarray:
+        """The inner solve's variable scale at ``w``, ``(1 + (lam1 + 2c h1)
+        2 dim t P^T + 2c (dh1/dB)^2) ** -0.5``: the acyclicity terms' Hessian
+        diagonal without the term in ``dP/dB`` (``P`` and ``dh1/dB`` from
+        ``_h1``), plus the least-squares curvature taken at its mean, 1 on the
+        unit-free gram.
+
+        It is exactly 1 when ``lam1 = c = 0``, and at ``B = 0`` with ``lam1 =
+        0`` (the selection-free fit's start), where ``h1`` and its gradient
+        vanish.  A diagonal that overflows is clamped to the largest float,
+        so the scale stays finite and positive.
+        """
+        h1v, gh1, h1_diagonal = _h1(w, self.t, self.eye)
+        diagonal = (1.0 + (self.lam1 + 2.0 * self.c * h1v) * h1_diagonal
+                    + 2.0 * self.c * gh1 ** 2)
+        return np.fmin(diagonal, np.finfo(float).max) ** -0.5
 
 
 class _Memory:
@@ -544,17 +580,21 @@ def _lbfgs_minimize(w0: np.ndarray, objective: _Objective, step_size: float,
     """Deterministic L-BFGS with Armijo backtracking on the free entries.
 
     The solve runs on the flattened weight matrix from ``w0`` masked by
-    ``objective.free``; the objective's gradient is zero off that mask, so
-    every step is too and masked entries stay exactly zero.  Directions come
+    ``objective.free``, in the variables ``z = B / scale`` with ``scale =
+    objective.scale`` at that masked start: finite and positive, so masked
+    entries start at ``z = 0``.  The gradient in ``z`` is the objective's
+    times ``scale``; it is zero off the mask, so every step is too and masked
+    entries stay exactly zero.  ``grad_tol`` is tested on that scaled
+    gradient, and ``step_size`` bounds the change of ``z``.  Directions come
     from the compact form of the last ``_LBFGS_MEMORY`` curvature pairs
     (``_Memory``), which keeps a pair only when ``s.y > 1e-10 |s||y|``, so
     the implied inverse Hessian stays positive definite.  Without pairs (the
-    first step, and after a reset) the direction is the gradient scaled so
-    that its largest entry is ``step_size``.  The line search halves the
-    direction in place, which is exact.  Every accepted step satisfies the
-    Armijo condition and lowers the objective.  A line search that fails
-    empties the memory and retries once from the scaled gradient; if that
-    fails too, the solve stops.  An accepted step that lowers the objective
+    first step, and after a reset) the direction is the negative gradient
+    sized so that its largest entry is ``step_size``.  The line search
+    halves the direction in place, which is exact.  Every accepted step
+    satisfies the Armijo condition and lowers the objective.  A line search
+    that fails empties the memory and retries once from that gradient step;
+    if that fails too, the solve stops.  An accepted step that lowers the objective
     from ``prev`` to ``total`` by no more than ``ftol * max(|prev|, |total|,
     1)`` also ends the solve; the default ``ftol = 0`` never does, so the
     solve runs to the gradient tolerance or the rounding floor.  With no
@@ -567,16 +607,22 @@ def _lbfgs_minimize(w0: np.ndarray, objective: _Objective, step_size: float,
     final iterate, all taken from the solve's own evaluations.
     """
     shape = w0.shape
-    x = (w0 * objective.free).ravel()
-    current = objective(x.reshape(shape))
+    z = (w0 * objective.free).ravel()
+    scale = objective.scale(z.reshape(shape)).ravel()
+    z /= scale
+
+    def evaluate(z):
+        out = objective((z * scale).reshape(shape))
+        return out, out[1].ravel() * scale
+
+    current, grad = evaluate(z)
     start = total = current[0]
-    grad = current[1].ravel()
     evaluations = 1
-    memory = _Memory(x.size)
+    memory = _Memory(z.size)
     it = 0
 
     def done(reason):
-        return (x.reshape(shape), total, it, reason,
+        return ((z * scale).reshape(shape), total, it, reason,
                 _Solve(evaluations, start, current[3], current[4]))
 
     while True:
@@ -594,9 +640,9 @@ def _lbfgs_minimize(w0: np.ndarray, objective: _Objective, step_size: float,
         # a direction that does not descend (possible only by rounding)
         # counts as a failed line search
         for _ in range(_LBFGS_HALVINGS if slope < 0 else 0):
-            trial = x + direction
+            trial = z + direction
             try:
-                out = objective(trial.reshape(shape))
+                out, new_grad = evaluate(trial)
             except FloatingPointError:  # h1 overflowed or I - B singular
                 out = None
             evaluations += 1
@@ -613,10 +659,9 @@ def _lbfgs_minimize(w0: np.ndarray, objective: _Objective, step_size: float,
                 return done("no_descent")
             memory.clear()
             continue
-        new_grad = accepted[1].ravel()
-        memory.push(trial - x, new_grad - grad)
+        memory.push(trial - z, new_grad - grad)
         prev = total
-        x, grad, current, total = trial, new_grad, accepted, accepted[0]
+        z, grad, current, total = trial, new_grad, accepted, accepted[0]
         it += 1
         if prev - total <= ftol * max(abs(prev), abs(total), 1.0):
             return done("ftol")

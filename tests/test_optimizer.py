@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 from nscausal.bench import nscg, scenario, scenario_data, scenario_truth
 from nscausal.effects import delta_star
 from nscausal.graph import WeightedDag, graph_metrics, is_acyclic, prune
-from nscausal.optimizer import (_FTOL, _H1_TOL, _LBFGS_HALVINGS,
-                                _LBFGS_MEMORY, DIAGNOSTIC_FIELDS,
+from nscausal.optimizer import (_FTOL, _GRAD_TOL, _H1_TOL, _LBFGS_HALVINGS,
+                                _LBFGS_MEMORY, _PENALTY_CAP, _PENALTY_INIT,
+                                _STEP_SIZE, DIAGNOSTIC_FIELDS,
                                 SELECTION_H1_GATE, FitConfig,
-                                _lbfgs_minimize, _Memory, _Objective,
-                                _selection_update, _Solve,
+                                _centered_gram, _lbfgs_minimize, _Memory,
+                                _Objective, _selection_update, _Solve,
                                 acyclicity_gradient, acyclicity_value, fit,
                                 fit_baseline, least_squares_loss,
                                 relevance_constraint)
@@ -80,6 +82,17 @@ class TestAcyclicityValue:
     def test_rejects_nonpositive_t(self):
         with pytest.raises(ValueError):
             acyclicity_value(WeightedDag(np.zeros((2, 2))), 0.0)
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -math.inf,
+                                   True, "0.5"])
+    def test_t_must_be_a_finite_positive_number(self, t):
+        # nan and inf read as an overflow, True as 1, and a string raised a
+        # bare TypeError
+        g = WeightedDag(np.zeros((2, 2)))
+        for function in (acyclicity_value, acyclicity_gradient):
+            with pytest.raises(ValueError,
+                               match="^t must be a finite positive number"):
+                function(g, t)
 
     def test_overflow_is_a_value_error_without_warnings(self):
         w = np.zeros((3, 3))
@@ -159,6 +172,16 @@ class TestLeastSquaresLoss:
             least_squares_loss(np.zeros((3, 3)), data,
                                np.array([True, True, False]))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_b_is_a_value_error(self, value):
+        # a NaN entry gave a NaN loss
+        data = Dataset(np.random.default_rng(0).normal(size=(10, 3)),
+                       ("a", "b", "y"), 2)
+        w = np.zeros((3, 3))
+        w[0, 1] = value
+        with pytest.raises(ValueError, match="^B must be finite"):
+            least_squares_loss(w, data, np.ones(3, bool))
+
     @pytest.mark.parametrize("w, mask, name", [
         (np.zeros((4, 4)), np.ones(3, bool), "mask"),
         (np.zeros((4, 4)), np.ones(5, bool), "mask"),
@@ -222,6 +245,16 @@ class TestRelevanceConstraint:
         numeric = central_difference(
             lambda m: relevance_constraint(m, mask, "te", 2.0)[0], w)
         assert np.abs(analytic - numeric).max() < 1e-5
+
+    @pytest.mark.parametrize("kind", ["te", "de"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_b_is_a_value_error(self, kind, value):
+        # a NaN entry read as "total effects undefined" (te) or gave a NaN
+        # value (de)
+        w = np.zeros((3, 3))
+        w[0, 1] = value
+        with pytest.raises(ValueError, match="^B must be finite"):
+            relevance_constraint(w, np.ones(3, bool), kind, 1.0)
 
     def test_singular_resolvent_is_an_error(self):
         w = np.zeros((3, 3))
@@ -503,6 +536,88 @@ class TestLbfgsSolver:
             assert np.abs(got - expected).max() <= \
                 1e-12 * np.abs(expected).max()
 
+    def test_scale_is_one_without_the_acyclicity_terms(self):
+        # lam1 = c = 0 leaves the solve's variables unscaled, so the paths
+        # above run exactly as the unscaled solve; so does the baseline's
+        # first subproblem, at its zero start with lam1 = 0
+        gram, objective, w0 = self.least_squares_problem()
+        assert (objective.scale(w0) == 1.0).all()
+        dim = len(gram)
+        first = _Objective(gram, dim - 1, np.ones(dim, bool), t=1.0 / dim,
+                           lam1=0.0, c=_PENALTY_INIT, relevance=False,
+                           lam2=0.0, d_pen=0.0, kind="te", delta_star=0.0)
+        assert (first.scale(np.zeros_like(gram)) == 1.0).all()
+
+    @staticmethod
+    def penalty_problem(c, lam1, active=None):
+        # the subproblem of a late selection-free step: s2 n=100 seed 265 on
+        # the unit-free gram, at least squares on the true pattern plus
+        # every reversed true edge at 1e-3, so h1 = 5.6e-6
+        truth, data = scenario_data(scenario("s2"), 100, 265)
+        gram = _centered_gram(data)
+        gram /= np.diag(gram).mean()
+        dim = data.dim
+        pattern = truth.weights != 0
+        w = 1e-3 * pattern.T
+        for j in range(dim):
+            rows = np.flatnonzero(pattern[:, j])
+            w[rows, j] = np.linalg.solve(gram[np.ix_(rows, rows)],
+                                         gram[rows, j])
+        w[data.outcome_index, :] = 0.0
+        active = np.ones(dim, bool) if active is None else active
+        objective = _Objective(gram, data.outcome_index, active, t=1.0 / dim,
+                               lam1=lam1, c=c, relevance=False, lam2=0.0,
+                               d_pen=0.0, kind="te", delta_star=0.0)
+        return objective, w
+
+    @pytest.mark.parametrize("c, lam1", [(1e6, 20.0), (1e8, 200.0)])
+    def test_penalty_dominated_subproblem_stops_on_ftol(self, c, lam1):
+        # unscaled, these solves took 259 and 518 iterations to the same
+        # stop; the penalty's curvature is what made them slow
+        objective, w0 = self.penalty_problem(c, lam1)
+        w, total, iterations, reason, solve = _lbfgs_minimize(
+            w0, objective, _STEP_SIZE, 100, _GRAD_TOL, _FTOL)
+        assert reason == "ftol"
+        # it stops short of the rounding floor, not far from the minimum
+        exact = _lbfgs_minimize(w0, objective, _STEP_SIZE, 2000, 0.0)
+        assert exact[3] != "max_inner_iter"
+        assert exact[1] <= total <= exact[1] * (1.0 + 1e-6)
+
+    def test_scaled_entries_off_the_free_mask_stay_exactly_zero(self):
+        active = np.ones(5, bool)  # s2 has four features
+        active[1] = False
+        objective, w0 = self.penalty_problem(1e6, 20.0, active)
+        assert (objective.scale(w0 * objective.free) < 1.0).any()
+        w0 += 0.1  # masked entries too
+        for k in (1, 5, 100):
+            w = _lbfgs_minimize(w0, objective, _STEP_SIZE, k, _GRAD_TOL,
+                                _FTOL)[0]
+            assert not w[objective.free == 0].any()
+
+    def test_overflowing_curvature_gives_a_finite_solve(self):
+        # z0 -> z1 -> z2 at 1e75 is acyclic, so h1 and its gradient are 0,
+        # but P[z0, z2] is 1.9e299 and lam1 * 2 dim t P^T overflows at the
+        # entry z2 -> z0; its scale is clamped, not 0, so that entry's
+        # variable B / scale stays 0 instead of NaN
+        dim = 4
+        w0 = np.zeros((dim, dim))
+        w0[0, 1] = w0[1, 2] = 1e75
+        objective = _Objective(np.eye(dim), dim - 1, np.ones(dim, bool),
+                               t=1.0 / dim, lam1=_PENALTY_CAP, c=_PENALTY_CAP,
+                               relevance=False, lam2=0.0, d_pen=0.0,
+                               kind="te", delta_star=0.0)
+        with np.errstate(over="ignore"):
+            scale = objective.scale(w0)
+        assert np.isfinite(scale).all() and (scale > 0).all()
+        assert scale[2, 0] == np.finfo(float).max ** -0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, total, _, _, solve = _lbfgs_minimize(
+                w0, objective, _STEP_SIZE, 20, _GRAD_TOL, _FTOL)
+        assert np.isfinite(w).all() and math.isfinite(total)
+        assert total <= solve.objective_start
+        assert w[2, 0] == 0.0
+
     def test_no_free_entries_stop_on_the_gradient_tolerance(self):
         gram, _, w0 = self.least_squares_problem()
         dim = len(gram)
@@ -669,10 +784,13 @@ class TestFit:
     def test_warm_start_from_a_settled_baseline_caps_no_solve(self):
         # s2 n=100 seed 265: before the settled stop, a baseline run on to
         # c = 1e12 left this te fit's first solve at max_inner_iter (500
-        # iterations, then 49, 17 and 7); the settled baseline ends at c = 1e6
+        # iterations, then 49, 17 and 7); the settled baseline ended at c =
+        # 1e6 after 572 inner iterations, and with the solve scaled by the
+        # penalty's curvature it settles one dual step later, at c = 1e8,
+        # after 230
         _, data = scenario_data(scenario("s2"), 100, 265)
         base = fit_baseline(data)
-        assert base.diagnostics[-1]["c"] == 1e6
+        assert base.diagnostics[-1]["c"] == 1e8
         result = fit(data, FitConfig(effect_kind="te"), warm_start=base)
         assert result.converged
         assert all(row["stop_reason"] != "max_inner_iter"
