@@ -611,8 +611,8 @@ def _lbfgs_minimize(w0: np.ndarray, objective: _Objective, step_size: float,
     scale = objective.scale(z.reshape(shape)).ravel()
     z /= scale
 
-    def evaluate(z):
-        out = objective((z * scale).reshape(shape))
+    def evaluate(point):
+        out = objective((point * scale).reshape(shape))
         return out, out[1].ravel() * scale
 
     current, grad = evaluate(z)
