@@ -235,17 +235,12 @@ def _centered_gram(data: Dataset) -> np.ndarray:
 
 
 def _ls(w: np.ndarray, gram: np.ndarray, cols: np.ndarray, eye: np.ndarray):
-    """``0.5 tr[(I - B)_cols^T gram (I - B)_cols]`` and its gradient."""
-    if len(cols) == len(w):  # every column active: no index copies
-        rc = eye - w
-        gr = gram @ rc
-        return 0.5 * float((rc * gr).sum()), -gr
-    rc = eye[:, cols] - w[:, cols]
-    gr = gram @ rc
-    loss = 0.5 * float((rc * gr).sum())
-    grad = np.zeros_like(w)
-    grad[:, cols] = -gr
-    return loss, grad
+    """``0.5 tr[R^T gram R]`` for ``R = (B - I) * cols``, with ``cols`` the
+    0/1 vector of active columns, and its gradient ``gram R`` (zero on the
+    inactive columns)."""
+    r = (w - eye) * cols
+    gr = gram @ r
+    return 0.5 * float((r * gr).sum()), gr
 
 
 def _matpow(a: np.ndarray, n: int) -> np.ndarray:
@@ -278,8 +273,9 @@ def _h1(w: np.ndarray, t: float, eye: np.ndarray):
 
 
 def _te_parts(w: np.ndarray, outcome: int, eye: np.ndarray):
-    """Total-effect vector, the outcome column of ``(I - B)^-1`` with the
-    outcome's own entry zeroed, plus that inverse for the Jacobian.
+    """Total-effect vector, the outcome column of ``(I - B)^-1``, plus that
+    inverse for the Jacobian.  The outcome's own entry is not an effect;
+    every reader masks or skips it.
 
     Exact on acyclic patterns (``B`` is nilpotent, so the inverse is the
     finite path sum) and defined wherever ``I - B`` is invertible.  A
@@ -292,9 +288,7 @@ def _te_parts(w: np.ndarray, outcome: int, eye: np.ndarray):
         raise FloatingPointError("I - B is singular") from None
     if not np.isfinite(m).all():
         raise FloatingPointError("(I - B)^-1 is not finite")
-    te = m[:, outcome].copy()
-    te[outcome] = 0.0
-    return te, m
+    return m[:, outcome], m
 
 
 def _effect_parts(w: np.ndarray, outcome: int, kind: str, eye: np.ndarray):
@@ -316,7 +310,7 @@ def _h2(w: np.ndarray, outcome: int, feature_active: np.ndarray, kind: str,
     search, as in ``_te_parts``.
     """
     ce, m = _effect_parts(w, outcome, kind, eye)
-    signs = np.where(feature_active, np.sign(ce), 0.0)
+    signs = np.sign(ce) * feature_active
     value = (delta_star - float(np.abs(ce * signs).sum())
              + float(np.abs(w[outcome, :]).sum()))
     if m is None:
@@ -387,10 +381,9 @@ def least_squares_loss(B: np.ndarray, data: Dataset, mask: np.ndarray):
         raise ValueError("dataset is empty")
     if not mask[data.outcome_index]:
         raise ValueError("mask must include the outcome column")
-    loss, grad = _ls(w, _centered_gram(data), np.flatnonzero(mask),
+    loss, grad = _ls(w, _centered_gram(data), mask.astype(float),
                      np.eye(w.shape[0]))
     grad[~mask, :] = 0.0
-    grad[:, ~mask] = 0.0
     grad[data.outcome_index, :] = 0.0
     return loss, grad
 
@@ -443,9 +436,9 @@ class _Objective:
     """Augmented-Lagrangian value and gradient at fixed multipliers and mask.
 
     The inner loop calls this tens of thousands of times, so the identity
-    matrix, active-column index, and projection mask are cached up front and
-    the kernels are called directly rather than through the validating
-    public single-shot operations.
+    matrix, the 0/1 active-column vector and the projection mask are cached
+    up front and the kernels are called directly rather than through the
+    validating public single-shot operations.
     """
 
     def __init__(self, gram, outcome, active, t, lam1, c, relevance,
@@ -454,7 +447,7 @@ class _Objective:
         self.outcome = outcome
         self.feature_active = active.copy()
         self.feature_active[outcome] = False
-        self.cols = np.flatnonzero(active)
+        self.cols = active.astype(float)
         self.free = _free_mask(active, outcome)
         self.eye = np.eye(gram.shape[0])
         self.t = t
@@ -846,8 +839,9 @@ def fit(data: Dataset, config: FitConfig = FitConfig(),
 
     Every fit starts from ``warm_start``, a selection-free fit of the same
     data, at its raw graph and its last ``lambda1`` and ``c``; without one,
-    the fit is computed here with ``fit_baseline``.  A fit of data with
-    another ``dim``, ``outcome_index`` or ``labels`` is a ``ValueError``.
+    the fit is computed here with ``fit_baseline``.  A selective fit
+    (``delta_star_used`` not 0) or a fit of data with another ``dim``,
+    ``outcome_index`` or ``labels`` is a ``ValueError``.
     When the warm start is nearly acyclic, the selection rule runs on it
     before the first solve, and its drops are recorded in step 0's
     ``dropped``; the fit then solves at the baseline rule's tolerance at
@@ -861,6 +855,10 @@ def fit(data: Dataset, config: FitConfig = FitConfig(),
     stops by ``fit_baseline``'s rule, with ``|h2|`` within the cutoff.
     """
     if warm_start is not None:
+        if warm_start.delta_star_used != 0:
+            raise ValueError("warm_start must be a selection-free fit, got a "
+                             "selective fit with delta_star_used "
+                             f"{warm_start.delta_star_used!r}")
         raw = warm_start.raw_graph
         for name, theirs, ours in (
                 ("dim", raw.dim, data.dim),

@@ -145,12 +145,17 @@ class TestLeastSquaresLoss:
         assert loss == pytest.approx(0.5 * np.sum(centered ** 2) / 50)
 
     def test_equals_the_fit_objective_at_the_raw_graph(self):
-        # the fit minimises f on centered data; the public loss is that f
+        # the fit minimises f on centered data over its active columns; the
+        # public loss is that f, for the baseline and for the te fit from
+        # it, which drops z0
         _, _, data = s1_replication(300)
         base = fit_baseline(data)
-        loss, _ = least_squares_loss(base.raw_graph.weights, data,
-                                     np.ones(data.dim, bool))
-        assert loss == base.diagnostics[-1]["f"]
+        selective = fit(data, FitConfig(effect_kind="te"), warm_start=base)
+        assert selective.selected.tolist() == [False, True, True, True]
+        for result in (base, selective):
+            mask = np.insert(result.selected, data.outcome_index, True)
+            loss, _ = least_squares_loss(result.raw_graph.weights, data, mask)
+            assert loss == result.diagnostics[-1]["f"]
 
     def test_gradient_matches_finite_differences(self, rng):
         values = rng.normal(size=(60, 5))
@@ -369,7 +374,7 @@ class TestLbfgsSolver:
         gram, objective, w0 = self.least_squares_problem()
         free = objective.free.astype(bool)
         expected = np.zeros_like(gram)
-        for j in objective.cols:
+        for j in np.flatnonzero(objective.cols):
             rows = np.flatnonzero(free[:, j])
             expected[rows, j] = np.linalg.solve(gram[np.ix_(rows, rows)],
                                                 gram[rows, j])
@@ -898,7 +903,7 @@ class TestFit:
         columns = []
 
         def recording(w0, objective, *args):
-            columns.append(objective.cols.tolist())
+            columns.append(np.flatnonzero(objective.cols).tolist())
             return _lbfgs_minimize(w0, objective, *args)
 
         monkeypatch.setattr(optimizer, "_lbfgs_minimize", recording)
@@ -982,6 +987,24 @@ class TestFit:
         for config in (FitConfig(), FitConfig(delta_star=1.0)):
             with pytest.raises(ValueError, match=f"its {field} is"):
                 fit(data, config, warm_start=base)
+
+    def test_selective_warm_start_is_rejected(self, monkeypatch):
+        # a selective fit's pruned graph would anchor delta_star: 6.435 on
+        # this replication, against 6.399 from its baseline
+        import nscausal.optimizer as optimizer
+
+        _, _, data = s1_replication(100)
+        selective = fit(data, warm_start=fit_baseline(data))
+        assert selective.delta_star_used != 0
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("fit ran before checking its warm start")
+
+        monkeypatch.setattr(optimizer, "_engine", no_work)
+        for config in (FitConfig(), FitConfig(delta_star=1.0)):
+            with pytest.raises(ValueError,
+                               match="^warm_start must be a selection-free"):
+                fit(data, config, warm_start=selective)
 
     def test_inner_solves_never_increase_the_objective(self):
         _, _, data = s1_replication(1)

@@ -19,13 +19,14 @@ selective fit's line also counts its ``spurious`` selected features and its
 path to the outcome in that subgraph.
 
 ``--compare`` matches the fits of two such files, lists every changed
-selection and pruned pattern (with its shd before and after), and prints
-per-group sums.  It exits 1 when the files hold different fits, a
-selection changed, a changed pattern's shd rose, or a group's summed
-spurious or missed count rose; else 0.  Lines written without the two
-counts are compared without them, and a line's other fields (the
-``start`` of older files) are ignored.  To compare a change with its
-parent, run ``--corpus`` in a checkout of each.
+selection and pruned pattern (with its shd before and after) and every fit
+that stopped converging, and prints per-group sums.  It exits 1 when the
+files hold different fits, a selection changed, a fit stopped converging,
+a changed pattern's shd rose, or a group's summed spurious or missed count
+rose; else 0.  Lines written without the two counts are compared without
+them, and a line's other fields (the ``start`` of older files) are
+ignored.  To compare a change with its parent, run ``--corpus`` in a
+checkout of each.
 """
 
 import argparse
@@ -137,9 +138,15 @@ def compare(old_path: str, new_path: str, out) -> int:
             failed = failed or b["shd"] > a["shd"]
             out.write(f"pattern changed: {label}: shd {a['shd']} -> "
                       f"{b['shd']}\n")
+        unconverged = a["converged"] and not b["converged"]
+        if unconverged:
+            failed = True
+            out.write(f"stopped converging: {label}\n")
         group = sums.setdefault((key[0], key[3]), {
-            "fits": 0, "raw_changed": 0, "diagnostics_changed": 0})
+            "fits": 0, "raw_changed": 0, "diagnostics_changed": 0,
+            "unconverged": 0})
         group["fits"] += 1
+        group["unconverged"] += unconverged
         group["raw_changed"] += a["raw_sha256"] != b["raw_sha256"]
         group["diagnostics_changed"] += (a["diagnostics_sha256"]
                                          != b["diagnostics_sha256"])
@@ -149,9 +156,9 @@ def compare(old_path: str, new_path: str, out) -> int:
             pair = group.setdefault(field, [0, 0])
             pair[0] += a[field]
             pair[1] += b[field]
-    out.write("group method: fits, raw/diagnostics hashes changed, "
-              "dual steps, inner iterations, shd, spurious, missed "
-              "(old -> new)\n")
+    out.write("group method: fits, raw/diagnostics hashes changed, fits "
+              "that stopped converging, dual steps, inner iterations, shd, "
+              "spurious, missed (old -> new)\n")
     for (group, method), s in sums.items():
         fields = [field for field in ("dual_steps", "inner_iterations", "shd")
                   + COUNTS if field in s]
@@ -159,6 +166,7 @@ def compare(old_path: str, new_path: str, out) -> int:
                                if field in s)
         out.write(f"{group} {method}: {s['fits']} fits, "
                   f"{s['raw_changed']}/{s['diagnostics_changed']} changed, "
+                  f"{s['unconverged']} stopped converging, "
                   + ", ".join(f"{field} {s[field][0]} -> {s[field][1]}"
                               for field in fields)
                   + "\n")
