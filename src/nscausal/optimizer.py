@@ -18,13 +18,16 @@ et al. 2018) and lives in module constants, not in ``FitConfig``:
   absolute schedule and tolerances mean the same at every scale.  A uniform
   rescale keeps the constrained minimiser, and unlike standardising each
   column it keeps the relative variances that identify the DAG.
-* ``h1(B) = tr[(I + t * B∘B)^dim] - dim`` with ``t = 1/dim``, the
+* ``h1(B) = tr[(I + t * B∘B)^k] - dim`` with ``t = 1/dim``, the
   polynomial of DAG-GNN (Yu et al. 2019), is zero exactly on acyclic
-  patterns.  ``t`` is fixed for the whole fit, so the ``h1`` values the
-  engine compares across dual steps all come from one function.  Each
-  solve starts from an iterate accepted at that ``t``, or from it masked,
-  which can only lower ``h1``, so its starting ``h1`` is finite; a trial
-  point where ``h1`` overflows is rejected by the line search.
+  patterns for every ``k >= dim``, as no cycle is longer than ``dim``.  It
+  takes ``k = 2^j + 1``, the smallest such ``k >= dim``, so ``j`` squarings
+  give ``(I + t * B∘B)^(k-1)``.  ``t`` is fixed for the whole fit, so the
+  ``h1`` values the engine compares across dual steps all come from one
+  function.  Each solve starts from an iterate accepted at that ``t``, or
+  from it masked, which can only lower ``h1``, so its starting ``h1`` is
+  finite; a trial point where ``h1`` overflows is rejected by the line
+  search.
 * ``h2(B; g) = delta_star - sum_i |CE_i(B)| + sum_j |B[outcome, j]|``
   compares the absolute causal-effect mass of the active features against
   the all-features reference ``delta_star`` and penalizes edges out of the
@@ -243,32 +246,22 @@ def _ls(w: np.ndarray, gram: np.ndarray, cols: np.ndarray, eye: np.ndarray):
     return 0.5 * float((r * gr).sum()), gr
 
 
-def _matpow(a: np.ndarray, n: int) -> np.ndarray:
-    """``a^n`` for ``n >= 1``, multiplied in ``np.linalg.matrix_power``'s
-    order (so bit-identical to it) without its per-call validation."""
-    if n == 3:
-        return (a @ a) @ a
-    z = result = None
-    while n > 0:
-        z = a if z is None else z @ z
-        n, bit = divmod(n, 2)
-        if bit:
-            result = z if result is None else result @ z
-    return result
-
-
 def _h1(w: np.ndarray, t: float, eye: np.ndarray):
-    """``tr[(I + t B∘B)^dim] - dim``, its gradient, and ``2 dim t P^T`` for
-    ``P = (I + t B∘B)^(dim-1)``: the gradient is that matrix times ``B``
-    entrywise, and it is the Hessian's diagonal without the term in
-    ``dP/dB``."""
+    """``tr[M^k] - dim`` for ``M = I + t B∘B``, its gradient, and ``2 k t
+    P^T`` for ``P = M^(k-1)``; ``k = 2^j + 1`` is the smallest such exponent
+    ``>= dim``, so ``P`` is ``j`` squarings of ``M``.  The gradient is that
+    matrix times ``B`` entrywise, and it is the Hessian's diagonal without
+    the term in ``dP/dB``."""
     dim = w.shape[0]
     m = eye + t * (w * w)
-    p_minor = _matpow(m, dim - 1)
-    value = float((p_minor @ m).trace() - dim)
+    squarings = max(0, dim - 2).bit_length()
+    p = m
+    for _ in range(squarings):
+        p = p @ p
+    value = float((p * m.T).sum() - dim)
     if not math.isfinite(value):
         raise FloatingPointError("acyclicity value overflowed")
-    curvature = (dim * t * 2.0) * p_minor.T
+    curvature = ((2 ** squarings + 1) * t * 2.0) * p.T
     return value, curvature * w, curvature
 
 
@@ -354,12 +347,16 @@ def _check_finite_b(w: np.ndarray):
 
 
 def acyclicity_value(g: WeightedDag, t: float) -> float:
-    """Trace-power acyclicity score; zero exactly when the pattern is a DAG."""
+    """Trace-power acyclicity score ``tr[(I + t B∘B)^k] - dim``, with ``k``
+    as in the module docstring; zero exactly when the pattern is a DAG.
+    Where ``k > dim`` it overflows (a ``ValueError``) at smaller weights
+    than ``k = dim`` would, at ``t = 1`` for instance."""
     return _h1_checked(g, t)[0]
 
 
 def acyclicity_gradient(g: WeightedDag, t: float) -> np.ndarray:
-    """Analytic gradient ``dim * t * [(I + t B∘B)^(dim-1)]^T ∘ 2B``."""
+    """Analytic gradient ``k * t * [(I + t B∘B)^(k-1)]^T ∘ 2B``, with
+    ``acyclicity_value``'s exponent ``k``."""
     return _h1_checked(g, t)[1]
 
 
@@ -473,7 +470,7 @@ class _Objective:
 
     def scale(self, w: np.ndarray) -> np.ndarray:
         """The inner solve's variable scale at ``w``, ``(1 + (lam1 + 2c h1)
-        2 dim t P^T + 2c (dh1/dB)^2) ** -0.5``: the acyclicity terms' Hessian
+        2 k t P^T + 2c (dh1/dB)^2) ** -0.5``: the acyclicity terms' Hessian
         diagonal without the term in ``dP/dB`` (``P`` and ``dh1/dB`` from
         ``_h1``), plus the least-squares curvature taken at its mean, 1 on the
         unit-free gram.

@@ -120,6 +120,55 @@ class TestAcyclicityGradient:
             assert np.abs(analytic - numeric).max() < 1e-5
 
 
+class TestAcyclicityExponent:
+    """``h1`` is the trace of ``(I + t B∘B)^k`` at ``k = 2^j + 1``, the
+    smallest such exponent of at least ``dim``."""
+
+    @staticmethod
+    def exponent(dim):
+        k = 2
+        while k < dim:
+            k = 2 * k - 1
+        return k
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 9, 17, 20, 50])
+    def test_value_is_the_trace_power_at_k(self, dim):
+        rng = np.random.default_rng(dim)
+        w = rng.uniform(-1.0, 1.0, (dim, dim)) * (rng.random((dim, dim)) < 0.5)
+        np.fill_diagonal(w, 0.0)
+        t = 1.0 / dim
+        power = np.linalg.matrix_power(np.eye(dim) + t * w * w,
+                                       self.exponent(dim))
+        assert acyclicity_value(WeightedDag(w), t) == pytest.approx(
+            np.trace(power) - dim, rel=1e-10)
+
+    @pytest.mark.parametrize("dim", [20, 50])
+    def test_zero_on_a_dag_and_positive_on_the_longest_cycle(self, dim):
+        rng = np.random.default_rng(dim)
+        w = np.triu(rng.uniform(0.5, 2.0, (dim, dim)), 1)
+        assert acyclicity_value(WeightedDag(w), 1.0 / dim) == 0.0
+        cycle = np.roll(np.eye(dim), 1, axis=1)  # i -> i + 1 mod dim
+        # (I + A)^k for the cycle's permutation matrix A: only the closed
+        # walks of length dim contribute, C(k, dim) of them from each node
+        k = self.exponent(dim)
+        assert acyclicity_value(WeightedDag(cycle), 1.0) == pytest.approx(
+            dim * math.comb(k, dim), rel=1e-10)
+
+    @pytest.mark.parametrize("dim", [6, 20])
+    def test_gradient_matches_finite_differences_where_k_exceeds_dim(
+            self, dim):
+        assert self.exponent(dim) > dim
+        rng = np.random.default_rng(dim)
+        w = rng.uniform(-1.0, 1.0, (dim, dim)) * (rng.random((dim, dim)) < 0.4)
+        np.fill_diagonal(w, 0.0)
+        t = 1.0 / dim
+        analytic = acyclicity_gradient(WeightedDag(w), t)
+        numeric = central_difference(
+            lambda m: acyclicity_value(WeightedDag(m), t), w)
+        assert np.abs(analytic - numeric).max() < 1e-6 * max(
+            1.0, np.abs(analytic).max())
+
+
 class TestLeastSquaresLoss:
     def test_perfect_fit_leaves_only_the_root_energy(self):
         # every explained column has zero residual; the root's own value is

@@ -1,11 +1,16 @@
-"""``tools/quality_corpus.py --compare`` on hand-written corpus lines."""
+"""``tools/quality_corpus.py`` on hand-written corpus lines and inputs."""
 
 import importlib.util
 import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from nscausal.graph import WeightedDag
+from nscausal.optimizer import FitConfig, FitResult
+from nscausal.scm import Dataset
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "quality_corpus.py"
 _SPEC = importlib.util.spec_from_file_location("quality_corpus", _PATH)
@@ -59,3 +64,81 @@ def test_a_changed_selection_fails(tmp_path):
     code, report = compare(tmp_path, LINES, new)
     assert code == 1
     assert "selection changed: s1-te s1 100 nscsl-te" in report
+
+
+def test_a_te_fit_with_a_zero_reference_score_is_a_failure_line():
+    # z0 -> z1 and an outcome y that is noise: no feature's effect reaches
+    # y in the baseline's pruned graph, so the te fit has delta_star 0
+    rng = np.random.default_rng(5)
+    z0 = rng.normal(size=300)
+    values = np.column_stack([z0, 1.5 * z0 + rng.normal(size=300),
+                              rng.normal(size=300)])
+    truth = WeightedDag(np.array([[0, 1.5, 0], [0, 0, 0], [0, 0, 0]]),
+                        ("z0", "z1", "y"), 2)
+    data = Dataset(values, truth.labels, 2)
+    lines = quality_corpus.replication_lines(
+        truth, data, ("nscsl-te",), 1, group="hand", scenario="custom",
+        n=300, seed=7)
+    assert [line["method"] for line in lines] == ["baseline", "nscsl-te"]
+    assert lines[0]["full_shd"] == 0 and lines[0]["order"] == 1
+    assert lines[1] == dict(
+        group="hand", scenario="custom", n=300, seed=7, method="nscsl-te",
+        order=1, selected=None, converged=False,
+        failed="delta_star is 0: no feature's effect reaches the outcome in "
+               "the reference graph, so there is nothing to select against")
+
+
+def test_compare_reports_failure_lines(tmp_path):
+    failure = quality_corpus.failure_line(
+        ValueError("delta_star is 0"), group="s1-te", scenario="s1", n=100,
+        seed=100, method="nscsl-te", order=0)
+    code, report = compare(tmp_path, LINES, [LINES[0], failure])
+    assert code == 1  # a new failure stops a fit converging
+    assert ("fit failed in new: s1-te s1 100 nscsl-te: delta_star is 0"
+            in report)
+    assert "stopped converging: s1-te s1 100 nscsl-te\n" in report
+    code, report = compare(tmp_path, [LINES[0], failure], [LINES[0], failure])
+    assert code == 0
+    assert ("s1-te nscsl-te: 1 fits, 0/0 changed, 0 stopped converging, "
+            "failures 1 -> 1\n") in report
+
+
+def test_compare_sums_full_graph_shd_per_order(tmp_path):
+    old = [corpus_line("baseline", seed=seed, order=order, full_shd=shd)
+           for seed, order, shd in ((100, 0, 4), (101, 0, 1), (100, 1, 2),
+                                    (101, 1, 2), (100, 2, 9), (101, 2, 0))]
+    new = [dict(line, full_shd=0) for line in old]
+    code, report = compare(tmp_path, old, new)
+    assert code == 0  # full-graph shd takes no part in the exit code
+    assert ("s1-te baseline: [5, 4, 9] (median 5, min 4, max 9) -> "
+            "[0, 0, 0] (median 0, min 0, max 0)\n") in report
+    assert "full_shd 18 -> 0" in report
+
+
+def test_compare_counts_selections_that_differ_across_orders(tmp_path):
+    lines = [corpus_line("nscsl-te", order=order) for order in range(3)]
+    varied = [dict(lines[0], selected=[True, True, True, True])] + lines[1:]
+    report = compare(tmp_path, lines, varied)[1]
+    assert "0 -> 1 varying selections" in report
+
+
+def test_a_permuted_fit_maps_back_to_the_identity_order():
+    perm = quality_corpus.permutation(3, 11, 4)
+    assert sorted(perm) == [0, 1, 2, 3] and list(perm) != [0, 1, 2, 3]
+    truth = WeightedDag(np.triu(np.arange(1.0, 17.0).reshape(4, 4), 1),
+                        outcome_index=2)
+    data = Dataset(np.arange(20.0).reshape(5, 4), truth.labels, 2)
+    moved = quality_corpus.permuted(data, perm)
+    assert moved.labels[moved.outcome_index] == truth.labels[2]
+    assert (moved.values == data.values[:, perm]).all()
+    # a fit that keeps z0 and z3 and drops z1, in the permuted order
+    keep = {0: True, 1: False, 3: True}
+    weights = truth.weights[np.ix_(perm, perm)]
+    fitted = FitResult(WeightedDag(weights), WeightedDag(weights),
+                       np.array([keep[i] for i in perm if i != 2]), (), 0.0,
+                       True, FitConfig())
+    back = quality_corpus.mapped_back(fitted, perm, truth)
+    assert (back.graph.weights == truth.weights).all()
+    assert (back.raw_graph.weights == truth.weights).all()
+    assert back.graph.outcome_index == 2
+    assert list(back.selected) == [True, False, True]

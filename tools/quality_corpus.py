@@ -3,44 +3,61 @@
 Run from anywhere inside a checkout; it imports the ``src/`` next to its
 own directory, with single-threaded BLAS:
 
-    python3 tools/quality_corpus.py --corpus main > main.jsonl
+    python3 tools/quality_corpus.py --corpus main [--orders K] > main.jsonl
     python3 tools/quality_corpus.py --corpus heldout > heldout.jsonl
     python3 tools/quality_corpus.py --compare OLD.jsonl NEW.jsonl
 
 ``--corpus`` writes one JSON line per fit.  Every replication gets
 ``fit_baseline``, then each selective method warm-started from it, as
-``nscausal bench`` and ``nscausal.fit`` run them.  A line holds the group,
-scenario, n, seed and method; ``selected`` (null for the baseline); the
-sha256 of the pruned pattern, of the raw graph's weights and of the
-``diagnostics``; ``converged``, ``dual_steps`` and ``inner_iterations``;
-and ``shd`` against the outcome's necessary-and-sufficient subgraph.  A
-selective fit's line also counts its ``spurious`` selected features and its
-``missed`` causal features: the causal features are those with a directed
-path to the outcome in that subgraph.
+``nscausal bench`` and ``nscausal.fit`` run them.  With ``--orders K``
+(default 1) each replication is fitted in the column orders ``0 .. K-1``:
+order 0 is the identity, and order ``k >= 1`` permutes the columns by
+``default_rng([k, seed]).permutation(dim)``, the outcome moving with its
+column.  Each estimate is mapped back to the identity order before it is
+hashed and scored.  A line holds the group, scenario, n, seed and method;
+``selected`` (null for the baseline); the sha256 of the pruned pattern, of
+the raw graph's weights and of the ``diagnostics`` (as the fit recorded
+them); ``converged``, ``dual_steps`` and ``inner_iterations``; ``shd``
+against the outcome's necessary-and-sufficient subgraph; then ``order``
+and ``full_shd``, the shd of the pruned graph against the whole true
+graph.  A selective fit's line also counts its ``spurious`` selected
+features and its ``missed`` causal features: the causal features are those
+with a directed path to the outcome in that subgraph.  A selective fit
+that raises ``ValueError`` (a reference score of 0: no feature's effect
+reaches the outcome in the baseline's pruned graph) is written as a
+failure line: the group, scenario, n, seed, method and order, ``selected``
+null, ``converged`` false and ``failed``, the error message.
 
 ``--compare`` matches the fits of two such files, lists every changed
-selection and pruned pattern (with its shd before and after) and every fit
-that stopped converging, and prints per-group sums.  It exits 1 when the
-files hold different fits, a selection changed, a fit stopped converging,
-a changed pattern's shd rose, or a group's summed spurious or missed count
-rose; else 0.  Lines written without the two counts are compared without
-them, and a line's other fields (the ``start`` of older files) are
-ignored.  To compare a change with its parent, run ``--corpus`` in a
-checkout of each.
+selection and pruned pattern (with its shd before and after), every fit
+that stopped converging and every failure line, and prints per-group sums,
+with the failure lines left out of the summed fields.  It then prints per
+group the summed ``full_shd`` of each order with their median, minimum and
+maximum, and the selective fits whose selection differs across orders.  It
+exits 1 when the files hold different fits, a selection changed, a fit
+stopped converging (a new failure line does), a changed pattern's shd
+rose, or a group's summed spurious or missed count rose; else 0.  Lines
+written without the two counts are compared without them, lines without
+``order`` are order 0, and a line's other fields (the ``start`` of older
+files) are ignored.  To compare a change with its parent, run ``--corpus``
+in a checkout of each.
 """
 
 import argparse
 import hashlib
 import json
 import os
+import statistics
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import nscausal as ns  # noqa: E402 - after the path and BLAS settings
+import numpy as np  # noqa: E402 - after the path and BLAS settings
+import nscausal as ns  # noqa: E402
 from nscausal.bench import METHODS  # noqa: E402
 
 # group -> (scenario, n, seeds, selective methods); every replication is
@@ -53,15 +70,20 @@ CORPORA = {
         ("s5-te", "s5", 1000, range(500, 506), ("nscsl-te",)),
         ("s1-te-300", "s1", 100, range(300, 320), ("nscsl-te",)),
         ("s2-300", "s2", 100, range(300, 320), ("nscsl-te", "nscsl-de")),
+        ("custom-p100", "custom", 1000, range(1, 6), ("nscsl-te",)),
     ),
     "heldout": (
         ("s1-te", "s1", 100, range(150, 200), ("nscsl-te",)),
         ("s2", "s2", 100, range(250, 300), ("nscsl-te", "nscsl-de")),
         ("s4-te", "s4", 1000, range(320, 340), ("nscsl-te",)),
         ("s5-te", "s5", 1000, range(506, 512), ("nscsl-te",)),
+        ("custom-p100", "custom", 1000, range(6, 11), ("nscsl-te",)),
     ),
 }
-KEY = ("group", "scenario", "seed", "method")
+# scenario overrides per scenario id: the p=100 Erdos-Renyi graphs with
+# expected degree 2 (the custom scenario's default degree)
+OVERRIDES = {"custom": {"p": 100}}
+KEY = ("group", "scenario", "seed", "method", "order")
 COUNTS = ("spurious", "missed")
 
 
@@ -69,7 +91,36 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _line(fitted, target, **fields):
+def permutation(order: int, seed: int, dim: int) -> np.ndarray:
+    """Column order ``order`` of replication ``seed``: the identity for 0."""
+    if order == 0:
+        return np.arange(dim)
+    return np.random.default_rng([order, seed]).permutation(dim)
+
+
+def permuted(data, perm: np.ndarray):
+    """``data`` with column ``a`` holding its column ``perm[a]``."""
+    return ns.Dataset(data.values[:, perm],
+                      tuple(data.labels[i] for i in perm),
+                      int(np.argsort(perm)[data.outcome_index]))
+
+
+def mapped_back(fitted, perm: np.ndarray, truth):
+    """A fit of the ``perm``-permuted data, in ``truth``'s column order."""
+    inv = np.argsort(perm)
+    outcome = truth.outcome_index
+
+    def graph(g):
+        return ns.WeightedDag(g.weights[np.ix_(inv, inv)], truth.labels,
+                              outcome)
+
+    active = np.insert(fitted.selected, inv[outcome], True)[inv]
+    return replace(fitted, graph=graph(fitted.graph),
+                   raw_graph=graph(fitted.raw_graph),
+                   selected=np.delete(active, outcome))
+
+
+def _line(fitted, truth, target, order, **fields):
     line = dict(
         fields,
         selected=(None if fields["method"] == "baseline"
@@ -82,6 +133,8 @@ def _line(fitted, target, **fields):
         inner_iterations=sum(d["inner_iterations"]
                              for d in fitted.diagnostics),
         shd=ns.graph_metrics(fitted.graph, target).shd)
+    line.update(order=order,
+                full_shd=ns.graph_metrics(fitted.graph, truth).shd)
     if line["selected"] is not None:
         outcome = target.outcome_index
         causes = ns.ancestors_of(target, outcome)
@@ -91,30 +144,79 @@ def _line(fitted, target, **fields):
     return line
 
 
-def run_corpus(name: str, out) -> None:
-    """Write one JSON line per fit of corpus ``name`` to ``out``."""
+def failure_line(error: ValueError, **fields) -> dict:
+    """The line of a selective fit that raised ``error``."""
+    return dict(fields, selected=None, converged=False, failed=str(error))
+
+
+def replication_lines(truth, data, methods, order, **where) -> list:
+    """The lines of one replication's fits in column order ``order``."""
+    perm = permutation(order, where["seed"], data.dim)
+    data = permuted(data, perm)
+    target = ns.nscg(truth)
+    base = ns.fit_baseline(data)
+    lines = [_line(mapped_back(base, perm, truth), truth, target, order,
+                   **where, method="baseline")]
+    for method in methods:
+        try:
+            fitted = ns.fit(data, ns.FitConfig(effect_kind=METHODS[method]),
+                            warm_start=base)
+        except ValueError as error:
+            lines.append(failure_line(error, **where, method=method,
+                                      order=order))
+            continue
+        lines.append(_line(mapped_back(fitted, perm, truth), truth, target,
+                           order, **where, method=method))
+    return lines
+
+
+def run_corpus(name: str, out, orders: int = 1) -> None:
+    """Write one JSON line per fit of corpus ``name`` in ``orders`` column
+    orders to ``out``."""
     for group, scenario_id, n, seeds, methods in CORPORA[name]:
-        spec = ns.scenario(scenario_id)
+        spec = ns.scenario(scenario_id, **OVERRIDES.get(scenario_id, {}))
         for seed in seeds:
             truth, data = ns.scenario_data(spec, n, seed)
-            target = ns.nscg(truth)
-            base = ns.fit_baseline(data)
-            where = dict(group=group, scenario=scenario_id, n=n, seed=seed)
-            lines = [_line(base, target, **where, method="baseline")]
-            for method in methods:
-                fitted = ns.fit(data,
-                                ns.FitConfig(effect_kind=METHODS[method]),
-                                warm_start=base)
-                lines.append(_line(fitted, target, **where, method=method))
-            for line in lines:
-                out.write(json.dumps(line) + "\n")
-            out.flush()
+            for order in range(orders):
+                for line in replication_lines(truth, data, methods, order,
+                                              group=group,
+                                              scenario=scenario_id, n=n,
+                                              seed=seed):
+                    out.write(json.dumps(line) + "\n")
+                out.flush()
 
 
 def _load(path: str) -> dict:
     with open(path) as handle:
         rows = [json.loads(text) for text in handle if text.strip()]
-    return {tuple(row[k] for k in KEY): row for row in rows}
+    return {tuple(row.get(k, 0) for k in KEY): row for row in rows}
+
+
+def _by_order(rows: dict) -> dict:
+    """(group, method) -> {order: summed full_shd} over the lines with one,
+    and (group, method) -> the selective replications whose selection
+    differs across orders."""
+    sums, selections = {}, {}
+    for (group, scenario, seed, method, order), row in rows.items():
+        if "full_shd" in row:
+            orders = sums.setdefault((group, method), {})
+            orders[order] = orders.get(order, 0) + row["full_shd"]
+        if row["selected"] is not None:
+            selections.setdefault((group, method, scenario, seed), set()).add(
+                tuple(row["selected"]))
+    varied = {}
+    for (group, method, *_), seen in selections.items():
+        varied[group, method] = (varied.get((group, method), 0)
+                                 + (len(seen) > 1))
+    return sums, varied
+
+
+def _order_summary(orders: dict) -> str:
+    if not orders:
+        return "-"
+    values = [orders[k] for k in sorted(orders)]
+    return (f"{values} (median {statistics.median(values):g}, min "
+            f"{min(values)}, max {max(values)})")
 
 
 def compare(old_path: str, new_path: str, out) -> int:
@@ -129,38 +231,49 @@ def compare(old_path: str, new_path: str, out) -> int:
     sums: dict = {}
     for key in keys:
         a, b = old[key], new[key]
-        label = " ".join(str(k) for k in key)
+        label = " ".join(str(k) for k in key[:4])
+        if key[4]:
+            label += f" order {key[4]}"
+        for side, row in (("old", a), ("new", b)):
+            if "failed" in row:
+                out.write(f"fit failed in {side}: {label}: {row['failed']}\n")
         if a["selected"] != b["selected"]:
             failed = True
             out.write(f"selection changed: {label}: {a['selected']} -> "
                       f"{b['selected']}\n")
-        if a["pattern_sha256"] != b["pattern_sha256"]:
-            failed = failed or b["shd"] > a["shd"]
-            out.write(f"pattern changed: {label}: shd {a['shd']} -> "
-                      f"{b['shd']}\n")
         unconverged = a["converged"] and not b["converged"]
         if unconverged:
             failed = True
             out.write(f"stopped converging: {label}\n")
         group = sums.setdefault((key[0], key[3]), {
             "fits": 0, "raw_changed": 0, "diagnostics_changed": 0,
-            "unconverged": 0})
+            "unconverged": 0, "failures": [0, 0]})
         group["fits"] += 1
         group["unconverged"] += unconverged
+        group["failures"][0] += "failed" in a
+        group["failures"][1] += "failed" in b
+        if "failed" in a or "failed" in b:
+            continue
+        if a["pattern_sha256"] != b["pattern_sha256"]:
+            failed = failed or b["shd"] > a["shd"]
+            out.write(f"pattern changed: {label}: shd {a['shd']} -> "
+                      f"{b['shd']}\n")
         group["raw_changed"] += a["raw_sha256"] != b["raw_sha256"]
         group["diagnostics_changed"] += (a["diagnostics_sha256"]
                                          != b["diagnostics_sha256"])
-        fields = ["dual_steps", "inner_iterations", "shd"]
-        fields += [field for field in COUNTS if field in a and field in b]
-        for field in fields:
-            pair = group.setdefault(field, [0, 0])
-            pair[0] += a[field]
-            pair[1] += b[field]
+        for field in ("dual_steps", "inner_iterations", "shd",
+                      "full_shd") + COUNTS:
+            if field in a and field in b:
+                pair = group.setdefault(field, [0, 0])
+                pair[0] += a[field]
+                pair[1] += b[field]
     out.write("group method: fits, raw/diagnostics hashes changed, fits "
-              "that stopped converging, dual steps, inner iterations, shd, "
-              "spurious, missed (old -> new)\n")
+              "that stopped converging, then old -> new: failed fits, dual "
+              "steps, inner iterations, shd, full-graph shd, spurious, "
+              "missed\n")
     for (group, method), s in sums.items():
-        fields = [field for field in ("dual_steps", "inner_iterations", "shd")
+        fields = [field for field in ("failures", "dual_steps",
+                                      "inner_iterations", "shd", "full_shd")
                   + COUNTS if field in s]
         failed = failed or any(s[field][1] > s[field][0] for field in COUNTS
                                if field in s)
@@ -170,6 +283,19 @@ def compare(old_path: str, new_path: str, out) -> int:
                   + ", ".join(f"{field} {s[field][0]} -> {s[field][1]}"
                               for field in fields)
                   + "\n")
+    (old_sums, old_varied), (new_sums, new_varied) = map(_by_order,
+                                                         (old, new))
+    out.write("group method: summed full-graph shd per order, old -> new; "
+              "selective replications whose selection differs across "
+              "orders, old -> new\n")
+    for group in sorted(old_sums.keys() | new_sums.keys() | old_varied.keys()
+                        | new_varied.keys()):
+        text = " -> ".join(_order_summary(side.get(group, {}))
+                           for side in (old_sums, new_sums))
+        if group in old_varied or group in new_varied:
+            text += (f"; {old_varied.get(group, 0)} -> "
+                     f"{new_varied.get(group, 0)} varying selections")
+        out.write(f"{' '.join(group)}: {text}\n")
     return int(failed)
 
 
@@ -178,9 +304,13 @@ def main(argv=None) -> int:
     action = parser.add_mutually_exclusive_group(required=True)
     action.add_argument("--corpus", choices=tuple(CORPORA))
     action.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
+    parser.add_argument("--orders", type=int, default=1,
+                        help="column orders 0 .. K-1 per replication")
     args = parser.parse_args(argv)
+    if args.orders < 1:
+        parser.error("--orders must be at least 1")
     if args.corpus:
-        run_corpus(args.corpus, sys.stdout)
+        run_corpus(args.corpus, sys.stdout, args.orders)
         return 0
     return compare(*args.compare, sys.stdout)
 
