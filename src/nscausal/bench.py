@@ -41,11 +41,12 @@ from itertools import product, repeat
 
 import numpy as np
 
-from .graph import (WeightedDag, ancestors_of, graph_metrics,
-                    is_finite_number, is_integer, random_er, random_sf,
+from .graph import (WeightedDag, ancestors_of, check_random_graph,
+                    graph_metrics, is_integer, random_er, random_sf,
                     validate_weight_range)
+from .io import known_keys
 from .optimizer import FitConfig, fit, fit_baseline
-from .scm import (LINKS, BernoulliNoise, GaussianNoise, SemSpec,
+from .scm import (BernoulliNoise, GaussianNoise, SemSpec, check_sem,
                   sample_linear, sample_nonlinear, shift_nonnegative)
 
 # each method and the effect kind of its selective fit (None: the baseline)
@@ -77,17 +78,17 @@ _BLOCK_LAYOUT_SEEDS = {"s4": 940012, "s5": 951207}
 class ScenarioSpec:
     """One benchmark configuration: graph model, SEM, sizes, methods, seeds.
 
-    ``p``, ``replications``, ``seed_base`` and the ``sample_sizes`` are
-    integers (numpy integers included, bools not); ``sample_sizes`` and
-    ``methods`` are lists or tuples without repeats (``methods`` of
-    strings), ``expected_degree`` is a finite number, ``weight_range`` two
-    finite numbers on one side of 0, and ``noise`` holds one parameter or
-    one per node.  ``graph_model="sf"`` is accepted for s5 and custom only;
-    s1..s4 keep their fixed layouts, and a scale-free ``expected_degree``
-    is a whole number from 1 to ``p - 1`` (the edges each node attaches).
-    The size defaults, 10 nodes and expected degree 2, are the custom
-    scenario's; a preset takes only its own fixed size, which
-    :func:`scenario` fills in.
+    ``replications``, ``seed_base`` and the ``sample_sizes`` are integers
+    (numpy integers included, bools not); ``sample_sizes`` and ``methods``
+    are lists or tuples without repeats (``methods`` of strings), and
+    ``weight_range`` two finite numbers on one side of 0.
+    ``graph_model="sf"`` is accepted for s5 and custom only; s1..s4 keep
+    their fixed layouts.  Where the truth is drawn from a generator (custom,
+    or scale-free), :func:`~nscausal.graph.check_random_graph` checks ``p``
+    and ``expected_degree``; ``noise`` and ``link`` go through
+    :func:`~nscausal.scm.check_sem`.  The size defaults, 10 nodes and
+    expected degree 2, are the custom scenario's; a preset takes only its
+    own fixed size, which :func:`scenario` fills in.
     """
 
     id: str
@@ -108,19 +109,11 @@ class ScenarioSpec:
             if not isinstance(getattr(self, name), (tuple, list)):
                 raise ValueError(f"{name} must be a list, got "
                                  f"{getattr(self, name)!r}")
-        if not is_finite_number(self.expected_degree):
-            raise ValueError("expected_degree must be a finite number, got "
-                             f"{self.expected_degree!r}")
-        if not isinstance(self.noise, (BernoulliNoise, GaussianNoise)):
-            raise ValueError("noise must be a BernoulliNoise or GaussianNoise, "
-                             f"got {self.noise!r}")
         if self.id not in SCENARIO_IDS:
             raise ValueError(f"unknown scenario id {self.id!r}")
         if self.graph_model not in GRAPH_MODELS:
             raise ValueError("graph_model must be "
                              + " or ".join(map(repr, GRAPH_MODELS)))
-        if self.link not in LINKS:
-            raise ValueError(f"unknown link {self.link!r}, expected one of {LINKS}")
         if self.graph_model == "sf" and self.id not in ("s5", "custom"):
             raise ValueError(f"graph_model 'sf' is for s5 and custom only: "
                              f"{self.id} has a fixed layout, not a scale-free "
@@ -134,26 +127,11 @@ class ScenarioSpec:
                 raise ValueError(f"unknown method {m!r} in methods; choose "
                                  f"from {tuple(METHODS)}")
         sizes = tuple(self.sample_sizes)
-        for name, value in ([("p", self.p), ("replications", self.replications),
+        for name, value in ([("replications", self.replications),
                              ("seed_base", self.seed_base)]
                             + [("sample_sizes", n) for n in sizes]):
             if not is_integer(value):
                 raise ValueError(f"{name} must hold integers, got {value!r}")
-        if self.p < 2:
-            raise ValueError(f"p must be at least 2, got {self.p}")
-        # preferential attachment takes a whole number of edges per arrival
-        if self.graph_model == "sf" and not (
-                float(self.expected_degree).is_integer()
-                and 1 <= self.expected_degree < self.p):
-            raise ValueError("expected_degree of a scale-free graph must be an "
-                             f"integer from 1 to p - 1 = {self.p - 1}, got "
-                             f"{self.expected_degree!r}")
-        # the Erdos-Renyi edge probability is expected_degree / (p - 1)
-        if (self.id == "custom" and self.graph_model == "er"
-                and not 0 <= self.expected_degree < self.p):
-            raise ValueError("expected_degree of an Erdos-Renyi graph must be "
-                             f"at least 0 and below p = {self.p}, got "
-                             f"{self.expected_degree!r}")
         if self.replications < 1:
             raise ValueError("replications must be positive")
         if not sizes or any(n < 1 for n in sizes):
@@ -165,16 +143,19 @@ class ScenarioSpec:
                 raise ValueError(f"{name} must not repeat an entry, got "
                                  f"{list(values)!r}")
         expected = _PRESETS.get(self.id)
-        if expected is not None:
-            if self.p != expected["p"] or self.expected_degree != expected["expected_degree"]:
-                raise ValueError(
-                    f"{self.id} preset fixes p={expected['p']} and "
-                    f"expected_degree={expected['expected_degree']}")
+        if expected is not None and not (
+                is_integer(self.p) and self.p == expected["p"]
+                and self.expected_degree == expected["expected_degree"]):
+            raise ValueError(
+                f"{self.id} preset fixes p={expected['p']} and "
+                f"expected_degree={expected['expected_degree']}")
+        if self.id == "custom" or self.graph_model == "sf":
+            check_random_graph(self.graph_model, self.p, self.expected_degree)
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in sizes))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "weight_range",
                            validate_weight_range(self.weight_range))
-        self.noise.validate(self.p)
+        check_sem(self.noise, self.link, self.p)
 
 
 def scenario(spec_id: str, **overrides) -> ScenarioSpec:
@@ -222,8 +203,8 @@ def scenario_truth(spec: ScenarioSpec, rng) -> WeightedDag:
     rng = np.random.default_rng(rng)
     if spec.id == "custom" or spec.graph_model == "sf":
         if spec.graph_model == "sf":
-            return random_sf(spec.p, int(spec.expected_degree),
-                             spec.weight_range, rng)
+            return random_sf(spec.p, spec.expected_degree, spec.weight_range,
+                             rng)
         return random_er(spec.p, spec.expected_degree, spec.weight_range, rng)
     edges = _FIXED_EDGES.get(spec.id) or _block_pattern(spec.id)
     lo, hi = spec.weight_range
@@ -411,23 +392,16 @@ def run_scenario(spec: ScenarioSpec, fit_config: FitConfig | None = None,
 
 def spec_from_dict(doc: dict) -> ScenarioSpec:
     """Build a ScenarioSpec from a JSON-style dict (the bench file format)."""
-    if not isinstance(doc, dict):
-        raise ValueError("scenario file must hold a JSON object")
-    unknown = set(doc) - set(ScenarioSpec.__dataclass_fields__)
-    if unknown:
-        raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-    doc = dict(doc)
+    doc = dict(known_keys(doc, ScenarioSpec.__dataclass_fields__, "scenario"))
     noise = doc.pop("noise", None)
     if noise is not None:
-        if not isinstance(noise, dict):
-            raise ValueError("noise must be an object with a 'kind' key")
-        kind = noise.get("kind", "bernoulli")
+        # a noise that is no object reads as bernoulli and fails known_keys
+        kind = (noise.get("kind", "bernoulli") if isinstance(noise, dict)
+                else "bernoulli")
         if not isinstance(kind, str) or kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {kind!r}")
         key, family = NOISE_KINDS[kind]
-        unknown = set(noise) - {"kind", key}
-        if unknown:
-            raise ValueError(f"unknown {kind} noise keys: {sorted(unknown)}")
+        known_keys(noise, ("kind", key), "noise")
         doc["noise"] = family(noise[key]) if key in noise else family()
     spec_id = doc.pop("id", None)
     if not isinstance(spec_id, str):

@@ -42,13 +42,10 @@ def _load_fit_config(args) -> FitConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             doc = json.load(fh)
-        overrides = doc.get("fit", {}) if isinstance(doc, dict) else None
-        if not isinstance(overrides, dict):
-            raise ValueError(
-                "config must be a JSON object whose 'fit' section is an object")
-        unknown = set(overrides) - set(FitConfig.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown fit config keys: {sorted(unknown)}")
+        # only the 'fit' section is read; a root that is no object fails too
+        section = doc.get("fit", {}) if isinstance(doc, dict) else doc
+        overrides = io.known_keys(section, FitConfig.__dataclass_fields__,
+                                  "fit config")
     return FitConfig(**overrides)
 
 

@@ -18,6 +18,12 @@ from .scm import Dataset
 EFFECT_KINDS = ("te", "de")
 
 
+def check_effect_kind(effect_kind: str):
+    """Raise unless ``effect_kind`` is one of ``EFFECT_KINDS``."""
+    if effect_kind not in EFFECT_KINDS:
+        raise ValueError(f"effect_kind must be one of {EFFECT_KINDS}, got {effect_kind!r}")
+
+
 def _check_node(g: WeightedDag, i: int):
     if not (0 <= i < g.dim):
         raise ValueError(f"node index {i} out of range for {g.dim} nodes")
@@ -93,8 +99,7 @@ def delta_star(data: Dataset, fit: Callable[[Dataset], WeightedDag],
     ``|effect|`` over the non-outcome nodes of the pruned graph it returns.
     ``effect_kind`` picks total or direct effects.
     """
-    if effect_kind not in EFFECT_KINDS:
-        raise ValueError(f"effect_kind must be one of {EFFECT_KINDS}")
+    check_effect_kind(effect_kind)
     g = fit(data)
     if effect_kind == "de":
         col = g.weights[:, g.outcome_index]

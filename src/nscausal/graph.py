@@ -35,6 +35,37 @@ def is_finite_number(value) -> bool:
             and math.isfinite(value))
 
 
+def check_count(name: str, value, low: int = 1):
+    """Raise unless ``value`` is an integer (numpy's too) of at least ``low``."""
+    if not (is_integer(value) and value >= low):
+        raise ValueError(f"{name} must be at least {low} and an integer, got {value!r}")
+
+
+def check_nonnegative(name: str, value):
+    """Raise unless ``value`` is a finite real of at least 0."""
+    if not (is_finite_number(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite nonnegative number, got {value!r}")
+
+
+def check_random_graph(graph_model: str, p, degree):
+    """Raise unless the generators can draw a ``p``-node graph of ``graph_model``.
+
+    ``p`` is an integer of at least 2.  An ``"er"`` degree is finite in
+    ``[0, p)`` (the edge probability is ``degree / (p - 1)``); an ``"sf"``
+    degree is the whole number of edges each arrival attaches, 1 to ``p - 1``.
+    """
+    check_count("p", p, low=2)
+    if graph_model == "sf":
+        if not (is_finite_number(degree) and float(degree).is_integer()
+                and 1 <= degree < p):
+            raise ValueError("expected_degree (attachment_degree) of a scale-free "
+                             f"graph must be a whole number from 1 to p - 1 = {p - 1}, "
+                             f"got {degree!r}")
+    elif not (is_finite_number(degree) and 0 <= degree < p):
+        raise ValueError("expected_degree of an Erdos-Renyi graph must be a finite "
+                         f"number at least 0 and below p = {p}, got {degree!r}")
+
+
 def outcome_position(outcome_index: int, dim: int) -> int:
     """``outcome_index`` as a node in ``range(dim)``; negatives count from the end."""
     if not is_integer(outcome_index):
@@ -180,14 +211,9 @@ def random_er(num_nodes: int, expected_degree: float, weight_range=DEFAULT_WEIGH
     topological order (outcome last); every forward pair gets an edge
     independently with probability ``expected_degree / (num_nodes - 1)``,
     which makes the expected total degree of a node ``expected_degree``.
+    ``num_nodes`` is the ``p`` of :func:`check_random_graph`.
     """
-    if num_nodes < 2:
-        raise ValueError("need at least 2 nodes")
-    if expected_degree < 0:
-        raise ValueError("expected_degree must be nonnegative")
-    if expected_degree >= num_nodes:
-        raise ValueError(
-            f"expected_degree {expected_degree} too large for {num_nodes} nodes")
+    check_random_graph("er", num_nodes, expected_degree)
     lo, hi = validate_weight_range(weight_range)
     rng = np.random.default_rng(seed)
     order = np.concatenate([rng.permutation(num_nodes - 1), [num_nodes - 1]])
@@ -209,15 +235,10 @@ def random_sf(num_nodes: int, attachment_degree: int, weight_range=DEFAULT_WEIGH
     distinct earlier nodes chosen proportionally to their current degree.
     Edges are oriented from the earlier node to the newcomer, so the result
     is acyclic by construction and the outcome (last arrival) is a sink.
+    ``num_nodes`` is the ``p`` of :func:`check_random_graph`.
     """
-    if num_nodes < 2:
-        raise ValueError("need at least 2 nodes")
+    check_random_graph("sf", num_nodes, attachment_degree)
     m = int(attachment_degree)
-    if m < 1:
-        raise ValueError("attachment_degree must be positive")
-    if m >= num_nodes:
-        raise ValueError(
-            f"attachment_degree {m} too large for {num_nodes} nodes")
     lo, hi = validate_weight_range(weight_range)
     rng = np.random.default_rng(seed)
     weights = np.zeros((num_nodes, num_nodes))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedDag, default_labels, is_integer, topological_order
+from .graph import WeightedDag, check_count, default_labels, topological_order
 
 DEFAULT_MEMBER_CAP = 10_000
 # A true CPDAG never dead-ends in the search, but a hand-built ``Cpdag`` that
@@ -246,8 +246,7 @@ def enumerate_mec(c: Cpdag, cap: int = DEFAULT_MEMBER_CAP,
     raises once the member count exceeds ``cap``, so the work is bounded by
     ``cap + 1`` members.
     """
-    if not (is_integer(cap) and cap >= 1):
-        raise ValueError(f"cap must be at least 1 and an integer, got {cap!r}")
+    check_count("cap", cap)
     if len(c.undirected) > _MAX_UNDIRECTED:
         raise ValueError(f"{len(c.undirected)} undirected edges is beyond "
                          "the enumeration limit")

@@ -111,8 +111,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import effects as _effects
-from .graph import (WeightedDag, is_finite_number, is_integer,
-                    outcome_position, prune, topological_order)
+from .graph import (WeightedDag, check_count, check_nonnegative,
+                    is_finite_number, outcome_position, prune, topological_order)
 from .scm import Dataset
 
 # iterate must be this close to acyclic before selection decisions are
@@ -178,23 +178,15 @@ class FitConfig:
     delta_star: float | None = None
 
     def __post_init__(self):
-        if self.effect_kind not in _effects.EFFECT_KINDS:
-            raise ValueError("effect_kind must be 'te' or 'de'")
+        _effects.check_effect_kind(self.effect_kind)
         for name in ("prune_threshold", "selection_tolerance", "delta_star"):
-            value = getattr(self, name)
-            if name == "delta_star" and value is None:
-                continue
-            if not is_finite_number(value) or value < 0:
-                raise ValueError(f"{name} must be a finite nonnegative number, "
-                                 f"got {value!r}")
+            if name != "delta_star" or self.delta_star is not None:
+                check_nonnegative(name, getattr(self, name))
         if self.selection_tolerance >= 1:
             raise ValueError("selection_tolerance must be below 1, got "
                              f"{self.selection_tolerance!r}")
         for name in ("max_dual_steps", "max_inner_iter"):
-            value = getattr(self, name)
-            if not is_integer(value) or value < 1:
-                raise ValueError(f"{name} must be an integer of at least 1, "
-                                 f"got {value!r}")
+            check_count(name, getattr(self, name))
 
 
 # the keys of a ``FitResult.diagnostics`` row, one row per dual step, in the
@@ -397,11 +389,8 @@ def relevance_constraint(B: np.ndarray, mask: np.ndarray, effect_kind: str,
     vector over its nodes and ``delta_star`` finite and nonnegative, as in
     ``FitConfig``; anything else is a ``ValueError``.
     """
-    if effect_kind not in _effects.EFFECT_KINDS:
-        raise ValueError("effect_kind must be 'te' or 'de'")
-    if not is_finite_number(delta_star) or delta_star < 0:
-        raise ValueError("delta_star must be a finite nonnegative number, "
-                         f"got {delta_star!r}")
+    _effects.check_effect_kind(effect_kind)
+    check_nonnegative("delta_star", delta_star)
     w = np.asarray(B, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"B must be a square matrix, got shape {w.shape}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedDag, is_finite_number, is_integer, topological_order
+from .graph import WeightedDag, check_count, check_nonnegative, topological_order
 from .scm import Dataset
 
 DEFAULT_ENUMERATION_CAP = 10**7
@@ -112,8 +112,7 @@ def _noise_states(scm: DiscreteScm, cap: int):
     1 (numpy integers included, bools not) or the joint noise domain exceeds
     it.
     """
-    if not (is_integer(cap) and cap >= 1):
-        raise ValueError(f"cap must be at least 1 and an integer, got {cap!r}")
+    check_count("cap", cap)
     states = scm.noise_state_count()
     if states > cap:
         raise ValueError(
@@ -312,9 +311,7 @@ class EmpiricalDistribution:
     """
 
     def __init__(self, data: Dataset, smoothing: float = 1.0):
-        if not (is_finite_number(smoothing) and smoothing >= 0):
-            raise ValueError("smoothing must be a finite nonnegative number, "
-                             f"got {smoothing!r}")
+        check_nonnegative("smoothing", smoothing)
         self.data = data
         self.smoothing = float(smoothing)
         self.outcome_domain = tuple(np.unique(data.values[:, data.outcome_index]))

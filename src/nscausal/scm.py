@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedDag, is_integer, topological_order
+from .graph import WeightedDag, check_count, is_integer, topological_order
 
 
 def _per_node(value, dim: int, name: str) -> np.ndarray:
@@ -66,6 +66,15 @@ class GaussianNoise:
 LINKS = ("linear", "rounded-log")
 
 
+def check_sem(noise, link, dim: int) -> np.ndarray:
+    """The ``dim`` per-node noise parameters, once ``noise`` and ``link`` pass."""
+    if not isinstance(noise, (BernoulliNoise, GaussianNoise)):
+        raise ValueError(f"noise must be a BernoulliNoise or GaussianNoise, got {noise!r}")
+    if link not in LINKS:
+        raise ValueError(f"unknown link {link!r}, expected one of {LINKS}")
+    return noise.validate(dim)
+
+
 @dataclass(frozen=True)
 class SemSpec:
     """Generative description: graph plus noise family plus link."""
@@ -75,9 +84,7 @@ class SemSpec:
     link: str = "linear"
 
     def __post_init__(self):
-        if self.link not in LINKS:
-            raise ValueError(f"unknown link {self.link!r}, expected one of {LINKS}")
-        self.noise.validate(self.graph.dim)
+        check_sem(self.noise, self.link, self.graph.dim)
 
 
 @dataclass(frozen=True)
@@ -140,8 +147,7 @@ def _draw(spec: SemSpec, link: str, n: int, seed) -> Dataset:
     """Draw ``n`` observations in topological order under ``link``."""
     if spec.link != link:
         raise ValueError(f"spec.link is {spec.link!r}, expected {link!r}")
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_count("n", n)
     order = topological_order(spec.graph.weights)
     if order is None:
         raise ValueError("generative graph must be acyclic")

@@ -85,6 +85,17 @@ class TestRandomSf:
         assert np.array_equal(a.weights, b.weights)
 
 
+@pytest.mark.parametrize("generator,degree,key", [
+    (random_er, float("nan"), "expected_degree"),
+    (random_sf, 2.7, "attachment_degree"),
+    (random_sf, True, "attachment_degree"),
+])
+def test_generators_reject_a_degree_they_cannot_draw(generator, degree, key):
+    # unchecked, NaN drew the complete DAG and 2.7 drew degree 2
+    with pytest.raises(ValueError, match=key):
+        generator(6, degree)
+
+
 class TestAcyclicity:
     def test_empty_graph(self):
         assert is_acyclic(WeightedDag(np.zeros((3, 3))))

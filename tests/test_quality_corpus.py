@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nscausal.bench import scenario, scenario_data
 from nscausal.graph import WeightedDag
 from nscausal.optimizer import FitConfig, FitResult
 from nscausal.scm import Dataset
@@ -64,6 +65,21 @@ def test_a_changed_selection_fails(tmp_path):
     code, report = compare(tmp_path, LINES, new)
     assert code == 1
     assert "selection changed: s1-te s1 100 nscsl-te" in report
+
+
+@pytest.mark.parametrize("method,shd,full_shd,code", [
+    ("baseline", 2, 3, 0), ("baseline", 1, 5, 1), ("nscsl-te", 2, 3, 1)])
+def test_a_changed_pattern_is_judged_by_the_shd_of_its_target(
+        tmp_path, method, shd, full_shd, code):
+    # a baseline against the whole truth, a selective fit against nscg
+    old = [corpus_line(method, full_shd=4)]
+    new = [corpus_line(method, pattern_sha256="q", shd=shd,
+                       full_shd=full_shd)]
+    field = "full_shd" if method == "baseline" else "shd"
+    report_code, report = compare(tmp_path, old, new)
+    assert report_code == code
+    assert (f"pattern changed: s1-te s1 100 {method}: {field} "
+            f"{old[0][field]} -> {new[0][field]}\n") in report
 
 
 def test_a_te_fit_with_a_zero_reference_score_is_a_failure_line():
@@ -142,3 +158,21 @@ def test_a_permuted_fit_maps_back_to_the_identity_order():
     assert (back.raw_graph.weights == truth.weights).all()
     assert back.graph.outcome_index == 2
     assert list(back.selected) == [True, False, True]
+
+
+@pytest.mark.parametrize("scenario_id,seeds,methods", [
+    ("s1", range(100, 104), ("nscsl-te",)),
+    ("s2", range(200, 204), ("nscsl-te", "nscsl-de")),
+], ids=["s1", "s2"])
+def test_selective_fits_do_not_depend_on_the_column_order(
+        scenario_id, seeds, methods):
+    # each order's estimate is mapped back to the identity order first
+    for seed in seeds:
+        truth, data = scenario_data(scenario(scenario_id), 100, seed)
+        fits = [{line["method"]: (line["selected"], line["pattern_sha256"])
+                 for line in quality_corpus.replication_lines(
+                     truth, data, methods, order, group=scenario_id,
+                     scenario=scenario_id, n=100, seed=seed)
+                 if line["method"] != "baseline"}
+                for order in range(4)]
+        assert fits[1:] == [fits[0]] * 3, seed

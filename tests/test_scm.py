@@ -148,6 +148,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             SemSpec(chain(2), link="cubic")
 
+    @pytest.mark.parametrize("noise", ["x", None])
+    def test_noise_must_be_a_noise_model(self, noise):
+        with pytest.raises(ValueError, match="noise"):
+            SemSpec(chain(2), noise)
+
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_sample_size_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="n must be"):
+            sample_linear(SemSpec(chain(2)), n)
+
     def test_dataset_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Dataset(np.array([[1.0, np.nan]]), ("a", "b"), 1)

@@ -36,7 +36,10 @@ group the summed ``full_shd`` of each order with their median, minimum and
 maximum, and the selective fits whose selection differs across orders.  It
 exits 1 when the files hold different fits, a selection changed, a fit
 stopped converging (a new failure line does), a changed pattern's shd
-rose, or a group's summed spurious or missed count rose; else 0.  Lines
+rose, or a group's summed spurious or missed count rose; else 0.  A
+changed baseline pattern is judged by ``full_shd`` when both lines carry
+it, since a baseline nearer the whole truth can hold more edges outside
+the outcome's subgraph; a selective one always by ``shd``.  Lines
 written without the two counts are compared without them, lines without
 ``order`` are order 0, and a line's other fields (the ``start`` of older
 files) are ignored.  To compare a change with its parent, run ``--corpus``
@@ -255,9 +258,12 @@ def compare(old_path: str, new_path: str, out) -> int:
         if "failed" in a or "failed" in b:
             continue
         if a["pattern_sha256"] != b["pattern_sha256"]:
-            failed = failed or b["shd"] > a["shd"]
-            out.write(f"pattern changed: {label}: shd {a['shd']} -> "
-                      f"{b['shd']}\n")
+            # a baseline nearer the whole truth may gain edges outside nscg
+            field = ("full_shd" if key[3] == "baseline" and "full_shd" in a
+                     and "full_shd" in b else "shd")
+            failed = failed or b[field] > a[field]
+            out.write(f"pattern changed: {label}: {field} {a[field]} -> "
+                      f"{b[field]}\n")
         group["raw_changed"] += a["raw_sha256"] != b["raw_sha256"]
         group["diagnostics_changed"] += (a["diagnostics_sha256"]
                                          != b["diagnostics_sha256"])
