@@ -1,18 +1,19 @@
 """Closed-form direct and total causal effects under the linear model.
 
-For an acyclic weight matrix ``B`` the direct effect of feature ``i`` on the
-outcome is the stored coefficient ``B[i, outcome]``.  The total effect is
-the sum over all directed paths from ``i`` to the outcome of the product of
-edge weights along each path; because acyclic ``B`` is nilpotent this equals
-the ``(i, outcome)`` entry of ``(I - B)^{-1} - I``, which is what the fast
-implementation uses.  The explicit path sum is kept as the slow reference.
+For an acyclic weight matrix ``B`` the direct effect of feature ``i`` (``i``
+is a feature index: an integer node, not the outcome) is ``B[i, outcome]``.
+The total effect is the sum over all directed paths from ``i`` to the
+outcome of the product of edge weights along each path; acyclic ``B`` is
+nilpotent, so this equals the ``(i, outcome)`` entry of ``(I - B)^{-1} - I``,
+which the fast implementation uses.  The path sum is the slow reference.
 """
 
 from typing import Callable
 
 import numpy as np
 
-from .graph import WeightedDag, enumerate_paths_to_outcome, is_acyclic
+from .graph import (WeightedDag, check_mask, check_node, enumerate_paths_to_outcome,
+                    is_acyclic)
 from .scm import Dataset
 
 EFFECT_KINDS = ("te", "de")
@@ -24,16 +25,9 @@ def check_effect_kind(effect_kind: str):
         raise ValueError(f"effect_kind must be one of {EFFECT_KINDS}, got {effect_kind!r}")
 
 
-def _check_node(g: WeightedDag, i: int):
-    if not (0 <= i < g.dim):
-        raise ValueError(f"node index {i} out of range for {g.dim} nodes")
-    if i == g.outcome_index:
-        raise ValueError("effects of the outcome on itself are undefined")
-
-
 def direct_effect(g: WeightedDag, i: int) -> float:
     """Weight of the edge ``i -> outcome`` (0 when absent)."""
-    _check_node(g, i)
+    check_node("i", i, g.dim, g.outcome_index)
     return float(g.weights[i, g.outcome_index])
 
 
@@ -52,13 +46,13 @@ def total_effects(g: WeightedDag) -> np.ndarray:
 
 
 def total_effect(g: WeightedDag, i: int) -> float:
-    _check_node(g, i)
+    check_node("i", i, g.dim, g.outcome_index)
     return float(total_effects(g)[i])
 
 
 def total_effect_by_paths(g: WeightedDag, i: int) -> float:
     """Reference implementation: enumerate paths and sum weight products."""
-    _check_node(g, i)
+    check_node("i", i, g.dim, g.outcome_index)
     total = 0.0
     for path in enumerate_paths_to_outcome(g, i):
         product = 1.0
@@ -76,7 +70,7 @@ def effect_rows(g: WeightedDag, selected=None) -> list[dict]:
 
     ``selected`` is an optional boolean mask over the non-outcome nodes (a
     fit's ``selected``); unselected features get no row.  A mask of another
-    length is a ``ValueError``.
+    length, or one that holds anything but booleans, is a ``ValueError``.
     """
     features = [i for i in range(g.dim) if i != g.outcome_index]
     if selected is None:
@@ -84,6 +78,7 @@ def effect_rows(g: WeightedDag, selected=None) -> list[dict]:
     elif np.shape(selected) != (len(features),):
         raise ValueError(f"selected must have one entry per feature, shape "
                          f"({len(features)},), got {np.shape(selected)}")
+    check_mask("selected", selected)
     te = total_effects(g)
     return [{"node": i, "label": g.labels[i],
              "direct_effect": float(g.weights[i, g.outcome_index]),

@@ -41,6 +41,20 @@ def check_count(name: str, value, low: int = 1):
         raise ValueError(f"{name} must be at least {low} and an integer, got {value!r}")
 
 
+def check_node(name: str, i, dim: int, outcome: int | None = None):
+    """Raise unless ``i`` is an ``is_integer`` in ``range(dim)``, not ``outcome``."""
+    if not (is_integer(i) and 0 <= i < dim):
+        raise ValueError(f"{name} must be an integer in range({dim}), got {i!r}")
+    if i == outcome:
+        raise ValueError(f"{name} must be a feature index, not the outcome {outcome}")
+
+
+def check_mask(name: str, mask):
+    """Raise unless ``mask`` holds booleans (numpy's too); an empty one passes."""
+    if np.size(mask) and np.asarray(mask).dtype != bool:
+        raise ValueError(f"{name} must hold booleans, got {mask!r}")
+
+
 def check_nonnegative(name: str, value):
     """Raise unless ``value`` is a finite real of at least 0."""
     if not (is_finite_number(value) and value >= 0):
@@ -68,11 +82,10 @@ def check_random_graph(graph_model: str, p, degree):
 
 def outcome_position(outcome_index: int, dim: int) -> int:
     """``outcome_index`` as a node in ``range(dim)``; negatives count from the end."""
-    if not is_integer(outcome_index):
-        raise ValueError(f"outcome_index must be an integer, got {outcome_index!r}")
-    if not -dim <= outcome_index < dim:
-        raise ValueError(f"outcome_index {outcome_index} out of range for {dim} nodes")
-    return outcome_index % dim
+    if is_integer(outcome_index) and -dim <= outcome_index < 0:
+        outcome_index += dim
+    check_node("outcome_index", outcome_index, dim)
+    return outcome_index
 
 
 @dataclass(frozen=True)
@@ -140,6 +153,7 @@ def is_acyclic(g: WeightedDag) -> bool:
 
 def ancestors_of(g: WeightedDag, node: int) -> set[int]:
     """All nodes with a directed path into ``node`` (excluding itself)."""
+    check_node("node", node, g.dim)
     pattern = g.weights != 0
     seen: set[int] = set()
     stack = [node]
@@ -160,6 +174,7 @@ def enumerate_paths_to_outcome(g: WeightedDag, source: int) -> list[tuple[int, .
     graph (path counts would otherwise be infinite).  Returns an empty list
     when the outcome is unreachable.
     """
+    check_node("source", source, g.dim)
     if not is_acyclic(g):
         raise ValueError("path enumeration requires an acyclic graph")
     pattern = g.weights != 0
@@ -180,8 +195,7 @@ def enumerate_paths_to_outcome(g: WeightedDag, source: int) -> list[tuple[int, .
 
 def prune(g: WeightedDag, threshold: float) -> WeightedDag:
     """Zero out entries with ``|weight| <= threshold``; keep the rest bit-exact."""
-    if not threshold >= 0:  # NaN fails too
-        raise ValueError(f"threshold must be nonnegative, got {threshold!r}")
+    check_nonnegative("threshold", threshold)
     kept = np.where(np.abs(g.weights) > threshold, g.weights, 0.0)
     return WeightedDag(kept, g.labels, g.outcome_index)
 

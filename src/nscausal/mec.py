@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedDag, check_count, default_labels, topological_order
+from .graph import WeightedDag, check_count, check_node, default_labels, topological_order
 
 DEFAULT_MEMBER_CAP = 10_000
 # A true CPDAG never dead-ends in the search, but a hand-built ``Cpdag`` that
@@ -46,10 +46,10 @@ class Cpdag:
             raise ValueError(f"expected {self.dim} labels")
         undirected = frozenset(tuple(sorted(e)) for e in self.undirected)
         for i, j in list(self.directed) + list(undirected):
+            check_node("edge endpoint", i, self.dim)
+            check_node("edge endpoint", j, self.dim)
             if i == j:
                 raise ValueError("self-loops are not allowed")
-            if not (0 <= i < self.dim and 0 <= j < self.dim):
-                raise ValueError(f"edge ({i}, {j}) outside {self.dim} nodes")
         for i, j in self.directed:
             if tuple(sorted((i, j))) in undirected:
                 raise ValueError(f"edge ({i}, {j}) is both directed and undirected")

@@ -111,8 +111,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import effects as _effects
-from .graph import (WeightedDag, check_count, check_nonnegative,
-                    is_finite_number, outcome_position, prune, topological_order)
+from .graph import (WeightedDag, check_count, check_mask, check_nonnegative,
+                    is_acyclic, is_finite_number, outcome_position, prune)
 from .scm import Dataset
 
 # iterate must be this close to acyclic before selection decisions are
@@ -365,6 +365,7 @@ def least_squares_loss(B: np.ndarray, data: Dataset, mask: np.ndarray):
     """
     w = _checked_array("B", B, (data.dim, data.dim), float)
     _check_finite_b(w)
+    check_mask("mask", mask)
     mask = _checked_array("mask", mask, (data.dim,), bool)
     if data.n == 0:
         raise ValueError("dataset is empty")
@@ -396,6 +397,7 @@ def relevance_constraint(B: np.ndarray, mask: np.ndarray, effect_kind: str,
         raise ValueError(f"B must be a square matrix, got shape {w.shape}")
     _check_finite_b(w)
     dim = w.shape[0]
+    check_mask("mask", mask)
     feature_active = _checked_array("mask", mask, (dim,), bool).copy()
     outcome = outcome_position(outcome_index, dim)
     feature_active[outcome] = False
@@ -646,13 +648,6 @@ def _lbfgs_minimize(w0: np.ndarray, objective: _Objective, step_size: float,
             return done("ftol")
 
 
-def _pruned_dag(w: np.ndarray, threshold: float) -> np.ndarray | None:
-    """``w`` with every entry ``|w| <= threshold`` zeroed, or None when that
-    pruned pattern is cyclic."""
-    pruned = np.where(np.abs(w) > threshold, w, 0.0)
-    return None if topological_order(pruned) is None else pruned
-
-
 def _selection_update(w, active, outcome, config, cutoff):
     """Deactivate every active feature whose effect is at most ``cutoff``
     (the fit's ``selection_tolerance * delta_star``); return them smallest
@@ -662,10 +657,10 @@ def _selection_update(w, active, outcome, config, cutoff):
     edges cannot keep a feature alive, and a feature with no path to the
     outcome in that pruned graph (effect 0) always goes.
     """
-    pruned = _pruned_dag(w, config.prune_threshold)
-    if pruned is None:
+    pruned = prune(WeightedDag(w, outcome_index=outcome), config.prune_threshold)
+    if not is_acyclic(pruned):
         return []
-    ce = np.abs(_effect_parts(pruned, outcome, config.effect_kind,
+    ce = np.abs(_effect_parts(pruned.weights, outcome, config.effect_kind,
                               np.eye(w.shape[0]))[0])
     dropped = sorted((int(i) for i in np.flatnonzero(active) if i != outcome
                       and ce[i] <= cutoff), key=lambda i: (ce[i], i))
@@ -712,8 +707,8 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
     def settled_support(w):
         """The support ``|w| > prune_threshold``, or None when its pruned
         graph is cyclic."""
-        pruned = _pruned_dag(w, config.prune_threshold)
-        return None if pruned is None else pruned != 0
+        pruned = prune(WeightedDag(w, outcome_index=outcome), config.prune_threshold)
+        return pruned.weights != 0 if is_acyclic(pruned) else None
 
     def objective_now():
         return _Objective(gram, outcome, active, t, lam1, c, relevance, lam2,

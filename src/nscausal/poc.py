@@ -5,9 +5,8 @@ noise domain with probabilities, and a lookup-table structural function.
 Exact counterfactual probabilities are computed by exhaustive enumeration of
 joint noise assignments; these serve as the oracle against which the
 conditional-probability lower bounds and the empirical product estimators
-are checked.  The enumeration itself checks ``cap``, an integer of at least
-1, and the size of the joint noise domain against it before it evaluates
-the first state.
+are checked.  The enumeration checks ``cap``, an integer of at least 1,
+and the joint noise domain's size against it before the first state.
 
 The marginal probability of causation of feature ``i`` at outcome value
 ``y`` is ``P(Y(Z_i != z_i) != y, Y(Z_i = z_i) = y)``; the conditional
@@ -18,8 +17,9 @@ observational law of ``Z_i`` restricted to values other than ``z_i``,
 conditioned on the remaining features for the conditional kind.  With a
 binary feature this is just the complement value.
 
-``z_minus_i`` holds one value per remaining feature, that is every feature
-other than ``i`` in ascending index order; any other length is an error.
+``i`` is a feature index (an integer node, not the outcome), and
+``z_minus_i`` holds one value per remaining feature, every feature other
+than ``i`` in ascending index order; any other length is an error.
 """
 
 import itertools
@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedDag, check_count, check_nonnegative, topological_order
+from .graph import (WeightedDag, check_count, check_node, check_nonnegative,
+                    topological_order)
 from .scm import Dataset
 
 DEFAULT_ENUMERATION_CAP = 10**7
@@ -150,15 +151,16 @@ def observational_joint(scm: DiscreteScm, cap: int = DEFAULT_ENUMERATION_CAP) ->
 
 
 def _rest_indices(model, i: int) -> tuple:
-    """The features other than ``i`` of a DiscreteScm or a Dataset."""
+    """The features other than feature ``i`` of a DiscreteScm or a Dataset."""
+    check_node("i", i, model.dim, model.outcome_index)
     return tuple(j for j in range(model.dim) if j not in (i, model.outcome_index))
 
 
 def _rest_values(model, i: int, z_minus_i) -> dict:
-    """``{feature: value}`` for the features other than ``i``; empty for None."""
+    """``{feature: value}`` for the features other than feature ``i``; empty for None."""
+    rest = _rest_indices(model, i)
     if z_minus_i is None:
         return {}
-    rest = _rest_indices(model, i)
     if len(z_minus_i) != len(rest):
         raise ValueError(
             f"z_minus_i must supply {len(rest)} values for features {rest}")
@@ -202,7 +204,7 @@ def _conditioning_rest(kind: str, z_minus_i):
     as a tuple for the conditional kind, which requires it, and None for the
     marginal kind, which ignores it."""
     if kind not in POC_KINDS:
-        raise ValueError(f"kind must be one of {POC_KINDS}")
+        raise ValueError(f"kind must be one of {POC_KINDS}, got {kind!r}")
     if kind == "conditional" and z_minus_i is None:
         raise ValueError("conditional kind requires z_minus_i")
     return tuple(z_minus_i) if kind == "conditional" else None
@@ -227,8 +229,6 @@ def exact_poc(scm: DiscreteScm, i: int, z_i, y, kind: str = "marginal",
     ``Y(Z_i != z_i) != y`` and ``Y(Z_i = z_i) = y``.
     """
     rest = _conditioning_rest(kind, z_minus_i)
-    if i == scm.outcome_index:
-        raise ValueError("probability of causation is defined for features only")
     base = _rest_values(scm, i, rest)
     mixture = _alternative_mixture(scm, observational_joint(scm, cap), i, z_i,
                                    rest)
@@ -257,8 +257,7 @@ class PocBound:
     z_minus_i: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in POC_KINDS:
-            raise ValueError(f"kind must be one of {POC_KINDS}")
+        _conditioning_rest(self.kind, self.z_minus_i)  # the kind and rest rules
         if not -1.0 - 1e-9 <= self.lower_bound <= 1.0 + 1e-9:
             raise ValueError(f"lower bound {self.lower_bound} outside [-1, 1]")
 
@@ -317,10 +316,10 @@ class EmpiricalDistribution:
         self.outcome_domain = tuple(np.unique(data.values[:, data.outcome_index]))
 
     def p_outcome(self, y, i: int, z_i, equal: bool = True, z_minus_i=None) -> float:
+        rest = _rest_values(self.data, i, z_minus_i)
         values = self.data.values
-        outcome = self.data.outcome_index
         mask = values[:, i] == z_i if equal else values[:, i] != z_i
-        for j, v in _rest_values(self.data, i, z_minus_i).items():
+        for j, v in rest.items():
             mask = mask & (values[:, j] == v)
         denom = int(mask.sum())
         if denom == 0 and self.smoothing == 0.0:
@@ -328,7 +327,7 @@ class EmpiricalDistribution:
             raise ValueError(
                 f"conditioning event column {i} {relation} {z_i} has zero "
                 "empirical mass")
-        num = int((mask & (values[:, outcome] == y)).sum())
+        num = int((mask & (values[:, self.data.outcome_index] == y)).sum())
         k = len(self.outcome_domain)
         return (num + self.smoothing) / (denom + self.smoothing * k)
 
@@ -353,8 +352,6 @@ class PocProduct:
 
 def _empirical_poc(data: Dataset, i: int, prob_model, kind: str) -> PocProduct:
     """Product over observations of the absolute ``kind`` lower bound."""
-    if i == data.outcome_index:
-        raise ValueError("estimator is defined for feature columns only")
     outcome = data.outcome_index
     rest = _rest_indices(data, i)
     factors = [abs(poc_lower_bound(prob_model, i, row[i], row[outcome], kind,
@@ -420,9 +417,10 @@ def _default_rest_values(scm: DiscreteScm, joint: dict, i: int) -> tuple:
 
 def interventional_mean(scm: DiscreteScm, interventions: dict,
                         cap: int = DEFAULT_ENUMERATION_CAP) -> float:
-    """E[Y] under do(interventions), by enumeration."""
-    outcome = scm.outcome_index
-    return float(sum(prob * evaluate(scm, noise, interventions)[outcome]
+    """E[Y] under do(interventions), by enumeration; the keys are node indices."""
+    for node in interventions:
+        check_node("intervention node", node, scm.dim)
+    return float(sum(prob * evaluate(scm, noise, interventions)[scm.outcome_index]
                      for prob, noise in _noise_states(scm, cap)))
 
 
@@ -452,6 +450,7 @@ def effect_poc_profile(scm: DiscreteScm, i: int, z_i, z_minus_i=None,
     outcome domain.  Used as a verification harness for the bound
     relationships between POC mass and absolute causal effects.
     """
+    check_node("i", i, scm.dim, scm.outcome_index)
     if tuple(sorted(scm.domains[i])) != (0, 1):
         raise ValueError("profile requires a binary 0/1 feature domain")
     if min(scm.domains[scm.outcome_index]) < 0:
@@ -488,6 +487,7 @@ def _factual_conditional(scm: DiscreteScm, i: int, z_i, y, want_factual: bool,
     move ``Y`` off ``y``; PS conditions on ``Z_i != z_i, Y != y`` and checks
     whether ``do(Z_i = z_i)`` brings ``Y`` to ``y``.
     """
+    check_node("i", i, scm.dim, scm.outcome_index)  # before the joint is built
     outcome = scm.outcome_index
     mixture = _alternative_mixture(scm, observational_joint(scm, cap), i, z_i)
     denom = 0.0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedDag, check_count, is_integer, topological_order
+from .graph import WeightedDag, check_count, check_node, topological_order
 
 
 def _per_node(value, dim: int, name: str) -> np.ndarray:
@@ -107,11 +107,7 @@ class Dataset:
             raise ValueError("dataset contains non-finite entries")
         if len(self.labels) != v.shape[1]:
             raise ValueError("label count does not match column count")
-        if not is_integer(self.outcome_index):
-            raise ValueError("outcome_index must be an integer, got "
-                             f"{self.outcome_index!r}")
-        if not (0 <= self.outcome_index < v.shape[1]):
-            raise ValueError("outcome_index out of range")
+        check_node("outcome_index", self.outcome_index, v.shape[1])
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)

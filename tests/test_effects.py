@@ -40,6 +40,28 @@ class TestDirectEffect:
             direct_effect(chain_to_outcome([1.0]), 1)
 
 
+class TestNodeIndex:
+    @pytest.mark.parametrize("effect", [direct_effect, total_effect,
+                                        total_effect_by_paths])
+    @pytest.mark.parametrize("i, message", [
+        (3, "must be a feature index, not the outcome 3"),
+        (4, r"must be an integer in range\(4\), got 4"),
+        (-1, r"must be an integer in range\(4\), got -1"),
+        (0.5, r"must be an integer in range\(4\), got 0.5"),
+        (1.0, r"must be an integer in range\(4\), got 1.0"),
+        (True, r"must be an integer in range\(4\), got True"),
+    ])
+    def test_i_must_be_a_feature_index(self, effect, i, message):
+        # 0.5 and 1.0 raised numpy's IndexError, True a TypeError
+        with pytest.raises(ValueError, match=f"^i {message}"):
+            effect(chain_to_outcome([2.0, 3.0, 0.5]), i)
+
+    def test_numpy_integers_are_indices(self):
+        g = chain_to_outcome([2.0, 3.0, 0.5])
+        for effect in (direct_effect, total_effect, total_effect_by_paths):
+            assert effect(g, np.int64(1)) == effect(g, 1)
+
+
 class TestTotalEffect:
     def test_chain_multiplies_weights(self):
         assert total_effect(chain_to_outcome([2.0, 3.0]), 0) == pytest.approx(6.0)
@@ -143,6 +165,17 @@ class TestEffectReport:
         g = chain_to_outcome([1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="^selected must have one entry"):
             effect_rows(g, selected)
+
+
+    @pytest.mark.parametrize("selected", [[True, "x", True], [2, 0, 1],
+                                          np.ones(3)])
+    def test_mask_must_hold_booleans(self, selected):
+        # a truthy entry counted as selected
+        with pytest.raises(ValueError, match="^selected must hold booleans"):
+            effect_rows(chain_to_outcome([1.0, 1.0, 1.0]), selected)
+
+    def test_graph_without_features_takes_an_empty_mask(self):
+        assert effect_rows(WeightedDag(np.zeros((1, 1))), []) == []
 
 
 class TestDeltaStar:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nscausal.graph import (WeightedDag, enumerate_paths_to_outcome,
-                            graph_metrics, is_acyclic, prune, random_er,
-                            random_sf, topological_order)
+from nscausal.graph import (WeightedDag, ancestors_of,
+                            enumerate_paths_to_outcome, graph_metrics,
+                            is_acyclic, prune, random_er, random_sf,
+                            topological_order)
 from nscausal.optimizer import acyclicity_value, relevance_constraint
 
 from conftest import inject_back_edge, random_dag
@@ -169,6 +170,21 @@ class TestPaths:
         with pytest.raises(ValueError):
             enumerate_paths_to_outcome(WeightedDag(w), 0)
 
+    @pytest.mark.parametrize("call, name", [
+        (enumerate_paths_to_outcome, "source"), (ancestors_of, "node")])
+    @pytest.mark.parametrize("index", [7, -1, 0.0, True])
+    def test_node_outside_the_graph_is_an_error(self, call, name, index):
+        # 7 raised numpy's IndexError
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must be an integer in range\(3\)"):
+            call(table1_graph(), index)
+
+    def test_outcome_and_numpy_indices_are_nodes(self):
+        g = table1_graph()
+        assert enumerate_paths_to_outcome(g, 2) == []
+        assert ancestors_of(g, np.int64(2)) == {0, 1}
+        assert enumerate_paths_to_outcome(g, np.int64(1)) == [(1, 2)]
+
 
 class TestPrune:
     def test_zero_threshold_keeps_everything(self, rng):
@@ -187,6 +203,13 @@ class TestPrune:
         pruned = prune(WeightedDag(w), 0.3)
         assert pruned.weights[0, 1] == 0.0
         assert pruned.weights[1, 2] == 0.31
+
+    @pytest.mark.parametrize("threshold", ["0.3", None, float("inf")])
+    def test_threshold_must_be_a_finite_number(self, threshold):
+        # "0.3" raised TypeError from the comparison
+        with pytest.raises(ValueError, match="^threshold must be a finite "
+                                             "nonnegative number"):
+            prune(table1_graph(), threshold)
 
     def test_idempotent(self, rng):
         for _ in range(50):
@@ -283,8 +306,20 @@ class TestMetrics:
     @pytest.mark.parametrize("threshold", [-1.0, -1e-12, float("nan")])
     def test_rejects_negative_thresholds(self, threshold):
         empty = WeightedDag(np.zeros((3, 3)))
-        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+        with pytest.raises(ValueError, match="threshold must be a finite nonnegative number"):
             prune(empty, threshold)
+
+
+class TestWeightedDag:
+    @pytest.mark.parametrize("weights, labels, message", [
+        (np.zeros((2, 3)), (), "weights must be square"),
+        (np.zeros(3), (), "weights must be square"),
+        (np.array([[0.0, np.inf], [0.0, 0.0]]), (), "weights must be finite"),
+        (np.zeros((2, 2)), ("a",), "expected 2 labels"),
+    ], ids=["non-square", "vector", "infinite", "labels"])
+    def test_malformed_input_is_an_error(self, weights, labels, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            WeightedDag(weights, labels)
 
 
 class TestOutcomeIndex:

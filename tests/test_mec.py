@@ -251,6 +251,17 @@ class TestEnumerateMec:
                                              "integer"):
             enumerate_mec(c, cap=cap)
 
+    def test_too_many_undirected_edges_fail_before_any_work(self,
+                                                            monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the search started")
+
+        edges = list(itertools.combinations(range(8), 2))[:25]
+        c = Cpdag(8, frozenset(), frozenset(edges))
+        monkeypatch.setattr(mec, "_Closure", no_work)
+        with pytest.raises(ValueError, match="^25 undirected edges is beyond"):
+            enumerate_mec(c)
+
     def test_members_come_in_ascending_orientation_code(self):
         c = dag_to_cpdag(dag_from_edges([(0, 1), (1, 2)], 3))
         patterns = [sorted(map(tuple, np.argwhere(m.weights != 0).tolist()))
@@ -460,3 +471,18 @@ class TestCpdagValidation:
     def test_directed_part_must_be_acyclic(self):
         with pytest.raises(ValueError):
             Cpdag(3, frozenset({(0, 1), (1, 0)}), frozenset())
+
+    @pytest.mark.parametrize("dim, directed, undirected, labels, message", [
+        (2, (), (), ("a",), "expected 2 labels"),
+        (2, ((1, 1),), (), (), "self-loops"),
+        (2, (), ((0, 0),), (), "self-loops"),
+        (2, ((0, 2),), (), (), r"edge endpoint must be an integer in range\(2\)"),
+        (3, ((0.5, 1),), (), (), r"edge endpoint must be an integer in range\(3\)"),
+        (3, ((True, 2),), (), (), r"edge endpoint must be an integer in range\(3\)"),
+        (3, ((0, 1), (1, 2), (2, 0)), (), (), "directed subgraph .* acyclic"),
+    ], ids=["labels", "directed-loop", "undirected-loop", "outside", "float",
+            "bool", "cycle"])
+    def test_malformed_input_is_an_error(self, dim, directed, undirected,
+                                         labels, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            Cpdag(dim, frozenset(directed), frozenset(undirected), labels)

@@ -42,3 +42,27 @@ def test_every_private_function_and_class_is_used_in_the_package():
                        for ref, node in references):
                 unused.append(name)
     assert unused == []
+
+
+def _message_text(node):
+    """The text of a string or f-string, each formatted field as ``{}``."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                       for part in node.values)
+    return None
+
+
+def test_every_error_message_has_one_raise_site():
+    # a rule checked in two places drifts into two wordings, or two rules
+    package = Path(nscausal.__file__).parent
+    sites = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and node.exc.args):
+                text = _message_text(node.exc.args[0])
+                if text is not None:
+                    sites.setdefault(text, []).append(f"{path.name}:{node.lineno}")
+    assert {text: where for text, where in sites.items() if len(where) > 1} == {}

@@ -236,6 +236,11 @@ class TestLeastSquaresLoss:
         with pytest.raises(ValueError, match="^B must be finite"):
             least_squares_loss(w, data, np.ones(3, bool))
 
+    def test_empty_dataset_is_an_error(self):
+        data = Dataset(np.zeros((0, 3)), ("a", "b", "y"), 2)
+        with pytest.raises(ValueError, match="^dataset is empty"):
+            least_squares_loss(np.zeros((3, 3)), data, np.ones(3, bool))
+
     @pytest.mark.parametrize("w, mask, name", [
         (np.zeros((4, 4)), np.ones(3, bool), "mask"),
         (np.zeros((4, 4)), np.ones(5, bool), "mask"),
@@ -254,6 +259,18 @@ class TestLeastSquaresLoss:
                        ("a", "b", "c", "y"), 3)
         with pytest.raises(ValueError, match=f"^{name} must have shape"):
             least_squares_loss(w, data, mask)
+
+
+@pytest.mark.parametrize("mask", [[1, 2, 1, 1], [True, "x", True, True],
+                                  np.ones(4)])
+def test_masks_must_hold_booleans(mask):
+    # ints and strings were read as True
+    data = Dataset(np.random.default_rng(0).normal(size=(10, 4)),
+                   ("a", "b", "c", "y"), 3)
+    with pytest.raises(ValueError, match="^mask must hold booleans"):
+        least_squares_loss(np.zeros((4, 4)), data, mask)
+    with pytest.raises(ValueError, match="^mask must hold booleans"):
+        relevance_constraint(np.zeros((4, 4)), mask, "te", 1.0)
 
 
 class TestRelevanceConstraint:

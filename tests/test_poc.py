@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,10 +6,11 @@ import numpy as np
 import pytest
 
 import nscausal.poc as poc_mod
-from nscausal.poc import (EmpiricalDistribution, ScmDistribution,
-                          effect_poc_profile, empirical_cpoc, empirical_mpoc,
-                          evaluate, exact_pn, exact_poc, exact_ps,
-                          interventional_mean, natural_direct_effect,
+from nscausal.graph import WeightedDag
+from nscausal.poc import (EmpiricalDistribution, PocBound, PocProduct,
+                          ScmDistribution, effect_poc_profile, empirical_cpoc,
+                          empirical_mpoc, evaluate, exact_pn, exact_poc,
+                          exact_ps, interventional_mean, natural_direct_effect,
                           observational_joint, poc_lower_bound)
 from nscausal.scm import Dataset
 
@@ -59,6 +61,89 @@ def _feasible_rest(scm, i):
     return None
 
 
+class TestDiscreteScmValidation:
+    @pytest.mark.parametrize("field, value, message", [
+        ("graph", WeightedDag(np.ones((2, 2)) - np.eye(2)),
+         "DiscreteScm requires an acyclic graph"),
+        ("domains", ((0, 1),), "domains must have one entry per node"),
+        ("noise_probs", ((0.4, 0.6), (1.0,)),
+         "node 1: noise values and probs differ in length"),
+        ("noise_probs", ((0.4, 0.5), (0.5, 0.5)),
+         "node 0: noise probabilities must sum to 1"),
+        ("functions", (identity_root(), {((0,), 0): 0}),
+         r"node 1: function undefined at parents=\(0,\), noise=1"),
+        ("functions", ({((), 0): 0, ((), 1): 2}, {}),
+         "node 0: function value 2 outside domain"),
+    ], ids=["cyclic", "domains", "probs-length", "probs-sum", "undefined",
+            "outside-domain"])
+    def test_malformed_model_is_an_error(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            dataclasses.replace(deterministic_copy_scm(), **{field: value})
+
+
+class TestNodeIndex:
+    """``i`` is a feature index: the outcome, a node outside the model and a
+    non-integer are each a ``ValueError`` naming ``i``."""
+
+    @staticmethod
+    def _data():
+        values = np.random.default_rng(5).integers(0, 2, size=(30, 3))
+        return Dataset(values.astype(float), ("z0", "z1", "y"), 2)
+
+    CALLS = {
+        "exact_poc": lambda scm, data, i: exact_poc(scm, i, 1, 1),
+        "exact_pn": lambda scm, data, i: exact_pn(scm, i, 1, 1),
+        "exact_ps": lambda scm, data, i: exact_ps(scm, i, 1, 1),
+        "natural_direct_effect":
+            lambda scm, data, i: natural_direct_effect(scm, i),
+        "effect_poc_profile": lambda scm, data, i: effect_poc_profile(scm, i, 1),
+        "poc_lower_bound":
+            lambda scm, data, i: poc_lower_bound(ScmDistribution(scm), i, 1, 1),
+        "p_outcome": lambda scm, data, i: ScmDistribution(scm).p_outcome(1, i, 1),
+        "empirical_p_outcome":
+            lambda scm, data, i: EmpiricalDistribution(data).p_outcome(1, i, 1),
+        "empirical_mpoc": lambda scm, data, i: empirical_mpoc(
+            data, i, EmpiricalDistribution(data)),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("i, message", [
+        (2, "must be a feature index, not the outcome 2"),
+        (7, r"must be an integer in range\(3\), got 7"),
+        (-1, r"must be an integer in range\(3\), got -1"),
+        (0.0, r"must be an integer in range\(3\), got 0.0"),
+    ], ids=["outcome", "outside", "negative", "float"])
+    def test_i_must_be_a_feature_index(self, call, i, message):
+        # on the outcome the exact quantities returned 1.0; 7 raised
+        # IndexError and 0.0 TypeError
+        scm = random_binary_scm(np.random.default_rng(0), dim=3)
+        assert scm.outcome_index == 2
+        with pytest.raises(ValueError, match=f"^i {message}"):
+            self.CALLS[call](scm, self._data(), i)
+
+    @pytest.mark.parametrize("call", [exact_poc, exact_pn, exact_ps])
+    def test_index_is_checked_before_any_enumeration(self, monkeypatch, call):
+        # exact_pn and exact_ps built the observational joint first
+        def no_work(*args):
+            raise AssertionError("the joint was enumerated")
+
+        scm = random_binary_scm(np.random.default_rng(0), dim=3)
+        monkeypatch.setattr(poc_mod, "observational_joint", no_work)
+        with pytest.raises(ValueError, match="^i must be a feature index"):
+            call(scm, 2, 1, 1)
+
+    def test_intervention_nodes_must_be_nodes(self):
+        # node 7 was ignored: E[Y] came back as if nothing were set
+        scm = random_binary_scm(np.random.default_rng(0), dim=3)
+        for node in (7, 0.0, "z0"):
+            with pytest.raises(ValueError, match="^intervention node must be "
+                                                 r"an integer in range\(3\)"):
+                interventional_mean(scm, {node: 1})
+        assert interventional_mean(scm, {2: 1}) == 1.0
+        assert interventional_mean(scm, {np.int64(0): 1}) \
+            == interventional_mean(scm, {0: 1})
+
+
 class TestExactPoc:
     def test_deterministic_copy_saturates(self):
         scm = deterministic_copy_scm()
@@ -82,6 +167,21 @@ class TestExactPoc:
                        for (pa, u), out in table.items()}
                       for table in scm.functions))
             assert exact_poc(renamed, 0, 1, 1, "marginal") == pytest.approx(value)
+
+    @pytest.mark.parametrize("call", [
+        lambda scm: exact_poc(scm, 0, 1, 1, "joint"),
+        lambda scm: poc_lower_bound(ScmDistribution(scm), 0, 1, 1, "joint"),
+        lambda scm: PocBound(0, 1, "joint", 0.5),
+    ], ids=["exact_poc", "poc_lower_bound", "PocBound"])
+    def test_kind_must_be_known(self, call):
+        with pytest.raises(ValueError, match="^kind must be one of "
+                                             r"\('marginal', 'conditional'\), "
+                                             "got 'joint'"):
+            call(deterministic_copy_scm())
+
+    def test_bound_outside_minus_one_to_one_is_an_error(self):
+        with pytest.raises(ValueError, match=r"^lower bound 1.5 outside \[-1, 1\]"):
+            PocBound(0, 1, "marginal", 1.5)
 
     def test_conditional_requires_rest_values(self):
         scm = random_binary_scm(np.random.default_rng(0), dim=3)
@@ -279,6 +379,14 @@ class TestEmpiricalEstimators:
             product *= abs(p_eq - p_ne)
         assert est.value == pytest.approx(product, abs=1e-12)
 
+    @pytest.mark.parametrize("product, expected", [
+        (PocProduct(0.0, 1.0, 0), 1.0),
+        (PocProduct(-math.inf, 0.0, 3), 0.0),
+        (PocProduct(math.log(0.25), 0.25, 2), 0.5),
+    ], ids=["no-factors", "zero-factor", "two-factors"])
+    def test_geometric_mean(self, product, expected):
+        assert product.geometric_mean == pytest.approx(expected)
+
     def test_order_invariance(self, rng):
         values = rng.integers(0, 2, size=(40, 3)).astype(float)
         data = Dataset(values, ("z0", "z1", "y"), 2)
@@ -370,6 +478,18 @@ class TestEffectPocProfile:
         with pytest.raises(ValueError):
             effect_poc_profile(ternary, 0, 1)
 
+    def test_rejects_negative_outcome_domain(self):
+        scm = dataclasses.replace(deterministic_copy_scm(),
+                                  domains=((0, 1), (-1, 0, 1)))
+        with pytest.raises(ValueError, match="^profile requires a nonnegative "
+                                             "outcome domain"):
+            effect_poc_profile(scm, 0, 1)
+
+    @pytest.mark.parametrize("z_i", [2, -1])
+    def test_z_i_must_be_binary(self, z_i):
+        with pytest.raises(ValueError, match="^z_i must be 0 or 1"):
+            effect_poc_profile(deterministic_copy_scm(), 0, z_i)
+
 
 class TestNecessitySufficiency:
     def test_deterministic_copy(self):
@@ -377,6 +497,12 @@ class TestNecessitySufficiency:
         assert exact_poc(scm, 0, 1, 1, "marginal") == pytest.approx(1.0)
         assert exact_pn(scm, 0, 1, 1) == pytest.approx(1.0)
         assert exact_ps(scm, 0, 1, 1) == pytest.approx(1.0)
+
+    def test_zero_mass_factual_event_is_an_error(self):
+        # y copies z0, so Z_0 = 1 and Y = 0 never happen together
+        with pytest.raises(ValueError, match="^factual conditioning event has "
+                                             "zero mass"):
+            exact_pn(deterministic_copy_scm(), 0, 1, 0)
 
     def test_consistency_decomposition(self, rng):
         # PNS = P(z, y) PN + P(!z, !y) PS for a binary root feature

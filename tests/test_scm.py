@@ -162,6 +162,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             Dataset(np.array([[1.0, np.nan]]), ("a", "b"), 1)
 
+    def test_dataset_values_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match="^values must be 2-d"):
+            Dataset(np.zeros(3), ("a", "b", "y"), 2)
+
     def test_dataset_label_mismatch(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), ("a",), 1)
