@@ -41,6 +41,7 @@ class Cpdag:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
+        check_count("dim", self.dim)
         labels = self.labels or default_labels(self.dim)
         if len(labels) != self.dim:
             raise ValueError(f"expected {self.dim} labels")

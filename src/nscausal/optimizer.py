@@ -53,18 +53,26 @@ at zero by projection throughout.  Each inner minimization is L-BFGS with an
 Armijo backtracking line search over the free entries (as in NOTEARS, Zheng
 et al. 2018); a step is taken only when it lowers the objective, so no inner
 solve ever increases it.  At the problem sizes here an iteration is bound by
-numpy call overhead.  So the solve runs on the flattened weight matrix,
-whose masked entries stay zero through the masked start and the masked
-gradient, and takes each direction from the compact form of the inverse
-Hessian (Byrd, Nocedal & Schnabel 1994): small matrices that each stored
-pair changes by one row and column (``_Memory``).  It runs in rescaled
-variables ``z = B / s``, with ``s`` set once per solve at its masked start
-(``_Objective.scale``) to one over the square root of a diagonal curvature:
-1 for the least squares (its mean curvature on the unit-free gram) plus the
-acyclicity terms' Hessian diagonal without its term in ``dP/dB``.  Without
-it the late subproblems, at ``c`` of 1e4 and up, where the acyclicity term
-acts as a quadratic penalty (Ng et al., AISTATS 2022), are badly scaled, and
-their solves crawl or stop at ``max_inner_iter``.  ``s`` is 1 at the
+the count of numpy calls, not by their arithmetic, so an iteration makes
+only the calls whose results are read, and takes its products with
+``ndarray.dot``: the BLAS routines of ``@``, at about half its dispatch cost
+on a 5 x 5 product.  The solve runs on the flattened weight matrix, whose
+masked entries stay zero through the masked start and the masked gradient,
+evaluates every point along one inline path, and keeps the step it took
+rather than recomputing it from the iterates.  Each evaluation runs ``_ls``
+and ``_h1`` once (and ``_h2`` when relevance is on) and forms only the
+gradient from ``_h1``'s ``P^T``; the curvature matrix ``2 k t P^T`` is built
+once per solve, for its scale.  Each direction comes from the compact form
+of the inverse Hessian (Byrd, Nocedal & Schnabel 1994): small matrices that
+each stored pair changes by one row and column, and one preallocated vector
+of coefficients (``_Memory``).  It runs in rescaled variables ``z = B / s``,
+with ``s`` set once per solve at its masked start (``_Objective.scale``) to
+one over the square root of a diagonal curvature: 1 for the least squares
+(its mean curvature on the unit-free gram) plus the acyclicity terms'
+Hessian diagonal without its term in ``dP/dB``.  Without it the late
+subproblems, at ``c`` of 1e4 and up, where the acyclicity term acts as a
+quadratic penalty (Ng et al., AISTATS 2022), are badly scaled, and their
+solves crawl or stop at ``max_inner_iter``.  ``s`` is 1 at the
 selection-free fit's zero start, so its first subproblem is solved as
 without scaling.  A solve stops once a
 step lowers the objective by less than ``_FTOL`` relative (SciPy L-BFGS-B's
@@ -229,32 +237,38 @@ def _centered_gram(data: Dataset) -> np.ndarray:
     return centered.T @ centered / data.n
 
 
-def _ls(w: np.ndarray, gram: np.ndarray, cols: np.ndarray, eye: np.ndarray):
-    """``0.5 tr[R^T gram R]`` for ``R = (B - I) * cols``, with ``cols`` the
-    0/1 vector of active columns, and its gradient ``gram R`` (zero on the
-    inactive columns)."""
-    r = (w - eye) * cols
-    gr = gram @ r
-    return 0.5 * float((r * gr).sum()), gr
+def _ls(w: np.ndarray, gram: np.ndarray, eye_cols: np.ndarray):
+    """``0.5 tr[R^T gram R]`` for the residual ``R = B - eye_cols``, with
+    ``eye_cols`` the identity restricted to the active columns, and its
+    gradient ``gram R``: one subtraction, one product and one dot per
+    evaluation.  ``B`` must be zero on the inactive columns, as every engine
+    iterate is (the start, every step and every iterate after a drop are
+    masked), so ``R`` and the gradient are zero there."""
+    r = w - eye_cols
+    gr = gram.dot(r)
+    return 0.5 * float(np.vdot(r, gr)), gr
 
 
 def _h1(w: np.ndarray, t: float, eye: np.ndarray):
-    """``tr[M^k] - dim`` for ``M = I + t B∘B``, its gradient, and ``2 k t
-    P^T`` for ``P = M^(k-1)``; ``k = 2^j + 1`` is the smallest such exponent
-    ``>= dim``, so ``P`` is ``j`` squarings of ``M``.  The gradient is that
-    matrix times ``B`` entrywise, and it is the Hessian's diagonal without
-    the term in ``dP/dB``."""
+    """``tr[M^k] - dim`` for ``M = I + t B∘B``, ``P^T`` for ``P = M^(k-1)``,
+    and ``2 k t``; ``k = 2^j + 1`` is the smallest such exponent ``>= dim``,
+    so ``P`` is ``j`` squarings of ``M``.  The gradient is ``2 k t P^T``
+    times ``B`` entrywise, and the curvature matrix ``2 k t P^T`` is the
+    Hessian's diagonal without the term in ``dP/dB``.  Callers form what
+    they read: an objective evaluation only the gradient, from ``P^T * B``
+    scaled once, and ``_Objective.scale``, once per solve, the curvature
+    matrix as well."""
     dim = w.shape[0]
     m = eye + t * (w * w)
     squarings = max(0, dim - 2).bit_length()
     p = m
     for _ in range(squarings):
-        p = p @ p
-    value = float((p * m.T).sum() - dim)
+        p = p.dot(p)
+    pt = p.T
+    value = float(np.vdot(pt, m)) - dim
     if not math.isfinite(value):
         raise FloatingPointError("acyclicity value overflowed")
-    curvature = ((2 ** squarings + 1) * t * 2.0) * p.T
-    return value, curvature * w, curvature
+    return value, pt, (2 ** squarings + 1) * t * 2.0
 
 
 def _te_parts(w: np.ndarray, outcome: int, eye: np.ndarray):
@@ -296,14 +310,14 @@ def _h2(w: np.ndarray, outcome: int, feature_active: np.ndarray, kind: str,
     """
     ce, m = _effect_parts(w, outcome, kind, eye)
     signs = np.sign(ce) * feature_active
-    value = (delta_star - float(np.abs(ce * signs).sum())
-             + float(np.abs(w[outcome, :]).sum()))
+    row = w[outcome, :]
+    value = delta_star - float(signs.dot(ce)) + float(np.abs(row).sum())
     if m is None:
         grad = np.zeros_like(w)
         grad[:, outcome] = -signs
     else:  # d TE_i / d B[a, b] = M[i, a] M[b, outcome]
-        grad = -((m.T @ signs)[:, None] * m[:, outcome])
-    grad[outcome, :] += np.sign(w[outcome, :])
+        grad = np.multiply.outer(signs.dot(m), -ce)
+    grad[outcome, :] += np.sign(row)
     if not np.isfinite(grad).all():
         raise FloatingPointError("relevance gradient is not finite")
     return value, grad
@@ -318,7 +332,8 @@ def _h1_checked(g: WeightedDag, t: float):
         raise ValueError(f"t must be a finite positive number, got {t!r}")
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return _h1(g.weights, t, np.eye(g.dim))
+            value, pt, k2t = _h1(g.weights, t, np.eye(g.dim))
+            return value, (k2t * pt) * g.weights
     except FloatingPointError:
         raise ValueError("acyclicity value overflowed; decrease t") from None
 
@@ -371,8 +386,8 @@ def least_squares_loss(B: np.ndarray, data: Dataset, mask: np.ndarray):
         raise ValueError("dataset is empty")
     if not mask[data.outcome_index]:
         raise ValueError("mask must include the outcome column")
-    loss, grad = _ls(w, _centered_gram(data), mask.astype(float),
-                     np.eye(w.shape[0]))
+    cols = mask.astype(float)
+    loss, grad = _ls(w * cols, _centered_gram(data), np.diag(cols))
     grad[~mask, :] = 0.0
     grad[data.outcome_index, :] = 0.0
     return loss, grad
@@ -436,6 +451,7 @@ class _Objective:
         self.feature_active = active.copy()
         self.feature_active[outcome] = False
         self.cols = active.astype(float)
+        self.eye_cols = np.diag(self.cols)
         self.free = _free_mask(active, outcome)
         self.eye = np.eye(gram.shape[0])
         self.t = t
@@ -446,10 +462,15 @@ class _Objective:
         self.delta_star = delta_star
 
     def __call__(self, w: np.ndarray):
-        f, grad = _ls(w, self.gram, self.cols, self.eye)
-        h1v, gh1, _ = _h1(w, self.t, self.eye)
+        """``(total, gradient, h1, h2)`` at ``w``, which must be zero on the
+        inactive columns (see ``_ls``); the gradient is masked by
+        ``free``."""
+        f, grad = _ls(w, self.gram, self.eye_cols)
+        h1v, pt, k2t = _h1(w, self.t, self.eye)
         total = f + self.lam1 * h1v + self.c * h1v * h1v
-        grad += (self.lam1 + 2.0 * self.c * h1v) * gh1
+        gh1 = pt * w
+        gh1 *= (self.lam1 + 2.0 * self.c * h1v) * k2t
+        grad += gh1
         h2v = 0.0
         if self.relevance:
             h2v, gh2 = _h2(w, self.outcome, self.feature_active, self.kind,
@@ -457,23 +478,26 @@ class _Objective:
             total += self.lam2 * h2v + self.d_pen * h2v * h2v
             grad += (self.lam2 + 2.0 * self.d_pen * h2v) * gh2
         grad *= self.free
-        return total, grad, f, h1v, h2v
+        return total, grad, h1v, h2v
 
     def scale(self, w: np.ndarray) -> np.ndarray:
         """The inner solve's variable scale at ``w``, ``(1 + (lam1 + 2c h1)
         2 k t P^T + 2c (dh1/dB)^2) ** -0.5``: the acyclicity terms' Hessian
-        diagonal without the term in ``dP/dB`` (``P`` and ``dh1/dB`` from
-        ``_h1``), plus the least-squares curvature taken at its mean, 1 on the
-        unit-free gram.
+        diagonal without the term in ``dP/dB`` (``P`` from ``_h1``, and
+        ``dh1/dB = 2 k t P^T * B``), plus the least-squares curvature taken at
+        its mean, 1 on the unit-free gram.  This is the one place the
+        curvature matrix ``2 k t P^T`` is built: once per solve, at its
+        start, while the evaluations form only the gradient.
 
         It is exactly 1 when ``lam1 = c = 0``, and at ``B = 0`` with ``lam1 =
         0`` (the selection-free fit's start), where ``h1`` and its gradient
         vanish.  A diagonal that overflows is clamped to the largest float,
         so the scale stays finite and positive.
         """
-        h1v, gh1, h1_diagonal = _h1(w, self.t, self.eye)
-        diagonal = (1.0 + (self.lam1 + 2.0 * self.c * h1v) * h1_diagonal
-                    + 2.0 * self.c * gh1 ** 2)
+        h1v, pt, k2t = _h1(w, self.t, self.eye)
+        curvature = k2t * pt
+        diagonal = (1.0 + (self.lam1 + 2.0 * self.c * h1v) * curvature
+                    + 2.0 * self.c * (curvature * w) ** 2)
         return np.fmin(diagonal, np.finfo(float).max) ** -0.5
 
 
@@ -502,15 +526,16 @@ class _Memory:
         self.sy = np.zeros(m)
         self.yy = np.zeros((m, m))
         self.r_inv = np.zeros((m, m))
+        self.coefficients = np.empty(2 * m)
         self.gamma = 0.0
         self.slots = []
 
     def push(self, step: np.ndarray, change: np.ndarray):
         """Store the pair over the oldest when full, if ``s.y > 1e-10 |s||y|``
         (else ``H`` could lose positive definiteness)."""
-        sy = step @ change
-        yy = change @ change
-        if not sy > 1e-10 * math.sqrt((step @ step) * yy):
+        sy = step.dot(change)
+        yy = change.dot(change)
+        if not sy > 1e-10 * math.sqrt(step.dot(step) * yy):
             return
         m = _LBFGS_MEMORY
         if len(self.slots) == m:
@@ -521,10 +546,10 @@ class _Memory:
         self.slots.append(slot)
         self.rows[slot] = step
         self.rows[m + slot] = change
-        products = self.rows @ change
+        products = self.rows.dot(change)
         # R gains the column S^T y with diagonal s.y, so R^-1 gains the
         # column -R^-1 S^T y / s.y with diagonal 1 / s.y
-        self.r_inv[:, slot] = self.r_inv @ products[:m] / -sy
+        self.r_inv[:, slot] = self.r_inv.dot(products[:m]) / -sy
         self.r_inv[slot, slot] = 1.0 / sy
         self.yy[slot] = self.yy[:, slot] = products[m:]
         self.sy[slot] = sy
@@ -535,13 +560,20 @@ class _Memory:
         self.r_inv[:] = 0.0
 
     def direction(self, grad: np.ndarray) -> np.ndarray:
+        """``-H g``, with the row coefficients ``-v`` and ``gamma u`` written
+        into one preallocated vector.  ``-v`` is taken as ``(gamma (Y^T g -
+        Y^T Y u) - D u) R^-1``: negation is exact, so it rounds as ``v``
+        does."""
         m = _LBFGS_MEMORY
-        products = self.rows @ grad
-        u = self.r_inv @ products[:m]
-        v = (self.sy * u
-             + self.gamma * (self.yy @ u - products[m:])) @ self.r_inv
-        return (np.concatenate((-v, self.gamma * u)) @ self.rows
-                - self.gamma * grad)
+        products = self.rows.dot(grad)
+        u = self.r_inv.dot(products[:m])
+        coefficients = self.coefficients
+        (self.gamma * (products[m:] - self.yy.dot(u))
+         - self.sy * u).dot(self.r_inv, out=coefficients[:m])
+        np.multiply(u, self.gamma, out=coefficients[m:])
+        direction = coefficients.dot(self.rows)
+        direction -= self.gamma * grad
+        return direction
 
 
 class _Solve(NamedTuple):
@@ -572,13 +604,15 @@ def _lbfgs_minimize(w0: np.ndarray, objective: _Objective, step_size: float,
     the implied inverse Hessian stays positive definite.  Without pairs (the
     first step, and after a reset) the direction is the negative gradient
     sized so that its largest entry is ``step_size``.  The line search
-    halves the direction in place, which is exact.  Every accepted step
+    halves the direction in place, which is exact, and the memory stores
+    the accepted, halved direction as the step.  Every accepted step
     satisfies the Armijo condition and lowers the objective.  A line search
     that fails empties the memory and retries once from that gradient step;
-    if that fails too, the solve stops.  An accepted step that lowers the objective
-    from ``prev`` to ``total`` by no more than ``ftol * max(|prev|, |total|,
-    1)`` also ends the solve; the default ``ftol = 0`` never does, so the
-    solve runs to the gradient tolerance or the rounding floor.  With no
+    if that fails too, the solve stops.  An accepted step that lowers the
+    objective from ``prev`` to ``total`` by no more than ``ftol *
+    max(|prev|, |total|, 1)`` also ends the solve; the default ``ftol = 0``
+    never does, so the solve runs to the gradient tolerance or the rounding
+    floor.  With no
     free entries the solve stops at once on the gradient tolerance.
 
     Returns the final iterate and objective, the accepted steps, why the
@@ -591,39 +625,32 @@ def _lbfgs_minimize(w0: np.ndarray, objective: _Objective, step_size: float,
     z = (w0 * objective.free).ravel()
     scale = objective.scale(z.reshape(shape)).ravel()
     z /= scale
-
-    def evaluate(point):
-        out = objective((point * scale).reshape(shape))
-        return out, out[1].ravel() * scale
-
-    current, grad = evaluate(z)
-    start = total = current[0]
+    total, grad, h1v, h2v = objective((z * scale).reshape(shape))
+    grad = grad.ravel() * scale
+    start = total
     evaluations = 1
     memory = _Memory(z.size)
     it = 0
-
-    def done(reason):
-        return ((z * scale).reshape(shape), total, it, reason,
-                _Solve(evaluations, start, current[3], current[4]))
-
     while True:
-        grad_max = np.abs(grad).max(initial=0.0)
+        grad_max = np.abs(grad).max()
         if grad_max <= grad_tol:
-            return done("grad_tol")
+            reason = "grad_tol"
+            break
         if it >= max_iter:
-            return done("max_inner_iter")
+            reason = "max_inner_iter"
+            break
         if memory.slots:
             direction = memory.direction(grad)
         else:
             direction = grad * (-step_size / grad_max)
-        slope = grad @ direction
+        slope = grad.dot(direction)
         accepted = None
         # a direction that does not descend (possible only by rounding)
         # counts as a failed line search
         for _ in range(_LBFGS_HALVINGS if slope < 0 else 0):
             trial = z + direction
             try:
-                out, new_grad = evaluate(trial)
+                out = objective((trial * scale).reshape(shape))
             except FloatingPointError:  # h1 overflowed or I - B singular
                 out = None
             evaluations += 1
@@ -637,15 +664,22 @@ def _lbfgs_minimize(w0: np.ndarray, objective: _Objective, step_size: float,
             slope *= 0.5
         if accepted is None:
             if not memory.slots:
-                return done("no_descent")
+                reason = "no_descent"
+                break
             memory.clear()
             continue
-        memory.push(trial - z, new_grad - grad)
+        new_grad = accepted[1].ravel() * scale
+        # the halved direction is the step; trial - z would only round it
+        memory.push(direction, new_grad - grad)
         prev = total
-        z, grad, current, total = trial, new_grad, accepted, accepted[0]
+        z, grad = trial, new_grad
+        total, _, h1v, h2v = accepted
         it += 1
         if prev - total <= ftol * max(abs(prev), abs(total), 1.0):
-            return done("ftol")
+            reason = "ftol"
+            break
+    return ((z * scale).reshape(shape), total, it, reason,
+            _Solve(evaluations, start, h1v, h2v))
 
 
 def _selection_update(w, active, outcome, config, cutoff):
@@ -739,11 +773,11 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
             if late:
                 dropped += late
                 objective = objective_now()
-                _, _, _, h1v, h2v = objective(w)
+                _, _, h1v, h2v = objective(w)
 
         # ``f`` in data units, computed (not rescaled back) so that it equals
         # the public ``least_squares_loss`` at the fit's raw graph
-        f_val = _ls(w, data_gram, objective.cols, objective.eye)[0]
+        f_val = _ls(w, data_gram, objective.eye_cols)[0]
         diagnostics.append({
             "step": step, "f": f_val, "h1": h1v, "h2": h2v,
             "lambda1": lam1, "lambda2": lam2, "c": c, "d": d_pen, "t": t,

@@ -167,6 +167,15 @@ def _rest_values(model, i: int, z_minus_i) -> dict:
     return dict(zip(rest, z_minus_i))
 
 
+def _check_settings(scm: DiscreteScm, settings: dict):
+    """Raise unless every ``{node: value}`` a caller sets is in the node's
+    domain; checked once per call, never per noise state."""
+    for node, value in settings.items():
+        if value not in scm.domains[node]:
+            raise ValueError(f"node {node} cannot be set to {value!r}: its "
+                             f"domain is {scm.domains[node]!r}")
+
+
 def _event(scm: DiscreteScm, joint: dict, i: int, z_i, equal: bool,
            z_minus_i) -> list:
     """Joint entries ``(values, mass)`` in the event ``Z_i = z_i`` (``!=``
@@ -230,6 +239,7 @@ def exact_poc(scm: DiscreteScm, i: int, z_i, y, kind: str = "marginal",
     """
     rest = _conditioning_rest(kind, z_minus_i)
     base = _rest_values(scm, i, rest)
+    _check_settings(scm, {**base, i: z_i})
     mixture = _alternative_mixture(scm, observational_joint(scm, cap), i, z_i,
                                    rest)
     return _poc_sum(scm, i, z_i, y, base, mixture, cap)
@@ -420,6 +430,7 @@ def interventional_mean(scm: DiscreteScm, interventions: dict,
     """E[Y] under do(interventions), by enumeration; the keys are node indices."""
     for node in interventions:
         check_node("intervention node", node, scm.dim)
+    _check_settings(scm, interventions)
     return float(sum(prob * evaluate(scm, noise, interventions)[scm.outcome_index]
                      for prob, noise in _noise_states(scm, cap)))
 
@@ -457,8 +468,11 @@ def effect_poc_profile(scm: DiscreteScm, i: int, z_i, z_minus_i=None,
         raise ValueError("profile requires a nonnegative outcome domain")
     if z_i not in (0, 1):
         raise ValueError("z_i must be 0 or 1")
+    if z_minus_i is not None:
+        z_minus_i = tuple(z_minus_i)
+        _check_settings(scm, _rest_values(scm, i, z_minus_i))
     dist = ScmDistribution(scm, cap)  # the one observational joint
-    rest_values = tuple(z_minus_i) if z_minus_i is not None \
+    rest_values = z_minus_i if z_minus_i is not None \
         else _default_rest_values(scm, dist.joint, i)
 
     def poc_mass(rest):
@@ -488,6 +502,7 @@ def _factual_conditional(scm: DiscreteScm, i: int, z_i, y, want_factual: bool,
     whether ``do(Z_i = z_i)`` brings ``Y`` to ``y``.
     """
     check_node("i", i, scm.dim, scm.outcome_index)  # before the joint is built
+    _check_settings(scm, {i: z_i})
     outcome = scm.outcome_index
     mixture = _alternative_mixture(scm, observational_joint(scm, cap), i, z_i)
     denom = 0.0

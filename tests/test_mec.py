@@ -472,6 +472,13 @@ class TestCpdagValidation:
         with pytest.raises(ValueError):
             Cpdag(3, frozenset({(0, 1), (1, 0)}), frozenset())
 
+    @pytest.mark.parametrize("dim", [2.5, True, -1])
+    def test_dim_must_be_a_positive_integer(self, dim):
+        # 2.5 and True raised TypeError, -1 said "expected -1 labels"
+        with pytest.raises(ValueError, match="^dim must be at least 1 and an "
+                                             f"integer, got {dim!r}$"):
+            Cpdag(dim, frozenset(), frozenset())
+
     @pytest.mark.parametrize("dim, directed, undirected, labels, message", [
         (2, (), (), ("a",), "expected 2 labels"),
         (2, ((1, 1),), (), (), "self-loops"),

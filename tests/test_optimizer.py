@@ -900,6 +900,34 @@ class TestFit:
         fit(data, FitConfig(effect_kind=kind), warm_start=base)
         assert values[0] == base.diagnostics[-1]["h1"]
 
+    @pytest.mark.parametrize("scenario_id, n, seed", [
+        ("s1", 100, 100), ("s1", 100, 300), ("s2", 100, 265),
+        ("s4", 1000, 300)])
+    def test_kernel_call_budget(self, monkeypatch, scenario_id, n, seed):
+        # each objective evaluation runs _h1 and _ls once; beyond them a
+        # solve runs _h1 once for its scale and a step _ls once for its
+        # data-unit f, and a gated selective fit runs _h1 once more for the
+        # step-0 gate (an evaluation after a late drop runs both)
+        import nscausal.optimizer as optimizer
+
+        _, data = scenario_data(scenario(scenario_id), n, seed)
+        calls = {"_h1": 0, "_ls": 0}
+        for name in calls:
+            def counting(*args, name=name, original=getattr(optimizer, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(optimizer, name, counting)
+        base = fit_baseline(data)
+        steps = len(base.diagnostics)
+        evaluations = sum(row["evaluations"] for row in base.diagnostics)
+        assert calls == {"_h1": evaluations + steps, "_ls": evaluations + steps}
+
+        assert base.diagnostics[-1]["h1"] <= SELECTION_H1_GATE
+        calls.update(_h1=0, _ls=0)
+        fit(data, FitConfig(effect_kind="te"), warm_start=base)
+        assert calls["_h1"] == calls["_ls"] + 1
+
     def test_chain_weights_within_tolerance(self):
         data, truth = chain_dataset((1.0, 1.0), n=5000, seed=7)
         result = fit(data)

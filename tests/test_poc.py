@@ -144,6 +144,41 @@ class TestNodeIndex:
             == interventional_mean(scm, {0: 1})
 
 
+class TestInterventionValues:
+    """A value a caller sets on a node must be in that node's domain: each
+    call checks its settings once, before any enumeration."""
+
+    CALLS = {
+        "interventional_mean": lambda scm: interventional_mean(scm, {2: 5}),
+        "exact_poc": lambda scm: exact_poc(scm, 0, 7, 1),
+        "exact_poc-rest": lambda scm: exact_poc(scm, 0, 1, 1, "conditional",
+                                                (3,)),
+        "exact_pn": lambda scm: exact_pn(scm, 0, 7, 1),
+        "exact_ps": lambda scm: exact_ps(scm, 1, 2, 1),
+        "effect_poc_profile-rest":
+            lambda scm: effect_poc_profile(scm, 0, 1, (5,)),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_value_outside_the_domain_is_an_error(self, monkeypatch, call):
+        # interventional_mean returned 5.0 for a binary outcome, exact_poc
+        # raised KeyError
+        def no_work(*args):
+            raise AssertionError("a noise state was enumerated")
+
+        scm = random_binary_scm(np.random.default_rng(0), dim=3)
+        monkeypatch.setattr(poc_mod, "_noise_states", no_work)
+        with pytest.raises(ValueError, match=r"^node \d cannot be set to \d: "
+                                             r"its domain is \(0, 1\)$"):
+            self.CALLS[call](scm)
+
+    def test_values_inside_the_domain_pass(self):
+        scm = random_binary_scm(np.random.default_rng(0), dim=3)
+        assert interventional_mean(scm, {2: np.int64(1)}) == 1.0
+        assert 0.0 <= exact_poc(scm, 0, 1, 1, "conditional", (np.int64(0),)) \
+            <= 1.0
+
+
 class TestExactPoc:
     def test_deterministic_copy_saturates(self):
         scm = deterministic_copy_scm()
