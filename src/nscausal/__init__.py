@@ -13,7 +13,8 @@ __version__ = "0.1.0"
 
 from .graph import (DEFAULT_WEIGHT_RANGE, GraphMetrics, WeightedDag,
                     ancestors_of, enumerate_paths_to_outcome, graph_metrics,
-                    is_acyclic, prune, random_er, random_sf, topological_order)
+                    is_acyclic, prune, prune_weights, random_er, random_sf,
+                    topological_order)
 from .scm import (BernoulliNoise, Dataset, GaussianNoise, SemSpec,
                   round_half_away, sample_linear, sample_nonlinear,
                   shift_nonnegative)

@@ -193,11 +193,22 @@ def enumerate_paths_to_outcome(g: WeightedDag, source: int) -> list[tuple[int, .
     return paths
 
 
+def prune_weights(weights: np.ndarray, threshold: float) -> np.ndarray:
+    """A copy of ``weights`` with the entries ``|weight| <= threshold`` zeroed
+    and the rest bit-exact: the pruning rule, on a bare array.
+
+    ``threshold`` must be finite and nonnegative.  Callers that read only the
+    pruned pattern (a support, an acyclicity test with ``topological_order``,
+    effects) use it without building a ``WeightedDag``.
+    """
+    check_nonnegative("threshold", threshold)
+    return np.where(np.abs(weights) > threshold, weights, 0.0)
+
+
 def prune(g: WeightedDag, threshold: float) -> WeightedDag:
     """Zero out entries with ``|weight| <= threshold``; keep the rest bit-exact."""
-    check_nonnegative("threshold", threshold)
-    kept = np.where(np.abs(g.weights) > threshold, g.weights, 0.0)
-    return WeightedDag(kept, g.labels, g.outcome_index)
+    return WeightedDag(prune_weights(g.weights, threshold), g.labels,
+                       g.outcome_index)
 
 
 def validate_weight_range(weight_range) -> tuple[float, float]:

@@ -31,7 +31,8 @@ et al. 2018) and lives in module constants, not in ``FitConfig``:
 * ``h2(B; g) = delta_star - sum_i |CE_i(B)| + sum_j |B[outcome, j]|``
   compares the absolute causal-effect mass of the active features against
   the all-features reference ``delta_star`` and penalizes edges out of the
-  outcome.  ``CE`` is the total or the direct effect, per configuration;
+  outcome (zero on the engine's iterates, so only ``relevance_constraint``
+  adds it).  ``CE`` is the total or the direct effect, per configuration;
   ``_effect_parts`` is the one place that picks it, for ``h2`` and for the
   selection rule alike.  The total effect is the outcome column of
   ``(I - B)^-1`` (as in ``effects.total_effects``): exact on acyclic
@@ -49,7 +50,11 @@ the ``h1`` gate, once before the first solve, so that solve runs only on the
 surviving features; both go through one step of ``_engine`` that masks the
 iterate when a feature went.  Drops before the
 first solve are recorded in step 0's ``dropped``.  The outcome row is kept
-at zero by projection throughout.  Each inner minimization is L-BFGS with an
+at zero by projection throughout.  A dual step costs its solve and little
+else: one ``_Objective`` per feature mask takes each step's multipliers,
+and supports and selections are read off the pruned array
+(``prune_weights``, ``topological_order``), not a ``WeightedDag``.  Each
+inner minimization is L-BFGS with an
 Armijo backtracking line search over the free entries (as in NOTEARS, Zheng
 et al. 2018); a step is taken only when it lowers the objective, so no inner
 solve ever increases it.  At the problem sizes here an iteration is bound by
@@ -120,7 +125,8 @@ import numpy as np
 
 from . import effects as _effects
 from .graph import (WeightedDag, check_count, check_mask, check_nonnegative,
-                    is_acyclic, is_finite_number, outcome_position, prune)
+                    is_finite_number, outcome_position, prune, prune_weights,
+                    topological_order)
 from .scm import Dataset
 
 # iterate must be this close to acyclic before selection decisions are
@@ -154,6 +160,8 @@ _FTOL = 2.220446049250313e-09
 # SELECTION_H1_GATE a gated warm-started selective fit's (see the module
 # docstring)
 _FTOL_PER_H1 = 1e-3
+
+_FLOAT_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -228,13 +236,33 @@ class FitResult:
 # kernels: the objective pieces the engine evaluates, shared by the public API
 
 
-def _centered_gram(data: Dataset) -> np.ndarray:
-    """``X_c^T X_c / n`` for the column-centered data ``X_c``.
-
-    Column means act as implicit intercepts: the noise need not be centered.
+def _unit_gram(data: Dataset):
+    """``(G, k)`` with ``G 2^k = X_c^T X_c / n`` for the column-centered data
+    ``X_c``: ``G`` is the centered gram of ``X 2^-e``, whose largest magnitude
+    is in ``[0.5, 1)``, and ``k = 2e``.  The power of two is exact, and keeps
+    the column means and ``G`` in the float range at any data scale.  Column
+    means act as implicit intercepts: the noise need not be centered.
     """
-    centered = data.values - data.values.mean(axis=0)
-    return centered.T @ centered / data.n
+    exponent = math.frexp(np.abs(data.values).max())[1]
+    scaled = np.ldexp(data.values, -exponent)
+    centered = scaled - scaled.mean(axis=0)
+    return centered.T @ centered / data.n, 2 * exponent
+
+
+def _in_data_units(value: float, k: int) -> float:
+    """``value 2^k``: ``inf`` past the float range, toward 0 below it."""
+    try:
+        return math.ldexp(value, k)
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
+
+def _centered_gram(data: Dataset) -> np.ndarray:
+    """``X_c^T X_c / n`` for the column-centered data ``X_c``, ``inf`` past
+    the float range (see ``_unit_gram``)."""
+    gram, k = _unit_gram(data)
+    with np.errstate(over="ignore"):
+        return np.ldexp(gram, k)
 
 
 def _ls(w: np.ndarray, gram: np.ndarray, eye_cols: np.ndarray):
@@ -301,8 +329,9 @@ def _effect_parts(w: np.ndarray, outcome: int, kind: str, eye: np.ndarray):
 
 def _h2(w: np.ndarray, outcome: int, feature_active: np.ndarray, kind: str,
         delta_star: float, eye: np.ndarray):
-    """``delta_star - sum_active |CE_i| + sum_j |B[outcome, j]|`` and its
-    subgradient, with CE the total (``te``) or direct (``de``) effect.
+    """``delta_star - sum_active |CE_i|`` and its subgradient, with CE the
+    total (``te``) or direct (``de``) effect: ``h2`` less its outcome-row
+    penalty, zero on every engine iterate (``relevance_constraint`` adds it).
 
     A non-finite subgradient (a finite total effect can have an overflowing
     Jacobian) raises ``FloatingPointError``, a rejected trial to the line
@@ -310,14 +339,12 @@ def _h2(w: np.ndarray, outcome: int, feature_active: np.ndarray, kind: str,
     """
     ce, m = _effect_parts(w, outcome, kind, eye)
     signs = np.sign(ce) * feature_active
-    row = w[outcome, :]
-    value = delta_star - float(signs.dot(ce)) + float(np.abs(row).sum())
+    value = delta_star - float(signs.dot(ce))
     if m is None:
         grad = np.zeros_like(w)
         grad[:, outcome] = -signs
     else:  # d TE_i / d B[a, b] = M[i, a] M[b, outcome]
         grad = np.multiply.outer(signs.dot(m), -ce)
-    grad[outcome, :] += np.sign(row)
     if not np.isfinite(grad).all():
         raise FloatingPointError("relevance gradient is not finite")
     return value, grad
@@ -418,30 +445,28 @@ def relevance_constraint(B: np.ndarray, mask: np.ndarray, effect_kind: str,
     feature_active[outcome] = False
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return _h2(w, outcome, feature_active, effect_kind, delta_star,
-                       np.eye(dim))
+            value, grad = _h2(w, outcome, feature_active, effect_kind,
+                              delta_star, np.eye(dim))
     except FloatingPointError as exc:
         raise ValueError(f"total effects undefined: {exc}") from None
+    row = w[outcome, :]
+    grad[outcome, :] += np.sign(row)
+    return value + float(np.abs(row).sum()), grad
 
 
 # ---------------------------------------------------------------------------
 # engine
 
 
-def _free_mask(active: np.ndarray, outcome: int) -> np.ndarray:
-    free = np.outer(active, active).astype(float)
-    free[outcome, :] = 0.0
-    np.fill_diagonal(free, 0.0)
-    return free
-
-
 class _Objective:
-    """Augmented-Lagrangian value and gradient at fixed multipliers and mask.
+    """Augmented-Lagrangian value and gradient at one feature mask.
 
     The inner loop calls this tens of thousands of times, so the identity
-    matrix, the 0/1 active-column vector and the projection mask are cached
-    up front and the kernels are called directly rather than through the
-    validating public single-shot operations.
+    matrix, the 0/1 active-column vector and the projection mask ``free``
+    are cached up front and the kernels are called directly rather than
+    through the validating public single-shot operations.  The engine
+    builds one per mask and sets the multipliers ``lam1``, ``c``, ``lam2``
+    and ``d_pen`` on it before each solve.
     """
 
     def __init__(self, gram, outcome, active, t, lam1, c, relevance,
@@ -452,7 +477,9 @@ class _Objective:
         self.feature_active[outcome] = False
         self.cols = active.astype(float)
         self.eye_cols = np.diag(self.cols)
-        self.free = _free_mask(active, outcome)
+        self.free = np.outer(self.cols, self.cols)
+        self.free[outcome, :] = 0.0
+        np.fill_diagonal(self.free, 0.0)
         self.eye = np.eye(gram.shape[0])
         self.t = t
         self.lam1, self.c = lam1, c
@@ -498,7 +525,7 @@ class _Objective:
         curvature = k2t * pt
         diagonal = (1.0 + (self.lam1 + 2.0 * self.c * h1v) * curvature
                     + 2.0 * self.c * (curvature * w) ** 2)
-        return np.fmin(diagonal, np.finfo(float).max) ** -0.5
+        return np.fmin(diagonal, _FLOAT_MAX) ** -0.5
 
 
 class _Memory:
@@ -691,10 +718,10 @@ def _selection_update(w, active, outcome, config, cutoff):
     edges cannot keep a feature alive, and a feature with no path to the
     outcome in that pruned graph (effect 0) always goes.
     """
-    pruned = prune(WeightedDag(w, outcome_index=outcome), config.prune_threshold)
-    if not is_acyclic(pruned):
+    pruned = prune_weights(w, config.prune_threshold)
+    if topological_order(pruned) is None:
         return []
-    ce = np.abs(_effect_parts(pruned.weights, outcome, config.effect_kind,
+    ce = np.abs(_effect_parts(pruned, outcome, config.effect_kind,
                               np.eye(w.shape[0]))[0])
     dropped = sorted((int(i) for i in np.flatnonzero(active) if i != outcome
                       and ce[i] <= cutoff), key=lambda i: (ce[i], i))
@@ -713,11 +740,13 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
     cutoff = config.selection_tolerance * delta_star_value
     # fit on a unit-free gram: a uniform rescale of the data leaves the
     # constrained minimiser unchanged, while the penalty schedule and the
-    # solver tolerances are absolute.  All-constant data (mean variance 0)
-    # keep their zero gram and fit to the empty graph.
-    data_gram = _centered_gram(data)
-    scale = float(np.diag(data_gram).mean())
-    gram = data_gram / scale if scale > 0 else data_gram
+    # solver tolerances are absolute.  ``_unit_gram`` keeps it in the float
+    # range at any data scale; only ``f``, in data units, is ``inf`` where
+    # the data's own second moments exceed that range.  All-constant data
+    # (mean variance 0) keep their zero gram and fit to the empty graph.
+    unit_gram, unit_exponent = _unit_gram(data)
+    scale = float(np.diag(unit_gram).mean())
+    gram = unit_gram / scale if scale > 0 else unit_gram
 
     w, lam1, c = init
     active = np.ones(dim, dtype=bool)
@@ -733,21 +762,28 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
     converged = False
     stall = 0
 
+    def objective_for_mask():
+        return _Objective(gram, outcome, active, t, lam1, c, relevance, lam2,
+                          d_pen, config.effect_kind, delta_star_value)
+
     def select(w):
-        """Apply the selection rule to ``w``; mask it if a feature went."""
+        """Apply the selection rule to ``w``; when a feature went, build the
+        objective of the new mask and mask ``w`` by it."""
+        nonlocal objective
         dropped = _selection_update(w, active, outcome, config, cutoff)
-        return (w * _free_mask(active, outcome) if dropped else w), dropped
+        if dropped:
+            objective = objective_for_mask()
+            w = w * objective.free
+        return w, dropped
 
     def settled_support(w):
         """The support ``|w| > prune_threshold``, or None when its pruned
         graph is cyclic."""
-        pruned = prune(WeightedDag(w, outcome_index=outcome), config.prune_threshold)
-        return pruned.weights != 0 if is_acyclic(pruned) else None
+        pruned = prune_weights(w, config.prune_threshold)
+        return pruned != 0 if topological_order(pruned) is not None else None
 
-    def objective_now():
-        return _Objective(gram, outcome, active, t, lam1, c, relevance, lam2,
-                          d_pen, config.effect_kind, delta_star_value)
-
+    # one objective per feature mask; each dual step sets its multipliers
+    objective = objective_for_mask()
     for step in range(config.max_dual_steps):
         dropped = []
         # a selective fit's start, its baseline, gets the selection rule
@@ -756,11 +792,12 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
         # baseline rule's tolerance at the gate, and its masked start counts
         # as a settled step; one above the gate solves at _FTOL
         if (step == 0 and relevance
-                and _h1(w, t, np.eye(dim))[0] <= SELECTION_H1_GATE):
+                and _h1(w, t, objective.eye)[0] <= SELECTION_H1_GATE):
             w, dropped = select(w)
             ftol = _FTOL_PER_H1 * SELECTION_H1_GATE
             support_prev = settled_support(w)
-        objective = objective_now()
+        objective.lam1, objective.c = lam1, c
+        objective.lam2, objective.d_pen = lam2, d_pen
         if not relevance:
             ftol = max(_FTOL, min(_FTOL_PER_H1, _FTOL_PER_H1 * h1_prev))
         w, obj_end, inner_iters, stop_reason, solve = _lbfgs_minimize(
@@ -772,12 +809,12 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
             w, late = select(w)
             if late:
                 dropped += late
-                objective = objective_now()
                 _, _, h1v, h2v = objective(w)
 
-        # ``f`` in data units, computed (not rescaled back) so that it equals
-        # the public ``least_squares_loss`` at the fit's raw graph
-        f_val = _ls(w, data_gram, objective.eye_cols)[0]
+        # ``f`` in data units, so that it equals the public
+        # ``least_squares_loss`` at the fit's raw graph
+        f_val = _in_data_units(_ls(w, unit_gram, objective.eye_cols)[0],
+                               unit_exponent)
         diagnostics.append({
             "step": step, "f": f_val, "h1": h1v, "h2": h2v,
             "lambda1": lam1, "lambda2": lam2, "c": c, "d": d_pen, "t": t,
@@ -803,7 +840,7 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
             break
 
         lam1 = min(lam1 + 2.0 * c * h1v, cap)
-        lam2 = float(np.clip(lam2 + 2.0 * d_pen * h2v, -cap, cap))
+        lam2 = min(max(lam2 + 2.0 * d_pen * h2v, -cap), cap)
         if not ok1 and h1v > _PROGRESS_RATIO * h1_prev:
             c = min(c * _PENALTY_GROWTH, cap)
         if not ok2 and abs(h2v) > _PROGRESS_RATIO * h2_prev:
@@ -822,7 +859,7 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
         h1_prev = max(h1v, 1e-300)
         h2_prev = max(abs(h2v), 1e-300)
 
-    w = w * _free_mask(active, outcome)
+    w = w * objective.free
     raw = WeightedDag(w, data.labels, outcome)
     features = [i for i in range(dim) if i != outcome]
     return FitResult(

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nscausal.bench import nscg, scenario, scenario_data, scenario_truth
-from nscausal.effects import delta_star
-from nscausal.graph import WeightedDag, graph_metrics, is_acyclic, prune
+from nscausal.effects import delta_star, direct_effect, total_effect
+from nscausal.graph import (WeightedDag, graph_metrics, is_acyclic, prune,
+                            prune_weights, topological_order)
 from nscausal.optimizer import (_FTOL, _GRAD_TOL, _H1_TOL, _LBFGS_HALVINGS,
                                 _LBFGS_MEMORY, _PENALTY_CAP, _PENALTY_INIT,
                                 _STEP_SIZE, DIAGNOSTIC_FIELDS,
@@ -767,6 +768,41 @@ def selection_cases(draw):
     return w, active, config, delta_star
 
 
+@st.composite
+def pruning_cases(draw):
+    """A matrix whose entries include 0, -0.0, exactly +-threshold and
+    negative weights, sometimes with a planted cycle (a self-loop included)
+    above the threshold or exactly at it; a threshold, an active mask
+    keeping the outcome, an effect kind and a cutoff, sometimes exactly on a
+    pruned effect."""
+    dim = draw(st.integers(2, 6))
+    outcome = dim - 1
+    threshold = draw(st.sampled_from([0.0, 0.25, 0.3, 1.0]))
+    entry = st.one_of(st.sampled_from([0.0, -0.0, threshold, -threshold]),
+                      st.floats(-2.0, 2.0))
+    w = np.array(draw(st.lists(entry, min_size=dim * dim,
+                               max_size=dim * dim))).reshape(dim, dim)
+    w[outcome] = 0.0  # as on every engine iterate
+    if draw(st.booleans()):  # a DAG before the planting
+        w[np.tril_indices(dim)] = 0.0
+    if draw(st.booleans()):
+        cycle = draw(st.permutations(range(outcome)))[:draw(
+            st.integers(1, max(1, outcome)))]
+        at = draw(st.sampled_from([threshold, 2.0 * threshold + 0.5]))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            w[a, b] = draw(st.sampled_from([at, -at]))
+    active = np.array(draw(st.lists(st.booleans(), min_size=dim,
+                                    max_size=dim)))
+    active[outcome] = True
+    kind = draw(st.sampled_from(["te", "de"]))
+    cutoff = draw(st.floats(0.0, 3.0))
+    kept = np.where(np.abs(w) > threshold, w, 0.0)
+    if draw(st.booleans()) and is_acyclic(WeightedDag(kept)):
+        cutoff = float(abs_effects(kept, outcome, kind)[
+            draw(st.integers(0, dim - 1))])
+    return w, threshold, active, kind, cutoff
+
+
 class TestSelectionUpdate:
     @settings(max_examples=300, deadline=None)
     @given(selection_cases())
@@ -789,6 +825,30 @@ class TestSelectionUpdate:
         kept = before.copy()
         kept[expected] = False
         assert np.array_equal(active, kept)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pruning_cases())
+    def test_array_reads_match_the_pruned_graph(self, case):
+        # the engine reads supports and selections off prune_weights and
+        # topological_order; they must agree with prune, is_acyclic and the
+        # public effect functions on the WeightedDag they no longer build
+        w, threshold, active, kind, cutoff = case
+        outcome = len(w) - 1
+        graph = prune(WeightedDag(w), threshold)
+        kept = prune_weights(w, threshold)
+        assert np.array_equal(kept, graph.weights)
+        assert np.array_equal(np.signbit(kept), np.signbit(graph.weights))
+        assert (topological_order(kept) is not None) == is_acyclic(graph)
+        expected = []
+        if is_acyclic(graph):
+            effect = total_effect if kind == "te" else direct_effect
+            ce = {i: abs(effect(graph, i)) for i in range(outcome)
+                  if active[i]}
+            expected = sorted((i for i in ce if ce[i] <= cutoff),
+                              key=lambda i: (ce[i], i))
+        config = FitConfig(effect_kind=kind, prune_threshold=threshold)
+        assert _selection_update(w, active.copy(), outcome, config,
+                                 cutoff) == expected
 
     def test_cyclic_pruned_pattern_selects_nothing(self):
         # every feature is under the cutoff, but z0 <-> z1 survives pruning
@@ -927,6 +987,41 @@ class TestFit:
         calls.update(_h1=0, _ls=0)
         fit(data, FitConfig(effect_kind="te"), warm_start=base)
         assert calls["_h1"] == calls["_ls"] + 1
+
+    @pytest.mark.parametrize("scenario_id, seed, kind", [
+        ("s1", 300, "te"), ("s2", 213, "de")])
+    def test_dual_steps_build_no_objective_or_graph(self, monkeypatch,
+                                                    scenario_id, seed, kind):
+        # one objective per feature mask: at the fit's start and after each
+        # selection that drops a feature (s2 seed 213's de fit drops at the
+        # gate and again after its first solve); the loop builds no
+        # WeightedDag, so a fit builds only the raw and pruned graphs it
+        # returns
+        import nscausal.optimizer as optimizer
+
+        _, data = scenario_data(scenario(scenario_id), 100, seed)
+        counts = {"objectives": 0, "graphs": 0, "drops": 0}
+
+        def count(owner, name, key):
+            original = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                out = original(*args, **kwargs)
+                counts[key] += 1 if key != "drops" else bool(out)
+                return out
+
+            monkeypatch.setattr(owner, name, counting)
+
+        count(_Objective, "__init__", "objectives")
+        count(WeightedDag, "__post_init__", "graphs")
+        count(optimizer, "_selection_update", "drops")
+        base = fit_baseline(data)
+        assert counts == {"objectives": 1, "graphs": 2, "drops": 0}
+        counts.update(objectives=0, graphs=0, drops=0)
+        fit(data, FitConfig(effect_kind=kind), warm_start=base)
+        assert counts["drops"] >= 1
+        assert counts == {"objectives": 1 + counts["drops"], "graphs": 2,
+                          "drops": counts["drops"]}
 
     def test_chain_weights_within_tolerance(self):
         data, truth = chain_dataset((1.0, 1.0), n=5000, seed=7)
@@ -1187,6 +1282,36 @@ class TestUnits:
             patterns.add((result.graph.weights != 0).tobytes()
                          + result.selected.tobytes())
         assert len(patterns) == 1
+
+    @pytest.mark.parametrize("exponent", [520, 1019, -600])
+    def test_extreme_scales_give_the_unit_scale_fit(self, exponent):
+        # the gram of these data overflows at 2**520 (the baseline came back
+        # empty with f = nan), their column sums at 2**1019, and the gram
+        # underflows at 2**-600 (the data read as constant); every te fit
+        # raised "delta_star is 0".  Scaling the data by a power of two is
+        # exact, so only f moves
+        _, _, data = s1_replication(300)
+        scaled = Dataset(np.ldexp(data.values, exponent), data.labels,
+                         data.outcome_index)
+        fits = []
+        for d in (data, scaled):
+            base = fit_baseline(d)
+            fits.append((base, fit(d, warm_start=base)))
+
+        def without_f(result):
+            return [{k: v for k, v in row.items() if k != "f"}
+                    for row in result.diagnostics]
+
+        for unit, extreme in zip(*fits):
+            assert np.array_equal(unit.raw_graph.weights,
+                                  extreme.raw_graph.weights)
+            assert np.array_equal(unit.selected, extreme.selected)
+            assert without_f(unit) == without_f(extreme)
+            assert (unit.converged, unit.delta_star_used) == (
+                extreme.converged, extreme.delta_star_used)
+        assert fits[0][1].selected.tolist() == [False, True, True, True]
+        f = fits[1][0].diagnostics[-1]["f"]
+        assert f == math.inf if exponent > 0 else 0.0 <= f < 1e-300
 
     def test_wide_independent_noise_gives_the_empty_graph(self):
         # on the raw gram the absolute penalty schedule fails this draw: 19
