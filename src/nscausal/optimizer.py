@@ -69,8 +69,9 @@ and ``_h1`` once (and ``_h2`` when relevance is on) and forms only the
 gradient from ``_h1``'s ``P^T``; the curvature matrix ``2 k t P^T`` is built
 once per solve, for its scale.  Each direction comes from the compact form
 of the inverse Hessian (Byrd, Nocedal & Schnabel 1994): small matrices that
-each stored pair changes by one row and column, and one preallocated vector
-of coefficients (``_Memory``).  It runs in rescaled variables ``z = B / s``,
+each stored pair changes by one row and column, all read off one product
+with the pair written into a spare slot, and one preallocated vector of
+coefficients (``_Memory``).  It runs in rescaled variables ``z = B / s``,
 with ``s`` set once per solve at its masked start (``_Objective.scale``) to
 one over the square root of a diagonal curvature: 1 for the least squares
 (its mean curvature on the unit-free gram) plus the acyclicity terms'
@@ -535,20 +536,24 @@ class _Memory:
     = s.y / y.y``: ``-H g = -gamma g - S v + gamma Y u``, ``u = R^-1 S^T g``
     and ``v = R^-T ((D + gamma Y^T Y) u - gamma Y^T g)``.
 
-    The pairs sit in a ring of slots, oldest first in ``slots``, with the
-    steps in ``rows[:m]`` and the gradient changes in ``rows[m:]``.  Per
-    slot it keeps ``D = s.y``, ``Y^T Y`` and ``R^-1``, the inverse of the
-    upper triangle of ``S^T Y`` in pair-age order; a stored pair borders
-    them with one row and column, from one product of the rows with its
-    ``y``.  The trailing block of a triangular matrix's inverse is the
-    inverse of its trailing block, so evicting the oldest pair zeroes its
-    row of ``R^-1``; its column, the first in pair-age order, is zero but
-    for the diagonal.  A slot out of use, zero there, takes no part in a
-    direction.
+    The pairs sit in a ring of ``m = _LBFGS_MEMORY + 1`` slots, oldest
+    first in ``slots``, with the steps in ``rows[:m]`` and the gradient
+    changes in ``rows[m:]``.  Per slot it keeps ``D = s.y``, ``Y^T Y`` and
+    ``R^-1``, the inverse of the upper triangle of ``S^T Y`` in pair-age
+    order; a stored pair borders them with one row and column.  The one
+    slot not in ``slots`` is the ``spare``: each candidate pair is written
+    there first, so that one product of the rows with its ``y`` gives its
+    ``s.y`` and ``y.y`` as well as the border, and only ``s.s`` takes a dot
+    of its own.  A rejected pair is wiped from the spare and leaves the
+    stored pairs as they were.  The trailing block of a triangular matrix's
+    inverse is the inverse of its trailing block, so evicting the oldest
+    pair zeroes its row of ``R^-1``; its column, the first in pair-age
+    order, is zero but for the diagonal.  The evicted slot is the next
+    spare.  A slot out of use, zero there, takes no part in a direction.
     """
 
     def __init__(self, size: int):
-        m = _LBFGS_MEMORY
+        m = _LBFGS_MEMORY + 1
         self.rows = np.zeros((2 * m, size))
         self.sy = np.zeros(m)
         self.yy = np.zeros((m, m))
@@ -556,24 +561,30 @@ class _Memory:
         self.coefficients = np.empty(2 * m)
         self.gamma = 0.0
         self.slots = []
+        self.spare = 0
 
     def push(self, step: np.ndarray, change: np.ndarray):
         """Store the pair over the oldest when full, if ``s.y > 1e-10 |s||y|``
         (else ``H`` could lose positive definiteness)."""
-        sy = step.dot(change)
-        yy = change.dot(change)
+        m = self.sy.size
+        slot = self.spare
+        rows = self.rows
+        rows[slot] = step
+        rows[m + slot] = change
+        products = rows.dot(change)
+        sy = products[slot]
+        yy = products[m + slot]
         if not sy > 1e-10 * math.sqrt(step.dot(step) * yy):
+            # rows slot and m + slot: a zero row times a zero coefficient
+            # stays zero in a direction even when the pair overflowed
+            rows[slot::m] = 0.0
             return
-        m = _LBFGS_MEMORY
-        if len(self.slots) == m:
-            slot = self.slots.pop(0)
-            self.r_inv[slot] = 0.0
-        else:
-            slot = len(self.slots)
+        if len(self.slots) == _LBFGS_MEMORY:
+            self.spare = self.slots.pop(0)
+            self.r_inv[self.spare] = 0.0
+        else:  # from empty, the slots fill in index order
+            self.spare = len(self.slots) + 1
         self.slots.append(slot)
-        self.rows[slot] = step
-        self.rows[m + slot] = change
-        products = self.rows.dot(change)
         # R gains the column S^T y with diagonal s.y, so R^-1 gains the
         # column -R^-1 S^T y / s.y with diagonal 1 / s.y
         self.r_inv[:, slot] = self.r_inv.dot(products[:m]) / -sy
@@ -585,13 +596,14 @@ class _Memory:
     def clear(self):
         self.slots.clear()
         self.r_inv[:] = 0.0
+        self.spare = 0
 
     def direction(self, grad: np.ndarray) -> np.ndarray:
         """``-H g``, with the row coefficients ``-v`` and ``gamma u`` written
         into one preallocated vector.  ``-v`` is taken as ``(gamma (Y^T g -
         Y^T Y u) - D u) R^-1``: negation is exact, so it rounds as ``v``
         does."""
-        m = _LBFGS_MEMORY
+        m = self.sy.size
         products = self.rows.dot(grad)
         u = self.r_inv.dot(products[:m])
         coefficients = self.coefficients

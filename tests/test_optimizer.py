@@ -608,6 +608,25 @@ class TestLbfgsSolver:
             assert np.abs(got - expected).max() <= \
                 1e-12 * np.abs(expected).max()
 
+    def test_rejected_overflowing_pair_leaves_the_direction(self):
+        # a candidate pair is written into the spare slot before its test;
+        # one whose gradient change overflowed must not reach a direction
+        rng = np.random.default_rng(3)
+        memory = _Memory(4)
+        pairs = []
+        for _ in range(_LBFGS_MEMORY + 2):
+            s = rng.normal(size=4)
+            pairs = (pairs + [(s, 2.0 * s)])[-_LBFGS_MEMORY:]
+            memory.push(*pairs[-1])
+        before = list(memory.slots)
+        with np.errstate(invalid="ignore"):
+            memory.push(rng.normal(size=4), np.full(4, np.inf))
+        assert memory.slots == before
+        grad = rng.normal(size=4)
+        expected = self.textbook_direction(pairs, grad)
+        assert np.abs(memory.direction(grad) - expected).max() <= \
+            1e-12 * np.abs(expected).max()
+
     def test_scale_is_one_without_the_acyclicity_terms(self):
         # lam1 = c = 0 leaves the solve's variables unscaled, so the paths
         # above run exactly as the unscaled solve; so does the baseline's
