@@ -26,6 +26,8 @@ def default_labels(dim: int) -> tuple[str, ...]:
 
 def is_integer(value) -> bool:
     """True for Python and numpy integers; bools and floats are not integers."""
+    if type(value) is int:
+        return True
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 

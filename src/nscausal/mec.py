@@ -15,13 +15,20 @@ member search branches from its parent's closed graph plus one edge
 instead of closing every branch from scratch.  Both give exactly the
 orientations, and so the members in the order, of a closure that rescans
 every edge after every step.
+
+Graphs are held as bit masks: a node's parents, children, undirected
+neighbours and skeleton neighbours are each one Python int with bit ``k``
+set for node ``k``, so the rules, the acyclicity checks and the
+v-structure checks are integer operations, and a branch copies lists of
+ints.  Endpoints are converted with ``int()`` before any shift, because
+``1 << np.int64(j)`` wraps past bit 63.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedDag, check_count, check_node, default_labels, topological_order
+from .graph import WeightedDag, check_count, check_node, default_labels
 
 DEFAULT_MEMBER_CAP = 10_000
 # A true CPDAG never dead-ends in the search, but a hand-built ``Cpdag`` that
@@ -29,6 +36,57 @@ DEFAULT_MEMBER_CAP = 10_000
 # alone does not bound the work; this is the one bound checked before any
 # work starts.
 _MAX_UNDIRECTED = 24
+
+
+def _bits(mask: int):
+    """The nodes of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _mask(nodes) -> int:
+    mask = 0
+    for n in nodes:
+        mask |= 1 << int(n)
+    return mask
+
+
+def _parent_masks(dim: int, edges) -> list:
+    parents = [0] * dim
+    for i, j in edges:
+        parents[j] |= 1 << int(i)
+    return parents
+
+
+def _acyclic(parents: list) -> bool:
+    """Whether the graph with these parent masks has no directed cycle:
+    place every node whose parents are all placed until none is left."""
+    placed, rest = 0, list(enumerate(parents))
+    while rest:
+        left = []
+        for v, pa in rest:
+            if pa & ~placed:
+                left.append((v, pa))
+            else:
+                placed |= 1 << v
+        if len(left) == len(rest):
+            return False
+        rest = left
+    return True
+
+
+def _collider_parents(pa: int, adjacency: list) -> int:
+    """The parents in ``pa`` that have a non-adjacent co-parent in ``pa``:
+    the tails of the v-structures into the node whose parents ``pa`` are."""
+    found = 0
+    if not pa & (pa - 1):  # fewer than two parents
+        return found
+    for x in _bits(pa):
+        if pa & ~(adjacency[x] | 1 << x):
+            found |= 1 << x
+    return found
 
 
 @dataclass(frozen=True)
@@ -45,6 +103,12 @@ class Cpdag:
         labels = self.labels or default_labels(self.dim)
         if len(labels) != self.dim:
             raise ValueError(f"expected {self.dim} labels")
+        for name, edges in (("directed", self.directed),
+                            ("undirected", self.undirected)):
+            for edge in edges:
+                if not (isinstance(edge, tuple) and len(edge) == 2):
+                    raise ValueError(f"each {name} edge must be a pair "
+                                     f"(i, j), got {edge!r}")
         undirected = frozenset(tuple(sorted(e)) for e in self.undirected)
         for i, j in list(self.directed) + list(undirected):
             check_node("edge endpoint", i, self.dim)
@@ -56,10 +120,7 @@ class Cpdag:
                 raise ValueError(f"edge ({i}, {j}) is both directed and undirected")
             if (j, i) in self.directed:
                 raise ValueError(f"edge ({i}, {j}) directed both ways")
-        pattern = np.zeros((self.dim, self.dim))
-        for i, j in self.directed:
-            pattern[i, j] = 1.0
-        if topological_order(pattern) is None:
+        if not _acyclic(_parent_masks(self.dim, self.directed)):
             raise ValueError("directed subgraph of a CPDAG must be acyclic")
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "directed", frozenset(self.directed))
@@ -67,18 +128,6 @@ class Cpdag:
 
     def skeleton(self) -> frozenset:
         return frozenset(tuple(sorted(e)) for e in self.directed) | self.undirected
-
-
-def _v_structures(parents: list, adjacency: list) -> set:
-    """Collider triples (x, z, y), x < y, with x and y non-adjacent."""
-    found = set()
-    for z, pa in enumerate(parents):
-        pa = sorted(pa)
-        for idx, x in enumerate(pa):
-            for y in pa[idx + 1:]:
-                if y not in adjacency[x]:
-                    found.add((x, z, y))
-    return found
 
 
 class _Closure:
@@ -93,61 +142,64 @@ class _Closure:
       4. a - b, a - d, d -> c, c -> b,
          b and d non-adjacent                          =>  a -> b
 
-    Per-node parent, child and undirected-neighbour sets index the rules.
-    ``compelled`` maps every undirected edge ``(i, j)``, ``i < j``, that some
-    rule orients in the current graph to that orientation, ``i -> j``
-    preferred.  Closing orients the smallest such edge, one at a time, and
-    after ``x -> y`` re-checks only the undirected edges whose status that
-    can change: those touching ``x`` or ``y``, and those joining an
-    undirected neighbour of ``x`` to a child of ``y`` (rule 4 through
-    ``x -> y``).  Every other edge keeps its status, so each step orients the
-    same edge as a full rescan would.
+    Per-node parent, child, undirected-neighbour and skeleton-neighbour
+    masks index the rules.  ``compelled`` maps every undirected edge
+    ``(i, j)``, ``i < j``, that some rule orients in the current graph to
+    that orientation, ``i -> j`` preferred.  Closing orients the smallest
+    such edge, one at a time, and after ``x -> y`` re-checks only the
+    undirected edges whose status that can change: those touching ``x`` or
+    ``y``, and those joining an undirected neighbour of ``x`` to a child of
+    ``y`` (rule 4 through ``x -> y``).  Every other edge keeps its status, so
+    each step orients the same edge as a full rescan would.
     """
 
     def __init__(self, adjacency: list, directed):
-        """Skeleton neighbours per node (kept, never changed) and the
+        """Skeleton neighbour sets per node (kept, never changed) and the
         directed edges; every other skeleton edge is undirected."""
-        self.adjacency = adjacency
         dim = len(adjacency)
-        self.parents = [set() for _ in range(dim)]
-        self.children = [set() for _ in range(dim)]
+        self.adjacency = [_mask(near) for near in adjacency]
+        self.parents = [0] * dim
+        self.children = [0] * dim
         for i, j in directed:
-            self.parents[j].add(i)
-            self.children[i].add(j)
-        self.neighbours = [adjacency[i] - self.parents[i] - self.children[i]
-                           for i in range(dim)]
+            i, j = int(i), int(j)
+            self.parents[j] |= 1 << i
+            self.children[i] |= 1 << j
+        self.neighbours = [near & ~(pa | ch) for near, pa, ch
+                           in zip(self.adjacency, self.parents, self.children)]
         self.compelled: dict = {}
-        self._recheck(self.undirected())
+        self._recheck((i, nb >> i + 1 << i + 1)
+                      for i, nb in enumerate(self.neighbours))
 
     def copy(self) -> "_Closure":
         other = object.__new__(_Closure)
         other.adjacency = self.adjacency
-        other.parents = [set(s) for s in self.parents]
-        other.children = [set(s) for s in self.children]
-        other.neighbours = [set(s) for s in self.neighbours]
-        other.compelled = dict(self.compelled)
+        other.parents = self.parents.copy()
+        other.children = self.children.copy()
+        other.neighbours = self.neighbours.copy()
+        other.compelled = self.compelled.copy()
         return other
 
     def directed(self) -> frozenset:
         return frozenset((i, j) for j, pa in enumerate(self.parents)
-                         for i in pa)
+                         for i in _bits(pa))
 
     def undirected(self) -> frozenset:
         return frozenset((i, j) for i, nb in enumerate(self.neighbours)
-                         for j in nb if i < j)
+                         for j in _bits(nb >> i + 1 << i + 1))
 
     def orient(self, x: int, y: int) -> None:
         """Direct the undirected edge ``x - y`` as ``x -> y``."""
         self.compelled.pop((x, y) if x < y else (y, x), None)
         nb = self.neighbours
-        nb[x].discard(y)
-        nb[y].discard(x)
-        self.parents[y].add(x)
-        self.children[x].add(y)
-        touched = [(x, n) for n in nb[x]] + [(y, n) for n in nb[y]]
+        nb[x] &= ~(1 << y)
+        nb[y] &= ~(1 << x)
+        self.parents[y] |= 1 << x
+        self.children[x] |= 1 << y
+        touched = [(x, nb[x]), (y, nb[y])]
         below_y = self.children[y]
-        for u in nb[x]:
-            touched.extend((u, v) for v in below_y & nb[u])
+        for u in _bits(nb[x]):
+            if below_y & nb[u]:
+                touched.append((u, below_y & nb[u]))
         self._recheck(touched)
 
     def close(self) -> "_Closure":
@@ -157,34 +209,38 @@ class _Closure:
             self.orient(*compelled[min(compelled)])
         return self
 
-    def _recheck(self, edges) -> None:
-        for a, b in edges:
-            edge = (a, b) if a < b else (b, a)
-            a, b = edge
-            if self._compelled(a, b):
-                self.compelled[edge] = edge
-            elif self._compelled(b, a):
-                self.compelled[edge] = (b, a)
-            else:
-                self.compelled.pop(edge, None)
+    def _recheck(self, stars) -> None:
+        """Re-check the undirected edges from each node ``u`` to the nodes of
+        ``mask``, for every ``(u, mask)`` in ``stars``."""
+        compelled = self.compelled
+        for u, mask in stars:
+            for v in _bits(mask):
+                edge = a, b = (u, v) if u < v else (v, u)
+                if self._compelled(a, b):
+                    compelled[edge] = edge
+                elif self._compelled(b, a):
+                    compelled[edge] = (b, a)
+                else:
+                    compelled.pop(edge, None)
 
     def _compelled(self, a: int, b: int) -> bool:
         """Whether a rule orients the undirected edge ``a - b`` as ``a -> b``."""
         adjacency, children, into_b = self.adjacency, self.children, self.parents[b]
         near_b = adjacency[b]
         # rule 1 (b itself is no parent of a while a - b is undirected)
-        if any(c not in near_b for c in self.parents[a]):
+        if self.parents[a] & ~near_b:
             return True
-        if not children[a].isdisjoint(into_b):  # rule 2
+        if not into_b:  # rules 2-4 each need a parent of b
+            return False
+        if children[a] & into_b:  # rule 2
             return True
         linked = self.neighbours[a] & into_b  # rule 3
-        if len(linked) > 1 and any(d != c and d not in adjacency[c]
-                                   for c in linked for d in linked):
+        if linked & (linked - 1) and any(linked & ~(adjacency[c] | 1 << c)
+                                         for c in _bits(linked)):
             return True
-        for d in self.neighbours[a]:  # rule 4
-            if d != b and d not in near_b and not children[d].isdisjoint(into_b):
-                return True
-        return False
+        # rule 4
+        return any(children[d] & into_b
+                   for d in _bits(self.neighbours[a] & ~(near_b | 1 << b)))
 
 
 def _adjacency(dim: int, skeleton) -> list:
@@ -202,19 +258,15 @@ def dag_to_cpdag(g: WeightedDag, outcome_sink: bool = False) -> Cpdag:
     pre-oriented into the outcome before closure, so all members keep the
     outcome childless.  The input must already satisfy the constraint.
     """
-    order = topological_order(g.weights)
-    if order is None:
+    rows, cols = np.nonzero(g.weights)
+    edges = list(zip(rows.tolist(), cols.tolist()))
+    parents = _parent_masks(g.dim, edges)
+    if not _acyclic(parents):
         raise ValueError("input graph must be acyclic")
-    edges = {(int(i), int(j)) for i, j in zip(*np.nonzero(g.weights))}
-    skeleton = {tuple(sorted(e)) for e in edges}
-    adjacency = _adjacency(g.dim, skeleton)
-    parents = [set() for _ in range(g.dim)]
-    for i, j in edges:
-        parents[j].add(i)
-    directed = set()
-    for x, z, y in _v_structures(parents, adjacency):
-        directed.add((x, z))
-        directed.add((y, z))
+    adjacency = _adjacency(g.dim, edges)
+    near = [_mask(s) for s in adjacency]
+    directed = {(x, z) for z, pa in enumerate(parents)
+                for x in _bits(_collider_parents(pa, near))}
     if outcome_sink:
         out = g.outcome_index
         if np.any(g.weights[out, :] != 0):
@@ -235,43 +287,48 @@ def enumerate_mec(c: Cpdag, cap: int = DEFAULT_MEMBER_CAP,
     the directed part of the CPDAG.  The search is depth first: it orients
     the largest remaining undirected edge ``(i, j)`` as ``j -> i``, then as
     ``i -> j``, and closes each choice under the orientation rules before
-    going deeper.  Each branch starts from a copy of its parent's closed
-    graph plus the one new edge and re-checks only the edges that edge can
-    affect (see ``_Closure``).  Members therefore come in ascending
-    orientation code, where bit ``k`` is set when the ``k``-th sorted
-    undirected edge points from its lower to its higher index.  Each leaf
-    is checked for acyclicity and v-structures, which a hand-built ``Cpdag``
-    that is not closed under the rules needs.  ``cap`` must be an integer
-    of at least 1 (numpy integers included, bools not) and ``c`` may have at
-    most 24 undirected edges, both checked before any work; the search
-    raises once the member count exceeds ``cap``, so the work is bounded by
-    ``cap + 1`` members.
+    going deeper.  The first branch starts from a copy of its parent's
+    closed graph plus the one new edge, the second from the parent itself,
+    and each re-checks only the edges that edge can affect (see
+    ``_Closure``).  Members therefore come in ascending orientation code,
+    where bit ``k`` is set when the ``k``-th sorted undirected edge points
+    from its lower to its higher index.  Each leaf is checked for
+    acyclicity and for a v-structure with a newly oriented edge, which a
+    hand-built ``Cpdag`` that is not closed under the rules needs.  ``cap``
+    must be an integer of at least 1 (numpy integers included, bools not)
+    and ``c`` may have at most 24 undirected edges, both checked before any
+    work; the search raises once the member count exceeds ``cap``, so the
+    work is bounded by ``cap + 1`` members.
     """
     check_count("cap", cap)
     if len(c.undirected) > _MAX_UNDIRECTED:
         raise ValueError(f"{len(c.undirected)} undirected edges is beyond "
                          "the enumeration limit")
     root = _Closure(_adjacency(c.dim, c.skeleton()), c.directed)
-    reference = _v_structures(root.parents, root.adjacency)
+    given, near = root.parents.copy(), root.adjacency
     members = []
 
     def search(state):
-        undirected = state.undirected()
-        if undirected:
-            i, j = max(undirected)
-            for x, y in ((j, i), (i, j)):
-                branch = state.copy()
-                branch.orient(x, y)
-                search(branch.close())
+        nb = state.neighbours
+        if any(nb):  # branch on the largest undirected edge (i, j), i < j
+            i = next(i for i in range(c.dim - 2, -1, -1) if nb[i] >> i + 1)
+            j = i + (nb[i] >> i + 1).bit_length()
+            branch = state.copy()
+            branch.orient(j, i)
+            search(branch.close())
+            state.orient(i, j)
+            search(state.close())
+            return
+        parents = state.parents
+        if any(_collider_parents(pa, near) & ~old  # a new v-structure
+               for pa, old in zip(parents, given)):
+            return
+        if not _acyclic(parents):
             return
         w = np.zeros((c.dim, c.dim))
-        for j, pa in enumerate(state.parents):
-            for i in pa:
+        for j, pa in enumerate(parents):
+            for i in _bits(pa):
                 w[i, j] = 1.0
-        if topological_order(w) is None:
-            return
-        if _v_structures(state.parents, state.adjacency) != reference:
-            return
         members.append(WeightedDag(w, c.labels, outcome_index))
         if len(members) > cap:
             raise ValueError(f"equivalence class exceeds the cap of {cap} members")
@@ -287,6 +344,9 @@ def mec_average(members: list) -> np.ndarray:
     dims = {m.dim for m in members}
     if len(dims) != 1:
         raise ValueError(f"members disagree on dimension: {sorted(dims)}")
+    labels = {m.labels for m in members}
+    if len(labels) != 1:
+        raise ValueError(f"members disagree on labels: {sorted(labels)}")
     total = np.zeros((members[0].dim, members[0].dim))
     for m in members:
         total += m.weights

@@ -903,7 +903,8 @@ def fit(data: Dataset, config: FitConfig = FitConfig(),
 
     Every fit starts from ``warm_start``, a selection-free fit of the same
     data, at its raw graph and its last ``lambda1`` and ``c``; without one,
-    the fit is computed here with ``fit_baseline``.  A selective fit
+    the fit is computed here with ``fit_baseline``.  A warm start that is
+    not a ``FitResult`` or has no ``diagnostics`` rows, a selective fit
     (``delta_star_used`` not 0) or a fit of data with another ``dim``,
     ``outcome_index`` or ``labels`` is a ``ValueError``.
     When the warm start is nearly acyclic, the selection rule runs on it
@@ -919,6 +920,12 @@ def fit(data: Dataset, config: FitConfig = FitConfig(),
     stops by ``fit_baseline``'s rule, with ``|h2|`` within the cutoff.
     """
     if warm_start is not None:
+        if not isinstance(warm_start, FitResult):
+            raise ValueError("warm_start must be a FitResult, got "
+                             f"{type(warm_start).__name__}")
+        if not warm_start.diagnostics:
+            raise ValueError("warm_start has no diagnostics rows, so it has "
+                             "no lambda1 and c to start from")
         if warm_start.delta_star_used != 0:
             raise ValueError("warm_start must be a selection-free fit, got a "
                              "selective fit with delta_star_used "

@@ -462,6 +462,13 @@ class TestMecAverage:
         with pytest.raises(ValueError):
             mec_average([a, b])
 
+    def test_rejects_label_mismatch(self):
+        # only dim was checked, so the average came back without complaint
+        a = WeightedDag(np.zeros((2, 2)), labels=("a", "b"))
+        b = WeightedDag(np.zeros((2, 2)), labels=("c", "d"))
+        with pytest.raises(ValueError, match="^members disagree on labels"):
+            mec_average([a, b])
+
 
 class TestCpdagValidation:
     def test_directed_and_undirected_must_be_disjoint(self):
@@ -493,3 +500,37 @@ class TestCpdagValidation:
                                          labels, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             Cpdag(dim, frozenset(directed), frozenset(undirected), labels)
+
+    @pytest.mark.parametrize("directed, undirected, name, entry", [
+        ((), ((0, 1, 2),), "undirected", r"\(0, 1, 2\)"),
+        ((5,), (), "directed", "5"),
+        (((0, 1, 2),), (), "directed", r"\(0, 1, 2\)"),
+        ((), ((1,),), "undirected", r"\(1,\)"),
+    ], ids=["undirected-triple", "directed-int", "directed-triple",
+            "undirected-single"])
+    def test_edge_that_is_no_pair_is_an_error(self, directed, undirected,
+                                              name, entry):
+        # raised "too many values to unpack" or "cannot unpack non-iterable"
+        with pytest.raises(ValueError, match=f"^each {name} edge must be a "
+                                             rf"pair \(i, j\), got {entry}$"):
+            Cpdag(3, frozenset(directed), frozenset(undirected))
+
+
+class TestNumpyEndpoints:
+    # 1 << np.int64(j) wraps past bit 63, so the masks must take int(j)
+    def test_numpy_endpoints_past_bit_63_enumerate_as_python_ints(self):
+        def cpdag(node):
+            return Cpdag(70, frozenset({(node(0), node(1))}),
+                         frozenset({(node(65), node(66)),
+                                    (node(66), node(67))}))
+
+        wide = enumerate_mec(cpdag(np.int64))
+        plain = enumerate_mec(cpdag(int))
+        assert len(wide) == 3
+        assert [m.weights.tobytes() for m in wide] == \
+            [m.weights.tobytes() for m in plain]
+
+    def test_cpdag_of_a_dag_past_bit_63(self):
+        c = dag_to_cpdag(dag_from_edges([(0, 1), (65, 66), (66, 67)], 70))
+        assert c.directed == frozenset()
+        assert c.undirected == {(0, 1), (65, 66), (66, 67)}

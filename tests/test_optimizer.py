@@ -1214,6 +1214,28 @@ class TestFit:
                                match="^warm_start must be a selection-free"):
                 fit(data, config, warm_start=selective)
 
+    @pytest.mark.parametrize("case", ["graph", "no-rows"])
+    def test_malformed_warm_start_is_rejected(self, monkeypatch, case):
+        # a WeightedDag raised AttributeError (delta_star_used), a result
+        # without diagnostics rows IndexError (diagnostics[-1])
+        import nscausal.optimizer as optimizer
+
+        _, _, data = s1_replication(100)
+        base = fit_baseline(data)
+        warm, message = {
+            "graph": (base.graph, "^warm_start must be a FitResult, got "
+                                  "WeightedDag$"),
+            "no-rows": (replace(base, diagnostics=()),
+                        "^warm_start has no diagnostics rows")}[case]
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("fit ran before checking its warm start")
+
+        monkeypatch.setattr(optimizer, "_engine", no_work)
+        for config in (FitConfig(), FitConfig(delta_star=1.0)):
+            with pytest.raises(ValueError, match=message):
+                fit(data, config, warm_start=warm)
+
     def test_inner_solves_never_increase_the_objective(self):
         _, _, data = s1_replication(1)
         result = fit(data, FitConfig(effect_kind="te"))
