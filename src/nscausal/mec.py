@@ -20,7 +20,9 @@ Graphs are held as bit masks: a node's parents, children, undirected
 neighbours and skeleton neighbours are each one Python int with bit ``k``
 set for node ``k``, so the rules, the acyclicity checks and the
 v-structure checks are integer operations, and a branch copies lists of
-ints.  Endpoints are converted with ``int()`` before any shift, because
+ints.  Each input graph is read into parent and skeleton masks once, and
+converted back only at the public ``Cpdag``/``WeightedDag`` boundary.
+Endpoints are converted with ``int()`` before any shift, because
 ``1 << np.int64(j)`` wraps past bit 63.
 """
 
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedDag, check_count, check_node, default_labels
+from .graph import (WeightedDag, check_count, check_node, default_labels,
+                    outcome_position)
 
 DEFAULT_MEMBER_CAP = 10_000
 # A true CPDAG never dead-ends in the search, but a hand-built ``Cpdag`` that
@@ -46,18 +49,19 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _mask(nodes) -> int:
-    mask = 0
-    for n in nodes:
-        mask |= 1 << int(n)
-    return mask
-
-
 def _parent_masks(dim: int, edges) -> list:
     parents = [0] * dim
     for i, j in edges:
         parents[j] |= 1 << int(i)
     return parents
+
+
+def _children(parents: list) -> list:
+    children = [0] * len(parents)
+    for j, pa in enumerate(parents):
+        for i in _bits(pa):
+            children[i] |= 1 << j
+    return children
 
 
 def _acyclic(parents: list) -> bool:
@@ -153,17 +157,13 @@ class _Closure:
     each step orients the same edge as a full rescan would.
     """
 
-    def __init__(self, adjacency: list, directed):
-        """Skeleton neighbour sets per node (kept, never changed) and the
-        directed edges; every other skeleton edge is undirected."""
-        dim = len(adjacency)
-        self.adjacency = [_mask(near) for near in adjacency]
-        self.parents = [0] * dim
-        self.children = [0] * dim
-        for i, j in directed:
-            i, j = int(i), int(j)
-            self.parents[j] |= 1 << i
-            self.children[i] |= 1 << j
+    def __init__(self, adjacency: list, parents: list):
+        """Skeleton neighbour masks per node (kept, never changed) and the
+        parent masks of the directed edges; every other skeleton edge is
+        undirected."""
+        self.adjacency = adjacency
+        self.parents = parents.copy()
+        self.children = _children(parents)
         self.neighbours = [near & ~(pa | ch) for near, pa, ch
                            in zip(self.adjacency, self.parents, self.children)]
         self.compelled: dict = {}
@@ -243,14 +243,6 @@ class _Closure:
                    for d in _bits(self.neighbours[a] & ~(near_b | 1 << b)))
 
 
-def _adjacency(dim: int, skeleton) -> list:
-    adjacency = [set() for _ in range(dim)]
-    for i, j in skeleton:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    return adjacency
-
-
 def dag_to_cpdag(g: WeightedDag, outcome_sink: bool = False) -> Cpdag:
     """CPDAG of the class of ``g``; optionally restrict the outcome to a sink.
 
@@ -258,23 +250,17 @@ def dag_to_cpdag(g: WeightedDag, outcome_sink: bool = False) -> Cpdag:
     pre-oriented into the outcome before closure, so all members keep the
     outcome childless.  The input must already satisfy the constraint.
     """
-    rows, cols = np.nonzero(g.weights)
-    edges = list(zip(rows.tolist(), cols.tolist()))
-    parents = _parent_masks(g.dim, edges)
+    parents = _parent_masks(g.dim, np.argwhere(g.weights).tolist())
     if not _acyclic(parents):
         raise ValueError("input graph must be acyclic")
-    adjacency = _adjacency(g.dim, edges)
-    near = [_mask(s) for s in adjacency]
-    directed = {(x, z) for z, pa in enumerate(parents)
-                for x in _bits(_collider_parents(pa, near))}
+    adjacency = [pa | ch for pa, ch in zip(parents, _children(parents))]
+    compelled = [_collider_parents(pa, adjacency) for pa in parents]
     if outcome_sink:
         out = g.outcome_index
-        if np.any(g.weights[out, :] != 0):
+        if adjacency[out] != parents[out]:
             raise ValueError("outcome-sink knowledge contradicts the input graph")
-        for nb in adjacency[out]:
-            if (out, nb) not in directed:
-                directed.add((nb, out))
-    closed = _Closure(adjacency, directed).close()
+        compelled[out] = adjacency[out]
+    closed = _Closure(adjacency, compelled).close()
     return Cpdag(g.dim, closed.directed(), closed.undirected(), g.labels)
 
 
@@ -295,17 +281,20 @@ def enumerate_mec(c: Cpdag, cap: int = DEFAULT_MEMBER_CAP,
     from its lower to its higher index.  Each leaf is checked for
     acyclicity and for a v-structure with a newly oriented edge, which a
     hand-built ``Cpdag`` that is not closed under the rules needs.  ``cap``
-    must be an integer of at least 1 (numpy integers included, bools not)
-    and ``c`` may have at most 24 undirected edges, both checked before any
-    work; the search raises once the member count exceeds ``cap``, so the
-    work is bounded by ``cap + 1`` members.
+    must be an integer of at least 1 (numpy integers included, bools not),
+    ``c`` may have at most 24 undirected edges and ``outcome_index`` must
+    be a node of ``c`` (negatives count from the end), all checked before
+    any work; the search raises once the member count exceeds ``cap``, so
+    the work is bounded by ``cap + 1`` members.
     """
     check_count("cap", cap)
     if len(c.undirected) > _MAX_UNDIRECTED:
         raise ValueError(f"{len(c.undirected)} undirected edges is beyond "
                          "the enumeration limit")
-    root = _Closure(_adjacency(c.dim, c.skeleton()), c.directed)
-    given, near = root.parents.copy(), root.adjacency
+    outcome_position(outcome_index, c.dim)
+    given = _parent_masks(c.dim, c.directed)
+    low = _parent_masks(c.dim, c.skeleton())
+    adjacency = [pa | ch for pa, ch in zip(low, _children(low))]
     members = []
 
     def search(state):
@@ -320,7 +309,7 @@ def enumerate_mec(c: Cpdag, cap: int = DEFAULT_MEMBER_CAP,
             search(state.close())
             return
         parents = state.parents
-        if any(_collider_parents(pa, near) & ~old  # a new v-structure
+        if any(_collider_parents(pa, adjacency) & ~old  # a new v-structure
                for pa, old in zip(parents, given)):
             return
         if not _acyclic(parents):
@@ -333,7 +322,7 @@ def enumerate_mec(c: Cpdag, cap: int = DEFAULT_MEMBER_CAP,
         if len(members) > cap:
             raise ValueError(f"equivalence class exceeds the cap of {cap} members")
 
-    search(root)
+    search(_Closure(adjacency, given))
     return members
 
 

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nscausal import mec
-from nscausal.graph import WeightedDag, is_acyclic
+from nscausal.graph import WeightedDag
 from nscausal.mec import Cpdag, dag_to_cpdag, enumerate_mec, mec_average
 
 
@@ -18,10 +18,18 @@ def dag_from_edges(edges, dim):
 
 
 def _acyclic(edges, dim):
-    w = np.zeros((dim, dim))
+    """Whether the edge set has no directed cycle: remove sources until no
+    node is left, or none of those left is a source."""
+    parents = {v: set() for v in range(dim)}
     for i, j in edges:
-        w[i, j] = 1.0
-    return is_acyclic(WeightedDag(w))
+        parents[j].add(i)
+    left = set(range(dim))
+    while left:
+        sources = {v for v in left if not parents[v] & left}
+        if not sources:
+            return False
+        left -= sources
+    return True
 
 
 def _vstructs(edges, skeleton):
@@ -107,27 +115,23 @@ def patterns_of(members):
             for m in members]
 
 
+def parent_masks(dim, edges):
+    """Bit ``i`` of entry ``j`` set for every edge ``(i, j)``."""
+    masks = [0] * dim
+    for i, j in edges:
+        masks[j] |= 1 << i
+    return masks
+
+
 def brute_class_sizes(dim):
-    """MEC size of every DAG by exhaustive orientation of its skeleton."""
-    sizes = {}
-    by_skeleton = {}
+    """MEC size of every DAG: two DAGs are Markov equivalent exactly when
+    they share a skeleton and v-structures (Verma & Pearl 1990)."""
+    classes = {}
     for dag in all_dags(dim):
         skeleton = frozenset(frozenset(e) for e in dag)
-        by_skeleton.setdefault(skeleton, []).append(dag)
-    for skeleton, dags in by_skeleton.items():
-        pairs = [tuple(sorted(e)) for e in skeleton]
-        classes = {}
-        for bits in itertools.product((0, 1), repeat=len(pairs)):
-            edges = frozenset((i, j) if b == 0 else (j, i)
-                              for (i, j), b in zip(pairs, bits))
-            if not _acyclic(edges, dim):
-                continue
-            signature = _vstructs(edges, pairs)
-            classes.setdefault(signature, set()).add(edges)
-        for members in classes.values():
-            for dag in members:
-                sizes[dag] = len(members)
-    return sizes
+        classes.setdefault((skeleton, _vstructs(dag, dag)), []).append(dag)
+    return {dag: len(members) for members in classes.values()
+            for dag in members}
 
 
 class TestDagToCpdag:
@@ -262,6 +266,18 @@ class TestEnumerateMec:
         with pytest.raises(ValueError, match="^25 undirected edges is beyond"):
             enumerate_mec(c)
 
+    @pytest.mark.parametrize("outcome_index", [99, 1.5, True, -4])
+    def test_outcome_off_the_graph_fails_before_any_work(self, outcome_index,
+                                                         monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the search started")
+
+        c = dag_to_cpdag(dag_from_edges([(0, 1), (1, 2)], 3))
+        monkeypatch.setattr(mec, "_Closure", no_work)
+        with pytest.raises(ValueError, match=r"^outcome_index must be an "
+                                             r"integer in range\(3\)"):
+            enumerate_mec(c, outcome_index=outcome_index)
+
     def test_members_come_in_ascending_orientation_code(self):
         c = dag_to_cpdag(dag_from_edges([(0, 1), (1, 2)], 3))
         patterns = [sorted(map(tuple, np.argwhere(m.weights != 0).tolist()))
@@ -341,8 +357,9 @@ class TestMecProperties:
         # each search branch: a copy of a closed graph plus one edge
         skeleton = c.skeleton()
         directed, _ = rescan_closure(c.dim, skeleton, c.directed)
-        adjacency = mec._adjacency(c.dim, skeleton)
-        closed = mec._Closure(adjacency, directed).close()
+        adjacency = parent_masks(c.dim, [e for i, j in skeleton
+                                         for e in ((i, j), (j, i))])
+        closed = mec._Closure(adjacency, parent_masks(c.dim, directed)).close()
         assert closed.directed() == directed
         for i, j in sorted(closed.undirected()):
             for edge in ((i, j), (j, i)):
@@ -392,8 +409,9 @@ class TestClosure:
         # closed: 0 - 1, 1 - 2, 0 - 2, 0 - 3, 2 -> 3.  Orienting 1 -> 2
         # compels 0 -> 3 by rule 4 (0 - 1, 1 -> 2 -> 3, 1 and 3
         # non-adjacent), though 0 - 3 touches neither 1 nor 2
-        adjacency = [{1, 2, 3}, {0, 2}, {0, 1, 3}, {0, 2}]
-        closed = mec._Closure(adjacency, {(2, 3)}).close()
+        adjacency = [sum(1 << k for k in near)
+                     for near in ({1, 2, 3}, {0, 2}, {0, 1, 3}, {0, 2})]
+        closed = mec._Closure(adjacency, [0, 0, 0, 1 << 2]).close()
         assert closed.directed() == {(2, 3)}
         closed.orient(1, 2)
         assert closed.close().directed() == {(2, 3), (1, 2), (0, 3)}
