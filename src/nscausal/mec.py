@@ -33,7 +33,7 @@ import numpy as np
 from .graph import (WeightedDag, check_count, check_node, default_labels,
                     outcome_position)
 
-DEFAULT_MEMBER_CAP = 10_000
+MEMBER_CAP = 10_000
 # A true CPDAG never dead-ends in the search, but a hand-built ``Cpdag`` that
 # is not one can branch into orientations that yield no member, so the cap
 # alone does not bound the work; this is the one bound checked before any
@@ -264,8 +264,7 @@ def dag_to_cpdag(g: WeightedDag, outcome_sink: bool = False) -> Cpdag:
     return Cpdag(g.dim, closed.directed(), closed.undirected(), g.labels)
 
 
-def enumerate_mec(c: Cpdag, cap: int = DEFAULT_MEMBER_CAP,
-                  outcome_index: int = -1) -> list[WeightedDag]:
+def enumerate_mec(c: Cpdag, outcome_index: int = -1) -> list[WeightedDag]:
     """All member DAGs of the class, as unit-weight graphs.
 
     A member keeps every directed edge, orients every undirected edge, is
@@ -280,14 +279,12 @@ def enumerate_mec(c: Cpdag, cap: int = DEFAULT_MEMBER_CAP,
     where bit ``k`` is set when the ``k``-th sorted undirected edge points
     from its lower to its higher index.  Each leaf is checked for
     acyclicity and for a v-structure with a newly oriented edge, which a
-    hand-built ``Cpdag`` that is not closed under the rules needs.  ``cap``
-    must be an integer of at least 1 (numpy integers included, bools not),
-    ``c`` may have at most 24 undirected edges and ``outcome_index`` must
-    be a node of ``c`` (negatives count from the end), all checked before
-    any work; the search raises once the member count exceeds ``cap``, so
-    the work is bounded by ``cap + 1`` members.
+    hand-built ``Cpdag`` that is not closed under the rules needs.  ``c``
+    may have at most 24 undirected edges and ``outcome_index`` must be a
+    node of ``c`` (negatives count from the end), both checked before any
+    work; the search raises once the member count exceeds ``MEMBER_CAP``,
+    so the work is bounded by ``MEMBER_CAP + 1`` members.
     """
-    check_count("cap", cap)
     if len(c.undirected) > _MAX_UNDIRECTED:
         raise ValueError(f"{len(c.undirected)} undirected edges is beyond "
                          "the enumeration limit")
@@ -319,8 +316,9 @@ def enumerate_mec(c: Cpdag, cap: int = DEFAULT_MEMBER_CAP,
             for i in _bits(pa):
                 w[i, j] = 1.0
         members.append(WeightedDag(w, c.labels, outcome_index))
-        if len(members) > cap:
-            raise ValueError(f"equivalence class exceeds the cap of {cap} members")
+        if len(members) > MEMBER_CAP:
+            raise ValueError(
+                f"equivalence class exceeds the cap of {MEMBER_CAP} members")
 
     search(_Closure(adjacency, given))
     return members

@@ -258,14 +258,6 @@ def _in_data_units(value: float, k: int) -> float:
         return math.copysign(math.inf, value)
 
 
-def _centered_gram(data: Dataset) -> np.ndarray:
-    """``X_c^T X_c / n`` for the column-centered data ``X_c``, ``inf`` past
-    the float range (see ``_unit_gram``)."""
-    gram, k = _unit_gram(data)
-    with np.errstate(over="ignore"):
-        return np.ldexp(gram, k)
-
-
 def _ls(w: np.ndarray, gram: np.ndarray, eye_cols: np.ndarray):
     """``0.5 tr[R^T gram R]`` for the residual ``R = B - eye_cols``, with
     ``eye_cols`` the identity restricted to the active columns, and its
@@ -399,7 +391,9 @@ def least_squares_loss(B: np.ndarray, data: Dataset, mask: np.ndarray):
     """Scaled residual ``(1/2n) ||W - B^T W||_F^2`` over the masked columns.
 
     ``W`` is the column-centered data, as in the fit, so at a fit's raw
-    graph this is the ``f`` of its last ``diagnostics`` row.
+    graph this is the ``f`` of its last ``diagnostics`` row at any data
+    scale: both are formed on the gram of ``_unit_gram`` and then put in
+    data units, ``inf`` past the float range.
 
     The gradient is zeroed on the outcome row and on unselected rows and
     columns.  ``B`` is ``dim x dim`` for the data's ``dim`` nodes, and
@@ -415,10 +409,12 @@ def least_squares_loss(B: np.ndarray, data: Dataset, mask: np.ndarray):
     if not mask[data.outcome_index]:
         raise ValueError("mask must include the outcome column")
     cols = mask.astype(float)
-    loss, grad = _ls(w * cols, _centered_gram(data), np.diag(cols))
+    gram, k = _unit_gram(data)
+    loss, grad = _ls(w * cols, gram, np.diag(cols))
     grad[~mask, :] = 0.0
     grad[data.outcome_index, :] = 0.0
-    return loss, grad
+    with np.errstate(over="ignore"):
+        return _in_data_units(loss, k), np.ldexp(grad, k)
 
 
 def relevance_constraint(B: np.ndarray, mask: np.ndarray, effect_kind: str,

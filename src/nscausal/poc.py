@@ -5,8 +5,8 @@ noise domain with probabilities, and a lookup-table structural function.
 Exact counterfactual probabilities are computed by exhaustive enumeration of
 joint noise assignments; these serve as the oracle against which the
 conditional-probability lower bounds and the empirical product estimators
-are checked.  The enumeration checks ``cap``, an integer of at least 1,
-and the joint noise domain's size against it before the first state.
+are checked.  The enumeration checks the joint noise domain's size
+against ``ENUMERATION_CAP`` before the first state.
 
 The marginal probability of causation of feature ``i`` at outcome value
 ``y`` is ``P(Y(Z_i != z_i) != y, Y(Z_i = z_i) = y)``; the conditional
@@ -28,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (WeightedDag, check_count, check_node, check_nonnegative,
+from .graph import (WeightedDag, check_node, check_nonnegative,
                     topological_order)
 from .scm import Dataset
 
-DEFAULT_ENUMERATION_CAP = 10**7
+ENUMERATION_CAP = 10**7
 POC_KINDS = ("marginal", "conditional")
 
 
@@ -93,12 +93,6 @@ class DiscreteScm:
     def outcome_index(self) -> int:
         return self.graph.outcome_index
 
-    def parents(self, i: int) -> tuple:
-        return self._parent_tuples[i]
-
-    def features(self) -> tuple:
-        return tuple(i for i in range(self.dim) if i != self.outcome_index)
-
     def noise_state_count(self) -> int:
         count = 1
         for dom in self.noise_domains:
@@ -106,18 +100,16 @@ class DiscreteScm:
         return count
 
 
-def _noise_states(scm: DiscreteScm, cap: int):
+def _noise_states(scm: DiscreteScm):
     """Yield (probability, per-node noise tuple), skipping zero-mass states.
 
-    Raises before the first state when ``cap`` is not an integer of at least
-    1 (numpy integers included, bools not) or the joint noise domain exceeds
-    it.
+    Raises before the first state when the joint noise domain exceeds
+    ``ENUMERATION_CAP`` states.
     """
-    check_count("cap", cap)
     states = scm.noise_state_count()
-    if states > cap:
-        raise ValueError(
-            f"joint noise domain has {states} states, exceeding the cap {cap}")
+    if states > ENUMERATION_CAP:
+        raise ValueError(f"joint noise domain has {states} states, exceeding "
+                         f"the cap {ENUMERATION_CAP}")
     for combo in itertools.product(*(range(len(d)) for d in scm.noise_domains)):
         prob = 1.0
         for i, k in enumerate(combo):
@@ -141,10 +133,10 @@ def evaluate(scm: DiscreteScm, noise: tuple, interventions: dict | None = None) 
     return tuple(values)
 
 
-def observational_joint(scm: DiscreteScm, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
+def observational_joint(scm: DiscreteScm) -> dict:
     """Exact joint distribution over node values, as value-tuple -> mass."""
     joint: dict = {}
-    for prob, noise in _noise_states(scm, cap):
+    for prob, noise in _noise_states(scm):
         values = evaluate(scm, noise)
         joint[values] = joint.get(values, 0.0) + prob
     return joint
@@ -228,7 +220,7 @@ def _mixture_miss(scm: DiscreteScm, noise: tuple, i: int, mixture: list,
 
 
 def exact_poc(scm: DiscreteScm, i: int, z_i, y, kind: str = "marginal",
-              z_minus_i=None, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+              z_minus_i=None) -> float:
     """Exact probability of causation of feature ``i`` for outcome value ``y``.
 
     Enumerates every joint noise assignment, evaluates the counterfactual
@@ -240,17 +232,16 @@ def exact_poc(scm: DiscreteScm, i: int, z_i, y, kind: str = "marginal",
     rest = _conditioning_rest(kind, z_minus_i)
     base = _rest_values(scm, i, rest)
     _check_settings(scm, {**base, i: z_i})
-    mixture = _alternative_mixture(scm, observational_joint(scm, cap), i, z_i,
-                                   rest)
-    return _poc_sum(scm, i, z_i, y, base, mixture, cap)
+    mixture = _alternative_mixture(scm, observational_joint(scm), i, z_i, rest)
+    return _poc_sum(scm, i, z_i, y, base, mixture)
 
 
-def _poc_sum(scm: DiscreteScm, i: int, z_i, y, base: dict, mixture: list,
-             cap: int) -> float:
+def _poc_sum(scm: DiscreteScm, i: int, z_i, y, base: dict,
+             mixture: list) -> float:
     """``exact_poc`` given the fixed rest values and the alternative mixture."""
     outcome = scm.outcome_index
     total = 0.0
-    for prob, noise in _noise_states(scm, cap):
+    for prob, noise in _noise_states(scm):
         if evaluate(scm, noise, {**base, i: z_i})[outcome] == y:
             total += prob * _mixture_miss(scm, noise, i, mixture, y, base)
     return float(min(max(total, 0.0), 1.0))
@@ -294,9 +285,9 @@ def poc_lower_bound(probabilities, i: int, z_i, y, kind: str = "marginal",
 class ScmDistribution:
     """Observational conditional probabilities of a DiscreteScm, exact."""
 
-    def __init__(self, scm: DiscreteScm, cap: int = DEFAULT_ENUMERATION_CAP):
+    def __init__(self, scm: DiscreteScm):
         self.scm = scm
-        self.joint = observational_joint(scm, cap)
+        self.joint = observational_joint(scm)
 
     def p_outcome(self, y, i: int, z_i, equal: bool = True, z_minus_i=None) -> float:
         outcome = self.scm.outcome_index
@@ -425,18 +416,16 @@ def _default_rest_values(scm: DiscreteScm, joint: dict, i: int) -> tuple:
     return best[1]
 
 
-def interventional_mean(scm: DiscreteScm, interventions: dict,
-                        cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def interventional_mean(scm: DiscreteScm, interventions: dict) -> float:
     """E[Y] under do(interventions), by enumeration; the keys are node indices."""
     for node in interventions:
         check_node("intervention node", node, scm.dim)
     _check_settings(scm, interventions)
     return float(sum(prob * evaluate(scm, noise, interventions)[scm.outcome_index]
-                     for prob, noise in _noise_states(scm, cap)))
+                     for prob, noise in _noise_states(scm)))
 
 
-def natural_direct_effect(scm: DiscreteScm, i: int,
-                          cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def natural_direct_effect(scm: DiscreteScm, i: int) -> float:
     """Cross-world direct effect of the 0 -> 1 switch of a binary feature.
 
     The remaining features are held at the values they take in the
@@ -445,7 +434,7 @@ def natural_direct_effect(scm: DiscreteScm, i: int,
     rest = _rest_indices(scm, i)
     outcome = scm.outcome_index
     total = 0.0
-    for prob, noise in _noise_states(scm, cap):
+    for prob, noise in _noise_states(scm):
         world0 = evaluate(scm, noise, {i: 0})
         frozen = {j: world0[j] for j in rest}
         cross = evaluate(scm, noise, {**frozen, i: 1})
@@ -453,8 +442,8 @@ def natural_direct_effect(scm: DiscreteScm, i: int,
     return float(total)
 
 
-def effect_poc_profile(scm: DiscreteScm, i: int, z_i, z_minus_i=None,
-                       cap: int = DEFAULT_ENUMERATION_CAP) -> PocEffectProfile:
+def effect_poc_profile(scm: DiscreteScm, i: int, z_i,
+                       z_minus_i=None) -> PocEffectProfile:
     """All six comparison quantities for a binary feature, exactly.
 
     Requires the feature domain to be exactly {0, 1} and a nonnegative
@@ -471,14 +460,14 @@ def effect_poc_profile(scm: DiscreteScm, i: int, z_i, z_minus_i=None,
     if z_minus_i is not None:
         z_minus_i = tuple(z_minus_i)
         _check_settings(scm, _rest_values(scm, i, z_minus_i))
-    dist = ScmDistribution(scm, cap)  # the one observational joint
+    dist = ScmDistribution(scm)  # the one observational joint
     rest_values = z_minus_i if z_minus_i is not None \
         else _default_rest_values(scm, dist.joint, i)
 
     def poc_mass(rest):
         base = _rest_values(scm, i, rest)
         mixture = _alternative_mixture(scm, dist.joint, i, z_i, rest)
-        return sum(y * _poc_sum(scm, i, z_i, y, base, mixture, cap)
+        return sum(y * _poc_sum(scm, i, z_i, y, base, mixture)
                    for y in scm.domains[scm.outcome_index])
 
     poc_mass_m = poc_mass(None)
@@ -487,14 +476,14 @@ def effect_poc_profile(scm: DiscreteScm, i: int, z_i, z_minus_i=None,
                - dist.expected_outcome(i, z_i, equal=False))
     delta_c = (dist.expected_outcome(i, z_i, equal=True, z_minus_i=rest_values)
                - dist.expected_outcome(i, z_i, equal=False, z_minus_i=rest_values))
-    te = interventional_mean(scm, {i: 1}, cap) - interventional_mean(scm, {i: 0}, cap)
-    de = natural_direct_effect(scm, i, cap)
+    te = interventional_mean(scm, {i: 1}) - interventional_mean(scm, {i: 0})
+    de = natural_direct_effect(scm, i)
     return PocEffectProfile(float(poc_mass_m), float(poc_mass_c), float(delta_m),
                             float(delta_c), abs(te), abs(de), rest_values)
 
 
-def _factual_conditional(scm: DiscreteScm, i: int, z_i, y, want_factual: bool,
-                         cap: int) -> float:
+def _factual_conditional(scm: DiscreteScm, i: int, z_i, y,
+                         want_factual: bool) -> float:
     """Shared core of PN and PS: counterfactual flip given a factual event.
 
     PN conditions on ``Z_i = z_i, Y = y`` and weighs the alternatives that
@@ -504,10 +493,10 @@ def _factual_conditional(scm: DiscreteScm, i: int, z_i, y, want_factual: bool,
     check_node("i", i, scm.dim, scm.outcome_index)  # before the joint is built
     _check_settings(scm, {i: z_i})
     outcome = scm.outcome_index
-    mixture = _alternative_mixture(scm, observational_joint(scm, cap), i, z_i)
+    mixture = _alternative_mixture(scm, observational_joint(scm), i, z_i)
     denom = 0.0
     num = 0.0
-    for prob, noise in _noise_states(scm, cap):
+    for prob, noise in _noise_states(scm):
         natural = evaluate(scm, noise)
         if ((natural[i] == z_i) != want_factual
                 or (natural[outcome] == y) != want_factual):
@@ -523,13 +512,11 @@ def _factual_conditional(scm: DiscreteScm, i: int, z_i, y, want_factual: bool,
     return float(num / denom)
 
 
-def exact_pn(scm: DiscreteScm, i: int, z_i, y,
-             cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def exact_pn(scm: DiscreteScm, i: int, z_i, y) -> float:
     """P(Y(Z_i != z_i) != y | Z_i = z_i, Y = y)."""
-    return _factual_conditional(scm, i, z_i, y, want_factual=True, cap=cap)
+    return _factual_conditional(scm, i, z_i, y, want_factual=True)
 
 
-def exact_ps(scm: DiscreteScm, i: int, z_i, y,
-             cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def exact_ps(scm: DiscreteScm, i: int, z_i, y) -> float:
     """P(Y(Z_i = z_i) = y | Z_i != z_i, Y != y)."""
-    return _factual_conditional(scm, i, z_i, y, want_factual=False, cap=cap)
+    return _factual_conditional(scm, i, z_i, y, want_factual=False)

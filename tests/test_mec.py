@@ -205,10 +205,11 @@ class TestEnumerateMec:
             g = dag_from_edges(sorted(dag), 4)
             assert len(enumerate_mec(dag_to_cpdag(g))) == size
 
-    def test_member_cap(self):
+    def test_member_cap(self, monkeypatch):
         c = dag_to_cpdag(dag_from_edges([(0, 1), (1, 2)], 3))
+        monkeypatch.setattr(mec, "MEMBER_CAP", 2)
         with pytest.raises(ValueError):
-            enumerate_mec(c, cap=2)
+            enumerate_mec(c)
 
     def test_complete_graph_has_one_member_per_ordering(self):
         edges = list(itertools.combinations(range(6), 2))
@@ -228,32 +229,21 @@ class TestEnumerateMec:
         assert len(c.undirected) == 20
         assert len(enumerate_mec(c)) == 21
 
-    def test_cap_stops_the_complete_graph_on_seven_nodes(self):
+    def test_cap_stops_the_complete_graph_on_seven_nodes(self, monkeypatch):
         edges = list(itertools.combinations(range(7), 2))
+        monkeypatch.setattr(mec, "MEMBER_CAP", 1000)
         with pytest.raises(ValueError, match="cap of 1000"):
-            enumerate_mec(dag_to_cpdag(dag_from_edges(edges, 7)), cap=1000)
+            enumerate_mec(dag_to_cpdag(dag_from_edges(edges, 7)))
 
-    @pytest.mark.parametrize("cap", [0, -1])
-    def test_cap_below_one_fails_before_any_work(self, cap, monkeypatch):
-        def no_work(*args):
-            raise AssertionError("the search started")
-
-        c = dag_to_cpdag(dag_from_edges([(0, 1)], 2))
-        monkeypatch.setattr(mec, "_Closure", no_work)
-        with pytest.raises(ValueError, match="cap must be at least 1"):
-            enumerate_mec(c, cap=cap)
-
-    @pytest.mark.parametrize("cap", [True, 2.0, "3", None])
-    def test_cap_that_is_no_integer_fails_before_any_work(self, cap,
-                                                           monkeypatch):
-        def no_work(*args):
-            raise AssertionError("the search started")
-
-        c = dag_to_cpdag(dag_from_edges([(0, 1)], 2))
-        monkeypatch.setattr(mec, "_Closure", no_work)
-        with pytest.raises(ValueError, match="cap must be at least 1 and an "
-                                             "integer"):
-            enumerate_mec(c, cap=cap)
+    def test_cap_stops_two_complete_graphs_on_five_nodes(self):
+        # two disjoint complete 5-node DAGs: 20 undirected edges and
+        # 120 * 120 = 14,400 members, past the cap of 10,000
+        edges = list(itertools.combinations(range(5), 2))
+        edges += [(i + 5, j + 5) for i, j in edges]
+        c = dag_to_cpdag(dag_from_edges(edges, 10))
+        assert len(c.undirected) == 20
+        with pytest.raises(ValueError, match="cap of 10000 members$"):
+            enumerate_mec(c)
 
     def test_too_many_undirected_edges_fail_before_any_work(self,
                                                             monkeypatch):

@@ -1,6 +1,6 @@
 """Each module of the package reaches the others through public names only
-(dunder names such as ``__version__`` count as public), and every private
-helper has a caller."""
+(dunder names such as ``__version__`` count as public), every private
+helper has a caller, and every public method and property has a user."""
 
 import ast
 from pathlib import Path
@@ -41,6 +41,39 @@ def test_every_private_function_and_class_is_used_in_the_package():
             if not any(ref == name and id(node) not in own
                        for ref, node in references):
                 unused.append(name)
+    assert unused == []
+
+
+def _is_property(function):
+    return any(isinstance(d, ast.Name) and d.id == "property"
+               for d in function.decorator_list)
+
+
+def test_every_public_method_is_called_and_every_property_read():
+    # a method only the tests call is surface no user needs; a method counts
+    # only as the callee of a call, so an attribute of the same name read
+    # elsewhere (``state.parents``) does not keep it
+    package = Path(nscausal.__file__).parent
+    called, read = set(), set()
+    for folder in ("src", "tools", "demos", "perfbench"):
+        for path in (package.parents[1] / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)):
+                    called.add(node.func.attr)
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for method in cls.body:
+                if (isinstance(method, ast.FunctionDef)
+                        and not method.name.startswith("_")
+                        and method.name not in (read if _is_property(method)
+                                                else called)):
+                    unused.append(f"{cls.name}.{method.name}")
     assert unused == []
 
 

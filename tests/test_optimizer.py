@@ -15,8 +15,8 @@ from nscausal.optimizer import (_FTOL, _GRAD_TOL, _H1_TOL, _LBFGS_HALVINGS,
                                 _LBFGS_MEMORY, _PENALTY_CAP, _PENALTY_INIT,
                                 _STEP_SIZE, DIAGNOSTIC_FIELDS,
                                 SELECTION_H1_GATE, FitConfig,
-                                _centered_gram, _lbfgs_minimize, _Memory,
-                                _Objective, _selection_update, _Solve,
+                                _lbfgs_minimize, _Memory, _Objective,
+                                _selection_update, _Solve, _unit_gram,
                                 acyclicity_gradient, acyclicity_value, fit,
                                 fit_baseline, least_squares_loss,
                                 relevance_constraint)
@@ -197,15 +197,20 @@ class TestLeastSquaresLoss:
     def test_equals_the_fit_objective_at_the_raw_graph(self):
         # the fit minimises f on centered data over its active columns; the
         # public loss is that f, for the baseline and for the te fit from
-        # it, which drops z0
-        _, _, data = s1_replication(300)
-        base = fit_baseline(data)
-        selective = fit(data, FitConfig(effect_kind="te"), warm_start=base)
-        assert selective.selected.tolist() == [False, True, True, True]
-        for result in (base, selective):
-            mask = np.insert(result.selected, data.outcome_index, True)
-            loss, _ = least_squares_loss(result.raw_graph.weights, data, mask)
-            assert loss == result.diagnostics[-1]["f"]
+        # it, which drops z0, at any data scale (both inf past the float
+        # range)
+        _, _, unit = s1_replication(300)
+        for exponent in (0, 520, 1019, -600):
+            data = Dataset(np.ldexp(unit.values, exponent), unit.labels,
+                           unit.outcome_index)
+            base = fit_baseline(data)
+            selective = fit(data, FitConfig(effect_kind="te"), warm_start=base)
+            assert selective.selected.tolist() == [False, True, True, True]
+            for result in (base, selective):
+                mask = np.insert(result.selected, data.outcome_index, True)
+                loss, _ = least_squares_loss(result.raw_graph.weights, data,
+                                             mask)
+                assert loss == result.diagnostics[-1]["f"]
 
     def test_gradient_matches_finite_differences(self, rng):
         values = rng.normal(size=(60, 5))
@@ -255,7 +260,7 @@ class TestLeastSquaresLoss:
         def no_work(*args):
             raise AssertionError("the loss ran before checking its inputs")
 
-        monkeypatch.setattr(optimizer, "_centered_gram", no_work)
+        monkeypatch.setattr(optimizer, "_unit_gram", no_work)
         data = Dataset(np.random.default_rng(0).normal(size=(10, 4)),
                        ("a", "b", "c", "y"), 3)
         with pytest.raises(ValueError, match=f"^{name} must have shape"):
@@ -645,7 +650,7 @@ class TestLbfgsSolver:
         # the unit-free gram, at least squares on the true pattern plus
         # every reversed true edge at 1e-3, so h1 = 5.6e-6
         truth, data = scenario_data(scenario("s2"), 100, 265)
-        gram = _centered_gram(data)
+        gram = _unit_gram(data)[0]
         gram /= np.diag(gram).mean()
         dim = data.dim
         pattern = truth.weights != 0

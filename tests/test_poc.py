@@ -46,10 +46,32 @@ def or_scm(dim):
     return tabular_scm(edges, dim, tables, (0.4,) * dim)
 
 
+def wide_scm(features):
+    """``features`` independent fair binary features ``z_j = u_j`` and
+    ``y = z0 XOR u_y``: ``2^(features + 1)`` joint noise states."""
+    tables = [identity_root()] * features + [
+        {((z,), u): z ^ u for z in (0, 1) for u in (0, 1)}]
+    return tabular_scm([(0, features)], features + 1, tables,
+                       (0.5,) * (features + 1))
+
+
+# every entry point that enumerates the joint noise states, at feature 0
+ENUMERATIONS = [
+    lambda scm: observational_joint(scm),
+    lambda scm: ScmDistribution(scm),
+    lambda scm: exact_poc(scm, 0, 1, 1, "conditional", (0,) * (scm.dim - 2)),
+    lambda scm: exact_pn(scm, 0, 1, 1),
+    lambda scm: exact_ps(scm, 0, 1, 1),
+    lambda scm: interventional_mean(scm, {0: 1}),
+    lambda scm: natural_direct_effect(scm, 0),
+    lambda scm: effect_poc_profile(scm, 0, 1),
+]
+
+
 def _feasible_rest(scm, i):
     """A rest-feature configuration leaving both feature values reachable."""
     joint = observational_joint(scm)
-    rest_idx = [j for j in scm.features() if j != i]
+    rest_idx = [j for j in range(scm.dim) if j not in (i, scm.outcome_index)]
     buckets = {}
     for values, prob in joint.items():
         key = tuple(values[j] for j in rest_idx)
@@ -223,35 +245,43 @@ class TestExactPoc:
         with pytest.raises(ValueError):
             exact_poc(scm, 0, 1, 1, "conditional")
 
-    def test_enumeration_cap(self):
+    def test_enumeration_cap(self, monkeypatch):
         scm = random_binary_scm(np.random.default_rng(1), dim=3)
+        monkeypatch.setattr(poc_mod, "ENUMERATION_CAP", 4)
         with pytest.raises(ValueError, match="cap"):
-            exact_poc(scm, 0, 1, 1, "marginal", cap=4)
+            exact_poc(scm, 0, 1, 1, "marginal")
 
-    @pytest.mark.parametrize("call", [
-        lambda scm, cap: observational_joint(scm, cap),
-        lambda scm, cap: ScmDistribution(scm, cap),
-        lambda scm, cap: exact_poc(scm, 0, 1, 1, "conditional", (0,), cap),
-        lambda scm, cap: exact_pn(scm, 0, 1, 1, cap),
-        lambda scm, cap: exact_ps(scm, 0, 1, 1, cap),
-        lambda scm, cap: interventional_mean(scm, {0: 1}, cap),
-        lambda scm, cap: natural_direct_effect(scm, 0, cap),
-        lambda scm, cap: effect_poc_profile(scm, 0, 1, cap=cap),
-    ])
-    def test_every_enumeration_checks_the_cap(self, call):
+    @pytest.mark.parametrize("call", ENUMERATIONS)
+    def test_every_enumeration_checks_the_cap(self, call, monkeypatch):
         scm = or_scm(3)
-        call(scm, 8)
+        monkeypatch.setattr(poc_mod, "ENUMERATION_CAP", 8)
+        call(scm)
+        monkeypatch.setattr(poc_mod, "ENUMERATION_CAP", 7)
         with pytest.raises(ValueError, match="cap 7"):
-            call(scm, 7)
+            call(scm)
 
-    @pytest.mark.parametrize("cap", [True, 8.0, "8", None, 0, np.int64(-1)])
-    def test_cap_must_be_an_integer_of_at_least_one(self, cap):
-        scm = or_scm(3)
-        observational_joint(scm, np.int64(8))
-        for call in (observational_joint, ScmDistribution):
-            with pytest.raises(ValueError, match="cap must be at least 1 and "
-                                                 "an integer"):
-                call(scm, cap)
+    @pytest.mark.parametrize("call", ENUMERATIONS)
+    def test_the_cap_stops_2_to_the_25_states_before_any_state(self, call,
+                                                                monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a noise state was evaluated")
+
+        scm = wide_scm(24)
+        assert scm.noise_state_count() == 2**25
+        monkeypatch.setattr(poc_mod, "evaluate", no_work)
+        with pytest.raises(ValueError, match="exceeding the cap 10000000$"):
+            call(scm)
+
+    def test_zero_mass_noise_states_are_skipped(self):
+        # y = z0 XOR u with u = 0 surely: the states with u = 1 have zero
+        # mass and leave no entry in the joint, so this is the exact copy
+        tables = (identity_root(), {((z,), u): z ^ u
+                                    for z in (0, 1) for u in (0, 1)})
+        scm = tabular_scm([(0, 1)], 2, tables, (0.5, 0.0))
+        assert observational_joint(scm) == {(0, 0): 0.5, (1, 1): 0.5}
+        copy = deterministic_copy_scm(0.5)
+        for call in (exact_poc, exact_pn, exact_ps):
+            assert call(scm, 0, 1, 1) == call(copy, 0, 1, 1) == 1.0
 
     def test_evaluate_reuses_the_validated_order(self, monkeypatch):
         scm = random_binary_scm(np.random.default_rng(2), dim=4)
