@@ -46,6 +46,9 @@ def _load_fit_config(args) -> FitConfig:
         section = doc.get("fit", {}) if isinstance(doc, dict) else doc
         overrides = io.known_keys(section, FitConfig.__dataclass_fields__,
                                   "fit config")
+        if "effect_kind" in overrides:
+            raise ValueError("fit config key effect_kind is not read: --method "
+                             "(or a bench spec's methods) chooses it")
     return FitConfig(**overrides)
 
 

@@ -4,8 +4,10 @@ For an acyclic weight matrix ``B`` the direct effect of feature ``i`` (``i``
 is a feature index: an integer node, not the outcome) is ``B[i, outcome]``.
 The total effect is the sum over all directed paths from ``i`` to the
 outcome of the product of edge weights along each path; acyclic ``B`` is
-nilpotent, so this equals the ``(i, outcome)`` entry of ``(I - B)^{-1} - I``,
-which the fast implementation uses.  The path sum is the slow reference.
+nilpotent, so this equals the ``(i, outcome)`` entry of ``(I - B)^{-1} - I``.
+``outcome_effects`` is the one kernel that computes it, for the fit and for
+``total_effects`` alike; a total effect that overflows the float range is a
+``ValueError``.  The path sum is the slow reference.
 """
 
 from typing import Callable
@@ -31,16 +33,38 @@ def direct_effect(g: WeightedDag, i: int) -> float:
     return float(g.weights[i, g.outcome_index])
 
 
+def outcome_effects(weights: np.ndarray, outcome: int, kind: str, eye: np.ndarray):
+    """Effect of every node on the outcome, the outcome column of ``B``
+    (``de``) or of ``(I - B)^-1`` (``te``), plus that inverse for the
+    Jacobian (None for ``de``).  The outcome's own entry is not an effect.
+
+    ``te`` is defined wherever ``I - B`` is invertible.  A singular ``I - B``
+    or a non-finite inverse raises ``FloatingPointError``, which the fit's
+    line search treats as a rejected trial.
+    """
+    if kind == "de":
+        return weights[:, outcome], None
+    try:
+        m = np.linalg.inv(eye - weights)
+    except np.linalg.LinAlgError:
+        raise FloatingPointError("I - B is singular") from None
+    if not np.isfinite(m).all():
+        raise FloatingPointError("(I - B)^-1 is not finite")
+    return m[:, outcome], m
+
+
 def total_effects(g: WeightedDag) -> np.ndarray:
     """Total effect of every node on the outcome, by the matrix closed form.
 
-    Entry ``outcome_index`` is set to 0 (no self effect).
+    Entry ``outcome_index`` is set to 0 (no self effect).  A cyclic graph or
+    an overflowing effect is a ``ValueError``.
     """
     if not is_acyclic(g):
         raise ValueError("total effects require an acyclic graph")
-    dim = g.dim
-    inv = np.linalg.inv(np.eye(dim) - g.weights)
-    te = inv[:, g.outcome_index].copy()
+    try:
+        te = outcome_effects(g.weights, g.outcome_index, "te", np.eye(g.dim))[0].copy()
+    except FloatingPointError as exc:
+        raise ValueError(f"total effects are not finite: {exc}") from None
     te[g.outcome_index] = 0.0
     return te
 

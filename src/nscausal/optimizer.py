@@ -33,11 +33,11 @@ et al. 2018) and lives in module constants, not in ``FitConfig``:
   the all-features reference ``delta_star`` and penalizes edges out of the
   outcome (zero on the engine's iterates, so only ``relevance_constraint``
   adds it).  ``CE`` is the total or the direct effect, per configuration;
-  ``_effect_parts`` is the one place that picks it, for ``h2`` and for the
-  selection rule alike.  The total effect is the outcome column of
-  ``(I - B)^-1`` (as in ``effects.total_effects``): exact on acyclic
-  patterns and defined wherever ``I - B`` is invertible; a trial point
-  where it is not is rejected by the line search, like an ``h1`` overflow.
+  ``effects.outcome_effects`` is the one place that picks it, for ``h2``,
+  the selection rule and ``effects.total_effects`` alike.  The total effect
+  is the outcome column of ``(I - B)^-1``: exact on acyclic patterns and
+  defined wherever ``I - B`` is invertible; a trial point where it is not,
+  or where it overflows, is rejected by the line search, like ``h1``'s.
 
 A selective fit starts from a selection-free fit of the same data, at its
 raw graph and its last ``lambda1`` and ``c`` (see ``fit``).  The feature
@@ -292,45 +292,17 @@ def _h1(w: np.ndarray, t: float, eye: np.ndarray):
     return value, pt, (2 ** squarings + 1) * t * 2.0
 
 
-def _te_parts(w: np.ndarray, outcome: int, eye: np.ndarray):
-    """Total-effect vector, the outcome column of ``(I - B)^-1``, plus that
-    inverse for the Jacobian.  The outcome's own entry is not an effect;
-    every reader masks or skips it.
-
-    Exact on acyclic patterns (``B`` is nilpotent, so the inverse is the
-    finite path sum) and defined wherever ``I - B`` is invertible.  A
-    singular ``I - B`` or a non-finite inverse raises ``FloatingPointError``,
-    which the line search treats as a rejected trial.
-    """
-    try:
-        m = np.linalg.inv(eye - w)
-    except np.linalg.LinAlgError:
-        raise FloatingPointError("I - B is singular") from None
-    if not np.isfinite(m).all():
-        raise FloatingPointError("(I - B)^-1 is not finite")
-    return m[:, outcome], m
-
-
-def _effect_parts(w: np.ndarray, outcome: int, kind: str, eye: np.ndarray):
-    """Effect vector ``CE`` of every node on the outcome, plus ``(I - B)^-1``
-    for the total effect's Jacobian (None for the direct effect, whose
-    Jacobian is a column selection)."""
-    if kind == "de":
-        return w[:, outcome], None
-    return _te_parts(w, outcome, eye)
-
-
 def _h2(w: np.ndarray, outcome: int, feature_active: np.ndarray, kind: str,
         delta_star: float, eye: np.ndarray):
-    """``delta_star - sum_active |CE_i|`` and its subgradient, with CE the
-    total (``te``) or direct (``de``) effect: ``h2`` less its outcome-row
-    penalty, zero on every engine iterate (``relevance_constraint`` adds it).
+    """``delta_star - sum_active |CE_i|`` and its subgradient, with CE from
+    ``effects.outcome_effects``: ``h2`` less its outcome-row penalty, zero
+    on every engine iterate (``relevance_constraint`` adds it).
 
     A non-finite subgradient (a finite total effect can have an overflowing
     Jacobian) raises ``FloatingPointError``, a rejected trial to the line
-    search, as in ``_te_parts``.
+    search, as in ``effects.outcome_effects``.
     """
-    ce, m = _effect_parts(w, outcome, kind, eye)
+    ce, m = _effects.outcome_effects(w, outcome, kind, eye)
     signs = np.sign(ce) * feature_active
     value = delta_star - float(signs.dot(ce))
     if m is None:
@@ -729,8 +701,8 @@ def _selection_update(w, active, outcome, config, cutoff):
     pruned = prune_weights(w, config.prune_threshold)
     if topological_order(pruned) is None:
         return []
-    ce = np.abs(_effect_parts(pruned, outcome, config.effect_kind,
-                              np.eye(w.shape[0]))[0])
+    ce = np.abs(_effects.outcome_effects(pruned, outcome, config.effect_kind,
+                                         np.eye(w.shape[0]))[0])
     dropped = sorted((int(i) for i in np.flatnonzero(active) if i != outcome
                       and ce[i] <= cutoff), key=lambda i: (ce[i], i))
     active[dropped] = False

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nscausal.cli as cli
-from nscausal import (BernoulliNoise, GaussianNoise, io, scenario,
-                      scenario_data)
+from nscausal import (BernoulliNoise, GaussianNoise, WeightedDag, io,
+                      scenario, scenario_data)
 from nscausal.bench import (GRAPH_MODELS, METHODS, NOISE_KINDS, SCENARIO_IDS,
                             BenchReport, ScenarioSpec, spec_from_dict)
 from nscausal.cli import main
@@ -321,6 +321,41 @@ class TestExitCodes:
         assert main(["fit", "--data", str(data), "--outcome", "y",
                      "--config", str(cfg), "--out", str(tmp_path / "f")]) == 1
         assert not (tmp_path / "f").exists()
+
+    def test_config_effect_kind_is_a_validation_error(self, tmp_path, capsys):
+        # --method (or a bench spec's methods) sets the effect kind: the key
+        # used to be accepted and silently overridden
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--scenario", "s2", "--n", "100",
+                     "--seed", "201", "--out", str(sim)]) == 0
+        doc = {"fit": {"effect_kind": "de"}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["fit", "--data", str(sim / "data.csv"), "--outcome", "y",
+                     "--method", "nscsl-te", "--config", str(cfg),
+                     "--out", str(tmp_path / "f")]) == 1
+        err = capsys.readouterr().err
+        assert "effect_kind" in err and "--method" in err
+        assert not (tmp_path / "f").exists()
+        code, log, ran = run_bench({"id": "s2", "replications": 1}, doc)
+        assert (code, ran) == (1, False)
+        assert names_a_key(log, ["effect_kind"]), log
+
+    def test_effects_of_an_overflowing_graph_are_a_validation_error(
+            self, tmp_path, capsys):
+        # the chain z0 -> z1 -> z2 -> y at weight 1e200 has total effects
+        # past the float range; they used to be written as inf
+        fitdir = tmp_path / "fit"
+        fitdir.mkdir()
+        w = np.diag([1e200] * 3, k=1)
+        io.write_graph_csv(WeightedDag(w), fitdir / "graph.csv")
+        (fitdir / "selected.csv").write_text("label,selected\nz0,1\nz1,1\nz2,1\n")
+        capsys.readouterr()
+        assert main(["effects", "--fit", str(fitdir)]) == 1
+        captured = capsys.readouterr()
+        assert "total effects are not finite" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("doc,message", [
         ({"id": "s1", "replication": 2}, "replication"),

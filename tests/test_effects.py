@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nscausal.effects import (delta_star, direct_effect, effect_rows,
-                              total_effect, total_effect_by_paths,
-                              total_effects)
+                              outcome_effects, total_effect,
+                              total_effect_by_paths, total_effects)
 from nscausal.graph import WeightedDag
 from nscausal.optimizer import fit_baseline, relevance_constraint
 from nscausal.scm import BernoulliNoise, SemSpec, sample_linear
@@ -131,6 +131,37 @@ class TestTotalEffect:
         with pytest.raises(ValueError):
             total_effect(WeightedDag(w), 0)
 
+    def test_overflow_is_an_error(self):
+        # z0 -> z1 -> z2 -> y at 1e200 used to give [inf, inf, 1e200, 0]
+        with pytest.raises(ValueError, match="^total effects are not finite"):
+            total_effects(chain_to_outcome([1e200] * 3))
+
+
+class TestOutcomeEffects:
+    def test_is_the_column_total_effects_reads(self, rng):
+        for _ in range(50):
+            g = random_dag(rng, dim=int(rng.integers(2, 8)), density=0.5,
+                           signed=True)
+            eye = np.eye(g.dim)
+            te, inverse = outcome_effects(g.weights, g.outcome_index, "te", eye)
+            assert np.array_equal(inverse, np.linalg.inv(eye - g.weights))
+            expected = total_effects(g)
+            mask = np.arange(g.dim) != g.outcome_index
+            assert np.array_equal(te[mask], expected[mask])
+            de, none = outcome_effects(g.weights, g.outcome_index, "de", eye)
+            assert none is None
+            assert np.array_equal(de, g.weights[:, g.outcome_index])
+
+    @pytest.mark.parametrize("w, message", [
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), "I - B is singular"),
+        (np.diag([1e200] * 3, k=1), r"\(I - B\)\^-1 is not finite"),
+    ], ids=["singular", "overflow"])
+    def test_undefined_total_effect_is_a_floating_point_error(self, w,
+                                                               message):
+        # the fit's line search rejects such a trial point
+        with pytest.raises(FloatingPointError, match=message):
+            outcome_effects(w, len(w) - 1, "te", np.eye(len(w)))
+
 
 class TestEffectReport:
     def test_empty_graph(self):
@@ -197,6 +228,15 @@ class TestDeltaStar:
         data = sample_linear(SemSpec(chain_to_outcome([1.0, 1.0])), 5000, seed=1)
         value = delta_star(data, self._baseline, "de")
         assert 0.8 <= value <= 1.2
+
+    def test_overflowing_total_effects_are_an_error(self):
+        # it returned inf; the direct effects of the same graph are finite
+        g = chain_to_outcome([1e200] * 3)
+        data = sample_linear(SemSpec(chain_to_outcome([1.0, 1.0, 1.0])), 50,
+                             seed=0)
+        with pytest.raises(ValueError, match="^total effects are not finite"):
+            delta_star(data, lambda _: g, "te")
+        assert delta_star(data, lambda _: g, "de") == 1e200
 
     def test_rejects_unknown_kind(self):
         data = sample_linear(SemSpec(chain_to_outcome([1.0])), 50, seed=0)

@@ -1,6 +1,7 @@
 """Each module of the package reaches the others through public names only
 (dunder names such as ``__version__`` count as public), every private
-helper has a caller, and every public method and property has a user."""
+helper has a caller, every public method and property has a user, and
+only ``effects.py`` inverts a matrix."""
 
 import ast
 from pathlib import Path
@@ -99,3 +100,17 @@ def test_every_error_message_has_one_raise_site():
                 if text is not None:
                     sites.setdefault(text, []).append(f"{path.name}:{node.lineno}")
     assert {text: where for text, where in sites.items() if len(where) > 1} == {}
+
+
+def test_only_effects_inverts_a_matrix():
+    # the causal-effect kernel has one implementation: the fit and
+    # total_effects both read (I - B)^-1 from effects.outcome_effects
+    package = Path(nscausal.__file__).parent
+    modules = {path.name for path in package.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "inv"
+               and isinstance(node.func.value, ast.Attribute)
+               and node.func.value.attr == "linalg"}
+    assert modules == {"effects.py"}
