@@ -90,11 +90,12 @@ def outcome_position(outcome_index: int, dim: int) -> int:
     return outcome_index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedDag:
     """Weighted adjacency matrix over labelled nodes with an outcome node.
 
     ``weights[i, j]`` is the weight of edge ``i -> j``; 0 encodes absence.
+    ``==`` and ``hash`` go by identity.
     """
 
     weights: np.ndarray
@@ -121,6 +122,17 @@ class WeightedDag:
     @property
     def dim(self) -> int:
         return self.weights.shape[0]
+
+
+def unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
+    given, without ``__post_init__``: for producers that already guarantee
+    the invariants its checks would enforce.  Public construction keeps
+    every check."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def topological_order(weights: np.ndarray) -> list[int] | None:

@@ -20,10 +20,12 @@ Graphs are held as bit masks: a node's parents, children, undirected
 neighbours and skeleton neighbours are each one Python int with bit ``k``
 set for node ``k``, so the rules, the acyclicity checks and the
 v-structure checks are integer operations, and a branch copies lists of
-ints.  Each input graph is read into parent and skeleton masks once, and
-converted back only at the public ``Cpdag``/``WeightedDag`` boundary.
-Endpoints are converted with ``int()`` before any shift, because
-``1 << np.int64(j)`` wraps past bit 63.
+ints.  Each input graph is read into parent and skeleton masks once.  The
+outputs are built from the masks unchecked (``graph.unchecked``): the
+closure guarantees the ``Cpdag``'s invariants and the member search a 0/1
+acyclic matrix, so neither is re-validated, and all members' matrices come
+from one unpack of their parent masks.  Endpoints are converted with
+``int()`` before any shift, because ``1 << np.int64(j)`` wraps past bit 63.
 """
 
 from dataclasses import dataclass
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (WeightedDag, check_count, check_node, default_labels,
-                    outcome_position)
+                    outcome_position, unchecked)
 
 MEMBER_CAP = 10_000
 # A true CPDAG never dead-ends in the search, but a hand-built ``Cpdag`` that
@@ -261,7 +263,8 @@ def dag_to_cpdag(g: WeightedDag, outcome_sink: bool = False) -> Cpdag:
             raise ValueError("outcome-sink knowledge contradicts the input graph")
         compelled[out] = adjacency[out]
     closed = _Closure(adjacency, compelled).close()
-    return Cpdag(g.dim, closed.directed(), closed.undirected(), g.labels)
+    return unchecked(Cpdag, dim=g.dim, directed=closed.directed(),
+                     undirected=closed.undirected(), labels=g.labels)
 
 
 def enumerate_mec(c: Cpdag, outcome_index: int = -1) -> list[WeightedDag]:
@@ -283,12 +286,14 @@ def enumerate_mec(c: Cpdag, outcome_index: int = -1) -> list[WeightedDag]:
     may have at most 24 undirected edges and ``outcome_index`` must be a
     node of ``c`` (negatives count from the end), both checked before any
     work; the search raises once the member count exceeds ``MEMBER_CAP``,
-    so the work is bounded by ``MEMBER_CAP + 1`` members.
+    so the work is bounded by ``MEMBER_CAP + 1`` members.  The members'
+    weights are read-only views of one ``(members, dim, dim)`` array, so
+    keeping any one member keeps the whole class's array alive.
     """
     if len(c.undirected) > _MAX_UNDIRECTED:
         raise ValueError(f"{len(c.undirected)} undirected edges is beyond "
                          "the enumeration limit")
-    outcome_position(outcome_index, c.dim)
+    outcome = outcome_position(outcome_index, c.dim)
     given = _parent_masks(c.dim, c.directed)
     low = _parent_masks(c.dim, c.skeleton())
     adjacency = [pa | ch for pa, ch in zip(low, _children(low))]
@@ -311,17 +316,22 @@ def enumerate_mec(c: Cpdag, outcome_index: int = -1) -> list[WeightedDag]:
             return
         if not _acyclic(parents):
             return
-        w = np.zeros((c.dim, c.dim))
-        for j, pa in enumerate(parents):
-            for i in _bits(pa):
-                w[i, j] = 1.0
-        members.append(WeightedDag(w, c.labels, outcome_index))
+        members.append(parents.copy())
         if len(members) > MEMBER_CAP:
             raise ValueError(
                 f"equivalence class exceeds the cap of {MEMBER_CAP} members")
 
     search(_Closure(adjacency, given))
-    return members
+    # row j of a member's mask bytes holds bit i for the edge i -> j
+    width = (c.dim + 7) // 8
+    rows = np.frombuffer(b"".join(pa.to_bytes(width, "little")
+                                  for parents in members for pa in parents),
+                         dtype=np.uint8).reshape(len(members), c.dim, width)
+    stack = np.unpackbits(rows, axis=-1, count=c.dim, bitorder="little")
+    stack = stack.transpose(0, 2, 1).astype(float, order="C")
+    stack.flags.writeable = False
+    return [unchecked(WeightedDag, weights=w, labels=c.labels,
+                      outcome_index=outcome) for w in stack]
 
 
 def mec_average(members: list) -> np.ndarray:

@@ -213,7 +213,7 @@ DIAGNOSTIC_FIELDS = ("step", "f", "h1", "h2", "lambda1", "lambda2", "c", "d",
                      "objective_start", "objective_end", "n_active", "dropped")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """Learned graph, the selected feature mask, and the optimization trace.
 
@@ -221,7 +221,7 @@ class FitResult:
     module docstring); a settled fit is converged though its last
     ``diagnostics`` row may show ``h1 > _H1_TOL`` or ``|h2| > _H2_TOL``.  A
     selective fit from a warm start that passes the gate may settle on its
-    first row.
+    first row.  ``==`` and ``hash`` go by identity.
     """
 
     graph: WeightedDag

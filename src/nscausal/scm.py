@@ -87,12 +87,12 @@ class SemSpec:
         check_sem(self.noise, self.link, self.graph.dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """n x (d+1) observation matrix with column labels and an outcome column.
 
     ``outcome_index`` is a column index in ``range(d + 1)``: an integer
-    (numpy integers included, bools not).
+    (numpy integers included, bools not).  ``==`` and ``hash`` go by identity.
     """
 
     values: np.ndarray

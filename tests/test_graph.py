@@ -9,7 +9,9 @@ from nscausal.graph import (WeightedDag, ancestors_of,
                             enumerate_paths_to_outcome, graph_metrics,
                             is_acyclic, prune, random_er, random_sf,
                             topological_order)
-from nscausal.optimizer import acyclicity_value, relevance_constraint
+from nscausal.optimizer import (FitConfig, FitResult, acyclicity_value,
+                                relevance_constraint)
+from nscausal.scm import Dataset
 
 from conftest import inject_back_edge, random_dag
 
@@ -320,6 +322,30 @@ class TestWeightedDag:
     def test_malformed_input_is_an_error(self, weights, labels, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             WeightedDag(weights, labels)
+
+
+def _zero_graph():
+    return WeightedDag(np.zeros((3, 3)))
+
+
+def _zero_dataset():
+    return Dataset(np.zeros((4, 3)), ("a", "b", "y"), 2)
+
+
+def _zero_fit():
+    return FitResult(_zero_graph(), _zero_graph(), np.zeros(2, dtype=bool),
+                     (), 0.0, True, FitConfig())
+
+
+@pytest.mark.parametrize("build", [_zero_graph, _zero_dataset, _zero_fit],
+                         ids=["WeightedDag", "Dataset", "FitResult"])
+def test_array_dataclasses_compare_and_hash_by_identity(build):
+    # value == on array fields raised "truth value ... is ambiguous", and
+    # hash() raised "unhashable type"
+    a, b = build(), build()
+    assert a != b
+    assert a == a and b == b
+    assert len({a, b}) == 2
 
 
 class TestOutcomeIndex:

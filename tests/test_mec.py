@@ -542,3 +542,77 @@ class TestNumpyEndpoints:
         c = dag_to_cpdag(dag_from_edges([(0, 1), (65, 66), (66, 67)], 70))
         assert c.directed == frozenset()
         assert c.undirected == {(0, 1), (65, 66), (66, 67)}
+
+
+def random_tree_cpdag(undirected, seed):
+    """CPDAG of a random recursive tree on ``undirected + 1`` nodes, drawn as
+    ``test_random_tree_has_one_member_per_root`` draws it: every edge
+    undirected."""
+    rng = np.random.default_rng(seed)
+    p = undirected + 1
+    w = np.zeros((p, p))
+    for child in range(1, p):
+        w[rng.integers(0, child), child] = 1.0
+    perm = rng.permutation(p)
+    return dag_to_cpdag(WeightedDag(w[np.ix_(perm, perm)]))
+
+
+def unchecked_cases():
+    """(CPDAG, outcome) of every DAG on at most 4 nodes with and without
+    outcome-sink knowledge, and of random trees with 12-16 undirected edges."""
+    for dim in range(1, 5):
+        for dag in all_dags(dim):
+            g = dag_from_edges(sorted(dag), dim)
+            yield dag_to_cpdag(g), g.outcome_index
+            if not g.weights[-1].any():
+                yield dag_to_cpdag(g, outcome_sink=True), g.outcome_index
+    for undirected in range(12, 17):
+        for seed in range(3):
+            yield random_tree_cpdag(undirected, [undirected, seed]), -1
+
+
+class TestUncheckedOutputs:
+    # dag_to_cpdag and enumerate_mec skip the public constructors' checks;
+    # what they build must be what those constructors would build
+    def test_outputs_equal_the_checked_construction(self):
+        for c, outcome in unchecked_cases():
+            assert Cpdag(c.dim, c.directed, c.undirected, c.labels) == c
+            assert all(type(k) is int
+                       for edge in c.directed | c.undirected for k in edge)
+            for m in enumerate_mec(c, outcome):
+                checked = WeightedDag(m.weights, m.labels, m.outcome_index)
+                assert checked.weights.tobytes() == m.weights.tobytes()
+                assert checked.labels == m.labels
+                assert checked.outcome_index == m.outcome_index
+                assert m.weights.dtype == np.float64
+                assert m.weights.flags.c_contiguous
+                with pytest.raises(ValueError, match="read-only"):
+                    m.weights[0, 0] = 1.0
+
+    def test_class_without_a_member_is_empty(self):
+        four_cycle = Cpdag(4, frozenset(),
+                           frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
+        assert enumerate_mec(four_cycle) == []
+
+    def test_one_node_class_is_one_zero_member(self):
+        (member,) = enumerate_mec(Cpdag(1, frozenset(), frozenset()))
+        assert member.weights.shape == (1, 1)
+        assert not member.weights.any()
+        assert member.outcome_index == 0
+
+    @pytest.mark.parametrize("dim, edges", [
+        (12, [(7, 8), (8, 9), (9, 10), (9, 11), (0, 1)]),
+        (70, [(3, 9), (9, 20), (20, 40), (20, 63), (63, 64), (64, 69),
+              (0, 1)]),
+    ], ids=["two-byte-rows", "nine-byte-rows"])
+    def test_members_wider_than_a_byte_are_the_extensions(self, dim, edges):
+        # a tree, so every edge is undirected; edges at nodes >= 8 set bits
+        # past the first byte of each mask row
+        c = dag_to_cpdag(dag_from_edges(edges, dim))
+        assert len(c.undirected) == len(edges)
+        members = enumerate_mec(c)
+        assert patterns_of(members) == consistent_extensions(c)
+        for m, pattern in zip(members, consistent_extensions(c)):
+            w = np.zeros((dim, dim))
+            w[tuple(zip(*pattern))] = 1.0
+            assert m.weights.tobytes() == w.tobytes()

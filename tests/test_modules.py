@@ -1,7 +1,8 @@
 """Each module of the package reaches the others through public names only
 (dunder names such as ``__version__`` count as public), every private
-helper has a caller, every public method and property has a user, and
-only ``effects.py`` inverts a matrix."""
+helper has a caller, every public method and property has a user, only
+``effects.py`` inverts a matrix, and ``graph.unchecked`` is the one way to
+build an instance without its checks."""
 
 import ast
 from pathlib import Path
@@ -114,3 +115,37 @@ def test_only_effects_inverts_a_matrix():
                and isinstance(node.func.value, ast.Attribute)
                and node.func.value.attr == "linalg"}
     assert modules == {"effects.py"}
+
+
+def _object_calls(attr):
+    """(module, enclosing definitions) of each ``object.<attr>(...)`` call in
+    the package, the definitions joined by dots (``"_Closure.copy"``)."""
+    package = Path(nscausal.__file__).parent
+    sites = []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = where + (child.name,)
+            elif (isinstance(child, ast.Call)
+                  and isinstance(child.func, ast.Attribute)
+                  and child.func.attr == attr
+                  and isinstance(child.func.value, ast.Name)
+                  and child.func.value.id == "object"):
+                sites.append((module, ".".join(where)))
+            visit(child, module, inner)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, ())
+    return sites
+
+
+def test_one_unchecked_construction_path():
+    # a frozen dataclass is filled outside its checks only in __post_init__
+    # (after them) or by graph.unchecked, whose callers guarantee them
+    setters = {(module, where) for module, where in _object_calls("__setattr__")
+               if not where.endswith(".__post_init__")}
+    assert setters == {("graph.py", "unchecked")}
+    assert set(_object_calls("__new__")) == {("graph.py", "unchecked"),
+                                             ("mec.py", "_Closure.copy")}
