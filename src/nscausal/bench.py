@@ -41,9 +41,9 @@ from itertools import product, repeat
 
 import numpy as np
 
-from .graph import (WeightedDag, ancestors_of, check_random_graph,
-                    graph_metrics, is_integer, random_er, random_sf,
-                    validate_weight_range)
+from .graph import (WeightedDag, ancestors_of, check_count,
+                    check_random_graph, graph_metrics, is_integer, random_er,
+                    random_sf, validate_weight_range)
 from .io import known_keys
 from .optimizer import FitConfig, fit, fit_baseline
 from .scm import (BernoulliNoise, GaussianNoise, SemSpec, check_sem,
@@ -78,10 +78,11 @@ _BLOCK_LAYOUT_SEEDS = {"s4": 940012, "s5": 951207}
 class ScenarioSpec:
     """One benchmark configuration: graph model, SEM, sizes, methods, seeds.
 
-    ``replications``, ``seed_base`` and the ``sample_sizes`` are integers
-    (numpy integers included, bools not); ``sample_sizes`` and ``methods``
-    are lists or tuples without repeats (``methods`` of strings), and
-    ``weight_range`` two finite numbers on one side of 0.
+    ``replications`` and the ``sample_sizes`` are positive integers and
+    ``seed_base`` a nonnegative one (numpy integers included, bools not);
+    ``sample_sizes`` and ``methods`` are lists or tuples without repeats
+    (``methods`` of strings), and ``weight_range`` two finite numbers on
+    one side of 0.
     ``graph_model="sf"`` is accepted for s5 and custom only; s1..s4 keep
     their fixed layouts.  Where the truth is drawn from a generator (custom,
     or scale-free), :func:`~nscausal.graph.check_random_graph` checks ``p``
@@ -127,15 +128,12 @@ class ScenarioSpec:
                 raise ValueError(f"unknown method {m!r} in methods; choose "
                                  f"from {tuple(METHODS)}")
         sizes = tuple(self.sample_sizes)
-        for name, value in ([("replications", self.replications),
-                             ("seed_base", self.seed_base)]
-                            + [("sample_sizes", n) for n in sizes]):
-            if not is_integer(value):
-                raise ValueError(f"{name} must hold integers, got {value!r}")
-        if self.replications < 1:
-            raise ValueError("replications must be positive")
-        if not sizes or any(n < 1 for n in sizes):
-            raise ValueError("sample_sizes must be positive")
+        check_count("replications", self.replications)
+        check_count("seed_base", self.seed_base, low=0)
+        for n in sizes:
+            check_count("sample_sizes", n)
+        if not sizes:
+            raise ValueError("sample_sizes must not be empty")
         # a repeat would rerun the same seeds and pool them as new draws
         for name, values in (("sample_sizes", sizes),
                              ("methods", tuple(self.methods))):

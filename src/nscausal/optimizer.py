@@ -120,7 +120,6 @@ quadratic-penalty regime (Ng et al., AISTATS 2022).  So a fit's last
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -434,12 +433,12 @@ class _Objective:
     matrix, the 0/1 active-column vector and the projection mask ``free``
     are cached up front and the kernels are called directly rather than
     through the validating public single-shot operations.  The engine
-    builds one per mask and sets the multipliers ``lam1``, ``c``, ``lam2``
-    and ``d_pen`` on it before each solve.
+    builds one per mask.  Its multipliers ``lam1``, ``c``, ``lam2`` and
+    ``d_pen`` start at 0, and the engine sets them before each solve.
     """
 
-    def __init__(self, gram, outcome, active, t, lam1, c, relevance,
-                 lam2, d_pen, kind, delta_star):
+    def __init__(self, gram, outcome, active, t, relevance, kind,
+                 delta_star):
         self.gram = gram
         self.outcome = outcome
         self.feature_active = active.copy()
@@ -451,11 +450,10 @@ class _Objective:
         np.fill_diagonal(self.free, 0.0)
         self.eye = np.eye(gram.shape[0])
         self.t = t
-        self.lam1, self.c = lam1, c
         self.relevance = relevance
-        self.lam2, self.d_pen = lam2, d_pen
         self.kind = kind
         self.delta_star = delta_star
+        self.lam1 = self.c = self.lam2 = self.d_pen = 0.0
 
     def __call__(self, w: np.ndarray):
         """``(total, gradient, h1, h2)`` at ``w``, which must be zero on the
@@ -583,15 +581,6 @@ class _Memory:
         return direction
 
 
-class _Solve(NamedTuple):
-    """How an inner solve went, beyond its iterate and final objective."""
-
-    evaluations: int
-    objective_start: float
-    h1: float
-    h2: float
-
-
 # an overflowing trial is rejected by the line search (see below), so numpy
 # need not warn about it; the state is set once per solve, not per evaluation
 @np.errstate(over="ignore", invalid="ignore")
@@ -622,11 +611,12 @@ def _lbfgs_minimize(w0: np.ndarray, objective: _Objective, step_size: float,
     floor.  With no
     free entries the solve stops at once on the gradient tolerance.
 
-    Returns the final iterate and objective, the accepted steps, why the
-    solve stopped (``"grad_tol"``, ``"ftol"``, ``"max_inner_iter"`` or
-    ``"no_descent"``) and a ``_Solve``: the number of objective
-    evaluations, the objective at the start, and ``h1`` and ``h2`` at the
-    final iterate, all taken from the solve's own evaluations.
+    Returns the final iterate, masked, and the solve's record:
+    ``inner_iterations`` (the accepted steps), ``stop_reason``
+    (``"grad_tol"``, ``"ftol"``, ``"max_inner_iter"`` or ``"no_descent"``),
+    ``evaluations``, ``objective_start`` and ``objective_end``, in
+    ``DIAGNOSTIC_FIELDS`` order, then ``h1`` and ``h2`` at the final
+    iterate, all taken from the solve's own objective evaluations.
     """
     shape = w0.shape
     z = (w0 * objective.free).ravel()
@@ -685,8 +675,10 @@ def _lbfgs_minimize(w0: np.ndarray, objective: _Objective, step_size: float,
         if prev - total <= ftol * max(abs(prev), abs(total), 1.0):
             reason = "ftol"
             break
-    return ((z * scale).reshape(shape), total, it, reason,
-            _Solve(evaluations, start, h1v, h2v))
+    return (z * scale).reshape(shape), {
+        "inner_iterations": it, "stop_reason": reason,
+        "evaluations": evaluations, "objective_start": start,
+        "objective_end": total, "h1": h1v, "h2": h2v}
 
 
 def _selection_update(w, active, outcome, config, cutoff):
@@ -743,8 +735,8 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
     stall = 0
 
     def objective_for_mask():
-        return _Objective(gram, outcome, active, t, lam1, c, relevance, lam2,
-                          d_pen, config.effect_kind, delta_star_value)
+        return _Objective(gram, outcome, active, t, relevance,
+                          config.effect_kind, delta_star_value)
 
     def select(w):
         """Apply the selection rule to ``w``; when a feature went, build the
@@ -780,9 +772,9 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
         objective.lam2, objective.d_pen = lam2, d_pen
         if not relevance:
             ftol = max(_FTOL, min(_FTOL_PER_H1, _FTOL_PER_H1 * h1_prev))
-        w, obj_end, inner_iters, stop_reason, solve = _lbfgs_minimize(
-            w, objective, _STEP_SIZE, config.max_inner_iter, _GRAD_TOL, ftol)
-        h1v, h2v = solve.h1, solve.h2
+        w, solve = _lbfgs_minimize(w, objective, _STEP_SIZE,
+                                   config.max_inner_iter, _GRAD_TOL, ftol)
+        h1v, h2v = solve.pop("h1"), solve.pop("h2")
 
         late = []  # the drops after this step's solve
         if relevance and h1v <= SELECTION_H1_GATE:
@@ -798,10 +790,7 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
         diagnostics.append({
             "step": step, "f": f_val, "h1": h1v, "h2": h2v,
             "lambda1": lam1, "lambda2": lam2, "c": c, "d": d_pen, "t": t,
-            "inner_iterations": inner_iters, "stop_reason": stop_reason,
-            "evaluations": solve.evaluations,
-            "objective_start": solve.objective_start,
-            "objective_end": obj_end,
+            **solve,
             "n_active": int(active.sum()) - 1, "dropped": tuple(dropped),
         })
 
@@ -839,13 +828,11 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
         h1_prev = max(h1v, 1e-300)
         h2_prev = max(abs(h2v), 1e-300)
 
-    w = w * objective.free
     raw = WeightedDag(w, data.labels, outcome)
-    features = [i for i in range(dim) if i != outcome]
     return FitResult(
         graph=prune(raw, config.prune_threshold),
         raw_graph=raw,
-        selected=active[features].copy(),
+        selected=np.delete(active, outcome),
         diagnostics=tuple(diagnostics),
         delta_star_used=float(delta_star_value),
         converged=converged,

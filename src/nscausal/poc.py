@@ -493,7 +493,8 @@ def _factual_conditional(scm: DiscreteScm, i: int, z_i, y,
     check_node("i", i, scm.dim, scm.outcome_index)  # before the joint is built
     _check_settings(scm, {i: z_i})
     outcome = scm.outcome_index
-    mixture = _alternative_mixture(scm, observational_joint(scm), i, z_i)
+    if want_factual:
+        mixture = _alternative_mixture(scm, observational_joint(scm), i, z_i)
     denom = 0.0
     num = 0.0
     for prob, noise in _noise_states(scm):

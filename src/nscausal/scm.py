@@ -31,11 +31,21 @@ def _per_node(value, dim: int, name: str) -> np.ndarray:
                          f"got {value!r}") from None
 
 
+def _by_value(value):
+    """A list, tuple or 1-d array as a tuple, to compare and hash by value."""
+    if isinstance(value, np.ndarray) and value.ndim == 1:
+        value = value.tolist()
+    return tuple(value) if isinstance(value, (list, tuple)) else value
+
+
 @dataclass(frozen=True)
 class BernoulliNoise:
-    """Independent 0/1 noise; ``p`` is scalar or per-node."""
+    """Independent 0/1 noise; ``p`` is scalar or per-node (held as a tuple)."""
 
     p: object = 0.5
+
+    def __post_init__(self):
+        object.__setattr__(self, "p", _by_value(self.p))
 
     def validate(self, dim: int) -> np.ndarray:
         p = _per_node(self.p, dim, "bernoulli p")
@@ -49,9 +59,12 @@ class BernoulliNoise:
 
 @dataclass(frozen=True)
 class GaussianNoise:
-    """Centered Gaussian noise; scalar ``sigma`` means equal variance."""
+    """Centered Gaussian noise; ``sigma`` is scalar or per-node (held as a tuple)."""
 
     sigma: object = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "sigma", _by_value(self.sigma))
 
     def validate(self, dim: int) -> np.ndarray:
         s = _per_node(self.sigma, dim, "gaussian sigma")

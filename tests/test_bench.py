@@ -194,6 +194,14 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             spec_from_dict({"sample_sizes": [10]})
 
+    def test_specs_with_per_node_sigma_compare_and_hash_by_value(self):
+        # a per-node sigma list made the spec unhashable
+        doc = {"id": "s1", "noise": {"kind": "gaussian",
+                                     "sigma": [0.5, 1.0, 1.5, 1.0, 0.5]}}
+        a, b = spec_from_dict(doc), spec_from_dict(doc)
+        assert a == b and hash(a) == hash(b)
+        assert a.noise.sigma == (0.5, 1.0, 1.5, 1.0, 0.5)
+
     def test_fixed_layouts_are_deterministic(self):
         spec = scenario("s4", methods=("baseline",))
         a = scenario_truth(spec, np.random.default_rng(3))
@@ -226,6 +234,14 @@ class TestScenarioSpec:
     def test_counts_and_seeds_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=field):
             scenario("s1", **{field: value})
+
+    @pytest.mark.parametrize("value", [-1, -3, np.int64(-2)])
+    def test_negative_seed_base_is_rejected_by_name(self, value):
+        # run_scenario failed later in numpy's seeding, with a message that
+        # named no key
+        with pytest.raises(ValueError, match="^seed_base must be at least 0"):
+            scenario("s1", seed_base=value)
+        assert scenario("s1", seed_base=0).seed_base == 0
 
     def test_noise_must_be_a_noise_model(self):
         with pytest.raises(ValueError, match="noise must be"):

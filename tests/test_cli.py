@@ -92,6 +92,14 @@ class TestSimulate:
         assert names_a_key(capsys.readouterr().err, [key])
         assert not out.exists()
 
+    def test_negative_seed_is_rejected_by_name(self, tmp_path, capsys):
+        # numpy's "expected non-negative integer" named no key
+        out = tmp_path / "sim"
+        assert main(["simulate", "--scenario", "s1", "--n", "10",
+                     "--seed", "-2", "--out", str(out)]) == 1
+        assert "seed_base must be at least 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags,spec", [
         (["--scenario", "s1"], scenario("s1")),
         (["--scenario", "s5", "--model", "sf"],
@@ -400,8 +408,8 @@ class TestExitCodes:
         ({"id": "s1", "graph_model": "ba"}, "graph_model"),
         ({"id": "custom", "p": 1, "expected_degree": 0.5},
          "p must be at least 2"),
-        ({"id": "s1", "replications": 0}, "replications must be positive"),
-        ({"id": "s1", "sample_sizes": [0]}, "sample_sizes must be positive"),
+        ({"id": "s1", "replications": 0}, "replications must be at least 1"),
+        ({"id": "s1", "sample_sizes": [0]}, "sample_sizes must be at least 1"),
     ])
     def test_malformed_bench_spec_is_a_validation_error(self, tmp_path, capsys,
                                                         doc, message):

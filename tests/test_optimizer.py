@@ -16,7 +16,7 @@ from nscausal.optimizer import (_FTOL, _GRAD_TOL, _H1_TOL, _LBFGS_HALVINGS,
                                 _STEP_SIZE, DIAGNOSTIC_FIELDS,
                                 SELECTION_H1_GATE, FitConfig,
                                 _lbfgs_minimize, _Memory, _Objective,
-                                _selection_update, _Solve, _unit_gram,
+                                _selection_update, _unit_gram,
                                 acyclicity_gradient, acyclicity_value, fit,
                                 fit_baseline, least_squares_loss,
                                 relevance_constraint)
@@ -410,8 +410,9 @@ class TestEngineObjective:
                 centered = values - values.mean(axis=0)
                 objective = _Objective(
                     centered.T @ centered / 80, dim - 1, active, t=0.4,
-                    lam1=0.7, c=1.3, relevance=True, lam2=-0.6, d_pen=2.5,
-                    kind=kind, delta_star=3.0)
+                    relevance=True, kind=kind, delta_star=3.0)
+                objective.lam1, objective.c = 0.7, 1.3
+                objective.lam2, objective.d_pen = -0.6, 2.5
                 free = objective.free.astype(bool)
                 w = gradient_probe(rng, dim) * objective.free
                 analytic = objective(w)[1]
@@ -436,9 +437,9 @@ class TestLbfgsSolver:
         gram = centered.T @ centered / n
         active = np.ones(dim, bool)
         active[1] = False
-        objective = objective_class(
-            gram, dim - 1, active, t=0.2, lam1=0.0, c=0.0, relevance=False,
-            lam2=0.0, d_pen=0.0, kind="te", delta_star=0.0)
+        objective = objective_class(gram, dim - 1, active, t=0.2,
+                                    relevance=False, kind="te",
+                                    delta_star=0.0)
         w0 = rng.uniform(-1.0, 1.0, (dim, dim))
         return gram, objective, w0
 
@@ -450,17 +451,17 @@ class TestLbfgsSolver:
             rows = np.flatnonzero(free[:, j])
             expected[rows, j] = np.linalg.solve(gram[np.ix_(rows, rows)],
                                                 gram[rows, j])
-        w, total, iterations, _, _ = _lbfgs_minimize(
-            w0, objective, 0.05, 100, 1e-10)
+        w, solve = _lbfgs_minimize(w0, objective, 0.05, 100, 1e-10)
         assert np.abs(w - expected).max() < 1e-6
-        assert iterations < 100
-        assert total == objective(w)[0]
+        assert solve["inner_iterations"] < 100
+        assert solve["objective_end"] == objective(w)[0]
 
     def test_accepted_iterates_never_raise_the_objective(self):
         # the solve is deterministic, so capping it at k steps returns its
         # k-th accepted iterate
         _, objective, w0 = self.least_squares_problem()
-        totals = [_lbfgs_minimize(w0, objective, 0.05, k, 1e-10)[1]
+        totals = [_lbfgs_minimize(w0, objective, 0.05, k,
+                                  1e-10)[1]["objective_end"]
                   for k in range(30)]
         assert totals[0] == objective(w0 * objective.free)[0]
         assert all(b <= a for a, b in zip(totals, totals[1:]))
@@ -481,12 +482,12 @@ class TestLbfgsSolver:
                 return super().__call__(w)
 
         _, objective, w0 = self.least_squares_problem(objective_class=Bounded)
-        w, total, iterations, _, solve = _lbfgs_minimize(
+        w, solve = _lbfgs_minimize(
             np.zeros_like(w0), objective, 0.05, 20, 1e-10)
         assert Bounded.rejected >= 1
-        assert solve.evaluations == Bounded.calls
-        assert iterations >= 1
-        assert total < solve.objective_start
+        assert solve["evaluations"] == Bounded.calls
+        assert solve["inner_iterations"] >= 1
+        assert solve["objective_end"] < solve["objective_start"]
         assert np.abs(w).max() <= 0.03
 
     def test_overflowing_trials_are_rejected_without_warnings(self):
@@ -495,11 +496,11 @@ class TestLbfgsSolver:
         _, objective, w0 = self.least_squares_problem()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            w, total, iterations, reason, solve = _lbfgs_minimize(
-                w0, objective, 1e40, 10, 1e-10)
-        assert (iterations, reason) == (0, "no_descent")
-        assert solve.evaluations == 1 + _LBFGS_HALVINGS
-        assert total == solve.objective_start
+            w, solve = _lbfgs_minimize(w0, objective, 1e40, 10, 1e-10)
+        assert (solve["inner_iterations"], solve["stop_reason"]) == (
+            0, "no_descent")
+        assert solve["evaluations"] == 1 + _LBFGS_HALVINGS
+        assert solve["objective_end"] == solve["objective_start"]
 
     def test_entries_off_the_free_mask_stay_exactly_zero(self):
         _, objective, w0 = self.least_squares_problem()
@@ -509,13 +510,14 @@ class TestLbfgsSolver:
 
     def test_relative_progress_stop_ends_the_solve_early(self):
         _, objective, w0 = self.least_squares_problem()
-        exact = _lbfgs_minimize(w0, objective, 0.05, 500, 1e-10)
-        early = _lbfgs_minimize(w0, objective, 0.05, 500, 1e-10, _FTOL)
-        assert exact[3] != "ftol"
-        assert early[3] == "ftol"
-        assert early[2] < exact[2]
+        exact = _lbfgs_minimize(w0, objective, 0.05, 500, 1e-10)[1]
+        early = _lbfgs_minimize(w0, objective, 0.05, 500, 1e-10, _FTOL)[1]
+        assert exact["stop_reason"] != "ftol"
+        assert early["stop_reason"] == "ftol"
+        assert early["inner_iterations"] < exact["inner_iterations"]
         # it stops short of the rounding floor, not far from the minimum
-        assert exact[1] <= early[1] <= exact[1] * (1.0 + 1e-6)
+        assert (exact["objective_end"] <= early["objective_end"]
+                <= exact["objective_end"] * (1.0 + 1e-6))
 
     def test_engine_solves_with_the_relative_stop(self, monkeypatch):
         # the baseline's solves stop at kappa * h1 of the step before, within
@@ -640,8 +642,8 @@ class TestLbfgsSolver:
         assert (objective.scale(w0) == 1.0).all()
         dim = len(gram)
         first = _Objective(gram, dim - 1, np.ones(dim, bool), t=1.0 / dim,
-                           lam1=0.0, c=_PENALTY_INIT, relevance=False,
-                           lam2=0.0, d_pen=0.0, kind="te", delta_star=0.0)
+                           relevance=False, kind="te", delta_star=0.0)
+        first.c = _PENALTY_INIT
         assert (first.scale(np.zeros_like(gram)) == 1.0).all()
 
     @staticmethod
@@ -662,8 +664,8 @@ class TestLbfgsSolver:
         w[data.outcome_index, :] = 0.0
         active = np.ones(dim, bool) if active is None else active
         objective = _Objective(gram, data.outcome_index, active, t=1.0 / dim,
-                               lam1=lam1, c=c, relevance=False, lam2=0.0,
-                               d_pen=0.0, kind="te", delta_star=0.0)
+                               relevance=False, kind="te", delta_star=0.0)
+        objective.lam1, objective.c = lam1, c
         return objective, w
 
     @pytest.mark.parametrize("c, lam1", [(1e6, 20.0), (1e8, 200.0)])
@@ -671,13 +673,14 @@ class TestLbfgsSolver:
         # unscaled, these solves took 259 and 518 iterations to the same
         # stop; the penalty's curvature is what made them slow
         objective, w0 = self.penalty_problem(c, lam1)
-        w, total, iterations, reason, solve = _lbfgs_minimize(
-            w0, objective, _STEP_SIZE, 100, _GRAD_TOL, _FTOL)
-        assert reason == "ftol"
+        solve = _lbfgs_minimize(w0, objective, _STEP_SIZE, 100, _GRAD_TOL,
+                                _FTOL)[1]
+        assert solve["stop_reason"] == "ftol"
         # it stops short of the rounding floor, not far from the minimum
-        exact = _lbfgs_minimize(w0, objective, _STEP_SIZE, 2000, 0.0)
-        assert exact[3] != "max_inner_iter"
-        assert exact[1] <= total <= exact[1] * (1.0 + 1e-6)
+        exact = _lbfgs_minimize(w0, objective, _STEP_SIZE, 2000, 0.0)[1]
+        assert exact["stop_reason"] != "max_inner_iter"
+        assert (exact["objective_end"] <= solve["objective_end"]
+                <= exact["objective_end"] * (1.0 + 1e-6))
 
     def test_scaled_entries_off_the_free_mask_stay_exactly_zero(self):
         active = np.ones(5, bool)  # s2 has four features
@@ -699,19 +702,19 @@ class TestLbfgsSolver:
         w0 = np.zeros((dim, dim))
         w0[0, 1] = w0[1, 2] = 1e75
         objective = _Objective(np.eye(dim), dim - 1, np.ones(dim, bool),
-                               t=1.0 / dim, lam1=_PENALTY_CAP, c=_PENALTY_CAP,
-                               relevance=False, lam2=0.0, d_pen=0.0,
-                               kind="te", delta_star=0.0)
+                               t=1.0 / dim, relevance=False, kind="te",
+                               delta_star=0.0)
+        objective.lam1 = objective.c = _PENALTY_CAP
         with np.errstate(over="ignore"):
             scale = objective.scale(w0)
         assert np.isfinite(scale).all() and (scale > 0).all()
         assert scale[2, 0] == np.finfo(float).max ** -0.5
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            w, total, _, _, solve = _lbfgs_minimize(
+            w, solve = _lbfgs_minimize(
                 w0, objective, _STEP_SIZE, 20, _GRAD_TOL, _FTOL)
-        assert np.isfinite(w).all() and math.isfinite(total)
-        assert total <= solve.objective_start
+        assert np.isfinite(w).all() and math.isfinite(solve["objective_end"])
+        assert solve["objective_end"] <= solve["objective_start"]
         assert w[2, 0] == 0.0
 
     def test_no_free_entries_stop_on_the_gradient_tolerance(self):
@@ -719,14 +722,14 @@ class TestLbfgsSolver:
         dim = len(gram)
         only_outcome = np.zeros(dim, bool)
         only_outcome[dim - 1] = True
-        objective = _Objective(gram, dim - 1, only_outcome, t=0.2, lam1=0.0,
-                               c=0.0, relevance=False, lam2=0.0, d_pen=0.0,
-                               kind="te", delta_star=0.0)
-        w, total, iterations, reason, solve = _lbfgs_minimize(
-            w0, objective, 0.05, 100, 1e-10)
-        assert (iterations, reason, solve.evaluations) == (0, "grad_tol", 1)
+        objective = _Objective(gram, dim - 1, only_outcome, t=0.2,
+                               relevance=False, kind="te", delta_star=0.0)
+        w, solve = _lbfgs_minimize(w0, objective, 0.05, 100, 1e-10)
+        assert (solve["inner_iterations"], solve["stop_reason"],
+                solve["evaluations"]) == (0, "grad_tol", 1)
         assert not w.any()
-        assert total == solve.objective_start == objective(w)[0]
+        assert (solve["objective_end"] == solve["objective_start"]
+                == objective(w)[0])
 
     def test_engine_spends_only_the_solves_evaluations(self, monkeypatch):
         calls = []
@@ -1458,7 +1461,9 @@ class TestSettledStop:
             if ftols is not None:
                 ftols.append(ftol)
             h2v = h2 if objective.relevance else 0.0
-            return w.copy(), 0.0, 1, "ftol", _Solve(1, 0.0, h1, h2v)
+            return w.copy(), {"inner_iterations": 1, "stop_reason": "ftol",
+                              "evaluations": 1, "objective_start": 0.0,
+                              "objective_end": 0.0, "h1": h1, "h2": h2v}
 
         monkeypatch.setattr(optimizer, "_lbfgs_minimize", solve)
         return calls

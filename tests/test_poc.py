@@ -294,6 +294,75 @@ class TestExactPoc:
         assert evaluate(scm, (1, 0, 1, 0), {1: 1}) == expected
 
 
+class TestEnumerationBudget:
+    """Passes over the joint noise states per public call, counted at
+    ``_noise_states``: each pass costs the whole enumeration."""
+
+    @staticmethod
+    def passes(monkeypatch, call, scm):
+        count = []
+        original = poc_mod._noise_states
+
+        def counting(model):
+            count.append(1)
+            return original(model)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(poc_mod, "_noise_states", counting)
+            call(scm)
+        return len(count)
+
+    @pytest.mark.parametrize("call, passes", [
+        (lambda scm: observational_joint(scm), 1),
+        (lambda scm: ScmDistribution(scm), 1),
+        (lambda scm: interventional_mean(scm, {0: 1}), 1),
+        (lambda scm: natural_direct_effect(scm, 0), 1),
+        (lambda scm: exact_ps(scm, 0, 1, 1), 1),
+        (lambda scm: exact_poc(scm, 0, 1, 1), 2),
+        (lambda scm: exact_poc(scm, 0, 1, 1, "conditional", (0,)), 2),
+        (lambda scm: exact_pn(scm, 0, 1, 1), 2),
+    ], ids=["observational_joint", "ScmDistribution", "interventional_mean",
+            "natural_direct_effect", "exact_ps", "exact_poc",
+            "exact_poc-conditional", "exact_pn"])
+    def test_single_quantities(self, monkeypatch, call, passes):
+        assert self.passes(monkeypatch, call, or_scm(3)) == passes
+
+    @pytest.mark.parametrize("scm, outcome_values", [
+        (or_scm(3), 2),
+        (random_additive_scm(np.random.default_rng(0)), 4),
+    ], ids=["binary", "additive"])
+    def test_effect_poc_profile(self, monkeypatch, scm, outcome_values):
+        # the joint, one _poc_sum per outcome value for each of the two
+        # masses, two interventional means and the natural direct effect
+        assert len(scm.domains[scm.outcome_index]) == outcome_values
+        passes = self.passes(monkeypatch,
+                             lambda model: effect_poc_profile(model, 0, 1), scm)
+        assert passes == 1 + 2 * outcome_values + 3
+
+    def test_exact_ps_builds_no_joint(self, monkeypatch):
+        # only PN reads the alternative mixture built from the joint
+        scms = [deterministic_copy_scm(), or_scm(3)] + [
+            random_binary_scm(np.random.default_rng(seed), dim=3)
+            for seed in range(4)]
+        expected = []
+        for scm in scms:
+            try:
+                expected.append(exact_ps(scm, 0, 1, 1))
+            except ValueError as exc:
+                expected.append(str(exc))
+
+        def no_joint(*args):
+            raise AssertionError("the observational joint was built")
+
+        monkeypatch.setattr(poc_mod, "observational_joint", no_joint)
+        for scm, value in zip(scms, expected):
+            try:
+                assert exact_ps(scm, 0, 1, 1) == value
+            except ValueError as exc:
+                assert str(exc) == value
+        assert any(isinstance(value, float) for value in expected[2:])
+
+
 class TestLowerBound:
     def test_independence_gives_zero(self):
         bound = poc_lower_bound(ScmDistribution(independent_scm()), 0, 1, 1)

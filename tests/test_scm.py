@@ -183,3 +183,42 @@ class TestValidation:
     def test_dataset_accepts_numpy_integer_outcome_index(self):
         data = Dataset(np.zeros((3, 3)), ("a", "b", "y"), np.int64(2))
         assert data.outcome_index == 2
+
+
+class TestNoiseByValue:
+    """A per-node parameter given as a list, a tuple or a 1-d array is held
+    as a tuple, so noises compare and hash by value."""
+
+    @pytest.mark.parametrize("family, values", [
+        (GaussianNoise, [0.5, 1.0, 2.0]), (BernoulliNoise, [0.2, 0.5, 0.7])])
+    def test_array_and_list_noises_are_equal(self, family, values):
+        # comparing two array noises raised "truth value ... is ambiguous"
+        # and hashing raised TypeError
+        forms = [family(np.array(values)), family(list(values)),
+                 family(tuple(values))]
+        assert all(form == forms[0] for form in forms)
+        assert len({hash(form) for form in forms}) == 1
+        assert family(np.array(values)) != family(values[::-1])
+
+    @pytest.mark.parametrize("family", [GaussianNoise, BernoulliNoise])
+    def test_samples_do_not_depend_on_the_parameter_form(self, family):
+        values = [0.3, 0.6, 0.4]
+        draws = {sample_linear(SemSpec(chain(3), family(form)), 50,
+                               seed=9).values.tobytes()
+                 for form in (values, tuple(values), np.array(values))}
+        assert len(draws) == 1
+        scalar = sample_linear(SemSpec(chain(3), family(0.4)), 50, seed=9)
+        per_node = sample_linear(SemSpec(chain(3), family(np.full(3, 0.4))),
+                                 50, seed=9)
+        assert np.array_equal(scalar.values, per_node.values)
+
+    @pytest.mark.parametrize("sigma", [np.ones((2, 2)), np.float64(1.0), 1])
+    def test_other_parameters_stay_as_given(self, sigma):
+        assert GaussianNoise(sigma).sigma is sigma
+
+    @pytest.mark.parametrize("p", [[0.5, "x", 0.5], np.array([True, False,
+                                                             True])])
+    def test_tuples_are_still_validated(self, p):
+        with pytest.raises(ValueError, match="bernoulli p must be"):
+            SemSpec(chain(3), BernoulliNoise(p))
+
