@@ -16,6 +16,17 @@ instead of closing every branch from scratch.  Both give exactly the
 orientations, and so the members in the order, of a closure that rescans
 every edge after every step.
 
+The member search closes its root before it branches.  The rules are sound
+and complete for a pattern plus background knowledge (Meek 1995), here the
+v-structures and the other directed edges of the ``Cpdag``; this module's
+rule 4 drops Meek's condition that ``a`` and ``c`` be adjacent, which keeps
+it sound and makes it no weaker.  So a closed graph with one consistent
+extension keeps one under either orientation of any undirected edge, and no
+branch dead-ends: every leaf is a member, or none is.  Only the first leaf
+is checked for a cycle and a new v-structure.  When it fails, the class has
+no member and the search ends, so a ``Cpdag`` with no member (one not
+closed under the rules can be one) costs one path from the root.
+
 Graphs are held as bit masks: a node's parents, children, undirected
 neighbours and skeleton neighbours are each one Python int with bit ``k``
 set for node ``k``, so the rules, the acyclicity checks and the
@@ -36,10 +47,9 @@ from .graph import (WeightedDag, check_count, check_node, default_labels,
                     outcome_position, unchecked)
 
 MEMBER_CAP = 10_000
-# A true CPDAG never dead-ends in the search, but a hand-built ``Cpdag`` that
-# is not one can branch into orientations that yield no member, so the cap
-# alone does not bound the work; this is the one bound checked before any
-# work starts.
+# The search visits at most ``MEMBER_CAP + 1`` leaves: its first leaf decides
+# whether the class has a member, and every later leaf is one.  The number of
+# undirected edges stays the one bound checked before any work starts.
 _MAX_UNDIRECTED = 24
 
 
@@ -199,9 +209,10 @@ class _Closure:
         self.children[x] |= 1 << y
         touched = [(x, nb[x]), (y, nb[y])]
         below_y = self.children[y]
-        for u in _bits(nb[x]):
-            if below_y & nb[u]:
-                touched.append((u, below_y & nb[u]))
+        if below_y:  # rule 4 through x -> y needs a child of y
+            for u in _bits(nb[x]):
+                if below_y & nb[u]:
+                    touched.append((u, below_y & nb[u]))
         self._recheck(touched)
 
     def close(self) -> "_Closure":
@@ -216,7 +227,10 @@ class _Closure:
         ``mask``, for every ``(u, mask)`` in ``stars``."""
         compelled = self.compelled
         for u, mask in stars:
-            for v in _bits(mask):
+            while mask:  # _bits(mask), inlined: the closure's hottest loop
+                low = mask & -mask
+                mask ^= low
+                v = low.bit_length() - 1
                 edge = a, b = (u, v) if u < v else (v, u)
                 if self._compelled(a, b):
                     compelled[edge] = edge
@@ -272,23 +286,25 @@ def enumerate_mec(c: Cpdag, outcome_index: int = -1) -> list[WeightedDag]:
 
     A member keeps every directed edge, orients every undirected edge, is
     acyclic, and introduces no v-structure beyond those already visible in
-    the directed part of the CPDAG.  The search is depth first: it orients
-    the largest remaining undirected edge ``(i, j)`` as ``j -> i``, then as
-    ``i -> j``, and closes each choice under the orientation rules before
-    going deeper.  The first branch starts from a copy of its parent's
-    closed graph plus the one new edge, the second from the parent itself,
-    and each re-checks only the edges that edge can affect (see
-    ``_Closure``).  Members therefore come in ascending orientation code,
-    where bit ``k`` is set when the ``k``-th sorted undirected edge points
-    from its lower to its higher index.  Each leaf is checked for
-    acyclicity and for a v-structure with a newly oriented edge, which a
-    hand-built ``Cpdag`` that is not closed under the rules needs.  ``c``
-    may have at most 24 undirected edges and ``outcome_index`` must be a
-    node of ``c`` (negatives count from the end), both checked before any
+    the directed part of the CPDAG.  The search closes ``c`` under the
+    orientation rules, then goes depth first: it orients the largest
+    remaining undirected edge ``(i, j)`` as ``j -> i``, then as ``i -> j``,
+    and closes each choice before going deeper.  The first branch starts
+    from a copy of its parent's closed graph plus the one new edge, the
+    second from the parent itself, and each re-checks only the edges that
+    edge can affect (see ``_Closure``).  Members therefore come in ascending
+    orientation code, where bit ``k`` is set when the ``k``-th sorted
+    undirected edge points from its lower to its higher index.  No branch of
+    a closed graph dead-ends (see the module docstring), so the first leaf
+    decides: it is checked for a cycle and for a v-structure with a newly
+    oriented edge, and when it fails the class has no member and the search
+    returns ``[]`` at once; every later leaf is a member without checks.
+    ``c`` may have at most 24 undirected edges and ``outcome_index`` must be
+    a node of ``c`` (negatives count from the end), both checked before any
     work; the search raises once the member count exceeds ``MEMBER_CAP``,
-    so the work is bounded by ``MEMBER_CAP + 1`` members.  The members'
-    weights are read-only views of one ``(members, dim, dim)`` array, so
-    keeping any one member keeps the whole class's array alive.
+    so it visits at most ``MEMBER_CAP + 1`` leaves.  The members' weights
+    are read-only views of one ``(members, dim, dim)`` array, so keeping any
+    one member keeps the whole class's array alive.
     """
     if len(c.undirected) > _MAX_UNDIRECTED:
         raise ValueError(f"{len(c.undirected)} undirected edges is beyond "
@@ -299,29 +315,32 @@ def enumerate_mec(c: Cpdag, outcome_index: int = -1) -> list[WeightedDag]:
     adjacency = [pa | ch for pa, ch in zip(low, _children(low))]
     members = []
 
-    def search(state):
+    def search(state) -> bool:
+        """Collect the leaves below ``state``; False when the first leaf
+        fails its checks, which ends the search."""
         nb = state.neighbours
         if any(nb):  # branch on the largest undirected edge (i, j), i < j
             i = next(i for i in range(c.dim - 2, -1, -1) if nb[i] >> i + 1)
             j = i + (nb[i] >> i + 1).bit_length()
             branch = state.copy()
             branch.orient(j, i)
-            search(branch.close())
+            if not search(branch.close()):
+                return False
             state.orient(i, j)
-            search(state.close())
-            return
+            return search(state.close())
         parents = state.parents
-        if any(_collider_parents(pa, adjacency) & ~old  # a new v-structure
-               for pa, old in zip(parents, given)):
-            return
-        if not _acyclic(parents):
-            return
+        if not members and (  # the first leaf: a cycle or a new v-structure
+                not _acyclic(parents)
+                or any(_collider_parents(pa, adjacency) & ~old
+                       for pa, old in zip(parents, given))):
+            return False
         members.append(parents.copy())
         if len(members) > MEMBER_CAP:
             raise ValueError(
                 f"equivalence class exceeds the cap of {MEMBER_CAP} members")
+        return True
 
-    search(_Closure(adjacency, given))
+    search(_Closure(adjacency, given).close())
     # row j of a member's mask bytes holds bit i for the edge i -> j
     width = (c.dim + 7) // 8
     rows = np.frombuffer(b"".join(pa.to_bytes(width, "little")

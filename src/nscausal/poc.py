@@ -36,6 +36,16 @@ ENUMERATION_CAP = 10**7
 POC_KINDS = ("marginal", "conditional")
 
 
+def _left_sum(values) -> float:
+    """The sum of ``values``, added left to right.  The builtin ``sum`` of
+    floats is compensated from Python 3.12 on, so its last bits depend on
+    the Python version; this one's do not."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True)
 class DiscreteScm:
     """Finite SCM: per-node domains, noise tables, and function tables.
@@ -70,7 +80,7 @@ class DiscreteScm:
             probs = self.noise_probs[i]
             if len(probs) != len(self.noise_domains[i]):
                 raise ValueError(f"node {i}: noise values and probs differ in length")
-            if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
+            if any(p < 0 for p in probs) or abs(_left_sum(probs) - 1.0) > 1e-9:
                 raise ValueError(f"node {i}: noise probabilities must sum to 1")
             domain = set(self.domains[i])
             table = self.functions[i]
@@ -196,7 +206,7 @@ def _alternative_mixture(scm: DiscreteScm, joint: dict, i: int, z_i,
     mass: dict = {}
     for values, prob in _event(scm, joint, i, z_i, False, z_minus_i):
         mass[values[i]] = mass.get(values[i], 0.0) + prob
-    total = sum(mass.values())
+    total = _left_sum(mass.values())
     return sorted((value, weight / total) for value, weight in mass.items())
 
 
@@ -215,8 +225,8 @@ def _mixture_miss(scm: DiscreteScm, noise: tuple, i: int, mixture: list,
                   y, fixed: dict) -> float:
     """Mixture weight of the alternatives to ``Z_i`` that move ``Y`` off ``y``."""
     outcome = scm.outcome_index
-    return sum(weight for alt, weight in mixture
-               if evaluate(scm, noise, {**fixed, i: alt})[outcome] != y)
+    return _left_sum(weight for alt, weight in mixture
+                     if evaluate(scm, noise, {**fixed, i: alt})[outcome] != y)
 
 
 def exact_poc(scm: DiscreteScm, i: int, z_i, y, kind: str = "marginal",
@@ -292,14 +302,14 @@ class ScmDistribution:
     def p_outcome(self, y, i: int, z_i, equal: bool = True, z_minus_i=None) -> float:
         outcome = self.scm.outcome_index
         entries = _event(self.scm, self.joint, i, z_i, equal, z_minus_i)
-        return (sum(p for values, p in entries if values[outcome] == y)
-                / sum(p for _, p in entries))
+        return (_left_sum(p for values, p in entries if values[outcome] == y)
+                / _left_sum(p for _, p in entries))
 
     def expected_outcome(self, i: int, z_i, equal: bool = True, z_minus_i=None) -> float:
         outcome = self.scm.outcome_index
         entries = _event(self.scm, self.joint, i, z_i, equal, z_minus_i)
-        return (sum(p * values[outcome] for values, p in entries)
-                / sum(p for _, p in entries))
+        return (_left_sum(p * values[outcome] for values, p in entries)
+                / _left_sum(p for _, p in entries))
 
 
 class EmpiricalDistribution:
@@ -421,8 +431,9 @@ def interventional_mean(scm: DiscreteScm, interventions: dict) -> float:
     for node in interventions:
         check_node("intervention node", node, scm.dim)
     _check_settings(scm, interventions)
-    return float(sum(prob * evaluate(scm, noise, interventions)[scm.outcome_index]
-                     for prob, noise in _noise_states(scm)))
+    return float(_left_sum(
+        prob * evaluate(scm, noise, interventions)[scm.outcome_index]
+        for prob, noise in _noise_states(scm)))
 
 
 def natural_direct_effect(scm: DiscreteScm, i: int) -> float:
@@ -467,8 +478,8 @@ def effect_poc_profile(scm: DiscreteScm, i: int, z_i,
     def poc_mass(rest):
         base = _rest_values(scm, i, rest)
         mixture = _alternative_mixture(scm, dist.joint, i, z_i, rest)
-        return sum(y * _poc_sum(scm, i, z_i, y, base, mixture)
-                   for y in scm.domains[scm.outcome_index])
+        return _left_sum(y * _poc_sum(scm, i, z_i, y, base, mixture)
+                         for y in scm.domains[scm.outcome_index])
 
     poc_mass_m = poc_mass(None)
     poc_mass_c = poc_mass(rest_values)

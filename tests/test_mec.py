@@ -277,8 +277,9 @@ class TestEnumerateMec:
                             [(0, 1), (1, 2)]]
 
     def test_hand_built_graph_keeps_only_valid_orientations(self):
-        # not closed under the rules, so the leaf checks do the filtering:
-        # 1 -> 2 would add the collider 0 -> 2 <- 1, 2 -> 0 closes a cycle
+        # not closed under the rules, so closing the root does the
+        # filtering: rule 1 removes 1 -> 2 (the collider 0 -> 2 <- 1), and
+        # rule 2 removes 2 -> 0 (the cycle 0 -> 1 -> 2 -> 0)
         collider = Cpdag(3, frozenset({(0, 2)}), frozenset({(1, 2)}))
         members = enumerate_mec(collider)
         assert [set(map(tuple, np.argwhere(m.weights != 0).tolist()))
@@ -593,6 +594,25 @@ class TestUncheckedOutputs:
         four_cycle = Cpdag(4, frozenset(),
                            frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
         assert enumerate_mec(four_cycle) == []
+
+    def test_class_without_a_member_costs_one_leaf(self, monkeypatch):
+        # an undirected K6 and a disjoint chordless 4-cycle: 19 undirected
+        # edges and no member, since every orientation of the 4-cycle has a
+        # cycle or a collider.  A search that tests every leaf tests 2,160
+        # here, three per ordering of the K6; the first leaf decides.
+        edges = list(itertools.combinations(range(6), 2))
+        edges += [(6, 7), (7, 8), (8, 9), (6, 9)]
+        c = Cpdag(10, frozenset(), frozenset(edges))
+        assert len(c.undirected) == 19
+        leaves, acyclic = [], mec._acyclic
+
+        def counted(parents):  # the leaf test runs the cycle check first
+            leaves.append(parents)
+            return acyclic(parents)
+
+        monkeypatch.setattr(mec, "_acyclic", counted)
+        assert enumerate_mec(c) == []
+        assert len(leaves) == 1
 
     def test_one_node_class_is_one_zero_member(self):
         (member,) = enumerate_mec(Cpdag(1, frozenset(), frozenset()))

@@ -656,3 +656,9 @@ class TestNecessitySufficiency:
             assert pns == pytest.approx(p_zy * pn + p_nzny * ps, abs=1e-12)
             checked += 1
         assert checked >= 20
+
+
+def test_sums_add_left_to_right_on_every_python():
+    # the builtin sum is compensated from Python 3.12 on, where it gives 1.0
+    assert poc_mod._left_sum([0.1] * 10) == 0.9999999999999999
+    assert poc_mod._left_sum([]) == 0.0
