@@ -44,7 +44,6 @@ import numpy as np
 from .graph import (WeightedDag, ancestors_of, check_count,
                     check_random_graph, graph_metrics, is_integer, random_er,
                     random_sf, validate_weight_range)
-from .io import known_keys
 from .optimizer import FitConfig, fit, fit_baseline
 from .scm import (BernoulliNoise, GaussianNoise, SemSpec, check_sem,
                   sample_linear, sample_nonlinear, shift_nonnegative)
@@ -386,6 +385,16 @@ def run_scenario(spec: ScenarioSpec, fit_config: FitConfig | None = None,
         chunks = list(map(_replication_rows, *tasks))
     rows = tuple(row for chunk in chunks for row in chunk)
     return BenchReport(spec, rows, summarize(rows))
+
+
+def known_keys(doc, keys, what: str) -> dict:
+    """``doc`` once it is a JSON object with no unknown keys; ``what`` names it."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    unknown = set(doc) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return doc
 
 
 def spec_from_dict(doc: dict) -> ScenarioSpec:

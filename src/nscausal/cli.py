@@ -11,8 +11,8 @@ import numpy as np
 
 from . import __version__, io
 from .bench import (GRAPH_MODELS, METHODS, NOISE_KINDS, RAW_FIELDS,
-                    SUMMARY_FIELDS, capped_solves, nscg, run_scenario,
-                    scenario_data, score, spec_from_dict)
+                    SUMMARY_FIELDS, capped_solves, known_keys, nscg,
+                    run_scenario, scenario_data, score, spec_from_dict)
 from .effects import EFFECT_FIELDS, effect_rows
 from .graph import prune
 from .optimizer import FitConfig, fit, fit_baseline
@@ -44,8 +44,8 @@ def _load_fit_config(args) -> FitConfig:
             doc = json.load(fh)
         # only the 'fit' section is read; a root that is no object fails too
         section = doc.get("fit", {}) if isinstance(doc, dict) else doc
-        overrides = io.known_keys(section, FitConfig.__dataclass_fields__,
-                                  "fit config")
+        overrides = known_keys(section, FitConfig.__dataclass_fields__,
+                               "fit config")
         if "effect_kind" in overrides:
             raise ValueError("fit config key effect_kind is not read: --method "
                              "(or a bench spec's methods) chooses it")

@@ -178,16 +178,6 @@ def read_fit_dir(outdir) -> tuple:
     return graph, np.array([row[1] == "1" for row in rows[1:]], dtype=bool)
 
 
-def known_keys(doc, keys, what: str) -> dict:
-    """``doc`` once it is a JSON object with no unknown keys; ``what`` names it."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
-    unknown = set(doc) - set(keys)
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-    return doc
-
-
 def write_json(payload: dict, path):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

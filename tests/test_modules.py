@@ -2,10 +2,18 @@
 (dunder names such as ``__version__`` count as public), every private
 helper has a caller, every public method and property has a user, only
 ``effects.py`` inverts a matrix, and ``graph.unchecked`` is the one way to
-build an instance without its checks."""
+build an instance without its checks.  ``import nscausal`` loads no
+submodule, each entry point loads only the layers it calls, and the lazy
+package exposes the same 73 public names as the submodules that own them."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import nscausal
 
@@ -149,3 +157,101 @@ def test_one_unchecked_construction_path():
     assert setters == {("graph.py", "unchecked")}
     assert set(_object_calls("__new__")) == {("graph.py", "unchecked"),
                                              ("mec.py", "_Closure.copy")}
+
+
+def _fresh(code, *args):
+    """What ``code`` prints as JSON, run with ``args`` in a new interpreter
+    that imports the package from this checkout."""
+    src = str(Path(nscausal.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src + os.pathsep + path if path else src}
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+_LOADED = ("import json, sys; print(json.dumps([name[len('nscausal.'):] "
+           "for name in sys.modules if name.startswith('nscausal.')]))")
+
+
+@pytest.mark.parametrize("statement, exactly, absent", [
+    ("import nscausal", set(), set()),
+    ("import nscausal; nscausal.dag_to_cpdag", {"graph", "mec"}, set()),
+    ("import nscausal; nscausal.fit_baseline", None,
+     {"poc", "mec", "io", "bench"}),
+    ("import nscausal.cli", None, {"poc", "mec"}),
+], ids=["package", "dag_to_cpdag", "fit_baseline", "cli"])
+def test_each_entry_point_loads_only_the_layers_it_calls(statement, exactly,
+                                                         absent):
+    # start-up is paid per layer: a caller loads only the modules it reaches
+    loaded = set(_fresh(f"{statement}; {_LOADED}"))
+    if exactly is not None:
+        assert loaded == exactly
+    assert loaded & absent == set()
+
+
+# each submodule and the public names the package exports from it
+_PUBLIC = {
+    "graph": ["DEFAULT_WEIGHT_RANGE", "GraphMetrics", "WeightedDag",
+              "ancestors_of", "enumerate_paths_to_outcome", "graph_metrics",
+              "is_acyclic", "prune", "prune_weights", "random_er",
+              "random_sf", "topological_order"],
+    "scm": ["BernoulliNoise", "Dataset", "GaussianNoise", "SemSpec",
+            "round_half_away", "sample_linear", "sample_nonlinear",
+            "shift_nonnegative"],
+    "effects": ["delta_star", "direct_effect", "effect_rows", "total_effect",
+                "total_effect_by_paths", "total_effects"],
+    "poc": ["DiscreteScm", "EmpiricalDistribution", "PocBound",
+            "PocEffectProfile", "PocProduct", "ScmDistribution",
+            "effect_poc_profile", "empirical_cpoc", "empirical_mpoc",
+            "evaluate", "exact_pn", "exact_poc", "exact_ps",
+            "interventional_mean", "natural_direct_effect",
+            "observational_joint", "poc_lower_bound"],
+    "optimizer": ["FitConfig", "FitResult", "acyclicity_gradient",
+                  "acyclicity_value", "fit", "fit_baseline",
+                  "least_squares_loss", "relevance_constraint"],
+    "mec": ["Cpdag", "dag_to_cpdag", "enumerate_mec", "mec_average"],
+    "bench": ["BenchReport", "ScenarioSpec", "nscg", "run_scenario",
+              "scenario", "scenario_data", "scenario_truth", "spec_from_dict",
+              "summarize"],
+    "io": ["load_csv"],
+}
+
+_SURFACE = """
+import importlib, json, sys
+import nscausal
+out = {"dir": dir(nscausal),
+       "loaded_after_dir": [m for m in sys.modules if m.startswith("nscausal.")],
+       "all": sorted(nscausal.__all__)}
+try:
+    nscausal.no_such_name
+except AttributeError as exc:
+    out["unknown"] = str(exc)
+star = {}
+exec("from nscausal import *", star)
+out["star"] = sorted(name for name in star if name != "__builtins__")
+out["mismatched"] = []
+for module, names in json.loads(sys.argv[1]).items():
+    owner = importlib.import_module("nscausal." + module)
+    out["mismatched"] += [name for name in names
+                          if getattr(nscausal, name) is not getattr(owner, name)]
+    if getattr(nscausal, module) is not owner:
+        out["mismatched"].append(module)
+out["cached"] = sorted(set(vars(nscausal)) & set(nscausal.__all__))
+print(json.dumps(out))
+"""
+
+
+def test_lazy_package_exposes_the_public_surface_of_its_modules():
+    names = sorted([*_PUBLIC, *(n for names in _PUBLIC.values() for n in names)])
+    assert len(names) == 73
+    out = _fresh(_SURFACE, json.dumps(_PUBLIC))
+    assert out["all"] == names
+    assert sorted(out["dir"]) == names
+    assert out["loaded_after_dir"] == []
+    assert out["unknown"] == "module 'nscausal' has no attribute 'no_such_name'"
+    assert out["star"] == names
+    assert out["mismatched"] == []
+    assert out["cached"] == names
