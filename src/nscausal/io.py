@@ -10,7 +10,6 @@ from dataclasses import asdict
 import numpy as np
 
 from .graph import WeightedDag
-from .optimizer import DIAGNOSTIC_FIELDS
 from .scm import Dataset
 
 
@@ -140,6 +139,10 @@ def _feature_labels(g: WeightedDag) -> list:
 def write_fit_dir(result, outdir, meta: dict):
     """Persist a fit: graph.csv, raw_graph.csv, selected.csv, diagnostics.csv,
     meta.json (with ``meta``'s keys added)."""
+    # the optimizer made ``result``, so this import loads nothing new; at
+    # the top of the module it would load the learner into every CSV reader
+    from .optimizer import DIAGNOSTIC_FIELDS
+
     os.makedirs(outdir, exist_ok=True)
     write_graph_csv(result.graph, os.path.join(outdir, "graph.csv"))
     write_graph_csv(result.raw_graph, os.path.join(outdir, "raw_graph.csv"))

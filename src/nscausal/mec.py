@@ -12,31 +12,45 @@ graphs where the outcome has no children.
 The closure is incremental: after each orientation it re-checks only the
 undirected edges whose rule status that orientation can change, and the
 member search branches from its parent's closed graph plus one edge
-instead of closing every branch from scratch.  Both give exactly the
-orientations, and so the members in the order, of a closure that rescans
-every edge after every step.
-
-The member search closes its root before it branches.  The rules are sound
-and complete for a pattern plus background knowledge (Meek 1995), here the
+instead of closing every branch from scratch.  It orients the compelled
+edges in no fixed order, which cannot change what it builds.  Each rule is
+sound: every consistent extension (a DAG with the graph's skeleton, its
+directed edges and its v-structures) orients the edge the rule's way, so
+an orientation keeps the set of consistent extensions.  The rules are also
+complete for a pattern plus background knowledge (Meek 1995), here the
 v-structures and the other directed edges of the ``Cpdag``; this module's
-rule 4 drops Meek's condition that ``a`` and ``c`` be adjacent, which keeps
-it sound and makes it no weaker.  So a closed graph with one consistent
-extension keeps one under either orientation of any undirected edge, and no
-branch dead-ends: every leaf is a member, or none is.  Only the first leaf
-is checked for a cycle and a new v-structure.  When it fails, the class has
-no member and the search ends, so a ``Cpdag`` with no member (one not
-closed under the rules can be one) costs one path from the root.
+rule 4 drops Meek's condition that ``a`` and ``c`` be adjacent, which
+keeps it sound and makes it no weaker.  So every order closes a graph that
+has a consistent extension to the one graph that leaves undirected exactly
+the edges its extensions orient both ways, and a graph without one has no
+member whatever its closure.
+
+The member search closes its root before it branches.  A closed graph with
+one consistent extension keeps one under either orientation of any
+undirected edge (completeness again), so no branch dead-ends: every leaf
+is a member, or none is.  Only the first leaf is checked for a cycle and a
+new v-structure.  When it fails, the class has no member and the search
+ends, so a ``Cpdag`` with no member (one not closed under the rules can be
+one) costs one path from the root.
+
+``dag_to_cpdag`` closes its graph anyway, so the ``Cpdag`` it returns
+carries that closed state, set by ``graph.unchecked`` as a private
+attribute that is no dataclass field (``==``, ``hash`` and ``repr`` ignore
+it), and ``enumerate_mec`` searches from a copy of it.  Closing a closed
+graph orients nothing, so the same ``Cpdag`` built by hand, read into masks
+and closed by ``enumerate_mec``, gives the same root, and the same search.
 
 Graphs are held as bit masks: a node's parents, children, undirected
 neighbours and skeleton neighbours are each one Python int with bit ``k``
 set for node ``k``, so the rules, the acyclicity checks and the
 v-structure checks are integer operations, and a branch copies lists of
-ints.  Each input graph is read into parent and skeleton masks once.  The
-outputs are built from the masks unchecked (``graph.unchecked``): the
-closure guarantees the ``Cpdag``'s invariants and the member search a 0/1
-acyclic matrix, so neither is re-validated, and all members' matrices come
-from one unpack of their parent masks.  Endpoints are converted with
-``int()`` before any shift, because ``1 << np.int64(j)`` wraps past bit 63.
+ints.  Each input graph is read into parent and skeleton masks once, and
+``dag_to_cpdag``'s output is not read again.  The outputs are built from
+the masks unchecked (``graph.unchecked``): the closure guarantees the
+``Cpdag``'s invariants and the member search a 0/1 acyclic matrix, so
+neither is re-validated, and all members' matrices come from one unpack
+of their parent masks.  Endpoints are converted with ``int()`` before any
+shift, because ``1 << np.int64(j)`` wraps past bit 63.
 """
 
 from dataclasses import dataclass
@@ -161,12 +175,15 @@ class _Closure:
     Per-node parent, child, undirected-neighbour and skeleton-neighbour
     masks index the rules.  ``compelled`` maps every undirected edge
     ``(i, j)``, ``i < j``, that some rule orients in the current graph to
-    that orientation, ``i -> j`` preferred.  Closing orients the smallest
-    such edge, one at a time, and after ``x -> y`` re-checks only the
-    undirected edges whose status that can change: those touching ``x`` or
-    ``y``, and those joining an undirected neighbour of ``x`` to a child of
-    ``y`` (rule 4 through ``x -> y``).  Every other edge keeps its status, so
-    each step orients the same edge as a full rescan would.
+    that orientation, ``i -> j`` preferred.  Closing orients such edges, the
+    last one found first (the module docstring gives why the order cannot
+    change the closed graph), until none is left, and after ``x -> y``
+    re-checks only the undirected edges whose status that can change: those
+    touching ``x`` or ``y``, and those joining an undirected neighbour of
+    ``x`` to a child of ``y`` (rule 4 through ``x -> y``).  Every other edge
+    keeps its status, so ``compelled`` stays exact and a closed graph has
+    none.  ``dag_to_cpdag`` hands its closed state to the ``Cpdag`` it
+    returns, and ``enumerate_mec`` searches from a copy of it.
     """
 
     def __init__(self, adjacency: list, parents: list):
@@ -183,12 +200,13 @@ class _Closure:
                       for i, nb in enumerate(self.neighbours))
 
     def copy(self) -> "_Closure":
+        """A copy of this closed graph (so none of its edges is compelled)."""
         other = object.__new__(_Closure)
         other.adjacency = self.adjacency
         other.parents = self.parents.copy()
         other.children = self.children.copy()
         other.neighbours = self.neighbours.copy()
-        other.compelled = self.compelled.copy()
+        other.compelled = {}
         return other
 
     def directed(self) -> frozenset:
@@ -200,8 +218,8 @@ class _Closure:
                          for j in _bits(nb >> i + 1 << i + 1))
 
     def orient(self, x: int, y: int) -> None:
-        """Direct the undirected edge ``x - y`` as ``x -> y``."""
-        self.compelled.pop((x, y) if x < y else (y, x), None)
+        """Direct the undirected edge ``x - y``, not in ``compelled``, as
+        ``x -> y``."""
         nb = self.neighbours
         nb[x] &= ~(1 << y)
         nb[y] &= ~(1 << x)
@@ -216,47 +234,50 @@ class _Closure:
         self._recheck(touched)
 
     def close(self) -> "_Closure":
-        """Orient compelled edges, smallest first, until none is left."""
+        """Orient compelled edges until none is left."""
         compelled = self.compelled
         while compelled:
-            self.orient(*compelled[min(compelled)])
+            self.orient(*compelled.popitem()[1])
         return self
 
     def _recheck(self, stars) -> None:
         """Re-check the undirected edges from each node ``u`` to the nodes of
-        ``mask``, for every ``(u, mask)`` in ``stars``."""
-        compelled = self.compelled
+        ``mask``, for every ``(u, mask)`` in ``stars``: ``a -> b`` first, then
+        ``b -> a``, each deciding rule 1 here and rules 2-4 only when the
+        head has a parent, as each of those needs one."""
+        compelled, parents, adjacency = self.compelled, self.parents, self.adjacency
         for u, mask in stars:
             while mask:  # _bits(mask), inlined: the closure's hottest loop
                 low = mask & -mask
                 mask ^= low
                 v = low.bit_length() - 1
                 edge = a, b = (u, v) if u < v else (v, u)
-                if self._compelled(a, b):
+                into_a, into_b = parents[a], parents[b]
+                if (into_a & ~adjacency[b]
+                        or into_b and self._rules_2_to_4(a, b, into_b)):
                     compelled[edge] = edge
-                elif self._compelled(b, a):
+                elif (into_b & ~adjacency[a]
+                        or into_a and self._rules_2_to_4(b, a, into_a)):
                     compelled[edge] = (b, a)
                 else:
                     compelled.pop(edge, None)
 
-    def _compelled(self, a: int, b: int) -> bool:
-        """Whether a rule orients the undirected edge ``a - b`` as ``a -> b``."""
-        adjacency, children, into_b = self.adjacency, self.children, self.parents[b]
-        near_b = adjacency[b]
-        # rule 1 (b itself is no parent of a while a - b is undirected)
-        if self.parents[a] & ~near_b:
+    def _rules_2_to_4(self, a: int, b: int, into_b: int) -> bool:
+        """Whether rule 2, 3 or 4 orients the undirected edge ``a - b`` as
+        ``a -> b``, where ``into_b`` holds the parents of ``b``."""
+        adjacency, parents, around_a = self.adjacency, self.parents, self.neighbours[a]
+        if self.children[a] & into_b:  # rule 2
             return True
-        if not into_b:  # rules 2-4 each need a parent of b
-            return False
-        if children[a] & into_b:  # rule 2
-            return True
-        linked = self.neighbours[a] & into_b  # rule 3
+        linked = around_a & into_b  # rule 3
         if linked & (linked - 1) and any(linked & ~(adjacency[c] | 1 << c)
                                          for c in _bits(linked)):
             return True
-        # rule 4
-        return any(children[d] & into_b
-                   for d in _bits(self.neighbours[a] & ~(near_b | 1 << b)))
+        # rule 4: d -> c -> b, a - d, b and d non-adjacent; ``above`` holds
+        # the parents of b's parents, never b itself
+        above = 0
+        for c in _bits(into_b):
+            above |= parents[c]
+        return bool(above & around_a & ~adjacency[b])
 
 
 def dag_to_cpdag(g: WeightedDag, outcome_sink: bool = False) -> Cpdag:
@@ -278,7 +299,8 @@ def dag_to_cpdag(g: WeightedDag, outcome_sink: bool = False) -> Cpdag:
         compelled[out] = adjacency[out]
     closed = _Closure(adjacency, compelled).close()
     return unchecked(Cpdag, dim=g.dim, directed=closed.directed(),
-                     undirected=closed.undirected(), labels=g.labels)
+                     undirected=closed.undirected(), labels=g.labels,
+                     _closed=closed)
 
 
 def enumerate_mec(c: Cpdag, outcome_index: int = -1) -> list[WeightedDag]:
@@ -286,66 +308,82 @@ def enumerate_mec(c: Cpdag, outcome_index: int = -1) -> list[WeightedDag]:
 
     A member keeps every directed edge, orients every undirected edge, is
     acyclic, and introduces no v-structure beyond those already visible in
-    the directed part of the CPDAG.  The search closes ``c`` under the
-    orientation rules, then goes depth first: it orients the largest
-    remaining undirected edge ``(i, j)`` as ``j -> i``, then as ``i -> j``,
-    and closes each choice before going deeper.  The first branch starts
-    from a copy of its parent's closed graph plus the one new edge, the
-    second from the parent itself, and each re-checks only the edges that
-    edge can affect (see ``_Closure``).  Members therefore come in ascending
-    orientation code, where bit ``k`` is set when the ``k``-th sorted
-    undirected edge points from its lower to its higher index.  No branch of
-    a closed graph dead-ends (see the module docstring), so the first leaf
-    decides: it is checked for a cycle and for a v-structure with a newly
-    oriented edge, and when it fails the class has no member and the search
-    returns ``[]`` at once; every later leaf is a member without checks.
-    ``c`` may have at most 24 undirected edges and ``outcome_index`` must be
-    a node of ``c`` (negatives count from the end), both checked before any
-    work; the search raises once the member count exceeds ``MEMBER_CAP``,
-    so it visits at most ``MEMBER_CAP + 1`` leaves.  The members' weights
-    are read-only views of one ``(members, dim, dim)`` array, so keeping any
-    one member keeps the whole class's array alive.
+    the directed part of the CPDAG.  The search starts from ``c`` closed
+    under the orientation rules: a copy of the closed state that
+    ``dag_to_cpdag`` handed over with ``c``, or, for a ``Cpdag`` built by
+    hand, its masks closed here; closing the handed-over state again would
+    orient nothing, so both give the same root.  It goes depth first: it
+    orients the largest remaining undirected edge ``(i, j)`` as ``j -> i``,
+    then as ``i -> j``, and closes each choice before going deeper.  The
+    first branch starts from a copy of its parent's closed graph plus the
+    one new edge, the second from the parent itself, and each re-checks only
+    the edges that edge can affect (see ``_Closure``).  Members therefore
+    come in ascending orientation code, where bit ``k`` is set when the
+    ``k``-th sorted undirected edge points from its lower to its higher
+    index.  No branch of a closed graph dead-ends (see the module
+    docstring), so the first leaf decides: it is checked for a cycle and for
+    a v-structure with a newly oriented edge, and when it fails the class
+    has no member and the search returns ``[]`` at once; every later leaf is
+    a member without checks.  ``c`` may have at most 24 undirected edges and
+    ``outcome_index`` must be a node of ``c`` (negatives count from the
+    end), both checked before any work; the search raises once the member
+    count exceeds ``MEMBER_CAP``, so it visits at most ``MEMBER_CAP + 1``
+    leaves.  The members' weights are read-only views of one
+    ``(members, dim, dim)`` array, so keeping any one member keeps the whole
+    class's array alive.
     """
     if len(c.undirected) > _MAX_UNDIRECTED:
         raise ValueError(f"{len(c.undirected)} undirected edges is beyond "
                          "the enumeration limit")
     outcome = outcome_position(outcome_index, c.dim)
-    given = _parent_masks(c.dim, c.directed)
-    low = _parent_masks(c.dim, c.skeleton())
-    adjacency = [pa | ch for pa, ch in zip(low, _children(low))]
+    closed = getattr(c, "_closed", None)  # set by dag_to_cpdag only
+    if closed is None:  # built by hand: read into masks and close
+        given = _parent_masks(c.dim, c.directed)
+        low = _parent_masks(c.dim, c.skeleton())
+        closed = _Closure([pa | ch for pa, ch in zip(low, _children(low))],
+                          given).close()
+    else:  # its directed edges are c's own
+        given = closed.parents
+    adjacency = closed.adjacency
     members = []
 
     def search(state) -> bool:
         """Collect the leaves below ``state``; False when the first leaf
         fails its checks, which ends the search."""
         nb = state.neighbours
-        if any(nb):  # branch on the largest undirected edge (i, j), i < j
-            i = next(i for i in range(c.dim - 2, -1, -1) if nb[i] >> i + 1)
-            j = i + (nb[i] >> i + 1).bit_length()
-            branch = state.copy()
-            branch.orient(j, i)
-            if not search(branch.close()):
-                return False
-            state.orient(i, j)
-            return search(state.close())
+        for i in range(c.dim - 2, -1, -1):  # the largest undirected edge
+            above = nb[i] >> i + 1
+            if above:
+                j = i + above.bit_length()
+                branch = state.copy()
+                branch.orient(j, i)
+                if not search(branch.close()):
+                    return False
+                state.orient(i, j)
+                return search(state.close())
         parents = state.parents
         if not members and (  # the first leaf: a cycle or a new v-structure
                 not _acyclic(parents)
                 or any(_collider_parents(pa, adjacency) & ~old
                        for pa, old in zip(parents, given))):
             return False
-        members.append(parents.copy())
+        members.append(parents)  # no later step changes a leaf's masks
         if len(members) > MEMBER_CAP:
             raise ValueError(
                 f"equivalence class exceeds the cap of {MEMBER_CAP} members")
         return True
 
-    search(_Closure(adjacency, given).close())
-    # row j of a member's mask bytes holds bit i for the edge i -> j
-    width = (c.dim + 7) // 8
-    rows = np.frombuffer(b"".join(pa.to_bytes(width, "little")
-                                  for parents in members for pa in parents),
-                         dtype=np.uint8).reshape(len(members), c.dim, width)
+    search(closed.copy())
+    # row j of a member's mask bytes holds bit i for the edge i -> j; up to
+    # 64 nodes, numpy converts all the masks to 8-byte rows in one call
+    if c.dim <= 64:
+        width, rows = 8, np.array(members, dtype="<u8").view(np.uint8)
+    else:
+        width = (c.dim + 7) // 8
+        rows = np.frombuffer(b"".join(pa.to_bytes(width, "little")
+                                      for parents in members
+                                      for pa in parents), dtype=np.uint8)
+    rows = rows.reshape(len(members), c.dim, width)
     stack = np.unpackbits(rows, axis=-1, count=c.dim, bitorder="little")
     stack = stack.transpose(0, 2, 1).astype(float, order="C")
     stack.flags.writeable = False

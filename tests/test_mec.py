@@ -590,6 +590,20 @@ class TestUncheckedOutputs:
                 with pytest.raises(ValueError, match="read-only"):
                     m.weights[0, 0] = 1.0
 
+    def test_cpdag_of_a_dag_is_searched_from_its_handed_over_closure(
+            self, monkeypatch):
+        # dag_to_cpdag's closed state rides on its Cpdag, so enumerating it
+        # reads no mask and closes nothing anew
+        c = dag_to_cpdag(dag_from_edges([(0, 1), (1, 2), (3, 2)], 4))
+        expected = [m.weights.tobytes() for m in enumerate_mec(c)]
+
+        def no_masks(*args):
+            raise AssertionError("the Cpdag was read into masks again")
+
+        monkeypatch.setattr(mec, "_parent_masks", no_masks)
+        assert [m.weights.tobytes() for m in enumerate_mec(c)] == expected
+        assert len(expected) == 2
+
     def test_class_without_a_member_is_empty(self):
         four_cycle = Cpdag(4, frozenset(),
                            frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
@@ -636,3 +650,17 @@ class TestUncheckedOutputs:
             w = np.zeros((dim, dim))
             w[tuple(zip(*pattern))] = 1.0
             assert m.weights.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("dim", [64, 65])
+    def test_members_either_side_of_64_nodes_are_the_extensions(self, dim):
+        # up to 64 nodes the masks go to numpy as 8-byte integers, bit 63
+        # included; past 64 they go as bytes
+        edges = [(61, 62), (62, dim - 1), (dim - 1, 0)]
+        for c in (dag_to_cpdag(dag_from_edges(edges, dim)),
+                  Cpdag(dim, frozenset(), frozenset(edges))):
+            members = enumerate_mec(c)
+            assert len(members) == 4
+            for m, pattern in zip(members, consistent_extensions(c)):
+                w = np.zeros((dim, dim))
+                w[tuple(zip(*pattern))] = 1.0
+                assert m.weights.tobytes() == w.tobytes()

@@ -1,12 +1,14 @@
-"""``tools/mec_parity.py`` on its case set and hand-written lines."""
+"""``tools/mec_parity.py`` on its case set and hand-written lines, and
+``enumerate_mec``'s two ways in on the DAG and tree cases."""
 
 import collections
+import dataclasses
 import importlib.util
 import io
 import json
 from pathlib import Path
 
-from nscausal.mec import Cpdag
+from nscausal.mec import Cpdag, dag_to_cpdag, enumerate_mec
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "mec_parity.py"
 _SPEC = importlib.util.spec_from_file_location("mec_parity", _PATH)
@@ -73,3 +75,40 @@ def test_a_missing_case_fails(tmp_path):
     assert code == 1
     assert "only in old: random 0\n" in report
     assert "random: 0, 0, 1\n" in report
+
+
+def _dag_cases():
+    """(name, graph, outcome index) for every DAG on 2-4 nodes and for the
+    ``mec-trees`` trees, the graphs that reach ``enumerate_mec`` through
+    ``dag_to_cpdag``."""
+    for dim in range(2, 5):
+        for code, (edges, _) in enumerate(mec_parity._mixed_graphs(dim, 3)):
+            yield f"dag {dim} {code}", mec_parity._graph(edges, dim), -1
+    for seed, k, tree in mec_parity.trees():
+        yield f"tree {seed} {k}", tree, tree.outcome_index
+
+
+def test_both_ways_into_enumerate_mec_agree():
+    # dag_to_cpdag hands its closed state to the Cpdag it returns; the same
+    # Cpdag built by hand is closed afresh, and the search is the same
+    for name, g, outcome in _dag_cases():
+        for sink in (False, True):
+            try:
+                c = dag_to_cpdag(g, outcome_sink=sink)
+            except ValueError:  # the outcome has a child
+                continue
+            fresh = Cpdag(c.dim, c.directed, c.undirected, c.labels)
+            assert c == fresh and hash(c) == hash(fresh), name
+            # the repr shows the fields only (a set's repr follows its
+            # build order, so the fresh one's may list edges differently)
+            assert repr(c) == (f"Cpdag(dim={c.dim!r}, directed={c.directed!r}"
+                               f", undirected={c.undirected!r}, "
+                               f"labels={c.labels!r})"), name
+            assert dataclasses.fields(c) == dataclasses.fields(fresh)
+            handed = [m.weights.tobytes()
+                      for m in enumerate_mec(c, outcome)]
+            assert handed == [m.weights.tobytes()
+                              for m in enumerate_mec(fresh, outcome)], name
+            # the handed-over state is copied, never changed
+            assert handed == [m.weights.tobytes()
+                              for m in enumerate_mec(c, outcome)], name

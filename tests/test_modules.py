@@ -182,7 +182,8 @@ _LOADED = ("import json, sys; print(json.dumps([name[len('nscausal.'):] "
     ("import nscausal; nscausal.fit_baseline", None,
      {"poc", "mec", "io", "bench"}),
     ("import nscausal.cli", None, {"poc", "mec"}),
-], ids=["package", "dag_to_cpdag", "fit_baseline", "cli"])
+    ("import nscausal; nscausal.load_csv", {"graph", "scm", "io"}, set()),
+], ids=["package", "dag_to_cpdag", "fit_baseline", "cli", "load_csv"])
 def test_each_entry_point_loads_only_the_layers_it_calls(statement, exactly,
                                                          absent):
     # start-up is paid per layer: a caller loads only the modules it reaches

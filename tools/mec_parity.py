@@ -29,6 +29,11 @@ hashed as the error's message.  The cases:
 * ``random``: 10,000 hand-built ``Cpdag``s on 2-8 nodes, case ``k`` drawn
   from ``default_rng(k)``; many have no member.
 
+``enumerate_mec`` has two ways in, and one compare covers both: ``dag``,
+``tree`` and the DAG cases of ``wide`` reach it with the closed state that
+``dag_to_cpdag`` hands over, while ``partial``, ``random`` and the
+hand-built ``wide`` cases are read into masks and closed there.
+
 ``--compare`` lists every case whose hash differs and every case found in
 one file only, prints the case and mismatch counts per family, and exits
 1 when any case differs or is missing; else 0.  To compare a change with
@@ -109,6 +114,18 @@ def _random_cpdag(k: int) -> Cpdag:
     return Cpdag(dim, frozenset(directed), frozenset(undirected))
 
 
+def trees():
+    """(seed, k, tree) for the ``mec-trees`` benchmark's trees at each of
+    ``TREE_SEEDS``: its ops ``k``, then its warm-up tree."""
+    workload = workloads.WORKLOADS["mec-trees"]
+    count = workloads.op_count(workload, TREE_SECONDS)
+    sizes = workloads.MEC_SIZES
+    for seed in TREE_SEEDS:
+        for k in range(count + 1):
+            size = sizes[k % len(sizes)] if k < count else 3
+            yield seed, k, workloads.random_tree(size, [seed, k])
+
+
 def cases():
     """(name, build) for every case, ``build`` returning the CPDAG and the
     outcome index to enumerate with."""
@@ -123,17 +140,11 @@ def cases():
             yield (f"partial {dim} {code}",
                    lambda d=dim, a=directed, u=undirected:
                    (Cpdag(d, frozenset(a), frozenset(u)), -1))
-    workload = workloads.WORKLOADS["mec-trees"]
-    count = workloads.op_count(workload, TREE_SECONDS)
-    sizes = workloads.MEC_SIZES
-    for seed in TREE_SEEDS:
-        for k in range(count + 1):  # the ops, then the warm-up tree
-            size = sizes[k % len(sizes)] if k < count else 3
-            tree = workloads.random_tree(size, [seed, k])
-            for sink in (False, True):
-                yield (f"tree {seed} {k} sink={sink}",
-                       lambda t=tree, s=sink:
-                       (dag_to_cpdag(t, outcome_sink=s), t.outcome_index))
+    for seed, k, tree in trees():
+        for sink in (False, True):
+            yield (f"tree {seed} {k} sink={sink}",
+                   lambda t=tree, s=sink:
+                   (dag_to_cpdag(t, outcome_sink=s), t.outcome_index))
     for node in (np.int64, int):
         yield (f"wide cpdag {node.__name__}",
                lambda n=node: (Cpdag(70, frozenset({(n(0), n(1))}),
