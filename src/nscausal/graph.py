@@ -128,10 +128,10 @@ def unchecked(cls, **fields):
     """An instance of the frozen dataclass ``cls`` holding ``fields`` as
     given, without ``__post_init__``: for producers that already guarantee
     the invariants its checks would enforce.  Public construction keeps
-    every check."""
+    every check.  The fields go into the instance dict in one update, which
+    the frozen ``__setattr__`` does not guard."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
 
 

@@ -13,10 +13,12 @@ The closure is incremental: after each orientation it re-checks only the
 undirected edges whose rule status that orientation can change, and the
 member search branches from its parent's closed graph plus one edge
 instead of closing every branch from scratch.  It orients the compelled
-edges in no fixed order, which cannot change what it builds.  Each rule is
-sound: every consistent extension (a DAG with the graph's skeleton, its
-directed edges and its v-structures) orients the edge the rule's way, so
-an orientation keeps the set of consistent extensions.  The rules are also
+edges in no fixed order, which cannot change what it builds from a graph
+that has a consistent extension; from one without, the order can change
+the closed graph, but not its empty class.  Each rule is sound: every
+consistent extension (a DAG with the graph's skeleton, its directed edges
+and its v-structures) orients the edge the rule's way, so an orientation
+keeps the set of consistent extensions.  The rules are also
 complete for a pattern plus background knowledge (Meek 1995), here the
 v-structures and the other directed edges of the ``Cpdag``; this module's
 rule 4 drops Meek's condition that ``a`` and ``c`` be adjacent, which
@@ -176,8 +178,9 @@ class _Closure:
     masks index the rules.  ``compelled`` maps every undirected edge
     ``(i, j)``, ``i < j``, that some rule orients in the current graph to
     that orientation, ``i -> j`` preferred.  Closing orients such edges, the
-    last one found first (the module docstring gives why the order cannot
-    change the closed graph), until none is left, and after ``x -> y``
+    last one found first, until none is left; the module docstring gives
+    why the order cannot change the closed graph of a graph with a
+    consistent extension (without one, it can).  After ``x -> y`` it
     re-checks only the undirected edges whose status that can change: those
     touching ``x`` or ``y``, and those joining an undirected neighbour of
     ``x`` to a child of ``y`` (rule 4 through ``x -> y``).  Every other edge

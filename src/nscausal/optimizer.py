@@ -47,14 +47,14 @@ feature whose pruned-graph effect is at most the cutoff ``selection_tolerance
 selected feature has a path to the outcome in the pruned graph the selection
 read.  The rule runs after each solve and, on a start that already passes
 the ``h1`` gate, once before the first solve, so that solve runs only on the
-surviving features; both go through one step of ``_engine`` that masks the
-iterate when a feature went.  Drops before the
-first solve are recorded in step 0's ``dropped``.  The outcome row is kept
-at zero by projection throughout.  A dual step costs its solve and little
-else: one ``_Objective`` per feature mask takes each step's multipliers,
-and supports and selections are read off the pruned array
-(``prune_weights``, ``topological_order``), not a ``WeightedDag``.  Each
-inner minimization is L-BFGS with an
+surviving features; both go through one helper of ``_engine`` that masks
+the iterate when a feature went.  Drops before the first solve are
+recorded in step 0's ``dropped``, and every dual step runs one body.  The
+outcome row is kept at zero by projection throughout.  A dual step costs
+its solve and little else: one ``_Objective`` per feature mask takes each
+step's multipliers, and supports and selections are read off the pruned
+array (``prune_weights``, ``topological_order``), not a ``WeightedDag``.
+Each inner minimization is L-BFGS with an
 Armijo backtracking line search over the free entries (as in NOTEARS, Zheng
 et al. 2018); a step is taken only when it lowers the objective, so no inner
 solve ever increases it.  At the problem sizes here an iteration is bound by
@@ -81,24 +81,24 @@ quadratic penalty (Ng et al., AISTATS 2022), are badly scaled, and their
 solves crawl or stop at ``max_inner_iter``.  ``s`` is 1 at the
 selection-free fit's zero start, so its first subproblem is solved as
 without scaling.  A solve stops once a
-step lowers the objective by less than ``_FTOL`` relative (SciPy L-BFGS-B's
-test), instead of crawling to the rounding floor.  The selection-free fit
-loosens that test while it is far from acyclic: its solve at each dual step
-stops at ``max(_FTOL, min(_FTOL_PER_H1, _FTOL_PER_H1 * h1))`` with ``h1``
-the previous step's (so ``_FTOL_PER_H1`` at step 0, and ``_FTOL`` once ``h1
-<= _FTOL / _FTOL_PER_H1``), since only its last subproblems decide the
-answer (inexact augmented Lagrangian; Conn, Gould & Toint 1991).  A
-selective fit whose start passes the gate starts where that rule is at ``h1
-= SELECTION_H1_GATE`` and solves at its value there, ``_FTOL_PER_H1 *
-SELECTION_H1_GATE`` (1e-8), for the whole fit.  It goes no looser, since its
-solves feed the selection rule, which cannot undo a drop: at 3e-8 a held-out
-s4 fit kept a spurious feature.  One whose start is above the gate solves at
-``_FTOL``.  Every ``diagnostics`` row records why its solve stopped and how
-many objective evaluations it spent, and the engine evaluates the objective
-nowhere else except after a deactivation; its ``f`` is in data units, its
-``objective_start`` and ``objective_end`` in the rescaled units.  Once every
-unmet constraint's penalty is capped, a fit ends after three dual steps
-without progress, unconverged.
+step lowers the objective by less than ``ftol`` relative (SciPy L-BFGS-B's
+test), instead of crawling to the rounding floor.  Every solve of every fit
+takes one rule, ``ftol = max(_FTOL, min(_FTOL_PER_H1, _FTOL_PER_H1 *
+h1_ref))``, loose while the fit is far from acyclic, since only its last
+subproblems decide the answer (inexact augmented Lagrangian; Conn, Gould &
+Toint 1991).  ``h1_ref`` is the previous step's ``h1`` for the
+selection-free fit: ``inf`` at step 0, so ``_FTOL_PER_H1``, and ``_FTOL``
+once ``h1 <= _FTOL / _FTOL_PER_H1``.  A selective fit fixes it at its
+start: at ``SELECTION_H1_GATE`` when the start passes the gate, so every
+solve stops at ``_FTOL_PER_H1 * SELECTION_H1_GATE`` (1e-8), and at 0, so
+at ``_FTOL``, when it does not.  It goes no looser, since its solves feed
+the selection rule, which cannot undo a drop: at 3e-8 a held-out s4 fit
+kept a spurious feature.  Every ``diagnostics`` row records why its solve
+stopped and how many objective evaluations it spent, and the engine
+evaluates the objective nowhere else except after a deactivation; its
+``f`` is in data units, its ``objective_start`` and ``objective_end`` in
+the rescaled units.  Once every unmet constraint's penalty is capped, a fit
+ends after three dual steps without progress, unconverged.
 
 Every fit has one stop rule.  It converges when a step's solve meets both
 tolerances (``h1 <= _H1_TOL``, ``|h2| <= _H2_TOL``) and its selection drops
@@ -155,10 +155,8 @@ _STEP_SIZE = 0.05
 _GRAD_TOL = 1e-7
 _FTOL = 2.220446049250313e-09
 
-# a selection-free solve's relative-decrease stop per unit of the previous
-# step's h1 (capped at this value, floored at _FTOL), and at h1 =
-# SELECTION_H1_GATE a gated warm-started selective fit's (see the module
-# docstring)
+# every solve's relative-decrease stop per unit of its reference h1, capped
+# at this value and floored at _FTOL (see the module docstring)
 _FTOL_PER_H1 = 1e-3
 
 _FLOAT_MAX = np.finfo(float).max
@@ -182,7 +180,7 @@ class FitConfig:
     not).
 
     The penalty schedule, ``h1``'s ``t = 1/dim`` and the inner-solve
-    constants (``_STEP_SIZE``, ``_GRAD_TOL``, ``_FTOL`` and the baseline's
+    constants (``_STEP_SIZE``, ``_GRAD_TOL``, ``_FTOL`` and
     ``_FTOL_PER_H1``) are fixed by the engine; see the module docstring.
     """
 
@@ -735,7 +733,6 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
     h1_prev = math.inf
     h2_prev = math.inf
     support_prev = None  # the last step's settled support
-    ftol = _FTOL  # a selective fit's solve tolerance; the baseline's follows h1
     t = 1.0 / dim  # one h1 for the whole fit (see the module docstring)
     diagnostics = []
     converged = False
@@ -763,22 +760,23 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
 
     # one objective per feature mask; each dual step sets its multipliers
     objective = objective_for_mask()
+    # a selective fit's start, its baseline, gets the selection rule before
+    # the first solve when it is already nearly acyclic, so that solve runs
+    # only on the survivors; the drops go in step 0's row, and the masked
+    # start counts as a settled step.  Its solves read the tolerance rule at
+    # the gate; those from a start above the gate read it at 0, so at _FTOL
+    dropped = []
+    start_ref = 0.0
+    if relevance and _h1(w, t, objective.eye)[0] <= SELECTION_H1_GATE:
+        w, dropped = select(w)
+        support_prev = settled_support(w)
+        start_ref = SELECTION_H1_GATE
     for step in range(config.max_dual_steps):
-        dropped = []
-        # a selective fit's start, its baseline, gets the selection rule
-        # before the first solve when it is already nearly acyclic, so that
-        # solve runs only on the survivors.  Such a fit solves at the
-        # baseline rule's tolerance at the gate, and its masked start counts
-        # as a settled step; one above the gate solves at _FTOL
-        if (step == 0 and relevance
-                and _h1(w, t, objective.eye)[0] <= SELECTION_H1_GATE):
-            w, dropped = select(w)
-            ftol = _FTOL_PER_H1 * SELECTION_H1_GATE
-            support_prev = settled_support(w)
         objective.lam1, objective.c = lam1, c
         objective.lam2, objective.d_pen = lam2, d_pen
-        if not relevance:
-            ftol = max(_FTOL, min(_FTOL_PER_H1, _FTOL_PER_H1 * h1_prev))
+        # one tolerance rule for every solve (see the module docstring)
+        h1_ref = start_ref if relevance else h1_prev
+        ftol = max(_FTOL, min(_FTOL_PER_H1, _FTOL_PER_H1 * h1_ref))
         w, solve = _lbfgs_minimize(w, objective, _STEP_SIZE,
                                    config.max_inner_iter, _GRAD_TOL, ftol)
         h1v, h2v = solve.pop("h1"), solve.pop("h2")
@@ -834,6 +832,7 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
             break
         h1_prev = max(h1v, 1e-300)
         h2_prev = max(abs(h2v), 1e-300)
+        dropped = []
 
     raw = WeightedDag(w, data.labels, outcome)
     return FitResult(
@@ -871,8 +870,8 @@ def fit(data: Dataset, config: FitConfig = FitConfig(),
     ``outcome_index`` or ``labels`` is a ``ValueError``.
     When the warm start is nearly acyclic, the selection rule runs on it
     before the first solve, and its drops are recorded in step 0's
-    ``dropped``; the fit then solves at the baseline rule's tolerance at
-    the gate, and counts the masked warm start as a settled step, so a
+    ``dropped``; the fit then solves at the tolerance rule's value at the
+    gate, and counts the masked warm start as a settled step, so a
     first solve that keeps its pruned support ends the fit.  The reference
     score is ``config.delta_star`` when given, else the effect mass of the
     warm start's pruned graph, and stays frozen for the constrained run.  A

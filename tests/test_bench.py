@@ -183,6 +183,10 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             scenario("s1", methods=("pc",))
 
+    def test_empty_sample_sizes_are_rejected_by_name(self):
+        with pytest.raises(ValueError, match="sample_sizes must not be empty"):
+            scenario("s1", sample_sizes=())
+
     def test_from_dict(self):
         spec = spec_from_dict({
             "id": "s2", "sample_sizes": [50], "replications": 2,

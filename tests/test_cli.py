@@ -410,6 +410,7 @@ class TestExitCodes:
          "p must be at least 2"),
         ({"id": "s1", "replications": 0}, "replications must be at least 1"),
         ({"id": "s1", "sample_sizes": [0]}, "sample_sizes must be at least 1"),
+        ({"id": "s1", "sample_sizes": []}, "sample_sizes must not be empty"),
     ])
     def test_malformed_bench_spec_is_a_validation_error(self, tmp_path, capsys,
                                                         doc, message):

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from nscausal.graph import (WeightedDag, ancestors_of,
                             enumerate_paths_to_outcome, graph_metrics,
                             is_acyclic, prune, random_er, random_sf,
-                            topological_order)
+                            topological_order, unchecked)
+from nscausal.mec import Cpdag
 from nscausal.optimizer import (FitConfig, FitResult, acyclicity_value,
                                 relevance_constraint)
 from nscausal.scm import Dataset
@@ -322,6 +324,32 @@ class TestWeightedDag:
     def test_malformed_input_is_an_error(self, weights, labels, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             WeightedDag(weights, labels)
+
+
+class TestUnchecked:
+    # graph.unchecked skips __post_init__; given the values the checks would
+    # store, it builds an instance equal to the checked construction's
+    @pytest.mark.parametrize("cls, fields", [
+        (WeightedDag, {"weights": np.array([[0.0, 1.5], [0.0, 0.0]]),
+                       "labels": ("a", "b"), "outcome_index": 1}),
+        (Cpdag, {"dim": 3, "directed": frozenset({(0, 2)}),
+                 "undirected": frozenset({(1, 2)}),
+                 "labels": ("z0", "z1", "y")}),
+    ], ids=["WeightedDag", "Cpdag"])
+    def test_equals_the_checked_construction(self, cls, fields):
+        built, checked = unchecked(cls, **fields), cls(**fields)
+        assert type(built) is cls
+        assert vars(built).keys() == vars(checked).keys()
+        for name in vars(checked):
+            ours, theirs = getattr(built, name), getattr(checked, name)
+            assert type(ours) is type(theirs)
+            if isinstance(theirs, np.ndarray):
+                assert ours.tobytes() == theirs.tobytes()
+                assert ours.dtype == theirs.dtype
+            else:
+                assert ours == theirs
+        with pytest.raises(FrozenInstanceError):
+            built.labels = ()
 
 
 def _zero_graph():

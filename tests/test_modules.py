@@ -125,9 +125,9 @@ def test_only_effects_inverts_a_matrix():
     assert modules == {"effects.py"}
 
 
-def _object_calls(attr):
-    """(module, enclosing definitions) of each ``object.<attr>(...)`` call in
-    the package, the definitions joined by dots (``"_Closure.copy"``)."""
+def _sites(matches):
+    """(module, enclosing definitions) of each node of the package for which
+    ``matches`` holds, the definitions joined by dots (``"_Closure.copy"``)."""
     package = Path(nscausal.__file__).parent
     sites = []
 
@@ -136,11 +136,7 @@ def _object_calls(attr):
             inner = where
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inner = where + (child.name,)
-            elif (isinstance(child, ast.Call)
-                  and isinstance(child.func, ast.Attribute)
-                  and child.func.attr == attr
-                  and isinstance(child.func.value, ast.Name)
-                  and child.func.value.id == "object"):
+            elif matches(child):
                 sites.append((module, ".".join(where)))
             visit(child, module, inner)
 
@@ -149,12 +145,25 @@ def _object_calls(attr):
     return sites
 
 
+def _object_calls(attr):
+    """The ``_sites`` of each ``object.<attr>(...)`` call in the package."""
+    return _sites(lambda node: isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == attr
+                  and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id == "object")
+
+
 def test_one_unchecked_construction_path():
     # a frozen dataclass is filled outside its checks only in __post_init__
-    # (after them) or by graph.unchecked, whose callers guarantee them
+    # (after them) or by graph.unchecked, through the instance dict, whose
+    # callers guarantee them
     setters = {(module, where) for module, where in _object_calls("__setattr__")
                if not where.endswith(".__post_init__")}
-    assert setters == {("graph.py", "unchecked")}
+    assert setters == set()
+    dict_uses = _sites(lambda node: isinstance(node, ast.Attribute)
+                       and node.attr == "__dict__")
+    assert set(dict_uses) == {("graph.py", "unchecked")}
     assert set(_object_calls("__new__")) == {("graph.py", "unchecked"),
                                              ("mec.py", "_Closure.copy")}
 

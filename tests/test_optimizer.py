@@ -522,8 +522,9 @@ class TestLbfgsSolver:
     def test_engine_solves_with_the_relative_stop(self, monkeypatch):
         # the baseline's solves stop at kappa * h1 of the step before, within
         # [_FTOL, kappa].  A selective fit warm-started from a baseline that
-        # passes the gate solves at kappa * SELECTION_H1_GATE, the baseline
-        # rule's value there.  s1 seed 300's baseline settles before h1 <=
+        # passes the gate solves at kappa * SELECTION_H1_GATE, the rule's
+        # value there, and one from a baseline above the gate at _FTOL, its
+        # value at 0.  s1 seed 300's baseline settles before h1 <=
         # _FTOL / kappa, so the tight regime is checked on scripted solves
         # whose support keeps changing there
         import nscausal.optimizer as optimizer
@@ -568,6 +569,13 @@ class TestLbfgsSolver:
         result = fit(data, warm_start=base)
         assert seen and all(relevance and ftol == kappa * SELECTION_H1_GATE
                             for relevance, ftol in seen)
+
+        early = fit_baseline(data, FitConfig(max_dual_steps=4))
+        assert early.diagnostics[-1]["h1"] > SELECTION_H1_GATE
+        seen.clear()
+        result = fit(data, warm_start=early)
+        assert len(seen) == len(result.diagnostics) > 1
+        assert all(relevance and ftol == _FTOL for relevance, ftol in seen)
         assert "ftol" in {d["stop_reason"] for d in result.diagnostics}
 
     @staticmethod
@@ -1512,14 +1520,17 @@ class TestSettledStop:
     ], ids=["above-cutoff", "within-cutoff", "drop-then-settled"])
     def test_selective_fits_settle_within_the_cutoff(self, monkeypatch, w,
                                                      h2, steps):
-        # from a warm start above the gate, which seeds no settled step
+        # from a warm start above the gate, which seeds no settled step and
+        # has every solve, before and after a drop, stop at _FTOL
         data, _ = chain_dataset(n=200)
         self.scripted_solver(monkeypatch, [(self.FAINT_CYCLE, 1e-6)])
         base = fit_baseline(data, FitConfig(max_dual_steps=6))
-        calls = self.scripted_solver(monkeypatch, [(w, 1e-6)], h2)
+        ftols = []
+        calls = self.scripted_solver(monkeypatch, [(w, 1e-6)], h2, ftols)
         config = FitConfig(delta_star=2.0, max_dual_steps=6)
         result = fit(data, config, warm_start=base)
         assert calls == [True] * steps
+        assert ftols == [_FTOL] * steps
         assert len(result.diagnostics) == steps
         assert result.selected.tolist() == [w is self.CHAIN, True]
         assert result.converged == (steps < 6)

@@ -67,6 +67,18 @@ def test_a_changed_selection_fails(tmp_path):
     assert "selection changed: s1-te s1 100 nscsl-te" in report
 
 
+@pytest.mark.parametrize("selected, change", [
+    ([True, True, True, True], "gained [0], lost []"),
+    ([True, False, True, False], "gained [0], lost [1, 3]"),
+    (None, "[False, True, True, True] -> None"),
+], ids=["gained", "swapped", "failed"])
+def test_a_changed_selection_names_the_features_gained_and_lost(
+        tmp_path, selected, change):
+    new = [LINES[0], dict(LINES[1], selected=selected)]
+    report = compare(tmp_path, LINES, new)[1]
+    assert f"selection changed: s1-te s1 100 nscsl-te: {change}\n" in report
+
+
 @pytest.mark.parametrize("method,shd,full_shd,code", [
     ("baseline", 2, 3, 0), ("baseline", 1, 5, 1), ("nscsl-te", 2, 3, 1)])
 def test_a_changed_pattern_is_judged_by_the_shd_of_its_target(

@@ -29,9 +29,10 @@ failure line: the group, scenario, n, seed, method and order, ``selected``
 null, ``converged`` false and ``failed``, the error message.
 
 ``--compare`` matches the fits of two such files, lists every changed
-selection and pruned pattern (with its shd before and after), every fit
-that stopped converging and every failure line, and prints per-group sums,
-with the failure lines left out of the summed fields.  It then prints per
+selection (the features it gained and lost, by position in ``selected``)
+and pruned pattern (with its shd before and after), every fit that
+stopped converging and every failure line, and prints per-group sums, with
+the failure lines left out of the summed fields.  It then prints per
 group the summed ``full_shd`` of each order with their median, minimum and
 maximum, and the selective fits whose selection differs across orders.  It
 exits 1 when the files hold different fits, a selection changed, a fit
@@ -222,6 +223,16 @@ def _order_summary(orders: dict) -> str:
             f"{min(values)}, max {max(values)})")
 
 
+def _selection_change(old, new) -> str:
+    """The features, by position in ``selected``, that ``new`` gained and
+    lost against ``old``; both values as they are when either is null."""
+    if old is None or new is None:
+        return f"{old} -> {new}"
+    gained = [k for k, (a, b) in enumerate(zip(old, new)) if b and not a]
+    lost = [k for k, (a, b) in enumerate(zip(old, new)) if a and not b]
+    return f"gained {gained}, lost {lost}"
+
+
 def compare(old_path: str, new_path: str, out) -> int:
     """Print what changed from ``old_path`` to ``new_path``; the exit code."""
     old, new = _load(old_path), _load(new_path)
@@ -242,8 +253,8 @@ def compare(old_path: str, new_path: str, out) -> int:
                 out.write(f"fit failed in {side}: {label}: {row['failed']}\n")
         if a["selected"] != b["selected"]:
             failed = True
-            out.write(f"selection changed: {label}: {a['selected']} -> "
-                      f"{b['selected']}\n")
+            out.write(f"selection changed: {label}: "
+                      f"{_selection_change(a['selected'], b['selected'])}\n")
         unconverged = a["converged"] and not b["converged"]
         if unconverged:
             failed = True
