@@ -355,13 +355,11 @@ class TestMecProperties:
     @given(partial_dags())
     @example(NO_EXTENSION)
     def test_branch_closure_equals_a_full_rescan(self, c):
-        # a hand-built Cpdag's members are its consistent extensions.  Each
-        # search branch is a copy of a closed graph plus one edge; the
+        # each search branch is a copy of a closed graph plus one edge; the
         # closure orients in no fixed order, which cannot change the closed
         # graph when it has a consistent extension.  Without one the class
-        # has no member whatever the closure, as the first check shows
+        # has no member whatever the closure, as the next test shows
         assume(len(c.undirected) <= 12)
-        assert patterns_of(enumerate_mec(c)) == consistent_extensions(c)
         skeleton = c.skeleton()
         directed, rest = rescan_closure(c.dim, skeleton, c.directed)
         if not consistent_extensions(c, directed, rest):
@@ -379,6 +377,13 @@ class TestMecProperties:
                                                 directed | {edge})
                 assert branch.directed() == expected
                 assert branch.undirected() == rest
+
+    @settings(max_examples=60, deadline=None)
+    @given(partial_dags())
+    @example(NO_EXTENSION)
+    def test_hand_built_members_are_the_consistent_extensions(self, c):
+        assume(len(c.undirected) <= 12)
+        assert patterns_of(enumerate_mec(c)) == consistent_extensions(c)
 
     @settings(max_examples=40, deadline=None)
     @given(dags())
