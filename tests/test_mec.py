@@ -59,24 +59,48 @@ def all_dags(dim):
             yield frozenset(edges)
 
 
-def consistent_extensions(c, directed=None, undirected=None):
+def consistent_extensions(c):
     """Every acyclic orientation of ``c``'s undirected edges that keeps its
     directed part and its v-structures, in ascending orientation code (bit
-    ``k`` set when the ``k``-th sorted undirected edge points low to high).
-    ``directed`` and ``undirected`` replace ``c``'s edges of one skeleton,
-    for a partially directed graph that need not be a valid ``Cpdag``."""
-    directed = c.directed if directed is None else directed
-    undirected = c.undirected if undirected is None else undirected
+    ``k`` set when the ``k``-th sorted undirected edge points low to high)."""
     skeleton = c.skeleton()
-    reference = _vstructs(directed, skeleton)
-    pairs = sorted(undirected)
+    reference = _vstructs(c.directed, skeleton)
+    pairs = sorted(c.undirected)
     found = []
     for code in range(2 ** len(pairs)):
-        edges = set(directed) | {(i, j) if code >> k & 1 else (j, i)
-                                 for k, (i, j) in enumerate(pairs)}
+        edges = set(c.directed) | {(i, j) if code >> k & 1 else (j, i)
+                                   for k, (i, j) in enumerate(pairs)}
         if _acyclic(edges, c.dim) and _vstructs(edges, skeleton) == reference:
             found.append(edges)
     return found
+
+
+def has_extension(dim, directed, undirected):
+    """Whether ``consistent_extensions`` of this partially directed graph is
+    non-empty, in polynomial time (Dor & Tarsi 1992): remove, while one
+    exists, a sink whose undirected neighbours are adjacent to all its other
+    neighbours, orienting its undirected edges into it."""
+    directed = set(directed)
+    undirected = {frozenset(e) for e in undirected}
+    nodes = set(range(dim))
+
+    def adjacent(a, b):
+        return ((a, b) in directed or (b, a) in directed
+                or frozenset((a, b)) in undirected)
+
+    while nodes:
+        for x in sorted(nodes):
+            loose = {y for e in undirected if x in e for y in e - {x}}
+            near = loose | {a for a, b in directed if b == x}
+            if all(a != x for a, _ in directed) and all(
+                    adjacent(y, z) for y in loose for z in near if z != y):
+                break
+        else:
+            return False
+        nodes.remove(x)
+        directed = {e for e in directed if x not in e}
+        undirected = {e for e in undirected if x not in e}
+    return True
 
 
 def rescan_closure(dim, skeleton, directed):
@@ -359,15 +383,14 @@ class TestMecProperties:
         # closure orients in no fixed order, which cannot change the closed
         # graph when it has a consistent extension.  Without one the class
         # has no member whatever the closure, as the next test shows
-        assume(len(c.undirected) <= 12)
         skeleton = c.skeleton()
         directed, rest = rescan_closure(c.dim, skeleton, c.directed)
-        if not consistent_extensions(c, directed, rest):
-            return
         adjacency = parent_masks(c.dim, [e for i, j in skeleton
                                          for e in ((i, j), (j, i))])
         closed = mec._Closure(adjacency, parent_masks(c.dim, directed)).close()
         assert closed.directed() == directed
+        if not has_extension(c.dim, directed, rest):
+            return
         for i, j in sorted(closed.undirected()):
             for edge in ((i, j), (j, i)):
                 branch = closed.copy()
@@ -383,7 +406,10 @@ class TestMecProperties:
     @example(NO_EXTENSION)
     def test_hand_built_members_are_the_consistent_extensions(self, c):
         assume(len(c.undirected) <= 12)
-        assert patterns_of(enumerate_mec(c)) == consistent_extensions(c)
+        extensions = consistent_extensions(c)
+        assert patterns_of(enumerate_mec(c)) == extensions
+        assert has_extension(c.dim, c.directed, c.undirected) == bool(
+            extensions)
 
     @settings(max_examples=40, deadline=None)
     @given(dags())
