@@ -29,7 +29,8 @@ Methods (``METHODS``, which the command line reads too): ``nscsl-te`` and
 ``nscsl-de`` run the selective learner with total or direct effects;
 ``baseline`` is the selection-free fit.  Selective methods are scored
 against the necessary-and-sufficient subgraph of the truth; the baseline is
-scored against both that target and the full truth.  :func:`score` builds
+scored against both that target and the full truth.  Every target of a
+method gets a row, a failed row when its fit failed.  :func:`score` builds
 the ``fdr``/``tpr``/``shd`` part of every row, and of ``nscausal eval``'s
 table.
 """
@@ -255,46 +256,49 @@ def capped_solves(result) -> int:
 def _replication_rows(spec: ScenarioSpec, config: FitConfig, n: int, r: int) -> list:
     seed = spec.seed_base + r
     truth, data = scenario_data(spec, n, seed)
-    target = nscg(truth)
+    # every method is scored against the NSCG, the baseline also against
+    # the full truth
+    targets = (("nscg", nscg(truth)), ("full", truth))
 
-    def row(method, fitted=None, runtime=float("nan"), error="",
-            tgt_name="nscg"):
-        """The row of ``fitted``, or of a failed fit when it is None."""
+    def method_rows(method, fitted=None, runtime=float("nan"), error=""):
+        """One row of ``method``'s fit ``fitted`` (None: a failed fit) per
+        target of ``method``."""
         nan = float("nan")
-        out = {"scenario": spec.id, "method": method, "target": tgt_name,
-               "n": n, "replication": r, "seed": seed, "fdr": nan, "tpr": nan,
-               "shd": nan, "runtime_s": runtime, "failed": int(fitted is None),
-               "error": error}
-        if fitted is not None:
-            out.update(score(fitted.graph, target if tgt_name == "nscg" else truth),
-                       converged=int(fitted.converged),
-                       dual_steps=len(fitted.diagnostics),
-                       inner_iterations=sum(d["inner_iterations"]
-                                            for d in fitted.diagnostics),
-                       capped_solves=capped_solves(fitted))
-        return out
+        counts = {} if fitted is None else dict(
+            converged=int(fitted.converged),
+            dual_steps=len(fitted.diagnostics),
+            inner_iterations=sum(d["inner_iterations"]
+                                 for d in fitted.diagnostics),
+            capped_solves=capped_solves(fitted))
+        scored = targets if METHODS[method] is None else targets[:1]
+        return [{"scenario": spec.id, "method": method, "target": name,
+                 "n": n, "replication": r, "seed": seed, "fdr": nan,
+                 "tpr": nan, "shd": nan, "runtime_s": runtime,
+                 "failed": int(fitted is None), "error": error,
+                 **(score(fitted.graph, target) if fitted is not None else {}),
+                 **counts} for name, target in scored]
 
     try:
         start = time.perf_counter()
         base = fit_baseline(data, config)
         base_time = time.perf_counter() - start
     except Exception as exc:  # noqa: BLE001 - batch keeps going, row records it
-        return [row(m, error=str(exc)) for m in spec.methods]
+        return [row for m in spec.methods
+                for row in method_rows(m, error=str(exc))]
 
     rows = []
     for method in spec.methods:
         kind = METHODS[method]
         if kind is None:
-            rows.append(row(method, base, base_time))
-            rows.append(row(method, base, base_time, tgt_name="full"))
+            rows += method_rows(method, base, base_time)
             continue
         try:
             start = time.perf_counter()
             result = fit(data, replace(config, effect_kind=kind), warm_start=base)
             elapsed = time.perf_counter() - start
-            rows.append(row(method, result, base_time + elapsed))
+            rows += method_rows(method, result, base_time + elapsed)
         except Exception as exc:  # noqa: BLE001
-            rows.append(row(method, error=str(exc)))
+            rows += method_rows(method, error=str(exc))
     return rows
 
 

@@ -66,6 +66,7 @@ def total_effects(g: WeightedDag) -> np.ndarray:
     except FloatingPointError as exc:
         raise ValueError(f"total effects are not finite: {exc}") from None
     te[g.outcome_index] = 0.0
+    te += 0.0  # a node with no path to the outcome gets +0.0, never -0.0
     return te
 
 

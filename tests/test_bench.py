@@ -408,10 +408,18 @@ class TestRunScenario:
 
         monkeypatch.setattr(bench_mod, "fit_baseline", boom)
         spec = scenario("s1", sample_sizes=(60,), replications=2,
-                        methods=("nscsl-te",))
+                        methods=("baseline", "nscsl-te"))
         report = run_scenario(spec)
-        assert all(r["failed"] == 1 for r in report.rows)
-        assert report.summary[0]["failures"] == 2
+        # a failed baseline fails on both of its targets
+        assert [(r["replication"], r["method"], r["target"], r["failed"])
+                for r in report.rows] == [
+            (rep, method, target, 1) for rep in (0, 1)
+            for method, target in (("baseline", "nscg"), ("baseline", "full"),
+                                   ("nscsl-te", "nscg"))]
+        assert {(s["method"], s["target"]): s["failures"]
+                for s in report.summary} == {("baseline", "full"): 2,
+                                             ("baseline", "nscg"): 2,
+                                             ("nscsl-te", "nscg"): 2}
 
     def test_selective_fit_failure_keeps_the_baseline_rows(self, monkeypatch):
         from nscausal import bench as bench_mod

@@ -229,6 +229,29 @@ class TestBench:
         assert stable(a / "summary.csv") == stable(b / "summary.csv")
         assert read_meta(a / "meta.json") == read_meta(b / "meta.json")
 
+    def test_failed_fits_are_rows_on_every_target(self, tmp_path):
+        # one sample is too few to fit, so every fit of the batch fails
+        spec = {"id": "s1", "sample_sizes": [1], "replications": 2,
+                "methods": ["baseline", "nscsl-te"]}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert main(["bench", "--spec", str(spec_path),
+                     "--out", str(out)]) == 0
+        with open(out / "raw.csv", newline="") as fh:
+            raw = list(csv.DictReader(fh))
+        assert [(r["method"], r["target"], r["failed"]) for r in raw] == [
+            ("baseline", "nscg", "1"), ("baseline", "full", "1"),
+            ("nscsl-te", "nscg", "1")] * 2
+        assert all("at least 2 rows" in r["error"] for r in raw)
+        with open(out / "summary.csv", newline="") as fh:
+            summary = {(s["method"], s["target"]): s
+                       for s in csv.DictReader(fh)}
+        assert set(summary) == {("baseline", "nscg"), ("baseline", "full"),
+                                ("nscsl-te", "nscg")}
+        assert all(s["failures"] == str(spec["replications"])
+                   for s in summary.values())
+
 
 class TestExitCodes:
     def test_unknown_outcome_is_a_validation_error(self, tmp_path):

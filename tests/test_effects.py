@@ -98,6 +98,15 @@ class TestTotalEffect:
         assert total_effect_by_paths(cut, node) == 0.0
         assert abs(total_effect(cut, node)) < 1e-12
 
+    def test_no_path_is_a_positive_zero(self):
+        # z0 is a sink whose parents z1 and z2 both reach y, so the closed
+        # form's sum for it can round to -0.0; `nscausal effects` prints it
+        w = np.zeros((4, 4))
+        w[1, 0], w[2, 0], w[1, 3], w[2, 3], w[1, 2] = 2.0, 0.5, 1.5, 0.7, 1.0
+        te = total_effects(WeightedDag(w))
+        assert te == pytest.approx([0.0, 2.2, 0.7, 0.0])
+        assert not np.signbit(te[te == 0.0]).any()
+
     def test_linear_in_each_weight(self, rng):
         # finite-difference slope equals the engine's total-effect jacobian:
         # with mask {i} and delta_star 0 the relevance constraint is
