@@ -30,9 +30,12 @@ Methods (``METHODS``, which the command line reads too): ``nscsl-te`` and
 ``baseline`` is the selection-free fit.  Selective methods are scored
 against the necessary-and-sufficient subgraph of the truth; the baseline is
 scored against both that target and the full truth.  Every target of a
-method gets a row, a failed row when its fit failed.  :func:`score` builds
-the ``fdr``/``tpr``/``shd`` part of every row, and of ``nscausal eval``'s
-table.
+method gets a row, a failed row when its fit failed.  :func:`replicate`
+is the one recipe that fits a replication's methods, for
+:func:`run_scenario`, ``nscausal fit`` and ``tools/quality_corpus.py``:
+the baseline once, each selective method warm-started from it.
+:func:`score` builds the ``fdr``/``tpr``/``shd`` part of every row, and of
+``nscausal eval``'s table.
 """
 
 import os
@@ -253,6 +256,40 @@ def capped_solves(result) -> int:
                for d in result.diagnostics)
 
 
+def _timed(call, *args, **kwargs) -> tuple:
+    """``(result, seconds, None)`` of ``call(*args, **kwargs)``, or
+    ``(None, nan, exception)`` when it raises."""
+    start = time.perf_counter()
+    try:
+        return call(*args, **kwargs), time.perf_counter() - start, None
+    except Exception as exc:  # noqa: BLE001 - the caller records it
+        return None, float("nan"), exc
+
+
+def replicate(data, methods, config: FitConfig) -> list:
+    """``(method, fit, runtime_s, error)`` of each of ``methods`` on
+    ``data``, in ``methods`` order: the one recipe of a replication.
+
+    The selection-free baseline is fitted once.  The baseline method
+    (``METHODS[m] is None``) gets that fit and its time; each selective
+    method gets ``fit`` warm-started from it with its effect kind, timed as
+    the baseline's time plus its own.  A fit that raises gives ``fit`` None,
+    a NaN runtime and the exception as ``error`` (else None); a failed
+    baseline fails every method with its exception.
+    """
+    base, base_time, error = _timed(fit_baseline, data, config)
+    fits = []
+    for method in methods:
+        kind = METHODS[method]
+        if base is None or kind is None:
+            fits.append((method, base, base_time, error))
+            continue
+        fitted, seconds, exc = _timed(
+            fit, data, replace(config, effect_kind=kind), warm_start=base)
+        fits.append((method, fitted, base_time + seconds, exc))
+    return fits
+
+
 def _replication_rows(spec: ScenarioSpec, config: FitConfig, n: int, r: int) -> list:
     seed = spec.seed_base + r
     truth, data = scenario_data(spec, n, seed)
@@ -260,9 +297,9 @@ def _replication_rows(spec: ScenarioSpec, config: FitConfig, n: int, r: int) -> 
     # the full truth
     targets = (("nscg", nscg(truth)), ("full", truth))
 
-    def method_rows(method, fitted=None, runtime=float("nan"), error=""):
-        """One row of ``method``'s fit ``fitted`` (None: a failed fit) per
-        target of ``method``."""
+    def method_rows(method, fitted, runtime, error):
+        """One row of ``method``'s fit ``fitted`` (None: a failed fit, which
+        raised ``error``) per target of ``method``."""
         nan = float("nan")
         counts = {} if fitted is None else dict(
             converged=int(fitted.converged),
@@ -274,32 +311,13 @@ def _replication_rows(spec: ScenarioSpec, config: FitConfig, n: int, r: int) -> 
         return [{"scenario": spec.id, "method": method, "target": name,
                  "n": n, "replication": r, "seed": seed, "fdr": nan,
                  "tpr": nan, "shd": nan, "runtime_s": runtime,
-                 "failed": int(fitted is None), "error": error,
+                 "failed": int(fitted is None),
+                 "error": "" if error is None else str(error),
                  **(score(fitted.graph, target) if fitted is not None else {}),
                  **counts} for name, target in scored]
 
-    try:
-        start = time.perf_counter()
-        base = fit_baseline(data, config)
-        base_time = time.perf_counter() - start
-    except Exception as exc:  # noqa: BLE001 - batch keeps going, row records it
-        return [row for m in spec.methods
-                for row in method_rows(m, error=str(exc))]
-
-    rows = []
-    for method in spec.methods:
-        kind = METHODS[method]
-        if kind is None:
-            rows += method_rows(method, base, base_time)
-            continue
-        try:
-            start = time.perf_counter()
-            result = fit(data, replace(config, effect_kind=kind), warm_start=base)
-            elapsed = time.perf_counter() - start
-            rows += method_rows(method, result, base_time + elapsed)
-        except Exception as exc:  # noqa: BLE001
-            rows += method_rows(method, error=str(exc))
-    return rows
+    return [row for entry in replicate(data, spec.methods, config)
+            for row in method_rows(*entry)]
 
 
 RAW_FIELDS = ("scenario", "method", "target", "n", "replication", "seed",

@@ -5,17 +5,17 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__, io
 from .bench import (GRAPH_MODELS, METHODS, NOISE_KINDS, RAW_FIELDS,
                     SUMMARY_FIELDS, capped_solves, known_keys, nscg,
-                    run_scenario, scenario_data, score, spec_from_dict)
+                    replicate, run_scenario, scenario_data, score,
+                    spec_from_dict)
 from .effects import EFFECT_FIELDS, effect_rows
 from .graph import prune
-from .optimizer import FitConfig, fit, fit_baseline
+from .optimizer import FitConfig
 from .scm import LINKS
 
 
@@ -42,9 +42,12 @@ def _load_fit_config(args) -> FitConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             doc = json.load(fh)
-        # only the 'fit' section is read; a root that is no object fails too
-        section = doc.get("fit", {}) if isinstance(doc, dict) else doc
-        overrides = known_keys(section, FitConfig.__dataclass_fields__,
+        # only the 'fit' section is read, and a document must hold one:
+        # settings at its root would otherwise run as the defaults
+        if not isinstance(doc, dict) or "fit" not in doc:
+            raise ValueError("a --config document must be a JSON object "
+                             "with a 'fit' object")
+        overrides = known_keys(doc["fit"], FitConfig.__dataclass_fields__,
                                "fit config")
         if "effect_kind" in overrides:
             raise ValueError("fit config key effect_kind is not read: --method "
@@ -83,12 +86,10 @@ def cmd_simulate(args):
 
 def cmd_fit(args):
     data = io.load_csv(args.data, args.outcome)
-    config = _load_fit_config(args)
-    kind = METHODS[args.method]
-    if kind is None:
-        result = fit_baseline(data, config)
-    else:
-        result = fit(data, replace(config, effect_kind=kind))
+    [(_, result, _, error)] = replicate(data, (args.method,),
+                                        _load_fit_config(args))
+    if error is not None:
+        raise error
     io.write_fit_dir(result, args.out,
                      _meta(args, {"data": args.data, "outcome": str(args.outcome),
                                   "method": args.method}))

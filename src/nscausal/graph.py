@@ -309,10 +309,15 @@ def graph_metrics(estimated: WeightedDag, truth: WeightedDag) -> GraphMetrics:
     the SHD and counts as a false discovery in the FDR numerator.  When
     both graphs have no edges the TPR is 1 (there is nothing to miss), which
     keeps ``graph_metrics(g, g) == (0, 1, 0)`` for every graph ``g``.
+    Node ``i`` of one graph is scored as node ``i`` of the other, so the two
+    must carry the same labels in the same order; else a ``ValueError``.
     """
     if estimated.dim != truth.dim:
         raise ValueError(
             f"node count mismatch: {estimated.dim} vs {truth.dim}")
+    if estimated.labels != truth.labels:
+        raise ValueError(f"label mismatch: {list(estimated.labels)} vs "
+                         f"{list(truth.labels)}")
     off_diagonal = ~np.eye(truth.dim, dtype=bool)
     est = (estimated.weights != 0) & off_diagonal
     tru = (truth.weights != 0) & off_diagonal

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import tempfile
 
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nscausal.bench import (ScenarioSpec, nscg, run_scenario, scenario,
-                            scenario_data, scenario_truth, spec_from_dict,
-                            summarize)
+from nscausal.bench import (ScenarioSpec, nscg, replicate, run_scenario,
+                            scenario, scenario_data, scenario_truth,
+                            spec_from_dict, summarize)
 from nscausal.effects import effect_rows
 from nscausal.graph import (WeightedDag, ancestors_of,
                             enumerate_paths_to_outcome, graph_metrics,
@@ -336,6 +337,77 @@ class TestGraphSerialization:
         again = read_graph_csv(path, g.outcome_index)
         assert again.labels == g.labels
         assert np.array_equal(again.weights, g.weights)
+
+
+class TestReplicate:
+    METHODS = ("nscsl-de", "baseline", "nscsl-te")
+
+    def test_methods_in_order_from_one_baseline_fit(self, monkeypatch):
+        from nscausal import bench as bench_mod
+
+        calls = []
+
+        def baseline(data, config):
+            calls.append(("baseline", fit_baseline(data, config)))
+            return calls[-1][1]
+
+        def selective(data, config, warm_start=None):
+            calls.append((config.effect_kind, warm_start))
+            return fit(data, config, warm_start=warm_start)
+
+        monkeypatch.setattr(bench_mod, "fit_baseline", baseline)
+        monkeypatch.setattr(bench_mod, "fit", selective)
+        _, data = scenario_data(scenario("s1"), 60, 5)
+        fits = replicate(data, self.METHODS, FitConfig())
+        assert [kind for kind, _ in calls] == ["baseline", "de", "te"]
+        base = calls[0][1]
+        assert all(start is base for _, start in calls[1:])
+        assert [(m, e) for m, _, _, e in fits] == [(m, None)
+                                                   for m in self.METHODS]
+        assert fits[1][1] is base
+        assert [f.config.effect_kind for f in (fits[0][1], fits[2][1])] == [
+            "de", "te"]
+        # a selective method's runtime includes the baseline's
+        assert 0 < fits[1][2] < min(fits[0][2], fits[2][2])
+
+    def test_a_failed_baseline_fails_every_method_with_its_error(
+            self, monkeypatch):
+        from nscausal import bench as bench_mod
+
+        error = RuntimeError("synthetic baseline failure")
+
+        def boom(data, config):
+            raise error
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a selective fit was started")
+
+        monkeypatch.setattr(bench_mod, "fit_baseline", boom)
+        monkeypatch.setattr(bench_mod, "fit", no_fit)
+        _, data = scenario_data(scenario("s1"), 60, 5)
+        fits = replicate(data, self.METHODS, FitConfig())
+        assert [(m, f, e) for m, f, _, e in fits] == [
+            (m, None, error) for m in self.METHODS]
+        assert all(math.isnan(runtime) for _, _, runtime, _ in fits)
+
+    def test_a_selective_failure_stays_with_its_method(self, monkeypatch):
+        from nscausal import bench as bench_mod
+
+        error = ValueError("synthetic te failure")
+
+        def te_fails(data, config, warm_start=None):
+            if config.effect_kind == "te":
+                raise error
+            return fit(data, config, warm_start=warm_start)
+
+        monkeypatch.setattr(bench_mod, "fit", te_fails)
+        _, data = scenario_data(scenario("s1"), 60, 5)
+        (de, de_fit, de_time, de_error), baseline, te = replicate(
+            data, self.METHODS, FitConfig())
+        assert de_fit is not None and de_error is None and de_time > 0
+        assert baseline[1] is not None and baseline[3] is None
+        assert te[0] == "nscsl-te" and te[1] is None and te[3] is error
+        assert math.isnan(te[2])
 
 
 class TestRunScenario:

@@ -329,6 +329,22 @@ class TestExitCodes:
                      "--config", str(cfg), "--out", str(tmp_path / "f")]) == 1
         assert not (tmp_path / "f").exists()
 
+    def test_eval_of_graphs_with_other_labels_is_a_validation_error(
+            self, tmp_path, capsys):
+        # the truth's CSV orders its columns b, a, y: its b -> a is the
+        # estimate's a -> b reversed, though both sit at index (0, 1)
+        weights = np.zeros((3, 3))
+        weights[0, 1] = 1.0
+        for name, labels in (("est", ("a", "b", "y")),
+                             ("truth", ("b", "a", "y"))):
+            io.write_graph_csv(WeightedDag(weights, labels),
+                               tmp_path / f"{name}.csv")
+        assert main(["eval", "--estimated", str(tmp_path / "est.csv"),
+                     "--truth", str(tmp_path / "truth.csv")]) == 1
+        captured = capsys.readouterr()
+        assert "error: label mismatch" in captured.err
+        assert captured.out == ""
+
     def test_negative_eval_threshold_is_a_validation_error(self, tmp_path,
                                                           capsys):
         sim = tmp_path / "sim"
@@ -352,6 +368,25 @@ class TestExitCodes:
         assert main(["fit", "--data", str(data), "--outcome", "y",
                      "--config", str(cfg), "--out", str(tmp_path / "f")]) == 1
         assert not (tmp_path / "f").exists()
+
+    @pytest.mark.parametrize("doc", [{"prune_threshold": 0.5}, {},
+                                     {"note": {"fit": {}}}],
+                             ids=["settings-at-root", "empty", "nested"])
+    def test_config_without_a_fit_object_names_fit(self, tmp_path, capsys,
+                                                   doc):
+        # settings outside a 'fit' object used to run as the defaults
+        data = tmp_path / "data.csv"
+        data.write_text("z0,z1,y\n0,1,1\n1,0,1\n1,1,0\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["fit", "--data", str(data), "--outcome", "y",
+                     "--method", "baseline", "--config", str(cfg),
+                     "--out", str(tmp_path / "f")]) == 1
+        assert names_a_key(capsys.readouterr().err, ["fit"])
+        assert not (tmp_path / "f").exists()
+        code, log, ran = run_bench({"id": "s1", "replications": 1}, doc)
+        assert (code, ran) == (1, False)
+        assert names_a_key(log, ["fit"])
 
     def test_config_effect_kind_is_a_validation_error(self, tmp_path, capsys):
         # --method (or a bench spec's methods) sets the effect kind: the key
@@ -482,7 +517,7 @@ class TestExitCodes:
         assert captured.out == ""
 
     def test_internal_errors_are_runtime_failures(self, tmp_path, monkeypatch):
-        import nscausal.cli as cli_mod
+        from nscausal import bench as bench_mod
 
         sim = tmp_path / "sim"
         assert main(["simulate", "--scenario", "s1", "--n", "30",
@@ -491,10 +526,36 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic")
 
-        monkeypatch.setattr(cli_mod, "fit_baseline", boom)
+        monkeypatch.setattr(bench_mod, "fit_baseline", boom)
         assert main(["fit", "--data", str(sim / "data.csv"), "--outcome", "y",
                      "--method", "baseline",
                      "--out", str(tmp_path / "f")]) == 2
+
+    @pytest.mark.parametrize("fitter", ["fit_baseline", "fit"])
+    @pytest.mark.parametrize("error, code, prefix", [
+        (ValueError, 1, "error"), (RuntimeError, 2, "runtime failure")],
+        ids=["ValueError", "RuntimeError"])
+    def test_a_failed_fit_exits_by_its_error(self, tmp_path, monkeypatch,
+                                             capsys, fitter, error, code,
+                                             prefix):
+        # ``fit`` runs bench.replicate and re-raises the error it records,
+        # whichever of the two fits of a selective method raised it
+        from nscausal import bench as bench_mod
+
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--scenario", "s1", "--n", "30",
+                     "--seed", "0", "--out", str(sim)]) == 0
+
+        def boom(*args, **kwargs):
+            raise error("synthetic")
+
+        monkeypatch.setattr(bench_mod, fitter, boom)
+        capsys.readouterr()
+        assert main(["fit", "--data", str(sim / "data.csv"), "--outcome", "y",
+                     "--method", "nscsl-te",
+                     "--out", str(tmp_path / "f")]) == code
+        assert capsys.readouterr().err == f"{prefix}: synthetic\n"
+        assert not (tmp_path / "f").exists()
 
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == 0
@@ -615,15 +676,21 @@ class TestInputDocuments:
 
     @settings(max_examples=200, deadline=None)
     @given(section=documents(CONFIG_VALUES, FitConfig.__dataclass_fields__),
-           root=st.sampled_from(["fit", "list", "other"]))
+           root=st.sampled_from(["fit", "bare", "list", "other"]))
     def test_config_documents_run_or_name_a_key(self, section, root):
-        doc = {"fit": section, "list": [{"fit": section}],
+        # settings are read only from a 'fit' object: a bare section (the
+        # section itself as the document, without a 'fit' key) never runs
+        bare = ({key: value for key, value in section.items() if key != "fit"}
+                if isinstance(section, dict) else section)
+        doc = {"fit": {"fit": section}, "bare": bare,
+               "list": [{"fit": section}],
                "other": {"fit": section, "note": "ignored"}}[root]
         code, log, ran = run_bench({"id": "s1", "replications": 1}, doc)
         assert code in (0, 1), log
         assert ran == (code == 0)
+        assert code == 1 or root != "bare"
         if code == 1:
-            if root == "list" or not isinstance(section, dict):
+            if root in ("list", "bare") or not isinstance(section, dict):
                 assert names_a_key(log, ["fit"]), log
             else:
                 assert names_a_key(log, section), (section, log)

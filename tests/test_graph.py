@@ -282,6 +282,16 @@ class TestMetrics:
         with pytest.raises(ValueError, match="node count mismatch"):
             graph_metrics(edge_graph(3, []), edge_graph(4, []))
 
+    def test_label_mismatch(self):
+        # a -> b against a truth that orders its nodes b, a and holds b -> a:
+        # by index the two agree, by label the edge is reversed
+        estimated = WeightedDag(edge_graph(3, [(0, 1)]).weights,
+                                ("a", "b", "y"))
+        truth = WeightedDag(estimated.weights, ("b", "a", "y"))
+        with pytest.raises(ValueError, match="^label mismatch: "
+                           r"\['a', 'b', 'y'\] vs \['b', 'a', 'y'\]$"):
+            graph_metrics(estimated, truth)
+
     def test_diagonal_entries_are_not_edges(self):
         loops = WeightedDag(np.eye(3))
         m = graph_metrics(loops, edge_graph(3, []))

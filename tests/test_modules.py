@@ -2,7 +2,9 @@
 (dunder names such as ``__version__`` count as public), every private
 helper has a caller, every public method and property has a user, only
 ``effects.py`` inverts a matrix, and ``graph.unchecked`` is the one way to
-build an instance without its checks.  ``import nscausal`` loads no
+build an instance without its checks.  ``bench.replicate`` is the one
+place outside ``optimizer.fit`` that fits a baseline or warm-starts a fit
+from one, in the package and in ``tools/``.  ``import nscausal`` loads no
 submodule, each entry point loads only the layers it calls, and the lazy
 package exposes the same 73 public names as the submodules that own them."""
 
@@ -125,9 +127,10 @@ def test_only_effects_inverts_a_matrix():
     assert modules == {"effects.py"}
 
 
-def _sites(matches):
-    """(module, enclosing definitions) of each node of the package for which
-    ``matches`` holds, the definitions joined by dots (``"_Closure.copy"``)."""
+def _sites(matches, paths=None):
+    """(module, enclosing definitions) of each node of the package, or of
+    the files ``paths``, for which ``matches`` holds, the definitions joined
+    by dots (``"_Closure.copy"``)."""
     package = Path(nscausal.__file__).parent
     sites = []
 
@@ -140,7 +143,7 @@ def _sites(matches):
                 sites.append((module, ".".join(where)))
             visit(child, module, inner)
 
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(paths or package.glob("*.py")):
         visit(ast.parse(path.read_text()), path.name, ())
     return sites
 
@@ -166,6 +169,24 @@ def test_one_unchecked_construction_path():
     assert set(dict_uses) == {("graph.py", "unchecked")}
     assert set(_object_calls("__new__")) == {("graph.py", "unchecked"),
                                              ("mec.py", "_Closure.copy")}
+
+
+def test_one_replication_recipe():
+    # "fit the baseline once, warm-start each selective method from it" is
+    # written once, in bench.replicate, for run_scenario, ``nscausal fit``
+    # and the quality corpus; optimizer.fit fits its own baseline only when
+    # called without a warm start
+    package = Path(nscausal.__file__).parent
+    paths = [*package.glob("*.py"),
+             *(package.parents[1] / "tools").glob("*.py")]
+    baseline = _sites(lambda node: isinstance(node, (ast.Name, ast.Attribute))
+                      and (getattr(node, "id", None) or node.attr)
+                      == "fit_baseline", paths)
+    assert set(baseline) == {("bench.py", "replicate"), ("optimizer.py", "fit")}
+    warm_started = _sites(lambda node: isinstance(node, ast.Call)
+                          and any(k.arg == "warm_start" for k in node.keywords),
+                          paths)
+    assert set(warm_started) == {("bench.py", "replicate")}
 
 
 def _fresh(code, *args):

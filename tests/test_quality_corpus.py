@@ -116,6 +116,30 @@ def test_a_te_fit_with_a_zero_reference_score_is_a_failure_line():
                "the reference graph, so there is nothing to select against")
 
 
+@pytest.mark.parametrize("fitter, failed", [
+    ("fit_baseline", ["baseline", "nscsl-te", "nscsl-de"]),
+    ("fit", ["nscsl-te", "nscsl-de"]),
+], ids=["baseline", "selective"])
+def test_any_failed_fit_is_a_failure_line(monkeypatch, fitter, failed):
+    # not only a selective fit's ValueError: any exception, and a failed
+    # baseline fails each selective fit of its replication with its message
+    import nscausal.bench as bench
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("synthetic")
+
+    monkeypatch.setattr(bench, fitter, boom)
+    truth, data = scenario_data(scenario("s2"), 100, 200)
+    where = dict(group="s2", scenario="s2", n=100, seed=200)
+    lines = quality_corpus.replication_lines(
+        truth, data, ("nscsl-te", "nscsl-de"), 0, **where)
+    assert [line["method"] for line in lines] == [
+        "baseline", "nscsl-te", "nscsl-de"]
+    assert [line for line in lines if "failed" in line] == [
+        dict(where, method=method, order=0, selected=None, converged=False,
+             failed="synthetic") for method in failed]
+
+
 def test_compare_reports_failure_lines(tmp_path):
     failure = quality_corpus.failure_line(
         ValueError("delta_star is 0"), group="s1-te", scenario="s1", n=100,

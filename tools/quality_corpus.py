@@ -7,11 +7,12 @@ own directory, with single-threaded BLAS:
     python3 tools/quality_corpus.py --corpus heldout > heldout.jsonl
     python3 tools/quality_corpus.py --compare OLD.jsonl NEW.jsonl
 
-``--corpus`` writes one JSON line per fit.  Every replication gets
-``fit_baseline``, then each selective method warm-started from it, as
-``nscausal bench`` and ``nscausal.fit`` run them.  With ``--orders K``
-(default 1) each replication is fitted in the column orders ``0 .. K-1``:
-order 0 is the identity, and order ``k >= 1`` permutes the columns by
+``--corpus`` writes one JSON line per fit.  Every replication is fitted
+by ``nscausal.bench.replicate``, the recipe of ``nscausal bench`` and
+``nscausal fit``: ``fit_baseline`` once, then each selective method
+warm-started from it.  With ``--orders K`` (default 1) each replication
+is fitted in the column orders ``0 .. K-1``: order 0 is the identity,
+and order ``k >= 1`` permutes the columns by
 ``default_rng([k, seed]).permutation(dim)``, the outcome moving with its
 column.  Each estimate is mapped back to the identity order before it is
 hashed and scored.  A line holds the group, scenario, n, seed and method;
@@ -22,11 +23,13 @@ against the outcome's necessary-and-sufficient subgraph; then ``order``
 and ``full_shd``, the shd of the pruned graph against the whole true
 graph.  A selective fit's line also counts its ``spurious`` selected
 features and its ``missed`` causal features: the causal features are those
-with a directed path to the outcome in that subgraph.  A selective fit
-that raises ``ValueError`` (a reference score of 0: no feature's effect
-reaches the outcome in the baseline's pruned graph) is written as a
-failure line: the group, scenario, n, seed, method and order, ``selected``
-null, ``converged`` false and ``failed``, the error message.
+with a directed path to the outcome in that subgraph.  A fit that raises
+any exception, the baseline included, is written as a failure line: the
+group, scenario, n, seed, method and order, ``selected`` null,
+``converged`` false and ``failed``, the error message.  A failed baseline
+fails each selective method of its replication with the same message; a
+selective fit fails alone when, say, its reference score is 0 (no
+feature's effect reaches the outcome in the baseline's pruned graph).
 
 ``--compare`` matches the fits of two such files, lists every changed
 selection (the features it gained and lost, by position in ``selected``)
@@ -62,10 +65,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402 - after the path and BLAS settings
 import nscausal as ns  # noqa: E402
-from nscausal.bench import METHODS  # noqa: E402
+from nscausal.bench import replicate  # noqa: E402
 
-# group -> (scenario, n, seeds, selective methods); every replication is
-# fitted once by ``fit_baseline``, which its selective fits start from
+# group -> (scenario, n, seeds, selective methods); ``replicate`` fits every
+# replication's baseline once, and its selective fits start from it
 CORPORA = {
     "main": (
         ("s1-te", "s1", 100, range(100, 150), ("nscsl-te",)),
@@ -148,29 +151,25 @@ def _line(fitted, truth, target, order, **fields):
     return line
 
 
-def failure_line(error: ValueError, **fields) -> dict:
-    """The line of a selective fit that raised ``error``."""
+def failure_line(error: Exception, **fields) -> dict:
+    """The line of a fit that raised ``error``."""
     return dict(fields, selected=None, converged=False, failed=str(error))
 
 
 def replication_lines(truth, data, methods, order, **where) -> list:
-    """The lines of one replication's fits in column order ``order``."""
+    """The lines of one replication's fits in column order ``order``: the
+    baseline's, then each of ``methods``'."""
     perm = permutation(order, where["seed"], data.dim)
-    data = permuted(data, perm)
     target = ns.nscg(truth)
-    base = ns.fit_baseline(data)
-    lines = [_line(mapped_back(base, perm, truth), truth, target, order,
-                   **where, method="baseline")]
-    for method in methods:
-        try:
-            fitted = ns.fit(data, ns.FitConfig(effect_kind=METHODS[method]),
-                            warm_start=base)
-        except ValueError as error:
+    lines = []
+    for method, fitted, _, error in replicate(
+            permuted(data, perm), ("baseline", *methods), ns.FitConfig()):
+        if error is None:
+            lines.append(_line(mapped_back(fitted, perm, truth), truth,
+                               target, order, **where, method=method))
+        else:
             lines.append(failure_line(error, **where, method=method,
                                       order=order))
-            continue
-        lines.append(_line(mapped_back(fitted, perm, truth), truth, target,
-                           order, **where, method=method))
     return lines
 
 
