@@ -250,12 +250,6 @@ def score(estimated: WeightedDag, target: WeightedDag) -> dict:
     return {"fdr": m.fdr, "tpr": m.tpr, "shd": float(m.shd)}
 
 
-def capped_solves(result) -> int:
-    """Inner solves of a fit that stopped at ``max_inner_iter``."""
-    return sum(d["stop_reason"] == "max_inner_iter"
-               for d in result.diagnostics)
-
-
 def _timed(call, *args, **kwargs) -> tuple:
     """``(result, seconds, None)`` of ``call(*args, **kwargs)``, or
     ``(None, nan, exception)`` when it raises."""
@@ -302,11 +296,7 @@ def _replication_rows(spec: ScenarioSpec, config: FitConfig, n: int, r: int) -> 
         raised ``error``) per target of ``method``."""
         nan = float("nan")
         counts = {} if fitted is None else dict(
-            converged=int(fitted.converged),
-            dual_steps=len(fitted.diagnostics),
-            inner_iterations=sum(d["inner_iterations"]
-                                 for d in fitted.diagnostics),
-            capped_solves=capped_solves(fitted))
+            converged=int(fitted.converged), **fitted.counters())
         scored = targets if METHODS[method] is None else targets[:1]
         return [{"scenario": spec.id, "method": method, "target": name,
                  "n": n, "replication": r, "seed": seed, "fdr": nan,

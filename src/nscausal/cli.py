@@ -10,9 +10,8 @@ import numpy as np
 
 from . import __version__, io
 from .bench import (GRAPH_MODELS, METHODS, NOISE_KINDS, RAW_FIELDS,
-                    SUMMARY_FIELDS, capped_solves, known_keys, nscg,
-                    replicate, run_scenario, scenario_data, score,
-                    spec_from_dict)
+                    SUMMARY_FIELDS, known_keys, nscg, replicate,
+                    run_scenario, scenario_data, score, spec_from_dict)
 from .effects import EFFECT_FIELDS, effect_rows
 from .graph import prune
 from .optimizer import FitConfig
@@ -62,8 +61,8 @@ def _scenario_from_args(args):
     doc = {"id": args.scenario, "noise": noise, "link": args.link,
            "graph_model": args.model, "sample_sizes": [args.n],
            "replications": 1, "seed_base": args.seed}
-    # a flag goes in only when given, so that a preset rejects it by name
-    # instead of ignoring it
+    # a flag goes in only when given, so that a preset rejects a value other
+    # than its own by name instead of ignoring it
     for name, value in (("p", args.p), ("expected_degree", args.degree)):
         if value is not None:
             doc[name] = value
@@ -94,10 +93,10 @@ def cmd_fit(args):
                      _meta(args, {"data": args.data, "outcome": str(args.outcome),
                                   "method": args.method}))
     state = "converged" if result.converged else "stopped before tolerance"
-    capped = capped_solves(result)
-    if capped:
-        state += (f"; {capped} of {len(result.diagnostics)} inner solves "
-                  "stopped at max_inner_iter")
+    counts = result.counters()
+    if counts["capped_solves"]:
+        state += (f"; {counts['capped_solves']} of {counts['dual_steps']} "
+                  "inner solves stopped at max_inner_iter")
     kept = int(np.sum(result.selected))
     _log(f"fit {state}; {kept} feature(s) selected; results in {args.out}")
 

@@ -53,21 +53,29 @@ def outcome_effects(weights: np.ndarray, outcome: int, kind: str, eye: np.ndarra
     return m[:, outcome], m
 
 
+def _checked_effects(g: WeightedDag, kind: str) -> np.ndarray:
+    """``outcome_effects`` of ``kind`` on the acyclic ``g``, the outcome's
+    own entry set to 0; a cyclic graph or an overflowing effect is a
+    ``ValueError``."""
+    if not is_acyclic(g):
+        raise ValueError("effects require an acyclic graph")
+    try:
+        effects = outcome_effects(g.weights, g.outcome_index, kind,
+                                  np.eye(g.dim))[0].copy()
+    except FloatingPointError as exc:
+        raise ValueError(f"total effects are not finite: {exc}") from None
+    effects[g.outcome_index] = 0.0
+    effects += 0.0  # a node with no path to the outcome gets +0.0, never -0.0
+    return effects
+
+
 def total_effects(g: WeightedDag) -> np.ndarray:
     """Total effect of every node on the outcome, by the matrix closed form.
 
     Entry ``outcome_index`` is set to 0 (no self effect).  A cyclic graph or
     an overflowing effect is a ``ValueError``.
     """
-    if not is_acyclic(g):
-        raise ValueError("total effects require an acyclic graph")
-    try:
-        te = outcome_effects(g.weights, g.outcome_index, "te", np.eye(g.dim))[0].copy()
-    except FloatingPointError as exc:
-        raise ValueError(f"total effects are not finite: {exc}") from None
-    te[g.outcome_index] = 0.0
-    te += 0.0  # a node with no path to the outcome gets +0.0, never -0.0
-    return te
+    return _checked_effects(g, "te")
 
 
 def total_effect(g: WeightedDag, i: int) -> float:
@@ -117,13 +125,9 @@ def delta_star(data: Dataset, fit: Callable[[Dataset], WeightedDag],
 
     Runs the supplied selection-free learner on the full dataset and sums
     ``|effect|`` over the non-outcome nodes of the pruned graph it returns.
-    ``effect_kind`` picks total or direct effects.
+    ``effect_kind`` picks total or direct effects; either kind reads them as
+    ``total_effects`` does, so a cyclic graph, or a total effect that
+    overflows, is a ``ValueError``.
     """
     check_effect_kind(effect_kind)
-    g = fit(data)
-    if effect_kind == "de":
-        col = g.weights[:, g.outcome_index]
-        mass = np.abs(col).sum() - abs(col[g.outcome_index])
-    else:
-        mass = np.abs(total_effects(g)).sum()
-    return float(mass)
+    return float(np.abs(_checked_effects(fit(data), effect_kind)).sum())

@@ -138,7 +138,8 @@ def _feature_labels(g: WeightedDag) -> list:
 
 def write_fit_dir(result, outdir, meta: dict):
     """Persist a fit: graph.csv, raw_graph.csv, selected.csv, diagnostics.csv,
-    meta.json (with ``meta``'s keys added)."""
+    meta.json (``delta_star``, ``converged``, the fit's ``counters()`` and
+    its config, with ``meta``'s keys added)."""
     # the optimizer made ``result``, so this import loads nothing new; at
     # the top of the module it would load the learner into every CSV reader
     from .optimizer import DIAGNOSTIC_FIELDS
@@ -156,6 +157,7 @@ def write_fit_dir(result, outdir, meta: dict):
     payload = {
         "delta_star": result.delta_star_used,
         "converged": result.converged,
+        **result.counters(),
         "config": asdict(result.config),
         **meta,
     }

@@ -229,6 +229,17 @@ class FitResult:
     converged: bool
     config: FitConfig = field(repr=False)
 
+    def counters(self) -> dict:
+        """The fit's counts, as every report writes them: ``dual_steps``
+        (the ``diagnostics`` rows), ``inner_iterations`` (their sum) and
+        ``capped_solves``, the inner solves whose ``stop_reason`` is
+        ``"max_inner_iter"``."""
+        rows = self.diagnostics
+        return {"dual_steps": len(rows),
+                "inner_iterations": sum(d["inner_iterations"] for d in rows),
+                "capped_solves": sum(d["stop_reason"] == "max_inner_iter"
+                                     for d in rows)}
+
 
 # ---------------------------------------------------------------------------
 # kernels: the objective pieces the engine evaluates, shared by the public API

@@ -110,7 +110,11 @@ class TestSimulate:
          scenario("s2", noise=GaussianNoise(0.5))),
         (["--scenario", "s1", "--link", "rounded-log", "--noise-p", "0.3"],
          scenario("s1", link="rounded-log", noise=BernoulliNoise(0.3))),
-    ], ids=["s1", "s5-sf", "custom-sf", "s2-gaussian", "s1-rounded-log"])
+        # a preset takes its own size: only another value is rejected
+        (["--scenario", "s1", "--p", "5", "--degree", "2"], scenario("s1")),
+        (["--scenario", "s4", "--degree", "5"], scenario("s4")),
+    ], ids=["s1", "s5-sf", "custom-sf", "s2-gaussian", "s1-rounded-log",
+            "s1-own-p-degree", "s4-own-degree"])
     def test_outputs_are_the_scenario_data_draw(self, tmp_path, flags, spec):
         out = tmp_path / "sim"
         assert main(["simulate", *flags, "--n", "25", "--seed", "6",
@@ -168,6 +172,25 @@ class TestPipeline:
                          "--out", str(tmp_path / f"fit{inner}")]) == 0
             log = capsys.readouterr().err
             assert ("inner solves stopped at max_inner_iter" in log) == expect
+
+    def test_fit_meta_carries_the_diagnostics_counts(self, tmp_path):
+        sim, fitdir = tmp_path / "sim", tmp_path / "fit"
+        assert main(["simulate", "--scenario", "s1", "--n", "60",
+                     "--seed", "4", "--out", str(sim)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fit": {"max_inner_iter": 3}}))
+        assert main(["fit", "--data", str(sim / "data.csv"), "--outcome", "y",
+                     "--config", str(cfg), "--out", str(fitdir)]) == 0
+        with open(fitdir / "diagnostics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        counts = {"dual_steps": len(rows),
+                  "inner_iterations": sum(int(r["inner_iterations"])
+                                          for r in rows),
+                  "capped_solves": sum(r["stop_reason"] == "max_inner_iter"
+                                       for r in rows)}
+        assert counts["capped_solves"] > 0
+        meta = read_meta(fitdir / "meta.json")
+        assert {key: meta[key] for key in counts} == counts
 
     def test_fit_config_overrides(self, tmp_path):
         sim = tmp_path / "sim"

@@ -247,6 +247,25 @@ class TestDeltaStar:
             delta_star(data, lambda _: g, "te")
         assert delta_star(data, lambda _: g, "de") == 1e200
 
+    @pytest.mark.parametrize("kind", ["te", "de"])
+    def test_cyclic_reference_graph_is_an_error(self, kind):
+        # de read the outcome column unchecked: 2.0 on z0 <-> z1 -> y
+        w = np.zeros((3, 3))
+        w[0, 1], w[1, 0], w[1, 2] = 1.0, 0.5, 2.0
+        data = sample_linear(SemSpec(chain_to_outcome([1.0, 1.0])), 50, seed=0)
+        with pytest.raises(ValueError, match="^effects require an acyclic"):
+            delta_star(data, lambda _: WeightedDag(w), kind)
+
+    def test_is_the_effect_mass_of_the_reference_graph(self, rng):
+        data = sample_linear(SemSpec(chain_to_outcome([1.0])), 50, seed=0)
+        for _ in range(20):
+            g = random_dag(rng, 7, density=0.5)
+            col = g.weights[:, g.outcome_index]
+            assert delta_star(data, lambda _: g, "de") == float(
+                np.abs(col).sum() - abs(col[g.outcome_index]))
+            assert delta_star(data, lambda _: g, "te") == float(
+                np.abs(total_effects(g)).sum())
+
     def test_rejects_unknown_kind(self):
         data = sample_linear(SemSpec(chain_to_outcome([1.0])), 50, seed=0)
         with pytest.raises(ValueError):

@@ -4,9 +4,11 @@ helper has a caller, every public method and property has a user, only
 ``effects.py`` inverts a matrix, and ``graph.unchecked`` is the one way to
 build an instance without its checks.  ``bench.replicate`` is the one
 place outside ``optimizer.fit`` that fits a baseline or warm-starts a fit
-from one, in the package and in ``tools/``.  ``import nscausal`` loads no
-submodule, each entry point loads only the layers it calls, and the lazy
-package exposes the same 73 public names as the submodules that own them."""
+from one, in the package and in ``tools/``, and ``FitResult.counters`` is
+the one reader of a fit's ``stop_reason`` and ``inner_iterations`` there.
+``import nscausal`` loads no submodule, each entry point loads only the
+layers it calls, and the lazy package exposes the same 73 public names as
+the submodules that own them."""
 
 import ast
 import json
@@ -187,6 +189,19 @@ def test_one_replication_recipe():
                           and any(k.arg == "warm_start" for k in node.keywords),
                           paths)
     assert set(warm_started) == {("bench.py", "replicate")}
+
+
+def test_one_reader_of_the_fit_counts():
+    # the counts of a fit's diagnostics are read in FitResult.counters, for
+    # bench rows, ``nscausal fit`` and the quality corpus alike
+    package = Path(nscausal.__file__).parent
+    paths = [*package.glob("*.py"),
+             *(package.parents[1] / "tools").glob("*.py")]
+    reads = _sites(lambda node: isinstance(node, ast.Subscript)
+                   and isinstance(node.slice, ast.Constant)
+                   and node.slice.value in ("stop_reason", "inner_iterations"),
+                   paths)
+    assert set(reads) == {("optimizer.py", "FitResult.counters")}
 
 
 def _fresh(code, *args):

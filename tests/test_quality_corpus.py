@@ -167,6 +167,19 @@ def test_compare_sums_full_graph_shd_per_order(tmp_path):
     assert "full_shd 18 -> 0" in report
 
 
+def test_compare_sums_capped_solves_when_both_files_carry_them(tmp_path):
+    old = [dict(line, capped_solves=2) for line in LINES]
+    new = [dict(line, capped_solves=5) for line in LINES]
+    code, report = compare(tmp_path, old, new)
+    assert code == 0  # capped solves take no part in the exit code
+    assert ("s1-te baseline: 1 fits, 0/0 changed, 0 stopped converging, "
+            "failures 0 -> 0, dual_steps 3 -> 3, inner_iterations 40 -> 40, "
+            "capped_solves 2 -> 5, shd 1 -> 1\n") in report
+    # a file written before the field is compared without it
+    assert "capped_solves" not in compare(tmp_path, LINES, new)[1].split(
+        "missed\n", 1)[1]
+
+
 def test_compare_counts_selections_that_differ_across_orders(tmp_path):
     lines = [corpus_line("nscsl-te", order=order) for order in range(3)]
     varied = [dict(lines[0], selected=[True, True, True, True])] + lines[1:]

@@ -18,36 +18,39 @@ column.  Each estimate is mapped back to the identity order before it is
 hashed and scored.  A line holds the group, scenario, n, seed and method;
 ``selected`` (null for the baseline); the sha256 of the pruned pattern, of
 the raw graph's weights and of the ``diagnostics`` (as the fit recorded
-them); ``converged``, ``dual_steps`` and ``inner_iterations``; ``shd``
-against the outcome's necessary-and-sufficient subgraph; then ``order``
-and ``full_shd``, the shd of the pruned graph against the whole true
-graph.  A selective fit's line also counts its ``spurious`` selected
-features and its ``missed`` causal features: the causal features are those
-with a directed path to the outcome in that subgraph.  A fit that raises
-any exception, the baseline included, is written as a failure line: the
-group, scenario, n, seed, method and order, ``selected`` null,
-``converged`` false and ``failed``, the error message.  A failed baseline
-fails each selective method of its replication with the same message; a
-selective fit fails alone when, say, its reference score is 0 (no
-feature's effect reaches the outcome in the baseline's pruned graph).
+them); ``converged``, then ``dual_steps``, ``inner_iterations`` and
+``capped_solves`` (the inner solves that stopped at ``max_inner_iter``) as
+``FitResult.counters`` counts them; ``shd`` against the outcome's
+necessary-and-sufficient subgraph; then ``order`` and ``full_shd``, the
+shd of the pruned graph against the whole true graph.  A selective fit's
+line also counts its ``spurious`` selected features and its ``missed``
+causal features: the causal features are those with a directed path to
+the outcome in that subgraph.  A fit that raises any exception, the
+baseline included, is written as a failure line: the group, scenario, n,
+seed, method and order, ``selected`` null, ``converged`` false and
+``failed``, the error message.  A failed baseline fails each selective
+method of its replication with the same message; a selective fit fails
+alone when, say, its reference score is 0 (no feature's effect reaches
+the outcome in the baseline's pruned graph).
 
 ``--compare`` matches the fits of two such files, lists every changed
 selection (the features it gained and lost, by position in ``selected``)
 and pruned pattern (with its shd before and after), every fit that
 stopped converging and every failure line, and prints per-group sums, with
-the failure lines left out of the summed fields.  It then prints per
-group the summed ``full_shd`` of each order with their median, minimum and
-maximum, and the selective fits whose selection differs across orders.  It
-exits 1 when the files hold different fits, a selection changed, a fit
-stopped converging (a new failure line does), a changed pattern's shd
-rose, or a group's summed spurious or missed count rose; else 0.  A
-changed baseline pattern is judged by ``full_shd`` when both lines carry
-it, since a baseline nearer the whole truth can hold more edges outside
-the outcome's subgraph; a selective one always by ``shd``.  Lines
-written without the two counts are compared without them, lines without
-``order`` are order 0, and a line's other fields (the ``start`` of older
-files) are ignored.  To compare a change with its parent, run ``--corpus``
-in a checkout of each.
+the failure lines left out of the summed fields; ``capped_solves`` is
+summed when both files carry it, and takes no part in the exit code.  It
+then prints per group the summed ``full_shd`` of each order with their
+median, minimum and maximum, and the selective fits whose selection
+differs across orders.  It exits 1 when the files hold different fits, a
+selection changed, a fit stopped converging (a new failure line does), a
+changed pattern's shd rose, or a group's summed spurious or missed count
+rose; else 0.  A changed baseline pattern is judged by ``full_shd`` when
+both lines carry it, since a baseline nearer the whole truth can hold more
+edges outside the outcome's subgraph; a selective one always by ``shd``.
+Lines written without the two counts are compared without them, lines
+without ``order`` are order 0, and a line's other fields (the ``start`` of
+older files) are ignored.  To compare a change with its parent, run
+``--corpus`` in a checkout of each.
 """
 
 import argparse
@@ -92,6 +95,9 @@ CORPORA = {
 OVERRIDES = {"custom": {"p": 100}}
 KEY = ("group", "scenario", "seed", "method", "order")
 COUNTS = ("spurious", "missed")
+# the fields --compare sums per group, when both lines carry them
+SUMMED = ("dual_steps", "inner_iterations", "capped_solves", "shd",
+          "full_shd") + COUNTS
 
 
 def _sha(data: bytes) -> str:
@@ -136,9 +142,7 @@ def _line(fitted, truth, target, order, **fields):
         raw_sha256=_sha(fitted.raw_graph.weights.tobytes()),
         diagnostics_sha256=_sha(json.dumps(fitted.diagnostics).encode()),
         converged=fitted.converged,
-        dual_steps=len(fitted.diagnostics),
-        inner_iterations=sum(d["inner_iterations"]
-                             for d in fitted.diagnostics),
+        **fitted.counters(),
         shd=ns.graph_metrics(fitted.graph, target).shd)
     line.update(order=order,
                 full_shd=ns.graph_metrics(fitted.graph, truth).shd)
@@ -277,20 +281,17 @@ def compare(old_path: str, new_path: str, out) -> int:
         group["raw_changed"] += a["raw_sha256"] != b["raw_sha256"]
         group["diagnostics_changed"] += (a["diagnostics_sha256"]
                                          != b["diagnostics_sha256"])
-        for field in ("dual_steps", "inner_iterations", "shd",
-                      "full_shd") + COUNTS:
+        for field in SUMMED:
             if field in a and field in b:
                 pair = group.setdefault(field, [0, 0])
                 pair[0] += a[field]
                 pair[1] += b[field]
     out.write("group method: fits, raw/diagnostics hashes changed, fits "
               "that stopped converging, then old -> new: failed fits, dual "
-              "steps, inner iterations, shd, full-graph shd, spurious, "
-              "missed\n")
+              "steps, inner iterations, capped solves, shd, full-graph shd, "
+              "spurious, missed\n")
     for (group, method), s in sums.items():
-        fields = [field for field in ("failures", "dual_steps",
-                                      "inner_iterations", "shd", "full_shd")
-                  + COUNTS if field in s]
+        fields = [field for field in ("failures",) + SUMMED if field in s]
         failed = failed or any(s[field][1] > s[field][0] for field in COUNTS
                                if field in s)
         out.write(f"{group} {method}: {s['fits']} fits, "
