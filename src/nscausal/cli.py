@@ -200,8 +200,8 @@ def main(argv=None) -> int:
         return 0
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            PermissionError) as exc:
+    except (FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as exc:
         # a path argument that cannot be opened is the caller's error
         _log(f"error: {exc.filename}: {exc.strerror}")
         return 1

@@ -138,8 +138,8 @@ def _feature_labels(g: WeightedDag) -> list:
 
 def write_fit_dir(result, outdir, meta: dict):
     """Persist a fit: graph.csv, raw_graph.csv, selected.csv, diagnostics.csv,
-    meta.json (``delta_star``, ``converged``, the fit's ``counters()`` and
-    its config, with ``meta``'s keys added)."""
+    meta.json (``delta_star``, ``converged``, the fit's ``counters()``, the
+    outcome's label and its config, with ``meta``'s keys added)."""
     # the optimizer made ``result``, so this import loads nothing new; at
     # the top of the module it would load the learner into every CSV reader
     from .optimizer import DIAGNOSTIC_FIELDS
@@ -158,6 +158,7 @@ def write_fit_dir(result, outdir, meta: dict):
         "delta_star": result.delta_star_used,
         "converged": result.converged,
         **result.counters(),
+        "outcome": result.graph.labels[result.graph.outcome_index],
         "config": asdict(result.config),
         **meta,
     }
@@ -167,10 +168,22 @@ def write_fit_dir(result, outdir, meta: dict):
 def read_fit_dir(outdir) -> tuple:
     """The pruned graph and the selected-feature mask of a persisted fit.
 
-    ``selected.csv`` must hold the header ``label,selected`` and then, for
-    each feature of the graph in order, its label and a 0 or 1.
+    The graph's outcome is the node that ``meta.json`` names under
+    ``outcome``; a directory without that key (or without ``meta.json``)
+    has it in the last column of ``graph.csv``.  ``selected.csv`` must hold
+    the header ``label,selected`` and then, for each feature of the graph
+    in order, its label and a 0 or 1.
     """
-    graph = read_graph_csv(os.path.join(outdir, "graph.csv"))
+    path = os.path.join(outdir, "graph.csv")
+    graph = read_graph_csv(path)
+    meta = os.path.join(outdir, "meta.json")
+    if os.path.exists(meta):
+        with open(meta) as fh:
+            outcome = json.load(fh).get("outcome", graph.labels[-1])
+        if outcome not in graph.labels:
+            raise ValueError(f"{meta}: the outcome {outcome!r} is not a node "
+                             f"of {path}, {list(graph.labels)}")
+        graph = read_graph_csv(path, outcome_index=graph.labels.index(outcome))
     path = os.path.join(outdir, "selected.csv")
     rows = _csv_rows(path)[1]
     features = _feature_labels(graph)

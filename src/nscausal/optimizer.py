@@ -173,11 +173,11 @@ class FitConfig:
     ``max_dual_steps`` caps the dual-ascent steps of a fit and
     ``max_inner_iter`` the accepted L-BFGS steps of each inner solve.
     ``delta_star`` may hold a precomputed reference score, which overrides
-    only the score: every selective fit still starts from a selection-free
-    fit of the same data, and None means take the score from that fit's
-    pruned graph.  The thresholds and ``delta_star`` must be finite and
-    nonnegative, the step caps integers (numpy integers included, bools
-    not).
+    only the score: every selective fit still starts from the
+    selection-free warm start that ``fit`` requires, and None means take
+    the score from that fit's pruned graph.  The thresholds and
+    ``delta_star`` must be finite and nonnegative, the step caps integers
+    (numpy integers included, bools not).
 
     The penalty schedule, ``h1``'s ``t = 1/dim`` and the inner-solve
     constants (``_STEP_SIZE``, ``_GRAD_TOL``, ``_FTOL`` and
@@ -869,14 +869,14 @@ def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
                    init=(np.zeros((data.dim, data.dim)), 0.0, _PENALTY_INIT))
 
 
-def fit(data: Dataset, config: FitConfig = FitConfig(),
-        warm_start: FitResult | None = None) -> FitResult:
+def fit(data: Dataset, config: FitConfig = FitConfig(), *,
+        warm_start: FitResult) -> FitResult:
     """Joint structure learning and feature selection.
 
     Every fit starts from ``warm_start``, a selection-free fit of the same
-    data, at its raw graph and its last ``lambda1`` and ``c``; without one,
-    the fit is computed here with ``fit_baseline``.  A warm start that is
-    not a ``FitResult`` or has no ``diagnostics`` rows, a selective fit
+    data (``fit_baseline``'s), at its raw graph and its last ``lambda1``
+    and ``c``.  The argument is required.  A warm start that is not a
+    ``FitResult`` or has no ``diagnostics`` rows, a selective fit
     (``delta_star_used`` not 0) or a fit of data with another ``dim``,
     ``outcome_index`` or ``labels`` is a ``ValueError``.
     When the warm start is nearly acyclic, the selection rule runs on it
@@ -887,31 +887,28 @@ def fit(data: Dataset, config: FitConfig = FitConfig(),
     score is ``config.delta_star`` when given, else the effect mass of the
     warm start's pruned graph, and stays frozen for the constrained run.  A
     reference score of 0, resolved or given, is a ``ValueError``, raised
-    before any fit when given: no feature's effect reaches the outcome in
-    the reference graph, so there is nothing to select against.  The fit
-    stops by ``fit_baseline``'s rule, with ``|h2|`` within the cutoff.
+    before any solve: no feature's effect reaches the outcome in the
+    reference graph, so there is nothing to select against.  The fit stops
+    by ``fit_baseline``'s rule, with ``|h2|`` within the cutoff.
     """
-    if warm_start is not None:
-        if not isinstance(warm_start, FitResult):
-            raise ValueError("warm_start must be a FitResult, got "
-                             f"{type(warm_start).__name__}")
-        if not warm_start.diagnostics:
-            raise ValueError("warm_start has no diagnostics rows, so it has "
-                             "no lambda1 and c to start from")
-        if warm_start.delta_star_used != 0:
-            raise ValueError("warm_start must be a selection-free fit, got a "
-                             "selective fit with delta_star_used "
-                             f"{warm_start.delta_star_used!r}")
-        raw = warm_start.raw_graph
-        for name, theirs, ours in (
-                ("dim", raw.dim, data.dim),
-                ("outcome_index", raw.outcome_index, data.outcome_index),
-                ("labels", raw.labels, data.labels)):
-            if theirs != ours:
-                raise ValueError(f"warm_start does not match the data: its "
-                                 f"{name} is {theirs!r}, the data's {ours!r}")
-    elif config.delta_star != 0:  # a given 0 raises below, before any fit
-        warm_start = fit_baseline(data, config)
+    if not isinstance(warm_start, FitResult):
+        raise ValueError("warm_start must be a FitResult, got "
+                         f"{type(warm_start).__name__}")
+    if not warm_start.diagnostics:
+        raise ValueError("warm_start has no diagnostics rows, so it has "
+                         "no lambda1 and c to start from")
+    if warm_start.delta_star_used != 0:
+        raise ValueError("warm_start must be a selection-free fit, got a "
+                         "selective fit with delta_star_used "
+                         f"{warm_start.delta_star_used!r}")
+    raw = warm_start.raw_graph
+    for name, theirs, ours in (
+            ("dim", raw.dim, data.dim),
+            ("outcome_index", raw.outcome_index, data.outcome_index),
+            ("labels", raw.labels, data.labels)):
+        if theirs != ours:
+            raise ValueError(f"warm_start does not match the data: its "
+                             f"{name} is {theirs!r}, the data's {ours!r}")
     dstar = config.delta_star
     if dstar is None:
         dstar = _effects.delta_star(data, lambda _: warm_start.graph,
@@ -921,6 +918,6 @@ def fit(data: Dataset, config: FitConfig = FitConfig(),
                          "outcome in the reference graph, so there is "
                          "nothing to select against")
     last = warm_start.diagnostics[-1]
-    init = (warm_start.raw_graph.weights, last["lambda1"], last["c"])
+    init = (raw.weights, last["lambda1"], last["c"])
     resolved = replace(config, delta_star=float(dstar))
     return _engine(data, resolved, relevance=True, init=init)

@@ -148,7 +148,8 @@ class TestReportEffects:
     def test_unit_chain_rows(self):
         g = graph_of([(0, 1, 1.0), (1, 2, 1.0)], 3)
         data = sample_linear(SemSpec(g, BernoulliNoise(0.5)), 5000, seed=2)
-        result = fit(data, FitConfig(effect_kind="te"))
+        config = FitConfig(effect_kind="te")
+        result = fit(data, config, warm_start=fit_baseline(data, config))
         rows = {r["label"]: r
                 for r in effect_rows(result.graph, result.selected)}
         assert abs(rows["z0"]["direct_effect"]) < 0.1

@@ -12,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nscausal.cli as cli
-from nscausal import (BernoulliNoise, GaussianNoise, WeightedDag, io,
-                      scenario, scenario_data)
+from nscausal import (BernoulliNoise, Dataset, GaussianNoise, WeightedDag,
+                      io, scenario, scenario_data)
 from nscausal.bench import (GRAPH_MODELS, METHODS, NOISE_KINDS, SCENARIO_IDS,
-                            BenchReport, ScenarioSpec, spec_from_dict)
+                            BenchReport, ScenarioSpec, replicate,
+                            spec_from_dict)
 from nscausal.cli import main
-from nscausal.effects import EFFECT_KINDS
+from nscausal.effects import EFFECT_FIELDS, EFFECT_KINDS, effect_rows
 from nscausal.optimizer import DIAGNOSTIC_FIELDS, FitConfig
 from nscausal.scm import LINKS
 
@@ -192,6 +193,42 @@ class TestPipeline:
         meta = read_meta(fitdir / "meta.json")
         assert {key: meta[key] for key in counts} == counts
 
+    @pytest.mark.parametrize("position", [0, 2], ids=["first", "middle"])
+    def test_fit_dir_reads_back_wherever_the_outcome_is(self, tmp_path,
+                                                        capsys, position):
+        # the library fits data whose outcome is not the last column (the
+        # quality corpus fits column permutations); meta.json names the
+        # outcome, so its directory reads back as it was written
+        _, data = scenario_data(scenario("s1"), 100, 3)
+        order = list(range(data.dim - 1))
+        order.insert(position, data.outcome_index)
+        moved = Dataset(data.values[:, order],
+                        tuple(data.labels[c] for c in order), position)
+        [(_, result, _, error)] = replicate(moved, ("nscsl-te",), FitConfig())
+        assert error is None
+        fitdir = tmp_path / "fit"
+        io.write_fit_dir(result, fitdir, {})
+        graph, selected = io.read_fit_dir(fitdir)
+        assert (graph.labels, graph.outcome_index) == (result.graph.labels,
+                                                       position)
+        assert np.array_equal(graph.weights, result.graph.weights)
+        assert np.array_equal(selected, result.selected)
+        expected = tmp_path / "expected.csv"
+        io.write_rows_csv(effect_rows(result.graph, result.selected),
+                          EFFECT_FIELDS, expected)
+        capsys.readouterr()
+        assert main(["effects", "--fit", str(fitdir)]) == 0
+        assert capsys.readouterr().out == expected.read_text()
+        # without the key, graph.csv's last column is the outcome
+        meta = json.loads((fitdir / "meta.json").read_text())
+        del meta["outcome"]
+        (fitdir / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="selected.csv"):
+            io.read_fit_dir(fitdir)
+        (fitdir / "meta.json").write_text(json.dumps({"outcome": "nope"}))
+        with pytest.raises(ValueError, match="meta.json: the outcome 'nope'"):
+            io.read_fit_dir(fitdir)
+
     def test_fit_config_overrides(self, tmp_path):
         sim = tmp_path / "sim"
         assert main(["simulate", "--scenario", "s1", "--n", "60",
@@ -326,6 +363,27 @@ class TestExitCodes:
                      ["eval", "--estimated", path, "--truth", path]):
             assert main(argv) == 1
             assert f"error: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "bench"])
+    def test_out_naming_an_existing_file_is_a_validation_error(
+            self, tmp_path, capsys, command):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--scenario", "s1", "--n", "30",
+                     "--seed", "0", "--out", str(sim)]) == 0
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"id": "s1", "sample_sizes": [30],
+                                    "replications": 1,
+                                    "methods": ["baseline"]}))
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        argv = {"simulate": ["simulate", "--scenario", "s1", "--n", "30"],
+                "fit": ["fit", "--data", str(sim / "data.csv"),
+                        "--outcome", "y"],
+                "bench": ["bench", "--spec", str(spec)]}[command]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 1
+        assert f"error: {out}: " in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
 
     def test_bad_arguments_are_validation_errors(self):
         assert main(["simulate", "--scenario", "s1"]) == 1  # missing --n

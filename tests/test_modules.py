@@ -3,9 +3,9 @@
 helper has a caller, every public method and property has a user, only
 ``effects.py`` inverts a matrix, and ``graph.unchecked`` is the one way to
 build an instance without its checks.  ``bench.replicate`` is the one
-place outside ``optimizer.fit`` that fits a baseline or warm-starts a fit
-from one, in the package and in ``tools/``, and ``FitResult.counters`` is
-the one reader of a fit's ``stop_reason`` and ``inner_iterations`` there.
+place that fits a baseline or warm-starts a fit from one, in the package
+and in ``tools/``, and ``FitResult.counters`` is the one reader of a fit's
+``stop_reason`` and ``inner_iterations`` there.
 ``import nscausal`` loads no submodule, each entry point loads only the
 layers it calls, and the lazy package exposes the same 73 public names as
 the submodules that own them."""
@@ -176,15 +176,15 @@ def test_one_unchecked_construction_path():
 def test_one_replication_recipe():
     # "fit the baseline once, warm-start each selective method from it" is
     # written once, in bench.replicate, for run_scenario, ``nscausal fit``
-    # and the quality corpus; optimizer.fit fits its own baseline only when
-    # called without a warm start
+    # and the quality corpus; optimizer.fit requires the warm start and
+    # fits no baseline of its own
     package = Path(nscausal.__file__).parent
     paths = [*package.glob("*.py"),
              *(package.parents[1] / "tools").glob("*.py")]
     baseline = _sites(lambda node: isinstance(node, (ast.Name, ast.Attribute))
                       and (getattr(node, "id", None) or node.attr)
                       == "fit_baseline", paths)
-    assert set(baseline) == {("bench.py", "replicate"), ("optimizer.py", "fit")}
+    assert set(baseline) == {("bench.py", "replicate")}
     warm_started = _sites(lambda node: isinstance(node, ast.Call)
                           and any(k.arg == "warm_start" for k in node.keywords),
                           paths)

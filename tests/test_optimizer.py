@@ -910,7 +910,7 @@ class TestStopReasons:
     def test_low_noise_chain_stops_on_gradient_or_descent(self):
         data, _ = chain_dataset((2.0, 0.8), n=2000, seed=2,
                                 noise=GaussianNoise(1e-3))
-        result = fit(data)
+        result = fit(data, warm_start=fit_baseline(data))
         assert result.converged
         assert result.diagnostics[-1]["stop_reason"] in ("grad_tol", "ftol",
                                                          "no_descent")
@@ -941,12 +941,11 @@ class TestFit:
         assert base.graph.weights.any()
         message = "no feature's effect reaches the outcome"
         for kind in ("te", "de"):
-            for warm_start in (None, base):
-                with pytest.raises(ValueError, match=message):
-                    fit(data, FitConfig(effect_kind=kind),
-                        warm_start=warm_start)
             with pytest.raises(ValueError, match=message):
-                fit(data, FitConfig(effect_kind=kind, delta_star=0.0))
+                fit(data, FitConfig(effect_kind=kind), warm_start=base)
+            with pytest.raises(ValueError, match=message):
+                fit(data, FitConfig(effect_kind=kind, delta_star=0.0),
+                    warm_start=base)
 
     def test_warm_start_from_a_settled_baseline_caps_no_solve(self):
         # s2 n=100 seed 265: before the settled stop, a baseline run on to
@@ -1061,14 +1060,14 @@ class TestFit:
 
     def test_chain_weights_within_tolerance(self):
         data, truth = chain_dataset((1.0, 1.0), n=5000, seed=7)
-        result = fit(data)
+        result = fit(data, warm_start=fit_baseline(data))
         assert np.abs(result.graph.weights - truth.weights).max() < 0.1
 
     def test_determinism_bit_exact(self):
         _, _, data = s1_replication(3)
         config = FitConfig(effect_kind="te")
-        a = fit(data, config)
-        b = fit(data, config)
+        a = fit(data, config, warm_start=fit_baseline(data, config))
+        b = fit(data, config, warm_start=fit_baseline(data, config))
         assert np.array_equal(a.graph.weights, b.graph.weights)
         assert np.array_equal(a.raw_graph.weights, b.raw_graph.weights)
         assert a.diagnostics == b.diagnostics
@@ -1084,7 +1083,8 @@ class TestFit:
     def test_result_invariants(self):
         for r in range(5):
             truth, target, data = s1_replication(r)
-            result = fit(data, FitConfig(effect_kind="te"))
+            config = FitConfig(effect_kind="te")
+            result = fit(data, config, warm_start=fit_baseline(data, config))
             raw = result.raw_graph
             assert result.converged
             assert acyclicity_value(raw, 1e-2) <= 1e-8
@@ -1154,31 +1154,25 @@ class TestFit:
         assert first["n_active"] == data.dim - 1 - len(dropped)
         assert columns[0] == np.flatnonzero(active).tolist()
 
-    def test_given_delta_star_starts_from_the_fitted_baseline(self):
-        # a given reference score overrides only the score: without a warm
-        # start the fit starts from the baseline it fits itself
-        _, _, data = s1_replication(300)
-        base = fit_baseline(data)
-        config = FitConfig(delta_star=delta_star(data, lambda _: base.graph,
-                                                 "te"))
-        own = fit(data, config)
-        given = fit(data, config, warm_start=base)
-        assert np.array_equal(own.raw_graph.weights, given.raw_graph.weights)
-        assert own.diagnostics == given.diagnostics
-        assert np.array_equal(own.selected, given.selected)
-        assert own.converged == given.converged
-
     def test_given_zero_delta_star_raises_before_any_fit(self, monkeypatch):
         import nscausal.optimizer as optimizer
 
         _, _, data = s1_replication(300)
+        base = fit_baseline(data)
 
         def no_work(*args, **kwargs):
             raise AssertionError("fit ran before checking delta_star")
 
         monkeypatch.setattr(optimizer, "_engine", no_work)
         with pytest.raises(ValueError, match="delta_star is 0"):
-            fit(data, FitConfig(delta_star=0.0))
+            fit(data, FitConfig(delta_star=0.0), warm_start=base)
+
+    def test_warm_start_is_required(self):
+        # the selection-free start is fitted once, by the caller
+        # (bench.replicate), never inside fit
+        _, _, data = s1_replication(300)
+        with pytest.raises(TypeError, match="warm_start"):
+            fit(data, FitConfig(effect_kind="te"))
 
     def test_fit_from_a_cyclic_baseline_iterate_selects_the_causes(self):
         # the baseline's raw iterate still carries faint cycles (h1 > 0),
@@ -1188,7 +1182,7 @@ class TestFit:
         _, target, data = s1_replication(105)
         base = fit_baseline(data)
         dstar = delta_star(data, lambda _: base.graph, "te")
-        result = fit(data, FitConfig(delta_star=dstar))
+        result = fit(data, FitConfig(delta_star=dstar), warm_start=base)
         assert result.converged
         assert result.selected.tolist() == [False, True, True, True]
         assert graph_metrics(result.graph, target).shd == 0
@@ -1255,7 +1249,8 @@ class TestFit:
 
     def test_inner_solves_never_increase_the_objective(self):
         _, _, data = s1_replication(1)
-        result = fit(data, FitConfig(effect_kind="te"))
+        config = FitConfig(effect_kind="te")
+        result = fit(data, config, warm_start=fit_baseline(data, config))
         for entry in result.diagnostics:
             assert entry["objective_end"] <= entry["objective_start"] + 1e-6
 
@@ -1593,9 +1588,13 @@ class TestFitBaseline:
 
     def test_rejects_fewer_than_two_rows(self):
         data = Dataset(np.array([[1.0, 2.0, 3.0]]), ("z0", "z1", "y"), 2)
-        for learner in (fit, fit_baseline):
-            with pytest.raises(ValueError, match="2 rows"):
-                learner(data)
+        with pytest.raises(ValueError, match="2 rows"):
+            fit_baseline(data)
+        # fit checks its own data too, whatever its warm start was fitted on
+        values = np.random.default_rng(0).normal(size=(40, 3))
+        warm = fit_baseline(Dataset(values, data.labels, 2))
+        with pytest.raises(ValueError, match="2 rows"):
+            fit(data, FitConfig(delta_star=1.0), warm_start=warm)
 
     def test_baseline_keeps_every_feature(self):
         _, _, data = s1_replication(0)
