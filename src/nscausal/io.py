@@ -138,8 +138,9 @@ def _feature_labels(g: WeightedDag) -> list:
 
 def write_fit_dir(result, outdir, meta: dict):
     """Persist a fit: graph.csv, raw_graph.csv, selected.csv, diagnostics.csv,
-    meta.json (``delta_star``, ``converged``, the fit's ``counters()``, the
-    outcome's label and its config, with ``meta``'s keys added)."""
+    meta.json (``delta_star``, ``converged``, the fit's ``counters()`` and
+    its config, with ``meta``'s keys added, and last the outcome's label,
+    which ``read_fit_dir`` reads back, so no key of ``meta`` replaces it)."""
     # the optimizer made ``result``, so this import loads nothing new; at
     # the top of the module it would load the learner into every CSV reader
     from .optimizer import DIAGNOSTIC_FIELDS
@@ -158,9 +159,9 @@ def write_fit_dir(result, outdir, meta: dict):
         "delta_star": result.delta_star_used,
         "converged": result.converged,
         **result.counters(),
-        "outcome": result.graph.labels[result.graph.outcome_index],
         "config": asdict(result.config),
         **meta,
+        "outcome": result.graph.labels[result.graph.outcome_index],
     }
     write_json(payload, os.path.join(outdir, "meta.json"))
 
@@ -179,11 +180,15 @@ def read_fit_dir(outdir) -> tuple:
     meta = os.path.join(outdir, "meta.json")
     if os.path.exists(meta):
         with open(meta) as fh:
-            outcome = json.load(fh).get("outcome", graph.labels[-1])
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"{meta}: expected a JSON object")
+        outcome = doc.get("outcome", graph.labels[-1])
         if outcome not in graph.labels:
             raise ValueError(f"{meta}: the outcome {outcome!r} is not a node "
                              f"of {path}, {list(graph.labels)}")
-        graph = read_graph_csv(path, outcome_index=graph.labels.index(outcome))
+        graph = WeightedDag(graph.weights, graph.labels,
+                            graph.labels.index(outcome))
     path = os.path.join(outdir, "selected.csv")
     rows = _csv_rows(path)[1]
     features = _feature_labels(graph)

@@ -228,6 +228,33 @@ class TestPipeline:
         (fitdir / "meta.json").write_text(json.dumps({"outcome": "nope"}))
         with pytest.raises(ValueError, match="meta.json: the outcome 'nope'"):
             io.read_fit_dir(fitdir)
+        (fitdir / "meta.json").write_text(json.dumps(["y"]))
+        with pytest.raises(ValueError, match="meta.json: expected a JSON object"):
+            io.read_fit_dir(fitdir)
+        # a caller's meta key of that name does not replace the label
+        io.write_fit_dir(result, fitdir, {"outcome": "2"})
+        assert read_meta(fitdir / "meta.json")["outcome"] == "y"
+        assert io.read_fit_dir(fitdir)[0].outcome_index == position
+
+    def test_fit_with_an_outcome_index_reads_back(self, tmp_path, capsys):
+        # --outcome names the column by index: meta.json records the label
+        # under "resolved" as given and at the top level as the node it is
+        sim, fitdir = tmp_path / "sim", tmp_path / "fit"
+        assert main(["simulate", "--scenario", "s1", "--n", "100",
+                     "--seed", "3", "--out", str(sim)]) == 0
+        assert main(["fit", "--data", str(sim / "data.csv"), "--outcome", "2",
+                     "--out", str(fitdir)]) == 0
+        meta = read_meta(fitdir / "meta.json")
+        assert (meta["resolved"]["outcome"], meta["outcome"]) == ("2", "z2")
+        data = io.load_csv(sim / "data.csv", "2")
+        [(_, result, _, error)] = replicate(data, ("nscsl-te",), FitConfig())
+        assert error is None
+        expected = tmp_path / "expected.csv"
+        io.write_rows_csv(effect_rows(result.graph, result.selected),
+                          EFFECT_FIELDS, expected)
+        capsys.readouterr()
+        assert main(["effects", "--fit", str(fitdir)]) == 0
+        assert capsys.readouterr().out == expected.read_text()
 
     def test_fit_config_overrides(self, tmp_path):
         sim = tmp_path / "sim"
