@@ -12,13 +12,15 @@ graphs where the outcome has no children.
 The closure is incremental: after each orientation it re-checks only the
 undirected edges whose rule status that orientation can change, and the
 member search branches from its parent's closed graph plus one edge
-instead of closing every branch from scratch.  It orients the compelled
-edges in no fixed order, which cannot change what it builds from a graph
-that has a consistent extension; from one without, the order can change
-the closed graph, but not its empty class.  Each rule is sound: every
-consistent extension (a DAG with the graph's skeleton, its directed edges
-and its v-structures) orients the edge the rule's way, so an orientation
-keeps the set of consistent extensions.  The rules are also
+instead of closing every branch from scratch.  Each re-check decides
+rule 1 both ways, two bit tests, before it tries rules 2-4 either way, so
+an edge that rule 1 compels never reaches rules 2-4.  It orients the
+compelled edges in no fixed order, which cannot change what it builds
+from a graph that has a consistent extension; from one without, the
+order can change the closed graph, but not its empty class.  Each rule is
+sound: every consistent extension (a DAG with the graph's skeleton, its
+directed edges and its v-structures) orients the edge the rule's way, so
+an orientation keeps the set of consistent extensions.  The rules are also
 complete for a pattern plus background knowledge (Meek 1995), here the
 v-structures and the other directed edges of the ``Cpdag``; this module's
 rule 4 drops Meek's condition that ``a`` and ``c`` be adjacent, which
@@ -35,24 +37,18 @@ new v-structure.  When it fails, the class has no member and the search
 ends, so a ``Cpdag`` with no member (one not closed under the rules can be
 one) costs one path from the root.
 
-``dag_to_cpdag`` closes its graph anyway, so the ``Cpdag`` it returns
-carries that closed state, set by ``graph.unchecked`` as a private
-attribute that is no dataclass field (``==``, ``hash`` and ``repr`` ignore
-it), and ``enumerate_mec`` searches from a copy of it.  Closing a closed
-graph orients nothing, so the same ``Cpdag`` built by hand, read into masks
-and closed by ``enumerate_mec``, gives the same root, and the same search.
-
 Graphs are held as bit masks: a node's parents, children, undirected
 neighbours and skeleton neighbours are each one Python int with bit ``k``
 set for node ``k``, so the rules, the acyclicity checks and the
 v-structure checks are integer operations, and a branch copies lists of
-ints.  Each input graph is read into parent and skeleton masks once, and
-``dag_to_cpdag``'s output is not read again.  The outputs are built from
-the masks unchecked (``graph.unchecked``): the closure guarantees the
-``Cpdag``'s invariants and the member search a 0/1 acyclic matrix, so
-neither is re-validated, and all members' matrices come from one unpack
-of their parent masks.  Endpoints are converted with ``int()`` before any
-shift, because ``1 << np.int64(j)`` wraps past bit 63.
+ints.  Each input graph is read into parent and skeleton masks once; a
+``Cpdag`` is read the same way whether ``dag_to_cpdag`` built it or a
+caller did.  The outputs are built from the masks unchecked
+(``graph.unchecked``): the closure guarantees the ``Cpdag``'s invariants
+and the member search a 0/1 acyclic matrix, so neither is re-validated,
+and all members' matrices come from one unpack of their parent masks.
+Endpoints are converted with ``int()`` before any shift, because
+``1 << np.int64(j)`` wraps past bit 63.
 """
 
 from dataclasses import dataclass
@@ -177,16 +173,17 @@ class _Closure:
     Per-node parent, child, undirected-neighbour and skeleton-neighbour
     masks index the rules.  ``compelled`` maps every undirected edge
     ``(i, j)``, ``i < j``, that some rule orients in the current graph to
-    that orientation, ``i -> j`` preferred.  Closing orients such edges, the
-    last one found first, until none is left; the module docstring gives
-    why the order cannot change the closed graph of a graph with a
-    consistent extension (without one, it can).  After ``x -> y`` it
+    that orientation.  When rules compel it both ways, which only happens
+    in a graph with no consistent extension, rule 1's way wins, then
+    ``i -> j``.  Closing orients such edges, the last one found first,
+    until none is left; the module docstring gives why the order cannot
+    change the closed graph of a graph with a consistent extension (without
+    one, it can).  After ``x -> y`` it
     re-checks only the undirected edges whose status that can change: those
     touching ``x`` or ``y``, and those joining an undirected neighbour of
     ``x`` to a child of ``y`` (rule 4 through ``x -> y``).  Every other edge
     keeps its status, so ``compelled`` stays exact and a closed graph has
-    none.  ``dag_to_cpdag`` hands its closed state to the ``Cpdag`` it
-    returns, and ``enumerate_mec`` searches from a copy of it.
+    none.
     """
 
     def __init__(self, adjacency: list, parents: list):
@@ -245,9 +242,12 @@ class _Closure:
 
     def _recheck(self, stars) -> None:
         """Re-check the undirected edges from each node ``u`` to the nodes of
-        ``mask``, for every ``(u, mask)`` in ``stars``: ``a -> b`` first, then
-        ``b -> a``, each deciding rule 1 here and rules 2-4 only when the
-        head has a parent, as each of those needs one."""
+        ``mask``, for every ``(u, mask)`` in ``stars``: rule 1 both ways
+        here, ``a -> b`` first, then, when it fires neither way, rules 2-4
+        ``a -> b`` and then ``b -> a``, each only when the head has a parent,
+        as each of those rules needs one.  So an edge compelled both ways,
+        which only a graph with no consistent extension has, takes rule 1's
+        way, else ``a -> b``."""
         compelled, parents, adjacency = self.compelled, self.parents, self.adjacency
         for u, mask in stars:
             while mask:  # _bits(mask), inlined: the closure's hottest loop
@@ -256,11 +256,13 @@ class _Closure:
                 v = low.bit_length() - 1
                 edge = a, b = (u, v) if u < v else (v, u)
                 into_a, into_b = parents[a], parents[b]
-                if (into_a & ~adjacency[b]
-                        or into_b and self._rules_2_to_4(a, b, into_b)):
+                if into_a & ~adjacency[b]:  # rule 1, both ways first
                     compelled[edge] = edge
-                elif (into_b & ~adjacency[a]
-                        or into_a and self._rules_2_to_4(b, a, into_a)):
+                elif into_b & ~adjacency[a]:
+                    compelled[edge] = (b, a)
+                elif into_b and self._rules_2_to_4(a, b, into_b):
+                    compelled[edge] = edge
+                elif into_a and self._rules_2_to_4(b, a, into_a):
                     compelled[edge] = (b, a)
                 else:
                     compelled.pop(edge, None)
@@ -302,8 +304,7 @@ def dag_to_cpdag(g: WeightedDag, outcome_sink: bool = False) -> Cpdag:
         compelled[out] = adjacency[out]
     closed = _Closure(adjacency, compelled).close()
     return unchecked(Cpdag, dim=g.dim, directed=closed.directed(),
-                     undirected=closed.undirected(), labels=g.labels,
-                     _closed=closed)
+                     undirected=closed.undirected(), labels=g.labels)
 
 
 def enumerate_mec(c: Cpdag, outcome_index: int = -1) -> list[WeightedDag]:
@@ -311,16 +312,17 @@ def enumerate_mec(c: Cpdag, outcome_index: int = -1) -> list[WeightedDag]:
 
     A member keeps every directed edge, orients every undirected edge, is
     acyclic, and introduces no v-structure beyond those already visible in
-    the directed part of the CPDAG.  The search starts from ``c`` closed
-    under the orientation rules: a copy of the closed state that
-    ``dag_to_cpdag`` handed over with ``c``, or, for a ``Cpdag`` built by
-    hand, its masks closed here; closing the handed-over state again would
-    orient nothing, so both give the same root.  It goes depth first: it
-    orients the largest remaining undirected edge ``(i, j)`` as ``j -> i``,
-    then as ``i -> j``, and closes each choice before going deeper.  The
-    first branch starts from a copy of its parent's closed graph plus the
-    one new edge, the second from the parent itself, and each re-checks only
-    the edges that edge can affect (see ``_Closure``).  Members therefore
+    the directed part of the CPDAG.  There is one way in, whether ``c``
+    comes from ``dag_to_cpdag`` or is built by hand: its directed edges and
+    its skeleton are read into masks and closed under the orientation
+    rules, and the search starts from that closed graph.  It goes depth
+    first: it orients the largest remaining undirected edge ``(i, j)`` as
+    ``j -> i``, then as ``i -> j``, and closes each choice before going
+    deeper.  The first branch starts from a copy of its parent's closed
+    graph plus the one new edge, the second from the parent itself, and
+    each re-checks only the edges that edge can affect (see ``_Closure``).
+    Edges only disappear down a branch, so a branch resumes the scan for
+    its largest undirected edge at its parent's ``i``.  Members therefore
     come in ascending orientation code, where bit ``k`` is set when the
     ``k``-th sorted undirected edge points from its lower to its higher
     index.  No branch of a closed graph dead-ends (see the module
@@ -331,7 +333,8 @@ def enumerate_mec(c: Cpdag, outcome_index: int = -1) -> list[WeightedDag]:
     ``outcome_index`` must be a node of ``c`` (negatives count from the
     end), both checked before any work; the search raises once the member
     count exceeds ``MEMBER_CAP``, so it visits at most ``MEMBER_CAP + 1``
-    leaves.  The members' weights are read-only views of one
+    leaves.  The members' weights come from one unpack of all members'
+    parent masks, whatever ``dim``, and are read-only views of one
     ``(members, dim, dim)`` array, so keeping any one member keeps the whole
     class's array alive.
     """
@@ -339,31 +342,26 @@ def enumerate_mec(c: Cpdag, outcome_index: int = -1) -> list[WeightedDag]:
         raise ValueError(f"{len(c.undirected)} undirected edges is beyond "
                          "the enumeration limit")
     outcome = outcome_position(outcome_index, c.dim)
-    closed = getattr(c, "_closed", None)  # set by dag_to_cpdag only
-    if closed is None:  # built by hand: read into masks and close
-        given = _parent_masks(c.dim, c.directed)
-        low = _parent_masks(c.dim, c.skeleton())
-        closed = _Closure([pa | ch for pa, ch in zip(low, _children(low))],
-                          given).close()
-    else:  # its directed edges are c's own
-        given = closed.parents
-    adjacency = closed.adjacency
+    given = _parent_masks(c.dim, c.directed)
+    low = _parent_masks(c.dim, c.skeleton())
+    adjacency = [pa | ch for pa, ch in zip(low, _children(low))]
     members = []
 
-    def search(state) -> bool:
-        """Collect the leaves below ``state``; False when the first leaf
-        fails its checks, which ends the search."""
+    def search(state, top: int) -> bool:
+        """Collect the leaves below ``state``, whose undirected edges all
+        start at or below node ``top``; False when the first leaf fails its
+        checks, which ends the search."""
         nb = state.neighbours
-        for i in range(c.dim - 2, -1, -1):  # the largest undirected edge
+        for i in range(top, -1, -1):  # the largest undirected edge
             above = nb[i] >> i + 1
             if above:
                 j = i + above.bit_length()
                 branch = state.copy()
                 branch.orient(j, i)
-                if not search(branch.close()):
+                if not search(branch.close(), i):
                     return False
                 state.orient(i, j)
-                return search(state.close())
+                return search(state.close(), i)
         parents = state.parents
         if not members and (  # the first leaf: a cycle or a new v-structure
                 not _acyclic(parents)
@@ -376,17 +374,12 @@ def enumerate_mec(c: Cpdag, outcome_index: int = -1) -> list[WeightedDag]:
                 f"equivalence class exceeds the cap of {MEMBER_CAP} members")
         return True
 
-    search(closed.copy())
-    # row j of a member's mask bytes holds bit i for the edge i -> j; up to
-    # 64 nodes, numpy converts all the masks to 8-byte rows in one call
-    if c.dim <= 64:
-        width, rows = 8, np.array(members, dtype="<u8").view(np.uint8)
-    else:
-        width = (c.dim + 7) // 8
-        rows = np.frombuffer(b"".join(pa.to_bytes(width, "little")
-                                      for parents in members
-                                      for pa in parents), dtype=np.uint8)
-    rows = rows.reshape(len(members), c.dim, width)
+    search(_Closure(adjacency, given).close(), c.dim - 2)
+    # row j of a member's mask bytes holds bit i for the edge i -> j
+    width = (c.dim + 7) // 8
+    rows = np.frombuffer(b"".join(pa.to_bytes(width, "little")
+                                  for parents in members for pa in parents),
+                         dtype=np.uint8).reshape(len(members), c.dim, width)
     stack = np.unpackbits(rows, axis=-1, count=c.dim, bitorder="little")
     stack = stack.transpose(0, 2, 1).astype(float, order="C")
     stack.flags.writeable = False

@@ -450,6 +450,19 @@ class TestClosure:
         closed.orient(1, 2)
         assert closed.close().directed() == {(2, 3), (1, 2), (0, 3)}
 
+    def test_trees_are_closed_by_rule_one_alone(self, monkeypatch):
+        # a tree has no triangle and no other cycle, so rules 2-4 never fire
+        # in one, and rule 1, decided both ways first, settles every edge
+        # before they are tried
+        def no_rules_2_to_4(*args):
+            raise AssertionError("rules 2-4 tried on a tree")
+
+        monkeypatch.setattr(mec._Closure, "_rules_2_to_4", no_rules_2_to_4)
+        for undirected in range(12, 17):
+            for seed in range(3):
+                c = random_tree_cpdag(undirected, [undirected, seed])
+                assert len(enumerate_mec(c)) == undirected + 1
+
 
 class TestOutcomeSink:
     def test_members_keep_the_outcome_childless(self, rng):
@@ -633,20 +646,6 @@ class TestUncheckedOutputs:
                 with pytest.raises(ValueError, match="read-only"):
                     m.weights[0, 0] = 1.0
 
-    def test_cpdag_of_a_dag_is_searched_from_its_handed_over_closure(
-            self, monkeypatch):
-        # dag_to_cpdag's closed state rides on its Cpdag, so enumerating it
-        # reads no mask and closes nothing anew
-        c = dag_to_cpdag(dag_from_edges([(0, 1), (1, 2), (3, 2)], 4))
-        expected = [m.weights.tobytes() for m in enumerate_mec(c)]
-
-        def no_masks(*args):
-            raise AssertionError("the Cpdag was read into masks again")
-
-        monkeypatch.setattr(mec, "_parent_masks", no_masks)
-        assert [m.weights.tobytes() for m in enumerate_mec(c)] == expected
-        assert len(expected) == 2
-
     def test_class_without_a_member_is_empty(self):
         four_cycle = Cpdag(4, frozenset(),
                            frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
@@ -696,8 +695,8 @@ class TestUncheckedOutputs:
 
     @pytest.mark.parametrize("dim", [64, 65])
     def test_members_either_side_of_64_nodes_are_the_extensions(self, dim):
-        # up to 64 nodes the masks go to numpy as 8-byte integers, bit 63
-        # included; past 64 they go as bytes
+        # every dim takes the one bytes unpack: at 64 nodes the last node
+        # is bit 63 of an eight-byte row, at 65 it is the ninth byte's first
         edges = [(61, 62), (62, dim - 1), (dim - 1, 0)]
         for c in (dag_to_cpdag(dag_from_edges(edges, dim)),
                   Cpdag(dim, frozenset(), frozenset(edges))):

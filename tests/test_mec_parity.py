@@ -1,5 +1,5 @@
 """``tools/mec_parity.py`` on its case set and hand-written lines, and
-``enumerate_mec``'s two ways in on the DAG and tree cases."""
+``enumerate_mec``'s one way in on the DAG and tree cases."""
 
 import collections
 import dataclasses
@@ -89,8 +89,9 @@ def _dag_cases():
 
 
 def test_both_ways_into_enumerate_mec_agree():
-    # dag_to_cpdag hands its closed state to the Cpdag it returns; the same
-    # Cpdag built by hand is closed afresh, and the search is the same
+    # dag_to_cpdag's Cpdag holds its four fields and nothing else, so it
+    # and the same Cpdag built by hand are read into masks and closed the
+    # same way, and the search is the same
     for name, g, outcome in _dag_cases():
         for sink in (False, True):
             try:
@@ -105,10 +106,12 @@ def test_both_ways_into_enumerate_mec_agree():
                                f", undirected={c.undirected!r}, "
                                f"labels={c.labels!r})"), name
             assert dataclasses.fields(c) == dataclasses.fields(fresh)
-            handed = [m.weights.tobytes()
-                      for m in enumerate_mec(c, outcome)]
-            assert handed == [m.weights.tobytes()
-                              for m in enumerate_mec(fresh, outcome)], name
-            # the handed-over state is copied, never changed
-            assert handed == [m.weights.tobytes()
-                              for m in enumerate_mec(c, outcome)], name
+            assert vars(c).keys() == {f.name for f in
+                                      dataclasses.fields(c)}, name
+            members = [m.weights.tobytes()
+                       for m in enumerate_mec(c, outcome)]
+            assert members == [m.weights.tobytes()
+                               for m in enumerate_mec(fresh, outcome)], name
+            # enumerating changes nothing that a second call would see
+            assert members == [m.weights.tobytes()
+                               for m in enumerate_mec(c, outcome)], name

@@ -29,10 +29,10 @@ hashed as the error's message.  The cases:
 * ``random``: 10,000 hand-built ``Cpdag``s on 2-8 nodes, case ``k`` drawn
   from ``default_rng(k)``; many have no member.
 
-``enumerate_mec`` has two ways in, and one compare covers both: ``dag``,
-``tree`` and the DAG cases of ``wide`` reach it with the closed state that
-``dag_to_cpdag`` hands over, while ``partial``, ``random`` and the
-hand-built ``wide`` cases are read into masks and closed there.
+``enumerate_mec`` reads every ``Cpdag`` into masks and closes them the same
+way, so one compare covers both sources: ``dag``, ``tree`` and the DAG
+cases of ``wide`` reach it through ``dag_to_cpdag``, while ``partial``,
+``random`` and the hand-built ``wide`` cases are built by hand.
 
 ``--compare`` lists every case whose hash differs and every case found in
 one file only, prints the case and mismatch counts per family, and exits
