@@ -6,8 +6,10 @@ The total effect is the sum over all directed paths from ``i`` to the
 outcome of the product of edge weights along each path; acyclic ``B`` is
 nilpotent, so this equals the ``(i, outcome)`` entry of ``(I - B)^{-1} - I``.
 ``outcome_effects`` is the one kernel that computes it, for the fit and for
-``total_effects`` alike; a total effect that overflows the float range is a
-``ValueError``.  The path sum is the slow reference.
+``total_effects`` alike, and the one place that picks the effect kind: it
+also returns the matrix whose Jacobian serves both kinds.  A total effect
+that overflows the float range is a ``ValueError``.  The path sum is the
+slow reference.
 """
 
 from typing import Callable
@@ -34,16 +36,18 @@ def direct_effect(g: WeightedDag, i: int) -> float:
 
 
 def outcome_effects(weights: np.ndarray, outcome: int, kind: str, eye: np.ndarray):
-    """Effect of every node on the outcome, the outcome column of ``B``
-    (``de``) or of ``(I - B)^-1`` (``te``), plus that inverse for the
-    Jacobian (None for ``de``).  The outcome's own entry is not an effect.
+    """``(ce, M)``: the effect of every node on the outcome, and the ``M``
+    of its Jacobian ``d CE_i / d B[a, b] = M[i, a] M[b, outcome]``.  For
+    ``te``, ``M = (I - B)^-1`` and ``ce`` is its outcome column; for ``de``,
+    the first-order term of that path sum, ``M`` is ``eye`` and ``ce`` the
+    outcome column of ``B``.  The outcome's own entry is not an effect.
 
     ``te`` is defined wherever ``I - B`` is invertible.  A singular ``I - B``
     or a non-finite inverse raises ``FloatingPointError``, which the fit's
     line search treats as a rejected trial.
     """
     if kind == "de":
-        return weights[:, outcome], None
+        return weights[:, outcome], eye
     try:
         m = np.linalg.inv(eye - weights)
     except np.linalg.LinAlgError:

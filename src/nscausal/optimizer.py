@@ -302,9 +302,11 @@ def _h1(w: np.ndarray, t: float, eye: np.ndarray):
 
 def _h2(w: np.ndarray, outcome: int, feature_active: np.ndarray, kind: str,
         delta_star: float, eye: np.ndarray):
-    """``delta_star - sum_active |CE_i|`` and its subgradient, with CE from
-    ``effects.outcome_effects``: ``h2`` less its outcome-row penalty, zero
-    on every engine iterate (``relevance_constraint`` adds it).
+    """``delta_star - sum_active |CE_i|`` and its subgradient, with CE and
+    ``M`` from ``effects.outcome_effects``: ``h2`` less its outcome-row
+    penalty, zero on every engine iterate (``relevance_constraint`` adds
+    it).  One Jacobian, ``d CE_i / d B[a, b] = M[i, a] M[b, outcome]``,
+    serves both effect kinds.
 
     A non-finite subgradient (a finite total effect can have an overflowing
     Jacobian) raises ``FloatingPointError``, a rejected trial to the line
@@ -313,11 +315,7 @@ def _h2(w: np.ndarray, outcome: int, feature_active: np.ndarray, kind: str,
     ce, m = _effects.outcome_effects(w, outcome, kind, eye)
     signs = np.sign(ce) * feature_active
     value = delta_star - float(signs.dot(ce))
-    if m is None:
-        grad = np.zeros_like(w)
-        grad[:, outcome] = -signs
-    else:  # d TE_i / d B[a, b] = M[i, a] M[b, outcome]
-        grad = np.multiply.outer(signs.dot(m), -ce)
+    grad = np.multiply.outer(signs.dot(m), -m[:, outcome])
     if not np.isfinite(grad).all():
         raise FloatingPointError("relevance gradient is not finite")
     return value, grad
@@ -721,9 +719,11 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
             init: tuple) -> FitResult:
     dim = data.dim
     outcome = data.outcome_index
-    if data.n < 2 or dim < 2:
-        # one row has a zero centered gram: every fit would "converge" empty
-        raise ValueError("dataset must have at least 2 rows and 2 columns")
+    if data.n <= dim or dim < 2:
+        # the outcome's least squares on its dim - 1 candidate parents plus
+        # the centring intercept has n - dim residual degrees of freedom: at
+        # n <= dim it fits exactly, and the fit would "converge" near dense
+        raise ValueError("dataset needs n > dim rows and at least 2 columns")
     delta_star_value = config.delta_star if relevance else 0.0
     cutoff = config.selection_tolerance * delta_star_value
     # fit on a unit-free gram: a uniform rescale of the data leaves the
@@ -864,6 +864,9 @@ def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
     SELECTION_H1_GATE`` and one acyclic support ``|w| > prune_threshold``
     (or once ``h1 <= _H1_TOL``): the one stop rule of every fit, with cutoff
     and ``h2`` 0.  So its last ``h1`` may still be above ``_H1_TOL``.
+    Data with ``n <= dim`` rows, or fewer than 2 columns, are a
+    ``ValueError`` before any work, here and in ``fit``: at ``n <= dim`` the
+    outcome's regression on every other column fits the data exactly.
     """
     return _engine(data, config, relevance=False,
                    init=(np.zeros((data.dim, data.dim)), 0.0, _PENALTY_INIT))

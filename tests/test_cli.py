@@ -330,7 +330,7 @@ class TestBench:
         assert [(r["method"], r["target"], r["failed"]) for r in raw] == [
             ("baseline", "nscg", "1"), ("baseline", "full", "1"),
             ("nscsl-te", "nscg", "1")] * 2
-        assert all("at least 2 rows" in r["error"] for r in raw)
+        assert all("n > dim rows" in r["error"] for r in raw)
         with open(out / "summary.csv", newline="") as fh:
             summary = {(s["method"], s["target"]): s
                        for s in csv.DictReader(fh)}
@@ -347,6 +347,19 @@ class TestExitCodes:
                      "--seed", "0", "--out", str(sim)]) == 0
         assert main(["fit", "--data", str(sim / "data.csv"),
                      "--outcome", "nope", "--out", str(tmp_path / "f")]) == 1
+
+    def test_as_many_rows_as_columns_is_a_validation_error(self, tmp_path,
+                                                           capsys):
+        # at n = dim the outcome's least squares fits the rows exactly
+        data = tmp_path / "d.csv"
+        data.write_text("z0,z1,y\n0,1,2\n1,0,1\n2,2,1\n")
+        assert main(["fit", "--data", str(data), "--outcome", "y",
+                     "--out", str(tmp_path / "f")]) == 1
+        assert "n > dim rows" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
+        data.write_text("z0,z1,y\n0,1,2\n1,0,1\n2,2,1\n1,3,4\n")
+        assert main(["fit", "--data", str(data), "--outcome", "y",
+                     "--out", str(tmp_path / "f")]) == 0
 
     def test_out_of_range_outcome_index_is_a_validation_error(self, tmp_path,
                                                               capsys):

@@ -157,8 +157,9 @@ class TestOutcomeEffects:
             expected = total_effects(g)
             mask = np.arange(g.dim) != g.outcome_index
             assert np.array_equal(te[mask], expected[mask])
-            de, none = outcome_effects(g.weights, g.outcome_index, "de", eye)
-            assert none is None
+            de, identity = outcome_effects(g.weights, g.outcome_index, "de",
+                                           eye)
+            assert identity is eye
             assert np.array_equal(de, g.weights[:, g.outcome_index])
 
     @pytest.mark.parametrize("w, message", [

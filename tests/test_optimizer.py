@@ -1588,13 +1588,23 @@ class TestFitBaseline:
 
     def test_rejects_fewer_than_two_rows(self):
         data = Dataset(np.array([[1.0, 2.0, 3.0]]), ("z0", "z1", "y"), 2)
-        with pytest.raises(ValueError, match="2 rows"):
+        with pytest.raises(ValueError, match="n > dim rows"):
             fit_baseline(data)
         # fit checks its own data too, whatever its warm start was fitted on
         values = np.random.default_rng(0).normal(size=(40, 3))
         warm = fit_baseline(Dataset(values, data.labels, 2))
-        with pytest.raises(ValueError, match="2 rows"):
+        with pytest.raises(ValueError, match="n > dim rows"):
             fit(data, FitConfig(delta_star=1.0), warm_start=warm)
+
+    def test_needs_more_rows_than_columns(self):
+        # at n = dim the outcome's regression on the other two columns and
+        # the intercept fits the rows exactly; one row more leaves a residual
+        rows = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 2.0, 1.0],
+                [1.0, 3.0, 4.0]]
+        with pytest.raises(ValueError, match="n > dim rows"):
+            fit_baseline(Dataset(np.array(rows[:3]), ("z0", "z1", "y"), 2))
+        result = fit_baseline(Dataset(np.array(rows), ("z0", "z1", "y"), 2))
+        assert result.diagnostics
 
     def test_baseline_keeps_every_feature(self):
         _, _, data = s1_replication(0)

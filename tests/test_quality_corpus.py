@@ -116,6 +116,33 @@ def test_a_te_fit_with_a_zero_reference_score_is_a_failure_line():
                "the reference graph, so there is nothing to select against")
 
 
+def test_a_baseline_line_counts_the_screen():
+    # z0 -> y -> z1, with z1 a low-noise child of y: the baseline reverses
+    # both edges, so the screen (the outcome's ancestors in its pruned
+    # graph) keeps the non-cause z1 and misses the cause z0
+    rng = np.random.default_rng(0)
+    z0 = rng.normal(size=300)
+    y = z0 + rng.normal(size=300)
+    values = np.column_stack([z0, 0.5 * y + 0.1 * rng.normal(size=300), y])
+    truth = WeightedDag(np.array([[0, 0, 1.0], [0, 0, 0], [0, 0.5, 0]]),
+                        ("z0", "z1", "y"), 2)
+    lines = quality_corpus.replication_lines(
+        truth, Dataset(values, truth.labels, 2), (), 0, group="hand",
+        scenario="custom", n=300, seed=0)
+    assert [line["method"] for line in lines] == ["baseline"]
+    assert lines[0]["spurious"] == 1 and lines[0]["missed"] == 1
+
+
+def test_compare_sums_the_screen_beside_the_selective_fits(tmp_path):
+    old = [dict(LINES[0], spurious=1, missed=0), LINES[1]]
+    new = [dict(LINES[0], spurious=4, missed=2), LINES[1]]
+    code, report = compare(tmp_path, old, new)
+    assert code == 0  # the screen's counts take no part in the exit code
+    assert "shd 1 -> 1, spurious 1 -> 4, missed 0 -> 2\n" in report
+    # a selective fit's rising count still fails
+    assert compare(tmp_path, new, [new[0], dict(LINES[1], missed=1)])[0] == 1
+
+
 @pytest.mark.parametrize("fitter, failed", [
     ("fit_baseline", ["baseline", "nscsl-te", "nscsl-de"]),
     ("fit", ["nscsl-te", "nscsl-de"]),
