@@ -28,7 +28,7 @@ print("vs outcome subgraph:", graph_metrics(base.graph, target))
 
 print("\n== Selective fit (total-effect relevance) ==")
 result = fit(data, FitConfig(effect_kind="te"), warm_start=base)
-print(f"reference effect mass delta* = {result.delta_star_used:.3f}")
+print(f"reference effect mass delta* = {result.config.delta_star:.3f}")
 print(np.round(result.graph.weights, 2))
 print("selected features:", [l for l, keep in
                              zip(result.graph.labels, result.selected) if keep])

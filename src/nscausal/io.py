@@ -138,9 +138,10 @@ def _feature_labels(g: WeightedDag) -> list:
 
 def write_fit_dir(result, outdir, meta: dict):
     """Persist a fit: graph.csv, raw_graph.csv, selected.csv, diagnostics.csv,
-    meta.json (``delta_star``, ``converged``, the fit's ``counters()`` and
-    its config, with ``meta``'s keys added, and last the outcome's label,
-    which ``read_fit_dir`` reads back, so no key of ``meta`` replaces it)."""
+    meta.json (``converged``, the fit's ``counters()`` and its config, whose
+    ``delta_star`` is the reference score the fit ran with, with ``meta``'s
+    keys added, and last the outcome's label, which ``read_fit_dir`` reads
+    back, so no key of ``meta`` replaces it)."""
     # the optimizer made ``result``, so this import loads nothing new; at
     # the top of the module it would load the learner into every CSV reader
     from .optimizer import DIAGNOSTIC_FIELDS
@@ -156,7 +157,6 @@ def write_fit_dir(result, outdir, meta: dict):
                     for entry in result.diagnostics],
                    DIAGNOSTIC_FIELDS, os.path.join(outdir, "diagnostics.csv"))
     payload = {
-        "delta_star": result.delta_star_used,
         "converged": result.converged,
         **result.counters(),
         "config": asdict(result.config),

@@ -39,8 +39,11 @@ et al. 2018) and lives in module constants, not in ``FitConfig``:
   defined wherever ``I - B`` is invertible; a trial point where it is not,
   or where it overflows, is rejected by the line search, like ``h1``'s.
 
-A selective fit starts from a selection-free fit of the same data, at its
-raw graph and its last ``lambda1`` and ``c`` (see ``fit``).  The feature
+A fit's ``config.delta_star`` is the reference score it ran with, its one
+record: 0 for the selection-free fit, which turns ``h2`` off, and the
+resolved or given positive score for a selective fit.  A selective fit
+starts from a selection-free fit of the same data, at its raw graph and its
+last ``lambda1`` and ``c`` (see ``fit``).  The feature
 mask ``g`` shrinks monotonically: once the iterate is nearly acyclic, every
 feature whose pruned-graph effect is at most the cutoff ``selection_tolerance
 * delta_star`` is deactivated (rows and columns clamped to zero), so every
@@ -65,7 +68,7 @@ on a 5 x 5 product.  The solve runs on the flattened weight matrix, whose
 masked entries stay zero through the masked start and the masked gradient,
 evaluates every point along one inline path, and keeps the step it took
 rather than recomputing it from the iterates.  Each evaluation runs ``_ls``
-and ``_h1`` once (and ``_h2`` when relevance is on) and forms only the
+and ``_h1`` once (and ``_h2`` when ``delta_star > 0``) and forms only the
 gradient from ``_h1``'s ``P^T``; the curvature matrix ``2 k t P^T`` is built
 once per solve, for its scale.  Each direction comes from the compact form
 of the inverse Hessian (Byrd, Nocedal & Schnabel 1994): small matrices that
@@ -175,9 +178,11 @@ class FitConfig:
     ``delta_star`` may hold a precomputed reference score, which overrides
     only the score: every selective fit still starts from the
     selection-free warm start that ``fit`` requires, and None means take
-    the score from that fit's pruned graph.  The thresholds and
-    ``delta_star`` must be finite and nonnegative, the step caps integers
-    (numpy integers included, bools not).
+    the score from that fit's pruned graph.  A ``FitResult``'s ``config``
+    holds the score the fit ran with: ``fit`` records the one it resolved
+    or was given, ``fit_baseline`` 0.0 whatever was given.  The thresholds
+    and ``delta_star`` must be finite and nonnegative, the step caps
+    integers (numpy integers included, bools not).
 
     The penalty schedule, ``h1``'s ``t = 1/dim`` and the inner-solve
     constants (``_STEP_SIZE``, ``_GRAD_TOL``, ``_FTOL`` and
@@ -218,14 +223,16 @@ class FitResult:
     module docstring); a settled fit is converged though its last
     ``diagnostics`` row may show ``h1 > _H1_TOL`` or ``|h2| > _H2_TOL``.  A
     selective fit from a warm start that passes the gate may settle on its
-    first row.  ``==`` and ``hash`` go by identity.
+    first row.  ``config`` is the configuration the fit ran with, and its
+    ``delta_star`` the fit's one record of the reference score: 0.0 for a
+    selection-free fit, the resolved or given score for a selective one.
+    ``==`` and ``hash`` go by identity.
     """
 
     graph: WeightedDag
     raw_graph: WeightedDag
     selected: np.ndarray
     diagnostics: tuple
-    delta_star_used: float
     converged: bool
     config: FitConfig = field(repr=False)
 
@@ -451,8 +458,7 @@ class _Objective:
     ``d_pen`` start at 0, and the engine sets them before each solve.
     """
 
-    def __init__(self, gram, outcome, active, t, relevance, kind,
-                 delta_star):
+    def __init__(self, gram, outcome, active, t, kind, delta_star):
         self.gram = gram
         self.outcome = outcome
         self.feature_active = active.copy()
@@ -464,7 +470,7 @@ class _Objective:
         np.fill_diagonal(self.free, 0.0)
         self.eye = np.eye(gram.shape[0])
         self.t = t
-        self.relevance = relevance
+        self.relevance = delta_star > 0
         self.kind = kind
         self.delta_star = delta_star
         self.lam1 = self.c = self.lam2 = self.d_pen = 0.0
@@ -715,8 +721,7 @@ def _selection_update(w, active, outcome, config, cutoff):
     return dropped
 
 
-def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
-            init: tuple) -> FitResult:
+def _engine(data: Dataset, config: FitConfig, init: tuple) -> FitResult:
     dim = data.dim
     outcome = data.outcome_index
     if data.n <= dim or dim < 2:
@@ -724,8 +729,9 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
         # the centring intercept has n - dim residual degrees of freedom: at
         # n <= dim it fits exactly, and the fit would "converge" near dense
         raise ValueError("dataset needs n > dim rows and at least 2 columns")
-    delta_star_value = config.delta_star if relevance else 0.0
-    cutoff = config.selection_tolerance * delta_star_value
+    # ``fit`` refuses a reference score of 0, so only a baseline has it
+    relevance = config.delta_star > 0
+    cutoff = config.selection_tolerance * config.delta_star
     # fit on a unit-free gram: a uniform rescale of the data leaves the
     # constrained minimiser unchanged, while the penalty schedule and the
     # solver tolerances are absolute.  ``_unit_gram`` keeps it in the float
@@ -750,8 +756,8 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
     stall = 0
 
     def objective_for_mask():
-        return _Objective(gram, outcome, active, t, relevance,
-                          config.effect_kind, delta_star_value)
+        return _Objective(gram, outcome, active, t, config.effect_kind,
+                          config.delta_star)
 
     def select(w):
         """Apply the selection rule to ``w``; when a feature went, build the
@@ -851,7 +857,6 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
         raw_graph=raw,
         selected=np.delete(active, outcome),
         diagnostics=tuple(diagnostics),
-        delta_star_used=float(delta_star_value),
         converged=converged,
         config=config,
     )
@@ -859,6 +864,9 @@ def _engine(data: Dataset, config: FitConfig, *, relevance: bool,
 
 def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
     """Selection-free structural fit: the relevance machinery is disabled.
+
+    The fit runs under, and its result records, ``config`` with
+    ``delta_star`` 0.0, whatever ``config.delta_star`` holds.
 
     The fit ends, converged, once two dual steps in a row have ``h1 <=
     SELECTION_H1_GATE`` and one acyclic support ``|w| > prune_threshold``
@@ -868,8 +876,8 @@ def fit_baseline(data: Dataset, config: FitConfig = FitConfig()) -> FitResult:
     ``ValueError`` before any work, here and in ``fit``: at ``n <= dim`` the
     outcome's regression on every other column fits the data exactly.
     """
-    return _engine(data, config, relevance=False,
-                   init=(np.zeros((data.dim, data.dim)), 0.0, _PENALTY_INIT))
+    return _engine(data, replace(config, delta_star=0.0),
+                   (np.zeros((data.dim, data.dim)), 0.0, _PENALTY_INIT))
 
 
 def fit(data: Dataset, config: FitConfig = FitConfig(), *,
@@ -880,7 +888,7 @@ def fit(data: Dataset, config: FitConfig = FitConfig(), *,
     data (``fit_baseline``'s), at its raw graph and its last ``lambda1``
     and ``c``.  The argument is required.  A warm start that is not a
     ``FitResult`` or has no ``diagnostics`` rows, a selective fit
-    (``delta_star_used`` not 0) or a fit of data with another ``dim``,
+    (``config.delta_star`` not 0) or a fit of data with another ``dim``,
     ``outcome_index`` or ``labels`` is a ``ValueError``.
     When the warm start is nearly acyclic, the selection rule runs on it
     before the first solve, and its drops are recorded in step 0's
@@ -888,11 +896,12 @@ def fit(data: Dataset, config: FitConfig = FitConfig(), *,
     gate, and counts the masked warm start as a settled step, so a
     first solve that keeps its pruned support ends the fit.  The reference
     score is ``config.delta_star`` when given, else the effect mass of the
-    warm start's pruned graph, and stays frozen for the constrained run.  A
-    reference score of 0, resolved or given, is a ``ValueError``, raised
-    before any solve: no feature's effect reaches the outcome in the
-    reference graph, so there is nothing to select against.  The fit stops
-    by ``fit_baseline``'s rule, with ``|h2|`` within the cutoff.
+    warm start's pruned graph, and stays frozen for the constrained run; the
+    result's ``config.delta_star`` records it.  A reference score of 0,
+    resolved or given, is a ``ValueError``, raised before any solve: no
+    feature's effect reaches the outcome in the reference graph, so there
+    is nothing to select against.  The fit stops by ``fit_baseline``'s
+    rule, with ``|h2|`` within the cutoff.
     """
     if not isinstance(warm_start, FitResult):
         raise ValueError("warm_start must be a FitResult, got "
@@ -900,10 +909,10 @@ def fit(data: Dataset, config: FitConfig = FitConfig(), *,
     if not warm_start.diagnostics:
         raise ValueError("warm_start has no diagnostics rows, so it has "
                          "no lambda1 and c to start from")
-    if warm_start.delta_star_used != 0:
+    if warm_start.config.delta_star != 0:
         raise ValueError("warm_start must be a selection-free fit, got a "
-                         "selective fit with delta_star_used "
-                         f"{warm_start.delta_star_used!r}")
+                         "selective fit with delta_star "
+                         f"{warm_start.config.delta_star!r}")
     raw = warm_start.raw_graph
     for name, theirs, ours in (
             ("dim", raw.dim, data.dim),
@@ -921,6 +930,5 @@ def fit(data: Dataset, config: FitConfig = FitConfig(), *,
                          "outcome in the reference graph, so there is "
                          "nothing to select against")
     last = warm_start.diagnostics[-1]
-    init = (raw.weights, last["lambda1"], last["c"])
-    resolved = replace(config, delta_star=float(dstar))
-    return _engine(data, resolved, relevance=True, init=init)
+    return _engine(data, replace(config, delta_star=float(dstar)),
+                   (raw.weights, last["lambda1"], last["c"]))

@@ -268,6 +268,23 @@ class TestPipeline:
         meta = read_meta(fitdir / "meta.json")
         assert meta["config"]["prune_threshold"] == 0.4
 
+    @pytest.mark.parametrize("method, recorded", [("baseline", 0.0),
+                                                  ("nscsl-te", 2.5)])
+    def test_fit_meta_holds_the_delta_star_it_ran_with_once(
+            self, tmp_path, method, recorded):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--scenario", "s1", "--n", "60",
+                     "--seed", "4", "--out", str(sim)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fit": {"delta_star": 2.5}}))
+        fitdir = tmp_path / "fit"
+        assert main(["fit", "--data", str(sim / "data.csv"), "--outcome", "y",
+                     "--method", method, "--config", str(cfg),
+                     "--out", str(fitdir)]) == 0
+        text = (fitdir / "meta.json").read_text()
+        assert text.count('"delta_star"') == 1
+        assert json.loads(text)["config"]["delta_star"] == recorded
+
 
 class TestTables:
     def test_stdout_table_matches_the_file_table(self, tmp_path, capsys):

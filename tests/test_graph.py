@@ -372,7 +372,7 @@ def _zero_dataset():
 
 def _zero_fit():
     return FitResult(_zero_graph(), _zero_graph(), np.zeros(2, dtype=bool),
-                     (), 0.0, True, FitConfig())
+                     (), True, FitConfig())
 
 
 @pytest.mark.parametrize("build", [_zero_graph, _zero_dataset, _zero_fit],

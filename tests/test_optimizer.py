@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -410,7 +411,7 @@ class TestEngineObjective:
                 centered = values - values.mean(axis=0)
                 objective = _Objective(
                     centered.T @ centered / 80, dim - 1, active, t=0.4,
-                    relevance=True, kind=kind, delta_star=3.0)
+                    kind=kind, delta_star=3.0)
                 objective.lam1, objective.c = 0.7, 1.3
                 objective.lam2, objective.d_pen = -0.6, 2.5
                 free = objective.free.astype(bool)
@@ -438,8 +439,7 @@ class TestLbfgsSolver:
         active = np.ones(dim, bool)
         active[1] = False
         objective = objective_class(gram, dim - 1, active, t=0.2,
-                                    relevance=False, kind="te",
-                                    delta_star=0.0)
+                                    kind="te", delta_star=0.0)
         w0 = rng.uniform(-1.0, 1.0, (dim, dim))
         return gram, objective, w0
 
@@ -651,7 +651,7 @@ class TestLbfgsSolver:
         assert (objective.scale(w0) == 1.0).all()
         dim = len(gram)
         first = _Objective(gram, dim - 1, np.ones(dim, bool), t=1.0 / dim,
-                           relevance=False, kind="te", delta_star=0.0)
+                           kind="te", delta_star=0.0)
         first.c = _PENALTY_INIT
         assert (first.scale(np.zeros_like(gram)) == 1.0).all()
 
@@ -673,7 +673,7 @@ class TestLbfgsSolver:
         w[data.outcome_index, :] = 0.0
         active = np.ones(dim, bool) if active is None else active
         objective = _Objective(gram, data.outcome_index, active, t=1.0 / dim,
-                               relevance=False, kind="te", delta_star=0.0)
+                               kind="te", delta_star=0.0)
         objective.lam1, objective.c = lam1, c
         return objective, w
 
@@ -711,8 +711,7 @@ class TestLbfgsSolver:
         w0 = np.zeros((dim, dim))
         w0[0, 1] = w0[1, 2] = 1e75
         objective = _Objective(np.eye(dim), dim - 1, np.ones(dim, bool),
-                               t=1.0 / dim, relevance=False, kind="te",
-                               delta_star=0.0)
+                               t=1.0 / dim, kind="te", delta_star=0.0)
         objective.lam1 = objective.c = _PENALTY_CAP
         with np.errstate(over="ignore"):
             scale = objective.scale(w0)
@@ -732,7 +731,7 @@ class TestLbfgsSolver:
         only_outcome = np.zeros(dim, bool)
         only_outcome[dim - 1] = True
         objective = _Objective(gram, dim - 1, only_outcome, t=0.2,
-                               relevance=False, kind="te", delta_star=0.0)
+                               kind="te", delta_star=0.0)
         w, solve = _lbfgs_minimize(w0, objective, 0.05, 100, 1e-10)
         assert (solve["inner_iterations"], solve["stop_reason"],
                 solve["evaluations"]) == (0, "grad_tol", 1)
@@ -1071,7 +1070,7 @@ class TestFit:
         assert np.array_equal(a.graph.weights, b.graph.weights)
         assert np.array_equal(a.raw_graph.weights, b.raw_graph.weights)
         assert a.diagnostics == b.diagnostics
-        assert a.delta_star_used == b.delta_star_used
+        assert a.config.delta_star == b.config.delta_star
 
     def test_diagnostics_rows_have_the_schema_keys_in_order(self):
         _, _, data = s1_replication(3, n=60)
@@ -1104,20 +1103,25 @@ class TestFit:
 
         _, _, data = s1_replication(300)
         base = fit_baseline(data)
-        dstar = delta_star(data, lambda _: base.graph, "te")
-        explicit = fit(data, FitConfig(delta_star=dstar), warm_start=base)
 
         def no_baseline(*args, **kwargs):
             raise AssertionError("fit refitted the baseline")
 
         monkeypatch.setattr(optimizer, "fit_baseline", no_baseline)
-        anchored = fit(data, FitConfig(), warm_start=base)
-        assert anchored.delta_star_used == explicit.delta_star_used == dstar
-        assert np.array_equal(anchored.raw_graph.weights,
-                              explicit.raw_graph.weights)
-        assert np.array_equal(anchored.graph.weights, explicit.graph.weights)
-        assert np.array_equal(anchored.selected, explicit.selected)
-        assert anchored.diagnostics == explicit.diagnostics
+        for kind in ("te", "de"):
+            dstar = delta_star(data, lambda _: base.graph, kind)
+            explicit = fit(data, FitConfig(effect_kind=kind, delta_star=dstar),
+                           warm_start=base)
+            anchored = fit(data, FitConfig(effect_kind=kind), warm_start=base)
+            # each fit's config records the delta_star it ran with
+            assert (anchored.config.delta_star == explicit.config.delta_star
+                    == dstar)
+            assert np.array_equal(anchored.raw_graph.weights,
+                                  explicit.raw_graph.weights)
+            assert np.array_equal(anchored.graph.weights,
+                                  explicit.graph.weights)
+            assert np.array_equal(anchored.selected, explicit.selected)
+            assert anchored.diagnostics == explicit.diagnostics
         assert anchored.converged == explicit.converged
 
     @staticmethod
@@ -1147,7 +1151,7 @@ class TestFit:
         dropped = _selection_update(base.raw_graph.weights, active,
                                     data.outcome_index, config,
                                     config.selection_tolerance
-                                    * result.delta_star_used)
+                                    * config.delta_star)
         assert dropped
         first = result.diagnostics[0]
         assert first["dropped"] == tuple(dropped)
@@ -1214,21 +1218,23 @@ class TestFit:
 
         _, _, data = s1_replication(100)
         selective = fit(data, warm_start=fit_baseline(data))
-        assert selective.delta_star_used != 0
+        assert selective.config.delta_star != 0
 
         def no_work(*args, **kwargs):
             raise AssertionError("fit ran before checking its warm start")
 
         monkeypatch.setattr(optimizer, "_engine", no_work)
+        # the message names the warm start's own delta_star
+        message = ("warm_start must be a selection-free fit, got a selective "
+                   f"fit with delta_star {selective.config.delta_star!r}")
         for config in (FitConfig(), FitConfig(delta_star=1.0)):
-            with pytest.raises(ValueError,
-                               match="^warm_start must be a selection-free"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 fit(data, config, warm_start=selective)
 
     @pytest.mark.parametrize("case", ["graph", "no-rows"])
     def test_malformed_warm_start_is_rejected(self, monkeypatch, case):
-        # a WeightedDag raised AttributeError (delta_star_used), a result
-        # without diagnostics rows IndexError (diagnostics[-1])
+        # a WeightedDag raised AttributeError, a result without diagnostics
+        # rows IndexError (diagnostics[-1])
         import nscausal.optimizer as optimizer
 
         _, _, data = s1_replication(100)
@@ -1294,7 +1300,7 @@ class TestUnmeetableRelevance:
 
     def test_stalled_fit_stops_early_and_unconverged(self):
         result = self.unmeetable_fit()
-        assert result.delta_star_used > 0.0
+        assert result.config.delta_star > 0.0
         assert not result.selected.any()
         assert not result.converged
         # d grows tenfold per step to its cap, then three stalled steps
@@ -1312,8 +1318,8 @@ class TestUnmeetableRelevance:
     def test_warm_start_keeps_the_noise_edge_and_converges(self):
         data, base = self.data_and_baseline()
         result = fit(data, warm_start=base)
-        assert result.delta_star_used == delta_star(data, lambda _: base.graph,
-                                                    "te")
+        assert result.config.delta_star == delta_star(
+            data, lambda _: base.graph, "te")
         first = result.diagnostics[0]
         assert (first["dropped"], first["n_active"]) == ((0,), 1)
         assert result.converged
@@ -1360,8 +1366,8 @@ class TestUnits:
                                   extreme.raw_graph.weights)
             assert np.array_equal(unit.selected, extreme.selected)
             assert without_f(unit) == without_f(extreme)
-            assert (unit.converged, unit.delta_star_used) == (
-                extreme.converged, extreme.delta_star_used)
+            assert (unit.converged, unit.config.delta_star) == (
+                extreme.converged, extreme.config.delta_star)
         assert fits[0][1].selected.tolist() == [False, True, True, True]
         f = fits[1][0].diagnostics[-1]["f"]
         assert f == math.inf if exponent > 0 else 0.0 <= f < 1e-300
@@ -1610,7 +1616,17 @@ class TestFitBaseline:
         _, _, data = s1_replication(0)
         result = fit_baseline(data)
         assert result.selected.all()
-        assert result.delta_star_used == 0.0
+        assert result.config.delta_star == 0.0
+
+    def test_records_delta_star_zero_whatever_the_config_holds(self):
+        # a baseline runs without relevance terms, so the delta_star of the
+        # config it was given is not the one it ran with
+        _, _, data = s1_replication(0)
+        config = FitConfig(delta_star=2.5)
+        base = fit_baseline(data, config)
+        assert base.config == replace(config, delta_star=0.0)
+        result = fit(data, config, warm_start=base)
+        assert result.config.delta_star == 2.5
 
     def test_determinism_bit_exact(self):
         _, _, data = s1_replication(2)

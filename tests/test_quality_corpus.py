@@ -20,12 +20,14 @@ _SPEC.loader.exec_module(quality_corpus)
 
 
 def corpus_line(method, **fields):
+    # every field of a fit's line, as ``--corpus`` writes it
     line = dict(group="s1-te", scenario="s1", n=100, seed=100, method=method,
                 selected=None, pattern_sha256="p", raw_sha256="r",
                 diagnostics_sha256="d", converged=True, dual_steps=3,
-                inner_iterations=40, shd=1)
+                inner_iterations=40, capped_solves=0, shd=1, order=0,
+                full_shd=2, spurious=0, missed=0)
     if method != "baseline":
-        line.update(selected=[False, True, True, True], spurious=0, missed=0)
+        line.update(selected=[False, True, True, True])
     line.update(fields)
     return line
 
@@ -109,6 +111,9 @@ def test_a_te_fit_with_a_zero_reference_score_is_a_failure_line():
         n=300, seed=7)
     assert [line["method"] for line in lines] == ["baseline", "nscsl-te"]
     assert lines[0]["full_shd"] == 0 and lines[0]["order"] == 1
+    # the fields --compare requires are the ones each kind of line holds
+    assert sorted(lines[0]) == sorted(quality_corpus.FIELDS)
+    assert sorted(lines[1]) == sorted(quality_corpus.FAILURE_FIELDS)
     assert lines[1] == dict(
         group="hand", scenario="custom", n=300, seed=7, method="nscsl-te",
         order=1, selected=None, converged=False,
@@ -138,7 +143,7 @@ def test_compare_sums_the_screen_beside_the_selective_fits(tmp_path):
     new = [dict(LINES[0], spurious=4, missed=2), LINES[1]]
     code, report = compare(tmp_path, old, new)
     assert code == 0  # the screen's counts take no part in the exit code
-    assert "shd 1 -> 1, spurious 1 -> 4, missed 0 -> 2\n" in report
+    assert "full_shd 2 -> 2, spurious 1 -> 4, missed 0 -> 2\n" in report
     # a selective fit's rising count still fails
     assert compare(tmp_path, new, [new[0], dict(LINES[1], missed=1)])[0] == 1
 
@@ -178,8 +183,11 @@ def test_compare_reports_failure_lines(tmp_path):
     assert "stopped converging: s1-te s1 100 nscsl-te\n" in report
     code, report = compare(tmp_path, [LINES[0], failure], [LINES[0], failure])
     assert code == 0
+    # the failure lines are left out of the sums
     assert ("s1-te nscsl-te: 1 fits, 0/0 changed, 0 stopped converging, "
-            "failures 1 -> 1\n") in report
+            "failures 1 -> 1, dual_steps 0 -> 0, inner_iterations 0 -> 0, "
+            "capped_solves 0 -> 0, shd 0 -> 0, full_shd 0 -> 0, "
+            "spurious 0 -> 0, missed 0 -> 0\n") in report
 
 
 def test_compare_sums_full_graph_shd_per_order(tmp_path):
@@ -201,10 +209,28 @@ def test_compare_sums_capped_solves_when_both_files_carry_them(tmp_path):
     assert code == 0  # capped solves take no part in the exit code
     assert ("s1-te baseline: 1 fits, 0/0 changed, 0 stopped converging, "
             "failures 0 -> 0, dual_steps 3 -> 3, inner_iterations 40 -> 40, "
-            "capped_solves 2 -> 5, shd 1 -> 1\n") in report
-    # a file written before the field is compared without it
-    assert "capped_solves" not in compare(tmp_path, LINES, new)[1].split(
-        "missed\n", 1)[1]
+            "capped_solves 2 -> 5, shd 1 -> 1, full_shd 2 -> 2, "
+            "spurious 0 -> 0, missed 0 -> 0\n") in report
+    # a file written before the field is an error, not compared without it
+    older = [{k: v for k, v in line.items() if k != "capped_solves"}
+             for line in LINES]
+    with pytest.raises(ValueError, match="the line of fit s1-te s1 100 "
+                       "baseline has no field 'capped_solves'$"):
+        compare(tmp_path, older, new)
+
+
+@pytest.mark.parametrize("field", quality_corpus.FIELDS)
+def test_a_fit_line_without_a_field_is_an_error(tmp_path, capsys, field):
+    # a field the tool stopped writing must not drop its gate unseen
+    older = [LINES[0], {k: v for k, v in LINES[1].items() if k != field}]
+    for old, new in ((older, LINES), (LINES, older)):
+        with pytest.raises(ValueError, match=f"has no field '{field}'$"):
+            compare(tmp_path, old, new)
+    with pytest.raises(SystemExit) as exit_info:
+        quality_corpus.main(["--compare", str(tmp_path / "old.jsonl"),
+                             str(tmp_path / "new.jsonl")])
+    assert exit_info.value.code == 2
+    assert f"has no field '{field}'" in capsys.readouterr().err
 
 
 def test_compare_counts_selections_that_differ_across_orders(tmp_path):
@@ -227,8 +253,8 @@ def test_a_permuted_fit_maps_back_to_the_identity_order():
     keep = {0: True, 1: False, 3: True}
     weights = truth.weights[np.ix_(perm, perm)]
     fitted = FitResult(WeightedDag(weights), WeightedDag(weights),
-                       np.array([keep[i] for i in perm if i != 2]), (), 0.0,
-                       True, FitConfig())
+                       np.array([keep[i] for i in perm if i != 2]), (), True,
+                       FitConfig())
     back = quality_corpus.mapped_back(fitted, perm, truth)
     assert (back.graph.weights == truth.weights).all()
     assert (back.raw_graph.weights == truth.weights).all()

@@ -47,22 +47,23 @@ feature's effect reaches the outcome in the baseline's pruned graph).
 selection (the features it gained and lost, by position in ``selected``)
 and pruned pattern (with its shd before and after), every fit that
 stopped converging and every failure line, and prints per-group sums, with
-the failure lines left out of the summed fields.  ``capped_solves`` is
-summed when both files carry it, and takes no part in the exit code;
-neither do a baseline group's spurious and missed counts, which show the
-screen beside the selective fits.  It then prints per group the summed
-``full_shd`` of each order with their median, minimum and maximum, and
-the selective fits whose selection differs across orders.  It exits 1
+the failure lines left out of the summed fields.  ``capped_solves`` takes
+no part in the exit code; neither do a baseline group's spurious and
+missed counts, which show the screen beside the selective fits.  It then
+prints per group the summed ``full_shd`` of each order with their median,
+minimum and maximum, and the selective fits whose selection differs
+across orders.  It exits 1
 when the files hold different fits, a selection changed, a fit stopped
 converging (a new failure line does), a changed pattern's shd rose, or a
 selective group's summed spurious or missed count rose; else 0.  A
-changed baseline pattern is judged by ``full_shd`` when both lines carry
-it, since a baseline nearer the whole truth can hold more edges outside
-the outcome's subgraph; a selective one always by ``shd``.  Lines written
-without the two counts are compared without them, lines without
-``order`` are order 0, and a line's other fields (the ``start`` of older
-files) are ignored.  To compare a change with its parent, run
-``--corpus`` in a checkout of each.
+changed baseline pattern is judged by ``full_shd``, since a baseline
+nearer the whole truth can hold more edges outside the outcome's
+subgraph; a selective one by ``shd``.  A line that lacks a field that
+``--corpus`` writes (``FIELDS``, or ``FAILURE_FIELDS`` for a failure
+line) is an error that names the fit and the field, so a field the tool
+stopped writing cannot drop its gate unseen; a line's other fields (the
+``start`` of older files) are ignored.  To compare a change with its
+parent, run ``--corpus`` in a checkout of each.
 """
 
 import argparse
@@ -124,9 +125,13 @@ CORPORA = {
 }
 KEY = ("group", "scenario", "seed", "method", "order")
 COUNTS = ("spurious", "missed")
-# the fields --compare sums per group, when both lines carry them
+# the fields --compare sums per group over the fits that did not fail
 SUMMED = ("dual_steps", "inner_iterations", "capped_solves", "shd",
           "full_shd") + COUNTS
+# the fields of a fit's line and of a failure line, which --compare requires
+FIELDS = KEY + ("n", "selected", "pattern_sha256", "raw_sha256",
+                "diagnostics_sha256", "converged") + SUMMED
+FAILURE_FIELDS = KEY + ("n", "selected", "converged", "failed")
 
 
 def _sha(data: bytes) -> str:
@@ -222,10 +227,27 @@ def run_corpus(name: str, out, orders: int = 1) -> None:
                 out.flush()
 
 
+def _label(key: tuple) -> str:
+    """A fit's name in a report: group, scenario, seed and method, then its
+    order when not 0."""
+    label = " ".join(str(k) for k in key[:4])
+    return label + f" order {key[4]}" if key[4] else label
+
+
 def _load(path: str) -> dict:
+    """The lines of ``path`` by ``KEY``; a line that lacks one of its
+    fields is a ``ValueError`` naming the fit and the field."""
+    rows = {}
     with open(path) as handle:
-        rows = [json.loads(text) for text in handle if text.strip()]
-    return {tuple(row.get(k, 0) for k in KEY): row for row in rows}
+        for text in filter(str.strip, handle):
+            row = json.loads(text)
+            for field in FAILURE_FIELDS if "failed" in row else FIELDS:
+                if field not in row:
+                    fit = _label(tuple(row.get(k) for k in KEY))
+                    raise ValueError(f"{path}: the line of fit {fit} has no "
+                                     f"field {field!r}")
+            rows[tuple(row[k] for k in KEY)] = row
+    return rows
 
 
 def _by_order(rows: dict) -> dict:
@@ -234,7 +256,7 @@ def _by_order(rows: dict) -> dict:
     differs across orders."""
     sums, selections = {}, {}
     for (group, scenario, seed, method, order), row in rows.items():
-        if "full_shd" in row:
+        if "failed" not in row:
             orders = sums.setdefault((group, method), {})
             orders[order] = orders.get(order, 0) + row["full_shd"]
         if row["selected"] is not None:
@@ -277,9 +299,7 @@ def compare(old_path: str, new_path: str, out) -> int:
     sums: dict = {}
     for key in keys:
         a, b = old[key], new[key]
-        label = " ".join(str(k) for k in key[:4])
-        if key[4]:
-            label += f" order {key[4]}"
+        label = _label(key)
         for side, row in (("old", a), ("new", b)):
             if "failed" in row:
                 out.write(f"fit failed in {side}: {label}: {row['failed']}\n")
@@ -293,7 +313,8 @@ def compare(old_path: str, new_path: str, out) -> int:
             out.write(f"stopped converging: {label}\n")
         group = sums.setdefault((key[0], key[3]), {
             "fits": 0, "raw_changed": 0, "diagnostics_changed": 0,
-            "unconverged": 0, "failures": [0, 0]})
+            "unconverged": 0, "failures": [0, 0],
+            **{field: [0, 0] for field in SUMMED}})
         group["fits"] += 1
         group["unconverged"] += unconverged
         group["failures"][0] += "failed" in a
@@ -302,8 +323,7 @@ def compare(old_path: str, new_path: str, out) -> int:
             continue
         if a["pattern_sha256"] != b["pattern_sha256"]:
             # a baseline nearer the whole truth may gain edges outside nscg
-            field = ("full_shd" if key[3] == "baseline" and "full_shd" in a
-                     and "full_shd" in b else "shd")
+            field = "full_shd" if key[3] == "baseline" else "shd"
             failed = failed or b[field] > a[field]
             out.write(f"pattern changed: {label}: {field} {a[field]} -> "
                       f"{b[field]}\n")
@@ -311,24 +331,21 @@ def compare(old_path: str, new_path: str, out) -> int:
         group["diagnostics_changed"] += (a["diagnostics_sha256"]
                                          != b["diagnostics_sha256"])
         for field in SUMMED:
-            if field in a and field in b:
-                pair = group.setdefault(field, [0, 0])
-                pair[0] += a[field]
-                pair[1] += b[field]
+            group[field][0] += a[field]
+            group[field][1] += b[field]
     out.write("group method: fits, raw/diagnostics hashes changed, fits "
               "that stopped converging, then old -> new: failed fits, dual "
               "steps, inner iterations, capped solves, shd, full-graph shd, "
               "spurious, missed\n")
     for (group, method), s in sums.items():
-        fields = [field for field in ("failures",) + SUMMED if field in s]
         # the baseline's counts are the screen's, shown beside the fits
         failed = failed or method != "baseline" and any(
-            s[field][1] > s[field][0] for field in COUNTS if field in s)
+            s[field][1] > s[field][0] for field in COUNTS)
         out.write(f"{group} {method}: {s['fits']} fits, "
                   f"{s['raw_changed']}/{s['diagnostics_changed']} changed, "
                   f"{s['unconverged']} stopped converging, "
                   + ", ".join(f"{field} {s[field][0]} -> {s[field][1]}"
-                              for field in fields)
+                              for field in ("failures",) + SUMMED)
                   + "\n")
     (old_sums, old_varied), (new_sums, new_varied) = map(_by_order,
                                                          (old, new))
@@ -359,7 +376,10 @@ def main(argv=None) -> int:
     if args.corpus:
         run_corpus(args.corpus, sys.stdout, args.orders)
         return 0
-    return compare(*args.compare, sys.stdout)
+    try:
+        return compare(*args.compare, sys.stdout)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":
