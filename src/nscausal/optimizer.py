@@ -470,6 +470,7 @@ class _Objective:
         np.fill_diagonal(self.free, 0.0)
         self.eye = np.eye(gram.shape[0])
         self.t = t
+        # ``fit`` refuses a reference score of 0, so only a baseline has it
         self.relevance = delta_star > 0
         self.kind = kind
         self.delta_star = delta_star
@@ -729,8 +730,6 @@ def _engine(data: Dataset, config: FitConfig, init: tuple) -> FitResult:
         # the centring intercept has n - dim residual degrees of freedom: at
         # n <= dim it fits exactly, and the fit would "converge" near dense
         raise ValueError("dataset needs n > dim rows and at least 2 columns")
-    # ``fit`` refuses a reference score of 0, so only a baseline has it
-    relevance = config.delta_star > 0
     cutoff = config.selection_tolerance * config.delta_star
     # fit on a unit-free gram: a uniform rescale of the data leaves the
     # constrained minimiser unchanged, while the penalty schedule and the
@@ -777,6 +776,7 @@ def _engine(data: Dataset, config: FitConfig, init: tuple) -> FitResult:
 
     # one objective per feature mask; each dual step sets its multipliers
     objective = objective_for_mask()
+    relevance = objective.relevance
     # a selective fit's start, its baseline, gets the selection rule before
     # the first solve when it is already nearly acyclic, so that solve runs
     # only on the survivors; the drops go in step 0's row, and the masked
@@ -910,8 +910,8 @@ def fit(data: Dataset, config: FitConfig = FitConfig(), *,
         raise ValueError("warm_start has no diagnostics rows, so it has "
                          "no lambda1 and c to start from")
     if warm_start.config.delta_star != 0:
-        raise ValueError("warm_start must be a selection-free fit, got a "
-                         "selective fit with delta_star "
+        raise ValueError("warm_start must be a selection-free fit "
+                         "(config.delta_star 0), got config.delta_star "
                          f"{warm_start.config.delta_star!r}")
     raw = warm_start.raw_graph
     for name, theirs, ours in (

@@ -1122,7 +1122,7 @@ class TestFit:
                                   explicit.graph.weights)
             assert np.array_equal(anchored.selected, explicit.selected)
             assert anchored.diagnostics == explicit.diagnostics
-        assert anchored.converged == explicit.converged
+            assert anchored.converged == explicit.converged
 
     @staticmethod
     def record_solve_columns(monkeypatch):
@@ -1224,12 +1224,16 @@ class TestFit:
             raise AssertionError("fit ran before checking its warm start")
 
         monkeypatch.setattr(optimizer, "_engine", no_work)
-        # the message names the warm start's own delta_star
-        message = ("warm_start must be a selection-free fit, got a selective "
-                   f"fit with delta_star {selective.config.delta_star!r}")
-        for config in (FitConfig(), FitConfig(delta_star=1.0)):
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                fit(data, config, warm_start=selective)
+        # the message names the warm start's own delta_star, also the None
+        # of a result built by hand with the default config
+        for warm_start in (selective, replace(selective, config=FitConfig())):
+            message = ("warm_start must be a selection-free fit (config."
+                       "delta_star 0), got config.delta_star "
+                       f"{warm_start.config.delta_star!r}")
+            for config in (FitConfig(), FitConfig(delta_star=1.0)):
+                with pytest.raises(ValueError,
+                                   match=f"^{re.escape(message)}$"):
+                    fit(data, config, warm_start=warm_start)
 
     @pytest.mark.parametrize("case", ["graph", "no-rows"])
     def test_malformed_warm_start_is_rejected(self, monkeypatch, case):

@@ -58,12 +58,11 @@ converging (a new failure line does), a changed pattern's shd rose, or a
 selective group's summed spurious or missed count rose; else 0.  A
 changed baseline pattern is judged by ``full_shd``, since a baseline
 nearer the whole truth can hold more edges outside the outcome's
-subgraph; a selective one by ``shd``.  A line that lacks a field that
-``--corpus`` writes (``FIELDS``, or ``FAILURE_FIELDS`` for a failure
-line) is an error that names the fit and the field, so a field the tool
-stopped writing cannot drop its gate unseen; a line's other fields (the
-``start`` of older files) are ignored.  To compare a change with its
-parent, run ``--corpus`` in a checkout of each.
+subgraph; a selective one by ``shd``.  A line that lacks a field the
+comparison reads is an error that names the file, the fit and the field,
+so a field the tool stopped writing cannot drop its gate unseen; a line's
+other fields (the ``start`` of older files) are ignored.  To compare a
+change with its parent, run ``--corpus`` in a checkout of each.
 """
 
 import argparse
@@ -128,10 +127,6 @@ COUNTS = ("spurious", "missed")
 # the fields --compare sums per group over the fits that did not fail
 SUMMED = ("dual_steps", "inner_iterations", "capped_solves", "shd",
           "full_shd") + COUNTS
-# the fields of a fit's line and of a failure line, which --compare requires
-FIELDS = KEY + ("n", "selected", "pattern_sha256", "raw_sha256",
-                "diagnostics_sha256", "converged") + SUMMED
-FAILURE_FIELDS = KEY + ("n", "selected", "converged", "failed")
 
 
 def _sha(data: bytes) -> str:
@@ -234,20 +229,26 @@ def _label(key: tuple) -> str:
     return label + f" order {key[4]}" if key[4] else label
 
 
+class _Line(dict):
+    """A line of ``path``: reading a field it lacks is a ``ValueError``
+    that names the file, the fit and the field."""
+
+    def __init__(self, path: str, fields: dict):
+        super().__init__(fields)
+        self.path = path
+
+    def __missing__(self, field):
+        fit = _label(tuple(self.get(k) for k in KEY))
+        raise ValueError(f"{self.path}: the line of fit {fit} has no field "
+                         f"{field!r}")
+
+
 def _load(path: str) -> dict:
-    """The lines of ``path`` by ``KEY``; a line that lacks one of its
-    fields is a ``ValueError`` naming the fit and the field."""
-    rows = {}
+    """The lines of ``path`` by ``KEY``."""
     with open(path) as handle:
-        for text in filter(str.strip, handle):
-            row = json.loads(text)
-            for field in FAILURE_FIELDS if "failed" in row else FIELDS:
-                if field not in row:
-                    fit = _label(tuple(row.get(k) for k in KEY))
-                    raise ValueError(f"{path}: the line of fit {fit} has no "
-                                     f"field {field!r}")
-            rows[tuple(row[k] for k in KEY)] = row
-    return rows
+        rows = [_Line(path, json.loads(text)) for text in handle
+                if text.strip()]
+    return {tuple(row[k] for k in KEY): row for row in rows}
 
 
 def _by_order(rows: dict) -> dict:
