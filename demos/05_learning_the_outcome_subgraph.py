@@ -15,6 +15,8 @@ from nscausal import (FitConfig, fit, fit_baseline, graph_metrics, nscg,
 spec = scenario("s1", sample_sizes=(100,), replications=1)
 truth, data = scenario_data(spec, 100, 42)
 target = nscg(truth)
+# a fit's selection mask covers the features: every column but the outcome
+features = [l for i, l in enumerate(data.labels) if i != data.outcome_index]
 
 print("truth (z0 is a spurious collider child):")
 print(np.round(truth.weights, 2))
@@ -31,13 +33,13 @@ result = fit(data, FitConfig(effect_kind="te"), warm_start=base)
 print(f"reference effect mass delta* = {result.config.delta_star:.3f}")
 print(np.round(result.graph.weights, 2))
 print("selected features:", [l for l, keep in
-                             zip(result.graph.labels, result.selected) if keep])
+                             zip(features, result.selected) if keep])
 print("vs outcome subgraph:", graph_metrics(result.graph, target))
 
 print("\n== Direct-effect variant drops indirect ancestors ==")
 result_de = fit(data, FitConfig(effect_kind="de"), warm_start=base)
-print("selected:", [l for l, keep in
-                    zip(result_de.graph.labels, result_de.selected) if keep])
+print("selected:", [l for l, keep in zip(features, result_de.selected)
+                    if keep])
 
 print("\n== What the optimizer saw ==")
 for entry in result.diagnostics[:6]:

@@ -2,7 +2,9 @@
 
 Scenario presets follow the simulation design at desk scale.  The node
 layouts are fixed per scenario (weights are redrawn each replication from
-``weight_range``), so the spurious/causal composition is stable:
+``weight_range``, by default ``DEFAULT_WEIGHT_RANGE``), so the
+spurious/causal composition is stable.  Each preset is one ``_PRESETS``
+entry: its size, its fixed edges and, for s4 and s5, its spurious block:
 
 * s1 (p=5):  features z1, z2, z3 all cause the outcome (z1 also via z2);
   z0 is spurious, a collider child of z2 and z3.  Six edges, four in the
@@ -40,41 +42,42 @@ the baseline once, each selective method warm-started from it.
 
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import product, repeat
 
 import numpy as np
 
-from .graph import (WeightedDag, ancestors_of, check_count,
-                    check_random_graph, graph_metrics, is_integer, random_er,
-                    random_sf, validate_weight_range)
+from .graph import (DEFAULT_WEIGHT_RANGE, WeightedDag, ancestors_of,
+                    check_count, check_random_graph, graph_metrics,
+                    is_integer, random_er, random_sf, validate_weight_range)
 from .optimizer import FitConfig, fit, fit_baseline
 from .scm import (BernoulliNoise, GaussianNoise, SemSpec, check_sem,
                   sample_linear, sample_nonlinear, shift_nonnegative)
 
 # each method and the effect kind of its selective fit (None: the baseline)
 METHODS = {"nscsl-te": "te", "nscsl-de": "de", "baseline": None}
-SCENARIO_IDS = ("s1", "s2", "s3", "s4", "s5", "custom")
 GRAPH_MODELS = ("er", "sf")
 # each noise kind of a scenario document: its parameter key and its family
 NOISE_KINDS = {"bernoulli": ("p", BernoulliNoise),
                "gaussian": ("sigma", GaussianNoise)}
 
+# each preset: its size and fixed edges; s4 and s5 add a spurious block,
+# (layout seed, causal features, block nodes), which _layout draws
 _PRESETS = {
-    "s1": dict(p=5, expected_degree=2.0),
-    "s2": dict(p=5, expected_degree=2.0),
-    "s3": dict(p=5, expected_degree=2.0),
-    "s4": dict(p=20, expected_degree=5.0),
-    "s5": dict(p=50, expected_degree=5.0),
+    "s1": dict(p=5, expected_degree=2.0,
+               edges=((1, 2), (1, 4), (2, 4), (3, 4), (2, 0), (3, 0))),
+    "s2": dict(p=5, expected_degree=2.0,
+               edges=((2, 3), (3, 4), (2, 0), (0, 1))),
+    "s3": dict(p=5, expected_degree=2.0,
+               edges=((0, 1), (1, 4), (2, 3), (2, 4), (3, 4))),
+    "s4": dict(p=20, expected_degree=5.0, edges=((0, 1), (0, 19), (1, 19)),
+               block=(940012, (0, 1), range(2, 19))),
+    "s5": dict(p=50, expected_degree=5.0,
+               edges=((0, 1), (1, 2), (2, 49), (0, 49)),
+               block=(951207, (0, 1, 2), range(3, 49))),
 }
-
-_FIXED_EDGES = {
-    "s1": ((1, 2), (1, 4), (2, 4), (3, 4), (2, 0), (3, 0)),
-    "s2": ((2, 3), (3, 4), (2, 0), (0, 1)),
-    "s3": ((0, 1), (1, 4), (2, 3), (2, 4), (3, 4)),
-}
-
-_BLOCK_LAYOUT_SEEDS = {"s4": 940012, "s5": 951207}
+SCENARIO_IDS = (*_PRESETS, "custom")
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,7 @@ class ScenarioSpec:
     replications: int = 50
     methods: tuple = ("nscsl-te",)
     seed_base: int = 0
-    weight_range: tuple = (0.5, 2.0)
+    weight_range: tuple = DEFAULT_WEIGHT_RANGE
 
     def __post_init__(self):
         # value types first: the checks below iterate, index and compare
@@ -161,38 +164,33 @@ class ScenarioSpec:
 
 def scenario(spec_id: str, **overrides) -> ScenarioSpec:
     """Preset builder: fills in the fixed p and degree for s1..s5."""
-    base = dict(_PRESETS.get(spec_id, {}))
-    base.update(overrides)
-    return ScenarioSpec(id=spec_id, **base)
+    preset = _PRESETS.get(spec_id, {})
+    size = {k: v for k, v in preset.items() if k in ("p", "expected_degree")}
+    return ScenarioSpec(id=spec_id, **{**size, **overrides})
 
 
-def _block_pattern(spec_id: str) -> tuple:
-    """Fixed edge pattern for the s4/s5 layouts (causal core + spurious block).
+def _layout(preset: dict) -> list:
+    """The edges of a preset's layout: its fixed edges, then, with a
+    spurious block, the block's edges and its cross edges.
 
-    The cross edges from the causal features into the spurious block target
-    the block nodes with the most in-block parents, so each target is a
-    collider with non-adjacent parents (orientation stays well determined).
+    The block's edges are drawn from its layout seed, each pair of block
+    nodes joined with the probability that gives the preset's expected
+    degree.  The cross edges from the causal features into the block
+    target the block nodes with the most in-block parents, so each target
+    is a collider with non-adjacent parents (orientation stays well
+    determined).
     """
-    rng = np.random.default_rng(_BLOCK_LAYOUT_SEEDS[spec_id])
-    if spec_id == "s4":
-        causal = (0, 1)
-        core = ((0, 1), (0, 19), (1, 19))
-        block = tuple(range(2, 19))
-    else:
-        causal = (0, 1, 2)
-        core = ((0, 1), (1, 2), (2, 49), (0, 49))
-        block = tuple(range(3, 49))
-    edges = list(core)
-    prob = 5.0 / (len(block) - 1)
-    indegree = {i: 0 for i in block}
-    for ai, i in enumerate(block):
-        for j in block[ai + 1:]:
-            if rng.random() < prob:
-                edges.append((i, j))
-                indegree[j] += 1
-    targets = sorted(block, key=lambda i: (-indegree[i], i))[:len(causal)]
-    edges.extend((c, t) for c, t in zip(causal, sorted(targets)))
-    return tuple(edges)
+    edges = list(preset["edges"])
+    if "block" in preset:
+        seed, causal, nodes = preset["block"]
+        rng = np.random.default_rng(seed)
+        prob = preset["expected_degree"] / (len(nodes) - 1)
+        block = [(i, j) for ai, i in enumerate(nodes) for j in nodes[ai + 1:]
+                 if rng.random() < prob]
+        indegree = Counter(j for _, j in block)
+        targets = sorted(nodes, key=lambda i: (-indegree[i], i))[:len(causal)]
+        edges += block + list(zip(causal, sorted(targets)))
+    return edges
 
 
 def scenario_truth(spec: ScenarioSpec, rng) -> WeightedDag:
@@ -202,16 +200,14 @@ def scenario_truth(spec: ScenarioSpec, rng) -> WeightedDag:
     scale-free variants draw the whole graph from the random generators.
     """
     rng = np.random.default_rng(rng)
-    if spec.id == "custom" or spec.graph_model == "sf":
-        if spec.graph_model == "sf":
-            return random_sf(spec.p, spec.expected_degree, spec.weight_range,
-                             rng)
+    if spec.graph_model == "sf":
+        return random_sf(spec.p, spec.expected_degree, spec.weight_range, rng)
+    if spec.id == "custom":
         return random_er(spec.p, spec.expected_degree, spec.weight_range, rng)
-    edges = _FIXED_EDGES.get(spec.id) or _block_pattern(spec.id)
-    lo, hi = spec.weight_range
+    edges = _layout(_PRESETS[spec.id])
     weights = np.zeros((spec.p, spec.p))
-    for (i, j), w in zip(edges, rng.uniform(lo, hi, size=len(edges))):
-        weights[i, j] = w
+    i, j = np.transpose(edges)
+    weights[i, j] = rng.uniform(*spec.weight_range, size=len(edges))
     return WeightedDag(weights, outcome_index=spec.p - 1)
 
 

@@ -39,13 +39,6 @@ def inject_back_edge(g, rng, weight=1.0):
     return WeightedDag(w, g.labels, g.outcome_index)
 
 
-def _chain_graph(dim, outcome_last=True):
-    w = np.zeros((dim, dim))
-    for i in range(dim - 1):
-        w[i, i + 1] = 1.0
-    return WeightedDag(w, outcome_index=dim - 1)
-
-
 def tabular_scm(edges, dim, tables, noise_probs, domains=None):
     """Assemble a DiscreteScm from explicit function tables."""
     weights = np.zeros((dim, dim))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import os
 import tempfile
@@ -217,6 +218,21 @@ class TestScenarioSpec:
         c = scenario_truth(spec, np.random.default_rng(4))
         assert np.array_equal(a.weights != 0, c.weights != 0)
         assert not np.array_equal(a.weights, c.weights)
+
+    @pytest.mark.parametrize("spec_id,count,digest", [
+        ("s1", 6, "b53126ae2079a79c3c9ff4a903b7fc61a36a11fd7f2a0eb064f226b913dd8bc9"),
+        ("s2", 4, "f8eb0300bb3f026fa48c0fc56d6f59b7042f3c11eba76aa7ebafd733da171839"),
+        ("s3", 5, "98002caefd3957ecb69e069eb3c1bfc244b8391b763a5aece6571be9ca9d1b56"),
+        ("s4", 40, "08c9a23d7cd51dfff76345caa9d42aaa53a13f6fe4f74f93f0b8ff8ae3197227"),
+        ("s5", 122, "c2bd6ba5e25645eb8331f25fb514d83530221f410d56a752dd78f3c1a913dfa8"),
+    ])
+    def test_preset_layouts_are_pinned(self, spec_id, count, digest):
+        # a changed fixed edge or spurious block shows here, not only in
+        # the quality corpus; the digest is of the sorted edge list's repr
+        truth = scenario_truth(scenario(spec_id), np.random.default_rng(0))
+        edges = sorted(map(tuple, np.argwhere(truth.weights != 0).tolist()))
+        assert len(edges) == count
+        assert hashlib.sha256(repr(edges).encode()).hexdigest() == digest
 
     def test_s5_layout_has_three_causal_features(self):
         truth = scenario_truth(scenario("s5"), np.random.default_rng(0))
