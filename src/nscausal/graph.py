@@ -63,6 +63,15 @@ def check_nonnegative(name: str, value):
         raise ValueError(f"{name} must be a finite nonnegative number, got {value!r}")
 
 
+def check_labels(labels, dim: int):
+    """Raise unless ``labels`` holds one label per node of ``dim``, none twice."""
+    if len(labels) != dim:
+        raise ValueError(f"expected {dim} labels, got {len(labels)}")
+    if len(set(labels)) != dim:
+        repeated = list(dict.fromkeys(x for x in labels if labels.count(x) > 1))
+        raise ValueError(f"duplicate labels {repeated}")
+
+
 def check_random_graph(graph_model: str, p, degree):
     """Raise unless the generators can draw a ``p``-node graph of ``graph_model``.
 
@@ -110,8 +119,7 @@ class WeightedDag:
             raise ValueError("weights must be finite")
         dim = w.shape[0]
         labels = self.labels or default_labels(dim)
-        if len(labels) != dim:
-            raise ValueError(f"expected {dim} labels, got {len(labels)}")
+        check_labels(labels, dim)
         outcome = outcome_position(self.outcome_index, dim)
         w = w.copy()
         w.flags.writeable = False

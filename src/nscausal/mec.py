@@ -55,8 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (WeightedDag, check_count, check_node, default_labels,
-                    outcome_position, unchecked)
+from .graph import (WeightedDag, check_count, check_labels, check_node,
+                    default_labels, outcome_position, unchecked)
 
 MEMBER_CAP = 10_000
 # The search visits at most ``MEMBER_CAP + 1`` leaves: its first leaf decides
@@ -129,8 +129,7 @@ class Cpdag:
     def __post_init__(self):
         check_count("dim", self.dim)
         labels = self.labels or default_labels(self.dim)
-        if len(labels) != self.dim:
-            raise ValueError(f"expected {self.dim} labels")
+        check_labels(labels, self.dim)
         for name, edges in (("directed", self.directed),
                             ("undirected", self.undirected)):
             for edge in edges:

@@ -80,7 +80,9 @@ class DiscreteScm:
             probs = self.noise_probs[i]
             if len(probs) != len(self.noise_domains[i]):
                 raise ValueError(f"node {i}: noise values and probs differ in length")
-            if any(p < 0 for p in probs) or abs(_left_sum(probs) - 1.0) > 1e-9:
+            for p in probs:
+                check_nonnegative(f"node {i}: noise probability", p)
+            if abs(_left_sum(probs) - 1.0) > 1e-9:
                 raise ValueError(f"node {i}: noise probabilities must sum to 1")
             domain = set(self.domains[i])
             table = self.functions[i]

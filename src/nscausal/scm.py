@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedDag, check_count, check_node, topological_order
+from .graph import WeightedDag, check_count, check_labels, check_node, topological_order
 
 
 def _per_node(value, dim: int, name: str) -> np.ndarray:
@@ -118,8 +118,7 @@ class Dataset:
             raise ValueError(f"values must be 2-d, got shape {v.shape}")
         if not np.isfinite(v).all():
             raise ValueError("dataset contains non-finite entries")
-        if len(self.labels) != v.shape[1]:
-            raise ValueError("label count does not match column count")
+        check_labels(self.labels, v.shape[1])
         check_node("outcome_index", self.outcome_index, v.shape[1])
         v = v.copy()
         v.flags.writeable = False
@@ -176,7 +175,13 @@ def _draw(spec: SemSpec, link: str, n: int, seed) -> Dataset:
 
 
 def sample_linear(spec: SemSpec, n: int, seed=0) -> Dataset:
-    """Draw ``n`` observations of ``x = W^T x + eps`` in topological order."""
+    """Draw ``n`` observations of ``x = W^T x + eps`` in topological order.
+
+    ``seed`` is an integer or a ``SeedSequence``, and the per-node noise
+    streams are spawned from it.  An integer seed draws the same data on
+    every call.  Spawning advances a ``SeedSequence``, so passing the same
+    object twice draws new data.
+    """
     return _draw(spec, "linear", n, seed)
 
 
@@ -186,6 +191,11 @@ def sample_nonlinear(spec: SemSpec, n: int, seed=0) -> Dataset:
     The parent aggregate is the weighted sum of parent values; it must stay
     above -1 or the log leaves its domain, in which case the offending node
     is named in the error.
+
+    ``seed`` is an integer or a ``SeedSequence``, and the per-node noise
+    streams are spawned from it.  An integer seed draws the same data on
+    every call.  Spawning advances a ``SeedSequence``, so passing the same
+    object twice draws new data.
     """
     return _draw(spec, "rounded-log", n, seed)
 

@@ -330,7 +330,8 @@ class TestWeightedDag:
         (np.zeros(3), (), "weights must be square"),
         (np.array([[0.0, np.inf], [0.0, 0.0]]), (), "weights must be finite"),
         (np.zeros((2, 2)), ("a",), "expected 2 labels"),
-    ], ids=["non-square", "vector", "infinite", "labels"])
+        (np.zeros((3, 3)), ("a", "y", "a"), r"duplicate labels \['a'\]$"),
+    ], ids=["non-square", "vector", "infinite", "labels", "repeated-labels"])
     def test_malformed_input_is_an_error(self, weights, labels, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             WeightedDag(weights, labels)

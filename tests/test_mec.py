@@ -553,14 +553,15 @@ class TestCpdagValidation:
 
     @pytest.mark.parametrize("dim, directed, undirected, labels, message", [
         (2, (), (), ("a",), "expected 2 labels"),
+        (3, (), (), ("a", "y", "a"), r"duplicate labels \['a'\]$"),
         (2, ((1, 1),), (), (), "self-loops"),
         (2, (), ((0, 0),), (), "self-loops"),
         (2, ((0, 2),), (), (), r"edge endpoint must be an integer in range\(2\)"),
         (3, ((0.5, 1),), (), (), r"edge endpoint must be an integer in range\(3\)"),
         (3, ((True, 2),), (), (), r"edge endpoint must be an integer in range\(3\)"),
         (3, ((0, 1), (1, 2), (2, 0)), (), (), "directed subgraph .* acyclic"),
-    ], ids=["labels", "directed-loop", "undirected-loop", "outside", "float",
-            "bool", "cycle"])
+    ], ids=["labels", "repeated-labels", "directed-loop", "undirected-loop",
+            "outside", "float", "bool", "cycle"])
     def test_malformed_input_is_an_error(self, dim, directed, undirected,
                                          labels, message):
         with pytest.raises(ValueError, match=f"^{message}"):

@@ -1,11 +1,12 @@
-"""Each module of the package reaches the others through public names only
-(dunder names such as ``__version__`` count as public), every private
-helper has a caller, every public method and property has a user, only
-``effects.py`` inverts a matrix, and ``graph.unchecked`` is the one way to
-build an instance without its checks.  ``bench.replicate`` is the one
-place that fits a baseline or warm-starts a fit from one, in the package
-and in ``tools/``, and ``FitResult.counters`` is the one reader of a fit's
-``stop_reason`` and ``inner_iterations`` there.
+"""Each module of the package, and each tool, reaches the package's modules
+through public names only (dunder names such as ``__version__`` count as
+public), every private helper has a caller, every public method and
+property has a user, only ``effects.py`` inverts a matrix, and
+``graph.unchecked`` is the one way to build an instance without its checks.
+``bench.replicate`` is the one place that fits a baseline or warm-starts a
+fit from one, in the package and in ``tools/``, and ``FitResult.counters``
+is the one reader of a fit's ``stop_reason`` and ``inner_iterations``
+there.
 ``import nscausal`` loads no submodule, each entry point loads only the
 layers it calls, and the lazy package exposes the same 73 public names as
 the submodules that own them."""
@@ -23,9 +24,11 @@ import nscausal
 
 
 def test_no_module_imports_a_private_name_from_another_module():
+    # the tools too: they gate every change, so they use the public names
     package = Path(nscausal.__file__).parent
     private = []
-    for path in sorted(package.glob("*.py")):
+    for path in [*sorted(package.glob("*.py")),
+                 *sorted((package.parents[1] / "tools").glob("*.py"))]:
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.ImportFrom)
                     and (node.level > 0

@@ -92,12 +92,21 @@ class TestDiscreteScmValidation:
          "node 1: noise values and probs differ in length"),
         ("noise_probs", ((0.4, 0.5), (0.5, 0.5)),
          "node 0: noise probabilities must sum to 1"),
+        ("noise_probs", ((math.nan, 1.0), (0.5, 0.5)),
+         "node 0: noise probability must be a finite nonnegative number, "
+         "got nan"),
+        ("noise_probs", ((0.5, 0.5), (True, False)),
+         "node 1: noise probability must be a finite nonnegative number, "
+         "got True"),
+        ("noise_probs", (("a", 1.0), (0.5, 0.5)),
+         "node 0: noise probability must be a finite nonnegative number, "
+         "got 'a'"),
         ("functions", (identity_root(), {((0,), 0): 0}),
          r"node 1: function undefined at parents=\(0,\), noise=1"),
         ("functions", ({((), 0): 0, ((), 1): 2}, {}),
          "node 0: function value 2 outside domain"),
-    ], ids=["cyclic", "domains", "probs-length", "probs-sum", "undefined",
-            "outside-domain"])
+    ], ids=["cyclic", "domains", "probs-length", "probs-sum", "probs-nan",
+            "probs-bool", "probs-string", "undefined", "outside-domain"])
     def test_malformed_model_is_an_error(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             dataclasses.replace(deterministic_copy_scm(), **{field: value})

@@ -1,5 +1,6 @@
 """``tools/quality_corpus.py`` on hand-written corpus lines and inputs."""
 
+import hashlib
 import importlib.util
 import io
 import json
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nscausal.bench import scenario, scenario_data
+from nscausal.bench import ScenarioSpec, scenario, scenario_data
 from nscausal.graph import WeightedDag
 from nscausal.optimizer import FitConfig, FitResult
 from nscausal.scm import Dataset
@@ -279,3 +280,45 @@ def test_selective_fits_do_not_depend_on_the_column_order(
                  if line["method"] != "baseline"}
                 for order in range(4)]
         assert fits[1:] == [fits[0]] * 3, seed
+
+
+@pytest.mark.parametrize("name, count, digest", [
+    ("main", 422,
+     "b0aeab4216ba5d647ae560c38f8d1966df7ae13f27e9f3a6ec05ddeb5950f1b4"),
+    ("heldout", 342,
+     "dd3594255392dd6635199fc615a1273076792b2cbcd2f8f628bc77b2f57be89b"),
+])
+def test_each_corpus_iterates_its_pinned_groups(monkeypatch, name, count,
+                                                 digest):
+    # the group, scenario settings, n, seed, methods and order that
+    # ``run_corpus`` hands each replication, in corpus order, without a fit;
+    # a rewrite of the group table must keep them all
+    calls = []
+
+    def data(spec, n, seed):
+        return spec, (n, seed)
+
+    def lines(spec, drawn, methods, order, **where):
+        calls.append([where["group"], spec.id, spec.p, spec.expected_degree,
+                      spec.graph_model, spec.link, repr(spec.noise),
+                      list(spec.weight_range), *drawn, where["scenario"],
+                      where["n"], where["seed"], list(methods), order])
+        return []
+
+    monkeypatch.setattr(quality_corpus.ns, "scenario_data", data)
+    monkeypatch.setattr(quality_corpus, "replication_lines", lines)
+    out = io.StringIO()
+    quality_corpus.run_corpus(name, out, orders=2)
+    assert out.getvalue() == ""
+    assert len(calls) == count
+    assert hashlib.sha256(json.dumps(calls).encode()).hexdigest() == digest
+
+
+def test_a_group_with_an_unknown_method_is_an_error():
+    # a group is a scenario spec, so a misspelled method fails when the
+    # table is built, before any group's fits run
+    assert all(isinstance(spec, ScenarioSpec)
+               for groups in quality_corpus.CORPORA.values()
+               for _, spec in groups)
+    with pytest.raises(ValueError, match="unknown method 'nscsl-ee'"):
+        scenario("s2", seed_base=200, methods=("nscsl-te", "nscsl-ee"))

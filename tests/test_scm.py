@@ -170,6 +170,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), ("a",), 1)
 
+    def test_dataset_rejects_repeated_labels(self):
+        # a fit of such data wrote a fit directory no reader accepts
+        with pytest.raises(ValueError, match=r"^duplicate labels \['z0'\]$"):
+            Dataset(np.zeros((2, 3)), ("z0", "z0", "y"), 2)
+
     @pytest.mark.parametrize("outcome", [1.5, 2.0, True, "2", None])
     def test_dataset_outcome_index_must_be_an_integer(self, outcome):
         with pytest.raises(ValueError, match="outcome_index"):

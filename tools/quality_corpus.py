@@ -7,13 +7,16 @@ own directory, with single-threaded BLAS:
     python3 tools/quality_corpus.py --corpus heldout > heldout.jsonl
     python3 tools/quality_corpus.py --compare OLD.jsonl NEW.jsonl
 
-Each corpus is a list of groups (``CORPORA``), each with its own scenario
-settings, sample size, seeds and selective methods.  Both corpora hold the
-presets s1, s2, s4 and s5, custom Erdos-Renyi graphs at p=100 and n=1000,
-and three limited-data groups of custom Erdos-Renyi graphs, where a
-full-graph fit is over-dense: p=20 at n=100 and p=50 at n=100 and n=200.
-The held-out corpus has other seeds of the same groups, and no s1-te-300
-or s2-300.
+The groups are one table of ``(name, ScenarioSpec)`` entries: a spec
+holds the group's scenario settings, its one sample size, its selective
+methods and its main seeds, ``seed_base`` and the ``replications`` after
+it.  Both corpora hold the presets s1, s2, s4 and s5, custom Erdos-Renyi
+graphs at p=100 and n=1000, and three limited-data groups of custom
+Erdos-Renyi graphs, where a full-graph fit is over-dense: p=20 at n=100
+and p=50 at n=100 and n=200.  ``CORPORA`` maps ``main`` to that table and
+``heldout`` to its twin: the same groups at the next block of as many
+seeds, from ``seed_base + replications`` on, without the main-only groups
+s1-te-300 and s2-300.
 
 ``--corpus`` writes one JSON line per fit.  Every replication is fitted
 by ``nscausal.bench.replicate``, the recipe of ``nscausal bench`` and
@@ -72,6 +75,7 @@ import os
 import statistics
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -82,45 +86,37 @@ import numpy as np  # noqa: E402 - after the path and BLAS settings
 import nscausal as ns  # noqa: E402
 from nscausal.bench import replicate  # noqa: E402
 
-# group -> (scenario settings, n, seeds, selective methods); ``replicate``
-# fits every replication's baseline once, and its selective fits start from
-# it.  The custom groups are Erdos-Renyi graphs of the custom scenario's
-# default expected degree, 2.
+# The main corpus: one scenario spec per group, holding its sample size,
+# selective methods and seeds ``seed_base .. seed_base + replications - 1``.
+# ``replicate`` fits every replication's baseline once, and its selective
+# fits start from it.  The custom groups are Erdos-Renyi graphs of the
+# custom scenario's default expected degree, 2, each from seed 1.
+_custom = partial(ns.scenario, "custom", seed_base=1)
+_TE_DE = ("nscsl-te", "nscsl-de")
+_MAIN_ONLY = (
+    ("s1-te-300", ns.scenario("s1", seed_base=300, replications=20)),
+    ("s2-300", ns.scenario("s2", seed_base=300, replications=20,
+                           methods=_TE_DE)),
+)
+_MAIN = (
+    ("s1-te", ns.scenario("s1", seed_base=100)),
+    ("s2", ns.scenario("s2", seed_base=200, methods=_TE_DE)),
+    ("s4-te", ns.scenario("s4", sample_sizes=(1000,), seed_base=300,
+                          replications=20)),
+    ("s5-te", ns.scenario("s5", sample_sizes=(1000,), seed_base=500,
+                          replications=6)),
+    *_MAIN_ONLY,
+    ("custom-p100", _custom(p=100, sample_sizes=(1000,), replications=5)),
+    ("custom-p20-n100", _custom(p=20, replications=20)),
+    ("custom-p50-n100", _custom(p=50, replications=10)),
+    ("custom-p50-n200", _custom(p=50, sample_sizes=(200,), replications=10)),
+)
+# the held-out twin of a group takes the next block of as many seeds
 CORPORA = {
-    "main": (
-        ("s1-te", ns.scenario("s1"), 100, range(100, 150), ("nscsl-te",)),
-        ("s2", ns.scenario("s2"), 100, range(200, 250),
-         ("nscsl-te", "nscsl-de")),
-        ("s4-te", ns.scenario("s4"), 1000, range(300, 320), ("nscsl-te",)),
-        ("s5-te", ns.scenario("s5"), 1000, range(500, 506), ("nscsl-te",)),
-        ("s1-te-300", ns.scenario("s1"), 100, range(300, 320),
-         ("nscsl-te",)),
-        ("s2-300", ns.scenario("s2"), 100, range(300, 320),
-         ("nscsl-te", "nscsl-de")),
-        ("custom-p100", ns.scenario("custom", p=100), 1000, range(1, 6),
-         ("nscsl-te",)),
-        ("custom-p20-n100", ns.scenario("custom", p=20), 100, range(1, 21),
-         ("nscsl-te",)),
-        ("custom-p50-n100", ns.scenario("custom", p=50), 100, range(1, 11),
-         ("nscsl-te",)),
-        ("custom-p50-n200", ns.scenario("custom", p=50), 200, range(1, 11),
-         ("nscsl-te",)),
-    ),
-    "heldout": (
-        ("s1-te", ns.scenario("s1"), 100, range(150, 200), ("nscsl-te",)),
-        ("s2", ns.scenario("s2"), 100, range(250, 300),
-         ("nscsl-te", "nscsl-de")),
-        ("s4-te", ns.scenario("s4"), 1000, range(320, 340), ("nscsl-te",)),
-        ("s5-te", ns.scenario("s5"), 1000, range(506, 512), ("nscsl-te",)),
-        ("custom-p100", ns.scenario("custom", p=100), 1000, range(6, 11),
-         ("nscsl-te",)),
-        ("custom-p20-n100", ns.scenario("custom", p=20), 100, range(21, 41),
-         ("nscsl-te",)),
-        ("custom-p50-n100", ns.scenario("custom", p=50), 100, range(11, 21),
-         ("nscsl-te",)),
-        ("custom-p50-n200", ns.scenario("custom", p=50), 200, range(11, 21),
-         ("nscsl-te",)),
-    ),
+    "main": _MAIN,
+    "heldout": tuple(
+        (group, replace(spec, seed_base=spec.seed_base + spec.replications))
+        for group, spec in _MAIN if (group, spec) not in _MAIN_ONLY),
 }
 KEY = ("group", "scenario", "seed", "method", "order")
 COUNTS = ("spurious", "missed")
@@ -211,11 +207,12 @@ def replication_lines(truth, data, methods, order, **where) -> list:
 def run_corpus(name: str, out, orders: int = 1) -> None:
     """Write one JSON line per fit of corpus ``name`` in ``orders`` column
     orders to ``out``."""
-    for group, spec, n, seeds, methods in CORPORA[name]:
-        for seed in seeds:
+    for group, spec in CORPORA[name]:
+        n, = spec.sample_sizes
+        for seed in range(spec.seed_base, spec.seed_base + spec.replications):
             truth, data = ns.scenario_data(spec, n, seed)
             for order in range(orders):
-                for line in replication_lines(truth, data, methods, order,
+                for line in replication_lines(truth, data, spec.methods, order,
                                               group=group, scenario=spec.id,
                                               n=n, seed=seed):
                     out.write(json.dumps(line) + "\n")
