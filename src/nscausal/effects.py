@@ -112,10 +112,7 @@ def effect_rows(g: WeightedDag, selected=None) -> list[dict]:
     features = [i for i in range(g.dim) if i != g.outcome_index]
     if selected is None:
         selected = [True] * len(features)
-    elif np.shape(selected) != (len(features),):
-        raise ValueError(f"selected must have one entry per feature, shape "
-                         f"({len(features)},), got {np.shape(selected)}")
-    check_mask("selected", selected)
+    selected = check_mask("selected", selected, len(features))
     te = total_effects(g)
     return [{"node": i, "label": g.labels[i],
              "direct_effect": float(g.weights[i, g.outcome_index]),

@@ -51,10 +51,28 @@ def check_node(name: str, i, dim: int, outcome: int | None = None):
         raise ValueError(f"{name} must be a feature index, not the outcome {outcome}")
 
 
-def check_mask(name: str, mask):
-    """Raise unless ``mask`` holds booleans (numpy's too); an empty one passes."""
-    if np.size(mask) and np.asarray(mask).dtype != bool:
+def check_real(name: str, value) -> np.ndarray:
+    """``value`` as a float array, once it holds finite real numbers: numpy
+    ints and floats; bool, string, complex and object arrays are not
+    numbers here.  The caller tests the shape."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold real numbers, got dtype {array.dtype}")
+    array = array.astype(float, copy=False)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite")
+    return array
+
+
+def check_mask(name: str, mask, size: int) -> np.ndarray:
+    """``mask`` as a new boolean vector, once it holds ``size`` booleans
+    (numpy's too); an empty one passes at ``size`` 0."""
+    array = np.asarray(mask)
+    if array.size and array.dtype != bool:
         raise ValueError(f"{name} must hold booleans, got {mask!r}")
+    if array.shape != (size,):
+        raise ValueError(f"{name} must have shape ({size},), got {array.shape}")
+    return array.astype(bool)
 
 
 def check_nonnegative(name: str, value):
@@ -112,11 +130,9 @@ class WeightedDag:
     outcome_index: int = -1
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = check_real("weights", self.weights)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"weights must be square, got shape {w.shape}")
-        if not np.isfinite(w).all():
-            raise ValueError("weights must be finite")
         dim = w.shape[0]
         labels = self.labels or default_labels(dim)
         check_labels(labels, dim)

@@ -128,8 +128,8 @@ import numpy as np
 
 from . import effects as _effects
 from .graph import (WeightedDag, check_count, check_mask, check_nonnegative,
-                    is_finite_number, outcome_position, prune, prune_weights,
-                    topological_order)
+                    check_real, is_finite_number, outcome_position, prune,
+                    prune_weights, topological_order)
 from .scm import Dataset
 
 # iterate must be this close to acyclic before selection decisions are
@@ -343,21 +343,6 @@ def _h1_checked(g: WeightedDag, t: float):
         raise ValueError("acyclicity value overflowed; decrease t") from None
 
 
-def _checked_array(name: str, value, shape: tuple, dtype) -> np.ndarray:
-    """``value`` as an array of ``dtype``; a ``ValueError`` naming the
-    argument unless its shape is ``shape``."""
-    array = np.asarray(value, dtype=dtype)
-    if array.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got "
-                         f"{array.shape}")
-    return array
-
-
-def _check_finite_b(w: np.ndarray):
-    if not np.isfinite(w).all():
-        raise ValueError("B must be finite")
-
-
 def acyclicity_value(g: WeightedDag, t: float) -> float:
     """Trace-power acyclicity score ``tr[(I + t B∘B)^k] - dim``, with ``k``
     as in the module docstring; zero exactly when the pattern is a DAG.
@@ -381,9 +366,9 @@ def least_squares_loss(B: np.ndarray, data: Dataset, mask: np.ndarray):
     data units, ``inf`` past the float range.
 
     The gradient is zeroed on the outcome row and on unselected rows and
-    columns.  ``B`` is ``dim x dim`` for the data's ``dim`` nodes, and
-    ``mask`` is a boolean vector over those nodes that must include the
-    outcome column; anything else is a ``ValueError``.
+    columns.  ``B`` is a ``dim x dim`` matrix of finite reals for the
+    data's ``dim`` nodes, and ``mask`` is a boolean vector over those nodes
+    that must include the outcome column; anything else is a ``ValueError``.
 
     Every call checks its inputs and forms the centered gram of the whole
     dataset, an ``O(n dim^2)`` product, before the loss; the fit forms the
@@ -392,10 +377,10 @@ def least_squares_loss(B: np.ndarray, data: Dataset, mask: np.ndarray):
     (29 against 3 us on a 2-core x86 box), over half of it in the gram.
     perfbench's ``optimizer.ls_us`` times this call, not the fit's.
     """
-    w = _checked_array("B", B, (data.dim, data.dim), float)
-    _check_finite_b(w)
-    check_mask("mask", mask)
-    mask = _checked_array("mask", mask, (data.dim,), bool)
+    w = check_real("B", B)
+    if w.shape != (data.dim, data.dim):
+        raise ValueError(f"B must have shape {(data.dim, data.dim)}, got {w.shape}")
+    mask = check_mask("mask", mask, data.dim)
     if data.n == 0:
         raise ValueError("dataset is empty")
     if not mask[data.outcome_index]:
@@ -417,19 +402,18 @@ def relevance_constraint(B: np.ndarray, mask: np.ndarray, effect_kind: str,
     where CE is the direct effect or the total effect, the outcome column of
     ``(I - B)^-1``: exact on DAGs and defined wherever ``I - B`` is
     invertible; a singular ``I - B`` is a ``ValueError``.  The subgradient
-    of ``|x|`` at 0 is taken to be 0.  ``B`` is square, ``mask`` a boolean
-    vector over its nodes and ``delta_star`` finite and nonnegative, as in
-    ``FitConfig``; anything else is a ``ValueError``.
+    of ``|x|`` at 0 is taken to be 0.  ``B`` is a square matrix of finite
+    reals, ``mask`` a boolean vector over its nodes and ``delta_star``
+    finite and nonnegative, as in ``FitConfig``; anything else is a
+    ``ValueError``.
     """
     _effects.check_effect_kind(effect_kind)
     check_nonnegative("delta_star", delta_star)
-    w = np.asarray(B, dtype=float)
+    w = check_real("B", B)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"B must be a square matrix, got shape {w.shape}")
-    _check_finite_b(w)
     dim = w.shape[0]
-    check_mask("mask", mask)
-    feature_active = _checked_array("mask", mask, (dim,), bool).copy()
+    feature_active = check_mask("mask", mask, dim)
     outcome = outcome_position(outcome_index, dim)
     feature_active[outcome] = False
     try:

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedDag, check_count, check_labels, check_node, topological_order
+from .graph import (WeightedDag, check_count, check_labels, check_node, check_real,
+                    topological_order)
 
 
 def _per_node(value, dim: int, name: str) -> np.ndarray:
@@ -113,11 +114,9 @@ class Dataset:
     outcome_index: int
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = check_real("values", self.values)
         if v.ndim != 2:
             raise ValueError(f"values must be 2-d, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError("dataset contains non-finite entries")
         check_labels(self.labels, v.shape[1])
         check_node("outcome_index", self.outcome_index, v.shape[1])
         v = v.copy()

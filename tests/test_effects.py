@@ -204,7 +204,7 @@ class TestEffectReport:
 
         monkeypatch.setattr(effects, "total_effects", no_work)
         g = chain_to_outcome([1.0, 1.0, 1.0])
-        with pytest.raises(ValueError, match="^selected must have one entry"):
+        with pytest.raises(ValueError, match="^selected must have shape"):
             effect_rows(g, selected)
 
 

@@ -12,7 +12,7 @@ from nscausal.graph import (WeightedDag, ancestors_of,
                             topological_order, unchecked)
 from nscausal.mec import Cpdag
 from nscausal.optimizer import (FitConfig, FitResult, acyclicity_value,
-                                relevance_constraint)
+                                least_squares_loss, relevance_constraint)
 from nscausal.scm import Dataset
 
 from conftest import inject_back_edge, random_dag
@@ -335,6 +335,45 @@ class TestWeightedDag:
     def test_malformed_input_is_an_error(self, weights, labels, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             WeightedDag(weights, labels)
+
+
+# one matrix per dtype that is not a real number here; numpy converts each
+# to float (a complex one with only a ComplexWarning)
+NON_REAL_MATRICES = {
+    "complex": np.array([[0.0, 0.5 + 1j], [0.0, 0.0]]),
+    "bool": np.array([[False, True], [False, False]]),
+    "string": [[0, "1"], [0, 0]],
+    "object": np.array([[0.0, 1.0], [0.0, 0.0]], dtype=object),
+}
+
+_LOSS_DATA = Dataset(np.random.default_rng(0).normal(size=(10, 2)), ("a", "y"), 1)
+MATRIX_ENTRY_POINTS = {
+    "WeightedDag": ("weights", WeightedDag),
+    "Dataset": ("values", lambda m: Dataset(m, ("a", "y"), 1)),
+    "least_squares_loss": (
+        "B", lambda m: least_squares_loss(m, _LOSS_DATA, np.ones(2, bool))),
+    "relevance_constraint": (
+        "B", lambda m: relevance_constraint(m, np.ones(2, bool), "te", 1.0)),
+}
+
+
+class TestArrayRule:
+    @pytest.mark.parametrize("dtype", NON_REAL_MATRICES)
+    @pytest.mark.parametrize("entry", MATRIX_ENTRY_POINTS)
+    def test_non_real_matrices_are_an_error(self, entry, dtype):
+        # each was converted to float: "1" read as 1.0, 0.5+1j as 0.5
+        name, call = MATRIX_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=f"^{name} must hold real numbers"):
+            call(NON_REAL_MATRICES[dtype])
+
+    @pytest.mark.parametrize("matrix", [[[0, 1], [0, 0]],
+                                        np.array([[0, 1], [0, 0]], np.uint8)],
+                             ids=["int-list", "uint8"])
+    def test_integer_matrices_are_read_as_floats(self, matrix):
+        for array in (WeightedDag(matrix).weights,
+                      Dataset(matrix, ("a", "y"), 1).values):
+            assert array.dtype == float
+            assert np.array_equal(array, [[0.0, 1.0], [0.0, 0.0]])
 
 
 class TestUnchecked:

@@ -334,6 +334,12 @@ class TestRelevanceConstraint:
         with pytest.raises(ValueError, match="^B must be finite"):
             relevance_constraint(w, np.ones(3, bool), kind, 1.0)
 
+    def test_leaves_the_callers_mask_untouched(self):
+        # the outcome entry is cleared on check_mask's copy
+        mask = np.ones(3, bool)
+        relevance_constraint(np.zeros((3, 3)), mask, "te", 1.0)
+        assert mask.all()
+
     def test_singular_resolvent_is_an_error(self):
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = w[1, 2] = 1.0  # I - B is singular

@@ -65,6 +65,19 @@ class TestLinearSampling:
         b = sample_linear(spec, 100, seed=21)
         assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("sample, link", [(sample_linear, "linear"),
+                                              (sample_nonlinear, "rounded-log")])
+    def test_seed_sequences_follow_the_docstring(self, sample, link):
+        spec = SemSpec(chain(3), link=link)
+        first = sample(spec, 50, seed=7).values
+        # an integer seed repeats its draw
+        assert np.array_equal(sample(spec, 50, seed=7).values, first)
+        # a fresh SeedSequence of the same entropy repeats the first draw
+        seq = np.random.SeedSequence(7)
+        assert np.array_equal(sample(spec, 50, seed=seq).values, first)
+        # spawning advanced it: the same object again draws new data
+        assert not np.array_equal(sample(spec, 50, seed=seq).values, first)
+
     def test_column_depends_only_on_ancestor_noise(self):
         # graph: 0 -> 1 -> 2, node 3 isolated; perturbing node 3's noise
         # leaves columns 0..2 bit-exact, perturbing node 0's does not.
@@ -161,6 +174,13 @@ class TestValidation:
     def test_dataset_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Dataset(np.array([[1.0, np.nan]]), ("a", "b"), 1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_dataset_values_must_be_finite(self, value):
+        values = np.zeros((3, 2))
+        values[1, 0] = value
+        with pytest.raises(ValueError, match="^values must be finite$"):
+            Dataset(values, ("a", "y"), 1)
 
     def test_dataset_values_must_be_a_matrix(self):
         with pytest.raises(ValueError, match="^values must be 2-d"):
