@@ -49,8 +49,9 @@ from itertools import product, repeat
 import numpy as np
 
 from .graph import (DEFAULT_WEIGHT_RANGE, WeightedDag, ancestors_of,
-                    check_count, check_random_graph, graph_metrics,
-                    is_integer, random_er, random_sf, validate_weight_range)
+                    check_choice, check_count, check_random_graph,
+                    graph_metrics, is_integer, random_er, random_sf,
+                    validate_weight_range)
 from .optimizer import FitConfig, fit, fit_baseline
 from .scm import (BernoulliNoise, GaussianNoise, SemSpec, check_sem,
                   sample_linear, sample_nonlinear, shift_nonnegative)
@@ -86,9 +87,10 @@ class ScenarioSpec:
 
     ``replications`` and the ``sample_sizes`` are positive integers and
     ``seed_base`` a nonnegative one (numpy integers included, bools not);
-    ``sample_sizes`` and ``methods`` are lists or tuples without repeats
-    (``methods`` of strings), and ``weight_range`` two finite numbers on
-    one side of 0.
+    ``sample_sizes`` and ``methods`` are non-empty lists or tuples without
+    repeats (``methods`` of ``METHODS`` names), and ``weight_range`` two
+    finite numbers on one side of 0.  The spec holds each checked value in
+    its rule's normal form: ``int`` counts, ``str`` choices and tuples.
     ``graph_model="sf"`` is accepted for s5 and custom only; s1..s4 keep
     their fixed layouts.  Where the truth is drawn from a generator (custom,
     or scale-free), :func:`~nscausal.graph.check_random_graph` checks ``p``
@@ -113,52 +115,39 @@ class ScenarioSpec:
     def __post_init__(self):
         # value types first: the checks below iterate, index and compare
         for name in ("sample_sizes", "methods"):
-            if not isinstance(getattr(self, name), (tuple, list)):
-                raise ValueError(f"{name} must be a list, got "
-                                 f"{getattr(self, name)!r}")
-        if self.id not in SCENARIO_IDS:
-            raise ValueError(f"unknown scenario id {self.id!r}")
-        if self.graph_model not in GRAPH_MODELS:
-            raise ValueError("graph_model must be "
-                             + " or ".join(map(repr, GRAPH_MODELS)))
-        if self.graph_model == "sf" and self.id not in ("s5", "custom"):
+            value = getattr(self, name)
+            if not (isinstance(value, (tuple, list)) and value):
+                raise ValueError(f"{name} must be a non-empty list, got {value!r}")
+        spec_id = check_choice("id", self.id, SCENARIO_IDS)
+        graph_model = check_choice("graph_model", self.graph_model, GRAPH_MODELS)
+        if graph_model == "sf" and spec_id not in ("s5", "custom"):
             raise ValueError(f"graph_model 'sf' is for s5 and custom only: "
-                             f"{self.id} has a fixed layout, not a scale-free "
+                             f"{spec_id} has a fixed layout, not a scale-free "
                              "draw")
-        if not self.methods:
-            raise ValueError("methods list must not be empty")
-        for m in self.methods:
-            if not isinstance(m, str):
-                raise ValueError(f"methods must hold strings, got {m!r}")
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r} in methods; choose "
-                                 f"from {tuple(METHODS)}")
-        sizes = tuple(self.sample_sizes)
-        check_count("replications", self.replications)
-        check_count("seed_base", self.seed_base, low=0)
-        for n in sizes:
-            check_count("sample_sizes", n)
-        if not sizes:
-            raise ValueError("sample_sizes must not be empty")
+        methods = tuple(check_choice("methods", m, METHODS) for m in self.methods)
+        replications = check_count("replications", self.replications)
+        seed_base = check_count("seed_base", self.seed_base, low=0)
+        sizes = tuple(check_count("sample_sizes", n) for n in self.sample_sizes)
         # a repeat would rerun the same seeds and pool them as new draws
-        for name, values in (("sample_sizes", sizes),
-                             ("methods", tuple(self.methods))):
+        for name, values in (("sample_sizes", sizes), ("methods", methods)):
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat an entry, got "
                                  f"{list(values)!r}")
-        expected = _PRESETS.get(self.id)
+        expected = _PRESETS.get(spec_id)
         if expected is not None and not (
                 is_integer(self.p) and self.p == expected["p"]
                 and self.expected_degree == expected["expected_degree"]):
             raise ValueError(
-                f"{self.id} preset fixes p={expected['p']} and "
+                f"{spec_id} preset fixes p={expected['p']} and "
                 f"expected_degree={expected['expected_degree']}")
-        if self.id == "custom" or self.graph_model == "sf":
-            check_random_graph(self.graph_model, self.p, self.expected_degree)
-        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in sizes))
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "weight_range",
-                           validate_weight_range(self.weight_range))
+        if spec_id == "custom" or graph_model == "sf":
+            check_random_graph(graph_model, self.p, self.expected_degree)
+        for name, value in (("id", spec_id), ("graph_model", graph_model),
+                            ("methods", methods), ("replications", replications),
+                            ("seed_base", seed_base), ("sample_sizes", sizes),
+                            ("weight_range",
+                             validate_weight_range(self.weight_range))):
+            object.__setattr__(self, name, value)
         check_sem(self.noise, self.link, self.p)
 
 
@@ -413,9 +402,7 @@ def spec_from_dict(doc: dict) -> ScenarioSpec:
         # a noise that is no object reads as bernoulli and fails known_keys
         kind = (noise.get("kind", "bernoulli") if isinstance(noise, dict)
                 else "bernoulli")
-        if not isinstance(kind, str) or kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {kind!r}")
-        key, family = NOISE_KINDS[kind]
+        key, family = NOISE_KINDS[check_choice("noise kind", kind, NOISE_KINDS)]
         known_keys(noise, ("kind", key), "noise")
         doc["noise"] = family(noise[key]) if key in noise else family()
     spec_id = doc.pop("id", None)

@@ -16,17 +16,11 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import (WeightedDag, check_mask, check_node, enumerate_paths_to_outcome,
-                    is_acyclic)
+from .graph import (WeightedDag, check_acyclic, check_choice, check_mask,
+                    check_node, enumerate_paths_to_outcome)
 from .scm import Dataset
 
 EFFECT_KINDS = ("te", "de")
-
-
-def check_effect_kind(effect_kind: str):
-    """Raise unless ``effect_kind`` is one of ``EFFECT_KINDS``."""
-    if effect_kind not in EFFECT_KINDS:
-        raise ValueError(f"effect_kind must be one of {EFFECT_KINDS}, got {effect_kind!r}")
 
 
 def direct_effect(g: WeightedDag, i: int) -> float:
@@ -61,8 +55,7 @@ def _checked_effects(g: WeightedDag, kind: str) -> np.ndarray:
     """``outcome_effects`` of ``kind`` on the acyclic ``g``, the outcome's
     own entry set to 0; a cyclic graph or an overflowing effect is a
     ``ValueError``."""
-    if not is_acyclic(g):
-        raise ValueError("effects require an acyclic graph")
+    check_acyclic("g", g.weights)
     try:
         effects = outcome_effects(g.weights, g.outcome_index, kind,
                                   np.eye(g.dim))[0].copy()
@@ -130,5 +123,5 @@ def delta_star(data: Dataset, fit: Callable[[Dataset], WeightedDag],
     ``total_effects`` does, so a cyclic graph, or a total effect that
     overflows, is a ``ValueError``.
     """
-    check_effect_kind(effect_kind)
+    check_choice("effect_kind", effect_kind, EFFECT_KINDS)
     return float(np.abs(_checked_effects(fit(data), effect_kind)).sum())

@@ -37,10 +37,12 @@ def is_finite_number(value) -> bool:
             and math.isfinite(value))
 
 
-def check_count(name: str, value, low: int = 1):
-    """Raise unless ``value`` is an integer (numpy's too) of at least ``low``."""
+def check_count(name: str, value, low: int = 1) -> int:
+    """``value`` as an ``int``, once it is an integer (numpy's too) of at
+    least ``low``."""
     if not (is_integer(value) and value >= low):
         raise ValueError(f"{name} must be at least {low} and an integer, got {value!r}")
+    return int(value)
 
 
 def check_node(name: str, i, dim: int, outcome: int | None = None):
@@ -51,11 +53,28 @@ def check_node(name: str, i, dim: int, outcome: int | None = None):
         raise ValueError(f"{name} must be a feature index, not the outcome {outcome}")
 
 
+def check_choice(name: str, value, choices) -> str:
+    """``value`` as a ``str``, once it is one of the string ``choices``; a
+    non-string, a numpy array included, is none of them."""
+    if not (isinstance(value, str) and value in choices):
+        raise ValueError(f"{name} must be one of {tuple(choices)}, got {value!r}")
+    return str(value)
+
+
+def _as_array(name: str, value) -> np.ndarray:
+    """``np.asarray(value)``; a ragged ``value`` is a ``ValueError`` naming
+    ``name``, not numpy's."""
+    try:
+        return np.asarray(value)
+    except ValueError:
+        raise ValueError(f"{name} must be a rectangular array, got {value!r}") from None
+
+
 def check_real(name: str, value) -> np.ndarray:
     """``value`` as a float array, once it holds finite real numbers: numpy
     ints and floats; bool, string, complex and object arrays are not
     numbers here.  The caller tests the shape."""
-    array = np.asarray(value)
+    array = _as_array(name, value)
     if array.dtype.kind not in "iuf":
         raise ValueError(f"{name} must hold real numbers, got dtype {array.dtype}")
     array = array.astype(float, copy=False)
@@ -67,7 +86,7 @@ def check_real(name: str, value) -> np.ndarray:
 def check_mask(name: str, mask, size: int) -> np.ndarray:
     """``mask`` as a new boolean vector, once it holds ``size`` booleans
     (numpy's too); an empty one passes at ``size`` 0."""
-    array = np.asarray(mask)
+    array = _as_array(name, mask)
     if array.size and array.dtype != bool:
         raise ValueError(f"{name} must hold booleans, got {mask!r}")
     if array.shape != (size,):
@@ -75,10 +94,11 @@ def check_mask(name: str, mask, size: int) -> np.ndarray:
     return array.astype(bool)
 
 
-def check_nonnegative(name: str, value):
-    """Raise unless ``value`` is a finite real of at least 0."""
+def check_nonnegative(name: str, value) -> float:
+    """``value`` as a ``float``, once it is a finite real of at least 0."""
     if not (is_finite_number(value) and value >= 0):
         raise ValueError(f"{name} must be a finite nonnegative number, got {value!r}")
+    return float(value)
 
 
 def check_labels(labels, dim: int):
@@ -184,6 +204,14 @@ def topological_order(weights: np.ndarray) -> list[int] | None:
     return order if len(order) == dim else None
 
 
+def check_acyclic(name: str, weights: np.ndarray) -> list[int]:
+    """The ``topological_order`` of ``weights``, once its pattern is acyclic."""
+    order = topological_order(weights)
+    if order is None:
+        raise ValueError(f"{name} must be acyclic")
+    return order
+
+
 def is_acyclic(g: WeightedDag) -> bool:
     """True iff the nonzero pattern of ``g`` admits a topological order."""
     return topological_order(g.weights) is not None
@@ -213,8 +241,7 @@ def enumerate_paths_to_outcome(g: WeightedDag, source: int) -> list[tuple[int, .
     when the outcome is unreachable.
     """
     check_node("source", source, g.dim)
-    if not is_acyclic(g):
-        raise ValueError("path enumeration requires an acyclic graph")
+    check_acyclic("g", g.weights)
     pattern = g.weights != 0
     target = g.outcome_index
     paths: list[tuple[int, ...]] = []

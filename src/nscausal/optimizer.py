@@ -127,9 +127,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import effects as _effects
-from .graph import (WeightedDag, check_count, check_mask, check_nonnegative,
-                    check_real, is_finite_number, outcome_position, prune,
-                    prune_weights, topological_order)
+from .graph import (WeightedDag, check_choice, check_count, check_mask,
+                    check_nonnegative, check_real, is_finite_number,
+                    outcome_position, prune, prune_weights, topological_order)
 from .scm import Dataset
 
 # iterate must be this close to acyclic before selection decisions are
@@ -182,7 +182,9 @@ class FitConfig:
     holds the score the fit ran with: ``fit`` records the one it resolved
     or was given, ``fit_baseline`` 0.0 whatever was given.  The thresholds
     and ``delta_star`` must be finite and nonnegative, the step caps
-    integers (numpy integers included, bools not).
+    integers (numpy integers included, bools not).  Each field holds what
+    its rule returns, a ``str``, ``float`` or ``int``, so a config always
+    writes to JSON.
 
     The penalty schedule, ``h1``'s ``t = 1/dim`` and the inner-solve
     constants (``_STEP_SIZE``, ``_GRAD_TOL``, ``_FTOL`` and
@@ -197,15 +199,16 @@ class FitConfig:
     delta_star: float | None = None
 
     def __post_init__(self):
-        _effects.check_effect_kind(self.effect_kind)
+        object.__setattr__(self, "effect_kind", check_choice(
+            "effect_kind", self.effect_kind, _effects.EFFECT_KINDS))
         for name in ("prune_threshold", "selection_tolerance", "delta_star"):
             if name != "delta_star" or self.delta_star is not None:
-                check_nonnegative(name, getattr(self, name))
+                object.__setattr__(self, name, check_nonnegative(name, getattr(self, name)))
         if self.selection_tolerance >= 1:
             raise ValueError("selection_tolerance must be below 1, got "
                              f"{self.selection_tolerance!r}")
         for name in ("max_dual_steps", "max_inner_iter"):
-            check_count(name, getattr(self, name))
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
 
 
 # the keys of a ``FitResult.diagnostics`` row, one row per dual step, in the
@@ -407,7 +410,7 @@ def relevance_constraint(B: np.ndarray, mask: np.ndarray, effect_kind: str,
     finite and nonnegative, as in ``FitConfig``; anything else is a
     ``ValueError``.
     """
-    _effects.check_effect_kind(effect_kind)
+    check_choice("effect_kind", effect_kind, _effects.EFFECT_KINDS)
     check_nonnegative("delta_star", delta_star)
     w = check_real("B", B)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:

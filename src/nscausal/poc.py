@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (WeightedDag, check_node, check_nonnegative,
-                    topological_order)
+from .graph import (WeightedDag, check_acyclic, check_choice, check_node,
+                    check_nonnegative)
 from .scm import Dataset
 
 ENUMERATION_CAP = 10**7
@@ -64,9 +64,7 @@ class DiscreteScm:
 
     def __post_init__(self):
         dim = self.graph.dim
-        order = topological_order(self.graph.weights)
-        if order is None:
-            raise ValueError("DiscreteScm requires an acyclic graph")
+        order = check_acyclic("graph", self.graph.weights)
         for name, seq in (("domains", self.domains),
                           ("noise_domains", self.noise_domains),
                           ("noise_probs", self.noise_probs),
@@ -216,8 +214,7 @@ def _conditioning_rest(kind: str, z_minus_i):
     """The rest values a ``kind`` probability conditions on: ``z_minus_i``
     as a tuple for the conditional kind, which requires it, and None for the
     marginal kind, which ignores it."""
-    if kind not in POC_KINDS:
-        raise ValueError(f"kind must be one of {POC_KINDS}, got {kind!r}")
+    kind = check_choice("kind", kind, POC_KINDS)
     if kind == "conditional" and z_minus_i is None:
         raise ValueError("conditional kind requires z_minus_i")
     return tuple(z_minus_i) if kind == "conditional" else None

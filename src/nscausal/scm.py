@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (WeightedDag, check_count, check_labels, check_node, check_real,
-                    topological_order)
+from .graph import (WeightedDag, check_acyclic, check_choice, check_count,
+                    check_labels, check_node, check_real)
 
 
 def _per_node(value, dim: int, name: str) -> np.ndarray:
@@ -84,8 +84,7 @@ def check_sem(noise, link, dim: int) -> np.ndarray:
     """The ``dim`` per-node noise parameters, once ``noise`` and ``link`` pass."""
     if not isinstance(noise, (BernoulliNoise, GaussianNoise)):
         raise ValueError(f"noise must be a BernoulliNoise or GaussianNoise, got {noise!r}")
-    if link not in LINKS:
-        raise ValueError(f"unknown link {link!r}, expected one of {LINKS}")
+    check_choice("link", link, LINKS)
     return noise.validate(dim)
 
 
@@ -155,9 +154,7 @@ def _draw(spec: SemSpec, link: str, n: int, seed) -> Dataset:
     if spec.link != link:
         raise ValueError(f"spec.link is {spec.link!r}, expected {link!r}")
     check_count("n", n)
-    order = topological_order(spec.graph.weights)
-    if order is None:
-        raise ValueError("generative graph must be acyclic")
+    order = check_acyclic("spec.graph", spec.graph.weights)
     eps = _noise_matrix(spec, n, seed)
     w = spec.graph.weights
     values = np.zeros((n, spec.graph.dim))

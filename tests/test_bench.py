@@ -187,7 +187,7 @@ class TestScenarioSpec:
             scenario("s1", methods=("pc",))
 
     def test_empty_sample_sizes_are_rejected_by_name(self):
-        with pytest.raises(ValueError, match="sample_sizes must not be empty"):
+        with pytest.raises(ValueError, match="^sample_sizes must be a non-empty list"):
             scenario("s1", sample_sizes=())
 
     def test_from_dict(self):

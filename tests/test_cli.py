@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io as stdio
 import json
 import re
@@ -235,6 +236,24 @@ class TestPipeline:
         io.write_fit_dir(result, fitdir, {"outcome": "2"})
         assert read_meta(fitdir / "meta.json")["outcome"] == "y"
         assert io.read_fit_dir(fitdir)[0].outcome_index == position
+
+    @pytest.mark.parametrize("config", [
+        FitConfig(max_inner_iter=np.int64(500)),
+        FitConfig(prune_threshold=np.float32(0.3)),
+    ], ids=["int64-cap", "float32-threshold"])
+    def test_fit_dir_of_a_numpy_scalar_config_reads_back(self, tmp_path, config):
+        # the config held the numpy scalar as given: meta.json stopped at it
+        # ("not JSON serializable") and read_fit_dir met a truncated document
+        _, data = scenario_data(scenario("s1"), 100, 3)
+        [(_, result, _, error)] = replicate(data, ("nscsl-te",), config)
+        assert error is None
+        fitdir = tmp_path / "fit"
+        io.write_fit_dir(result, fitdir, {})
+        graph, selected = io.read_fit_dir(fitdir)
+        assert np.array_equal(graph.weights, result.graph.weights)
+        assert np.array_equal(selected, result.selected)
+        assert (read_meta(fitdir / "meta.json")["config"]
+                == dataclasses.asdict(result.config))
 
     def test_fit_with_an_outcome_index_reads_back(self, tmp_path, capsys):
         # --outcome names the column by index: meta.json records the label
@@ -599,14 +618,16 @@ class TestExitCodes:
         ({"id": "s1", "noise": {"kind": "gaussian",
                                 "sigma": ["1", 1, 1, 1, 1]}},
          "gaussian sigma"),
-        ({"id": "s1", "noise": {"kind": "poisson"}}, "unknown noise kind"),
-        ({"id": "s9"}, "unknown scenario id"),
+        pytest.param({"id": "s1", "noise": {"kind": "poisson"}},
+                     "noise kind must be one of", id="doc29-unknown noise kind"),
+        pytest.param({"id": "s9"}, "id must be one of",
+                     id="doc30-unknown scenario id"),
         ({"id": "s1", "graph_model": "ba"}, "graph_model"),
         ({"id": "custom", "p": 1, "expected_degree": 0.5},
          "p must be at least 2"),
         ({"id": "s1", "replications": 0}, "replications must be at least 1"),
         ({"id": "s1", "sample_sizes": [0]}, "sample_sizes must be at least 1"),
-        ({"id": "s1", "sample_sizes": []}, "sample_sizes must not be empty"),
+        ({"id": "s1", "sample_sizes": []}, "sample_sizes must be a non-empty list"),
     ])
     def test_malformed_bench_spec_is_a_validation_error(self, tmp_path, capsys,
                                                         doc, message):

@@ -254,7 +254,7 @@ class TestDeltaStar:
         w = np.zeros((3, 3))
         w[0, 1], w[1, 0], w[1, 2] = 1.0, 0.5, 2.0
         data = sample_linear(SemSpec(chain_to_outcome([1.0, 1.0])), 50, seed=0)
-        with pytest.raises(ValueError, match="^effects require an acyclic"):
+        with pytest.raises(ValueError, match="^g must be acyclic"):
             delta_star(data, lambda _: WeightedDag(w), kind)
 
     def test_is_the_effect_mass_of_the_reference_graph(self, rng):

@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -6,16 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nscausal.graph import (WeightedDag, ancestors_of,
+from nscausal.bench import ScenarioSpec, spec_from_dict
+from nscausal.effects import delta_star, effect_rows, total_effects
+from nscausal.graph import (WeightedDag, ancestors_of, check_acyclic,
+                            check_choice, check_count, check_nonnegative,
                             enumerate_paths_to_outcome, graph_metrics,
                             is_acyclic, prune, random_er, random_sf,
                             topological_order, unchecked)
 from nscausal.mec import Cpdag
 from nscausal.optimizer import (FitConfig, FitResult, acyclicity_value,
                                 least_squares_loss, relevance_constraint)
-from nscausal.scm import Dataset
+from nscausal.poc import (DiscreteScm, ScmDistribution, exact_poc,
+                          poc_lower_bound)
+from nscausal.scm import (BernoulliNoise, Dataset, SemSpec, check_sem,
+                          sample_linear, sample_nonlinear)
 
-from conftest import inject_back_edge, random_dag
+from conftest import inject_back_edge, random_binary_scm, random_dag
 
 
 def table1_graph(omega1=0.3, omega2=0.7, c=1.0):
@@ -357,7 +364,31 @@ MATRIX_ENTRY_POINTS = {
 }
 
 
+MASK_ENTRY_POINTS = {
+    "least_squares_loss": (
+        "mask", lambda m: least_squares_loss(np.zeros((2, 2)), _LOSS_DATA, m)),
+    "relevance_constraint": (
+        "mask", lambda m: relevance_constraint(np.zeros((2, 2)), m, "te", 1.0)),
+    "effect_rows": ("selected", lambda m: effect_rows(_zero_graph(), m)),
+}
+
+
 class TestArrayRule:
+    @pytest.mark.parametrize("entry", MATRIX_ENTRY_POINTS)
+    def test_ragged_matrices_are_an_error(self, entry):
+        # numpy's "setting an array element with a sequence" named nothing
+        name, call = MATRIX_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be a rectangular array"):
+            call([[0, 1], [0]])
+
+    @pytest.mark.parametrize("entry", MASK_ENTRY_POINTS)
+    def test_ragged_masks_are_an_error(self, entry):
+        name, call = MASK_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be a rectangular array"):
+            call([True, [True]])
+
     @pytest.mark.parametrize("dtype", NON_REAL_MATRICES)
     @pytest.mark.parametrize("entry", MATRIX_ENTRY_POINTS)
     def test_non_real_matrices_are_an_error(self, entry, dtype):
@@ -374,6 +405,89 @@ class TestArrayRule:
                       Dataset(matrix, ("a", "y"), 1).values):
             assert array.dtype == float
             assert np.array_equal(array, [[0.0, 1.0], [0.0, 0.0]])
+
+
+_SCM = random_binary_scm(np.random.default_rng(0), dim=3)
+
+
+def _fitted(data):
+    return WeightedDag(np.zeros((data.dim, data.dim)))
+
+
+# each entry point of the choice rule: the argument it names, a valid
+# choice, and a call that passes it a value
+CHOICE_ENTRY_POINTS = {
+    "ScenarioSpec-id": ("id", "custom", ScenarioSpec),
+    "ScenarioSpec-graph_model": (
+        "graph_model", "er", lambda v: ScenarioSpec("custom", graph_model=v)),
+    "ScenarioSpec-methods": (
+        "methods", "baseline", lambda v: ScenarioSpec("custom", methods=(v,))),
+    "spec_from_dict": ("noise kind", "gaussian", lambda v: spec_from_dict(
+        {"id": "s1", "noise": {"kind": v}})),
+    "FitConfig": ("effect_kind", "te", lambda v: FitConfig(effect_kind=v)),
+    "relevance_constraint": ("effect_kind", "de", lambda v: relevance_constraint(
+        np.zeros((2, 2)), np.ones(2, bool), v, 1.0)),
+    "delta_star": ("effect_kind", "te",
+                   lambda v: delta_star(_LOSS_DATA, _fitted, v)),
+    "exact_poc": ("kind", "marginal", lambda v: exact_poc(_SCM, 0, 1, 1, v)),
+    "poc_lower_bound": ("kind", "marginal", lambda v: poc_lower_bound(
+        ScmDistribution(_SCM), 0, 1, 1, v)),
+    "check_sem": ("link", "linear", lambda v: check_sem(BernoulliNoise(), v, 3)),
+    "SemSpec": ("link", "rounded-log", lambda v: SemSpec(_zero_graph(), link=v)),
+}
+# each bad value, from the entry point's valid choice
+BAD_CHOICES = {
+    "misspelled": lambda choice: choice[:-1],
+    "0-d-array": np.array,
+    "2-element-array": lambda choice: np.array([choice, choice]),
+    "None": lambda choice: None,
+}
+
+
+def _two_cycle():
+    # z0 <-> z1 -> y
+    w = np.zeros((3, 3))
+    w[0, 1] = w[1, 0] = w[1, 2] = 1.0
+    return WeightedDag(w)
+
+
+ACYCLIC_ENTRY_POINTS = {
+    "total_effects": ("g", total_effects),
+    "delta_star": ("g", lambda g: delta_star(_LOSS_DATA, lambda _: g)),
+    "enumerate_paths_to_outcome": (
+        "g", lambda g: enumerate_paths_to_outcome(g, 0)),
+    "DiscreteScm": ("graph", lambda g: DiscreteScm(g, (), (), (), ())),
+    "sample_linear": ("spec.graph", lambda g: sample_linear(SemSpec(g), 10)),
+    "sample_nonlinear": ("spec.graph", lambda g: sample_nonlinear(
+        SemSpec(g, link="rounded-log"), 10)),
+}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    *((entry, bad) for entry in CHOICE_ENTRY_POINTS for bad in BAD_CHOICES),
+    *((entry, "2-cycle") for entry in ACYCLIC_ENTRY_POINTS),
+], ids=lambda part: part)
+def test_a_bad_choice_or_a_cyclic_graph_names_its_argument(entry, bad):
+    # a 0-d array of a choice was accepted at effect_kind, link and
+    # graph_model, and a 2-element one met numpy's "truth value ... is
+    # ambiguous"; each site worded its own message
+    if bad == "2-cycle":
+        name, call = ACYCLIC_ENTRY_POINTS[entry]
+        value, message = _two_cycle(), "must be acyclic"
+    else:
+        name, choice, call = CHOICE_ENTRY_POINTS[entry]
+        call(choice)  # the valid choice passes the rule
+        value, message = BAD_CHOICES[bad](choice), "must be one of"
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} {message}"):
+        call(value)
+
+
+def test_each_rule_returns_its_normal_form():
+    # what a config stores must write to JSON: a numpy scalar does not
+    assert type(check_choice("kind", np.str_("te"), ("te",))) is str
+    assert type(check_count("n", np.int64(3))) is int
+    assert type(check_nonnegative("t", np.float32(0.5))) is float
+    assert check_acyclic("g", _two_cycle().weights[1:, 1:]) == [0, 1]
 
 
 class TestUnchecked:

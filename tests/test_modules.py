@@ -6,7 +6,8 @@ property has a user, only ``effects.py`` inverts a matrix, and
 ``bench.replicate`` is the one place that fits a baseline or warm-starts a
 fit from one, in the package and in ``tools/``, and ``FitResult.counters``
 is the one reader of a fit's ``stop_reason`` and ``inner_iterations``
-there.
+there.  ``graph.check_choice`` is the one test of a value against an
+option table such as ``METHODS``.
 ``import nscausal`` loads no submodule, each entry point loads only the
 layers it calls, and the lazy package exposes the same 73 public names as
 the submodules that own them."""
@@ -151,6 +152,25 @@ def _sites(matches, paths=None):
     for path in sorted(paths or package.glob("*.py")):
         visit(ast.parse(path.read_text()), path.name, ())
     return sites
+
+
+# the option tables whose values ``graph.check_choice`` tests
+CHOICE_TABLES = {"EFFECT_KINDS", "POC_KINDS", "LINKS", "GRAPH_MODELS",
+                 "SCENARIO_IDS", "METHODS", "NOISE_KINDS"}
+
+
+def test_only_graph_tests_a_value_against_an_option_table():
+    # an ``x in METHODS`` outside check_choice is a second wording of the
+    # choice rule, and it let a numpy string array through
+    package = Path(nscausal.__file__).parent
+    paths = [*package.glob("*.py"),
+             *(package.parents[1] / "tools").glob("*.py")]
+    tests = _sites(lambda node: isinstance(node, ast.Compare) and any(
+        isinstance(op, (ast.In, ast.NotIn))
+        and (getattr(right, "id", None) or getattr(right, "attr", None))
+        in CHOICE_TABLES
+        for op, right in zip(node.ops, node.comparators)), paths)
+    assert [site for site in tests if site[0] != "graph.py"] == []
 
 
 def _object_calls(attr):

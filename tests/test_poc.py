@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import nscausal.graph as graph_mod
 import nscausal.poc as poc_mod
 from nscausal.graph import WeightedDag
 from nscausal.poc import (EmpiricalDistribution, PocBound, PocProduct,
@@ -86,7 +87,7 @@ def _feasible_rest(scm, i):
 class TestDiscreteScmValidation:
     @pytest.mark.parametrize("field, value, message", [
         ("graph", WeightedDag(np.ones((2, 2)) - np.eye(2)),
-         "DiscreteScm requires an acyclic graph"),
+         "graph must be acyclic"),
         ("domains", ((0, 1),), "domains must have one entry per node"),
         ("noise_probs", ((0.4, 0.6), (1.0,)),
          "node 1: noise values and probs differ in length"),
@@ -299,7 +300,8 @@ class TestExactPoc:
         def unexpected(weights):
             raise AssertionError("topological_order called")
 
-        monkeypatch.setattr(poc_mod, "topological_order", unexpected)
+        # the order comes from graph's acyclicity rule, at construction
+        monkeypatch.setattr(graph_mod, "topological_order", unexpected)
         assert evaluate(scm, (1, 0, 1, 0), {1: 1}) == expected
 
 
