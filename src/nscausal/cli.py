@@ -1,7 +1,6 @@
 """Command-line front end: simulate, fit, eval, bench, effects."""
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -39,8 +38,7 @@ def _meta(args, resolved: dict) -> dict:
 def _load_fit_config(args) -> FitConfig:
     overrides = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            doc = json.load(fh)
+        doc = io.read_json(args.config)
         # only the 'fit' section is read, and a document must hold one:
         # settings at its root would otherwise run as the defaults
         if not isinstance(doc, dict) or "fit" not in doc:
@@ -114,8 +112,7 @@ def cmd_eval(args):
 
 
 def cmd_bench(args):
-    with open(args.spec) as fh:
-        spec = spec_from_dict(json.load(fh))
+    spec = spec_from_dict(io.read_json(args.spec))
     report = run_scenario(spec, _load_fit_config(args), threads=args.threads)
     os.makedirs(args.out, exist_ok=True)
     io.write_rows_csv(report.rows, RAW_FIELDS, os.path.join(args.out, "raw.csv"))

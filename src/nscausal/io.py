@@ -1,4 +1,6 @@
-"""CSV and JSON serialization for graphs, datasets and fits."""
+"""CSV and JSON serialization for graphs, datasets and fits: the one module
+of the package that opens a file, with one reader and one writer for each
+format."""
 
 import contextlib
 import csv
@@ -13,30 +15,10 @@ from .graph import WeightedDag
 from .scm import Dataset
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-@contextlib.contextmanager
-def _csv_writer(path):
-    """A CSV writer on a new file at ``path``, or on stdout when it is None."""
-    if path is None:
-        yield csv.writer(sys.stdout, lineterminator="\n")
-        return
-    with open(path, "w", newline="") as fh:
-        yield csv.writer(fh, lineterminator="\n")
-
-
-def _write_matrix_csv(labels, matrix, path):
-    with _csv_writer(path) as writer:
-        writer.writerow(labels)
-        for row in matrix:
-            writer.writerow([_fmt(x) for x in row])
-
-
 def write_graph_csv(g: WeightedDag, path):
     """Adjacency matrix, header row = labels, row i = outgoing weights of i."""
-    _write_matrix_csv(g.labels, g.weights, path)
+    write_rows_csv([dict(zip(g.labels, row)) for row in g.weights], g.labels,
+                   path)
 
 
 def _csv_rows(path) -> tuple:
@@ -103,7 +85,8 @@ def read_graph_csv(path, outcome_index: int = -1) -> WeightedDag:
 
 
 def write_dataset_csv(data: Dataset, path):
-    _write_matrix_csv(data.labels, data.values, path)
+    write_rows_csv([dict(zip(data.labels, row)) for row in data.values],
+                   data.labels, path)
 
 
 def load_csv(path, outcome) -> Dataset:
@@ -141,11 +124,19 @@ def write_fit_dir(result, outdir, meta: dict):
     meta.json (``converged``, the fit's ``counters()`` and its config, whose
     ``delta_star`` is the reference score the fit ran with, with ``meta``'s
     keys added, and last the outcome's label, which ``read_fit_dir`` reads
-    back, so no key of ``meta`` replaces it)."""
+    back, so no key of ``meta`` replaces it).  meta.json is encoded before
+    ``outdir`` is made, so a value json cannot encode writes no file."""
     # the optimizer made ``result``, so this import loads nothing new; at
     # the top of the module it would load the learner into every CSV reader
     from .optimizer import DIAGNOSTIC_FIELDS
 
+    meta_text = _json_text({
+        "converged": result.converged,
+        **result.counters(),
+        "config": asdict(result.config),
+        **meta,
+        "outcome": result.graph.labels[result.graph.outcome_index],
+    })
     os.makedirs(outdir, exist_ok=True)
     write_graph_csv(result.graph, os.path.join(outdir, "graph.csv"))
     write_graph_csv(result.raw_graph, os.path.join(outdir, "raw_graph.csv"))
@@ -156,14 +147,7 @@ def write_fit_dir(result, outdir, meta: dict):
     write_rows_csv([{**entry, "dropped": ";".join(map(str, entry["dropped"]))}
                     for entry in result.diagnostics],
                    DIAGNOSTIC_FIELDS, os.path.join(outdir, "diagnostics.csv"))
-    payload = {
-        "converged": result.converged,
-        **result.counters(),
-        "config": asdict(result.config),
-        **meta,
-        "outcome": result.graph.labels[result.graph.outcome_index],
-    }
-    write_json(payload, os.path.join(outdir, "meta.json"))
+    _write_text(meta_text, os.path.join(outdir, "meta.json"))
 
 
 def read_fit_dir(outdir) -> tuple:
@@ -179,8 +163,7 @@ def read_fit_dir(outdir) -> tuple:
     graph = read_graph_csv(path)
     meta = os.path.join(outdir, "meta.json")
     if os.path.exists(meta):
-        with open(meta) as fh:
-            doc = json.load(fh)
+        doc = read_json(meta)
         if not isinstance(doc, dict):
             raise ValueError(f"{meta}: expected a JSON object")
         outcome = doc.get("outcome", graph.labels[-1])
@@ -201,10 +184,30 @@ def read_fit_dir(outdir) -> tuple:
     return graph, np.array([row[1] == "1" for row in rows[1:]], dtype=bool)
 
 
-def write_json(payload: dict, path):
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_text(text: str, path):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+
+
+def write_json(payload: dict, path):
+    """``payload`` as indented JSON at ``path``, encoded before the file is
+    opened: a value json cannot encode raises before ``path`` is touched."""
+    _write_text(_json_text(payload), path)
+
+
+def read_json(path):
+    """The JSON document at ``path``; text that does not decode (nested
+    deeper than the decoder's recursion limit included), and bytes that are
+    not text, are a ``ValueError`` that names the file."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{path}: not a readable JSON file: {exc}") from None
 
 
 def write_rows_csv(rows, fields, path=None):
@@ -212,14 +215,12 @@ def write_rows_csv(rows, fields, path=None):
 
     Writes to stdout when ``path`` is None.
     """
-    with _csv_writer(path) as writer:
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", newline="")) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fields)
         for row in rows:
-            out = []
-            for key in fields:
-                value = row.get(key, "")
-                if isinstance(value, float):
-                    out.append(_fmt(value))
-                else:
-                    out.append(value)
-            writer.writerow(out)
+            values = [row.get(key, "") for key in fields]
+            # float() first: numpy 2's repr of a float64 is np.float64(...)
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v
+                             for v in values])

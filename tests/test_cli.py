@@ -716,6 +716,36 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"{prefix}: synthetic\n"
         assert not (tmp_path / "f").exists()
 
+    @pytest.mark.parametrize("content", [b'{"fit": {', b"\xff\xfe{}",
+                                         b"[" * 10**5 + b"]" * 10**5],
+                             ids=["truncated", "not-utf-8", "too-deep"])
+    @pytest.mark.parametrize("entry", ["fit --config", "bench --spec",
+                                       "bench --config", "effects --fit"])
+    def test_an_undecodable_json_file_is_named(self, tmp_path, capsys, entry,
+                                               content):
+        # the message used to be json's or the codec's alone, with no path,
+        # and a document nested too deep was a runtime failure (exit 2)
+        data, spec = tmp_path / "data.csv", tmp_path / "spec.json"
+        data.write_text("z0,z1,y\n0,1,1\n1,0,1\n1,1,0\n")
+        spec.write_text(json.dumps({"id": "s1", "replications": 1}))
+        fitdir = tmp_path / "fit"
+        fitdir.mkdir()
+        (fitdir / "graph.csv").write_text("z0,y\n0.0,0.5\n0.0,0.0\n")
+        (fitdir / "selected.csv").write_text("label,selected\nz0,1\n")
+        bad, out = tmp_path / "bad.json", str(tmp_path / "out")
+        argv = {"fit --config": ["fit", "--data", str(data), "--outcome", "y",
+                                 "--config", str(bad)],
+                "bench --spec": ["bench", "--spec", str(bad)],
+                "bench --config": ["bench", "--spec", str(spec),
+                                   "--config", str(bad)],
+                "effects --fit": ["effects", "--fit", str(fitdir)]}[entry]
+        if entry == "effects --fit":
+            bad = fitdir / "meta.json"
+        bad.write_bytes(content)
+        assert main([*argv, "--out", out]) == 1
+        assert f"{bad}: not a readable JSON file: " in capsys.readouterr().err
+        assert not Path(out).exists()
+
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out

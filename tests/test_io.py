@@ -1,17 +1,21 @@
 """The readers and writers of ``nscausal.io``: every public one has a caller
-in the package, and the CSV readers name the file in every error."""
+in the package, the CSV readers name the file in every error, and a JSON
+document that cannot be encoded leaves no partial file."""
 
 import ast
 import inspect
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nscausal
 from nscausal import io
+from nscausal.bench import replicate, scenario, scenario_data
+from nscausal.optimizer import FitConfig
 
 
 def _called_names(path: Path) -> set:
@@ -95,3 +99,26 @@ def test_located_errors_name_the_line_of_the_file(tmp_path, text, line):
                  lambda: io.read_graph_csv(path)):
         with pytest.raises(ValueError, match=rf"row {line}\b"):
             read()
+
+
+def test_write_json_encodes_before_it_opens(tmp_path):
+    # json.dump into the opened file stopped at the value and left
+    # '{\n  "a": 1,\n  "b": ' behind, over whatever the file held
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text('{"kept": true}\n')
+    for path in (new, old):
+        with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+            io.write_json({"a": 1, "b": np.int64(2)}, path)
+    assert not new.exists()
+    assert old.read_text() == '{"kept": true}\n'
+
+
+def test_an_unencodable_meta_writes_no_part_of_a_fit_dir(tmp_path):
+    # the four CSVs used to be written before meta.json stopped part-way
+    _, data = scenario_data(scenario("s1"), 60, 0)
+    [(_, result, _, error)] = replicate(data, ("baseline",), FitConfig())
+    assert error is None
+    fitdir = tmp_path / "fit"
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        io.write_fit_dir(result, fitdir, {"seed": np.int64(3)})
+    assert not fitdir.exists()

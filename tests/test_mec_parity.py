@@ -8,6 +8,8 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 from nscausal.mec import Cpdag, dag_to_cpdag, enumerate_mec
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "mec_parity.py"
@@ -75,6 +77,17 @@ def test_a_missing_case_fails(tmp_path):
     assert code == 1
     assert "only in old: random 0\n" in report
     assert "random: 0, 0, 1\n" in report
+
+
+def test_a_line_that_is_not_json_names_the_file_and_its_line(tmp_path,
+                                                             capsys):
+    # it used to end in a JSONDecodeError traceback that named neither
+    path = tmp_path / "old.jsonl"
+    path.write_text(json.dumps(LINES[0]) + '\n{"case": \n')
+    with pytest.raises(SystemExit) as exit_info:
+        mec_parity.main(["--compare", str(path), str(path)])
+    assert exit_info.value.code == 2
+    assert f"{path}: line 2: Expecting value" in capsys.readouterr().err
 
 
 def _dag_cases():

@@ -7,7 +7,8 @@ property has a user, only ``effects.py`` inverts a matrix, and
 fit from one, in the package and in ``tools/``, and ``FitResult.counters``
 is the one reader of a fit's ``stop_reason`` and ``inner_iterations``
 there.  ``graph.check_choice`` is the one test of a value against an
-option table such as ``METHODS``.
+option table such as ``METHODS``, and ``io.py`` is the one module that
+opens a file or imports ``json`` or ``csv``.
 ``import nscausal`` loads no submodule, each entry point loads only the
 layers it calls, and the lazy package exposes the same 73 public names as
 the submodules that own them."""
@@ -171,6 +172,22 @@ def test_only_graph_tests_a_value_against_an_option_table():
         in CHOICE_TABLES
         for op, right in zip(node.ops, node.comparators)), paths)
     assert [site for site in tests if site[0] != "graph.py"] == []
+
+
+def test_only_io_opens_a_file_or_imports_json_or_csv():
+    # a file opened elsewhere misses io's errors that name the file, and a
+    # document encoded elsewhere may be cut off where a value fails
+    formats = {"json", "csv"}
+
+    def opens_or_imports(node):
+        if isinstance(node, ast.Call):
+            return isinstance(node.func, ast.Name) and node.func.id == "open"
+        if isinstance(node, ast.Import):
+            return any(alias.name in formats for alias in node.names)
+        return isinstance(node, ast.ImportFrom) and node.module in formats
+
+    sites = _sites(opens_or_imports)
+    assert [site for site in sites if site[0] != "io.py"] == []
 
 
 def _object_calls(attr):

@@ -235,6 +235,18 @@ def test_a_fit_line_without_a_field_is_an_error(tmp_path, capsys, field):
     assert f"has no field '{field}'" in capsys.readouterr().err
 
 
+def test_a_line_that_is_not_json_names_the_file_and_its_line(tmp_path,
+                                                             capsys):
+    # json's own "line 2" was a line of the decoded text, not of the file;
+    # the blank line above the bad one counts as a line of the file
+    path = tmp_path / "old.jsonl"
+    path.write_text('\n{"group": ')
+    with pytest.raises(SystemExit) as exit_info:
+        quality_corpus.main(["--compare", str(path), str(path)])
+    assert exit_info.value.code == 2
+    assert f"{path}: line 2: Expecting value" in capsys.readouterr().err
+
+
 def test_compare_counts_selections_that_differ_across_orders(tmp_path):
     lines = [corpus_line("nscsl-te", order=order) for order in range(3)]
     varied = [dict(lines[0], selected=[True, True, True, True])] + lines[1:]

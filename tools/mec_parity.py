@@ -187,8 +187,16 @@ def write(out) -> None:
 
 
 def _load(path: str) -> dict:
+    """The lines of ``path`` by case; a line that is not JSON is a
+    ``ValueError`` that names the file and its line."""
+    rows = []
     with open(path) as handle:
-        rows = [json.loads(text) for text in handle if text.strip()]
+        for line, text in enumerate(handle, 1):
+            try:
+                if text.strip():
+                    rows.append(json.loads(text))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {line}: {exc.msg}") from None
     return {row["case"]: row for row in rows}
 
 
@@ -218,7 +226,10 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
     args = parser.parse_args(argv)
     if args.compare:
-        return compare(*args.compare, sys.stdout)
+        try:
+            return compare(*args.compare, sys.stdout)
+        except ValueError as exc:
+            parser.error(str(exc))
     write(sys.stdout)
     return 0
 

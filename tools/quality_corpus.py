@@ -241,10 +241,16 @@ class _Line(dict):
 
 
 def _load(path: str) -> dict:
-    """The lines of ``path`` by ``KEY``."""
+    """The lines of ``path`` by ``KEY``; a line that is not JSON is a
+    ``ValueError`` that names the file and its line."""
+    rows = []
     with open(path) as handle:
-        rows = [_Line(path, json.loads(text)) for text in handle
-                if text.strip()]
+        for line, text in enumerate(handle, 1):
+            try:
+                if text.strip():
+                    rows.append(_Line(path, json.loads(text)))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {line}: {exc.msg}") from None
     return {tuple(row[k] for k in KEY): row for row in rows}
 
 
